@@ -13,6 +13,7 @@ import (
 	"jepo/internal/core"
 	"jepo/internal/corpus"
 	"jepo/internal/dist"
+	"jepo/internal/engine"
 	"jepo/internal/minijava/interp"
 	"jepo/internal/tables"
 )
@@ -165,6 +166,11 @@ func TestTable1RowsDistSubset(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The dispatched run gets an empty store. With the inline run's
+	// artifacts cached every task is a hit, and one node can drain the queue
+	// before the other reaches its scripted third task.
+	prev := engine.SetDefault(engine.New(engine.Config{}))
+	defer engine.SetDefault(prev)
 	plan := &dist.FaultPlan{Script: map[int]map[int]dist.FaultKind{0: {2: dist.FaultKill}}}
 	got, rep, err := Table1Rows(context.Background(), distCfg(2, plan), interp.EngineVM)
 	if err != nil {

@@ -1,5 +1,5 @@
 // Package engine is the content-addressed artifact layer under every JEPO
-// pipeline: it decomposes source → AST → compiled program → measurement
+// pipeline: it decomposes source → AST → linked program → measurement
 // sample into explicit cacheable stages, each keyed by a content hash of its
 // complete input (source bytes plus engine/rule/seed/precision config) and
 // stored in a bounded, concurrency-safe LRU store with hit/miss/eviction
@@ -12,10 +12,12 @@
 //   - AST masters are stored pristine (never interp.Load-ed) and every
 //     checkout is a deep clone, because both interp.Load and
 //     passes.ApplyFixes annotate/mutate ASTs in place;
-//   - compiled *interp.Program values are shared directly: per the VM's
-//     warm-copy design, instances patch private code copies and never the
-//     shared program, so one cached program can back any number of
-//     concurrent interpreters;
+//   - linked *interp.Program values are shared directly. A program compiles
+//     to bytecode on its first run, once, under its own sync.Once; after
+//     that nothing writes it: instances patch private code copies and keep
+//     static fields in their own tables, so one cached program can back any
+//     number of concurrent interpreters, and a program that never runs (no
+//     main) is never compiled;
 //   - measurement samples are cached only for successful runs, keyed by the
 //     program content and the complete run configuration.
 //
@@ -250,7 +252,7 @@ func (e *Engine) ParseAll(srcs []Source) ([]*ast.File, error) {
 }
 
 // ---------------------------------------------------------------------------
-// Stage: AST → compiled program.
+// Stage: AST → linked program.
 
 // programKey hashes the program stage input: source contents in link order
 // (paths excluded — the loaded program is path-independent, so identical
@@ -269,11 +271,11 @@ func programKey(srcs []Source, instrumented bool) Key {
 	return h.Key()
 }
 
-// Program compiles (and optionally probe-instruments) the sources into a
-// cold *interp.Program. The returned program is shared across callers and
-// must not be re-Loaded or patched — interpreter instances already honor
-// this by quickening private code copies — so a hit is safe for any number
-// of concurrent interpreters.
+// Program links (and optionally probe-instruments) the sources into a cold
+// *interp.Program, which compiles itself on its first run. The returned
+// program is shared across callers and must not be re-Loaded or patched —
+// interpreter instances already honor this by quickening private code
+// copies — so a hit is safe for any number of concurrent interpreters.
 func (e *Engine) Program(srcs []Source, instrumented bool) (*interp.Program, error) {
 	build := func() (any, error) {
 		files, err := e.ParseAll(srcs)
@@ -351,6 +353,13 @@ func (e *Engine) runSample(ctx context.Context, srcs []Source, spec RunSpec) (en
 	prog, err := e.Program(srcs, false)
 	if err != nil {
 		return energy.Sample{}, err
+	}
+	if spec.CallClass == "" {
+		// A program without a runnable main fails here, before it gets a
+		// meter, an interpreter or (see interp.Program) its bytecode.
+		if err := prog.CheckMain(spec.Main); err != nil {
+			return energy.Sample{}, err
+		}
 	}
 	costs := energy.DefaultCosts()
 	if spec.Costs != nil {

@@ -21,6 +21,10 @@ func (k Key) String() string { return hex.EncodeToString(k[:8]) }
 // a function of the part sequence, not of the concatenated bytes.
 type Hasher struct {
 	h hash.Hash
+	// buf carries string parts into h, which only takes []byte: copying
+	// through a fixed buffer costs no allocation, where []byte(s) would copy
+	// every source into a fresh one.
+	buf [256]byte
 }
 
 // NewKey starts a hasher for one artifact stage. The stage name partitions
@@ -36,7 +40,11 @@ func (h *Hasher) Str(s string) *Hasher {
 	var n [8]byte
 	binary.LittleEndian.PutUint64(n[:], uint64(len(s)))
 	h.h.Write(n[:])
-	h.h.Write([]byte(s))
+	for len(s) > 0 {
+		k := copy(h.buf[:], s)
+		h.h.Write(h.buf[:k])
+		s = s[k:]
+	}
 	return h
 }
 

@@ -161,9 +161,10 @@ type Method struct {
 	NSlots int32
 
 	// CIx is 1 + the method's index into the loaded program's compiled
-	// function table (0 = not compiled; the tree-walker runs it). Like
-	// NSlots it is a load-time annotation and deterministic across repeated
-	// loads of the same AST.
+	// function table (0 = no body). Like NSlots it is a load-time
+	// annotation and deterministic across repeated loads of the same AST;
+	// the table itself is filled on the program's first run, and its entry
+	// is empty when the method has no lowering (the tree-walker runs it).
 	CIx int32
 }
 

@@ -452,8 +452,8 @@ type ChargeRun struct {
 
 // BindCosts precomputes every charge run's step deltas against t, so replay
 // under a meter using the same table is add-only. Binding is idempotent and
-// must happen before the Func is shared across goroutines — Load does it once
-// per program, never after.
+// must happen before the Func is shared across goroutines — the interpreter
+// does it once per program, inside the program's one-time compile.
 func (fn *Func) BindCosts(t *energy.CostTable) {
 	for i := range fn.Runs {
 		fn.Runs[i].Deltas = t.BindSteps(fn.Runs[i].Charges)

@@ -96,22 +96,17 @@ func makeConstVals(lits []*ast.Literal) []constVal {
 	return out
 }
 
-// compileProgram lowers every method body to bytecode at load time, in
-// deterministic order (class load order, then declaration order). Methods the
+// compileProgram lowers every method body to bytecode, in the order Load
+// numbered them (class load order, then declaration order). It runs once per
+// Program, under Program.compile, and only reads the AST. Methods the
 // compiler cannot lower keep a nil entry and run on the tree-walker. Bodies
 // carrying the AST-level probe pattern are compiled from their inner block
 // with probe opcodes spliced in — the bytecode instrumentation mode.
 func compileProgram(p *Program) {
-	// Bind charge runs against the default cost table while the Program is
-	// still private to Load: once it is shared across Interps (and
-	// goroutines) the compiled functions are immutable.
-	p.boundCosts = energy.DefaultCosts()
-	p.costsBound = true
 	for _, name := range p.order {
 		ci := p.classes[name]
 		for _, m := range ci.Decl.Methods {
 			if m.Body == nil {
-				m.CIx = 0
 				continue
 			}
 			var fn *bytecode.Func
@@ -122,8 +117,7 @@ func compileProgram(p *Program) {
 			} else {
 				fn = bytecode.Compile(ci.Name, m, nil)
 			}
-			m.CIx = int32(len(p.funcs) + 1)
-			cf := compiledFn{ix: int32(len(p.funcs))}
+			cf := compiledFn{ix: m.CIx - 1}
 			if fn != nil {
 				// Tier-2 rewrite: block charge pre-aggregation and
 				// compile-time quickening, after probe splicing so probe
@@ -140,6 +134,7 @@ func compileProgram(p *Program) {
 // Disasm renders the whole program's compiled form — the `jperf disasm`
 // backend. Methods without a lowering are listed with a tree-walker marker.
 func (p *Program) Disasm() string {
+	p.compile()
 	return p.disasm(func(cf *compiledFn) string { return cf.fn.Disasm() })
 }
 

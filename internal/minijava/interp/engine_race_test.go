@@ -14,7 +14,7 @@ import (
 // TestConcurrentInstancesShareProgram pins that a loaded Program (including
 // its compiled bytecode and constant pools) is safe to share across
 // interpreter instances: all mutable VM state — stacks, frame pools,
-// monomorphic caches, meters — is per-instance. The race detector turns any
+// monomorphic caches, static fields, meters — is per-instance. The race detector turns any
 // shared-state slip into a hard failure under scripts/check.sh's
 // `go test -race` gate.
 func TestConcurrentInstancesShareProgram(t *testing.T) {
@@ -79,10 +79,9 @@ func TestConcurrentInstancesShareProgram(t *testing.T) {
 // first run installs the quick forms, the second executes them — while every
 // other worker does the same concurrently. The race detector catches any
 // write to shared state; the bit-comparison (per run, across workers) catches
-// any nondeterminism the patching could introduce. (The program deliberately
-// has no static fields: static slots live in the shared Program — a tier-1
-// design this PR does not change — so static-mutating programs are
-// single-instance, exactly as they were on the tree-walker.)
+// any nondeterminism the patching could introduce. Static fields are
+// per-instance state too (Interp.statics), so the static counter each worker
+// bumps is its own: run 2 continues from run 1's count on every worker alike.
 func TestConcurrentQuickeningSharesProgram(t *testing.T) {
 	src := `class C {
 		int v;
@@ -90,7 +89,8 @@ func TestConcurrentQuickeningSharesProgram(t *testing.T) {
 		int bump() { this.v += 3; return this.v; }
 	}
 	class B {
-		static int twice(int x) { return x * 2; }
+		static int calls;
+		static int twice(int x) { calls = calls + 1; return x * 2; }
 		static double f() {
 			C c = new C(5);
 			double s = 0.0;
@@ -98,7 +98,7 @@ func TestConcurrentQuickeningSharesProgram(t *testing.T) {
 				int t = twice(i) - c.bump() % 7;
 				s += Math.max(t % 11, c.v % 13) + Integer.valueOf(i).intValue();
 			}
-			return s + c.v;
+			return s + c.v + B.calls;
 		}
 	}`
 	f, err := parser.Parse("race.java", src)

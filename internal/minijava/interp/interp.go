@@ -42,6 +42,11 @@ type Interp struct {
 	engine       Engine
 	staticsReady bool
 
+	// statics holds this instance's static field values and addresses,
+	// indexed by staticSlot.ix. The Program only describes the slots, so
+	// interpreters sharing a Program run with independent statics.
+	statics []staticCell
+
 	// runFast is true when the program's charge runs were bound against this
 	// meter's cost table (and the metering fast path is on): OpRunCharge
 	// replays the precomputed deltas instead of the charge list. The two
@@ -79,6 +84,16 @@ type Interp struct {
 	argPool   [][]Value
 	stackPool [][]Value
 }
+
+// staticCell is one static field's per-instance state: its value and the
+// simulated address InitStatics allocated for it.
+type staticCell struct {
+	V    Value
+	Addr uint64
+}
+
+// static returns this instance's cell for a static slot.
+func (in *Interp) static(s *staticSlot) *staticCell { return &in.statics[s.ix] }
 
 // siteState is one monomorphic inline cache entry: the last dynamic class
 // seen at the site together with the resolved method (call sites) or field
@@ -153,7 +168,8 @@ func New(prog *Program, meter *energy.Meter, opts ...Option) *Interp {
 		quick:      true,
 		ctxCheckAt: math.MaxInt64,
 		siteCache:  make([]siteState, len(prog.sites)),
-		runFast:    meter.FastPath() && prog.costsBound && meter.Costs() == prog.boundCosts,
+		statics:    make([]staticCell, prog.nStatics),
+		runFast:    meter.FastPath() && meter.Costs() == prog.boundCosts,
 	}
 	for _, o := range opts {
 		o(in)
@@ -228,11 +244,14 @@ func (in *Interp) run(f func() Value) (v Value, err error) {
 
 // --- public entry points ---
 
-// InitStatics runs every static field initializer once, in load order.
+// InitStatics runs every static field initializer once, in load order. Every
+// run passes through it, so it is also where a Program is compiled: by the
+// first instance to run it.
 func (in *Interp) InitStatics() (err error) {
 	if in.staticsReady {
 		return nil
 	}
+	in.prog.compile()
 	defer func() {
 		switch r := recover().(type) {
 		case nil:
@@ -251,12 +270,13 @@ func (in *Interp) InitStatics() (err error) {
 		ci := in.prog.classes[name]
 		for _, fname := range ci.statOrd {
 			slot := ci.statics[fname]
-			slot.Addr = in.meter.Alloc(8)
+			c := in.static(slot)
+			c.Addr = in.meter.Alloc(8)
 			if slot.Init != nil {
 				fr := frame{class: ci}
-				slot.V = in.coerceTo(in.evalInit(&fr, slot.Init, slot.Type), slot.Type, slot.Init.NodePos())
+				c.V = in.coerceTo(in.evalInit(&fr, slot.Init, slot.Type), slot.Type, slot.Init.NodePos())
 			} else {
-				slot.V = zeroValue(slot.Type)
+				c.V = zeroValue(slot.Type)
 			}
 		}
 	}
@@ -266,32 +286,12 @@ func (in *Interp) InitStatics() (err error) {
 // RunMain locates the main method of the named class (or the unique main in
 // the program when mainClass is "") and executes it.
 func (in *Interp) RunMain(mainClass string) error {
-	if mainClass == "" {
-		var candidates []string
-		for _, name := range in.prog.order {
-			if in.prog.classes[name].findMethod("main", 1) != nil {
-				candidates = append(candidates, name)
-			}
-		}
-		switch len(candidates) {
-		case 1:
-			mainClass = candidates[0]
-		case 0:
-			return fmt.Errorf("interp: no class with a main method")
-		default:
-			return fmt.Errorf("interp: multiple main classes: %v (choose one)", candidates)
-		}
-	}
-	ci, ok := in.prog.classes[mainClass]
-	if !ok {
-		return fmt.Errorf("interp: unknown main class %s", mainClass)
-	}
-	m := ci.findMethod("main", 1)
-	if m == nil {
-		return fmt.Errorf("interp: class %s has no main(String[]) method", mainClass)
+	ci, m, err := in.prog.entry(mainClass)
+	if err != nil {
+		return err
 	}
 	args := in.newArray(ast.Type{Kind: ast.ClassType, Name: "String"}, []int{0})
-	_, err := in.run(func() Value {
+	_, err = in.run(func() Value {
 		return in.invoke(ci, nil, m, []Value{args})
 	})
 	return err
@@ -332,7 +332,7 @@ func (in *Interp) Bind(class, field string, v Value) error {
 	if err != nil {
 		return fmt.Errorf("interp: bind %s.%s: %w", class, field, err)
 	}
-	slot.V = cv
+	in.static(slot).V = cv
 	return nil
 }
 
@@ -1034,15 +1034,16 @@ func (in *Interp) evalIdent(fr *frame, n *ast.Ident) Value {
 		}
 	case ast.ResStaticRef:
 		if ix := int(n.RIx); ix < len(in.prog.statRefs) {
-			slot := in.prog.statRefs[ix]
-			in.meter.StaticAccess(slot.Addr)
-			return slot.V
+			c := in.static(in.prog.statRefs[ix])
+			in.meter.StaticAccess(c.Addr)
+			return c.V
 		}
 	case ast.ResStatic:
 		if fr.class != nil {
 			if slot := fr.class.flatStatics[n.Name]; slot != nil {
-				in.meter.StaticAccess(slot.Addr)
-				return slot.V
+				c := in.static(slot)
+				in.meter.StaticAccess(c.Addr)
+				return c.V
 			}
 		}
 	case ast.ResClass:
@@ -1064,8 +1065,9 @@ func (in *Interp) evalIdentSlow(fr *frame, n *ast.Ident) Value {
 	}
 	if fr.class != nil {
 		if slot := fr.class.findStatic(n.Name); slot != nil {
-			in.meter.StaticAccess(slot.Addr)
-			return slot.V
+			c := in.static(slot)
+			in.meter.StaticAccess(c.Addr)
+			return c.V
 		}
 	}
 	if _, ok := in.prog.classes[n.Name]; ok || isBuiltinClass(n.Name) {
@@ -1089,8 +1091,9 @@ func (in *Interp) selectFrom(x Value, n *ast.Select) Value {
 			switch ps := &in.prog.sites[ix]; ps.kind {
 			case siteStaticSel:
 				if ps.cls == cls {
-					in.meter.StaticAccess(ps.slot.Addr)
-					return ps.slot.V
+					c := in.static(ps.slot)
+					in.meter.StaticAccess(c.Addr)
+					return c.V
 				}
 			case siteBuiltinConstSel:
 				if ps.cls == cls {
@@ -1104,8 +1107,9 @@ func (in *Interp) selectFrom(x Value, n *ast.Select) Value {
 		}
 		if ci, ok := in.prog.classes[cls]; ok {
 			if slot := ci.findStatic(n.Name); slot != nil {
-				in.meter.StaticAccess(slot.Addr)
-				return slot.V
+				c := in.static(slot)
+				in.meter.StaticAccess(c.Addr)
+				return c.V
 			}
 		}
 		if v, ok := builtinStaticField(cls, n.Name); ok {
@@ -1994,22 +1998,24 @@ func (in *Interp) writeLValue(fr *frame, lhs ast.Expr, v Value) {
 		case ast.ResStaticRef:
 			if ix := int(l.RIx); ix < len(in.prog.statRefs) {
 				slot := in.prog.statRefs[ix]
-				in.meter.StaticAccess(slot.Addr)
+				c := in.static(slot)
+				in.meter.StaticAccess(c.Addr)
 				if v.K == slot.K {
-					slot.V = v
+					c.V = v
 				} else {
-					slot.V = in.coerceTo(v, slot.Type, l.Pos)
+					c.V = in.coerceTo(v, slot.Type, l.Pos)
 				}
 				return
 			}
 		case ast.ResStatic:
 			if fr.class != nil {
 				if slot := fr.class.flatStatics[l.Name]; slot != nil {
-					in.meter.StaticAccess(slot.Addr)
+					c := in.static(slot)
+					in.meter.StaticAccess(c.Addr)
 					if v.K == slot.K {
-						slot.V = v
+						c.V = v
 					} else {
-						slot.V = in.coerceTo(v, slot.Type, l.Pos)
+						c.V = in.coerceTo(v, slot.Type, l.Pos)
 					}
 					return
 				}
@@ -2050,15 +2056,17 @@ func (in *Interp) writeLValue(fr *frame, lhs ast.Expr, v Value) {
 			cls := x.R.(string)
 			if si := int(l.SiteIx) - 1; si >= 0 && si < len(in.prog.sites) {
 				if ps := &in.prog.sites[si]; ps.kind == siteStaticSel && ps.cls == cls {
-					in.meter.StaticAccess(ps.slot.Addr)
-					ps.slot.V = in.coerceTo(v, ps.slot.Type, l.Pos)
+					c := in.static(ps.slot)
+					in.meter.StaticAccess(c.Addr)
+					c.V = in.coerceTo(v, ps.slot.Type, l.Pos)
 					return
 				}
 			}
 			if ci, ok := in.prog.classes[cls]; ok {
 				if slot := ci.findStatic(l.Name); slot != nil {
-					in.meter.StaticAccess(slot.Addr)
-					slot.V = in.coerceTo(v, slot.Type, l.Pos)
+					c := in.static(slot)
+					in.meter.StaticAccess(c.Addr)
+					c.V = in.coerceTo(v, slot.Type, l.Pos)
 					return
 				}
 			}
@@ -2089,8 +2097,9 @@ func (in *Interp) writeIdentSlow(fr *frame, l *ast.Ident, v Value) {
 	}
 	if fr.class != nil {
 		if slot := fr.class.findStatic(l.Name); slot != nil {
-			in.meter.StaticAccess(slot.Addr)
-			slot.V = in.coerceTo(v, slot.Type, l.Pos)
+			c := in.static(slot)
+			in.meter.StaticAccess(c.Addr)
+			c.V = in.coerceTo(v, slot.Type, l.Pos)
 			return
 		}
 	}

@@ -2,6 +2,7 @@ package interp
 
 import (
 	"fmt"
+	"sync"
 
 	"jepo/internal/energy"
 	"jepo/internal/minijava/ast"
@@ -41,18 +42,23 @@ type fieldInfo struct {
 	Own  bool // declared by this class (not inherited)
 }
 
+// staticSlot is the link-time description of one static field. Its value
+// and simulated address are per-run state: they live in the Interp's statics
+// table at index ix, so interpreters sharing a Program never share a static.
 type staticSlot struct {
 	Type ast.Type
 	K    Kind // kindOfType(Type), precomputed for store identity checks
 	Init ast.Expr
-	V    Value
-	Addr uint64
+	ix   int32 // index into Interp.statics, in static initialization order
 }
 
-// Program is a loaded set of classes ready to execute.
+// Program is a loaded set of classes ready to execute. Load links and
+// resolves; the bytecode is compiled on the first run (see compile), so a
+// program that is loaded but never run never pays for lowering.
 type Program struct {
-	classes map[string]*classInfo
-	order   []string // load order, for static initialization
+	classes  map[string]*classInfo
+	order    []string // load order, for static initialization
+	nStatics int      // static slots across all classes
 
 	// Resolution tables built by resolveProgram. sites is indexed by the
 	// SiteIx annotations on Call/New/Select nodes and holds load-time
@@ -62,17 +68,16 @@ type Program struct {
 	statRefs []*staticSlot
 
 	// funcs is the compiled-bytecode table built by compileProgram, indexed
-	// by the CIx annotations on methods (nil fn = no lowering, the
-	// tree-walker runs that method).
-	funcs []compiledFn
+	// by the CIx annotations Load numbers methods with (nil fn = no
+	// lowering, the tree-walker runs that method). compiled guards it: every
+	// reader runs after compile.
+	funcs    []compiledFn
+	compiled sync.Once
 
 	// boundCosts is the cost table every compiled function's charge runs
-	// were bound against at load time (Func.BindCosts). An Interp whose
-	// meter uses a different table replays runs through the unbound charges
-	// instead; binding happens once in Load, never after the Program is
-	// shared.
+	// are bound against (Func.BindCosts). An Interp whose meter uses a
+	// different table replays runs through the unbound charges instead.
 	boundCosts energy.CostTable
-	costsBound bool
 }
 
 // progSiteKind classifies what a call/new/select site resolved to at load
@@ -110,9 +115,10 @@ type progSite struct {
 // AST in place. Loading the same AST from two goroutines concurrently is
 // therefore a data race, and after re-loading a mutated AST (e.g. after
 // refactor.Apply), programs obtained from earlier loads of that AST must not
-// keep executing.
+// keep executing. The first run compiles the program from the AST, so the
+// AST must not change between Load and the last run.
 func Load(files ...*ast.File) (*Program, error) {
-	p := &Program{classes: make(map[string]*classInfo)}
+	p := &Program{classes: make(map[string]*classInfo), boundCosts: energy.DefaultCosts()}
 	for _, f := range files {
 		for _, c := range f.Classes {
 			if _, dup := p.classes[c.Name]; dup {
@@ -223,9 +229,68 @@ func Load(files ...*ast.File) (*Program, error) {
 			}
 		}
 	}
+	// Number the static slots in initialization order and the method
+	// bodies in compilation order (see compileProgram).
+	var nfuncs int32
+	for _, name := range p.order {
+		ci := p.classes[name]
+		for _, fname := range ci.statOrd {
+			ci.statics[fname].ix = int32(p.nStatics)
+			p.nStatics++
+		}
+		for _, m := range ci.Decl.Methods {
+			if m.Body == nil {
+				m.CIx = 0
+				continue
+			}
+			nfuncs++
+			m.CIx = nfuncs
+		}
+	}
 	resolveProgram(p)
-	compileProgram(p)
 	return p, nil
+}
+
+// compile lowers the program to bytecode once, on the first run. Every path
+// that reads funcs — InitStatics, which all runs pass through, and the
+// disassemblers — calls it first.
+func (p *Program) compile() { p.compiled.Do(func() { compileProgram(p) }) }
+
+// CheckMain reports the error RunMain(mainClass) would return for a missing
+// entry point, so a caller can reject a program that cannot run before it
+// builds a meter and an Interp.
+func (p *Program) CheckMain(mainClass string) error {
+	_, _, err := p.entry(mainClass)
+	return err
+}
+
+// entry resolves RunMain's entry point.
+func (p *Program) entry(mainClass string) (*classInfo, *ast.Method, error) {
+	if mainClass == "" {
+		var candidates []string
+		for _, name := range p.order {
+			if p.classes[name].findMethod("main", 1) != nil {
+				candidates = append(candidates, name)
+			}
+		}
+		switch len(candidates) {
+		case 1:
+			mainClass = candidates[0]
+		case 0:
+			return nil, nil, fmt.Errorf("interp: no class with a main method")
+		default:
+			return nil, nil, fmt.Errorf("interp: multiple main classes: %v (choose one)", candidates)
+		}
+	}
+	ci, ok := p.classes[mainClass]
+	if !ok {
+		return nil, nil, fmt.Errorf("interp: unknown main class %s", mainClass)
+	}
+	m := ci.findMethod("main", 1)
+	if m == nil {
+		return nil, nil, fmt.Errorf("interp: class %s has no main(String[]) method", mainClass)
+	}
+	return ci, m, nil
 }
 
 // Class looks up a loaded class.

@@ -5,7 +5,7 @@ import (
 	"jepo/internal/minijava/bytecode"
 )
 
-// Runtime quickening support. A shared Program is immutable after Load; the
+// Runtime quickening support. A shared Program is immutable once compiled; the
 // VM patches opcodes only in warmState.code — this instance's private copy —
 // so concurrent interpreters over one Program never write shared memory. The
 // copy is positionally identical to the finalized stream (patches swap
@@ -19,7 +19,7 @@ import (
 //	OpQCallVirtual  class (guard), m, cf
 //	OpQCallStatic   cls (guard), class, m, cf
 //	OpQGetField     class (guard), ix
-//	OpQGetStatic    cls (guard), slot
+//	OpQGetStatic    cls (guard), cell
 //	OpQGetConst     cls (guard), v
 //	OpQPushV        v (invariant, no guard)
 type vmIC struct {
@@ -27,7 +27,7 @@ type vmIC struct {
 	cls    string
 	m      *ast.Method
 	cf     *compiledFn
-	slot   *staticSlot
+	cell   *staticCell // this instance's static storage
 	v      Value
 	ix     int32
 	static bool
@@ -129,7 +129,7 @@ func (in *Interp) quickenSelect(ins *bytecode.Instr, ics []vmIC, x Value) bool {
 			switch ps := &in.prog.sites[ix]; ps.kind {
 			case siteStaticSel:
 				if ps.cls == cls {
-					ics[ins.C] = vmIC{cls: cls, slot: ps.slot}
+					ics[ins.C] = vmIC{cls: cls, cell: in.static(ps.slot)}
 					ins.Op = bytecode.OpQGetStatic
 					return true
 				}
@@ -227,6 +227,7 @@ func (in *Interp) compiledFor(m *ast.Method) *compiledFn {
 // (quickened) code copies where they exist — the `jperf disasm -warm`
 // backend. Functions this instance never invoked print in their cold form.
 func (in *Interp) DisasmWarm() string {
+	in.prog.compile()
 	return in.prog.disasm(func(cf *compiledFn) string {
 		if in.warm != nil {
 			if w := &in.warm[cf.ix]; w.code != nil {

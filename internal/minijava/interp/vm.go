@@ -224,7 +224,7 @@ func (in *Interp) execVM(cf *compiledFn, code []bytecode.Instr, ics []vmIC, fr *
 		case bytecode.OpRunCharge:
 			// One pre-aggregated run: a single budget check for the summed
 			// steps, then the exact ordered replay of the folded charges —
-			// through the load-time-bound deltas when this meter is on the
+			// through the compile-time-bound deltas when this meter is on the
 			// bound cost table, through the charge list otherwise.
 			run := &fn.Runs[ins.A]
 			in.ops += int64(run.Steps)
@@ -852,8 +852,8 @@ func (in *Interp) execVM(cf *compiledFn, code []bytecode.Instr, ics []vmIC, fr *
 				ins.Op = bytecode.OpLoadSelect
 				goto dispatch
 			}
-			meter.StaticAccess(ic.slot.Addr)
-			stack[sp-1] = ic.slot.V
+			meter.StaticAccess(ic.cell.Addr)
+			stack[sp-1] = ic.cell.V
 		case bytecode.OpQGetConst:
 			x := stack[sp-1]
 			ic := &ics[ins.C]
@@ -900,9 +900,9 @@ func (in *Interp) execVM(cf *compiledFn, code []bytecode.Instr, ics []vmIC, fr *
 			sp++
 		case bytecode.OpQLoadStatic:
 			if ix := int(ins.A); ix < len(in.prog.statRefs) {
-				slot := in.prog.statRefs[ix]
-				meter.StaticAccess(slot.Addr)
-				stack[sp] = slot.V
+				c := in.static(in.prog.statRefs[ix])
+				meter.StaticAccess(c.Addr)
+				stack[sp] = c.V
 				sp++
 				break
 			}
@@ -923,11 +923,12 @@ func (in *Interp) execVM(cf *compiledFn, code []bytecode.Instr, ics []vmIC, fr *
 			rhs := stack[sp-1]
 			if ix := int(ins.A); ix < len(in.prog.statRefs) {
 				slot := in.prog.statRefs[ix]
-				meter.StaticAccess(slot.Addr)
+				c := in.static(slot)
+				meter.StaticAccess(c.Addr)
 				if rhs.K == slot.K {
-					slot.V = rhs
+					c.V = rhs
 				} else {
-					slot.V = in.coerceTo(rhs, slot.Type, ins.Node.NodePos())
+					c.V = in.coerceTo(rhs, slot.Type, ins.Node.NodePos())
 				}
 			} else {
 				in.writeLValue(fr, ins.Node.(*ast.Ident), rhs)

@@ -33,7 +33,9 @@ func New(src string) *Lexer {
 // an EOF token) or the first lexical error.
 func Scan(src string) ([]token.Token, error) {
 	lx := New(src)
-	var toks []token.Token
+	// Real sources run 3.5–5 bytes per token, so one byte in three sizes the
+	// stream in a single allocation; denser input grows by append as usual.
+	toks := make([]token.Token, 0, len(src)/3+1)
 	for {
 		t, err := lx.Next()
 		if err != nil {

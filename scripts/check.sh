@@ -105,6 +105,24 @@ if ! cmp -s "$tmpdir/table2.1" "$tmpdir/table2.nocache"; then
     exit 1
 fi
 
+echo "== jepo corpus byte-identity =="
+# The corpus run links every generated library class and runs none (they
+# have no main), so it is the path where programs are never compiled. Its
+# stdout must be byte-identical at -jobs 1 and -jobs 2, and with the cache
+# off and on.
+go run ./cmd/jepo corpus -classifier J48 >"$tmpdir/corpus.default" 2>/dev/null
+go run ./cmd/jepo corpus -classifier J48 -jobs 1 >"$tmpdir/corpus.1" 2>/dev/null
+go run ./cmd/jepo corpus -classifier J48 -jobs 2 >"$tmpdir/corpus.2" 2>/dev/null
+go run ./cmd/jepo corpus -classifier J48 -cache=false >"$tmpdir/corpus.nocache" 2>/dev/null
+for pair in "1 2" "default nocache"; do
+    set -- $pair
+    if ! cmp -s "$tmpdir/corpus.$1" "$tmpdir/corpus.$2"; then
+        echo "jepo corpus stdout differs between the $1 and $2 runs" >&2
+        diff -u "$tmpdir/corpus.$1" "$tmpdir/corpus.$2" >&2 || true
+        exit 1
+    fi
+done
+
 echo "== -workers byte-identity under faults =="
 # The distributed campaign drill: -workers 4 with one worker process killed
 # and one hung mid-campaign must quarantine both nodes, finish the table,
