@@ -1,6 +1,6 @@
 # Standard entry points for the reproduction repo.
 
-.PHONY: build test check serve-check bench-interp bench-passes bench-vm bench-meter bench-sched bench-dist bench-cache bench-serve enginediff faultmatrix scheddiff distdiff
+.PHONY: build test check serve-check enginediff faultmatrix scheddiff distdiff
 
 build:
 	go build ./...
@@ -17,28 +17,6 @@ check:
 # then SIGTERM the daemon and require a clean drain.
 serve-check:
 	sh scripts/serve_check.sh
-
-# Interpreter benchmark trajectory: wall-clock ns/op + simulated µJ/op for
-# the Table I corpus, written to BENCH_interp.json.
-bench-interp:
-	go run ./cmd/jperf bench -o BENCH_interp.json
-
-# Pass-engine benchmark: one shared analysis traversal vs the seed's
-# per-rule traversals over the Table I corpus, written to BENCH_passes.json.
-bench-passes:
-	go run ./cmd/jperf bench -passes -o BENCH_passes.json
-
-# Engine comparison benchmark: tree-walker vs bytecode VM wall clock over
-# the Table I corpus plus the probe-opcode overhead, written to BENCH_vm.json.
-bench-vm:
-	go run ./cmd/jperf bench -vm -o BENCH_vm.json
-
-# Metering-floor benchmark: full VM with the metering fast path on vs off,
-# against a meter-only replay of each row's exact charge volume — the Amdahl
-# floor the energy model imposes — written to BENCH_meter.json. Every row
-# asserts the on/off joule bits are identical.
-bench-meter:
-	go run ./cmd/jperf bench -meter -o BENCH_meter.json
 
 # Differential engine fuzz: the bytecode VM and the tree-walker must agree
 # bit-for-bit (results, output, op counts, Joules) on the Table I corpus and
@@ -57,32 +35,8 @@ faultmatrix:
 scheddiff:
 	go test -tags scheddiff -run SchedDifferentialFuzz ./internal/sched
 
-# Worker-pool benchmark: sequential vs -jobs {2,4,8} for a reduced Table IV
-# and a corpus-wide analysis, with in-bench bit-identity assertions, written
-# to BENCH_sched.json.
-bench-sched:
-	go run ./cmd/jperf bench -sched -o BENCH_sched.json
-
 # Differential fuzz for the fault-tolerant process dispatcher: random chaos
 # plans (kills, hangs, slow-walks, corrupt replies) must merge to results,
 # commit ledgers and Health tallies bit-identical to the inline run.
 distdiff:
 	go test -tags distdiff -run DistDifferentialFuzz ./internal/dist
-
-# Dispatcher benchmark: inline vs -workers {2,4} worker processes for a
-# reduced Table IV, a corpus analysis and a cross-validation, with in-bench
-# bit-identity assertions, written to BENCH_dist.json.
-bench-dist:
-	go run ./cmd/jperf bench -dist -o BENCH_dist.json
-
-# Artifact-cache benchmark: the full corpus analysis and a reduced Table IV,
-# each run nocache vs cold store vs warm store with in-bench bit-identity
-# assertions and hit-rate tallies, written to BENCH_cache.json.
-bench-cache:
-	go run ./cmd/jperf bench -cache -o BENCH_cache.json
-
-# Session-daemon benchmark: an in-process jepod handling analyze requests
-# over HTTP at 1/4/8 concurrent sessions, cold vs warm store, with in-bench
-# byte-identity assertions, written to BENCH_serve.json.
-bench-serve:
-	go run ./cmd/jperf bench -serve -o BENCH_serve.json

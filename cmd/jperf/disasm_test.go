@@ -35,8 +35,10 @@ func TestGoldenDisasm(t *testing.T) {
 // TestGoldenDisasmWarm pins the warm (quickened) stream the same way: after
 // one full main execution, the instance's patched code copies must land on
 // exactly the checked-in quick forms. A drift here means runtime quickening
-// changed which specializations install — reviewable, never silent.
-// Regenerate with:
+// changed which specializations install — reviewable, never silent. The
+// shared program must come out of the run untouched: quickening patches only
+// the instance's private copies, so the cold disassembly still matches its
+// own golden. Regenerate with:
 //
 //	go run ./cmd/jperf disasm -warm examples/java/EnergyDemo.java > examples/java/golden_disasm_warm.txt
 func TestGoldenDisasmWarm(t *testing.T) {
@@ -58,5 +60,12 @@ func TestGoldenDisasmWarm(t *testing.T) {
 	}
 	if got := in.DisasmWarm(); got != string(want) {
 		t.Errorf("warm disassembly drifted from examples/java/golden_disasm_warm.txt\n--- got ---\n%s", got)
+	}
+	cold, err := os.ReadFile("../../examples/java/golden_disasm.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := prog.Disasm(); got != string(cold) {
+		t.Errorf("the warm run patched the shared program: its disassembly no longer matches examples/java/golden_disasm.txt\n--- got ---\n%s", got)
 	}
 }

@@ -7,13 +7,11 @@
 //
 // Usage:
 //
-//	jperf [-main Class] [-r runs] [-jobs N] [-workers N] [-tukey] [-engine vm|ast] <file.java>...
-//	jperf bench [-o BENCH_interp.json] [-r repeats]
-//	jperf bench -vm [-o BENCH_vm.json] [-r repeats]
-//	jperf bench -sched [-o BENCH_sched.json]
-//	jperf bench -dist [-o BENCH_dist.json]
-//	jperf bench -cache [-o BENCH_cache.json]
-//	jperf disasm <file.java>...
+//	jperf [-main Class] [-r runs] [-jobs N] [-workers N] [-tukey] [-engine vm|ast]
+//	      [-cpuprofile file] [-memprofile file] <file.java>...
+//	jperf disasm [-warm] [-main Class] <file.java>...
+//
+// -r is the protocol's run count; Tukey's quartiles need at least 3.
 //
 // -jobs N shards the repeated measurement runs across the deterministic
 // sched pool. Every run builds its own meter and interpreter and runs are
@@ -62,13 +60,6 @@ func main() {
 	// and campaign nodes shut down instead of being orphaned.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	if len(os.Args) > 1 && os.Args[1] == "bench" {
-		if err := runBenchCmd(ctx, os.Args[2:]); err != nil {
-			fmt.Fprintln(os.Stderr, "jperf bench:", err)
-			os.Exit(1)
-		}
-		return
-	}
 	if len(os.Args) > 1 && os.Args[1] == "disasm" {
 		if err := runDisasmCmd(os.Args[2:]); err != nil {
 			fmt.Fprintln(os.Stderr, "jperf disasm:", err)
@@ -152,6 +143,11 @@ type measurement struct {
 }
 
 func run(ctx context.Context, mainClass string, runs int, tukey bool, engine interp.Engine, shared *cliconfig.Set, args []string) error {
+	// Reject a run count the protocol cannot use before any source is read
+	// or any worker spawned, not after the measurements.
+	if runs < 3 {
+		return fmt.Errorf("-r %d: the Tukey protocol needs at least 3 runs", runs)
+	}
 	if len(args) == 0 {
 		return fmt.Errorf("no input files")
 	}

@@ -2,12 +2,12 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"io"
 	"os"
 	"path/filepath"
 	"strconv"
+	"strings"
 	"testing"
 
 	"jepo/internal/cliconfig"
@@ -55,6 +55,11 @@ func TestRunMeasures(t *testing.T) {
 }
 
 func TestRunErrors(t *testing.T) {
+	// A run count below the protocol's minimum is refused before the
+	// sources are read: the missing file must not be what reports.
+	if err := run(context.Background(), "", 2, true, interp.EngineVM, testShared(t, 1), []string{"missing.java"}); err == nil || !strings.Contains(err.Error(), "-r 2") {
+		t.Errorf("runs=2 with a missing file: err = %v, want the -r error", err)
+	}
 	if err := run(context.Background(), "", 3, true, interp.EngineVM, testShared(t, 1), nil); err == nil {
 		t.Error("no input accepted")
 	}
@@ -73,32 +78,6 @@ func TestRunErrors(t *testing.T) {
 	empty := t.TempDir()
 	if err := run(context.Background(), "", 3, true, interp.EngineVM, testShared(t, 1), []string{empty}); err == nil {
 		t.Error("empty dir accepted")
-	}
-}
-
-func TestPassesBenchWritesReport(t *testing.T) {
-	out := filepath.Join(t.TempDir(), "BENCH_passes.json")
-	if err := runBenchCmd(context.Background(), []string{"-passes", "-r", "1", "-o", out}); err != nil {
-		t.Fatal(err)
-	}
-	b, err := os.ReadFile(out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rep passesReport
-	if err := json.Unmarshal(b, &rep); err != nil {
-		t.Fatalf("report is not valid JSON: %v", err)
-	}
-	if len(rep.Benchmarks) != 2 || rep.CorpusFiles == 0 {
-		t.Fatalf("unexpected report: %+v", rep)
-	}
-	for _, pt := range rep.Benchmarks {
-		if pt.NsPerOp <= 0 || pt.Diagnostics == 0 {
-			t.Errorf("degenerate benchmark point: %+v", pt)
-		}
-	}
-	if rep.Speedup <= 0 {
-		t.Errorf("speedup = %v", rep.Speedup)
 	}
 }
 

@@ -132,22 +132,19 @@ func FoldSeeds(seed uint64, k int) []uint64 {
 }
 
 // FoldEval is one fold's independently computed evaluation, merged into
-// the Result in fold order. It is JSON-shaped so a fold evaluated in a
-// dist worker process ships its exact counts back to the dispatcher —
-// integers round-trip losslessly, so a remotely evaluated fold merges
-// bit-identically to a local one.
+// the Result in fold order.
 type FoldEval struct {
-	Name      string  `json:"name"`
-	Correct   int     `json:"correct"`
-	Total     int     `json:"total"`
-	Confusion [][]int `json:"confusion"` // [actual][predicted]
+	Name      string
+	Correct   int
+	Total     int
+	Confusion [][]int // [actual][predicted]
 }
 
 // EvalFold trains and evaluates exactly one fold of a stratified split:
 // its own classifier from the fold's pre-derived seed, its own confusion
 // counts, no shared state. folds must come from d.StratifiedFolds; the
-// fold seed from FoldSeeds. This is the unit the cross-validation pool —
-// and the dist "cvfold" campaign — shards.
+// fold seed from FoldSeeds. This is the unit the cross-validation pool
+// shards.
 func EvalFold(d *dataset.Dataset, folds [][]int, fold int, foldSeed uint64, make SeededFactory) (FoldEval, error) {
 	train, test := d.TrainTest(folds, fold)
 	c := make(fold, foldSeed)
@@ -167,17 +164,6 @@ func EvalFold(d *dataset.Dataset, folds [][]int, fold int, foldSeed uint64, make
 	}
 	out.Total = test.NumInstances()
 	return out, nil
-}
-
-// MergeFoldEvals folds per-fold outcomes, in fold-index order, into a
-// Result. Integer sums are ordering-blind, but PerFold preserves fold
-// order, so callers must pass evals indexed by fold.
-func MergeFoldEvals(numClasses int, evals []FoldEval) *Result {
-	res := &Result{Confusion: newConfusion(numClasses)}
-	for _, out := range evals {
-		mergeFold(res, out)
-	}
-	return res
 }
 
 // mergeFold accumulates one fold into the result.

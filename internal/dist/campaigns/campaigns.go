@@ -1,12 +1,12 @@
 // Package campaigns registers the repository's measurement campaigns as
-// dist task kinds, so Table I/II/IV rows, cross-validation folds, corpus
-// analysis and jperf measurement runs can shard across worker processes.
+// dist task kinds, so Table I/II/IV rows, corpus analysis and jperf
+// measurement runs can shard across worker processes.
 //
 // Every kind follows the same contract the in-process pools rely on: a task
 // result is a pure function of (task index, task seed, campaign params), so
 // a row computed in a re-exec'd worker is bit-identical to one computed
 // inline. Campaign-level inputs that are expensive to rebuild (a generated
-// corpus, a Table IV runner, a stratified fold split) are memoized per
+// corpus, a Table IV runner, a linked program) are memoized per
 // worker process keyed by the exact params JSON — a worker serves one
 // campaign at a time, so a single-entry memo is enough, and the mutex makes
 // it safe for the in-process PipeSpawner workers the tests use.
@@ -19,12 +19,8 @@ import (
 	"sync"
 	"time"
 
-	"jepo/internal/airlines"
-	"jepo/internal/classify"
-	"jepo/internal/classify/eval"
 	"jepo/internal/core"
 	"jepo/internal/corpus"
-	"jepo/internal/dataset"
 	"jepo/internal/dist"
 	"jepo/internal/energy"
 	"jepo/internal/engine"
@@ -50,7 +46,6 @@ func Registry() *dist.Registry {
 		registerTable1(reg)
 		registerTable2(reg)
 		registerTable4(reg)
-		registerCVFold(reg)
 		registerCorpusFile(reg)
 		registerMeasure(reg)
 	})
@@ -223,77 +218,6 @@ func registerTable4(r *dist.Registry) {
 func Table4Rows(ctx context.Context, cfg dist.Config, tcfg tables.Table4Config) ([]tables.Table4Row, dist.Report, error) {
 	return dist.Map[Table4Params, tables.Table4Row](ctx, cfg, Registry(), "table4row",
 		Table4ParamsFrom(tcfg), len(corpus.Classifiers), nil)
-}
-
-// ---------------------------------------------------------------------------
-// Cross-validation: one task per stratified fold.
-
-// CVParams parameterizes the "cvfold" kind: the airlines dataset scale, the
-// split seed and the classifier under evaluation. Single selects
-// single-precision training (the Table IV accuracy-drop experiment).
-type CVParams struct {
-	Classifier string `json:"classifier"`
-	Seed       uint64 `json:"seed"`
-	Folds      int    `json:"folds"`
-	Instances  int    `json:"instances"`
-	Single     bool   `json:"single,omitempty"`
-}
-
-// cvContext is the per-campaign worker state for "cvfold": the dataset, the
-// stratified split, the pre-derived fold seeds and the validated factory.
-type cvContext struct {
-	data  *dataset.Dataset
-	folds [][]int
-	seeds []uint64
-	make  eval.SeededFactory
-}
-
-var cvMemo memo[*cvContext]
-
-func cvBuild(p CVParams) (*cvContext, error) {
-	d := airlines.Generate(p.Instances, p.Seed)
-	folds, err := d.StratifiedFolds(p.Folds, p.Seed)
-	if err != nil {
-		return nil, err
-	}
-	fp := classify.Double
-	if p.Single {
-		fp = classify.Single
-	}
-	mk, err := tables.FactorySeeded(p.Classifier, classify.Options{Seed: p.Seed, FP: fp})
-	if err != nil {
-		return nil, err
-	}
-	return &cvContext{data: d, folds: folds, seeds: eval.FoldSeeds(p.Seed, len(folds)), make: mk}, nil
-}
-
-func registerCVFold(r *dist.Registry) {
-	dist.RegisterFunc(r, "cvfold", func(task dist.Task, p CVParams) (eval.FoldEval, error) {
-		ctx, err := cvMemo.get(p, func() (*cvContext, error) { return cvBuild(p) })
-		if err != nil {
-			return eval.FoldEval{}, err
-		}
-		if task.Index < 0 || task.Index >= len(ctx.folds) {
-			return eval.FoldEval{}, fmt.Errorf("campaigns: fold %d out of range", task.Index)
-		}
-		return eval.EvalFold(ctx.data, ctx.folds, task.Index, ctx.seeds[task.Index], ctx.make)
-	})
-}
-
-// CrossValidate runs one classifier's stratified cross-validation through
-// the dispatcher and merges the fold outcomes in fold order, bit-identical
-// to eval.CrossValidateSeeded on the same inputs.
-func CrossValidate(ctx context.Context, cfg dist.Config, p CVParams) (*eval.Result, dist.Report, error) {
-	d := airlines.Generate(p.Instances, p.Seed)
-	folds, err := d.StratifiedFolds(p.Folds, p.Seed)
-	if err != nil {
-		return nil, dist.Report{}, err
-	}
-	evals, rep, err := dist.Map[CVParams, eval.FoldEval](ctx, cfg, Registry(), "cvfold", p, len(folds), nil)
-	if err != nil {
-		return nil, rep, err
-	}
-	return eval.MergeFoldEvals(d.NumClasses(), evals), rep, nil
 }
 
 // ---------------------------------------------------------------------------

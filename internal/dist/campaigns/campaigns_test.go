@@ -7,9 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"jepo/internal/airlines"
-	"jepo/internal/classify"
-	"jepo/internal/classify/eval"
 	"jepo/internal/core"
 	"jepo/internal/corpus"
 	"jepo/internal/dist"
@@ -52,40 +49,6 @@ func TestTable2RowsDistMatchesInline(t *testing.T) {
 	}
 	if rep.Quarantines != 1 || rep.Deaths != 1 {
 		t.Errorf("expected the killed worker quarantined: %s", rep.String())
-	}
-}
-
-// TestCrossValidateDistMatchesInline: fold evaluations computed in workers
-// merge to the exact Result of eval.CrossValidateSeeded — same splits, same
-// per-fold seeds, same confusion counts.
-func TestCrossValidateDistMatchesInline(t *testing.T) {
-	p := CVParams{Classifier: "RandomTree", Seed: campaignSeed, Folds: 4, Instances: 300}
-	d := airlines.Generate(p.Instances, p.Seed)
-	mk, err := tables.FactorySeeded(p.Classifier, classify.Options{Seed: p.Seed, FP: classify.Double})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := eval.CrossValidateSeeded(context.Background(), d, p.Folds, p.Seed, mk, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	plan := &dist.FaultPlan{Script: map[int]map[int]dist.FaultKind{0: {0: dist.FaultHang}}}
-	cfg := distCfg(2, plan)
-	cfg.Deadline = 300 * time.Millisecond
-	got, rep, err := CrossValidate(context.Background(), cfg, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("dist cross-validation diverges:\n got %+v\nwant %+v", got, want)
-	}
-	if math.Float64bits(got.Accuracy()) != math.Float64bits(want.Accuracy()) {
-		t.Errorf("accuracy bits diverge: %x vs %x",
-			math.Float64bits(got.Accuracy()), math.Float64bits(want.Accuracy()))
-	}
-	if rep.Timeouts != 1 || rep.Quarantines != 1 {
-		t.Errorf("expected the hung worker quarantined: %s", rep.String())
 	}
 }
 

@@ -11,7 +11,22 @@ import (
 	"time"
 
 	"jepo/internal/dist"
+	"jepo/internal/rapl"
 )
+
+// gatedMixRegistry serves "mix" like newMixRegistry(0), except that tasks
+// from index from on wait for gate to close before they run.
+func gatedMixRegistry(from int, gate <-chan struct{}) *dist.Registry {
+	reg := dist.NewRegistry()
+	dist.RegisterFuncHealth(reg, "mix", func(task dist.Task, _ mixParams) (mixResult, rapl.Health, error) {
+		if task.Index >= from {
+			<-gate
+		}
+		r, h := mixTask(task)
+		return r, h, nil
+	})
+	return reg
+}
 
 func waitGoroutines(t *testing.T, base int) {
 	t.Helper()
@@ -48,11 +63,16 @@ func TestDispatchCancelMidCampaign(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 
+	// Tasks past the fifth wait for the cancel, so the campaign cannot have
+	// finished by the time the fifth commit cancels it: ungated, one node
+	// could run every later task while the other still held task 4, and
+	// the commit that cancels would then also commit the rest.
+	gated := gatedMixRegistry(5, ctx.Done())
 	ledger := filepath.Join(t.TempDir(), "campaign.json")
-	cfg := dist.Config{Workers: 2, Seed: 42, Checkpoint: ledger, Spawn: dist.PipeSpawner(reg)}
+	cfg := dist.Config{Workers: 2, Seed: 42, Checkpoint: ledger, Spawn: dist.PipeSpawner(gated)}
 	var mu sync.Mutex
 	var committed []int
-	_, _, err = dist.Map(ctx, cfg, reg, "mix", mixParams{Label: "t"}, n,
+	_, _, err = dist.Map(ctx, cfg, gated, "mix", mixParams{Label: "t"}, n,
 		func(task dist.Task, r mixResult) {
 			mu.Lock()
 			committed = append(committed, task.Index)

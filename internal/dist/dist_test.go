@@ -53,15 +53,20 @@ func newMixRegistry(failEvery uint64) *dist.Registry {
 				return mixResult{}, rapl.Health{}, fmt.Errorf("induced failure on task %d", task.Index)
 			}
 		}
-		bits := mix(task.Seed)
-		return mixResult{
-				Index: task.Index,
-				Bits:  bits,
-				Joule: float64(bits%1000) / 997,
-			}, rapl.Health{Reads: 2, Retries: int(task.Seed % 3)},
-			nil
+		r, h := mixTask(task)
+		return r, h, nil
 	})
 	return reg
+}
+
+// mixTask is the "mix" kind's result and health for one task.
+func mixTask(task dist.Task) (mixResult, rapl.Health) {
+	bits := mix(task.Seed)
+	return mixResult{
+		Index: task.Index,
+		Bits:  bits,
+		Joule: float64(bits%1000) / 997,
+	}, rapl.Health{Reads: 2, Retries: int(task.Seed % 3)}
 }
 
 // runMix runs an n-task mix campaign and returns the committed results in
@@ -87,11 +92,19 @@ func TestDispatcherFaultCampaign(t *testing.T) {
 	reg := newMixRegistry(0)
 	seq, seqOrder, seqRep := runMix(t, dist.Config{Workers: 1, Seed: 20200518}, reg, n)
 
+	// Node 0 is slowed on every assignment so nodes 1 and 3 are always
+	// handed the second tasks their faults are scripted on: unslowed, node
+	// 0 could drain the queue first on a loaded host.
+	slow := map[int]dist.FaultKind{}
+	for i := 0; i < n; i++ {
+		slow[i] = dist.FaultSlow
+	}
 	plan := &dist.FaultPlan{Script: map[int]map[int]dist.FaultKind{
+		0: slow,
 		1: {1: dist.FaultKill}, // node 1 crashes taking its 2nd task
 		2: {0: dist.FaultKill}, // node 2 crashes taking its 1st task
 		3: {1: dist.FaultHang}, // node 3 goes silent on its 2nd task
-	}}
+	}, SlowBy: 20 * time.Millisecond}
 	cfg := dist.Config{
 		Workers:   4,
 		Seed:      20200518,
@@ -191,9 +204,17 @@ func TestDispatcherCorruptReplies(t *testing.T) {
 	reg := newMixRegistry(0)
 	seq, _, _ := runMix(t, dist.Config{Workers: 1, Seed: 99}, reg, n)
 
+	// Node 0 is slowed on every assignment so node 1 is always handed a
+	// second task: unslowed, node 0 could drain the queue before node 1's
+	// first corrupt reply is read, leaving one strike and no quarantine.
+	slow := map[int]dist.FaultKind{}
+	for i := 0; i < n; i++ {
+		slow[i] = dist.FaultSlow
+	}
 	plan := &dist.FaultPlan{Script: map[int]map[int]dist.FaultKind{
+		0: slow,
 		1: {0: dist.FaultCorrupt, 1: dist.FaultCorrupt},
-	}}
+	}, SlowBy: 20 * time.Millisecond}
 	cfg := dist.Config{Workers: 2, Seed: 99, Strikes: 2, Spawn: dist.PipeSpawner(reg), Plan: plan}
 	got, _, rep := runMix(t, cfg, reg, n)
 	for i := range got {

@@ -1,7 +1,5 @@
 package energy
 
-import "os"
-
 // Metering fast path.
 //
 // The simulated meter is the reproduction's instrumentation overhead: both
@@ -27,22 +25,11 @@ import "os"
 //     the single-line access case (the overwhelming majority) is charged
 //     without the general multi-line batching arithmetic.
 //
-// The escape hatch: JEPO_METER_FASTPATH=off routes every charge through the
-// original slow paths (per-call table lookup and multiply, per-entry
-// StepList replay, per-call Access loop). The golden battery and the CLI
-// byte-diff gates run both settings; any divergence is a fast-path bug by
-// definition.
-
-// FastPathEnv is the environment variable gating the metering fast path.
-// Any value other than "off" (including unset) enables it.
-const FastPathEnv = "JEPO_METER_FASTPATH"
-
-// FastPathOn reports whether the metering fast path is enabled. It is read
-// at meter construction and at program/cost-table bind time, so toggling the
-// variable affects meters built afterwards, never a meter mid-run.
-func FastPathOn() bool {
-	return os.Getenv(FastPathEnv) != "off"
-}
+// The reference forms are the general cases: stepSlow charges counts other
+// than one, accessSlow charges line-spanning accesses, and StepList replays
+// charge lists bound to no table (a custom cost table). The energy tests hold
+// every fast form against them bit for bit; any divergence is a fast-path bug
+// by definition.
 
 // unitCost is one precomputed single-charge delta: the exact Joules and
 // cycles Step(op, 1) would add.

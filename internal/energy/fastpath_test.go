@@ -13,21 +13,11 @@ import (
 // charge lists and access geometries. Float comparisons are deliberately ==,
 // not within-epsilon: an epsilon would accept the drift the design forbids.
 
-// newFastSlow builds a fast-path meter and a slow-path meter over the same
-// cost table and cache geometry, regardless of the ambient environment.
-func newFastSlow(t *testing.T, costs CostTable, cache CacheConfig) (fast, slow *Meter) {
-	t.Helper()
-	t.Setenv(FastPathEnv, "")
-	fast = NewMeterCache(costs, cache)
-	if !fast.FastPath() {
-		t.Fatal("meter built with fast path requested is not fast")
-	}
-	t.Setenv(FastPathEnv, "off")
-	slow = NewMeterCache(costs, cache)
-	if slow.FastPath() {
-		t.Fatal("meter built with JEPO_METER_FASTPATH=off is fast")
-	}
-	return fast, slow
+// newFastSlow builds two meters over the same cost table and cache
+// geometry: the test charges fast through the public methods and slow
+// through the reference forms, stepSlow and accessSlow.
+func newFastSlow(costs CostTable, cache CacheConfig) (fast, slow *Meter) {
+	return NewMeterCache(costs, cache), NewMeterCache(costs, cache)
 }
 
 // sameBits fails unless the two meters' samples and op counters are
@@ -55,11 +45,11 @@ func sameBits(t *testing.T, what string, fast, slow *Meter) {
 // both paths at unit and non-unit counts, accumulating across calls so any
 // divergence compounds into the running sums.
 func TestStepFastSlowBitIdentity(t *testing.T) {
-	fast, slow := newFastSlow(t, DefaultCosts(), DefaultCacheConfig())
+	fast, slow := newFastSlow(DefaultCosts(), DefaultCacheConfig())
 	for _, n := range []int{1, 1, 2, 3, 7, 1000, 0, -4} {
 		for op := 0; op < NumOps; op++ {
 			fast.Step(Op(op), n)
-			slow.Step(Op(op), n)
+			slow.stepSlow(Op(op), n)
 		}
 		sameBits(t, "after n="+string(rune('0'+max(n, 0)%10)), fast, slow)
 	}
@@ -109,7 +99,7 @@ func TestAccessFastSlowBitIdentity(t *testing.T) {
 		{SizeBytes: 16 << 10, LineBytes: 128, Ways: 4},
 	}
 	for _, g := range geometries {
-		fast, slow := newFastSlow(t, DefaultCosts(), g)
+		fast, slow := newFastSlow(DefaultCosts(), g)
 		rng := rand.New(rand.NewSource(43))
 		base := fast.Alloc(1 << 16)
 		if sb := slow.Alloc(1 << 16); sb != base {
@@ -119,88 +109,52 @@ func TestAccessFastSlowBitIdentity(t *testing.T) {
 			addr := base + uint64(rng.Intn(1<<16))
 			size := []int{1, 4, 8, 8, 64, 100, 0}[rng.Intn(7)]
 			fast.Access(addr, size)
-			slow.Access(addr, size)
+			slow.accessSlow(addr, size)
 		}
 		sameBits(t, "random accesses", fast, slow)
 	}
 }
 
-// TestAccessRunVsAccessDifferential checks that one AccessRun call is
-// bit-identical to its unbatched expansion — N individual Access calls —
-// over random bases, strides (including zero and line-spanning), counts and
-// sizes, under both the fast and the slow path.
-func TestAccessRunVsAccessDifferential(t *testing.T) {
-	for _, env := range []string{"", "off"} {
-		t.Setenv(FastPathEnv, env)
-		rng := rand.New(rand.NewSource(47))
-		for trial := 0; trial < 60; trial++ {
-			g := DefaultCacheConfig()
-			if trial%3 == 1 {
-				g = CacheConfig{SizeBytes: 24 << 10, LineBytes: 64, Ways: 8}
-			}
-			run := NewMeterCache(DefaultCosts(), g)
-			one := NewMeterCache(DefaultCosts(), g)
-			base := run.Alloc(1 << 16)
-			one.Alloc(1 << 16)
-			base += uint64(rng.Intn(256))
-			stride := uint64(rng.Intn(200))
-			count := rng.Intn(300)
-			size := []int{1, 4, 8, 61, 64, 200}[rng.Intn(6)]
-			run.AccessRun(base, stride, count, size)
-			for k := 0; k < count; k++ {
-				one.Access(base+uint64(k)*stride, size)
-			}
-			rs, os := run.Snapshot(), one.Snapshot()
-			if rs != os {
-				t.Fatalf("env=%q trial %d (base=%d stride=%d count=%d size=%d):\nAccessRun %+v\nAccess×N  %+v",
-					env, trial, base, stride, count, size, rs, os)
-			}
-			rh, rm := run.CacheStats()
-			oh, om := one.CacheStats()
-			if rh != oh || rm != om {
-				t.Fatalf("env=%q trial %d: cache run=%d/%d one=%d/%d", env, trial, rh, rm, oh, om)
-			}
-		}
-	}
-}
-
 // TestFusedHelpersMatchGeneralSequence pins each flattened helper to the
-// general call sequence it replaces, under both path settings: the fused
-// form must be indistinguishable from its expansion.
+// general call sequence it replaces, and to that sequence charged through
+// the reference forms: the fused form must be indistinguishable from both
+// expansions.
 func TestFusedHelpersMatchGeneralSequence(t *testing.T) {
-	for _, env := range []string{"", "off"} {
-		t.Setenv(FastPathEnv, env)
-		fused := NewMeter(DefaultCosts())
-		expanded := NewMeter(DefaultCosts())
-		base := fused.Alloc(4096)
-		expanded.Alloc(4096)
-		rng := rand.New(rand.NewSource(53))
-		for i := 0; i < 2000; i++ {
-			addr := base + uint64(8*rng.Intn(512))
-			switch i % 4 {
-			case 0:
-				fused.ArrayAccess(addr, 8)
-				expanded.Step(OpArrayElem, 1)
-				expanded.Step(OpBoundsCheck, 1)
-				expanded.Access(addr, 8)
-			case 1:
-				// Element sizes that span lines must fall back identically.
-				fused.ArrayAccess(addr|61, 8)
-				expanded.Step(OpArrayElem, 1)
-				expanded.Step(OpBoundsCheck, 1)
-				expanded.Access(addr|61, 8)
-			case 2:
-				fused.FieldAccess(addr)
-				expanded.Step(OpField, 1)
-				expanded.Access(addr, 8)
-			case 3:
-				fused.StaticAccess(addr)
-				expanded.Step(OpStatic, 1)
-				expanded.Access(addr, 8)
-			}
+	fused := NewMeter(DefaultCosts())
+	expanded := NewMeter(DefaultCosts())
+	reference := NewMeter(DefaultCosts())
+	base := fused.Alloc(4096)
+	expanded.Alloc(4096)
+	reference.Alloc(4096)
+	rng := rand.New(rand.NewSource(53))
+	for i := 0; i < 2000; i++ {
+		addr := base + uint64(8*rng.Intn(512))
+		var steps []Op
+		switch i % 4 {
+		case 0:
+			fused.ArrayAccess(addr, 8)
+			steps = []Op{OpArrayElem, OpBoundsCheck}
+		case 1:
+			// Element sizes that span lines must fall back identically.
+			addr |= 61
+			fused.ArrayAccess(addr, 8)
+			steps = []Op{OpArrayElem, OpBoundsCheck}
+		case 2:
+			fused.FieldAccess(addr)
+			steps = []Op{OpField}
+		case 3:
+			fused.StaticAccess(addr)
+			steps = []Op{OpStatic}
 		}
-		sameBits(t, "fused vs expanded (env="+env+")", fused, expanded)
+		for _, op := range steps {
+			expanded.Step(op, 1)
+			reference.stepSlow(op, 1)
+		}
+		expanded.Access(addr, 8)
+		reference.accessSlow(addr, 8)
 	}
+	sameBits(t, "fused vs expanded", fused, expanded)
+	sameBits(t, "fused vs reference", fused, reference)
 }
 
 // TestReportRowOrderDeterministic is the regression test for the unstable

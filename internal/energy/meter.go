@@ -2,7 +2,6 @@ package energy
 
 import (
 	"fmt"
-	"math"
 	"sort"
 	"strings"
 	"time"
@@ -16,13 +15,12 @@ import (
 // single-threaded, as the JVM thread the paper instruments is.
 //
 // The charging methods come in two layers. Step, Access and StepList are the
-// general API; when the fast path is on (see fastpath.go) their hot cases
-// run on precomputed unit deltas, and the flattened helpers —
-// FieldAccess, StaticAccess, ArrayAccess, AccessRun, StepRun — give the
-// interpreter's dispatch loop single concrete calls for its fixed charge
-// sequences. Every fast form performs the identical additions in the
-// identical order as the general form it replaces; with
-// JEPO_METER_FASTPATH=off every helper degrades to the original calls.
+// general API; their hot cases run on precomputed unit deltas (see
+// fastpath.go), and the flattened helpers — FieldAccess, StaticAccess,
+// ArrayAccess, StepRun — give the interpreter's dispatch loop single concrete
+// calls for its fixed charge sequences. Every fast form performs the
+// identical additions in the identical order as the reference form it
+// replaces (stepSlow, accessSlow).
 type Meter struct {
 	costs CostTable
 	cache *Cache
@@ -34,14 +32,7 @@ type Meter struct {
 	heapCursor uint64 // bump allocator for synthetic addresses
 
 	// Fast-path state, folded from costs at construction (fastpath.go):
-	// per-op unit deltas and the unit cache hit/miss/DRAM charges. fast is
-	// false when JEPO_METER_FASTPATH=off; fastN folds the gate and the n==1
-	// test into one comparison (1 when fast, an impossible count when not)
-	// to keep Step within the compiler's inlining budget — the whole point
-	// of the unit-delta path is that the dispatch loop's charges compile to
-	// straight-line adds, not calls.
-	fast        bool
-	fastN       int
+	// per-op unit deltas and the unit cache hit/miss/DRAM charges.
 	unit        [NumOps]unitCost
 	hitU, missU unitCost
 	dramPerMiss Joules
@@ -63,11 +54,6 @@ func NewMeterCache(costs CostTable, cache CacheConfig) *Meter {
 		costs:      costs,
 		cache:      NewCache(cache),
 		heapCursor: 1 << 20, // keep address 0 unused
-		fast:       FastPathOn(),
-	}
-	m.fastN = math.MinInt // matches no real count: Step always takes stepSlow
-	if m.fast {
-		m.fastN = 1
 	}
 	m.unit = bindUnits(&costs)
 	m.hitU = unitCost{j: Picojoules(costs.CacheHit.Picojoules), c: costs.CacheHit.Cycles}
@@ -79,15 +65,13 @@ func NewMeterCache(costs CostTable, cache CacheConfig) *Meter {
 // Costs returns the meter's cost table.
 func (m *Meter) Costs() CostTable { return m.costs }
 
-// FastPath reports whether this meter charges through the precomputed fast
-// path (JEPO_METER_FASTPATH at construction time).
-func (m *Meter) FastPath() bool { return m.fast }
-
 // Step charges n occurrences of op. The n==1 case — the dispatch loop's
-// shape — adds the precomputed unit delta; larger counts recompute the
-// product exactly as the slow path always has.
+// shape — adds the precomputed unit delta; other counts take stepSlow, the
+// reference product. Step must stay within the compiler's inlining budget:
+// the whole point of the unit-delta path is that the dispatch loop's charges
+// compile to straight-line adds, not calls.
 func (m *Meter) Step(op Op, n int) {
-	if n == m.fastN {
+	if n == 1 {
 		m.coreJ += m.unit[op].j
 		m.cycles += m.unit[op].c
 		m.opCounts[op]++
@@ -146,19 +130,17 @@ func (m *Meter) StepRun(deltas []StepDelta) {
 // not span a line boundary) is charged through the unit deltas; spanning
 // accesses take the general batched path.
 func (m *Meter) Access(addr uint64, size int) {
-	if m.fast {
-		c := m.cache
-		if size > 0 && (addr+uint64(size)-1)>>c.lineBits == addr>>c.lineBits {
-			if m.cache.touch(addr >> c.lineBits) {
-				m.coreJ += m.hitU.j
-				m.cycles += m.hitU.c
-			} else {
-				m.coreJ += m.missU.j
-				m.cycles += m.missU.c
-				m.dramJ += m.dramPerMiss
-			}
-			return
+	c := m.cache
+	if size > 0 && (addr+uint64(size)-1)>>c.lineBits == addr>>c.lineBits {
+		if m.cache.touch(addr >> c.lineBits) {
+			m.coreJ += m.hitU.j
+			m.cycles += m.hitU.c
+		} else {
+			m.coreJ += m.missU.j
+			m.cycles += m.missU.c
+			m.dramJ += m.dramPerMiss
 		}
+		return
 	}
 	m.accessSlow(addr, size)
 }
@@ -180,51 +162,11 @@ func (m *Meter) accessSlow(addr uint64, size int) {
 	}
 }
 
-// AccessRun charges count accesses of size bytes at base, base+stride,
-// base+2·stride, … — exactly the charge sequence of count individual Access
-// calls, in one call: per access, the cache transition, then its hit or miss
-// charge, in address order. Batched clients (array initialisation sweeps,
-// replay harnesses) use it to shed the per-access call and branch overhead;
-// the interleaving of hit and miss charges is preserved access by access
-// because the order of float additions is observable in the joule bits.
-func (m *Meter) AccessRun(base, stride uint64, count, size int) {
-	if !m.fast {
-		for k := 0; k < count; k++ {
-			m.accessSlow(base+uint64(k)*stride, size)
-		}
-		return
-	}
-	c := m.cache
-	span := uint64(size)
-	addr := base
-	for k := 0; k < count; k++ {
-		if size > 0 && (addr+span-1)>>c.lineBits == addr>>c.lineBits {
-			if m.cache.touch(addr >> c.lineBits) {
-				m.coreJ += m.hitU.j
-				m.cycles += m.hitU.c
-			} else {
-				m.coreJ += m.missU.j
-				m.cycles += m.missU.c
-				m.dramJ += m.dramPerMiss
-			}
-		} else {
-			m.accessSlow(addr, size)
-		}
-		addr += stride
-	}
-}
-
 // ArrayAccess charges one array-element access: the element step, the bounds
 // check and the memory access, in that order — the fixed sequence of the
 // interpreter's indexed load/store paths (OpLoadIndexL and friends),
 // flattened into one concrete call.
 func (m *Meter) ArrayAccess(addr uint64, size int) {
-	if !m.fast {
-		m.stepSlow(OpArrayElem, 1)
-		m.stepSlow(OpBoundsCheck, 1)
-		m.accessSlow(addr, size)
-		return
-	}
 	u := &m.unit[OpArrayElem]
 	m.coreJ += u.j
 	m.cycles += u.c
@@ -250,11 +192,6 @@ func (m *Meter) ArrayAccess(addr uint64, size int) {
 // FieldAccess charges one instance-field access: the field step then the
 // 8-byte slot access — the fixed sequence of every field load/store lane.
 func (m *Meter) FieldAccess(addr uint64) {
-	if !m.fast {
-		m.stepSlow(OpField, 1)
-		m.accessSlow(addr, 8)
-		return
-	}
 	u := &m.unit[OpField]
 	m.coreJ += u.j
 	m.cycles += u.c
@@ -273,11 +210,6 @@ func (m *Meter) FieldAccess(addr uint64) {
 // StaticAccess charges one static-field access: the static step then the
 // 8-byte slot access — the fixed sequence of every static load/store lane.
 func (m *Meter) StaticAccess(addr uint64) {
-	if !m.fast {
-		m.stepSlow(OpStatic, 1)
-		m.accessSlow(addr, 8)
-		return
-	}
 	u := &m.unit[OpStatic]
 	m.coreJ += u.j
 	m.cycles += u.c

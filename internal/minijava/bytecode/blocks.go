@@ -5,11 +5,11 @@ import (
 	"jepo/internal/minijava/ast"
 )
 
-// This file is the tier-2 post-compilation pass: basic-block partitioning,
-// block charge pre-aggregation and compile-time quickening. Finalize runs
-// after probe injection (probes are block boundaries — the profiler snapshots
-// the meter at them, so no charge may move across one) and rewrites Func.Code
-// while keeping the original stream in Func.Raw for the tier-1 baseline.
+// This file is the post-compilation pass: basic-block partitioning, block
+// charge pre-aggregation and compile-time quickening. Finalize runs after
+// probe injection (probes are block boundaries — the profiler snapshots the
+// meter at them, so no charge may move across one) and rewrites Func.Code in
+// place of the stream the compiler emitted.
 //
 // The aggregation is exact by construction, not by approximation:
 //
@@ -50,13 +50,12 @@ func runFoldable(ins *Instr) bool {
 	return false
 }
 
-// Finalize rewrites a compiled (and probe-injected) function into its tier-2
-// form: leaders are computed, charge runs are folded into OpRunCharge,
-// load-resolved identifier reads are quickened at compile time, jump offsets
-// are remapped onto the shorter stream, and inline-cache slots are numbered.
-// The incoming stream is preserved as fn.Raw.
+// Finalize rewrites a compiled (and probe-injected) function into the form
+// the VM runs: leaders are computed, charge runs are folded into
+// OpRunCharge, load-resolved identifier reads are quickened at compile time,
+// jump offsets are remapped onto the shorter stream, and inline-cache slots
+// are numbered.
 func Finalize(fn *Func) {
-	fn.Raw = fn.Code
 	code := fn.Code
 	n := len(code)
 

@@ -206,7 +206,7 @@ const (
 	OpProbeEnter
 	OpProbeExit
 
-	// --- tier 2: block charge pre-aggregation (Finalize) ---
+	// --- block charge pre-aggregation (Finalize) ---
 
 	// OpRunCharge charges Func.Runs[A]: the pre-aggregated step total and the
 	// ordered charge list of a maximal run of statically-known instructions
@@ -221,7 +221,7 @@ const (
 	// were folded into the preceding OpRunCharge of the same run.
 	OpQConst
 
-	// --- tier 2: compile-time quickening (Finalize) ---
+	// --- compile-time quickening (Finalize) ---
 
 	// OpQLoadStatic pushes the load-resolved static slot statRefs[A]
 	// (OpLoadIdent specialized on ast.ResStaticRef). Guard-and-deopt: an
@@ -242,7 +242,7 @@ const (
 	OpQStoreField
 	OpQStoreFieldX
 
-	// --- tier 2: runtime quickening (per-Interp warm code copies) ---
+	// --- runtime quickening (per-Interp warm code copies) ---
 	//
 	// The opcodes below never appear in a shared Program: the VM installs
 	// them by patching its private copy of the code after first execution.
@@ -412,12 +412,6 @@ type Func struct {
 	// when an exception unwinds through the frame, mirroring the finally
 	// block of the AST-level instrumentation.
 	Probe string
-
-	// Raw is the tier-1 instruction stream as compiled (and probe-injected),
-	// before Finalize rewrote Code with block charge pre-aggregation and
-	// compile-time quickening. The VM runs it when tier 1 is selected, so the
-	// tier split can be benchmarked on one Program.
-	Raw []Instr
 
 	// Runs are the pre-aggregated charge runs OpRunCharge indexes.
 	Runs []ChargeRun

@@ -119,9 +119,9 @@ func compileProgram(p *Program) {
 			}
 			cf := compiledFn{ix: m.CIx - 1}
 			if fn != nil {
-				// Tier-2 rewrite: block charge pre-aggregation and
-				// compile-time quickening, after probe splicing so probe
-				// opcodes bound the charge runs.
+				// Block charge pre-aggregation and compile-time
+				// quickening, after probe splicing so probe opcodes bound
+				// the charge runs.
 				bytecode.Finalize(fn)
 				fn.BindCosts(&p.boundCosts)
 				cf.fn, cf.consts = fn, makeConstVals(fn.Consts)

@@ -72,7 +72,7 @@ func TestConcurrentInstancesShareProgram(t *testing.T) {
 	}
 }
 
-// TestConcurrentQuickeningSharesProgram pins tier 2's central thread-safety
+// TestConcurrentQuickeningSharesProgram pins the VM's central thread-safety
 // claim: runtime quickening patches opcodes and fills inline caches only in
 // per-instance warm code copies, never in the shared Program. Each worker
 // runs a call/field/static/builtin-heavy program twice on one instance — the

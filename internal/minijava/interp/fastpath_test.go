@@ -31,8 +31,10 @@ const fastpathProbeSrc = `class T {
 }`
 
 // fastpathRun executes T.f() with the given engine and cost table and
-// returns the result bits, printed output and package-energy bits.
-func fastpathRun(t *testing.T, e Engine, costs energy.CostTable) (res Value, pkgBits uint64) {
+// returns the result bits, printed output and package-energy bits. unbound
+// forces the VM's charge runs onto the StepList replay even when the meter's
+// table is the one the program bound its deltas against.
+func fastpathRun(t *testing.T, e Engine, costs energy.CostTable, unbound bool) (res Value, pkgBits uint64) {
 	t.Helper()
 	f, err := parser.Parse("fastpath.java", fastpathProbeSrc)
 	if err != nil {
@@ -43,6 +45,9 @@ func fastpathRun(t *testing.T, e Engine, costs energy.CostTable) (res Value, pkg
 		t.Fatalf("load: %v", err)
 	}
 	in := New(prog, energy.NewMeter(costs), WithMaxOps(1_000_000), WithEngine(e))
+	if unbound {
+		in.runFast = false
+	}
 	if err := in.InitStatics(); err != nil {
 		t.Fatalf("init: %v", err)
 	}
@@ -54,30 +59,30 @@ func fastpathRun(t *testing.T, e Engine, costs energy.CostTable) (res Value, pkg
 }
 
 // TestEngineEnergyParityAcrossMeterPaths runs the probe on both engines
-// under three meter configurations — fast path on, fast path off, and a
-// custom cost table that defeats the VM's bound-delta replay (Costs() no
-// longer matches the program's bound table, so OpRunCharge must fall back
-// to StepList) — and demands one joule answer from all six runs.
+// under three charge-run replays — the bound deltas (fast path on), the
+// StepList replay forced on the same table (fast path off), and a custom
+// cost table that defeats the bound replay (Costs() no longer matches the
+// program's bound table, so OpRunCharge must fall back to StepList) — and
+// demands one joule answer from all six runs.
 func TestEngineEnergyParityAcrossMeterPaths(t *testing.T) {
 	custom := energy.DefaultCosts()
 	custom.Ops[energy.OpArithInt].Picojoules *= 1.5
 	custom.Ops[energy.OpLocal].Cycles += 0.25
 
 	type cfg struct {
-		name  string
-		env   string
-		costs energy.CostTable
+		name    string
+		unbound bool
+		costs   energy.CostTable
 	}
 	cfgs := []cfg{
-		{"fastpath on", "", energy.DefaultCosts()},
-		{"fastpath off", "off", energy.DefaultCosts()},
-		{"custom costs defeat bound replay", "", custom},
+		{"fastpath on", false, energy.DefaultCosts()},
+		{"fastpath off", true, energy.DefaultCosts()},
+		{"custom costs defeat bound replay", false, custom},
 	}
 	for _, c := range cfgs {
 		t.Run(c.name, func(t *testing.T) {
-			t.Setenv(energy.FastPathEnv, c.env)
-			astV, astBits := fastpathRun(t, EngineAST, c.costs)
-			vmV, vmBits := fastpathRun(t, EngineVM, c.costs)
+			astV, astBits := fastpathRun(t, EngineAST, c.costs, c.unbound)
+			vmV, vmBits := fastpathRun(t, EngineVM, c.costs, c.unbound)
 			if astV != vmV {
 				t.Errorf("result differs: ast=%+v vm=%+v", astV, vmV)
 			}
@@ -87,15 +92,13 @@ func TestEngineEnergyParityAcrossMeterPaths(t *testing.T) {
 		})
 	}
 
-	// The three configurations must also agree with each other wherever the
-	// cost table is the same: on vs off is the fast path's whole contract.
+	// The bound and the unbound replay must also agree with each other on
+	// the same cost table: that is the bound deltas' whole contract.
 	t.Run("on and off land identical bits", func(t *testing.T) {
-		t.Setenv(energy.FastPathEnv, "")
-		_, onBits := fastpathRun(t, EngineVM, energy.DefaultCosts())
-		t.Setenv(energy.FastPathEnv, "off")
-		_, offBits := fastpathRun(t, EngineVM, energy.DefaultCosts())
+		_, onBits := fastpathRun(t, EngineVM, energy.DefaultCosts(), false)
+		_, offBits := fastpathRun(t, EngineVM, energy.DefaultCosts(), true)
 		if onBits != offBits {
-			t.Errorf("fast path changed the joule bits: on=%#x off=%#x", onBits, offBits)
+			t.Errorf("bound replay changed the joule bits: on=%#x off=%#x", onBits, offBits)
 		}
 	})
 }

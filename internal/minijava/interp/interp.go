@@ -48,19 +48,11 @@ type Interp struct {
 	statics []staticCell
 
 	// runFast is true when the program's charge runs were bound against this
-	// meter's cost table (and the metering fast path is on): OpRunCharge
-	// replays the precomputed deltas instead of the charge list. The two
-	// replays are bit-identical; runFast only exists so a meter with a
-	// custom cost table silently gets the unbound path.
+	// meter's cost table: OpRunCharge replays the precomputed deltas instead
+	// of the charge list. The two replays are bit-identical; runFast only
+	// exists so a meter with a custom cost table silently gets the unbound
+	// path.
 	runFast bool
-
-	// vmTier selects the bytecode engine's optimization tier: 2 (default)
-	// runs the finalized stream with block charge pre-aggregation, 1 runs
-	// the raw tier-1 stream — the benchmark harness measures the split.
-	// quick enables runtime quickening and inline-cache patching on
-	// per-instance code copies (tier 2 only).
-	vmTier int
-	quick  bool
 
 	// warm holds this instance's private copies of compiled code, created on
 	// first invocation per function. Quickening patches opcodes and fills
@@ -133,43 +125,16 @@ func WithContext(ctx context.Context) Option {
 	}
 }
 
-// WithVMTier selects the bytecode engine's optimization tier: 1 is the
-// generic-dispatch baseline (no block charge aggregation, no quickening),
-// 2 (the default) is the full tier. Both tiers charge identical energy bits;
-// the split exists so the benchmark harness can attribute the speedup.
-func WithVMTier(t int) Option {
-	return func(in *Interp) {
-		if t <= 1 {
-			in.vmTier, in.quick = 1, false
-		} else {
-			in.vmTier = 2
-		}
-	}
-}
-
-// WithQuickening toggles runtime quickening and inline-cache patching within
-// tier 2 — the benchmark harness turns it off to measure the block
-// aggregation contribution alone. It has no effect on tier 1.
-func WithQuickening(on bool) Option {
-	return func(in *Interp) {
-		if in.vmTier >= 2 {
-			in.quick = on
-		}
-	}
-}
-
 // New builds an interpreter for prog charging energy to meter.
 func New(prog *Program, meter *energy.Meter, opts ...Option) *Interp {
 	in := &Interp{
 		prog:       prog,
 		meter:      meter,
 		rngInt:     0x9E3779B97F4A7C15,
-		vmTier:     2,
-		quick:      true,
 		ctxCheckAt: math.MaxInt64,
 		siteCache:  make([]siteState, len(prog.sites)),
 		statics:    make([]staticCell, prog.nStatics),
-		runFast:    meter.FastPath() && meter.Costs() == prog.boundCosts,
+		runFast:    meter.Costs() == prog.boundCosts,
 	}
 	for _, o := range opts {
 		o(in)

@@ -16,7 +16,7 @@ import (
 // walker's own helpers (selectFrom, writeLValue, dispatchCall, coerceTo, ...)
 // so the charge sequences are shared code, not transcriptions.
 //
-// Tier 2 adds three mechanisms on top, all charge-transparent:
+// The VM adds three mechanisms on top, all charge-transparent:
 //
 //   - OpRunCharge replays a basic block's pre-aggregated charge run — the
 //     exact ordered Step sequence of the folded instructions (see
@@ -36,14 +36,8 @@ import (
 func (in *Interp) invokeVM(ci *classInfo, this *Object, m *ast.Method, cf *compiledFn, args []Value) Value {
 	fn := cf.fn
 	in.meter.Step(energy.OpCall, 1)
-	code := fn.Code
-	var ics []vmIC
-	if in.quick {
-		w := in.warmFor(cf)
-		code, ics = w.code, w.ics
-	} else if in.vmTier < 2 {
-		code = fn.Raw
-	}
+	w := in.warmFor(cf)
+	code, ics := w.code, w.ics
 	fr := frame{class: ci, this: this, locals: in.grabLocals(fn.NSlots)}
 	stack := in.grabStack(fn.MaxStack)
 	defer func() {
@@ -176,10 +170,9 @@ func intLaneOp(op token.Kind) bool {
 // completed through an explicit return statement (which triggers invoke's
 // return-value coercion) as opposed to falling off the end of the body.
 //
-// code is either the shared finalized stream (fn.Code), the shared tier-1
-// stream (fn.Raw), or — when quickening is on — this instance's private warm
-// copy, with ics its inline-cache table. Handlers only ever patch opcodes
-// when in.quick is set, which implies code is the private copy.
+// code is this instance's private warm copy of the finalized stream, with
+// ics its inline-cache table, so handlers patch opcodes without ever writing
+// the shared Program.
 //
 // Identifier operands are read inline (liveCell + the walker's local charge)
 // so the hot path does no interface type assertion; the assertions happen
@@ -337,7 +330,7 @@ func (in *Interp) execVM(cf *compiledFn, code []bytecode.Instr, ics []vmIC, fr *
 			stack[sp] = v
 			sp++
 		case bytecode.OpBinLL:
-			if in.quick && intLaneOp(ins.Tok) {
+			if intLaneOp(ins.Tok) {
 				if ca := liveCell(fr, ins.A); ca != nil && ca.v.K == KInt {
 					if cb := liveCell(fr, ins.B); cb != nil && cb.v.K == KInt {
 						ins.Op = bytecode.OpQBinIntLL
@@ -372,7 +365,7 @@ func (in *Interp) execVM(cf *compiledFn, code []bytecode.Instr, ics []vmIC, fr *
 			stack[sp] = v
 			sp++
 		case bytecode.OpBinLC:
-			if in.quick && intLaneOp(ins.Tok) && consts[ins.B].v.K == KInt {
+			if intLaneOp(ins.Tok) && consts[ins.B].v.K == KInt {
 				if ca := liveCell(fr, ins.A); ca != nil && ca.v.K == KInt {
 					ins.Op = bytecode.OpQBinIntLC
 					goto dispatch
@@ -405,17 +398,11 @@ func (in *Interp) execVM(cf *compiledFn, code []bytecode.Instr, ics []vmIC, fr *
 		case bytecode.OpBinary:
 			y := stack[sp-1]
 			x := stack[sp-2]
-			if in.quick && x.K == KInt && y.K == KInt && intLaneOp(ins.Tok) {
+			if x.K == KInt && y.K == KInt && intLaneOp(ins.Tok) {
 				ins.Op = bytecode.OpQBinInt
 				goto dispatch
 			}
 			sp--
-			if x.K == KInt && y.K == KInt {
-				if v, ok := vmIntFast(in, ins.Tok, x.I, y.I); ok {
-					stack[sp-1] = v
-					break
-				}
-			}
 			v, ok := in.binaryFast(ins.Tok, x, y)
 			if !ok {
 				v = in.binary(ins.Tok, x, y, ins.Node.NodePos())
@@ -620,24 +607,20 @@ func (in *Interp) execVM(cf *compiledFn, code []bytecode.Instr, ics []vmIC, fr *
 		case bytecode.OpCall:
 			n := ins.Node.(*ast.Call)
 			argc := int(ins.A)
-			if in.quick {
-				// Quicken on the observed shape; the quick handler performs
-				// this very execution (installation charges nothing).
-				var recv Value
-				if ins.B != 0 {
-					recv = stack[sp-1-argc]
-				}
-				if in.quickenCall(ins, ics, fr, recv) {
-					goto dispatch
-				}
+			// Quicken on the observed shape; the quick handler performs this
+			// very execution (installation charges nothing).
+			var recv Value
+			if ins.B != 0 {
+				recv = stack[sp-1-argc]
+			}
+			if in.quickenCall(ins, ics, fr, recv) {
+				goto dispatch
 			}
 			args := in.grabArgs(argc)
 			copy(args, stack[sp-argc:sp])
 			sp -= argc
-			var recv Value
 			hasRecv := ins.B != 0
 			if hasRecv {
-				recv = stack[sp-1]
 				sp--
 			}
 			stack[sp] = in.dispatchCall(fr, n, recv, hasRecv, args)
@@ -828,7 +811,7 @@ func (in *Interp) execVM(cf *compiledFn, code []bytecode.Instr, ics []vmIC, fr *
 				sp++
 			}
 		case bytecode.OpLoadSelect:
-			if in.quick && in.quickenSelect(ins, ics, stack[sp-1]) {
+			if in.quickenSelect(ins, ics, stack[sp-1]) {
 				goto dispatch
 			}
 			stack[sp-1] = in.selectFrom(stack[sp-1], ins.Node.(*ast.Select))
@@ -887,7 +870,7 @@ func (in *Interp) execVM(cf *compiledFn, code []bytecode.Instr, ics []vmIC, fr *
 			}
 		case bytecode.OpLoadIdent:
 			n := ins.Node.(*ast.Ident)
-			if in.quick && n.RKind == ast.ResClass {
+			if n.RKind == ast.ResClass {
 				// evalIdent's ResClass lane is charge-free and invariant.
 				ics[ins.C] = vmIC{v: Value{K: KClassRef, R: n.Name}}
 				ins.Op = bytecode.OpQPushV

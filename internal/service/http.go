@@ -1,6 +1,6 @@
 // HTTP surface. Handler mounts the Service as a REST+SSE API; cmd/jepod
-// serves it and jperf bench -serve drives it in-process through
-// httptest. Response modes, chosen by the Accept header:
+// serves it and the package tests drive it in-process through httptest.
+// Response modes, chosen by the Accept header:
 //
 //   - text/event-stream: progress events stream as SSE "progress" events
 //     while the request runs; the final payload arrives as one "result"

@@ -51,7 +51,7 @@ type goldenCase struct {
 // fingerprint runs one program `runs` times against a fresh interpreter and
 // meter and captures the cumulative charge fingerprint plus whatever it
 // printed. With runs > 1 the later drives execute the instance's warm
-// (quickened) code copies, so the fingerprint covers tier 2's runtime
+// (quickened) code copies, so the fingerprint covers the VM's runtime
 // patching as well as the cold path.
 func fingerprint(engine interp.Engine, name string, runs int, load func() (*interp.Program, error), drive func(in *interp.Interp) error) (goldenRecord, error) {
 	prog, err := load()

@@ -239,9 +239,9 @@ type InterpBench struct {
 	Src  string
 }
 
-// InterpBenches exposes the Table I benchmark corpus to external harnesses
-// (cmd/jperf bench) that track interpreter wall-clock and simulated-energy
-// trajectories across revisions.
+// InterpBenches exposes the Table I benchmark corpus, slow and fast variant
+// of each pair in paper order, to the engine-diff and race tests and to the
+// repository benchmark's per-layer tracer (bench/tracer).
 func InterpBenches() []InterpBench {
 	out := make([]InterpBench, 0, 2*len(table1Benches))
 	for _, b := range table1Benches {
