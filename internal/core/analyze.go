@@ -84,7 +84,7 @@ func (r *AnalysisReport) Accepted() []AnalyzedDiagnostic {
 type AnalyzeConfig struct {
 	// MainClass selects the entry point (empty = the unique main class).
 	MainClass string
-	// MaxOps bounds each measurement run (0 = default 500M).
+	// MaxOps bounds each measurement run (0 = interp.DefaultMaxOps).
 	MaxOps int64
 	// Rules restricts the engine to a rule subset (empty = all rules).
 	Rules []passes.Rule
@@ -318,7 +318,7 @@ func measureRun(ctx context.Context, files []*ast.File, cfg AnalyzeConfig) (ener
 	meter := energy.NewMeter(costs)
 	maxOps := cfg.MaxOps
 	if maxOps == 0 {
-		maxOps = 500_000_000
+		maxOps = interp.DefaultMaxOps
 	}
 	in := interp.New(prog, meter, interp.WithMaxOps(maxOps), interp.WithEngine(cfg.Engine), interp.WithContext(ctx))
 	if err := in.RunMain(cfg.MainClass); err != nil {

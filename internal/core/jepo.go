@@ -164,7 +164,7 @@ type ProfileConfig struct {
 	// unique main class ("if there is more than one, then we take user
 	// input", says §VII — the CLI exposes this as a flag).
 	MainClass string
-	// MaxOps bounds interpretation (0 = default 500M).
+	// MaxOps bounds interpretation (0 = interp.DefaultMaxOps).
 	MaxOps int64
 	// Costs overrides the cost table (zero value = DefaultCosts).
 	Costs *energy.CostTable
@@ -198,7 +198,7 @@ func Profile(ctx context.Context, p Project, cfg ProfileConfig) (*ProfileResult,
 	prof := profile.New(src, func() time.Duration { return meter.Snapshot().Elapsed })
 	maxOps := cfg.MaxOps
 	if maxOps == 0 {
-		maxOps = 500_000_000
+		maxOps = interp.DefaultMaxOps
 	}
 	in := interp.New(prog, meter, interp.WithHook(prof), interp.WithMaxOps(maxOps), interp.WithEngine(cfg.Engine), interp.WithContext(ctx))
 	if err := in.RunMain(cfg.MainClass); err != nil {

@@ -177,7 +177,7 @@ func runKernel(t *testing.T, files []*ast.File, name string, reps int) (float64,
 	if err != nil {
 		t.Fatalf("%s kernel load: %v", name, err)
 	}
-	in := interp.New(prog, energy.NewMeter(energy.DefaultCosts()), interp.WithMaxOps(500_000_000))
+	in := interp.New(prog, energy.NewMeter(energy.DefaultCosts()), interp.WithMaxOps(interp.DefaultMaxOps))
 	if err := in.InitStatics(); err != nil {
 		t.Fatal(err)
 	}

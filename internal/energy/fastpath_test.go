@@ -10,7 +10,7 @@ import (
 // charge must land on exactly the joule, cycle and counter bits the reference
 // slow path produces. These tests hold the two paths against each other —
 // exhaustively over the cost table, and differentially over seeded random
-// charge lists and access geometries. Float comparisons are deliberately ==,
+// access patterns and cache geometries. Float comparisons are deliberately ==,
 // not within-epsilon: an epsilon would accept the drift the design forbids.
 
 // newFastSlow builds two meters over the same cost table and cache
@@ -52,38 +52,6 @@ func TestStepFastSlowBitIdentity(t *testing.T) {
 			slow.stepSlow(Op(op), n)
 		}
 		sameBits(t, "after n="+string(rune('0'+max(n, 0)%10)), fast, slow)
-	}
-}
-
-// TestStepListVsStepRun replays seeded random charge lists through StepList
-// on one meter and through BindSteps+StepRun on another, requiring the same
-// bits. Mixed counts exercise both the unit fold (x*1.0 == x) and the
-// general product, and non-positive entries must be dropped identically.
-func TestStepListVsStepRun(t *testing.T) {
-	costs := DefaultCosts()
-	rng := rand.New(rand.NewSource(41))
-	for trial := 0; trial < 50; trial++ {
-		charges := make([]Charge, rng.Intn(40))
-		for i := range charges {
-			charges[i] = Charge{Op: Op(rng.Intn(NumOps)), N: int32(rng.Intn(6) - 1)}
-		}
-		a := NewMeter(costs)
-		b := NewMeter(costs)
-		deltas := costs.BindSteps(charges)
-		for rep := 0; rep < 3; rep++ {
-			a.StepList(charges)
-			b.StepRun(deltas)
-		}
-		as, bs := a.Snapshot(), b.Snapshot()
-		if as != bs {
-			t.Fatalf("trial %d: StepList %+v != StepRun %+v", trial, as, bs)
-		}
-		for op := 0; op < NumOps; op++ {
-			if a.OpCount(Op(op)) != b.OpCount(Op(op)) {
-				t.Fatalf("trial %d: op %v count list=%d run=%d",
-					trial, Op(op), a.OpCount(Op(op)), b.OpCount(Op(op)))
-			}
-		}
 	}
 }
 

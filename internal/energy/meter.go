@@ -14,13 +14,12 @@ import (
 // A Meter is not safe for concurrent use; the interpreter that drives it is
 // single-threaded, as the JVM thread the paper instruments is.
 //
-// The charging methods come in two layers. Step, Access and StepList are the
-// general API; their hot cases run on precomputed unit deltas (see
-// fastpath.go), and the flattened helpers — FieldAccess, StaticAccess,
-// ArrayAccess, StepRun — give the interpreter's dispatch loop single concrete
-// calls for its fixed charge sequences. Every fast form performs the
-// identical additions in the identical order as the reference form it
-// replaces (stepSlow, accessSlow).
+// The charging methods come in two layers. Step and Access are the general
+// API; their hot cases run on precomputed unit deltas (see fastpath.go), and
+// the flattened helpers — FieldAccess, StaticAccess, ArrayAccess — give the
+// interpreter's dispatch loop single concrete calls for its fixed charge
+// sequences. Every fast form performs the identical additions in the
+// identical order as the reference form it replaces (stepSlow, accessSlow).
 type Meter struct {
 	costs CostTable
 	cache *Cache
@@ -91,38 +90,6 @@ func (m *Meter) stepSlow(op Op, n int) {
 	m.coreJ += Picojoules(c.Picojoules * f)
 	m.cycles += c.Cycles * f
 	m.opCounts[op] += uint64(n)
-}
-
-// Charge is one recorded Step call: op charged n times. Pre-aggregation
-// passes record them so the meter can replay an instruction run's exact
-// charge sequence later.
-type Charge struct {
-	Op Op
-	N  int32
-}
-
-// StepList replays an ordered charge list, one Step call per entry. Entries
-// are charged individually and in order — never summed across entries —
-// because Joules accumulate in float64 and float addition is not
-// associative: bit-exactness with the unaggregated execution requires the
-// identical call sequence.
-func (m *Meter) StepList(charges []Charge) {
-	for i := range charges {
-		m.Step(charges[i].Op, int(charges[i].N))
-	}
-}
-
-// StepRun replays a bound charge list (CostTable.BindSteps) — the same
-// per-entry additions StepList performs, with each entry's product already
-// folded. The deltas must have been bound against this meter's cost table;
-// callers that cannot prove that fall back to StepList.
-func (m *Meter) StepRun(deltas []StepDelta) {
-	for i := range deltas {
-		d := &deltas[i]
-		m.coreJ += d.CoreJ
-		m.cycles += d.Cycles
-		m.opCounts[d.Op] += d.N
-	}
 }
 
 // Access routes a memory access of size bytes at addr through the cache model

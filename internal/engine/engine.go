@@ -309,7 +309,7 @@ type RunSpec struct {
 	// Table I bench protocol.
 	CallClass  string
 	CallMethod string
-	// MaxOps bounds the run (0 = default 500M).
+	// MaxOps bounds the run (0 = interp.DefaultMaxOps).
 	MaxOps int64
 	// Engine selects the execution engine (zero value = bytecode VM).
 	Engine interp.Engine
@@ -368,7 +368,7 @@ func (e *Engine) runSample(ctx context.Context, srcs []Source, spec RunSpec) (en
 	meter := energy.NewMeter(costs)
 	maxOps := spec.MaxOps
 	if maxOps == 0 {
-		maxOps = 500_000_000
+		maxOps = interp.DefaultMaxOps
 	}
 	in := interp.New(prog, meter, interp.WithMaxOps(maxOps), interp.WithEngine(spec.Engine), interp.WithContext(ctx))
 	if spec.CallClass != "" {

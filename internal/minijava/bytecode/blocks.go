@@ -1,32 +1,21 @@
 package bytecode
 
-import (
-	"jepo/internal/energy"
-	"jepo/internal/minijava/ast"
-)
+import "jepo/internal/minijava/ast"
 
-// This file is the post-compilation pass: basic-block partitioning, block
-// charge pre-aggregation and compile-time quickening. Finalize runs after
-// probe injection (probes are block boundaries — the profiler snapshots the
-// meter at them, so no charge may move across one) and rewrites Func.Code in
-// place of the stream the compiler emitted.
+// This file is the post-compilation pass: basic-block partitioning and
+// compile-time quickening. Finalize runs after probe injection and patches
+// Func.Code in place of the stream the compiler emitted.
 //
-// The aggregation is exact by construction, not by approximation:
+// The pass is exact because it moves nothing:
 //
-//   - Only maximal runs of provably non-throwing, statically-known
-//     instructions are folded (OpNop, OpStep, OpCharge, OpConst, OpPushBool).
-//     Nothing in a run can observe the meter or the op counter mid-run, so
-//     charging the whole run on entry is indistinguishable from charging it
-//     instruction by instruction.
-//   - A run never contains a basic-block leader after its first instruction:
-//     control can only enter at the OpRunCharge, never into the middle of an
-//     already-charged region.
-//   - The recorded charges are one entry per original Step call, in original
-//     order. They are replayed, not summed: Joules accumulate in float64 and
-//     float addition is not associative.
-//   - The summed step count is checked against the op budget once per run,
-//     the same granularity class as the compiler's existing folding of
-//     step-only prefixes into Instr.Steps.
+//   - Every rewrite replaces one instruction with one instruction, so the
+//     stream keeps its length and every jump offset stays valid.
+//   - No rewrite merges, moves or drops a charge. Each charge is issued by
+//     the instruction that incurs it, in the order the compiler emitted it,
+//     so the meter sees the tree-walker's exact call sequence.
+//   - Block leaders are recorded for the disassembler only; the VM runs
+//     straight through them. Probe opcodes are leaders because the profiler
+//     snapshots the meter at them.
 
 // isJump reports whether op transfers control via the A offset.
 func isJump(op Op) bool {
@@ -39,22 +28,9 @@ func isJump(op Op) bool {
 	return false
 }
 
-// runFoldable reports whether an instruction may join a charge run: it must
-// be unable to throw, unable to observe the meter or op counter, and its
-// charges must be known at compile time.
-func runFoldable(ins *Instr) bool {
-	switch ins.Op {
-	case OpNop, OpStep, OpCharge, OpConst, OpPushBool:
-		return true
-	}
-	return false
-}
-
 // Finalize rewrites a compiled (and probe-injected) function into the form
-// the VM runs: leaders are computed, charge runs are folded into
-// OpRunCharge, load-resolved identifier reads are quickened at compile time,
-// jump offsets are remapped onto the shorter stream, and inline-cache slots
-// are numbered.
+// the VM runs: leaders are recorded, load-resolved identifier accesses are
+// quickened at compile time, and inline-cache slots are numbered.
 func Finalize(fn *Func) {
 	code := fn.Code
 	n := len(code)
@@ -76,66 +52,16 @@ func Finalize(fn *Func) {
 			leader[pc+1] = true
 		}
 	}
+	var blocks []int32
+	for pc := 0; pc < n; pc++ {
+		if leader[pc] {
+			blocks = append(blocks, int32(pc))
+		}
+	}
 
-	newCode := make([]Instr, 0, n)
-	oldOf := make([]int, 0, n) // old pc of each new instruction
-	remap := make([]int32, n+1)
-	var runs []ChargeRun
-	pc := 0
-	for pc < n {
-		// Maximal foldable run starting here, stopped at block leaders.
-		end := pc
-		for end < n && runFoldable(&code[end]) && (end == pc || !leader[end]) {
-			end++
-		}
-		nonPush := 0
-		for i := pc; i < end; i++ {
-			switch code[i].Op {
-			case OpNop, OpStep, OpCharge:
-				nonPush++
-			}
-		}
-		if end-pc >= 2 && nonPush >= 1 {
-			// Jump targets only ever point at run starts (interior leaders
-			// break runs), so remapping every folded pc to the OpRunCharge
-			// is total.
-			for i := pc; i < end; i++ {
-				remap[i] = int32(len(newCode))
-			}
-			var run ChargeRun
-			for i := pc; i < end; i++ {
-				ins := &code[i]
-				run.Steps += int32(ins.Steps)
-				switch ins.Op {
-				case OpCharge:
-					run.Charges = append(run.Charges, energy.Charge{Op: energy.Op(ins.A), N: ins.B})
-				case OpConst:
-					if op, ok := LiteralCharge(fn.Consts[ins.A]); ok {
-						run.Charges = append(run.Charges, energy.Charge{Op: op, N: 1})
-					}
-				}
-			}
-			newCode = append(newCode, Instr{Op: OpRunCharge, A: int32(len(runs))})
-			oldOf = append(oldOf, pc)
-			runs = append(runs, run)
-			// The pushes survive, charge-free and step-free, in original
-			// order. Order relative to the folded charges is unobservable:
-			// pushes never touch the meter.
-			for i := pc; i < end; i++ {
-				ins := &code[i]
-				switch ins.Op {
-				case OpConst:
-					newCode = append(newCode, Instr{Op: OpQConst, A: ins.A, Node: ins.Node})
-					oldOf = append(oldOf, i)
-				case OpPushBool:
-					newCode = append(newCode, Instr{Op: OpPushBool, A: ins.A, Node: ins.Node})
-					oldOf = append(oldOf, i)
-				}
-			}
-			pc = end
-			continue
-		}
-		ins := code[pc]
+	var ics int32
+	for pc := range code {
+		ins := &code[pc]
 		switch ins.Op {
 		case OpLoadIdent:
 			// Compile-time quickening: the resolver already pinned these
@@ -167,42 +93,13 @@ func Finalize(fn *Func) {
 				}
 			}
 		}
-		remap[pc] = int32(len(newCode))
-		newCode = append(newCode, ins)
-		oldOf = append(oldOf, pc)
-		pc++
-	}
-	remap[n] = int32(len(newCode))
-
-	// Retarget jumps through the old→new pc map.
-	for i := range newCode {
-		ins := &newCode[i]
-		if isJump(ins.Op) {
-			ins.A = remap[oldOf[i]+int(ins.A)] - int32(i)
-		}
-	}
-
-	// Record block leaders in new coordinates for the disassembler.
-	var blocks []int32
-	last := int32(-1)
-	for old := 0; old < n; old++ {
-		if leader[old] {
-			if np := remap[old]; np != last {
-				blocks = append(blocks, np)
-				last = np
-			}
-		}
-	}
-
-	// Number the inline-cache slots runtime quickening patches through.
-	var ics int32
-	for i := range newCode {
-		switch newCode[i].Op {
+		// Number the inline-cache slots runtime quickening patches through.
+		switch ins.Op {
 		case OpCall, OpLoadSelect, OpLoadIdent:
-			newCode[i].C = ics
+			ins.C = ics
 			ics++
 		}
 	}
 
-	fn.Code, fn.Runs, fn.Blocks, fn.NICs = newCode, runs, blocks, ics
+	fn.Blocks, fn.NICs = blocks, ics
 }

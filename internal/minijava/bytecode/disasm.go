@@ -10,10 +10,9 @@ import (
 
 // Disasm renders one compiled function as deterministic text: one line per
 // instruction with pc, folded step count, mnemonic, operands and a source
-// comment, plus a header line per basic block carrying its pre-aggregated
-// charge. Jump targets are shown as absolute pcs. The output is stable
-// across runs (no pointers, no map iteration), so it can be pinned by a
-// golden file.
+// comment, plus a header line per basic block. Jump targets are shown as
+// absolute pcs. The output is stable across runs (no pointers, no map
+// iteration), so it can be pinned by a golden file.
 func (f *Func) Disasm() string { return f.DisasmCode(f.Code) }
 
 // DisasmCode renders an instruction stream against this function's metadata.
@@ -31,7 +30,7 @@ func (f *Func) DisasmCode(code []Instr) string {
 	for pc := range code {
 		ins := &code[pc]
 		for block < len(f.Blocks) && int(f.Blocks[block]) == pc {
-			fmt.Fprintf(&b, "  B%d:%s\n", block, f.blockCharge(pc))
+			fmt.Fprintf(&b, "  B%d:\n", block)
 			block++
 		}
 		steps := ""
@@ -49,30 +48,6 @@ func (f *Func) DisasmCode(code []Instr) string {
 	return b.String()
 }
 
-// blockCharge summarises the pre-aggregated charge of the block starting at
-// pc — the ChargeRun of its leading OpRunCharge, if it has one.
-func (f *Func) blockCharge(pc int) string {
-	if pc >= len(f.Code) || f.Code[pc].Op != OpRunCharge {
-		return ""
-	}
-	return "  " + f.runText(f.Code[pc].A)
-}
-
-// runText renders one ChargeRun: the folded step total and the ordered
-// charge list.
-func (f *Func) runText(ix int32) string {
-	if int(ix) >= len(f.Runs) {
-		return ""
-	}
-	run := &f.Runs[ix]
-	var b strings.Builder
-	fmt.Fprintf(&b, "steps=%d", run.Steps)
-	for _, ch := range run.Charges {
-		fmt.Fprintf(&b, " %v x%d", ch.Op, ch.N)
-	}
-	return b.String()
-}
-
 // operands renders the operand column and the source comment for one
 // instruction.
 func (f *Func) operands(pc int, ins *Instr) (string, string) {
@@ -80,9 +55,7 @@ func (f *Func) operands(pc int, ins *Instr) (string, string) {
 	switch ins.Op {
 	case OpCharge:
 		return fmt.Sprintf("%v x%d", energy.Op(ins.A), ins.B), ""
-	case OpRunCharge:
-		return fmt.Sprintf("r%d", ins.A), f.runText(ins.A)
-	case OpConst, OpQConst:
+	case OpConst:
 		return fmt.Sprintf("c%d", ins.A), f.constText(ins.A)
 	case OpQLoadStatic, OpQStoreStatic, OpQStoreStaticX:
 		return fmt.Sprintf("g%d", ins.A), nodeText(ins.Node)

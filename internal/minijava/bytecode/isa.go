@@ -206,21 +206,6 @@ const (
 	OpProbeEnter
 	OpProbeExit
 
-	// --- block charge pre-aggregation (Finalize) ---
-
-	// OpRunCharge charges Func.Runs[A]: the pre-aggregated step total and the
-	// ordered charge list of a maximal run of statically-known instructions
-	// (OpStep/OpCharge/OpConst/OpPushBool/OpNop) inside one basic block. The
-	// charges replay the exact per-call sequence the folded instructions would
-	// have issued — no merging, no reordering — so the meter bits are
-	// identical by construction. Its own Steps field is unused (the run total
-	// is int32-sized).
-	OpRunCharge
-
-	// OpQConst pushes constant pool entry A with no charge and no steps: both
-	// were folded into the preceding OpRunCharge of the same run.
-	OpQConst
-
 	// --- compile-time quickening (Finalize) ---
 
 	// OpQLoadStatic pushes the load-resolved static slot statRefs[A]
@@ -356,8 +341,6 @@ var opNames = [...]string{
 	OpRetVoid:       "ret.void",
 	OpProbeEnter:    "probe.enter",
 	OpProbeExit:     "probe.exit",
-	OpRunCharge:     "blkcharge",
-	OpQConst:        "qconst",
 	OpQLoadStatic:   "getstatic",
 	OpQLoadField:    "getself",
 	OpQStoreStatic:  "putstatic",
@@ -413,13 +396,9 @@ type Func struct {
 	// block of the AST-level instrumentation.
 	Probe string
 
-	// Runs are the pre-aggregated charge runs OpRunCharge indexes.
-	Runs []ChargeRun
-
 	// Blocks are the basic-block leader pcs of Code, ascending — pc 0, jump
 	// targets, fall-throughs after jumps and terminators, and probe opcode
-	// boundaries. The disassembler annotates them; charge runs never span
-	// them.
+	// boundaries. The disassembler annotates them.
 	Blocks []int32
 
 	// NICs is the number of inline-cache slots quickened instructions index
@@ -428,36 +407,10 @@ type Func struct {
 	NICs int32
 }
 
-// ChargeRun is the pre-aggregated effect of one folded run of statically-known
-// instructions: the summed step count (charged against the op budget in one
-// check) and the ordered list of meter charges, one entry per original call.
-// Entries are never merged or reordered: Joules accumulate in float64, which
-// is not associative, so exactness requires replaying the identical sequence.
-type ChargeRun struct {
-	Steps   int32
-	Charges []energy.Charge
-
-	// Deltas is Charges bound against a cost table (Func.BindCosts): one
-	// precomputed StepDelta per effective charge, replayed add-only by
-	// Meter.StepRun. nil until bound; the VM falls back to StepList over
-	// Charges when its meter's cost table is not the bound one.
-	Deltas []energy.StepDelta
-}
-
-// BindCosts precomputes every charge run's step deltas against t, so replay
-// under a meter using the same table is add-only. Binding is idempotent and
-// must happen before the Func is shared across goroutines — the interpreter
-// does it once per program, inside the program's one-time compile.
-func (fn *Func) BindCosts(t *energy.CostTable) {
-	for i := range fn.Runs {
-		fn.Runs[i].Deltas = t.BindSteps(fn.Runs[i].Charges)
-	}
-}
-
 // LiteralCharge reports the meter charge evaluating a literal issues — the
-// single source of truth shared by the interpreter's constant pool
-// pre-evaluation and Finalize's charge folding. An unknown literal kind
-// charges nothing, mirroring the walker's evalLiteral default.
+// source of truth for the interpreter's constant pool pre-evaluation, which
+// OpConst charges from. An unknown literal kind charges nothing, mirroring
+// the walker's evalLiteral default.
 func LiteralCharge(n *ast.Literal) (energy.Op, bool) {
 	switch n.Kind {
 	case ast.LitInt, ast.LitLong, ast.LitChar, ast.LitString, ast.LitBool, ast.LitNull:

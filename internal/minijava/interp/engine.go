@@ -65,9 +65,8 @@ type constVal struct {
 }
 
 // makeConstVals pre-evaluates a constant pool, mirroring evalLiteral case by
-// case. The charge half comes from bytecode.LiteralCharge — the same source
-// Finalize folds const charges from, so the VM, the walker and the block
-// aggregator can never disagree on what evaluating a literal costs.
+// case. The charge half comes from bytecode.LiteralCharge, so OpConst charges
+// exactly what the walker's literal evaluation does.
 func makeConstVals(lits []*ast.Literal) []constVal {
 	out := make([]constVal, len(lits))
 	for i, n := range lits {
@@ -119,11 +118,9 @@ func compileProgram(p *Program) {
 			}
 			cf := compiledFn{ix: m.CIx - 1}
 			if fn != nil {
-				// Block charge pre-aggregation and compile-time
-				// quickening, after probe splicing so probe opcodes bound
-				// the charge runs.
+				// Compile-time quickening, after probe splicing so probe
+				// opcodes are recorded as block leaders.
 				bytecode.Finalize(fn)
-				fn.BindCosts(&p.boundCosts)
 				cf.fn, cf.consts = fn, makeConstVals(fn.Consts)
 			}
 			p.funcs = append(p.funcs, cf)

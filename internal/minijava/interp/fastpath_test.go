@@ -10,9 +10,9 @@ import (
 
 // fastpathProbeSrc exercises every fused metering lane the engines share:
 // indexed loads and stores (ArrayAccess), instance fields (FieldAccess),
-// statics (StaticAccess), block charge replay (StepRun vs StepList) and the
-// int ++/-- lane — in loops long enough that a single misplaced or reordered
-// charge shifts the accumulated joule bits.
+// statics (StaticAccess), constant and branch charges and the int ++/--
+// lane — in loops long enough that a single misplaced or reordered charge
+// shifts the accumulated joule bits.
 const fastpathProbeSrc = `class T {
 	static int acc = 0;
 	int field = 3;
@@ -31,10 +31,8 @@ const fastpathProbeSrc = `class T {
 }`
 
 // fastpathRun executes T.f() with the given engine and cost table and
-// returns the result bits, printed output and package-energy bits. unbound
-// forces the VM's charge runs onto the StepList replay even when the meter's
-// table is the one the program bound its deltas against.
-func fastpathRun(t *testing.T, e Engine, costs energy.CostTable, unbound bool) (res Value, pkgBits uint64) {
+// returns the result and the package-energy bits.
+func fastpathRun(t *testing.T, e Engine, costs energy.CostTable) (res Value, pkgBits uint64) {
 	t.Helper()
 	f, err := parser.Parse("fastpath.java", fastpathProbeSrc)
 	if err != nil {
@@ -45,9 +43,6 @@ func fastpathRun(t *testing.T, e Engine, costs energy.CostTable, unbound bool) (
 		t.Fatalf("load: %v", err)
 	}
 	in := New(prog, energy.NewMeter(costs), WithMaxOps(1_000_000), WithEngine(e))
-	if unbound {
-		in.runFast = false
-	}
 	if err := in.InitStatics(); err != nil {
 		t.Fatalf("init: %v", err)
 	}
@@ -59,30 +54,26 @@ func fastpathRun(t *testing.T, e Engine, costs energy.CostTable, unbound bool) (
 }
 
 // TestEngineEnergyParityAcrossMeterPaths runs the probe on both engines
-// under three charge-run replays — the bound deltas (fast path on), the
-// StepList replay forced on the same table (fast path off), and a custom
-// cost table that defeats the bound replay (Costs() no longer matches the
-// program's bound table, so OpRunCharge must fall back to StepList) — and
-// demands one joule answer from all six runs.
+// under the default cost table and under a custom one, whose unit deltas the
+// meter folds at construction like any other table, and demands one joule
+// answer from both engines on each.
 func TestEngineEnergyParityAcrossMeterPaths(t *testing.T) {
 	custom := energy.DefaultCosts()
 	custom.Ops[energy.OpArithInt].Picojoules *= 1.5
 	custom.Ops[energy.OpLocal].Cycles += 0.25
 
 	type cfg struct {
-		name    string
-		unbound bool
-		costs   energy.CostTable
+		name  string
+		costs energy.CostTable
 	}
 	cfgs := []cfg{
-		{"fastpath on", false, energy.DefaultCosts()},
-		{"fastpath off", true, energy.DefaultCosts()},
-		{"custom costs defeat bound replay", false, custom},
+		{"fastpath on", energy.DefaultCosts()},
+		{"custom costs", custom},
 	}
 	for _, c := range cfgs {
 		t.Run(c.name, func(t *testing.T) {
-			astV, astBits := fastpathRun(t, EngineAST, c.costs, c.unbound)
-			vmV, vmBits := fastpathRun(t, EngineVM, c.costs, c.unbound)
+			astV, astBits := fastpathRun(t, EngineAST, c.costs)
+			vmV, vmBits := fastpathRun(t, EngineVM, c.costs)
 			if astV != vmV {
 				t.Errorf("result differs: ast=%+v vm=%+v", astV, vmV)
 			}
@@ -91,14 +82,4 @@ func TestEngineEnergyParityAcrossMeterPaths(t *testing.T) {
 			}
 		})
 	}
-
-	// The bound and the unbound replay must also agree with each other on
-	// the same cost table: that is the bound deltas' whole contract.
-	t.Run("on and off land identical bits", func(t *testing.T) {
-		_, onBits := fastpathRun(t, EngineVM, energy.DefaultCosts(), false)
-		_, offBits := fastpathRun(t, EngineVM, energy.DefaultCosts(), true)
-		if onBits != offBits {
-			t.Errorf("bound replay changed the joule bits: on=%#x off=%#x", onBits, offBits)
-		}
-	})
 }

@@ -47,13 +47,6 @@ type Interp struct {
 	// interpreters sharing a Program run with independent statics.
 	statics []staticCell
 
-	// runFast is true when the program's charge runs were bound against this
-	// meter's cost table: OpRunCharge replays the precomputed deltas instead
-	// of the charge list. The two replays are bit-identical; runFast only
-	// exists so a meter with a custom cost table silently gets the unbound
-	// path.
-	runFast bool
-
 	// warm holds this instance's private copies of compiled code, created on
 	// first invocation per function. Quickening patches opcodes and fills
 	// inline caches in these copies only, so instances sharing a Program
@@ -106,6 +99,11 @@ func WithHook(h ProbeHook) Option { return func(in *Interp) { in.hook = h } }
 // into an error instead of a hang.
 func WithMaxOps(n int64) Option { return func(in *Interp) { in.maxOps = n } }
 
+// DefaultMaxOps is the op budget measurement runs get when their caller
+// configures none: far beyond any program in the repository's corpora, small
+// enough that a runaway loop ends in an error.
+const DefaultMaxOps int64 = 500_000_000
+
 // ctxCheckInterval is how many budget-counted ops run between context polls.
 // Small enough that cancellation lands within microseconds of real work,
 // large enough that the poll is noise against the dispatch loop.
@@ -134,7 +132,6 @@ func New(prog *Program, meter *energy.Meter, opts ...Option) *Interp {
 		ctxCheckAt: math.MaxInt64,
 		siteCache:  make([]siteState, len(prog.sites)),
 		statics:    make([]staticCell, prog.nStatics),
-		runFast:    meter.Costs() == prog.boundCosts,
 	}
 	for _, o := range opts {
 		o(in)

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sync"
 
-	"jepo/internal/energy"
 	"jepo/internal/minijava/ast"
 )
 
@@ -73,11 +72,6 @@ type Program struct {
 	// reader runs after compile.
 	funcs    []compiledFn
 	compiled sync.Once
-
-	// boundCosts is the cost table every compiled function's charge runs
-	// are bound against (Func.BindCosts). An Interp whose meter uses a
-	// different table replays runs through the unbound charges instead.
-	boundCosts energy.CostTable
 }
 
 // progSiteKind classifies what a call/new/select site resolved to at load
@@ -118,7 +112,7 @@ type progSite struct {
 // keep executing. The first run compiles the program from the AST, so the
 // AST must not change between Load and the last run.
 func Load(files ...*ast.File) (*Program, error) {
-	p := &Program{classes: make(map[string]*classInfo), boundCosts: energy.DefaultCosts()}
+	p := &Program{classes: make(map[string]*classInfo)}
 	for _, f := range files {
 		for _, c := range f.Classes {
 			if _, dup := p.classes[c.Name]; dup {

@@ -16,11 +16,8 @@ import (
 // walker's own helpers (selectFrom, writeLValue, dispatchCall, coerceTo, ...)
 // so the charge sequences are shared code, not transcriptions.
 //
-// The VM adds three mechanisms on top, all charge-transparent:
+// The VM adds two mechanisms on top, both charge-transparent:
 //
-//   - OpRunCharge replays a basic block's pre-aggregated charge run — the
-//     exact ordered Step sequence of the folded instructions (see
-//     bytecode.Finalize).
 //   - Runtime quickening: generic handlers patch their instruction (in this
 //     instance's private code copy only) into a specialized form after first
 //     execution. Every quick handler re-checks its guard and deopts by
@@ -210,28 +207,6 @@ func (in *Interp) execVM(cf *compiledFn, code []bytecode.Instr, ics []vmIC, fr *
 			}
 			stack[sp] = cv.v
 			sp++
-		case bytecode.OpQConst:
-			// Charge and steps were folded into the run's OpRunCharge.
-			stack[sp] = consts[ins.A].v
-			sp++
-		case bytecode.OpRunCharge:
-			// One pre-aggregated run: a single budget check for the summed
-			// steps, then the exact ordered replay of the folded charges —
-			// through the compile-time-bound deltas when this meter is on the
-			// bound cost table, through the charge list otherwise.
-			run := &fn.Runs[ins.A]
-			in.ops += int64(run.Steps)
-			if in.maxOps > 0 && in.ops > in.maxOps {
-				in.opBudgetExceeded()
-			}
-			if in.ops >= in.ctxCheckAt {
-				in.ctxCheckpoint()
-			}
-			if in.runFast {
-				meter.StepRun(run.Deltas)
-			} else {
-				meter.StepList(run.Charges)
-			}
 		case bytecode.OpQBinIntLL, bytecode.OpQBinIntLC, bytecode.OpQBinInt:
 			// One arm for all three int-specialized binary forms; they only
 			// differ in where the operands come from. The charge sequence is

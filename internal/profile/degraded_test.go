@@ -151,7 +151,7 @@ func driveBench(t *testing.T, src rapl.Source, meter *energy.Meter, bsrc string,
 		t.Fatal(err)
 	}
 	prof := New(src, func() time.Duration { return meter.Snapshot().Elapsed })
-	in := interp.New(prog, meter, interp.WithHook(prof), interp.WithMaxOps(500_000_000))
+	in := interp.New(prog, meter, interp.WithHook(prof), interp.WithMaxOps(interp.DefaultMaxOps))
 	if err := in.InitStatics(); err != nil {
 		t.Fatal(err)
 	}

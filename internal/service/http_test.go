@@ -186,6 +186,28 @@ func TestHTTPErrors(t *testing.T) {
 	}
 }
 
+// TestHTTPBodyTooLarge asserts bodies over maxBodyBytes are refused with 413
+// on both read paths (file upload and request JSON), and that the refused
+// upload leaves the session serving.
+func TestHTTPBodyTooLarge(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	id := createHTTPSession(t, ts)
+	files := ts.URL + "/v1/sessions/" + id + "/files/"
+	if resp, body := do(t, "PUT", files+"Work.java", workSrc, nil); resp.StatusCode != http.StatusNoContent {
+		t.Fatalf("put file: %d %s", resp.StatusCode, body)
+	}
+	big := strings.Repeat(" ", maxBodyBytes+1)
+	if resp, body := do(t, "PUT", files+"Big.java", big, nil); resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Errorf("oversized file: status %d %s, want 413", resp.StatusCode, body)
+	}
+	if resp, body := do(t, "POST", ts.URL+"/v1/sessions/"+id+"/analyze", big, nil); resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Errorf("oversized request body: status %d %s, want 413", resp.StatusCode, body)
+	}
+	if resp, body := do(t, "POST", ts.URL+"/v1/sessions/"+id+"/analyze", "", nil); resp.StatusCode != http.StatusOK {
+		t.Errorf("analyze after refused upload: status %d %s, want 200", resp.StatusCode, body)
+	}
+}
+
 // TestHTTPSaturated asserts the gate's shed path surfaces as 503.
 func TestHTTPSaturated(t *testing.T) {
 	svc, ts := newTestServer(t, Config{Slots: 1, MaxQueue: 0})

@@ -45,8 +45,8 @@ type Config struct {
 	// one (zero value = bytecode VM).
 	Engine interp.Engine
 	// Jobs is the default pool width inside one request (per-fix
-	// measurements, table rows). <= 0 means GOMAXPROCS. Output is
-	// bit-identical at any value.
+	// measurements, table rows), and the widest a request may ask for.
+	// <= 0 means GOMAXPROCS. Output is bit-identical at any value.
 	Jobs int
 	// Slots bounds concurrently executing requests. <= 0 means 1.
 	Slots int
@@ -55,7 +55,7 @@ type Config struct {
 	// no queue (admit or shed).
 	MaxQueue int
 	// MaxOps is the default per-run op budget for requests that don't set
-	// one (0 = the interpreter default).
+	// one (0 = interp.DefaultMaxOps), and the ceiling for those that do.
 	MaxOps int64
 }
 
@@ -269,17 +269,29 @@ type Request struct {
 	MainClass string `json:"main,omitempty"`
 	// Engine names the execution engine ("" = service default).
 	Engine string `json:"engine,omitempty"`
-	// Jobs overrides the pool width (0 = service default). Pure wall-clock
-	// knob: Output is bit-identical at any value.
+	// Jobs overrides the pool width (0 = service default), capped at the
+	// service's Config.Jobs. Pure wall-clock knob: Output is bit-identical
+	// at any value.
 	Jobs int `json:"jobs,omitempty"`
 	// MaxOps is this request's op budget per measurement run (0 = service
-	// default). The budget is cache-key material: the same sources under a
-	// different budget are distinct artifacts.
+	// default), capped at the service's budget. The budget is cache-key
+	// material: the same sources under a different budget are distinct
+	// artifacts.
 	MaxOps int64 `json:"max_ops,omitempty"`
 }
 
-// resolve folds service defaults into the request.
+// resolve folds service defaults into the request and holds it to the
+// service's ceilings: a client may lower its op budget and pool width, never
+// raise them past the operator's (Config.MaxOps, or interp.DefaultMaxOps
+// when that is 0; Config.Jobs). Unset fields keep the defaults unchanged, so
+// ordinary requests keep their cache keys.
 func (svc *Service) resolve(req Request) (eng interp.Engine, jobs int, maxOps int64, err error) {
+	if req.MaxOps < 0 {
+		return eng, 0, 0, fmt.Errorf("service: negative max_ops %d", req.MaxOps)
+	}
+	if req.Jobs < 0 {
+		return eng, 0, 0, fmt.Errorf("service: negative jobs %d", req.Jobs)
+	}
 	eng = svc.cfg.Engine
 	if req.Engine != "" {
 		eng, err = interp.ParseEngine(req.Engine)
@@ -288,12 +300,19 @@ func (svc *Service) resolve(req Request) (eng interp.Engine, jobs int, maxOps in
 		}
 	}
 	jobs = req.Jobs
-	if jobs <= 0 {
+	if jobs == 0 || jobs > svc.cfg.Jobs {
 		jobs = svc.cfg.Jobs
 	}
 	maxOps = req.MaxOps
 	if maxOps == 0 {
 		maxOps = svc.cfg.MaxOps
+	}
+	ceiling := svc.cfg.MaxOps
+	if ceiling == 0 {
+		ceiling = interp.DefaultMaxOps
+	}
+	if maxOps > ceiling {
+		maxOps = ceiling
 	}
 	return eng, jobs, maxOps, nil
 }

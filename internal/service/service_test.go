@@ -191,6 +191,83 @@ func TestProfileBudget(t *testing.T) {
 	}
 }
 
+// spinSrc never ends on its own: only an op budget or the context stops it.
+const spinSrc = `class Spin {
+	public static void main(String[] args) {
+		int i = 0;
+		while (true) {
+			i = i + 1;
+		}
+	}
+}`
+
+func openSpinSession(t *testing.T, svc *Service) *Session {
+	t.Helper()
+	s, err := svc.CreateSession()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.PutFile("Spin.java", spinSrc); err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+// TestRequestBudgetClampedToServiceCeiling asserts a client cannot raise its
+// op budget past the service's: the loop ends at the service's 100000 ops,
+// not when the deadline cuts an effectively unlimited run short.
+func TestRequestBudgetClampedToServiceCeiling(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	svc := newTestService(t, Config{MaxOps: 100_000})
+	s := openSpinSession(t, svc)
+	_, err := s.Profile(ctx, Request{MaxOps: 1 << 62}, nil)
+	if err == nil || !strings.Contains(err.Error(), "op budget of 100000 exceeded") {
+		t.Fatalf("profile with max_ops 1<<62 returned %v, want the service's 100000-op budget error", err)
+	}
+}
+
+// TestNegativeRequestLimitsRejected asserts a negative max_ops or jobs fails
+// in resolve, before the request is queued or anything runs; the
+// interpreter would read a negative budget as no budget at all.
+func TestNegativeRequestLimitsRejected(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	svc := newTestService(t, Config{MaxOps: 100_000})
+	s := openSpinSession(t, svc)
+	for _, req := range []Request{{MaxOps: -1}, {Jobs: -1}} {
+		var events []Event
+		_, err := s.Profile(ctx, req, func(ev Event) { events = append(events, ev) })
+		if err == nil || ctx.Err() != nil {
+			t.Fatalf("request %+v returned %v (context: %v), want an immediate rejection", req, err, ctx.Err())
+		}
+		if len(events) != 0 {
+			t.Errorf("request %+v was admitted before failing: %+v", req, events)
+		}
+	}
+}
+
+// TestRequestJobsClampedToServiceWidth asserts a client cannot widen the
+// pool past the service's Jobs: Table II has 10 rows, so an unclamped
+// request for 64 runs 10 wide.
+func TestRequestJobsClampedToServiceWidth(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	svc := newTestService(t, Config{Jobs: 2})
+	var telemetry []string
+	_, err := svc.Table(ctx, 2, DefaultTableSeed, Request{Jobs: 64}, func(ev Event) {
+		if ev.Stage == "telemetry" {
+			telemetry = append(telemetry, ev.Message)
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(telemetry) != 1 || !strings.Contains(telemetry[0], "jobs=2 ") {
+		t.Errorf("telemetry %q, want one event reporting jobs=2", telemetry)
+	}
+}
+
 func TestOptimize(t *testing.T) {
 	svc := newTestService(t, Config{})
 	s := openSession(t, svc)

@@ -19,6 +19,14 @@ go vet ./...
 echo "== go test -race =="
 go test -race ./...
 
+echo "== go benchmarks, one iteration each =="
+# The root benchmarks (BenchmarkTable1 rows, BenchmarkInterpCalls,
+# BenchmarkInterpRecursion, ...) decide mechanisms inside the interpreter and
+# meter that bench/'s end-to-end workloads are too coarse to see. One
+# iteration each keeps them compiling and running, so a benchmark that calls
+# b.Fatal fails the gate.
+go test -run '^$' -bench . -benchtime 1x ./...
+
 echo "== bench module: go vet, go test =="
 # The benchmark (bench/) is its own module, so the root ./... patterns skip
 # it. Its tracer imports the library's internal packages directly, so a
