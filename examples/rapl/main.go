@@ -91,9 +91,10 @@ func main() {
 	fmt.Printf("  raw meter says package=%v — the difference is counter quantization\n",
 		meter.Snapshot().Package)
 
-	// The tree-walking engine charges the same meter ops in the same order
-	// as the bytecode VM, so an independent run reads identical energy —
-	// the determinism invariant the golden tests pin.
+	// The tree-walking engine charges the same op counts and issues the
+	// same memory accesses in the same order as the bytecode VM, so an
+	// independent run reads identical energy — the determinism invariant
+	// the golden tests pin.
 	astMeter := energy.NewMeter(energy.DefaultCosts())
 	astIn := interp.New(prog, astMeter, interp.WithEngine(interp.EngineAST))
 	if _, err := astIn.CallStatic("W", "f"); err != nil {

@@ -7,34 +7,26 @@ import (
 	"time"
 )
 
-// Meter accumulates energy, cycles and memory behaviour for one modelled
+// Meter measures energy, cycles and memory behaviour for one modelled
 // execution. It is the single source of truth the simulated RAPL registers
 // read from.
 //
 // A Meter is not safe for concurrent use; the interpreter that drives it is
 // single-threaded, as the JVM thread the paper instruments is.
 //
-// The charging methods come in two layers. Step and Access are the general
-// API; their hot cases run on precomputed unit deltas (see fastpath.go), and
-// the flattened helpers — FieldAccess, StaticAccess, ArrayAccess — give the
-// interpreter's dispatch loop single concrete calls for its fixed charge
-// sequences. Every fast form performs the identical additions in the
-// identical order as the reference form it replaces (stepSlow, accessSlow).
+// The meter counts on the hot path and prices on read. Every charge is
+// linear in three counts it keeps anyway — per-op counts, cache hits and
+// cache misses — so Step and the access methods only count (and drive the
+// cache model), and Snapshot multiplies the counts by the cost table in one
+// fixed order. A sample is therefore a pure function of the counts: two runs
+// that reach the same counts between reads read the same bits, whatever
+// order the charges came in. Only the cache model is order-sensitive, since
+// its hits and misses depend on the access sequence.
 type Meter struct {
-	costs CostTable
-	cache *Cache
-
-	cycles     float64
-	coreJ      Joules // PP0 (core) domain
-	dramJ      Joules // DRAM domain
+	costs      CostTable
+	cache      *Cache
 	opCounts   [NumOps]uint64
 	heapCursor uint64 // bump allocator for synthetic addresses
-
-	// Fast-path state, folded from costs at construction (fastpath.go):
-	// per-op unit deltas and the unit cache hit/miss/DRAM charges.
-	unit        [NumOps]unitCost
-	hitU, missU unitCost
-	dramPerMiss Joules
 }
 
 // NewMeter builds a meter over the given cost table and the default cache
@@ -49,146 +41,59 @@ func NewMeterCache(costs CostTable, cache CacheConfig) *Meter {
 	if err := costs.Validate(); err != nil {
 		panic(err)
 	}
-	m := &Meter{
+	return &Meter{
 		costs:      costs,
 		cache:      NewCache(cache),
 		heapCursor: 1 << 20, // keep address 0 unused
 	}
-	m.unit = bindUnits(&costs)
-	m.hitU = unitCost{j: Picojoules(costs.CacheHit.Picojoules), c: costs.CacheHit.Cycles}
-	m.missU = unitCost{j: Picojoules(costs.CacheMiss.Picojoules), c: costs.CacheMiss.Cycles}
-	m.dramPerMiss = Joules(costs.DRAMJoulesPerMiss)
-	return m
 }
 
 // Costs returns the meter's cost table.
 func (m *Meter) Costs() CostTable { return m.costs }
 
-// Step charges n occurrences of op. The n==1 case — the dispatch loop's
-// shape — adds the precomputed unit delta; other counts take stepSlow, the
-// reference product. Step must stay within the compiler's inlining budget:
-// the whole point of the unit-delta path is that the dispatch loop's charges
-// compile to straight-line adds, not calls.
+// Step charges n occurrences of op; n <= 0 charges nothing. It is the
+// dispatch loop's most frequent call, so it must stay within the compiler's
+// inlining budget.
 func (m *Meter) Step(op Op, n int) {
-	if n == 1 {
-		m.coreJ += m.unit[op].j
-		m.cycles += m.unit[op].c
-		m.opCounts[op]++
-		return
+	if n > 0 {
+		m.opCounts[op] += uint64(n)
 	}
-	m.stepSlow(op, n)
 }
 
-// stepSlow is the reference charge path: per-call table lookup and product.
-// The fast paths must be indistinguishable from it bit for bit.
-func (m *Meter) stepSlow(op Op, n int) {
-	if n <= 0 {
-		return
-	}
-	c := m.costs.Ops[op]
-	f := float64(n)
-	m.coreJ += Picojoules(c.Picojoules * f)
-	m.cycles += c.Cycles * f
-	m.opCounts[op] += uint64(n)
-}
-
-// Access routes a memory access of size bytes at addr through the cache model
-// and charges the hit/miss costs. The single-line case (any access that does
-// not span a line boundary) is charged through the unit deltas; spanning
-// accesses take the general batched path.
+// Access routes a memory access of size bytes at addr through the cache
+// model. An access within one line — nearly all of them — touches that line
+// directly; one spanning a line boundary touches every line it covers.
 func (m *Meter) Access(addr uint64, size int) {
 	c := m.cache
 	if size > 0 && (addr+uint64(size)-1)>>c.lineBits == addr>>c.lineBits {
-		if m.cache.touch(addr >> c.lineBits) {
-			m.coreJ += m.hitU.j
-			m.cycles += m.hitU.c
-		} else {
-			m.coreJ += m.missU.j
-			m.cycles += m.missU.c
-			m.dramJ += m.dramPerMiss
-		}
+		c.touch(addr >> c.lineBits)
 		return
 	}
-	m.accessSlow(addr, size)
-}
-
-// accessSlow is the reference access path: batched hit/miss charges over
-// however many lines the access covered. For a single-line access the fast
-// path adds the identical bits: hits and misses are 0 or 1, and x*1.0 == x.
-func (m *Meter) accessSlow(addr uint64, size int) {
-	lines, missed := m.cache.Access(addr, size)
-	hits := lines - missed
-	if hits > 0 {
-		m.coreJ += Picojoules(m.costs.CacheHit.Picojoules * float64(hits))
-		m.cycles += m.costs.CacheHit.Cycles * float64(hits)
-	}
-	if missed > 0 {
-		m.coreJ += Picojoules(m.costs.CacheMiss.Picojoules * float64(missed))
-		m.cycles += m.costs.CacheMiss.Cycles * float64(missed)
-		m.dramJ += Joules(m.costs.DRAMJoulesPerMiss * float64(missed))
-	}
+	c.Access(addr, size)
 }
 
 // ArrayAccess charges one array-element access: the element step, the bounds
-// check and the memory access, in that order — the fixed sequence of the
-// interpreter's indexed load/store paths (OpLoadIndexL and friends),
-// flattened into one concrete call.
+// check and the memory access — the fixed charges of the interpreter's
+// indexed load/store paths (OpLoadIndexL and friends) in one concrete call.
 func (m *Meter) ArrayAccess(addr uint64, size int) {
-	u := &m.unit[OpArrayElem]
-	m.coreJ += u.j
-	m.cycles += u.c
 	m.opCounts[OpArrayElem]++
-	u = &m.unit[OpBoundsCheck]
-	m.coreJ += u.j
-	m.cycles += u.c
 	m.opCounts[OpBoundsCheck]++
-	if size > 0 && (addr+uint64(size)-1)>>m.cache.lineBits == addr>>m.cache.lineBits {
-		if m.cache.touch(addr >> m.cache.lineBits) {
-			m.coreJ += m.hitU.j
-			m.cycles += m.hitU.c
-		} else {
-			m.coreJ += m.missU.j
-			m.cycles += m.missU.c
-			m.dramJ += m.dramPerMiss
-		}
-		return
-	}
-	m.accessSlow(addr, size)
+	m.Access(addr, size)
 }
 
-// FieldAccess charges one instance-field access: the field step then the
-// 8-byte slot access — the fixed sequence of every field load/store lane.
+// FieldAccess charges one instance-field access: the field step and the
+// 8-byte slot access of every field load/store lane.
 func (m *Meter) FieldAccess(addr uint64) {
-	u := &m.unit[OpField]
-	m.coreJ += u.j
-	m.cycles += u.c
 	m.opCounts[OpField]++
 	// 8-byte slots are 8-aligned, so the access never spans a line.
-	if m.cache.touch(addr >> m.cache.lineBits) {
-		m.coreJ += m.hitU.j
-		m.cycles += m.hitU.c
-	} else {
-		m.coreJ += m.missU.j
-		m.cycles += m.missU.c
-		m.dramJ += m.dramPerMiss
-	}
+	m.cache.touch(addr >> m.cache.lineBits)
 }
 
-// StaticAccess charges one static-field access: the static step then the
-// 8-byte slot access — the fixed sequence of every static load/store lane.
+// StaticAccess charges one static-field access: the static step and the
+// 8-byte slot access of every static load/store lane.
 func (m *Meter) StaticAccess(addr uint64) {
-	u := &m.unit[OpStatic]
-	m.coreJ += u.j
-	m.cycles += u.c
 	m.opCounts[OpStatic]++
-	if m.cache.touch(addr >> m.cache.lineBits) {
-		m.coreJ += m.hitU.j
-		m.cycles += m.hitU.c
-	} else {
-		m.coreJ += m.missU.j
-		m.cycles += m.missU.c
-		m.dramJ += m.dramPerMiss
-	}
+	m.cache.touch(addr >> m.cache.lineBits)
 }
 
 // Alloc reserves size bytes of synthetic address space, 8-byte aligned, and
@@ -213,16 +118,39 @@ type Sample struct {
 	DRAM    Joules
 }
 
-// Snapshot computes the current sample. Package energy is core energy plus
-// the uncore static power integrated over modelled time.
+// Snapshot prices the counts into the current sample: ops in index order,
+// then cache hits, then cache misses, each term count × cost. Package energy
+// is core energy plus the uncore static power integrated over modelled time.
+//
+// With integer picojoule costs (every entry of DefaultCosts) each term and
+// the running sum are exact in float64 while the total stays below 2^53 pJ,
+// about 9 kJ, so core energy rounds once, in Picojoules. Cycle costs such as
+// 0.3 are not binary fractions and round once per term. The terms are
+// non-negative and added in a fixed order, so successive snapshots never
+// decrease in any domain.
 func (m *Meter) Snapshot() Sample {
-	secs := m.cycles / m.costs.FrequencyHz
+	var pj, cycles float64
+	for op, n := range m.opCounts {
+		if n == 0 {
+			continue
+		}
+		c := &m.costs.Ops[op]
+		pj += c.Picojoules * float64(n)
+		cycles += c.Cycles * float64(n)
+	}
+	hits, misses := float64(m.cache.hits), float64(m.cache.misses)
+	pj += m.costs.CacheHit.Picojoules * hits
+	cycles += m.costs.CacheHit.Cycles * hits
+	pj += m.costs.CacheMiss.Picojoules * misses
+	cycles += m.costs.CacheMiss.Cycles * misses
+	core := Picojoules(pj)
+	secs := cycles / m.costs.FrequencyHz
 	return Sample{
-		Cycles:  m.cycles,
+		Cycles:  cycles,
 		Elapsed: time.Duration(secs * float64(time.Second)),
-		Core:    m.coreJ,
-		Package: m.coreJ + Joules(m.costs.UncoreWatts*secs),
-		DRAM:    m.dramJ,
+		Core:    core,
+		Package: core + Joules(m.costs.UncoreWatts*secs),
+		DRAM:    Joules(m.costs.DRAMJoulesPerMiss * misses),
 	}
 }
 
@@ -244,12 +172,9 @@ func (m *Meter) OpCount(op Op) uint64 { return m.opCounts[op] }
 // CacheStats reports cumulative cache hits and misses.
 func (m *Meter) CacheStats() (hits, misses uint64) { return m.cache.Hits(), m.cache.Misses() }
 
-// Reset zeroes all accumulators, invalidates the cache and resets the
-// synthetic heap.
+// Reset zeroes the op counts, invalidates the cache and resets the synthetic
+// heap.
 func (m *Meter) Reset() {
-	m.cycles = 0
-	m.coreJ = 0
-	m.dramJ = 0
 	m.opCounts = [NumOps]uint64{}
 	m.cache.Reset()
 	m.heapCursor = 1 << 20

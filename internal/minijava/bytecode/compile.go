@@ -15,10 +15,11 @@ import (
 // a loop); such methods stay on the tree-walker, which is bit-identical by
 // definition.
 //
-// The invariant the compiler maintains is charge identity: executing the
-// emitted instructions issues the exact same energy.Meter calls in the exact
-// same order as the tree-walk of the same body, and the same total of op-budget
-// steps. Walker steps that produce no instruction of their own are folded into
+// The invariant the compiler maintains is charge identity: between any two
+// meter reads, executing the emitted instructions charges the same op counts
+// as the tree-walk of the same body and issues the same memory accesses in
+// the same order (the cache model is order-sensitive; op charges are not),
+// and counts the same total of op-budget steps. Walker steps that produce no instruction of their own are folded into
 // the Steps field of the next emitted instruction (flushed as a standalone
 // OpStep before jump targets so no path double- or under-counts).
 func Compile(className string, m *ast.Method, body *ast.Block) (fn *Func) {

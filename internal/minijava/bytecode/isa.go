@@ -6,7 +6,7 @@
 // loop itself lives in internal/minijava/interp so that every non-trivial
 // operation (builtin calls, coercions, boxing, object construction) reuses
 // the tree-walker's own helpers and therefore charges the energy meter the
-// exact same ops in the exact same order.
+// same op counts and the same memory accesses in the same order.
 //
 // Instructions keep a reference to the AST node they were lowered from.
 // The node is the slow path: when a frame slot is not live (the dialect

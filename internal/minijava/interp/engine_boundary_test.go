@@ -1,6 +1,8 @@
 package interp
 
 import (
+	"context"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -9,10 +11,10 @@ import (
 	"jepo/internal/minijava/parser"
 )
 
-// boundaryRun executes class.f() on one engine and captures the observable
-// boundary behaviour: the error text (empty on success), the printed output
-// and the meter's package-energy bits.
-func boundaryRun(t *testing.T, src string, maxOps int64, e Engine) (errText, out string, pkgBits uint64) {
+// boundaryRun executes class.f() on one engine, with any extra options, and
+// captures the observable boundary behaviour: the error text (empty on
+// success), the printed output and the meter's package-energy bits.
+func boundaryRun(t *testing.T, src string, maxOps int64, e Engine, opts ...Option) (errText, out string, pkgBits uint64) {
 	t.Helper()
 	f, err := parser.Parse("boundary.java", src)
 	if err != nil {
@@ -22,7 +24,7 @@ func boundaryRun(t *testing.T, src string, maxOps int64, e Engine) (errText, out
 	if err != nil {
 		t.Fatalf("load: %v", err)
 	}
-	in := New(prog, energy.NewMeter(energy.DefaultCosts()), WithMaxOps(maxOps), WithEngine(e))
+	in := New(prog, energy.NewMeter(energy.DefaultCosts()), append([]Option{WithMaxOps(maxOps), WithEngine(e)}, opts...)...)
 	if err := in.InitStatics(); err != nil {
 		t.Fatalf("init: %v", err)
 	}
@@ -128,22 +130,42 @@ func TestEngineBoundaryParity(t *testing.T) {
 }
 
 // TestEngineOpBudgetParity pins that the op budget trips on both engines with
-// the same message. The trip point is instruction-granular on the VM (steps
-// are accounted in folded batches), so only the failure itself — not the
-// meter state at failure — is comparable.
+// the same message, with and without a live context, whose polls share the
+// budget's compare: one budget trips before the first poll (ctxCheckInterval
+// ops) and one after several. The trip point is instruction-granular on the
+// VM (steps are accounted in folded batches), so only the failure itself —
+// not the meter state at failure — is comparable.
 func TestEngineOpBudgetParity(t *testing.T) {
 	src := `class T { static int f() { int s = 0; while (true) { s = s + 1; } } }`
-	for _, budget := range []int64{100, 10_000} {
-		vmErr, _, _ := boundaryRun(t, src, budget, EngineVM)
-		astErr, _, _ := boundaryRun(t, src, budget, EngineAST)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	cases := []struct {
+		budget int64
+		opts   []Option
+	}{
+		{100, nil},
+		{10_000, nil},
+		{10_000, []Option{WithContext(ctx)}},
+		{3*ctxCheckInterval + 100, []Option{WithContext(ctx)}},
+	}
+	for _, c := range cases {
+		name := fmt.Sprintf("budget %d, context %v", c.budget, c.opts != nil)
+		var vm, ast *Interp
+		vmErr, _, _ := boundaryRun(t, src, c.budget, EngineVM, append(c.opts, func(in *Interp) { vm = in })...)
+		astErr, _, _ := boundaryRun(t, src, c.budget, EngineAST, append(c.opts, func(in *Interp) { ast = in })...)
 		if vmErr == "" || astErr == "" {
-			t.Fatalf("budget %d: infinite loop must trip both engines (vm=%q ast=%q)", budget, vmErr, astErr)
+			t.Fatalf("%s: infinite loop must trip both engines (vm=%q ast=%q)", name, vmErr, astErr)
 		}
 		if vmErr != astErr {
-			t.Errorf("budget %d: messages diverged:\n  vm:  %q\n  ast: %q", budget, vmErr, astErr)
+			t.Errorf("%s: messages diverged:\n  vm:  %q\n  ast: %q", name, vmErr, astErr)
 		}
-		if !strings.Contains(vmErr, "op budget") {
-			t.Errorf("budget %d: error %q does not mention the op budget", budget, vmErr)
+		if want := fmt.Sprintf("op budget of %d exceeded", c.budget); !strings.Contains(vmErr, want) {
+			t.Errorf("%s: error %q does not say %q", name, vmErr, want)
+		}
+		// The walker trips on the first op past the budget, the VM within
+		// one instruction's folded steps of it — not at a later poll.
+		if ast.Ops() != c.budget+1 || vm.Ops() <= c.budget || vm.Ops() > c.budget+16 {
+			t.Errorf("%s: tripped at ast=%d vm=%d ops", name, ast.Ops(), vm.Ops())
 		}
 	}
 }

@@ -35,9 +35,15 @@ type Interp struct {
 	// counters), so the energy accounting is bit-identical whether or not a
 	// context is installed — cancellation only changes *whether* the run
 	// completes, never what a completed run charges. Without a context,
-	// ctxCheckAt stays at math.MaxInt64 and the poll branch never fires.
+	// ctxCheckAt stays at math.MaxInt64.
 	ctx        context.Context
 	ctxCheckAt int64
+
+	// checkAt is the ops value at which checkpoint next has work: the
+	// smaller of ctxCheckAt and the first count past the op budget. Both
+	// engines test it with one compare per step; with neither a context nor
+	// a budget it is math.MaxInt64 and never fires.
+	checkAt int64
 
 	engine       Engine
 	staticsReady bool
@@ -110,9 +116,9 @@ const DefaultMaxOps int64 = 500_000_000
 const ctxCheckInterval = 16384
 
 // WithContext makes the run cancellable: the interpreter polls ctx every
-// ctxCheckInterval budget-counted ops (on the same counter the op budget
-// uses) and aborts with ctx.Err() once it is done. A nil or Background
-// context costs one always-false comparison per op-batch and nothing else.
+// ctxCheckInterval budget-counted ops (on the same counter and the same
+// compare the op budget uses) and aborts with ctx.Err() once it is done. A
+// nil or Background context is not installed and costs nothing.
 func WithContext(ctx context.Context) Option {
 	return func(in *Interp) {
 		if ctx == nil || ctx.Done() == nil {
@@ -136,6 +142,7 @@ func New(prog *Program, meter *energy.Meter, opts ...Option) *Interp {
 	for _, o := range opts {
 		o(in)
 	}
+	in.armCheck()
 	return in
 }
 
@@ -505,34 +512,43 @@ type ctrl struct {
 
 var normal = ctrl{}
 
-// step counts one interpreted node against the op budget. The panic lives in
-// a separate function so step stays within the inlining budget; it is charged
-// on every AST node. The context poll rides on the same counter: without a
-// context ctxCheckAt is MaxInt64 and the branch never fires.
+// step counts one interpreted node against the op budget. It is charged on
+// every AST node, so it stays within the inlining budget: the budget and the
+// context poll share one compare, and their work lives in checkpoint.
 func (in *Interp) step() {
 	in.ops++
-	if in.maxOps > 0 && in.ops > in.maxOps {
-		in.opBudgetExceeded()
-	}
-	if in.ops >= in.ctxCheckAt {
-		in.ctxCheckpoint()
+	if in.ops >= in.checkAt {
+		in.checkpoint()
 	}
 }
 
-//go:noinline
-func (in *Interp) opBudgetExceeded() {
-	panic(bugPanic{fmt.Sprintf("op budget of %d exceeded (likely an infinite loop)", in.maxOps)})
+// armCheck points checkAt at the next op count that needs checkpoint. The
+// budget term is maxOps+1, the first count past the budget, skipped when it
+// would overflow.
+func (in *Interp) armCheck() {
+	in.checkAt = in.ctxCheckAt
+	if in.maxOps > 0 && in.maxOps < in.checkAt-1 {
+		in.checkAt = in.maxOps + 1
+	}
 }
 
-// ctxCheckpoint polls the installed context and re-arms the next poll point.
-// It charges nothing to the meter — cancellation never perturbs the energy
-// accounting of runs that complete.
+// checkpoint runs the two checks checkAt stands for, budget first: a run
+// past its op budget fails, and a due context poll re-arms the next poll
+// point and aborts a run whose context is done. It charges nothing to the
+// meter — cancellation never perturbs the energy accounting of runs that
+// complete.
 //
 //go:noinline
-func (in *Interp) ctxCheckpoint() {
-	in.ctxCheckAt = in.ops + ctxCheckInterval
-	if err := in.ctx.Err(); err != nil {
-		panic(cancelPanic{err})
+func (in *Interp) checkpoint() {
+	if in.maxOps > 0 && in.ops > in.maxOps {
+		panic(bugPanic{fmt.Sprintf("op budget of %d exceeded (likely an infinite loop)", in.maxOps)})
+	}
+	if in.ops >= in.ctxCheckAt {
+		in.ctxCheckAt = in.ops + ctxCheckInterval
+		in.armCheck()
+		if err := in.ctx.Err(); err != nil {
+			panic(cancelPanic{err})
+		}
 	}
 }
 

@@ -11,10 +11,11 @@ import (
 
 // This file is the bytecode engine's dispatch loop. The compiler
 // (internal/minijava/bytecode) guarantees that executing the instruction
-// stream issues the same energy.Meter calls in the same order as tree-walking
-// the same body; every non-trivial operation below therefore delegates to the
-// walker's own helpers (selectFrom, writeLValue, dispatchCall, coerceTo, ...)
-// so the charge sequences are shared code, not transcriptions.
+// stream charges the same op counts, and issues the same memory accesses in
+// the same order, as tree-walking the same body; every non-trivial operation
+// below therefore delegates to the walker's own helpers (selectFrom,
+// writeLValue, dispatchCall, coerceTo, ...) so the charges are shared code,
+// not transcriptions.
 //
 // The VM adds two mechanisms on top, both charge-transparent:
 //
@@ -183,11 +184,8 @@ func (in *Interp) execVM(cf *compiledFn, code []bytecode.Instr, ics []vmIC, fr *
 		ins := &code[pc]
 		if ins.Steps != 0 {
 			in.ops += int64(ins.Steps)
-			if in.maxOps > 0 && in.ops > in.maxOps {
-				in.opBudgetExceeded()
-			}
-			if in.ops >= in.ctxCheckAt {
-				in.ctxCheckpoint()
+			if in.ops >= in.checkAt {
+				in.checkpoint()
 			}
 		}
 	dispatch:

@@ -415,9 +415,17 @@ func TestCancelRunningRequest(t *testing.T) {
 	case <-time.After(30 * time.Second):
 		t.Fatal("cancelled analyze never returned")
 	}
-	// The session — and the shared store — survive the cancellation.
-	if _, err := s.Analyze(context.Background(), Request{MaxOps: 1_000_000_000}, nil); err != nil {
+	// The session — and the shared store — survive the cancellation: the
+	// next request returns a report, not an error. A small budget keeps the
+	// follow-up from spinning the whole loop; it ends the run in an op-budget
+	// note instead.
+	res, err := s.Analyze(context.Background(), Request{MaxOps: 100_000}, nil)
+	if err != nil {
 		t.Fatalf("session unusable after a cancelled request: %v", err)
+	}
+	if res.Report.Executable || !strings.Contains(res.Report.ExecNote, "op budget of 100000 exceeded") {
+		t.Errorf("follow-up report: executable=%v, note %q; want the op-budget note",
+			res.Report.Executable, res.Report.ExecNote)
 	}
 }
 

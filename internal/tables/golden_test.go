@@ -24,18 +24,22 @@ import (
 
 var updateGolden = flag.Bool("update", false, "regenerate testdata/golden_energy.json")
 
-// goldenRecord pins one program's complete energy fingerprint. Joules and
-// cycles are stored as float64 bit patterns so the comparison is exact: the
-// interpreter optimization work (slot frames, call-site caches, pooling) must
-// not move a single charge.
+// goldenRecord pins one program's complete energy fingerprint: the counts
+// the meter prices (op counts, cache hits, cache misses) and the sample it
+// prices them into. Joules and cycles are stored as float64 bit patterns so
+// the comparison is exact: interpreter optimization work (slot frames,
+// call-site caches, pooling) must not move a single count or access, and the
+// sample is a pure function of the counts.
 type goldenRecord struct {
-	Name     string            `json:"name"`
-	Output   string            `json:"output"`
-	OpCounts map[string]uint64 `json:"op_counts"`
-	Cycles   uint64            `json:"cycles_bits"`
-	Package  uint64            `json:"package_bits"`
-	Core     uint64            `json:"core_bits"`
-	DRAM     uint64            `json:"dram_bits"`
+	Name        string            `json:"name"`
+	Output      string            `json:"output"`
+	OpCounts    map[string]uint64 `json:"op_counts"`
+	CacheHits   uint64            `json:"cache_hits"`
+	CacheMisses uint64            `json:"cache_misses"`
+	Cycles      uint64            `json:"cycles_bits"`
+	Package     uint64            `json:"package_bits"`
+	Core        uint64            `json:"core_bits"`
+	DRAM        uint64            `json:"dram_bits"`
 	// Human-readable mirrors, ignored by the comparison.
 	PackageJ float64 `json:"package_joules"`
 	CycleF   float64 `json:"cycles"`
@@ -72,16 +76,19 @@ func fingerprint(engine interp.Engine, name string, runs int, load func() (*inte
 			counts[energy.Op(op).String()] = n
 		}
 	}
+	hits, misses := m.CacheStats()
 	return goldenRecord{
-		Name:     name,
-		Output:   in.Output(),
-		OpCounts: counts,
-		Cycles:   math.Float64bits(s.Cycles),
-		Package:  math.Float64bits(float64(s.Package)),
-		Core:     math.Float64bits(float64(s.Core)),
-		DRAM:     math.Float64bits(float64(s.DRAM)),
-		PackageJ: float64(s.Package),
-		CycleF:   s.Cycles,
+		Name:        name,
+		Output:      in.Output(),
+		OpCounts:    counts,
+		CacheHits:   hits,
+		CacheMisses: misses,
+		Cycles:      math.Float64bits(s.Cycles),
+		Package:     math.Float64bits(float64(s.Package)),
+		Core:        math.Float64bits(float64(s.Core)),
+		DRAM:        math.Float64bits(float64(s.DRAM)),
+		PackageJ:    float64(s.Package),
+		CycleF:      s.Cycles,
 	}, nil
 }
 
@@ -192,10 +199,9 @@ func readGolden(t *testing.T) []goldenRecord {
 // TestGoldenEnergyDeterminism is the tentpole invariant of the interpreter:
 // simulated energy is a pure function of the program and cost table,
 // independent of host-side interpreter optimizations AND of the execution
-// engine. The golden file was generated from the pre-optimization
-// tree-walker; both the current walker and the bytecode VM must reproduce
-// it bit-for-bit — any drift in op counts, joules, cycles or program output
-// fails the test.
+// engine. Both the tree-walker and the bytecode VM must reproduce the golden
+// file bit-for-bit — any drift in op counts, cache hits or misses, joules,
+// cycles or program output fails the test.
 //
 // Regenerate (only after an intentional cost-model or corpus change) with:
 //
@@ -275,6 +281,64 @@ func TestGoldenEnergySchedJobs(t *testing.T) {
 	}
 }
 
+// TestGoldenEnergyPricedFromCounts re-prices every golden record from its
+// own recorded counts under DefaultCosts and requires the recorded bits. Core
+// picojoules are summed in uint64: every default picojoule cost is an
+// integer and the float64 sum the meter keeps is exact below 2^53 pJ, so the
+// recorded core energy must be that integer, converted once. Cycles, package
+// and DRAM follow the meter's fixed pricing order.
+func TestGoldenEnergyPricedFromCounts(t *testing.T) {
+	if *updateGolden {
+		t.Skip("golden file is regenerated by TestGoldenEnergyDeterminism")
+	}
+	costs := energy.DefaultCosts()
+	pj := func(c energy.Cost) uint64 {
+		p := uint64(c.Picojoules)
+		if float64(p) != c.Picojoules {
+			t.Fatalf("default cost %v pJ is not an integer", c.Picojoules)
+		}
+		return p
+	}
+	for _, w := range readGolden(t) {
+		var sum uint64
+		var cycles float64
+		priced := 0
+		for op := 0; op < energy.NumOps; op++ {
+			n, ok := w.OpCounts[energy.Op(op).String()]
+			if !ok {
+				continue
+			}
+			priced++
+			c := costs.Ops[op]
+			sum += pj(c) * n
+			cycles += c.Cycles * float64(n)
+		}
+		if priced != len(w.OpCounts) {
+			t.Errorf("%s: %d of %d recorded ops are not in the cost table", w.Name, len(w.OpCounts)-priced, len(w.OpCounts))
+		}
+		hits, misses := float64(w.CacheHits), float64(w.CacheMisses)
+		sum += pj(costs.CacheHit)*w.CacheHits + pj(costs.CacheMiss)*w.CacheMisses
+		cycles += costs.CacheHit.Cycles * hits
+		cycles += costs.CacheMiss.Cycles * misses
+		core := energy.Picojoules(float64(sum))
+		pkg := core + energy.Joules(costs.UncoreWatts*(cycles/costs.FrequencyHz))
+		dram := energy.Joules(costs.DRAMJoulesPerMiss * misses)
+		if math.Float64bits(float64(core)) != w.Core {
+			t.Errorf("%s: core priced from counts = %v (%d pJ), golden %v",
+				w.Name, core, sum, math.Float64frombits(w.Core))
+		}
+		if math.Float64bits(cycles) != w.Cycles {
+			t.Errorf("%s: cycles priced from counts = %v, golden %v", w.Name, cycles, math.Float64frombits(w.Cycles))
+		}
+		if math.Float64bits(float64(pkg)) != w.Package {
+			t.Errorf("%s: package priced from counts = %v, golden %v", w.Name, pkg, math.Float64frombits(w.Package))
+		}
+		if math.Float64bits(float64(dram)) != w.DRAM {
+			t.Errorf("%s: dram priced from counts = %v, golden %v", w.Name, dram, math.Float64frombits(w.DRAM))
+		}
+	}
+}
+
 // compareGolden diffs one engine's battery against the golden records.
 func compareGolden(t *testing.T, want, got []goldenRecord) {
 	t.Helper()
@@ -304,6 +368,10 @@ func compareGolden(t *testing.T, want, got []goldenRecord) {
 			if _, ok := w.OpCounts[op]; !ok {
 				t.Errorf("%s: new op %s charged %d times, absent from golden", w.Name, op, n)
 			}
+		}
+		if g.CacheHits != w.CacheHits || g.CacheMisses != w.CacheMisses {
+			t.Errorf("%s: cache hits/misses = %d/%d, golden %d/%d",
+				w.Name, g.CacheHits, g.CacheMisses, w.CacheHits, w.CacheMisses)
 		}
 	}
 }

@@ -63,7 +63,10 @@ echo "== golden battery: both engines, cold and warm, across -jobs and -workers 
 # and GOMAXPROCS (SchedJobs), survive the dist worker protocol with a
 # mid-campaign kill (DistWorkers), and reproduce the golden through the
 # artifact engine's cached parse/program path, cold and warm (EngineCache).
-go test -run 'GoldenEnergyDeterminism|GoldenEnergyWarmExecution|GoldenEnergySchedJobs|GoldenEnergyDistWorkers|GoldenEnergyEngineCache' ./internal/tables
+# The golden is also priced from its own recorded counts and must match its
+# recorded bits (PricedFromCounts): the meter's samples are a pure function
+# of op counts, cache hits and cache misses.
+go test -run 'GoldenEnergyDeterminism|GoldenEnergyWarmExecution|GoldenEnergySchedJobs|GoldenEnergyDistWorkers|GoldenEnergyEngineCache|GoldenEnergyPricedFromCounts' ./internal/tables
 
 echo "== -jobs byte-identity =="
 # CLI stdout must be byte-identical at any -jobs value (pool telemetry goes
