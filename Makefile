@@ -29,14 +29,15 @@ enginediff:
 faultmatrix:
 	go test -tags faultmatrix -run FaultMatrix ./internal/rapl/... ./internal/profile/...
 
-# Differential fuzz for the deterministic worker pool: random task counts,
-# worker counts and fault plans must produce identical merged results and
-# Health ledgers at any parallelism.
+# Differential fuzz for the executor's in-process pool: random task counts,
+# worker counts and RAPL read-fault rates must produce identical merged
+# results and Health ledgers at any parallelism.
 scheddiff:
 	go test -tags scheddiff -run SchedDifferentialFuzz ./internal/sched
 
-# Differential fuzz for the fault-tolerant process dispatcher: random chaos
-# plans (kills, hangs, slow-walks, corrupt replies) must merge to results,
-# commit ledgers and Health tallies bit-identical to the inline run.
+# Differential fuzz for the executor's process placement: random chaos plans
+# (kills, hangs, slow-walks, corrupt replies) on pipe workers must merge to
+# results, commit ledgers and Health tallies bit-identical to the in-process
+# run.
 distdiff:
 	go test -tags distdiff -run DistDifferentialFuzz ./internal/dist

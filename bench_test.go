@@ -34,8 +34,7 @@ import (
 	"jepo/internal/minijava/ast"
 	"jepo/internal/minijava/interp"
 	"jepo/internal/minijava/parser"
-	"jepo/internal/refactor"
-	"jepo/internal/suggest"
+	"jepo/internal/passes"
 	"jepo/internal/tables"
 )
 
@@ -177,7 +176,8 @@ func table4KernelBench(b *testing.B, name string, refactored bool) {
 		b.Fatalf("kernel for %s missing", name)
 	}
 	if refactored {
-		refactor.Apply([]*ast.File{kernel})
+		files := []*ast.File{kernel}
+		passes.ApplyFixes(files, passes.AnalyzeFiles(files))
 	}
 	data := airlines.Generate(2000, benchSeed)
 	feats := make([][]float64, data.NumInstances())
@@ -286,7 +286,7 @@ func BenchmarkFig5_OptimizerView(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sugs := suggest.AnalyzeAll(files)
+		sugs := passes.AnalyzeFiles(files)
 		if len(sugs) == 0 {
 			b.Fatal("no suggestions in seeded corpus")
 		}
@@ -445,7 +445,7 @@ func TestBenchHarnessSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != suggest.NumTableIRules {
+	if len(rows) != passes.NumTableIRules {
 		t.Fatalf("Table I rows = %d", len(rows))
 	}
 	out := fmt.Sprintf("%v", rows[0])

@@ -12,13 +12,13 @@
 //	jepo optimize [-o dir] [-dry] <file.java>...
 //	jepo profile [-main Class] [-result result.txt] <file.java>...
 //	jepo metrics -root Class <file.java>...
-//	jepo corpus [-classifier C] [-jobs N]
+//	jepo corpus [-classifier C] [-jobs N] [-workers N]
 //	jepo table1 [-jobs N]
 //
-// All -jobs flags are pure wall-clock knobs: the work shards across the
-// deterministic sched pool, results commit in input order, and stdout is
-// byte-identical at any value. Pool telemetry (timing-dependent) prints to
-// stderr only.
+// All -jobs and -workers flags are pure wall-clock knobs: the work shards
+// across the deterministic executor, in process or on worker processes,
+// results commit in input order, and stdout is byte-identical at any value.
+// Executor telemetry (timing-dependent) prints to stderr only.
 package main
 
 import (
@@ -34,9 +34,8 @@ import (
 
 	"jepo/internal/cliconfig"
 	"jepo/internal/core"
-	"jepo/internal/corpus"
 	"jepo/internal/dist"
-	"jepo/internal/dist/campaigns"
+	"jepo/internal/sched"
 	"jepo/internal/service"
 	"jepo/internal/tables"
 )
@@ -47,15 +46,15 @@ func main() {
 		os.Exit(2)
 	}
 	if os.Args[1] == dist.WorkerArg {
-		if err := campaigns.ServeWorker(); err != nil {
+		if err := sched.ServeWorker(); err != nil {
 			fmt.Fprintln(os.Stderr, "jepo worker:", err)
 			os.Exit(1)
 		}
 		return
 	}
-	// Ctrl-C / SIGTERM cancels the root context: pools drain, dist campaigns
-	// shut their nodes down and save their checkpoint ledgers, and the run
-	// exits with the cancellation error instead of dying mid-write.
+	// Ctrl-C / SIGTERM cancels the root context: pools drain, worker nodes
+	// shut down, and the run exits with the cancellation error instead of
+	// dying mid-write.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	var err error
@@ -115,7 +114,7 @@ commands:
             -classifier C  whose closure to analyze (default J48)
             -seed N   corpus generation seed
             -jobs N   analysis workers (default GOMAXPROCS)
-            -workers N     worker processes; >1 dispatches files to
+            -workers N     worker processes; >1 places files on
                            re-exec'd workers with node fault tolerance
                            (stdout stays bit-identical)
             -node-deadline D  silence window before a node is quarantined
@@ -315,25 +314,11 @@ func cmdCorpus(ctx context.Context, args []string) error {
 	if err != nil {
 		return err
 	}
-	if shared.Workers() > 1 {
-		dcfg, err := shared.DistConfig(*seed, func(msg string) { fmt.Fprintln(os.Stderr, "jepo:", msg) })
-		if err != nil {
-			return err
-		}
-		rep, drep, err := campaigns.AnalyzeCorpus(ctx, dcfg, *classifier, *seed, engine)
-		if err != nil {
-			return err
-		}
-		fmt.Print(core.CorpusView(rep))
-		fmt.Fprintln(os.Stderr, drep.String())
-		fmt.Fprint(os.Stderr, drep.NodeSummary())
-		return nil
-	}
-	p, err := corpus.Generate(*classifier, *seed)
+	ex, err := shared.DistConfig(*seed, func(msg string) { fmt.Fprintln(os.Stderr, "jepo:", msg) })
 	if err != nil {
 		return err
 	}
-	rep, tel, err := core.AnalyzeAll(ctx, p, core.AnalyzeConfig{Engine: engine, Jobs: shared.Jobs()})
+	rep, tel, err := core.AnalyzeCorpus(ctx, ex, *classifier, *seed, engine)
 	if err != nil {
 		return err
 	}

@@ -14,14 +14,13 @@
 // -r is the protocol's run count; Tukey's quartiles need at least 3.
 //
 // -jobs N shards the repeated measurement runs across the deterministic
-// sched pool. Every run builds its own meter and interpreter and runs are
-// replayed into the Tukey protocol in index order, so the printed report is
-// bit-identical at any -jobs value; pool telemetry goes to stderr.
+// in-process pool. Every run builds its own meter and interpreter and runs
+// are replayed into the Tukey protocol in index order, so the printed report
+// is bit-identical at any -jobs value; executor telemetry goes to stderr.
 //
-// -workers N dispatches the runs to N re-exec'd worker processes instead,
-// under the fault-tolerant dist protocol (heartbeats, deadlines, node
-// quarantine); the report stays bit-identical and the dispatch ledger goes
-// to stderr.
+// -workers N places the runs on N re-exec'd worker processes instead, with
+// heartbeats, deadlines and node quarantine; the report stays bit-identical
+// and the telemetry line adds the node counters.
 package main
 
 import (
@@ -38,7 +37,6 @@ import (
 
 	"jepo/internal/cliconfig"
 	"jepo/internal/dist"
-	"jepo/internal/dist/campaigns"
 	"jepo/internal/energy"
 	cache "jepo/internal/engine"
 	"jepo/internal/minijava/ast"
@@ -50,14 +48,14 @@ import (
 
 func main() {
 	if len(os.Args) > 1 && os.Args[1] == dist.WorkerArg {
-		if err := campaigns.ServeWorker(); err != nil {
+		if err := sched.ServeWorker(); err != nil {
 			fmt.Fprintln(os.Stderr, "jperf worker:", err)
 			os.Exit(1)
 		}
 		return
 	}
 	// Ctrl-C / SIGTERM cancels the root context: the measurement pool drains
-	// and campaign nodes shut down instead of being orphaned.
+	// and worker nodes shut down instead of being orphaned.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	if len(os.Args) > 1 && os.Args[1] == "disasm" {
@@ -134,13 +132,40 @@ func runDisasmCmd(args []string) error {
 }
 
 // measurement is one run's counters, plus the degraded-path tally the
-// resilient source absorbed while producing them.
+// resilient source absorbed while producing them. It is also the measure
+// kind's result on the wire: encoding/json emits the shortest
+// round-tripping form of every float, so decoded bits equal measured bits.
 type measurement struct {
-	pkg, core, dram energy.Joules
-	elapsed         time.Duration
-	cycles          float64
-	health          rapl.Health
+	Pkg, Core, DRAM energy.Joules
+	Elapsed         time.Duration
+	Cycles          float64
+	Health          rapl.Health
 }
+
+// measureParams is the measure kind's params: the full program source, the
+// entry class and the engine. Runs are identical by construction — the
+// simulator is deterministic — so the task index only names the repetition.
+// prog is the program already linked in this process; being unexported it
+// never crosses to a worker, whose setup links its own.
+type measureParams struct {
+	Files  []cache.Source
+	Main   string
+	Engine interp.Engine
+	prog   *interp.Program
+}
+
+// measureKind performs one measurement run.
+var measureKind = sched.NewSetupKind("measure",
+	func(p measureParams) (measureParams, error) {
+		var err error
+		if p.prog == nil {
+			p.prog, err = cache.Default().Program(p.Files, false)
+		}
+		return p, err
+	},
+	func(_ context.Context, _ sched.Task, p measureParams) (measurement, error) {
+		return runOnce(p.prog, p.Main, p.Engine)
+	})
 
 func run(ctx context.Context, mainClass string, runs int, tukey bool, engine interp.Engine, shared *cliconfig.Set, args []string) error {
 	// Reject a run count the protocol cannot use before any source is read
@@ -157,69 +182,38 @@ func run(ctx context.Context, mainClass string, runs int, tukey bool, engine int
 	}
 	// The cold program is a cached artifact: parse masters and the linked
 	// bytecode are shared with any other consumer of the same sources.
-	prog, err := cache.Default().Program(engineSources(srcs), false)
+	prog, err := cache.Default().Program(srcs, false)
 	if err != nil {
 		return err
 	}
 
-	// The protocol's initial runs shard across the sched pool — each run has
+	// The protocol's initial runs shard across the executor — each run has
 	// its own meter and interpreter, so they are independent — and replay
-	// into the protocol in index order. With -workers > 1 they dispatch to
-	// worker processes instead, under heartbeat/quarantine fault tolerance;
-	// either way the runs are deterministic, so the report is bit-identical.
+	// into the protocol in index order, in process or on worker processes.
 	// Tukey replacement rounds, if any, fall back to live sequential runs.
-	var pre []measurement
-	if shared.Workers() > 1 {
-		dcfg, derr := shared.DistConfig(0, func(msg string) { fmt.Fprintln(os.Stderr, "jperf:", msg) })
-		if derr != nil {
-			return derr
-		}
-		wire, rep, derr := campaigns.MeasureRuns(ctx, dcfg, campaigns.MeasureParams{
-			Files:  srcs,
-			Main:   mainClass,
-			Engine: engine.String(),
-		}, runs)
-		if derr != nil {
-			return derr
-		}
-		fmt.Fprintln(os.Stderr, rep.String())
-		fmt.Fprint(os.Stderr, rep.NodeSummary())
-		pre = make([]measurement, len(wire))
-		for i, m := range wire {
-			pre[i] = measurement{
-				pkg:     energy.Joules(m.Pkg),
-				core:    energy.Joules(m.Core),
-				dram:    energy.Joules(m.DRAM),
-				elapsed: time.Duration(m.ElapsedNs),
-				cycles:  m.Cycles,
-				health:  m.Health,
-			}
-		}
-	} else {
-		var tel sched.Telemetry
-		pre, tel, err = sched.Map(ctx, sched.Config{Jobs: shared.Jobs()}, make([]struct{}, runs),
-			func(sched.Task, struct{}) (measurement, error) {
-				return runOnce(prog, mainClass, engine)
-			})
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(os.Stderr, tel)
+	ex, err := shared.DistConfig(0, func(msg string) { fmt.Fprintln(os.Stderr, "jperf:", msg) })
+	if err != nil {
+		return err
 	}
+	pre, tel, err := measureKind.Map(ctx, ex, measureParams{Files: srcs, Main: mainClass, Engine: engine, prog: prog}, runs, nil)
+	if err != nil {
+		return err
+	}
+	fmt.Fprintln(os.Stderr, tel)
 
 	var all []measurement
 	measure := func() float64 {
 		if len(all) < len(pre) {
 			m := pre[len(all)]
 			all = append(all, m)
-			return float64(m.pkg)
+			return float64(m.Pkg)
 		}
 		m, err2 := runOnce(prog, mainClass, engine)
 		if err2 != nil && err == nil {
 			err = err2
 		}
 		all = append(all, m)
-		return float64(m.pkg)
+		return float64(m.Pkg)
 	}
 
 	protocol := stats.Protocol{Runs: runs, MaxRounds: 10}
@@ -237,13 +231,13 @@ func run(ctx context.Context, mainClass string, runs int, tukey bool, engine int
 	var cores, drams, times, cycles []float64
 	var health rapl.Health
 	for _, m := range all {
-		health = health.Add(m.health)
+		health = health.Add(m.Health)
 	}
 	for _, m := range all[len(all)-len(samples):] {
-		cores = append(cores, float64(m.core))
-		drams = append(drams, float64(m.dram))
-		times = append(times, float64(m.elapsed))
-		cycles = append(cycles, m.cycles)
+		cores = append(cores, float64(m.Core))
+		drams = append(drams, float64(m.DRAM))
+		times = append(times, float64(m.Elapsed))
+		cycles = append(cycles, m.Cycles)
 	}
 	meanTime := time.Duration(stats.Mean(times))
 
@@ -268,15 +262,6 @@ func run(ctx context.Context, mainClass string, runs int, tukey bool, engine int
 	return nil
 }
 
-// engineSources adapts the campaign wire form to the artifact engine's.
-func engineSources(srcs []campaigns.SourceFile) []cache.Source {
-	out := make([]cache.Source, len(srcs))
-	for i, s := range srcs {
-		out[i] = cache.Source{Path: s.Path, Source: s.Source}
-	}
-	return out
-}
-
 func runOnce(prog *interp.Program, mainClass string, engine interp.Engine) (measurement, error) {
 	meter := energy.NewMeter(energy.DefaultCosts())
 	// Measure through the resilient wrapper, as on hardware: transient read
@@ -298,20 +283,20 @@ func runOnce(prog *interp.Program, mainClass string, engine interp.Engine) (meas
 	t1 := meter.Snapshot()
 	d := after.Sub(before)
 	return measurement{
-		pkg:     d.Package,
-		core:    d.Core,
-		dram:    d.DRAM,
-		elapsed: t1.Elapsed - t0.Elapsed,
-		cycles:  t1.Cycles - t0.Cycles,
-		health:  src.Health(),
+		Pkg:     d.Package,
+		Core:    d.Core,
+		DRAM:    d.DRAM,
+		Elapsed: t1.Elapsed - t0.Elapsed,
+		Cycles:  t1.Cycles - t0.Cycles,
+		Health:  src.Health(),
 	}, nil
 }
 
 // collectSources reads the raw .java sources named by the arguments
-// (directories are walked). The raw form is what the dist campaign ships to
-// worker processes; parseSources turns it into ASTs for inline execution.
-func collectSources(args []string) ([]campaigns.SourceFile, error) {
-	var srcs []campaigns.SourceFile
+// (directories are walked). The raw form is what the measure kind ships to
+// worker processes; parseSources turns it into ASTs for disassembly.
+func collectSources(args []string) ([]cache.Source, error) {
+	var srcs []cache.Source
 	for _, arg := range args {
 		info, err := os.Stat(arg)
 		if err != nil {
@@ -336,7 +321,7 @@ func collectSources(args []string) ([]campaigns.SourceFile, error) {
 			if err != nil {
 				return nil, err
 			}
-			srcs = append(srcs, campaigns.SourceFile{Path: path, Source: string(b)})
+			srcs = append(srcs, cache.Source{Path: path, Source: string(b)})
 		}
 	}
 	if len(srcs) == 0 {
@@ -345,7 +330,7 @@ func collectSources(args []string) ([]campaigns.SourceFile, error) {
 	return srcs, nil
 }
 
-func parseSources(srcs []campaigns.SourceFile) ([]*ast.File, error) {
+func parseSources(srcs []cache.Source) ([]*ast.File, error) {
 	files := make([]*ast.File, 0, len(srcs))
 	for _, s := range srcs {
 		f, err := cache.Default().ParseFile(s.Path, s.Source)

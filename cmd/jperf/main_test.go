@@ -4,14 +4,20 @@ import (
 	"context"
 	"flag"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"jepo/internal/cliconfig"
+	"jepo/internal/dist"
+	cache "jepo/internal/engine"
 	"jepo/internal/minijava/interp"
+	"jepo/internal/sched"
 )
 
 // testShared parses a cliconfig set with the given pool width; the dist
@@ -99,10 +105,10 @@ func TestRunOnceDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.pkg != b.pkg || a.cycles != b.cycles {
+	if a.Pkg != b.Pkg || a.Cycles != b.Cycles {
 		t.Errorf("simulated runs diverged: %+v vs %+v", a, b)
 	}
-	if a.pkg <= 0 || a.elapsed <= 0 {
+	if a.Pkg <= 0 || a.Elapsed <= 0 {
 		t.Errorf("degenerate measurement: %+v", a)
 	}
 	// Both engines must report bit-identical simulated energy.
@@ -110,7 +116,44 @@ func TestRunOnceDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.pkg != c.pkg || a.cycles != c.cycles {
+	if a.Pkg != c.Pkg || a.Cycles != c.Cycles {
 		t.Errorf("engines diverged: vm %+v vs ast %+v", a, c)
+	}
+}
+
+// TestMeasureKindPlacements: a measurement run on a pipe worker carries the
+// same counter bits, health tally included, as one run in process.
+func TestMeasureKindPlacements(t *testing.T) {
+	p := measureParams{
+		Files: []cache.Source{{Path: "Work.java", Source: `class Work {
+	public static void main(String[] args) {
+		long total = 0;
+		for (int i = 0; i < 200; i++) {
+			total = total + i % 8;
+		}
+		System.out.println(total);
+	}
+}`}},
+		Engine: interp.EngineVM,
+	}
+	want, _, err := measureKind.Map(context.Background(), sched.Config{Jobs: 1}, p, 4, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ex := sched.Config{Workers: 2, Deadline: 10 * time.Second, Spawn: dist.PipeSpawner(sched.Handle)}
+	got, tel, err := measureKind.Map(context.Background(), ex, p, 4, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("placed measurements diverge:\n got %+v\nwant %+v", got, want)
+	}
+	for i, m := range got {
+		if math.Float64bits(float64(m.Pkg)) != math.Float64bits(float64(want[i].Pkg)) {
+			t.Errorf("run %d: pkg bits diverge", i)
+		}
+	}
+	if tel.Workers != 2 || tel.Jobs != 2 {
+		t.Errorf("telemetry workers=%d jobs=%d, want 2 nodes", tel.Workers, tel.Jobs)
 	}
 }

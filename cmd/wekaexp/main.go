@@ -11,14 +11,19 @@
 // protocol, and double-vs-float cross-validation — and prints the same
 // columns the paper reports.
 //
-// -jobs N shards table rows across the deterministic sched pool: stdout is
-// bit-identical at any value, and the pool's timing telemetry goes to stderr.
+// -jobs N shards table rows across the deterministic in-process pool:
+// stdout is bit-identical at any value, and the pool's timing telemetry
+// goes to stderr.
 //
-// -workers N shards table rows across N worker *processes* instead (the
-// binary re-exec'd in worker mode), with heartbeats, per-node deadlines and
+// -workers N places table rows on N worker *processes* instead (the binary
+// re-exec'd in worker mode), with heartbeats, per-node deadlines and
 // deterministic reassignment: a killed or hung worker costs a quarantine,
-// never a row, and stdout stays bit-identical to -workers 1. The dispatch
-// report goes to stderr.
+// never a row, and stdout stays bit-identical to -workers 1. The same
+// telemetry line, with the node counters added, goes to stderr.
+//
+// -checkpoint DIR keeps a ledger of the Table IV rows that finished without
+// error; a rerun with the same configuration replays them and re-attempts
+// only the rest.
 package main
 
 import (
@@ -37,8 +42,6 @@ import (
 	"jepo/internal/cliconfig"
 	"jepo/internal/corpus"
 	"jepo/internal/dist"
-	"jepo/internal/dist/campaigns"
-	"jepo/internal/jmetrics"
 	"jepo/internal/sched"
 	"jepo/internal/service"
 	"jepo/internal/stats"
@@ -47,14 +50,14 @@ import (
 
 func main() {
 	if len(os.Args) > 1 && os.Args[1] == dist.WorkerArg {
-		if err := campaigns.ServeWorker(); err != nil {
+		if err := sched.ServeWorker(); err != nil {
 			fmt.Fprintln(os.Stderr, "wekaexp worker:", err)
 			os.Exit(1)
 		}
 		return
 	}
-	// Ctrl-C / SIGTERM cancels the root context: pools drain, campaigns shut
-	// their nodes down, and -checkpoint files are saved valid so a rerun
+	// Ctrl-C / SIGTERM cancels the root context: pools drain, worker nodes
+	// shut down, and the -checkpoint ledger is saved valid so a rerun
 	// resumes instead of restarting.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
@@ -67,14 +70,7 @@ func main() {
 	}
 }
 
-// reportDispatch prints the campaign's dispatch ledger to stderr, keeping
-// determinism-pinned stdout clean.
-func reportDispatch(stderr io.Writer, rep dist.Report) {
-	fmt.Fprintln(stderr, rep.String())
-	fmt.Fprint(stderr, rep.NodeSummary())
-}
-
-// narrate prefixes dispatcher fault-path events onto stderr.
+// narrate prefixes executor fault-path and ledger events onto stderr.
 func narrate(stderr io.Writer) func(string) {
 	return func(msg string) { fmt.Fprintln(stderr, "wekaexp:", msg) }
 }
@@ -94,7 +90,7 @@ func realMain(ctx context.Context, args []string, stdout, stderr io.Writer) erro
 	arff := fs.String("arff", "", "also write the airlines data as ARFF to this path (table 3)")
 	dumpDir := fs.String("dump-corpus", "", "write a generated WEKA-shaped corpus under this directory")
 	dumpFor := fs.String("classifier", "J48", "classifier whose corpus -dump-corpus writes")
-	checkpoint := fs.String("checkpoint", "", "directory persisting completed Table IV rows; reruns resume from it")
+	checkpoint := fs.String("checkpoint", "", "directory holding the ledger of completed Table IV rows; reruns resume from it")
 	rowTimeout := fs.Duration("row-timeout", 0, "per-classifier deadline for Table IV (0 = none)")
 	shared := cliconfig.Register(fs, cliconfig.FeatEngine|cliconfig.FeatJobs|cliconfig.FeatDist)
 	verbose := fs.Bool("v", false, "print progress")
@@ -110,7 +106,10 @@ func realMain(ctx context.Context, args []string, stdout, stderr io.Writer) erro
 	if err != nil {
 		return err
 	}
-	jobs, workers := shared.Jobs(), shared.Workers()
+	ex, err := shared.DistConfig(*seed, narrate(stderr))
+	if err != nil {
+		return err
+	}
 
 	if *dumpDir != "" {
 		if err := dumpCorpus(stdout, *dumpDir, *dumpFor, *seed); err != nil {
@@ -133,27 +132,11 @@ func realMain(ctx context.Context, args []string, stdout, stderr io.Writer) erro
 	}
 
 	run("1", func() error {
-		var rows []tables.Table1Row
-		if workers > 1 {
-			dcfg, err := shared.DistConfig(*seed, narrate(stderr))
-			if err != nil {
-				return err
-			}
-			var rep dist.Report
-			rows, rep, err = campaigns.Table1Rows(ctx, dcfg, engine)
-			if err != nil {
-				return err
-			}
-			reportDispatch(stderr, rep)
-		} else {
-			var tel sched.Telemetry
-			var err error
-			rows, tel, err = tables.Table1Jobs(ctx, engine, jobs)
-			if err != nil {
-				return err
-			}
-			fmt.Fprintln(stderr, tel)
+		rows, tel, err := tables.Table1Map(ctx, ex, engine)
+		if err != nil {
+			return err
 		}
+		fmt.Fprintln(stderr, tel)
 		fmt.Fprintln(stdout, "=== Table I: Java components & suggestions (measured) ===")
 		fmt.Fprint(stdout, tables.RenderTable1(rows))
 		fmt.Fprintln(stdout)
@@ -161,27 +144,11 @@ func realMain(ctx context.Context, args []string, stdout, stderr io.Writer) erro
 	})
 
 	run("2", func() error {
-		var rows []jmetrics.Metrics
-		if workers > 1 {
-			dcfg, err := shared.DistConfig(*seed, narrate(stderr))
-			if err != nil {
-				return err
-			}
-			var rep dist.Report
-			rows, rep, err = campaigns.Table2Rows(ctx, dcfg, *seed)
-			if err != nil {
-				return err
-			}
-			reportDispatch(stderr, rep)
-		} else {
-			var tel sched.Telemetry
-			var err error
-			rows, tel, err = tables.Table2Parallel(ctx, *seed, jobs)
-			if err != nil {
-				return err
-			}
-			fmt.Fprintln(stderr, tel)
+		rows, tel, err := tables.Table2Map(ctx, ex, *seed)
+		if err != nil {
+			return err
 		}
+		fmt.Fprintln(stderr, tel)
 		fmt.Fprint(stdout, service.RenderTable2(rows))
 		return nil
 	})
@@ -221,47 +188,25 @@ func realMain(ctx context.Context, args []string, stdout, stderr io.Writer) erro
 
 	run("4", func() error {
 		cfg := tables.Table4Config{
-			Seed:          *seed,
-			Instances:     *instances,
-			Reps:          *reps,
-			Protocol:      stats.Protocol{Runs: *runs, MaxRounds: 10},
-			CVFolds:       *folds,
-			Slots:         jobs,
-			RowTimeout:    *rowTimeout,
-			CheckpointDir: *checkpoint,
-			Engine:        engine,
-			OnTelemetry:   func(tel sched.Telemetry) { fmt.Fprintln(stderr, tel) },
+			Seed:       *seed,
+			Instances:  *instances,
+			Reps:       *reps,
+			Protocol:   stats.Protocol{Runs: *runs, MaxRounds: 10},
+			CVFolds:    *folds,
+			RowTimeout: *rowTimeout,
+			Engine:     engine,
 		}
 		if *verbose {
 			cfg.Progress = func(msg string) { fmt.Fprintln(stderr, msg) }
 		}
+		ex := ex
+		ex.Checkpoint = *checkpoint
 		fmt.Fprintln(stdout, "=== Table IV: WEKA evaluation ===")
-		var rows []tables.Table4Row
-		if workers > 1 {
-			dcfg, derr := shared.DistConfig(*seed, narrate(stderr))
-			if derr != nil {
-				return derr
-			}
-			// The dispatch ledger rides in the same directory as the row
-			// checkpoints: a crashed campaign resumes both layers.
-			if *checkpoint != "" {
-				if merr := os.MkdirAll(*checkpoint, 0o755); merr != nil {
-					return merr
-				}
-				dcfg.Checkpoint = filepath.Join(*checkpoint, "dist_table4.json")
-			}
-			var rep dist.Report
-			rows, rep, err = campaigns.Table4Rows(ctx, dcfg, cfg)
-			if err != nil {
-				return err
-			}
-			reportDispatch(stderr, rep)
-		} else {
-			rows, err = tables.Table4Supervised(ctx, cfg)
-			if err != nil {
-				return err
-			}
+		rows, tel, err := tables.Table4Map(ctx, ex, cfg)
+		if err != nil {
+			return err
 		}
+		fmt.Fprintln(stderr, tel)
 		fmt.Fprint(stdout, tables.RenderTable4(rows))
 		fmt.Fprintln(stdout)
 		if failed := tables.FailedRows(rows); len(failed) > 0 {

@@ -3,49 +3,46 @@ package main
 import (
 	"bytes"
 	"context"
-	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 
 	"jepo/internal/corpus"
-	"jepo/internal/tables"
+	"jepo/internal/dist"
+	"jepo/internal/sched"
 )
 
-// seedCheckpoints writes a completed Table4Row for every classifier, so the
-// supervised Table IV runner resumes every row from disk instead of spending
-// minutes measuring — exactly the resume path an interrupted run exercises.
-func seedCheckpoints(t *testing.T, dir string) {
-	t.Helper()
-	for i, name := range corpus.Classifiers {
-		row := tables.Table4Row{
-			Classifier: name,
-			Changes:    40 + i,
-			PackagePct: 12.5, CPUPct: 12.1, TimePct: 11.8, AccuracyPct: 0.05,
+// TestMain lets the test binary stand in for wekaexp's worker processes:
+// -workers re-execs the running binary with dist.WorkerArg.
+func TestMain(m *testing.M) {
+	if len(os.Args) > 1 && os.Args[1] == dist.WorkerArg {
+		if err := sched.ServeWorker(); err != nil {
+			fmt.Fprintln(os.Stderr, "wekaexp test worker:", err)
+			os.Exit(1)
 		}
-		blob, err := json.MarshalIndent(row, "", "  ")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(filepath.Join(dir, name+".json"), append(blob, '\n'), 0o644); err != nil {
-			t.Fatal(err)
-		}
+		os.Exit(0)
 	}
+	os.Exit(m.Run())
+}
+
+// small keeps a real Table IV run to about a second.
+var small = []string{"-instances", "120", "-reps", "1", "-runs", "3", "-folds", "2"}
+
+func wekaexp(t *testing.T, args ...string) (stdout, stderr string) {
+	t.Helper()
+	var out, errb bytes.Buffer
+	if err := realMain(context.Background(), args, &out, &errb); err != nil {
+		t.Fatalf("wekaexp %v: %v\nstderr:\n%s", args, err, errb.String())
+	}
+	return out.String(), errb.String()
 }
 
 func TestTableAllWithCheckpoint(t *testing.T) {
 	dir := t.TempDir()
-	seedCheckpoints(t, dir)
-	var out, errb bytes.Buffer
-	err := realMain(context.Background(), []string{
-		"-table", "all", "-checkpoint", dir,
-		"-instances", "120", "-reps", "1", "-runs", "2", "-folds", "2",
-	}, &out, &errb)
-	if err != nil {
-		t.Fatalf("realMain: %v\nstderr:\n%s", err, errb.String())
-	}
-	s := out.String()
+	s, _ := wekaexp(t, append([]string{"-table", "all", "-checkpoint", dir}, small...)...)
 	for _, want := range []string{
 		"=== Table I:", "=== Table II:", "=== Table III:", "=== Table IV:", "=== Ablation:",
 	} {
@@ -53,30 +50,73 @@ func TestTableAllWithCheckpoint(t *testing.T) {
 			t.Errorf("output missing %q", want)
 		}
 	}
-	// Every classifier's resumed row must appear in the rendered Table IV.
 	for _, name := range corpus.Classifiers {
 		if !strings.Contains(s, name) {
 			t.Errorf("Table IV row for %s missing", name)
 		}
 	}
 	if strings.Contains(s, "FAILED") {
-		t.Errorf("resumed rows rendered as failures:\n%s", s)
+		t.Errorf("rows rendered as failures:\n%s", s)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "table4row.json")); err != nil {
+		t.Errorf("-checkpoint wrote no Table IV ledger: %v", err)
 	}
 }
 
+// TestTable4ResumesFromCheckpoint: a rerun over the ledger of a finished run
+// replays every row without measuring one, and prints the same table.
 func TestTable4ResumesFromCheckpoint(t *testing.T) {
-	dir := t.TempDir()
-	seedCheckpoints(t, dir)
-	var out, errb bytes.Buffer
-	err := realMain(context.Background(), []string{"-table", "4", "-checkpoint", dir, "-v"}, &out, &errb)
-	if err != nil {
-		t.Fatalf("realMain: %v\nstderr:\n%s", err, errb.String())
+	args := append([]string{"-table", "4", "-checkpoint", t.TempDir(), "-v"}, small...)
+	first, _ := wekaexp(t, args...)
+	again, stderr := wekaexp(t, args...)
+	if again != first {
+		t.Errorf("resumed table differs:\n%s\nfirst run:\n%s", again, first)
 	}
-	if n := strings.Count(errb.String(), "resumed from checkpoint"); n != len(corpus.Classifiers) {
-		t.Errorf("resumed rows = %d, want %d\nstderr:\n%s", n, len(corpus.Classifiers), errb.String())
+	if want := fmt.Sprintf("resumed %d of %d tasks", len(corpus.Classifiers), len(corpus.Classifiers)); !strings.Contains(stderr, want) {
+		t.Errorf("stderr lacks %q:\n%s", want, stderr)
 	}
-	if !strings.Contains(out.String(), "Changes") {
-		t.Errorf("Table IV header missing:\n%s", out.String())
+	if strings.Contains(stderr, "=== ") {
+		t.Errorf("a resumed row was measured again:\n%s", stderr)
+	}
+}
+
+// TestWorkersStderrLines: under -workers every stderr line is whole — the
+// telemetry line ends in a newline, so the cache statistics start their own
+// line — and stdout matches the in-process run.
+func TestWorkersStderrLines(t *testing.T) {
+	want, _ := wekaexp(t, "-table", "2", "-jobs", "1")
+	got, stderr := wekaexp(t, "-table", "2", "-workers", "2")
+	if got != want {
+		t.Errorf("-workers 2 stdout differs from -jobs 1:\n%s\nvs\n%s", got, want)
+	}
+	if !strings.HasSuffix(stderr, "\n") {
+		t.Errorf("stderr does not end in a newline: %q", stderr)
+	}
+	if !regexp.MustCompile(`(?m)^sched: .* quarantined=0$`).MatchString(stderr) {
+		t.Errorf("no whole telemetry line with the node counters:\n%s", stderr)
+	}
+	if !regexp.MustCompile(`(?m)^cache: \d+ hits`).MatchString(stderr) {
+		t.Errorf("cache statistics do not start a line:\n%s", stderr)
+	}
+}
+
+// TestWorkersRerunRetriesFailedRows: rows that fail on worker processes are
+// never recorded, so a rerun over the same checkpoint re-attempts them
+// instead of replaying the failures.
+func TestWorkersRerunRetriesFailedRows(t *testing.T) {
+	args := append([]string{"-table", "4", "-seed", "3", "-row-timeout", "1ms", "-workers", "2", "-checkpoint", t.TempDir()}, small...)
+	for run := 1; run <= 2; run++ {
+		var out, errb bytes.Buffer
+		err := realMain(context.Background(), args, &out, &errb)
+		if err == nil || !strings.Contains(errb.String(), "classifier row(s) failed") {
+			t.Fatalf("run %d: err = %v, want failed rows\nstderr:\n%s", run, err, errb.String())
+		}
+		if !strings.Contains(errb.String(), " replayed=0 ") {
+			t.Errorf("run %d replayed rows that failed:\n%s", run, errb.String())
+		}
+		if n := strings.Count(out.String(), "FAILED: deadline exceeded (1ms)"); n != len(corpus.Classifiers) {
+			t.Errorf("run %d: %d rows hit the deadline, want all %d:\n%s", run, n, len(corpus.Classifiers), out.String())
+		}
 	}
 }
 

@@ -23,13 +23,16 @@ func main() {
 		Progress:  func(msg string) { fmt.Println("  ", msg) },
 	}
 	fmt.Println("running the §VIII validation pipeline (reduced scale)...")
-	rows, err := tables.Table4(context.Background(), cfg)
+	rows, err := tables.Table4Supervised(context.Background(), cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println()
 	fmt.Print(tables.RenderTable4(rows))
 	fmt.Println()
+	if failed := tables.FailedRows(rows); len(failed) > 0 {
+		log.Fatalf("%d classifier row(s) failed", len(failed))
+	}
 	var rf tables.Table4Row
 	for _, r := range rows {
 		if r.Classifier == "RandomForest" {

@@ -6,11 +6,13 @@
 // apply-after-parse ritual. Register once, Parse, then read the typed
 // accessors.
 //
-// The package also owns the environment inheritance contract for re-exec'd
-// dist worker processes: ApplyCache installs the process-wide artifact
-// engine AND exports JEPO_CACHE / JEPO_CACHE_SIZE, and DistConfig folds the
-// JEPO_DIST_FAULTS chaos plan into the dispatcher config, so a worker child
-// observes exactly the configuration its parent parsed.
+// DistConfig is the one constructor of the executor config (sched.Config)
+// a command maps with: it reads -jobs, -workers, -node-deadline and the
+// JEPO_DIST_FAULTS chaos plan, so one call places a map in process or on
+// worker processes. The package also owns the environment inheritance
+// contract for re-exec'd worker processes: ApplyCache installs the
+// process-wide artifact engine AND exports JEPO_CACHE / JEPO_CACHE_SIZE, so
+// a worker child observes exactly the cache configuration its parent parsed.
 package cliconfig
 
 import (
@@ -22,6 +24,7 @@ import (
 	"jepo/internal/dist"
 	"jepo/internal/engine"
 	"jepo/internal/minijava/interp"
+	"jepo/internal/sched"
 )
 
 // Feature selects which optional flag groups Register declares. The cache
@@ -31,9 +34,9 @@ type Feature uint
 const (
 	// FeatEngine declares -engine (vm | ast).
 	FeatEngine Feature = 1 << iota
-	// FeatJobs declares -jobs (sched pool width; pure wall-clock knob).
+	// FeatJobs declares -jobs (in-process pool width; pure wall-clock knob).
 	FeatJobs
-	// FeatDist declares -workers and -node-deadline (process dispatcher).
+	// FeatDist declares -workers and -node-deadline (process placement).
 	FeatDist
 )
 
@@ -63,7 +66,7 @@ func Register(fs *flag.FlagSet, features Feature) *Set {
 		s.jobs = fs.Int("jobs", runtime.GOMAXPROCS(0), "worker pool width; stdout is bit-identical at any value (telemetry goes to stderr)")
 	}
 	if features&FeatDist != 0 {
-		s.workers = fs.Int("workers", 1, "worker processes; >1 dispatches tasks to re-exec'd workers with fault tolerance (stdout stays bit-identical)")
+		s.workers = fs.Int("workers", 1, "worker processes; >1 places tasks on re-exec'd workers with fault tolerance (stdout stays bit-identical)")
 		s.nodeDeadline = fs.Duration("node-deadline", 10*time.Second, "silence window after which a worker node is quarantined and its task reassigned")
 	}
 	return s
@@ -116,22 +119,25 @@ func (s *Set) NodeDeadline() time.Duration {
 	return *s.nodeDeadline
 }
 
-// DistConfig assembles the dispatcher configuration every -workers campaign
-// shares: the parsed worker count and node deadline, bounded retries, the
-// JEPO_DIST_FAULTS chaos plan from the environment, and fault-path events
-// narrated through onEvent (stderr material — never stdout). Requires
-// FeatDist.
-func (s *Set) DistConfig(seed uint64, onEvent func(string)) (dist.Config, error) {
+// DistConfig assembles the executor configuration a command maps with: the
+// parsed -jobs width (when declared), worker count and node deadline, the
+// map's base seed, the JEPO_DIST_FAULTS chaos plan from the environment,
+// and fault-path events narrated through onEvent (stderr material — never
+// stdout). Requires FeatDist.
+func (s *Set) DistConfig(seed uint64, onEvent func(string)) (sched.Config, error) {
 	plan, err := dist.EnvPlan()
 	if err != nil {
-		return dist.Config{}, fmt.Errorf("cliconfig: %w", err)
+		return sched.Config{}, fmt.Errorf("cliconfig: %w", err)
 	}
-	return dist.Config{
-		Workers:  s.Workers(),
+	cfg := sched.Config{
 		Seed:     seed,
-		Retries:  2,
+		Workers:  s.Workers(),
 		Deadline: s.NodeDeadline(),
 		Plan:     plan,
 		OnEvent:  onEvent,
-	}, nil
+	}
+	if s.jobs != nil {
+		cfg.Jobs = *s.jobs
+	}
+	return cfg, nil
 }

@@ -121,15 +121,33 @@ func TestDistConfigInheritsFaultPlan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg.Workers != 3 || cfg.Seed != 42 || cfg.Deadline != time.Second || cfg.Retries != 2 {
-		t.Errorf("dist config = %+v, want workers=3 seed=42 deadline=1s retries=2", cfg)
+	if cfg.Workers != 3 || cfg.Seed != 42 || cfg.Deadline != time.Second || cfg.Jobs != 0 {
+		t.Errorf("executor config = %+v, want workers=3 seed=42 deadline=1s and no -jobs width", cfg)
 	}
 	if cfg.Plan == nil {
-		t.Error("JEPO_DIST_FAULTS was not folded into the dispatcher config")
+		t.Error("JEPO_DIST_FAULTS was not folded into the executor config")
 	}
 	cfg.OnEvent("probe")
 	if len(events) != 1 || events[0] != "probe" {
 		t.Errorf("OnEvent not wired: %v", events)
+	}
+}
+
+// TestDistConfigReadsJobs: with -jobs declared, the one executor config
+// carries the pool width too, so the same value places a map in process.
+func TestDistConfigReadsJobs(t *testing.T) {
+	t.Setenv("JEPO_DIST_FAULTS", "")
+	fs := newFlagSet()
+	s := Register(fs, FeatJobs|FeatDist)
+	if err := fs.Parse([]string{"-jobs", "5"}); err != nil {
+		t.Fatal(err)
+	}
+	cfg, err := s.DistConfig(7, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cfg.Jobs != 5 || cfg.Workers != 1 || cfg.Seed != 7 || cfg.Plan != nil {
+		t.Errorf("executor config = %+v, want jobs=5 workers=1 seed=7 and no fault plan", cfg)
 	}
 }
 

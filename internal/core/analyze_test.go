@@ -6,7 +6,7 @@ import (
 	"testing"
 
 	"jepo/internal/energy"
-	"jepo/internal/suggest"
+	"jepo/internal/passes"
 )
 
 const measurableProject = `class Work {
@@ -46,7 +46,7 @@ func TestAnalyzeMeasuresFixes(t *testing.T) {
 	// it must measure a positive saving.
 	foundMod := false
 	for _, d := range rep.Diags {
-		if d.Rule == suggest.RuleModulusOperator && d.Fix != nil {
+		if d.Rule == passes.RuleModulusOperator && d.Fix != nil {
 			foundMod = true
 			if d.Verdict != VerdictAccepted || d.Delta <= 0 {
 				t.Errorf("modulus fix: verdict=%v Δ=%v, want accepted with positive Δ", d.Verdict, d.Delta)
@@ -126,7 +126,7 @@ func TestAnalyzeRejectsFixThatCostsEnergy(t *testing.T) {
 	}
 	rejected := false
 	for _, d := range rep.Diags {
-		if d.Rule == suggest.RuleScientificNotation && d.Fix != nil {
+		if d.Rule == passes.RuleScientificNotation && d.Fix != nil {
 			if d.Verdict != VerdictRejected || d.Delta >= 0 {
 				t.Errorf("sci fix under inverted costs: verdict=%v Δ=%v, want rejected negative", d.Verdict, d.Delta)
 			}

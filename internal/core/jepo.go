@@ -30,10 +30,9 @@ import (
 	"jepo/internal/jmetrics"
 	"jepo/internal/minijava/ast"
 	"jepo/internal/minijava/interp"
+	"jepo/internal/passes"
 	"jepo/internal/profile"
 	"jepo/internal/rapl"
-	"jepo/internal/refactor"
-	"jepo/internal/suggest"
 )
 
 // Project is a set of Java sources keyed by path.
@@ -46,26 +45,27 @@ func ParseProject(p Project) ([]*ast.File, error) {
 	return engine.Default().ParseAll(engine.Sources(p))
 }
 
-// Suggest runs the Table I analysis over one source file.
-func Suggest(path, source string) ([]suggest.Suggestion, error) {
+// Suggest runs the Table I analysis over one source file. A finding is
+// mechanically applicable exactly when it carries a Fix.
+func Suggest(path, source string) ([]passes.Diagnostic, error) {
 	f, err := engine.Default().ParseFile(path, source)
 	if err != nil {
 		return nil, err
 	}
-	return suggest.Analyze(f), nil
+	return passes.AnalyzeFiles([]*ast.File{f}), nil
 }
 
 // SuggestProject runs the analysis over a whole project.
-func SuggestProject(p Project) ([]suggest.Suggestion, error) {
+func SuggestProject(p Project) ([]passes.Diagnostic, error) {
 	files, err := ParseProject(p)
 	if err != nil {
 		return nil, err
 	}
-	return suggest.AnalyzeAll(files), nil
+	return passes.AnalyzeFiles(files), nil
 }
 
 // OptimizerView renders the Fig. 5 table: class, line, suggestion.
-func OptimizerView(sugs []suggest.Suggestion) string {
+func OptimizerView(sugs []passes.Diagnostic) string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "%-32s %6s  %s\n", "Class", "Line", "Suggestion")
 	for _, s := range sugs {
@@ -79,8 +79,8 @@ func OptimizerView(sugs []suggest.Suggestion) string {
 
 // DynamicView renders the Fig. 2 view for the file the developer is editing:
 // suggestions near the cursor line first.
-func DynamicView(sugs []suggest.Suggestion, cursorLine int) string {
-	ordered := append([]suggest.Suggestion(nil), sugs...)
+func DynamicView(sugs []passes.Diagnostic, cursorLine int) string {
+	ordered := append([]passes.Diagnostic(nil), sugs...)
 	sort.SliceStable(ordered, func(i, j int) bool {
 		di := abs(ordered[i].Line - cursorLine)
 		dj := abs(ordered[j].Line - cursorLine)
@@ -104,7 +104,7 @@ func abs(x int) int {
 // optimized is Optimize's cached artifact. Shared across calls; read-only.
 type optimized struct {
 	Out Project
-	Res *refactor.Result
+	Res *passes.Result
 }
 
 // Optimize applies the (selected, default all) Table I refactorings to a
@@ -112,7 +112,7 @@ type optimized struct {
 // is a cached artifact keyed by the project bytes and the rule selection.
 // The rewrite itself is pure parse-and-print work, so ctx is only consulted
 // between stages; a cancelled context aborts before the rebuild.
-func Optimize(ctx context.Context, p Project, rules ...suggest.Rule) (Project, *refactor.Result, error) {
+func Optimize(ctx context.Context, p Project, rules ...passes.Rule) (Project, *passes.Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -134,7 +134,7 @@ func Optimize(ctx context.Context, p Project, rules ...suggest.Rule) (Project, *
 		if err != nil {
 			return nil, err
 		}
-		res := refactor.Apply(files, rules...)
+		res := passes.ApplyFixes(files, passes.AnalyzeFilesRules(files, rules...))
 		out := make(Project, len(files))
 		for _, f := range files {
 			out[f.Path] = ast.Print(f)

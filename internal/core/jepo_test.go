@@ -5,7 +5,7 @@ import (
 	"strings"
 	"testing"
 
-	"jepo/internal/suggest"
+	"jepo/internal/passes"
 )
 
 const demoProject = `
@@ -39,10 +39,10 @@ func TestSuggest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	counts := suggest.CountByRule(sugs)
-	for _, want := range []suggest.Rule{
-		suggest.RulePrimitiveTypes, suggest.RuleStaticKeyword,
-		suggest.RuleModulusOperator, suggest.RuleTernaryOperator,
+	counts := passes.CountByRule(sugs)
+	for _, want := range []passes.Rule{
+		passes.RulePrimitiveTypes, passes.RuleStaticKeyword,
+		passes.RuleModulusOperator, passes.RuleTernaryOperator,
 	} {
 		if counts[want] == 0 {
 			t.Errorf("missing %v suggestion", want)

@@ -11,7 +11,7 @@ import (
 	"jepo/internal/minijava/ast"
 	"jepo/internal/minijava/interp"
 	"jepo/internal/minijava/parser"
-	"jepo/internal/refactor"
+	"jepo/internal/passes"
 )
 
 const testSeed = 20200518 // the paper's IPDPSW publication date
@@ -151,7 +151,7 @@ func TestRefactorChangeCountsMatchTableIVShape(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res := refactor.Apply(files)
+		res := passes.ApplyFixes(files, passes.AnalyzeFiles(files))
 		want := tableIVChanges[name]
 		if math.Abs(float64(res.Changes-want))/float64(want)*100 > 25 {
 			t.Errorf("%s changes = %d, Table IV reports %d", name, res.Changes, want)
@@ -231,7 +231,7 @@ func TestKernelsExecuteAndRefactorPreservesBehaviour(t *testing.T) {
 		sum0, e0 := runKernel(t, base, name, 10)
 
 		refd := kernelFiles(t, name)
-		res := refactor.Apply(refd)
+		res := passes.ApplyFixes(refd, passes.AnalyzeFiles(refd))
 		sum1, e1 := runKernel(t, refd, name, 10)
 
 		if sum0 == 0 {
@@ -259,7 +259,7 @@ func TestKernelImprovementOrdering(t *testing.T) {
 		base := kernelFiles(t, name)
 		_, e0 := runKernel(t, base, name, 10)
 		refd := kernelFiles(t, name)
-		refactor.Apply(refd)
+		passes.ApplyFixes(refd, passes.AnalyzeFiles(refd))
 		_, e1 := runKernel(t, refd, name, 10)
 		improvement[name] = 100 * (1 - float64(e1)/float64(e0))
 	}

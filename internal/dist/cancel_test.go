@@ -10,23 +10,8 @@ import (
 	"testing"
 	"time"
 
-	"jepo/internal/dist"
-	"jepo/internal/rapl"
+	"jepo/internal/sched"
 )
-
-// gatedMixRegistry serves "mix" like newMixRegistry(0), except that tasks
-// from index from on wait for gate to close before they run.
-func gatedMixRegistry(from int, gate <-chan struct{}) *dist.Registry {
-	reg := dist.NewRegistry()
-	dist.RegisterFuncHealth(reg, "mix", func(task dist.Task, _ mixParams) (mixResult, rapl.Health, error) {
-		if task.Index >= from {
-			<-gate
-		}
-		r, h := mixTask(task)
-		return r, h, nil
-	})
-	return reg
-}
 
 func waitGoroutines(t *testing.T, base int) {
 	t.Helper()
@@ -42,19 +27,20 @@ func waitGoroutines(t *testing.T, base int) {
 	}
 }
 
-// TestDispatchCancelMidCampaign cancels an in-process (PipeSpawner)
-// campaign mid-flight and asserts the dispatcher contract: ctx's error
-// comes back, the committed set is an exact index prefix, the worker
-// goroutines drain, and the checkpoint ledger left behind resumes to a
-// final merge — and final ledger — byte-identical to an uninterrupted run.
+// TestDispatchCancelMidCampaign cancels a map on pipe workers mid-flight
+// and asserts the executor contract: ctx's error comes back, the committed
+// set is an exact index prefix, the worker goroutines drain, and the ledger
+// left behind resumes to a final merge — and final ledger — byte-identical
+// to an uninterrupted run.
 func TestDispatchCancelMidCampaign(t *testing.T) {
 	const n = 32
-	reg := newMixRegistry(0)
 
 	// Uninterrupted checkpointed reference run.
-	refLedger := filepath.Join(t.TempDir(), "ref.json")
-	want, _, _ := runMix(t, dist.Config{Workers: 2, Seed: 42, Checkpoint: refLedger, Spawn: dist.PipeSpawner(reg)}, reg, n)
-	refBytes, err := os.ReadFile(refLedger)
+	refDir := t.TempDir()
+	refCfg := pipes(2, 42, nil)
+	refCfg.Checkpoint = refDir
+	want, _, _, _ := runMix(t, refCfg, n)
+	refBytes, err := os.ReadFile(filepath.Join(refDir, "mix.json"))
 	if err != nil {
 		t.Fatalf("reference run left no ledger: %v", err)
 	}
@@ -63,17 +49,19 @@ func TestDispatchCancelMidCampaign(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 
-	// Tasks past the fifth wait for the cancel, so the campaign cannot have
+	// Tasks past the fifth wait for the cancel, so the map cannot have
 	// finished by the time the fifth commit cancels it: ungated, one node
 	// could run every later task while the other still held task 4, and
 	// the commit that cancels would then also commit the rest.
-	gated := gatedMixRegistry(5, ctx.Done())
-	ledger := filepath.Join(t.TempDir(), "campaign.json")
-	cfg := dist.Config{Workers: 2, Seed: 42, Checkpoint: ledger, Spawn: dist.PipeSpawner(gated)}
+	mixGate.Store(&gate{from: 5, ch: ctx.Done()})
+	defer mixGate.Store(nil)
+	dir := t.TempDir()
+	cfg := pipes(2, 42, nil)
+	cfg.Checkpoint = dir
 	var mu sync.Mutex
 	var committed []int
-	_, _, err = dist.Map(ctx, cfg, gated, "mix", mixParams{Label: "t"}, n,
-		func(task dist.Task, r mixResult) {
+	_, _, err = mixKind.Map(ctx, cfg, mixParams{Label: "t"}, n,
+		func(task sched.Task, r mixResult) {
 			mu.Lock()
 			committed = append(committed, task.Index)
 			if len(committed) == 5 {
@@ -82,15 +70,16 @@ func TestDispatchCancelMidCampaign(t *testing.T) {
 			mu.Unlock()
 		})
 	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("cancelled campaign returned %v, want context.Canceled", err)
+		t.Fatalf("cancelled map returned %v, want context.Canceled", err)
 	}
 	waitGoroutines(t, base)
+	mixGate.Store(nil)
 
 	mu.Lock()
 	got := append([]int(nil), committed...)
 	mu.Unlock()
 	if len(got) == n {
-		t.Fatal("cancel did not stop the campaign")
+		t.Fatal("cancel did not stop the map")
 	}
 	for i, idx := range got {
 		if idx != i {
@@ -99,11 +88,12 @@ func TestDispatchCancelMidCampaign(t *testing.T) {
 	}
 
 	// The cancellation saved a valid, resumable ledger.
+	ledger := filepath.Join(dir, "mix.json")
 	if _, err := os.Stat(ledger); err != nil {
 		t.Fatalf("cancel saved no checkpoint ledger: %v", err)
 	}
-	resumed, _, rep := runMix(t, dist.Config{Workers: 2, Seed: 42, Checkpoint: ledger, Spawn: dist.PipeSpawner(reg)}, reg, n)
-	if rep.Replayed == 0 {
+	resumed, _, _, tel := runMix(t, cfg, n)
+	if tel.Replayed == 0 {
 		t.Error("resume replayed nothing from the cancelled run's ledger")
 	}
 	for i := range resumed {
@@ -120,54 +110,54 @@ func TestDispatchCancelMidCampaign(t *testing.T) {
 	}
 }
 
-// TestRunInlineCancel cancels the Workers<=1 inline path and asserts the
-// same prefix + resumable-ledger contract without any processes involved.
+// TestRunInlineCancel cancels the same kind mapped in process (one job,
+// inline on the caller) and asserts the same prefix + resumable-ledger
+// contract without any worker processes involved.
 func TestRunInlineCancel(t *testing.T) {
 	const n = 20
-	reg := newMixRegistry(0)
-	want, _, _ := runMix(t, dist.Config{Workers: 1, Seed: 7}, reg, n)
+	want, _, _, _ := runMix(t, sched.Config{Jobs: 1, Seed: 7}, n)
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	ledger := filepath.Join(t.TempDir(), "inline.json")
+	cfg := sched.Config{Jobs: 1, Seed: 7, Checkpoint: t.TempDir()}
 	var committed []int
-	_, _, err := dist.Map(ctx, dist.Config{Workers: 1, Seed: 7, Checkpoint: ledger}, reg, "mix", mixParams{Label: "t"}, n,
-		func(task dist.Task, r mixResult) {
+	_, _, err := mixKind.Map(ctx, cfg, mixParams{Label: "t"}, n,
+		func(task sched.Task, r mixResult) {
 			committed = append(committed, task.Index)
 			if len(committed) == 3 {
 				cancel()
 			}
 		})
 	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("cancelled inline run returned %v", err)
+		t.Fatalf("cancelled in-process map returned %v", err)
 	}
 	if len(committed) >= n {
-		t.Fatal("cancel did not stop the inline run")
+		t.Fatal("cancel did not stop the in-process map")
 	}
 	for i, idx := range committed {
 		if idx != i {
-			t.Fatalf("inline commit %d has index %d: %v", i, idx, committed)
+			t.Fatalf("in-process commit %d has index %d: %v", i, idx, committed)
 		}
 	}
-	resumed, _, rep := runMix(t, dist.Config{Workers: 1, Seed: 7, Checkpoint: ledger}, reg, n)
-	if rep.Replayed == 0 {
-		t.Error("inline resume replayed nothing")
+	resumed, _, _, tel := runMix(t, cfg, n)
+	if tel.Replayed != len(committed) {
+		t.Errorf("in-process resume replayed %d tasks, want the %d committed", tel.Replayed, len(committed))
 	}
 	for i := range resumed {
 		if resumed[i] != want[i] {
-			t.Errorf("task %d drifted after inline cancel+resume", i)
+			t.Errorf("task %d drifted after in-process cancel+resume", i)
 		}
 	}
 }
 
-// TestDispatchPreCancelled asserts an already-dead context spawns nothing.
+// TestDispatchPreCancelled asserts an already-dead context spawns and
+// commits nothing.
 func TestDispatchPreCancelled(t *testing.T) {
-	reg := newMixRegistry(0)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, _, err := dist.Map(ctx, dist.Config{Workers: 2, Seed: 1, Spawn: dist.PipeSpawner(reg)}, reg, "mix", mixParams{}, 8,
-		func(dist.Task, mixResult) { t.Error("pre-cancelled campaign committed a task") })
+	_, _, err := mixKind.Map(ctx, pipes(2, 1, nil), mixParams{}, 8,
+		func(sched.Task, mixResult) { t.Error("pre-cancelled map committed a task") })
 	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("pre-cancelled campaign returned %v", err)
+		t.Fatalf("pre-cancelled map returned %v", err)
 	}
 }

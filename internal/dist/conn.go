@@ -1,9 +1,8 @@
-// Transports: how the dispatcher reaches a worker. A Conn is one node's
+// Transports: how the executor reaches a worker. A Conn is one node's
 // duplex message stream; a Spawner mints Conns by node id. ProcSpawner
 // re-execs the current binary in worker mode over stdio pipes — the
-// production transport — and PipeSpawner serves the registry on in-process
-// goroutines, which is what the fault-injection tests and the inline
-// fallback build on.
+// production transport — and PipeSpawner serves a handler on in-process
+// goroutines, which is what the fault-injection tests build on.
 package dist
 
 import (
@@ -16,10 +15,10 @@ import (
 	"time"
 )
 
-// Conn is one worker's message stream as the dispatcher sees it.
-// Send and Recv are each called from a single goroutine (the dispatcher's
-// event loop sends; a dedicated reader receives), but Send and Recv may
-// overlap, and Kill/Close may race with both.
+// Conn is one worker's message stream as the executor sees it.
+// Send and Recv are each called from a single goroutine (the node's
+// executor worker sends; a dedicated reader receives), but Send and Recv
+// may overlap, and Kill/Close may race with both.
 type Conn interface {
 	// Send delivers one message to the worker.
 	Send(m *Message) error
@@ -34,7 +33,7 @@ type Conn interface {
 }
 
 // Spawner mints the Conn for node id. Spawn failures leave that node dead
-// at birth; the dispatcher continues on the survivors.
+// at birth; the executor continues on the survivors.
 type Spawner func(id int) (Conn, error)
 
 // streamConn frames messages over a generic byte stream.
@@ -63,19 +62,18 @@ func (c *streamConn) Recv() (*Message, error) {
 func (c *streamConn) Close() error { return c.close() }
 func (c *streamConn) Kill() error  { return c.kill() }
 
-// PipeSpawner serves the registry on an in-process goroutine per node,
+// PipeSpawner serves the handler on an in-process goroutine per node,
 // over synchronous in-memory pipes. Workers spawned this way share the
-// dispatcher's address space — which is exactly what the -race fault
-// tests want — while exercising the full wire protocol, heartbeats and
-// all.
-func PipeSpawner(reg *Registry) Spawner {
+// executor's address space — which is exactly what the -race fault tests
+// want — while exercising the full wire protocol, heartbeats and all.
+func PipeSpawner(h Handler) Spawner {
 	return func(id int) (Conn, error) {
 		taskR, taskW := io.Pipe()
 		replyR, replyW := io.Pipe()
 		go func() {
-			err := Serve(reg, taskR, replyW)
+			err := Serve(h, taskR, replyW)
 			// Serve returning closes the reply stream; a clean return
-			// reads as EOF on the dispatcher side, an error as itself.
+			// reads as EOF on the executor side, an error as itself.
 			replyW.CloseWithError(err)
 			taskR.Close()
 		}()
@@ -102,8 +100,8 @@ func PipeSpawner(reg *Registry) Spawner {
 type procConn struct {
 	streamConn
 	cmd  *exec.Cmd
-	in   *os.File // dispatcher → worker stdin
-	out  *os.File // worker stdout → dispatcher
+	in   *os.File // executor → worker stdin
+	out  *os.File // worker stdout → executor
 	reap sync.Once
 }
 

@@ -1,38 +1,21 @@
-// Package dist runs measurement campaigns across worker processes with
-// node-level fault tolerance. It is the process analog of the sched pool:
-// a dispatcher shards independent tasks (table rows, CV folds, corpus
-// files, measurement runs) across workers — normally the same binary
-// re-exec'd in worker mode, speaking a JSON-line protocol over stdio —
-// and merges replies in index order, so the campaign result is
-// byte-identical to a sequential run at any worker count.
+// Package dist is the process transport behind the executor's worker
+// placement (internal/sched): how a task reaches a worker process and how
+// its reply comes back. Workers are normally the same binary re-exec'd in
+// worker mode, speaking a JSON-line protocol over stdio; the package holds
+// the spawners and connections, the protocol, the worker loop, and the
+// chaos harness that injects node faults into the transport. Scheduling —
+// claiming, requeueing, quarantine, commit and the checkpoint ledger — is
+// the executor's job, not the transport's.
 //
-// The robustness model extends rapl.Resilient from flaky MSRs to flaky
-// nodes: per-task deadlines armed by worker heartbeats, bounded
-// retry-with-backoff and reassignment to a different worker, a per-node
-// strike ledger that quarantines misbehaving workers, and an atomic JSON
-// checkpoint of completed tasks so an interrupted campaign resumes
-// without re-measuring. A campaign only fails outright when every worker
-// is gone or a task exhausts its retries; anything less degrades.
-//
-// Determinism rests on two properties: task results are pure functions of
-// (task index, per-task seed, campaign params) — the same sched.TaskSeed
-// derivation the in-process pool uses — and Go's encoding/json renders
-// float64 values in shortest form, which round-trips every finite bit
-// pattern exactly. A result computed in a worker process and decoded by
-// the dispatcher is therefore bit-identical to one computed inline.
+// Byte identity across the process boundary rests on Go's encoding/json
+// rendering float64 values in shortest form, which round-trips every finite
+// bit pattern exactly: a result computed in a worker process and decoded by
+// the executor is bit-identical to one computed in process.
 package dist
 
-import (
-	"bytes"
-	"encoding/json"
-	"fmt"
-	"sort"
-	"sync"
+import "encoding/json"
 
-	"jepo/internal/rapl"
-)
-
-// WorkerArg is the magic first argument that switches a campaign-capable
+// WorkerArg is the magic first argument that switches a worker-capable
 // binary into worker mode. It is deliberately un-flag-like so it can never
 // collide with a real input file or flag.
 const WorkerArg = "__dist-worker"
@@ -42,124 +25,8 @@ const WorkerArg = "__dist-worker"
 // scripts/check.sh can inject worker kills without new flags.
 const FaultsEnv = "JEPO_DIST_FAULTS"
 
-// Task identifies one unit of campaign work. Seed is derived from the
-// campaign seed and the index exactly as sched.TaskSeed derives pool task
-// seeds, so a kind's runner draws the same stream whether it executes
-// inline, in a pool worker, or in another process.
-type Task struct {
-	Index int
-	Seed  uint64
-}
-
-// Output is a runner's reply: the result as canonical JSON plus the
-// degraded-measurement tally the task's sources absorbed while producing
-// it. The zero Health means every read was clean.
-type Output struct {
-	Result json.RawMessage
-	Health rapl.Health
-}
-
-// Runner executes one task of a campaign kind. It must be a pure function
-// of (task, params): no ordering dependence on other tasks, no hidden
-// global streams. Runners are called concurrently by in-process worker
-// transports and must be goroutine-safe.
-type Runner func(task Task, params json.RawMessage) (Output, error)
-
-// Registry maps campaign kinds to runners. A binary registers every kind
-// it can serve and passes the registry both to the dispatcher (for the
-// inline path) and to Serve (for worker mode), so dispatching to a worker
-// process runs exactly the code the sequential path runs.
-type Registry struct {
-	mu    sync.RWMutex
-	kinds map[string]Runner
-}
-
-// NewRegistry returns an empty registry.
-func NewRegistry() *Registry {
-	return &Registry{kinds: make(map[string]Runner)}
-}
-
-// Register adds a kind. Registering a duplicate or empty kind is a
-// programming error and panics.
-func (r *Registry) Register(kind string, fn Runner) {
-	if kind == "" || fn == nil {
-		panic("dist: Register requires a kind and a runner")
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if _, dup := r.kinds[kind]; dup {
-		panic("dist: duplicate kind " + kind)
-	}
-	r.kinds[kind] = fn
-}
-
-// Kinds lists the registered kinds in sorted order.
-func (r *Registry) Kinds() []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make([]string, 0, len(r.kinds))
-	for k := range r.kinds {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// runner resolves a kind.
-func (r *Registry) runner(kind string) (Runner, error) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	fn, ok := r.kinds[kind]
-	if !ok {
-		return nil, fmt.Errorf("dist: unknown campaign kind %q", kind)
-	}
-	return fn, nil
-}
-
-var jsonNull = []byte("null")
-
-// RegisterFunc registers a typed runner: params decode into P, the result
-// R encodes to JSON. Use RegisterFuncHealth when the runner also reports a
-// measurement-health tally.
-func RegisterFunc[P, R any](reg *Registry, kind string, fn func(task Task, params P) (R, error)) {
-	RegisterFuncHealth(reg, kind, func(task Task, params P) (R, rapl.Health, error) {
-		res, err := fn(task, params)
-		return res, rapl.Health{}, err
-	})
-}
-
-// RegisterFuncHealth registers a typed runner whose tasks report the
-// degraded-measurement tally alongside the result, so worker-side Health
-// survives the wire and aggregates in the dispatcher's report.
-func RegisterFuncHealth[P, R any](reg *Registry, kind string, fn func(task Task, params P) (R, rapl.Health, error)) {
-	reg.Register(kind, func(task Task, params json.RawMessage) (Output, error) {
-		var p P
-		if len(params) > 0 && !bytes.Equal(params, jsonNull) {
-			if err := json.Unmarshal(params, &p); err != nil {
-				return Output{}, fmt.Errorf("dist: %s params: %w", kind, err)
-			}
-		}
-		res, health, err := fn(task, p)
-		if err != nil {
-			return Output{}, err
-		}
-		blob, err := json.Marshal(res)
-		if err != nil {
-			return Output{}, fmt.Errorf("dist: %s result: %w", kind, err)
-		}
-		return Output{Result: blob, Health: health}, nil
-	})
-}
-
-// runSafe invokes a runner with panic recovery: a panicking task becomes a
-// task error, never a dead worker. This mirrors sched's in-pool recovery
-// and tables.superviseRow — a deterministic panic must fail the same task
-// identically on every node, not burn through the fleet.
-func runSafe(fn Runner, task Task, params json.RawMessage) (out Output, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("dist: task %d panicked: %v", task.Index, r)
-		}
-	}()
-	return fn(task, params)
-}
+// Handler runs one task for a worker: the task of the given kind at index,
+// with its seed and the map's params, returning the result as JSON or the
+// task's error. It must recover its own panics — a panicking task is a task
+// error, never a dead worker.
+type Handler func(kind string, index int, seed uint64, params json.RawMessage) (json.RawMessage, error)

@@ -1,28 +1,33 @@
 package dist_test
 
+// These tests drive the executor's process placement (internal/sched) over
+// this package's transport: in-process pipe workers speaking the full wire
+// protocol, with the chaos harness injecting node faults.
+
 import (
 	"context"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
-	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"jepo/internal/dist"
 	"jepo/internal/rapl"
+	"jepo/internal/sched"
 )
 
-// mixResult is the test workload's task result: a splitmix-style digest of
-// the task seed plus a synthetic health tally, so both the result bytes
-// and the wire-carried Health are pure functions of the task.
+// mixResult is the test kind's task result: a splitmix-style digest of the
+// task seed plus a synthetic health tally, both pure functions of the task.
+// Health rides inside the result, as it does in jperf's measurements.
 type mixResult struct {
-	Index int     `json:"index"`
-	Bits  uint64  `json:"bits"`
-	Joule float64 `json:"joule"`
+	Index  int         `json:"index"`
+	Bits   uint64      `json:"bits"`
+	Joule  float64     `json:"joule"`
+	Health rapl.Health `json:"health"`
 }
 
 func mix(seed uint64) uint64 {
@@ -36,61 +41,59 @@ type mixParams struct {
 	Label string `json:"label"`
 }
 
-// newMixRegistry serves the "mix" kind: deterministic result and health
-// from (index, seed), with an optional induced first-attempt failure for
-// tasks whose seed is divisible by failEvery.
-func newMixRegistry(failEvery uint64) *dist.Registry {
-	reg := dist.NewRegistry()
-	var mu sync.Mutex
-	tries := make(map[int]int)
-	dist.RegisterFuncHealth(reg, "mix", func(task dist.Task, p mixParams) (mixResult, rapl.Health, error) {
-		if failEvery > 0 && task.Seed%failEvery == 0 {
-			mu.Lock()
-			tries[task.Index]++
-			first := tries[task.Index] == 1
-			mu.Unlock()
-			if first {
-				return mixResult{}, rapl.Health{}, fmt.Errorf("induced failure on task %d", task.Index)
-			}
-		}
-		r, h := mixTask(task)
-		return r, h, nil
-	})
-	return reg
+// mixGate, when set, holds tasks from index from until ch closes. It is
+// package state rather than a param so a gated run keeps the ledger
+// identity of an ungated one.
+type gate struct {
+	from int
+	ch   <-chan struct{}
 }
 
-// mixTask is the "mix" kind's result and health for one task.
-func mixTask(task dist.Task) (mixResult, rapl.Health) {
-	bits := mix(task.Seed)
+var mixGate atomic.Pointer[gate]
+
+var mixKind = sched.NewKind("mix", func(_ context.Context, t sched.Task, _ mixParams) (mixResult, error) {
+	if g := mixGate.Load(); g != nil && t.Index >= g.from {
+		<-g.ch
+	}
+	bits := mix(t.Seed)
 	return mixResult{
-		Index: task.Index,
-		Bits:  bits,
-		Joule: float64(bits%1000) / 997,
-	}, rapl.Health{Reads: 2, Retries: int(task.Seed % 3)}
+		Index:  t.Index,
+		Bits:   bits,
+		Joule:  float64(bits%1000) / 997,
+		Health: rapl.Health{Reads: 2, Retries: int(t.Seed % 3)},
+	}, nil
+})
+
+// pipes places tasks on in-process pipe workers.
+func pipes(workers int, seed uint64, plan *dist.FaultPlan) sched.Config {
+	return sched.Config{Workers: workers, Seed: seed, Spawn: dist.PipeSpawner(sched.Handle), Plan: plan}
 }
 
-// runMix runs an n-task mix campaign and returns the committed results in
-// commit order plus the report.
-func runMix(t *testing.T, cfg dist.Config, reg *dist.Registry, n int) ([]mixResult, []int, dist.Report) {
+// runMix runs an n-task mix map and returns the results, the commit order,
+// the health tally merged in commit order, and the telemetry.
+func runMix(t *testing.T, cfg sched.Config, n int) ([]mixResult, []int, rapl.Health, sched.Telemetry) {
 	t.Helper()
 	var order []int
-	out, rep, err := dist.Map(context.Background(), cfg, reg, "mix", mixParams{Label: "t"}, n,
-		func(task dist.Task, r mixResult) { order = append(order, task.Index) })
+	var health rapl.Health
+	out, tel, err := mixKind.Map(context.Background(), cfg, mixParams{Label: "t"}, n,
+		func(task sched.Task, r mixResult) {
+			order = append(order, task.Index)
+			health = health.Add(r.Health)
+		})
 	if err != nil {
-		t.Fatalf("campaign failed: %v", err)
+		t.Fatalf("map failed: %v", err)
 	}
-	return out, order, rep
+	return out, order, health, tel
 }
 
 // TestDispatcherFaultCampaign is the robustness acceptance test: four
-// in-process workers, a fault plan that kills two and hangs one
-// mid-campaign, and the requirement that the merged output is
-// bit-identical to the sequential run while the quarantine tallies match
-// the plan exactly. Run under -race by scripts/check.sh.
+// pipe workers, a fault plan that kills two and hangs one mid-map, and the
+// requirement that the merged output is bit-identical to the in-process run
+// while the node tallies match the plan exactly. Run under -race by
+// scripts/check.sh.
 func TestDispatcherFaultCampaign(t *testing.T) {
 	const n = 24
-	reg := newMixRegistry(0)
-	seq, seqOrder, seqRep := runMix(t, dist.Config{Workers: 1, Seed: 20200518}, reg, n)
+	seq, seqOrder, seqHealth, _ := runMix(t, sched.Config{Jobs: 1, Seed: 20200518}, n)
 
 	// Node 0 is slowed on every assignment so nodes 1 and 3 are always
 	// handed the second tasks their faults are scripted on: unslowed, node
@@ -105,195 +108,166 @@ func TestDispatcherFaultCampaign(t *testing.T) {
 		2: {0: dist.FaultKill}, // node 2 crashes taking its 1st task
 		3: {1: dist.FaultHang}, // node 3 goes silent on its 2nd task
 	}, SlowBy: 20 * time.Millisecond}
-	cfg := dist.Config{
-		Workers:   4,
-		Seed:      20200518,
-		Deadline:  250 * time.Millisecond,
-		Heartbeat: 20 * time.Millisecond,
-		Spawn:     dist.PipeSpawner(reg),
-		Plan:      plan,
-	}
-	got, order, rep := runMix(t, cfg, reg, n)
+	cfg := pipes(4, 20200518, plan)
+	cfg.Deadline = 250 * time.Millisecond
+	got, order, health, tel := runMix(t, cfg, n)
 
 	if len(got) != len(seq) {
-		t.Fatalf("result count %d, sequential %d", len(got), len(seq))
+		t.Fatalf("result count %d, in-process %d", len(got), len(seq))
 	}
 	for i := range got {
 		if got[i] != seq[i] {
-			t.Errorf("task %d drifted: distributed %+v, sequential %+v", i, got[i], seq[i])
+			t.Errorf("task %d drifted: placed %+v, in-process %+v", i, got[i], seq[i])
 		}
 	}
 	for i := range order {
 		if order[i] != i || seqOrder[i] != i {
-			t.Fatalf("commit order broken at %d: dist %d, seq %d", i, order[i], seqOrder[i])
+			t.Fatalf("commit order broken at %d: placed %d, in-process %d", i, order[i], seqOrder[i])
 		}
 	}
 	wantBlob, _ := json.Marshal(seq)
 	gotBlob, _ := json.Marshal(got)
 	if string(wantBlob) != string(gotBlob) {
-		t.Errorf("serialized campaign output drifted:\n dist %s\n  seq %s", gotBlob, wantBlob)
+		t.Errorf("serialized output drifted:\n placed %s\n    seq %s", gotBlob, wantBlob)
 	}
 
-	// Quarantine tallies must match the fault plan: two deaths, one
-	// deadline timeout, three nodes quarantined, three tasks reassigned.
-	if rep.Deaths != 2 {
-		t.Errorf("deaths = %d, want 2", rep.Deaths)
+	// Node tallies must match the fault plan: two deaths, one deadline
+	// timeout, three nodes quarantined, three tasks reassigned.
+	if tel.Deaths != 2 {
+		t.Errorf("deaths = %d, want 2", tel.Deaths)
 	}
-	if rep.Timeouts != 1 {
-		t.Errorf("timeouts = %d, want 1", rep.Timeouts)
+	if tel.Timeouts != 1 {
+		t.Errorf("timeouts = %d, want 1", tel.Timeouts)
 	}
-	if rep.Quarantines != 3 {
-		t.Errorf("quarantines = %d, want 3", rep.Quarantines)
+	if tel.Quarantines != 3 {
+		t.Errorf("quarantines = %d, want 3", tel.Quarantines)
 	}
-	if rep.Reassigned != 3 {
-		t.Errorf("reassigned = %d, want 3", rep.Reassigned)
+	if tel.Reassigned != 3 {
+		t.Errorf("reassigned = %d, want 3", tel.Reassigned)
 	}
-	quarantined := 0
-	for _, nd := range rep.Nodes {
-		if nd.Quarantined {
-			quarantined++
-		}
-	}
-	if quarantined != 3 {
-		t.Errorf("%d nodes marked quarantined, want 3", quarantined)
-	}
-	if !strings.Contains(rep.String(), "quarantined=3") {
-		t.Errorf("report summary %q does not surface the quarantine tally", rep.String())
+	if !strings.Contains(tel.String(), "quarantined=3") {
+		t.Errorf("telemetry %q does not surface the quarantine tally", tel.String())
 	}
 
-	// The campaign-wide measurement health merges in commit order, so it
-	// must match the sequential run exactly despite the reassignments.
-	if rep.Measurement != seqRep.Measurement {
-		t.Errorf("merged health drifted: dist %+v, seq %+v", rep.Measurement, seqRep.Measurement)
+	// Health merged in commit order must match the in-process run exactly
+	// despite the reassignments.
+	if health != seqHealth {
+		t.Errorf("merged health drifted: placed %+v, in-process %+v", health, seqHealth)
 	}
 }
 
-// TestDispatcherTaskRetry: an induced first-attempt task failure must be
-// retried within budget and still merge bit-identically; with no retry
-// budget the error must surface by lowest index.
-func TestDispatcherTaskRetry(t *testing.T) {
-	const n = 10
-	seqReg := newMixRegistry(0)
-	seq, _, _ := runMix(t, dist.Config{Workers: 1, Seed: 7}, seqReg, n)
-
-	reg := newMixRegistry(2) // roughly half the tasks fail once
-	cfg := dist.Config{Workers: 3, Seed: 7, Retries: 2, Spawn: dist.PipeSpawner(reg)}
-	got, _, rep := runMix(t, cfg, reg, n)
-	for i := range got {
-		if got[i] != seq[i] {
-			t.Errorf("task %d drifted after retry: %+v vs %+v", i, got[i], seq[i])
-		}
-	}
-	if rep.Retried == 0 {
-		t.Error("expected induced failures to consume retries")
-	}
-
-	noBudget := newMixRegistry(2)
-	_, _, err := dist.Map(context.Background(), dist.Config{Workers: 3, Seed: 7, Spawn: dist.PipeSpawner(noBudget)},
-		noBudget, "mix", mixParams{}, n, func(dist.Task, mixResult) {})
-	if err == nil || !strings.Contains(err.Error(), "induced failure") {
-		t.Errorf("want surfaced task error without retry budget, got %v", err)
-	}
-}
-
-// TestDispatcherCorruptReplies: corrupt result payloads strike the node
-// and reassign the task; enough strikes quarantine it. The output stays
+// TestDispatcherCorruptReplies: corrupt result payloads strike the node and
+// put its task back; the third strike quarantines it. The output stays
 // bit-identical throughout.
 func TestDispatcherCorruptReplies(t *testing.T) {
 	const n = 12
-	reg := newMixRegistry(0)
-	seq, _, _ := runMix(t, dist.Config{Workers: 1, Seed: 99}, reg, n)
+	seq, _, _, _ := runMix(t, sched.Config{Jobs: 1, Seed: 99}, n)
 
-	// Node 0 is slowed on every assignment so node 1 is always handed a
-	// second task: unslowed, node 0 could drain the queue before node 1's
-	// first corrupt reply is read, leaving one strike and no quarantine.
+	// Node 0 is slowed on every assignment so node 1 is always handed three
+	// tasks: unslowed, node 0 could drain the queue before node 1's third
+	// corrupt reply is read.
 	slow := map[int]dist.FaultKind{}
 	for i := 0; i < n; i++ {
 		slow[i] = dist.FaultSlow
 	}
 	plan := &dist.FaultPlan{Script: map[int]map[int]dist.FaultKind{
 		0: slow,
-		1: {0: dist.FaultCorrupt, 1: dist.FaultCorrupt},
+		1: {0: dist.FaultCorrupt, 1: dist.FaultCorrupt, 2: dist.FaultCorrupt},
 	}, SlowBy: 20 * time.Millisecond}
-	cfg := dist.Config{Workers: 2, Seed: 99, Strikes: 2, Spawn: dist.PipeSpawner(reg), Plan: plan}
-	got, _, rep := runMix(t, cfg, reg, n)
+	got, _, _, tel := runMix(t, pipes(2, 99, plan), n)
 	for i := range got {
 		if got[i] != seq[i] {
 			t.Errorf("task %d drifted: %+v vs %+v", i, got[i], seq[i])
 		}
 	}
-	if rep.Corrupt != 2 {
-		t.Errorf("corrupt = %d, want 2", rep.Corrupt)
+	if tel.Corrupt != 3 {
+		t.Errorf("corrupt = %d, want 3", tel.Corrupt)
 	}
-	if rep.Quarantines != 1 {
-		t.Errorf("quarantines = %d, want 1 (strikes=2)", rep.Quarantines)
+	if tel.Quarantines != 1 {
+		t.Errorf("quarantines = %d, want 1 (three strikes)", tel.Quarantines)
+	}
+	if tel.Reassigned != 3 {
+		t.Errorf("reassigned = %d, want 3", tel.Reassigned)
 	}
 }
 
-// TestDispatcherPanicIsTaskError: a panicking runner fails the task, not
-// the node — no quarantine, and the error carries the panic.
+var boomKind = sched.NewKind("boom", func(_ context.Context, t sched.Task, _ struct{}) (int, error) {
+	if t.Index == 1 {
+		panic("kaboom")
+	}
+	return t.Index, nil
+})
+
+// TestDispatcherPanicIsTaskError: a panicking task fails itself, not its
+// node — no quarantine, and the error carries the panic.
 func TestDispatcherPanicIsTaskError(t *testing.T) {
-	reg := dist.NewRegistry()
-	dist.RegisterFunc(reg, "boom", func(task dist.Task, _ struct{}) (int, error) {
-		if task.Index == 1 {
-			panic("kaboom")
-		}
-		return task.Index, nil
-	})
-	_, rep, err := dist.Map[struct{}, int](context.Background(), dist.Config{Workers: 2, Seed: 1, Spawn: dist.PipeSpawner(reg)},
-		reg, "boom", struct{}{}, 3, nil)
+	got, tel, err := boomKind.Map(context.Background(), pipes(2, 1, nil), struct{}{}, 3, nil)
 	if err == nil || !strings.Contains(err.Error(), "kaboom") {
 		t.Fatalf("want panic surfaced as task error, got %v", err)
 	}
-	if rep.Quarantines != 0 || rep.Deaths != 0 {
-		t.Errorf("panic cost a node: %s", rep)
+	if tel.Quarantines != 0 || tel.Deaths != 0 {
+		t.Errorf("panic cost a node: %s", tel)
+	}
+	if got[0] != 0 || got[2] != 2 {
+		t.Errorf("the other tasks did not finish: %v", got)
 	}
 }
 
 // TestDispatcherAllWorkersGone: when every node dies with work remaining
-// the campaign errors with ErrNoWorkers instead of hanging.
+// the map errors with ErrNoWorkers instead of hanging, and what it
+// committed is an exact index prefix.
 func TestDispatcherAllWorkersGone(t *testing.T) {
-	reg := newMixRegistry(0)
 	plan := &dist.FaultPlan{Script: map[int]map[int]dist.FaultKind{
 		0: {1: dist.FaultKill},
 		1: {1: dist.FaultKill},
 	}}
-	cfg := dist.Config{Workers: 2, Seed: 5, Spawn: dist.PipeSpawner(reg), Plan: plan}
-	_, _, err := dist.Map[mixParams, mixResult](context.Background(), cfg, reg, "mix", mixParams{}, 20, nil)
-	if !errors.Is(err, dist.ErrNoWorkers) {
+	var committed []int
+	_, _, err := mixKind.Map(context.Background(), pipes(2, 5, plan), mixParams{}, 20,
+		func(task sched.Task, _ mixResult) { committed = append(committed, task.Index) })
+	if !errors.Is(err, sched.ErrNoWorkers) {
 		t.Fatalf("want ErrNoWorkers, got %v", err)
+	}
+	if len(committed) >= 20 {
+		t.Fatalf("committed all %d tasks despite losing every node", len(committed))
+	}
+	for i, idx := range committed {
+		if idx != i {
+			t.Fatalf("commit %d has index %d — not an exact prefix: %v", i, idx, committed)
+		}
 	}
 }
 
-// TestDispatcherCheckpointResume: a campaign that dies with every node
-// leaves an atomic ledger; the rerun replays the completed prefix and only
-// measures the remainder, and the merged output is still bit-identical.
+// TestDispatcherCheckpointResume: a map that loses every node leaves an
+// atomic ledger; the rerun replays what finished and only runs the
+// remainder, and the merged output is still bit-identical. A truncated
+// ledger is ignored, not trusted.
 func TestDispatcherCheckpointResume(t *testing.T) {
 	const n = 16
-	reg := newMixRegistry(0)
-	seq, _, _ := runMix(t, dist.Config{Workers: 1, Seed: 42}, reg, n)
+	seq, _, _, _ := runMix(t, sched.Config{Jobs: 1, Seed: 42}, n)
 
-	ledger := filepath.Join(t.TempDir(), "campaign.json")
+	dir := t.TempDir()
 	plan := &dist.FaultPlan{Script: map[int]map[int]dist.FaultKind{
 		0: {4: dist.FaultKill},
 		1: {4: dist.FaultKill},
 	}}
-	cfg := dist.Config{Workers: 2, Seed: 42, Checkpoint: ledger, Spawn: dist.PipeSpawner(reg), Plan: plan}
-	_, _, err := dist.Map[mixParams, mixResult](context.Background(), cfg, reg, "mix", mixParams{Label: "t"}, n, nil)
-	if !errors.Is(err, dist.ErrNoWorkers) {
+	cfg := pipes(2, 42, plan)
+	cfg.Checkpoint = dir
+	_, _, err := mixKind.Map(context.Background(), cfg, mixParams{Label: "t"}, n, nil)
+	if !errors.Is(err, sched.ErrNoWorkers) {
 		t.Fatalf("want first run to lose all workers, got %v", err)
 	}
+	ledger := filepath.Join(dir, "mix.json")
 	if _, err := os.Stat(ledger); err != nil {
 		t.Fatalf("no ledger written: %v", err)
 	}
 
 	cfg.Plan = nil
-	got, _, rep := runMix(t, cfg, reg, n)
-	if rep.Replayed == 0 {
+	got, _, _, tel := runMix(t, cfg, n)
+	if tel.Replayed == 0 {
 		t.Error("resume replayed nothing; ledger was not used")
 	}
-	if rep.Replayed+rep.Assigned < n {
-		t.Errorf("replayed %d + assigned %d < %d tasks", rep.Replayed, rep.Assigned, n)
+	if tel.Replayed+tel.Attempts < n {
+		t.Errorf("replayed %d + attempted %d < %d tasks", tel.Replayed, tel.Attempts, n)
 	}
 	for i := range got {
 		if got[i] != seq[i] {
@@ -301,42 +275,17 @@ func TestDispatcherCheckpointResume(t *testing.T) {
 		}
 	}
 
-	// A truncated ledger must be ignored, not trusted.
 	if err := os.WriteFile(ledger, []byte(`{"kind":"mix","seed":42,"ta`), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	got2, _, rep2 := runMix(t, cfg, reg, n)
-	if rep2.Replayed != 0 {
-		t.Errorf("corrupt ledger replayed %d tasks", rep2.Replayed)
+	got2, _, _, tel2 := runMix(t, cfg, n)
+	if tel2.Replayed != 0 {
+		t.Errorf("corrupt ledger replayed %d tasks", tel2.Replayed)
 	}
 	for i := range got2 {
 		if got2[i] != seq[i] {
 			t.Errorf("task %d drifted after corrupt-ledger rerun", i)
 		}
-	}
-}
-
-// TestAtomicWriteFile: the write lands complete under the final name and
-// leaves no temp litter behind.
-func TestAtomicWriteFile(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "out.json")
-	if err := dist.AtomicWriteFile(path, []byte("first"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := dist.AtomicWriteFile(path, []byte("second"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	blob, err := os.ReadFile(path)
-	if err != nil || string(blob) != "second" {
-		t.Fatalf("read %q, %v; want %q", blob, err, "second")
-	}
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(entries) != 1 {
-		t.Errorf("temp litter left behind: %v", entries)
 	}
 }
 
@@ -365,24 +314,23 @@ func TestParseFaultPlan(t *testing.T) {
 	}
 }
 
+var seedKind = sched.NewKind("seed", func(_ context.Context, t sched.Task, _ struct{}) (uint64, error) {
+	return t.Seed, nil
+})
+
 // TestWorkerSeedDerivation pins the wire protocol to sched's TaskSeed: a
-// worker must see exactly the seed the inline path computes.
+// worker must see exactly the seed the in-process path computes.
 func TestWorkerSeedDerivation(t *testing.T) {
-	reg := dist.NewRegistry()
-	dist.RegisterFunc(reg, "seed", func(task dist.Task, _ struct{}) (uint64, error) {
-		return task.Seed, nil
-	})
-	inline, _, err := dist.Map[struct{}, uint64](context.Background(), dist.Config{Workers: 1, Seed: 20200518}, reg, "seed", struct{}{}, 6, nil)
+	inline, _, err := seedKind.Map(context.Background(), sched.Config{Jobs: 1, Seed: 20200518}, struct{}{}, 6, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	piped, _, err := dist.Map[struct{}, uint64](context.Background(), dist.Config{Workers: 3, Seed: 20200518, Spawn: dist.PipeSpawner(reg)},
-		reg, "seed", struct{}{}, 6, nil)
+	piped, _, err := seedKind.Map(context.Background(), pipes(3, 20200518, nil), struct{}{}, 6, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := range inline {
-		if inline[i] != piped[i] {
+		if inline[i] != piped[i] || inline[i] != sched.TaskSeed(20200518, i) {
 			t.Errorf("task %d seed drifted across the wire: %d vs %d", i, piped[i], inline[i])
 		}
 	}

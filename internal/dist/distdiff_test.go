@@ -1,19 +1,20 @@
 //go:build distdiff
 
-// Differential fuzz for the fault-tolerant dispatcher, gated behind
-// -tags distdiff (wired into scripts/check.sh and `make distdiff`), the
-// dist counterpart of the sched pool's scheddiff fuzz. Every round draws a
-// random task count, worker count and chaos plan (kills, hangs, slow-walks,
-// corrupted replies at seeded random rates), then runs the same measurement
-// workload inline and through the dispatcher: every task rebuilds a
-// ScriptedMSR counter stream from task.Seed, corrupts it with a seeded
-// fault injector, and reads it through the resilient wrapper — a pure
-// function of the task seed, so retried and reassigned attempts replay
-// identically. The per-task results, the index-ordered commit ledger and
-// the merged Health tally must be bit-identical to the inline run at every
-// worker count, no matter which nodes the chaos plan takes down. Rounds
-// where chaos kills every worker must fail with ErrNoWorkers and leave an
-// exact prefix of the sequential ledger.
+// Differential fuzz for the executor's process placement over this
+// package's transport, gated behind -tags distdiff (wired into
+// scripts/check.sh and `make distdiff`), the process counterpart of the
+// sched pool's scheddiff fuzz. Every round draws a random task count,
+// worker count and chaos plan (kills, hangs, slow-walks, corrupted replies
+// at seeded random rates), then runs the same measurement kind in process
+// and on pipe workers: every task rebuilds a ScriptedMSR counter stream
+// from task.Seed, corrupts it with a seeded fault injector, and reads it
+// through the resilient wrapper — a pure function of the task seed, so
+// reassigned tasks replay identically. The per-task results, the
+// index-ordered commit ledger and the Health tally merged in commit order
+// must be bit-identical to the in-process run at every worker count, no
+// matter which nodes the chaos plan takes down. Rounds where chaos kills
+// every worker must fail with ErrNoWorkers and leave an exact prefix of
+// the in-process ledger.
 package dist_test
 
 import (
@@ -22,7 +23,6 @@ import (
 	"fmt"
 	"math"
 	"reflect"
-	"sync"
 	"testing"
 	"time"
 
@@ -99,26 +99,9 @@ func ddMeasure(seed uint64, p ddParams) ddResult {
 	}
 }
 
-// ddRegistry builds a fresh registry whose task fn fails a deterministic
-// subset of tasks on their first attempt, so the dispatcher's task-retry
-// path (distinct from node reassignment) is part of every comparison.
-func ddRegistry() *dist.Registry {
-	reg := dist.NewRegistry()
-	var mu sync.Mutex
-	tries := map[int]int{}
-	dist.RegisterFuncHealth(reg, "ddmeasure", func(task dist.Task, p ddParams) (ddResult, rapl.Health, error) {
-		mu.Lock()
-		tries[task.Index]++
-		first := tries[task.Index] == 1
-		mu.Unlock()
-		if task.Seed%5 == 0 && first {
-			return ddResult{}, rapl.Health{}, fmt.Errorf("induced first-attempt failure")
-		}
-		r := ddMeasure(task.Seed, p)
-		return r, r.Health, nil
-	})
-	return reg
-}
+var ddKind = sched.NewKind("ddmeasure", func(_ context.Context, t sched.Task, p ddParams) (ddResult, error) {
+	return ddMeasure(t.Seed, p), nil
+})
 
 // ddLedger is the order-sensitive commit reduction.
 type ddLedger struct {
@@ -126,7 +109,7 @@ type ddLedger struct {
 	Total rapl.Health
 }
 
-// TestDistDifferentialFuzz runs randomized inline-vs-dispatched rounds.
+// TestDistDifferentialFuzz runs randomized in-process-vs-placed rounds.
 func TestDistDifferentialFuzz(t *testing.T) {
 	const master = uint64(20200518)
 	const rounds = 20
@@ -153,36 +136,31 @@ func TestDistDifferentialFuzz(t *testing.T) {
 			chaosRounds++
 		}
 
-		run := func(w int, p *dist.FaultPlan) ([]ddResult, ddLedger, dist.Report, error) {
-			reg := ddRegistry()
-			cfg := dist.Config{
-				Workers:   w,
-				Seed:      r,
-				Retries:   2,
-				Strikes:   2,
-				Deadline:  150 * time.Millisecond,
-				Heartbeat: 10 * time.Millisecond,
-				Spawn:     dist.PipeSpawner(reg),
-				Plan:      p,
-			}
+		run := func(cfg sched.Config) ([]ddResult, ddLedger, error) {
 			var ledger ddLedger
-			out, rep, err := dist.Map[ddParams, ddResult](context.Background(), cfg, reg, "ddmeasure", params, tasks,
-				func(task dist.Task, res ddResult) {
+			out, _, err := ddKind.Map(context.Background(), cfg, params, tasks,
+				func(task sched.Task, res ddResult) {
 					ledger.Lines = append(ledger.Lines,
 						fmt.Sprintf("#%d %x/%x/%x %s err=%q", task.Index, res.Pkg, res.Core, res.DRAM, res.Health, res.Err))
 					ledger.Total = ledger.Total.Add(res.Health)
 				})
-			return out, ledger, rep, err
+			return out, ledger, err
 		}
 
-		seqOut, seqLedger, seqRep, err := run(1, nil)
+		seqOut, seqLedger, err := run(sched.Config{Jobs: 1, Seed: r})
 		if err != nil {
-			t.Fatalf("round %d inline: %v", round, err)
+			t.Fatalf("round %d in process: %v", round, err)
 		}
 
-		out, ledger, rep, err := run(workers, plan)
+		out, ledger, err := run(sched.Config{
+			Workers:  workers,
+			Seed:     r,
+			Deadline: 150 * time.Millisecond,
+			Spawn:    dist.PipeSpawner(sched.Handle),
+			Plan:     plan,
+		})
 		if err != nil {
-			if !errors.Is(err, dist.ErrNoWorkers) {
+			if !errors.Is(err, sched.ErrNoWorkers) {
 				t.Fatalf("round %d workers=%d: %v", round, workers, err)
 			}
 			// Chaos consumed every node: the committed prefix must still be
@@ -211,10 +189,6 @@ func TestDistDifferentialFuzz(t *testing.T) {
 		if !reflect.DeepEqual(ledger, seqLedger) {
 			t.Errorf("round %d workers=%d: commit ledger diverged:\n  dist total %s\n  seq  total %s",
 				round, workers, ledger.Total, seqLedger.Total)
-		}
-		if rep.Measurement != seqRep.Measurement {
-			t.Errorf("round %d workers=%d: merged health diverged: dist %s, seq %s",
-				round, workers, rep.Measurement, seqRep.Measurement)
 		}
 	}
 	if chaosRounds == 0 {

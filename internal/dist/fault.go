@@ -1,7 +1,7 @@
 // The chaos harness: scripted or seeded node faults injected at the
 // transport layer, mirroring rapl's ScriptedMSR/FaultyMSR design one level
 // up the stack — there a read lies or dies, here a whole node does. The
-// dispatcher never knows it is being tested; it sees exactly what a real
+// executor never knows it is being tested; it sees exactly what a real
 // crashed, hung, slow or babbling worker would produce.
 package dist
 
@@ -16,8 +16,8 @@ import (
 )
 
 // EnvPlan returns the fault plan scripted in $JEPO_DIST_FAULTS, or nil
-// when the variable is unset. CLIs install it on their dispatcher config
-// so shell gates can kill and hang workers without extra flags.
+// when the variable is unset. CLIs install it on their executor config so
+// shell gates can kill and hang workers without extra flags.
 func EnvPlan() (*FaultPlan, error) {
 	spec := os.Getenv(FaultsEnv)
 	if spec == "" {
@@ -35,7 +35,7 @@ const (
 	// FaultKill crashes the node at the moment the task is assigned.
 	FaultKill
 	// FaultHang swallows the assignment: the node goes silent and only the
-	// dispatcher's deadline can reclaim the task.
+	// executor's deadline can reclaim the task.
 	FaultHang
 	// FaultSlow delays the assignment's delivery.
 	FaultSlow
@@ -214,7 +214,7 @@ func (c *chaosConn) Send(m *Message) error {
 		c.hung = true
 		c.mu.Unlock()
 		// The assignment vanishes: the worker never sees it, the
-		// dispatcher sees silence until its deadline fires.
+		// executor sees silence until its deadline fires.
 		return nil
 	case FaultCorrupt:
 		c.corrupt[m.Index] = true

@@ -1,6 +1,6 @@
 // The worker side of the protocol: a loop that decodes task assignments,
-// runs them through the registry, and streams heartbeats while a task is
-// in flight so the dispatcher can tell "slow" from "hung".
+// runs them through the handler, and streams heartbeats while a task is
+// in flight so the executor can tell "slow" from "hung".
 package dist
 
 import (
@@ -11,19 +11,17 @@ import (
 	"os"
 	"sync"
 	"time"
-
-	"jepo/internal/rapl"
 )
 
 // Serve runs the worker loop: read assignments from r, write hello,
 // heartbeat and completion messages to w. It returns nil on a clean
-// shutdown (MsgShutdown or EOF — the dispatcher closing the task stream
-// is the normal end of a campaign) and an error only when the transport
-// itself fails.
+// shutdown (MsgShutdown or EOF — the executor closing the task stream is
+// the normal end of a map) and an error only when the transport itself
+// fails.
 //
 // Tasks are served one at a time in arrival order; concurrency across
-// tasks is the dispatcher's job, across workers.
-func Serve(reg *Registry, r io.Reader, w io.Writer) error {
+// tasks is the executor's job, across workers.
+func Serve(h Handler, r io.Reader, w io.Writer) error {
 	var sendMu sync.Mutex
 	enc := json.NewEncoder(w)
 	send := func(m *Message) error {
@@ -47,27 +45,26 @@ func Serve(reg *Registry, r io.Reader, w io.Writer) error {
 		case MsgShutdown:
 			return nil
 		case MsgTask:
-			serveTask(reg, send, &m)
+			serveTask(h, send, &m)
 		default:
-			// Unknown dispatcher messages are ignored for forward
-			// compatibility; the dispatcher never depends on a reply to
+			// Unknown executor messages are ignored for forward
+			// compatibility; the executor never depends on a reply to
 			// anything but MsgTask.
 		}
 	}
 }
 
-// ServeStdio serves campaigns over the process's standard streams — the
+// ServeStdio serves tasks over the process's standard streams — the
 // transport ProcSpawner wires up. Worker binaries must keep stdout clean:
 // everything human-readable goes to stderr.
-func ServeStdio(reg *Registry) error {
-	return Serve(reg, os.Stdin, os.Stdout)
+func ServeStdio(h Handler) error {
+	return Serve(h, os.Stdin, os.Stdout)
 }
 
 // serveTask runs one assignment under heartbeat cover and replies with
 // MsgResult or MsgError. The heartbeat goroutine is joined before the
 // completion message is sent, so a task's beats never trail its result.
-func serveTask(reg *Registry, send func(*Message) error, m *Message) {
-	task := Task{Index: m.Index, Seed: m.Seed}
+func serveTask(h Handler, send func(*Message) error, m *Message) {
 	stop := make(chan struct{})
 	var beats sync.WaitGroup
 	if m.HeartbeatMs > 0 {
@@ -81,7 +78,7 @@ func serveTask(reg *Registry, send func(*Message) error, m *Message) {
 				case <-stop:
 					return
 				case <-tick.C:
-					// A failed beat means the dispatcher is gone; the
+					// A failed beat means the executor is gone; the
 					// completion send will notice, so just stop beating.
 					if send(&Message{Type: MsgHeartbeat, Index: m.Index, Seed: m.Seed}) != nil {
 						return
@@ -90,24 +87,12 @@ func serveTask(reg *Registry, send func(*Message) error, m *Message) {
 			}
 		}()
 	}
-	var out Output
-	var err error
-	fn, rerr := reg.runner(m.Kind)
-	if rerr != nil {
-		err = rerr
-	} else {
-		out, err = runSafe(fn, task, m.Params)
-	}
+	result, err := h(m.Kind, m.Index, m.Seed, m.Params)
 	close(stop)
 	beats.Wait()
 	if err != nil {
 		send(&Message{Type: MsgError, Index: m.Index, Seed: m.Seed, Err: err.Error()})
 		return
 	}
-	reply := &Message{Type: MsgResult, Index: m.Index, Seed: m.Seed, Result: out.Result}
-	if out.Health != (rapl.Health{}) {
-		h := out.Health
-		reply.Health = &h
-	}
-	send(reply)
+	send(&Message{Type: MsgResult, Index: m.Index, Seed: m.Seed, Result: result})
 }

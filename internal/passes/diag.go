@@ -25,9 +25,10 @@ func (s Severity) String() string {
 	return "info"
 }
 
-// Diagnostic is one positioned finding emitted by a pass. CanAuto-style
-// questions are answered by Fix: a diagnostic is mechanically repairable
-// exactly when Fix is non-nil.
+// Diagnostic is one positioned finding emitted by a pass. A diagnostic is
+// mechanically repairable exactly when Fix is non-nil. Fix closes over the
+// exact AST nodes the match saw, so it never crosses a process boundary: it
+// is tagged out of the JSON form, and a decoded diagnostic has no fix.
 type Diagnostic struct {
 	File     string
 	Class    string
@@ -36,7 +37,7 @@ type Diagnostic struct {
 	Rule     Rule
 	Detail   string // what was found, e.g. "field 'total' declared double"
 	Severity Severity
-	Fix      *Fix
+	Fix      *Fix `json:"-"`
 }
 
 // String renders the optimizer-view row (Fig. 5): class, line, suggestion.

@@ -1,4 +1,7 @@
-package refactor
+package passes_test
+
+// Fix tests: each mechanical rewrite preserves the program's result and
+// strictly lowers its measured energy.
 
 import (
 	"strings"
@@ -8,7 +11,7 @@ import (
 	"jepo/internal/minijava/ast"
 	"jepo/internal/minijava/interp"
 	"jepo/internal/minijava/parser"
-	"jepo/internal/suggest"
+	"jepo/internal/passes"
 )
 
 func parse(t *testing.T, src string) *ast.File {
@@ -41,11 +44,18 @@ func runSrc(t *testing.T, src, class, method string) (interp.Value, energy.Joule
 	return v, in.Meter().Snapshot().Sub(before).Package
 }
 
+// apply runs the requested rules (all rules when none are given) over f and
+// applies their fixes.
+func apply(f *ast.File, rules ...passes.Rule) *passes.Result {
+	files := []*ast.File{f}
+	return passes.ApplyFixes(files, passes.AnalyzeFilesRules(files, rules...))
+}
+
 // refactorSrc applies rules and returns the re-printed source plus result.
-func refactorSrc(t *testing.T, src string, rules ...suggest.Rule) (string, *Result) {
+func refactorSrc(t *testing.T, src string, rules ...passes.Rule) (string, *passes.Result) {
 	t.Helper()
 	f := parse(t, src)
-	res := Apply([]*ast.File{f}, rules...)
+	res := apply(f, rules...)
 	out := ast.Print(f)
 	if _, err := parser.Parse("out.java", out); err != nil {
 		t.Fatalf("refactored source does not re-parse: %v\n%s", err, out)
@@ -55,7 +65,7 @@ func refactorSrc(t *testing.T, src string, rules ...suggest.Rule) (string, *Resu
 
 // checkPreservesAndImproves refactors src with rules, asserts the result is
 // unchanged and energy strictly improved.
-func checkPreservesAndImproves(t *testing.T, src, class, method string, rules ...suggest.Rule) (*Result, float64) {
+func checkPreservesAndImproves(t *testing.T, src, class, method string, rules ...passes.Rule) (*passes.Result, float64) {
 	t.Helper()
 	v0, e0 := runSrc(t, src, class, method)
 	out, res := refactorSrc(t, src, rules...)
@@ -84,11 +94,11 @@ func TestTernaryToIfElse(t *testing.T) {
 		}
 		return s > 0 ? s : -s;
 	} }`
-	res, _ := checkPreservesAndImproves(t, src, "T", "f", suggest.RuleTernaryOperator)
-	if res.ByRule[suggest.RuleTernaryOperator] != 3 {
-		t.Errorf("ternary changes = %d, want 3", res.ByRule[suggest.RuleTernaryOperator])
+	res, _ := checkPreservesAndImproves(t, src, "T", "f", passes.RuleTernaryOperator)
+	if res.ByRule[passes.RuleTernaryOperator] != 3 {
+		t.Errorf("ternary changes = %d, want 3", res.ByRule[passes.RuleTernaryOperator])
 	}
-	out, _ := refactorSrc(t, src, suggest.RuleTernaryOperator)
+	out, _ := refactorSrc(t, src, passes.RuleTernaryOperator)
 	if strings.Contains(out, "?") {
 		t.Errorf("ternaries remain:\n%s", out)
 	}
@@ -106,11 +116,11 @@ func TestCompareToBecomesEquals(t *testing.T) {
 		}
 		return n;
 	} }`
-	res, _ := checkPreservesAndImproves(t, src, "T", "f", suggest.RuleStringComparison)
-	if res.ByRule[suggest.RuleStringComparison] != 3 {
-		t.Errorf("compareTo changes = %d, want 3", res.ByRule[suggest.RuleStringComparison])
+	res, _ := checkPreservesAndImproves(t, src, "T", "f", passes.RuleStringComparison)
+	if res.ByRule[passes.RuleStringComparison] != 3 {
+		t.Errorf("compareTo changes = %d, want 3", res.ByRule[passes.RuleStringComparison])
 	}
-	out, _ := refactorSrc(t, src, suggest.RuleStringComparison)
+	out, _ := refactorSrc(t, src, passes.RuleStringComparison)
 	if strings.Contains(out, "compareTo") {
 		t.Errorf("compareTo remains:\n%s", out)
 	}
@@ -125,11 +135,11 @@ func TestModulusMask(t *testing.T) {
 		}
 		return s;
 	} }`
-	res, _ := checkPreservesAndImproves(t, src, "T", "f", suggest.RuleModulusOperator)
-	if res.ByRule[suggest.RuleModulusOperator] != 1 {
-		t.Errorf("modulus changes = %d, want 1", res.ByRule[suggest.RuleModulusOperator])
+	res, _ := checkPreservesAndImproves(t, src, "T", "f", passes.RuleModulusOperator)
+	if res.ByRule[passes.RuleModulusOperator] != 1 {
+		t.Errorf("modulus changes = %d, want 1", res.ByRule[passes.RuleModulusOperator])
 	}
-	out, _ := refactorSrc(t, src, suggest.RuleModulusOperator)
+	out, _ := refactorSrc(t, src, passes.RuleModulusOperator)
 	if !strings.Contains(out, "& 7") {
 		t.Errorf("mask rewrite missing:\n%s", out)
 	}
@@ -138,7 +148,7 @@ func TestModulusMask(t *testing.T) {
 func TestModulusMaskRequiresLoopVar(t *testing.T) {
 	// x is a parameter, possibly negative: must not be rewritten.
 	src := `class T { static int f(int x) { return x % 8; } }`
-	_, res := refactorSrc(t, src, suggest.RuleModulusOperator)
+	_, res := refactorSrc(t, src, passes.RuleModulusOperator)
 	if res.Changes != 0 {
 		t.Error("modulus on unproven-non-negative value must not be masked")
 	}
@@ -154,11 +164,11 @@ func TestManualCopyBecomesArraycopy(t *testing.T) {
 		}
 		return b[3999];
 	} }`
-	res, _ := checkPreservesAndImproves(t, src, "T", "f", suggest.RuleArraysCopy)
-	if res.ByRule[suggest.RuleArraysCopy] != 1 {
-		t.Errorf("arraycopy changes = %d, want 1 (init loop untouched)", res.ByRule[suggest.RuleArraysCopy])
+	res, _ := checkPreservesAndImproves(t, src, "T", "f", passes.RuleArraysCopy)
+	if res.ByRule[passes.RuleArraysCopy] != 1 {
+		t.Errorf("arraycopy changes = %d, want 1 (init loop untouched)", res.ByRule[passes.RuleArraysCopy])
 	}
-	out, _ := refactorSrc(t, src, suggest.RuleArraysCopy)
+	out, _ := refactorSrc(t, src, passes.RuleArraysCopy)
 	if !strings.Contains(out, "System.arraycopy(a, 0, b, 0, 4000)") {
 		t.Errorf("arraycopy call missing:\n%s", out)
 	}
@@ -175,9 +185,9 @@ func TestLoopInterchange(t *testing.T) {
 		}
 		return s;
 	} }`
-	res, improvement := checkPreservesAndImproves(t, src, "T", "f", suggest.RuleArrayTraversal)
-	if res.ByRule[suggest.RuleArrayTraversal] != 1 {
-		t.Errorf("interchange changes = %d, want 1", res.ByRule[suggest.RuleArrayTraversal])
+	res, improvement := checkPreservesAndImproves(t, src, "T", "f", passes.RuleArrayTraversal)
+	if res.ByRule[passes.RuleArrayTraversal] != 1 {
+		t.Errorf("interchange changes = %d, want 1", res.ByRule[passes.RuleArrayTraversal])
 	}
 	if improvement < 20 {
 		t.Errorf("interchange improvement = %.1f%%, want substantial", improvement)
@@ -192,14 +202,14 @@ func TestConcatLoopBecomesStringBuilder(t *testing.T) {
 		}
 		return s.length();
 	} }`
-	res, improvement := checkPreservesAndImproves(t, src, "T", "f", suggest.RuleStringConcat)
-	if res.ByRule[suggest.RuleStringConcat] != 1 {
-		t.Errorf("concat changes = %d", res.ByRule[suggest.RuleStringConcat])
+	res, improvement := checkPreservesAndImproves(t, src, "T", "f", passes.RuleStringConcat)
+	if res.ByRule[passes.RuleStringConcat] != 1 {
+		t.Errorf("concat changes = %d", res.ByRule[passes.RuleStringConcat])
 	}
 	if improvement < 50 {
 		t.Errorf("builder improvement = %.1f%%, want large (quadratic → linear)", improvement)
 	}
-	out, _ := refactorSrc(t, src, suggest.RuleStringConcat)
+	out, _ := refactorSrc(t, src, passes.RuleStringConcat)
 	if !strings.Contains(out, "StringBuilder") || !strings.Contains(out, ".append(") {
 		t.Errorf("builder rewrite missing:\n%s", out)
 	}
@@ -215,9 +225,9 @@ func TestConcatPlusEqForm(t *testing.T) {
 		}
 		return acc.length();
 	} }`
-	res, _ := checkPreservesAndImproves(t, src, "T", "f", suggest.RuleStringConcat)
-	if res.ByRule[suggest.RuleStringConcat] != 1 {
-		t.Errorf("concat changes = %d", res.ByRule[suggest.RuleStringConcat])
+	res, _ := checkPreservesAndImproves(t, src, "T", "f", passes.RuleStringConcat)
+	if res.ByRule[passes.RuleStringConcat] != 1 {
+		t.Errorf("concat changes = %d", res.ByRule[passes.RuleStringConcat])
 	}
 }
 
@@ -232,7 +242,7 @@ func TestConcatBailsOnOtherUses(t *testing.T) {
 		}
 		return n;
 	} }`
-	_, res := refactorSrc(t, src, suggest.RuleStringConcat)
+	_, res := refactorSrc(t, src, passes.RuleStringConcat)
 	if res.Changes != 0 {
 		t.Error("accumulator read inside loop must prevent the rewrite")
 	}
@@ -252,10 +262,10 @@ func TestPrimitiveNarrowing(t *testing.T) {
 		}
 	}`
 	f := parse(t, src)
-	res := Apply([]*ast.File{f}, suggest.RulePrimitiveTypes)
+	res := apply(f, passes.RulePrimitiveTypes)
 	// scale, sum, count (double→float ×2, long→int ×1); return type untouched.
-	if res.ByRule[suggest.RulePrimitiveTypes] != 3 {
-		t.Errorf("primitive changes = %d, want 3", res.ByRule[suggest.RulePrimitiveTypes])
+	if res.ByRule[passes.RulePrimitiveTypes] != 3 {
+		t.Errorf("primitive changes = %d, want 3", res.ByRule[passes.RulePrimitiveTypes])
 	}
 	out := ast.Print(f)
 	if !strings.Contains(out, "float sum") || !strings.Contains(out, "int count") {
@@ -278,9 +288,9 @@ func TestWrapperIntegerization(t *testing.T) {
 		Short b = Short.valueOf(3);
 		return a.intValue() + b.intValue();
 	} }`
-	out, res := refactorSrc(t, src, suggest.RuleWrapperClasses)
-	if res.ByRule[suggest.RuleWrapperClasses] != 2 {
-		t.Errorf("wrapper changes = %d, want 2", res.ByRule[suggest.RuleWrapperClasses])
+	out, res := refactorSrc(t, src, passes.RuleWrapperClasses)
+	if res.ByRule[passes.RuleWrapperClasses] != 2 {
+		t.Errorf("wrapper changes = %d, want 2", res.ByRule[passes.RuleWrapperClasses])
 	}
 	if !strings.Contains(out, "Integer a") || !strings.Contains(out, "Integer b") {
 		t.Errorf("Integer rewrite missing:\n%s", out)
@@ -298,9 +308,9 @@ func TestScientificNotationRewrite(t *testing.T) {
 		}
 		return r;
 	} }`
-	res, _ := checkPreservesAndImproves(t, src, "T", "f", suggest.RuleScientificNotation)
-	if res.ByRule[suggest.RuleScientificNotation] != 3 {
-		t.Errorf("scientific changes = %d, want 3", res.ByRule[suggest.RuleScientificNotation])
+	res, _ := checkPreservesAndImproves(t, src, "T", "f", passes.RuleScientificNotation)
+	if res.ByRule[passes.RuleScientificNotation] != 3 {
+		t.Errorf("scientific changes = %d, want 3", res.ByRule[passes.RuleScientificNotation])
 	}
 }
 
@@ -314,15 +324,15 @@ func TestStaticHoisting(t *testing.T) {
 			return acc;
 		}
 	}`
-	res, improvement := checkPreservesAndImproves(t, src, "T", "f", suggest.RuleStaticKeyword)
-	if res.ByRule[suggest.RuleStaticKeyword] != 1 {
-		t.Errorf("static changes = %d, want 1", res.ByRule[suggest.RuleStaticKeyword])
+	res, improvement := checkPreservesAndImproves(t, src, "T", "f", passes.RuleStaticKeyword)
+	if res.ByRule[passes.RuleStaticKeyword] != 1 {
+		t.Errorf("static changes = %d, want 1", res.ByRule[passes.RuleStaticKeyword])
 	}
 	if improvement < 30 {
 		t.Errorf("hoist improvement = %.1f%%, want large (static is 178× local)", improvement)
 	}
 	// The static must still hold the final value after the call.
-	out, _ := refactorSrc(t, src, suggest.RuleStaticKeyword)
+	out, _ := refactorSrc(t, src, passes.RuleStaticKeyword)
 	f := parse(t, out)
 	prog, err := interp.Load(f)
 	if err != nil {
@@ -347,7 +357,7 @@ func TestStaticHoistingSkipsMultiMethodFields(t *testing.T) {
 		static void g() { shared++; }
 		static int f() { shared++; return shared; }
 	}`
-	_, res := refactorSrc(t, src, suggest.RuleStaticKeyword)
+	_, res := refactorSrc(t, src, passes.RuleStaticKeyword)
 	if res.Changes != 0 {
 		t.Error("field touched by two methods must not be hoisted")
 	}

@@ -1,4 +1,7 @@
-package suggest
+package passes_test
+
+// Rule tests: each Table I and extension rule's detection over small
+// programs, through the engine's public entry points.
 
 import (
 	"strings"
@@ -6,18 +9,19 @@ import (
 
 	"jepo/internal/minijava/ast"
 	"jepo/internal/minijava/parser"
+	"jepo/internal/passes"
 )
 
-func analyze(t *testing.T, src string) []Suggestion {
+func analyze(t *testing.T, src string) []passes.Diagnostic {
 	t.Helper()
 	f, err := parser.Parse("Test.java", src)
 	if err != nil {
 		t.Fatalf("parse: %v", err)
 	}
-	return Analyze(f)
+	return passes.AnalyzeFiles([]*ast.File{f})
 }
 
-func rulesOf(sugs []Suggestion) map[Rule]int { return CountByRule(sugs) }
+func rulesOf(sugs []passes.Diagnostic) map[passes.Rule]int { return passes.CountByRule(sugs) }
 
 func TestPrimitiveTypeRule(t *testing.T) {
 	sugs := analyze(t, `class T {
@@ -32,11 +36,11 @@ func TestPrimitiveTypeRule(t *testing.T) {
 			int z = 0;
 		}
 	}`)
-	if got := rulesOf(sugs)[RulePrimitiveTypes]; got != 7 {
+	if got := rulesOf(sugs)[passes.RulePrimitiveTypes]; got != 7 {
 		t.Errorf("primitive suggestions = %d, want 7 (5 fields + 1 param + 1 local)", got)
 	}
 	for _, s := range sugs {
-		if s.Rule == RulePrimitiveTypes && strings.Contains(s.Detail, "fine") {
+		if s.Rule == passes.RulePrimitiveTypes && strings.Contains(s.Detail, "fine") {
 			t.Error("int declaration must not be flagged")
 		}
 	}
@@ -49,7 +53,7 @@ func TestWrapperRule(t *testing.T) {
 		Integer ok;
 		void f() { Character c = 'x'; }
 	}`)
-	if got := rulesOf(sugs)[RuleWrapperClasses]; got != 3 {
+	if got := rulesOf(sugs)[passes.RuleWrapperClasses]; got != 3 {
 		t.Errorf("wrapper suggestions = %d, want 3", got)
 	}
 }
@@ -60,7 +64,7 @@ func TestStaticRule(t *testing.T) {
 		static final int CONST = 5;
 		int instanceField;
 	}`)
-	if got := rulesOf(sugs)[RuleStaticKeyword]; got != 1 {
+	if got := rulesOf(sugs)[passes.RuleStaticKeyword]; got != 1 {
 		t.Errorf("static suggestions = %d, want 1 (static final constants exempt)", got)
 	}
 }
@@ -79,10 +83,10 @@ func TestModulusRule(t *testing.T) {
 	} }`)
 	var pow2Auto, general int
 	for _, s := range sugs {
-		if s.Rule != RuleModulusOperator {
+		if s.Rule != passes.RuleModulusOperator {
 			continue
 		}
-		if s.CanAuto {
+		if s.Fix != nil {
 			pow2Auto++
 		} else {
 			general++
@@ -98,7 +102,7 @@ func TestTernaryRule(t *testing.T) {
 		int x = a > 0 ? a : -a;
 		return x;
 	} }`)
-	if got := rulesOf(sugs)[RuleTernaryOperator]; got != 1 {
+	if got := rulesOf(sugs)[passes.RuleTernaryOperator]; got != 1 {
 		t.Errorf("ternary suggestions = %d, want 1", got)
 	}
 }
@@ -107,7 +111,7 @@ func TestShortCircuitRuleFlagsChainOnce(t *testing.T) {
 	sugs := analyze(t, `class T { boolean f(int a) {
 		return a > 0 && a < 10 && a != 5;
 	} }`)
-	if got := rulesOf(sugs)[RuleShortCircuit]; got != 1 {
+	if got := rulesOf(sugs)[passes.RuleShortCircuit]; got != 1 {
 		t.Errorf("short-circuit suggestions = %d, want 1 for the whole chain", got)
 	}
 }
@@ -121,11 +125,11 @@ func TestStringRules(t *testing.T) {
 		}
 	}`)
 	counts := rulesOf(sugs)
-	if counts[RuleStringConcat] < 2 {
-		t.Errorf("concat suggestions = %d, want ≥2", counts[RuleStringConcat])
+	if counts[passes.RuleStringConcat] < 2 {
+		t.Errorf("concat suggestions = %d, want ≥2", counts[passes.RuleStringConcat])
 	}
-	if counts[RuleStringComparison] != 1 {
-		t.Errorf("compareTo suggestions = %d, want 1", counts[RuleStringComparison])
+	if counts[passes.RuleStringComparison] != 1 {
+		t.Errorf("compareTo suggestions = %d, want 1", counts[passes.RuleStringComparison])
 	}
 }
 
@@ -136,7 +140,7 @@ func TestScientificNotationRule(t *testing.T) {
 		double c = 1e5;
 		double d = 3.25;
 	}`)
-	if got := rulesOf(sugs)[RuleScientificNotation]; got != 2 {
+	if got := rulesOf(sugs)[passes.RuleScientificNotation]; got != 2 {
 		t.Errorf("scientific suggestions = %d, want 2 (a and b only)", got)
 	}
 }
@@ -152,7 +156,7 @@ func TestArrayCopyRule(t *testing.T) {
 	} }`)
 	count := 0
 	for _, s := range sugs {
-		if s.Rule == RuleArraysCopy {
+		if s.Rule == passes.RuleArraysCopy {
 			count++
 			if !strings.Contains(s.Detail, "'a'") || !strings.Contains(s.Detail, "'b'") {
 				t.Errorf("copy detail = %q", s.Detail)
@@ -180,7 +184,7 @@ func TestColumnTraversalRule(t *testing.T) {
 		return s;
 	} }`
 	sugs := analyze(t, src)
-	if got := rulesOf(sugs)[RuleArrayTraversal]; got != 1 {
+	if got := rulesOf(sugs)[passes.RuleArrayTraversal]; got != 1 {
 		t.Errorf("traversal suggestions = %d, want 1 (row-major loop exempt)", got)
 	}
 }
@@ -200,18 +204,18 @@ func TestSuggestionsCarryPositions(t *testing.T) {
 }
 
 func TestRuleMetadataComplete(t *testing.T) {
-	if len(TableIRules()) != 11 {
-		t.Fatalf("Table I has 11 rows, got %d rules", len(TableIRules()))
+	if len(passes.TableIRules()) != 11 {
+		t.Fatalf("Table I has 11 rows, got %d rules", len(passes.TableIRules()))
 	}
-	if len(AllRules()) != 13 {
-		t.Fatalf("total rules = %d, want 13 (Table I + 2 extensions)", len(AllRules()))
+	if len(passes.AllRules()) != 13 {
+		t.Fatalf("total rules = %d, want 13 (Table I + 2 extensions)", len(passes.AllRules()))
 	}
-	for _, r := range AllRules() {
+	for _, r := range passes.AllRules() {
 		if r.Component() == "" || r.Text() == "" {
 			t.Errorf("rule %d missing metadata", r)
 		}
 	}
-	if Rule(99).String() == "" {
+	if passes.Rule(99).String() == "" {
 		t.Error("out-of-range rule must still format")
 	}
 }
@@ -219,7 +223,7 @@ func TestRuleMetadataComplete(t *testing.T) {
 func TestAnalyzeAllAggregates(t *testing.T) {
 	f1, _ := parser.Parse("A.java", `class A { double x; }`)
 	f2, _ := parser.Parse("B.java", `class B { long y; }`)
-	sugs := AnalyzeAll([]*ast.File{f1, f2})
+	sugs := passes.AnalyzeFiles([]*ast.File{f1, f2})
 	if len(sugs) != 2 {
 		t.Errorf("aggregate suggestions = %d, want 2", len(sugs))
 	}
@@ -272,7 +276,7 @@ func TestExtensionRuleExceptionInLoop(t *testing.T) {
 		return bad;
 	} }`)
 	// try-in-for + throw-in-while = 2; the top-level try is fine.
-	if got := rulesOf(sugs)[RuleExceptionInLoop]; got != 2 {
+	if got := rulesOf(sugs)[passes.RuleExceptionInLoop]; got != 2 {
 		t.Errorf("exception-in-loop suggestions = %d, want 2", got)
 	}
 }
@@ -296,11 +300,11 @@ func TestExtensionRuleObjectInLoop(t *testing.T) {
 	counts := rulesOf(sugs)
 	// One Box allocation in a loop; the exception constructor is reported
 	// under the exception rule, not the objects rule.
-	if counts[RuleObjectInLoop] != 1 {
-		t.Errorf("object-in-loop suggestions = %d, want 1", counts[RuleObjectInLoop])
+	if counts[passes.RuleObjectInLoop] != 1 {
+		t.Errorf("object-in-loop suggestions = %d, want 1", counts[passes.RuleObjectInLoop])
 	}
-	if counts[RuleExceptionInLoop] != 1 {
-		t.Errorf("exception suggestions = %d, want 1", counts[RuleExceptionInLoop])
+	if counts[passes.RuleExceptionInLoop] != 1 {
+		t.Errorf("exception suggestions = %d, want 1", counts[passes.RuleExceptionInLoop])
 	}
 }
 
@@ -308,7 +312,7 @@ func TestExtensionRulesAreNotAuto(t *testing.T) {
 	sugs := analyze(t, `class Box { }
 	class T { void f(int n) { for (int i = 0; i < n; i++) { Box b = new Box(); } } }`)
 	for _, s := range sugs {
-		if (s.Rule == RuleObjectInLoop || s.Rule == RuleExceptionInLoop) && s.CanAuto {
+		if (s.Rule == passes.RuleObjectInLoop || s.Rule == passes.RuleExceptionInLoop) && s.Fix != nil {
 			t.Errorf("extension rule %v marked auto-applicable", s.Rule)
 		}
 	}

@@ -1,38 +1,50 @@
-// Package sched is the deterministic parallel execution engine behind every
-// fan-out in the reproduction: Table II/IV classifier rows, cross-validation
-// fold training, the corpus-wide pass analysis, and the repeated measurement
-// runs of jperf. Measurement campaigns are embarrassingly parallel *only if*
-// per-task accounting stays isolated and the reduction order is fixed, so the
-// pool enforces three invariants:
+// Package sched is the one executor behind every fan-out in the
+// reproduction: Table I/II/IV rows, cross-validation folds, the corpus-wide
+// pass analysis and jperf's repeated measurement runs. A *placement* decides
+// only how one worker runs one task — inline on the caller at one job, on
+// a goroutine pool, or on re-exec'd worker processes — and everything else
+// is one code path for all three: claiming, requeueing, index-ordered
+// commit, first error, cancellation, the checkpoint ledger and telemetry.
+// Measurement campaigns are embarrassingly parallel *only if* per-task
+// accounting stays isolated and the reduction order is fixed, so the
+// executor enforces three invariants:
 //
 //  1. Per-task isolation. Every task receives its own derived RNG seed
 //     (a splitmix64 mix of the base seed and the task index, see TaskSeed)
 //     and is expected to build its own energy.Meter / interpreter instances
-//     from it. Nothing about a task's inputs depends on which worker runs it
-//     or when.
+//     from it. Nothing about a task's inputs depends on which worker runs it,
+//     where, or when.
 //
 //  2. Index-ordered commit. Results are delivered to the caller in task-index
 //     order, and the optional commit callback runs on the caller's goroutine
 //     strictly in that order, as completed results become available. Any
 //     order-sensitive reduction (float summation, ledger concatenation,
 //     progress output) therefore produces bit-identical output at any worker
-//     count.
+//     count and any placement.
 //
 //  3. Sequential degeneration. Jobs == 1 runs every task inline on the
 //     calling goroutine in index order — exactly the pre-pool code path, with
 //     no goroutines, channels or scheduling involved.
 //
-// Together these make `-jobs N` a pure wall-clock knob: output, profiles and
-// Joule totals are bit-identical to the sequential run at any worker count.
+// Closures map through MapCommit and run in process. A task function that
+// must also run in worker processes is declared once as a Kind (kind.go);
+// mapping over a kind with Workers > 1 ships its tasks over the dist
+// transport (nodes.go), and with Checkpoint set records finished tasks in a
+// ledger a rerun resumes from (ledger.go). Together these make `-jobs N`
+// and `-workers N` pure wall-clock knobs: output, profiles and Joule totals
+// are bit-identical to the sequential run at any width and placement.
 package sched
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"jepo/internal/dist"
 )
 
 // TaskSeed derives the RNG seed for one task from the pool's base seed: a
@@ -54,33 +66,85 @@ type Task struct {
 	Seed  uint64 // TaskSeed(cfg.Seed, Index) — the task's private RNG stream
 }
 
-// Config parameterizes a pool run.
+// Config parameterizes a map: its width, its placement and its ledger.
+// MapCommit reads only Jobs and Seed; the rest apply to kind maps.
 type Config struct {
-	// Jobs is the worker count. <= 0 means runtime.GOMAXPROCS(0); the pool
-	// never runs more workers than there are tasks.
+	// Jobs is the in-process worker count. <= 0 means runtime.GOMAXPROCS(0);
+	// the pool never runs more workers than there are tasks.
 	Jobs int
 	// Seed is the base seed every task's private stream derives from.
 	Seed uint64
-	// Retries is how many times a failed task attempt (error or panic) is
-	// re-queued before its error stands. Retried tasks land on the retry
-	// queue, from which any idle worker steals.
-	Retries int
+	// Workers > 1 places a kind's tasks on that many worker processes (the
+	// binary re-exec'd in worker mode) instead of the in-process pool.
+	Workers int
+	// Deadline is the longest silence tolerated from a node with a task in
+	// flight; workers heartbeat at a quarter of it. 0 disables it.
+	Deadline time.Duration
+	// Checkpoint, when set, is the directory holding the map's ledger: a
+	// kind's finished tasks persist there and a rerun resumes from them.
+	Checkpoint string
+	// Spawn mints worker connections (default dist.SelfSpawner()).
+	Spawn dist.Spawner
+	// Plan, when set, wraps the transport in the chaos harness.
+	Plan *dist.FaultPlan
+	// OnEvent receives human-readable fault-path and ledger events (stderr
+	// material; never part of determinism-pinned stdout).
+	OnEvent func(string)
 }
 
-// Telemetry records what one pool run did. Timing fields are informational —
+func (c Config) say(format string, args ...any) {
+	if c.OnEvent != nil {
+		c.OnEvent(fmt.Sprintf(format, args...))
+	}
+}
+
+// ErrNoWorkers reports a map abandoned because every worker node was lost
+// with tasks still unfinished. It is the only node-caused failure; anything
+// less requeues the lost tasks and continues.
+var ErrNoWorkers = errors.New("sched: all workers gone")
+
+// Errors is the error a map returns when tasks failed: Errors[i] is task i's
+// error, nil for every task that succeeded. It reads as the lowest-index
+// failure, so a caller that wants only the first error treats it as that
+// one; a caller that must account for every task (Table IV renders each
+// failed row) unpacks it with errors.As.
+type Errors []error
+
+func (e Errors) first() error {
+	for _, err := range e {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+func (e Errors) Error() string { return e.first().Error() }
+func (e Errors) Unwrap() error { return e.first() }
+
+// Telemetry records what one map did. Timing fields are informational —
 // they vary run to run and must never feed a determinism-pinned output
 // stream; the CLIs print them to stderr.
 type Telemetry struct {
 	Jobs     int             // workers actually started
-	Tasks    int             // tasks executed
-	Attempts int             // task executions including retries
-	Steals   int             // pickups from the retry queue by idle workers
-	Panics   int             // attempts that ended in a recovered panic
+	Tasks    int             // tasks in the map
+	Attempts int             // task executions, including requeued ones
+	Steals   int             // pickups of requeued tasks
+	Panics   int             // executions that ended in a recovered panic
 	Wall     time.Duration   // run wall-clock
 	Busy     []time.Duration // per-worker time spent executing tasks
-	// Straggler is the task whose attempts consumed the most wall-clock.
+	// Straggler is the task whose executions consumed the most wall-clock.
 	StragglerIndex int
 	StragglerTime  time.Duration
+
+	// Process placement and the ledger.
+	Workers     int // worker processes requested (> 1 under process placement)
+	Replayed    int // tasks restored from the checkpoint ledger
+	Reassigned  int // tasks a node fault put back on the queue
+	Timeouts    int // nodes silent past the deadline
+	Corrupt     int // corrupt or out-of-protocol replies
+	Deaths      int // nodes lost at spawn or mid-map
+	Quarantines int // nodes removed from service
 }
 
 // Utilization is the busy fraction of the pool: Σ busy / (jobs × wall).
@@ -95,23 +159,29 @@ func (t Telemetry) Utilization() float64 {
 	return float64(busy) / (float64(t.Jobs) * float64(t.Wall))
 }
 
-// String renders the compact one-line form the CLIs log to stderr.
+// String renders the compact one-line form the CLIs log to stderr. Under
+// process placement the line adds the node counters; quarantined= is the
+// headline robustness figure, how many nodes the map survived losing.
 func (t Telemetry) String() string {
 	s := fmt.Sprintf("sched: jobs=%d tasks=%d attempts=%d steals=%d panics=%d wall=%v util=%.0f%%",
 		t.Jobs, t.Tasks, t.Attempts, t.Steals, t.Panics, t.Wall.Round(time.Millisecond), 100*t.Utilization())
 	if t.StragglerIndex >= 0 {
 		s += fmt.Sprintf(" straggler=#%d(%v)", t.StragglerIndex, t.StragglerTime.Round(time.Millisecond))
 	}
+	if t.Workers > 1 {
+		s += fmt.Sprintf(" replayed=%d reassigned=%d timeouts=%d corrupt=%d deaths=%d quarantined=%d",
+			t.Replayed, t.Reassigned, t.Timeouts, t.Corrupt, t.Deaths, t.Quarantines)
+	}
 	return s
 }
 
 // Map runs fn over every item on a bounded worker pool and returns the
-// results in item order. The first error by task index is returned (every
-// task still runs, mirroring the row-collection semantics of the table
-// generators). See MapCommit for the ordered-commit variant.
+// results in item order. Every task runs; a failed one leaves its result at
+// the zero value and the map returns Errors, read as the lowest-index
+// failure. See MapCommit for the ordered-commit variant.
 //
 // Cancelling ctx stops the pool cleanly: no new tasks are claimed, in-flight
-// attempts drain to completion (workers are never abandoned mid-task), the
+// tasks drain to completion (workers are never abandoned mid-task), the
 // committed prefix stays an exact index prefix, and ctx.Err() is returned.
 func Map[T, R any](ctx context.Context, cfg Config, items []T, fn func(Task, T) (R, error)) ([]R, Telemetry, error) {
 	return MapCommit(ctx, cfg, items, fn, nil)
@@ -123,144 +193,201 @@ func Map[T, R any](ctx context.Context, cfg Config, items []T, fn func(Task, T) 
 // Joules, concatenating Health ledgers, emitting output — that must be
 // bit-identical at any worker count.
 func MapCommit[T, R any](ctx context.Context, cfg Config, items []T, fn func(Task, T) (R, error), commit func(Task, R)) ([]R, Telemetry, error) {
-	if ctx == nil {
-		ctx = context.Background()
+	results := make([]R, len(items))
+	run := func(_ int, t Task) error {
+		r, err := fn(t, items[t.Index])
+		if err == nil {
+			results[t.Index] = r
+		}
+		return err
 	}
-	n := len(items)
-	jobs := cfg.Jobs
+	tel, err := execute(ctx, cfg.Seed, len(items), nil, pool(cfg.Jobs, len(items), run),
+		func(t Task) {
+			if commit != nil {
+				commit(t, results[t.Index])
+			}
+		})
+	return results, tel, err
+}
+
+// placement runs one task on one worker. run returns nil when the task
+// finished, the task's own error when it failed (final: tasks are pure, so
+// a rerun would fail the same way), or a *nodeFault when the worker's node
+// failed it — the task then goes back on the queue, charged nothing.
+type placement struct {
+	width int
+	nodes bool // worker processes: never inline, and a lost node ends its worker
+	run   func(w int, t Task) error
+}
+
+// pool is the in-process placement: width workers calling run directly.
+func pool(jobs, tasks int, run func(w int, t Task) error) placement {
 	if jobs <= 0 {
 		jobs = runtime.GOMAXPROCS(0)
 	}
-	if jobs > n {
-		jobs = n
+	return placement{width: max(1, min(jobs, tasks)), run: run}
+}
+
+// nodeFault is a placement's report that a task did not finish because of
+// its node, not itself. gone says the node left service with it.
+type nodeFault struct{ gone bool }
+
+func (f *nodeFault) Error() string { return "sched: node fault" }
+
+// execute is the one executor loop behind every map. It claims tasks —
+// requeued ones first, then fresh indices, skipping those a ledger already
+// holds — runs each through the placement, puts back the ones a node fault
+// returns, commits finished tasks in index order on the caller's goroutine,
+// and stops claiming on cancellation. Width 1 in process is the plain
+// inline loop. It returns ctx.Err() when cancelled, ErrNoWorkers when every
+// node is gone with tasks left, and Errors when tasks failed.
+func execute(ctx context.Context, seed uint64, n int, skip []bool, p placement, commit func(Task)) (Telemetry, error) {
+	if ctx == nil {
+		ctx = context.Background()
 	}
-	if jobs < 1 {
-		jobs = 1
-	}
-	tel := Telemetry{Jobs: jobs, Tasks: n, Busy: make([]time.Duration, jobs), StragglerIndex: -1}
-	results := make([]R, n)
-	errs := make([]error, n)
+	tel := Telemetry{Jobs: p.width, Tasks: n, Busy: make([]time.Duration, p.width), StragglerIndex: -1}
 	if n == 0 {
-		return results, tel, nil
+		return tel, nil
 	}
 	start := time.Now()
+	task := func(i int) Task { return Task{Index: i, Seed: TaskSeed(seed, i)} }
+	skipped := func(i int) bool { return skip != nil && skip[i] }
+	errs := make([]error, n)
+	taskNS := make([]atomic.Int64, n) // Σ execution time per task
+	var panics atomic.Int64
 
-	// attempt executes one try of a task, converting panics into errors so a
-	// poisoned task costs its retries, never the pool.
-	attempt := func(task Task, panics *int64) (err error) {
+	// attempt runs one task, turning a panic into the task's error: a
+	// poisoned task fails itself, never its worker.
+	attempt := func(w, i int) (err error) {
+		t0 := time.Now()
 		defer func() {
 			if r := recover(); r != nil {
-				atomic.AddInt64(panics, 1)
-				err = fmt.Errorf("sched: task %d panicked: %v", task.Index, r)
+				panics.Add(1)
+				err = panicked(i, r)
 			}
+			d := time.Since(t0)
+			tel.Busy[w] += d // each worker owns its slot
+			taskNS[i].Add(int64(d))
 		}()
-		r, err := fn(task, items[task.Index])
-		if err != nil {
-			return err
-		}
-		results[task.Index] = r
-		return nil
+		return p.run(w, task(i))
 	}
 
-	var panics int64
-	taskTime := make([]time.Duration, n) // Σ attempt durations per task
-	cancelled := false
-
-	if jobs == 1 {
+	completed := 0 // index prefix the commit loop got through
+	if p.width == 1 && !p.nodes {
 		// Sequential degeneration: inline, in index order, commit after each
-		// task — today's single-goroutine code path exactly. A cancelled
-		// context stops before the next task; the finished prefix stands.
-		for i := range items {
-			if ctx.Err() != nil {
-				cancelled = true
-				break
-			}
-			task := Task{Index: i, Seed: TaskSeed(cfg.Seed, i)}
-			t0 := time.Now()
-			for try := 0; ; try++ {
-				tel.Attempts++
-				if errs[i] = attempt(task, &panics); errs[i] == nil || try >= cfg.Retries {
+		// task. A cancelled context stops before the next task; the finished
+		// prefix stands.
+		for ; completed < n; completed++ {
+			i := completed
+			if !skipped(i) {
+				if ctx.Err() != nil {
 					break
 				}
+				tel.Attempts++
+				if errs[i] = attempt(0, i); errs[i] != nil {
+					continue
+				}
 			}
-			taskTime[i] = time.Since(t0)
-			tel.Busy[0] += taskTime[i]
-			if errs[i] == nil && commit != nil {
-				commit(task, results[i])
-			}
+			commit(task(i))
 		}
 	} else {
-		type job struct {
-			task Task
-			try  int
-		}
 		var (
-			next      int64 = -1
-			completed int64
-			attempts  int64
-			steals    int64
+			mu       sync.Mutex
+			wake     = sync.NewCond(&mu)
+			next     int   // next fresh index to claim
+			queue    []int // tasks a node fault put back
+			pending  int   // tasks not yet final
+			live     = p.width
+			attempts int
+			steals   int
 		)
-		retryq := make(chan job, n)
 		done := make([]chan struct{}, n)
 		for i := range done {
 			done[i] = make(chan struct{})
+			if skipped(i) {
+				close(done[i])
+			} else {
+				pending++
+			}
 		}
-		finished := make(chan struct{})
-		busyNS := make([]int64, jobs)
-		taskNS := make([]int64, n)
+		// gone closes when the last worker leaves with tasks unfinished —
+		// every node lost, or the claim loop stopped by cancellation.
+		gone := make(chan struct{})
+		if live == 0 && pending > 0 {
+			close(gone)
+		}
+		stop := context.AfterFunc(ctx, func() {
+			mu.Lock()
+			wake.Broadcast()
+			mu.Unlock()
+		})
+		defer stop()
 
-		exec := func(w int, j job) {
-			t0 := time.Now()
-			atomic.AddInt64(&attempts, 1)
-			err := attempt(j.task, &panics)
-			d := int64(time.Since(t0))
-			busyNS[w] += d
-			atomic.AddInt64(&taskNS[j.task.Index], d)
-			if err != nil && j.try < cfg.Retries {
-				retryq <- job{task: j.task, try: j.try + 1}
-				return
+		// claim hands out the next task, waiting while every remaining task
+		// is in flight elsewhere (a node fault may still put one back).
+		claim := func() (int, bool) {
+			mu.Lock()
+			defer mu.Unlock()
+			for ctx.Err() == nil {
+				if len(queue) > 0 {
+					i := queue[0]
+					queue = queue[1:]
+					attempts++
+					steals++
+					return i, true
+				}
+				for next < n && skipped(next) {
+					next++
+				}
+				if next < n {
+					next++
+					attempts++
+					return next - 1, true
+				}
+				if pending == 0 {
+					break
+				}
+				wake.Wait()
 			}
-			errs[j.task.Index] = err
-			close(done[j.task.Index])
-			if atomic.AddInt64(&completed, 1) == int64(n) {
-				close(finished)
-			}
+			return 0, false
 		}
 		var workers sync.WaitGroup
-		for w := 0; w < jobs; w++ {
+		for w := 0; w < p.width; w++ {
 			workers.Add(1)
 			go func(w int) {
 				defer workers.Done()
+				defer func() {
+					mu.Lock()
+					if live--; live == 0 && pending > 0 {
+						close(gone)
+					}
+					mu.Unlock()
+				}()
 				for {
-					// A cancelled context stops the claim loop: nothing new
-					// is picked up, and the worker exits once its in-flight
-					// attempt (if any) has already completed.
-					if ctx.Err() != nil {
+					i, ok := claim()
+					if !ok {
 						return
 					}
-					// Idle workers steal queued retries before claiming
-					// fresh indices, so a flaky early task re-runs while the
-					// tail is still being dispatched.
-					select {
-					case j := <-retryq:
-						atomic.AddInt64(&steals, 1)
-						exec(w, j)
-						continue
-					default:
-					}
-					if i := atomic.AddInt64(&next, 1); int(i) < n {
-						exec(w, job{task: Task{Index: int(i), Seed: TaskSeed(cfg.Seed, int(i))}})
+					err := attempt(w, i)
+					var fault *nodeFault
+					if errors.As(err, &fault) {
+						mu.Lock()
+						queue = append(queue, i)
+						tel.Reassigned++
+						wake.Broadcast()
+						mu.Unlock()
+						if fault.gone {
+							return
+						}
 						continue
 					}
-					select {
-					case j := <-retryq:
-						atomic.AddInt64(&steals, 1)
-						exec(w, j)
-					case <-finished:
-						return
-					case <-ctx.Done():
-						return
+					errs[i] = err
+					close(done[i])
+					mu.Lock()
+					if pending--; pending == 0 {
+						wake.Broadcast()
 					}
+					mu.Unlock()
 				}
 			}(w)
 		}
@@ -268,47 +395,52 @@ func MapCommit[T, R any](ctx context.Context, cfg Config, items []T, fn func(Tas
 		// may already be done, but it is not committed before task i's. On
 		// cancellation the loop stops committing immediately — the committed
 		// set stays an exact prefix — and falls through to the drain.
-		for i := 0; i < n && !cancelled; i++ {
+	commitLoop:
+		for ; completed < n; completed++ {
+			i := completed
 			select {
 			case <-done[i]:
-				if errs[i] == nil && commit != nil {
-					commit(Task{Index: i, Seed: TaskSeed(cfg.Seed, i)}, results[i])
-				}
 			case <-ctx.Done():
-				cancelled = true
+				break commitLoop
+			case <-gone:
+				select {
+				case <-done[i]:
+				default:
+					break commitLoop
+				}
+			}
+			if errs[i] == nil {
+				commit(task(i))
 			}
 		}
 		// Drain: every worker has either returned or is finishing its last
-		// attempt. Waiting here (instead of on `finished`, which never closes
-		// on a cancelled run) guarantees no goroutine outlives the call and
+		// task. Waiting here guarantees no goroutine outlives the call and
 		// the busy ledgers below are safely published.
 		workers.Wait()
-		tel.Attempts = int(attempts)
-		tel.Steals = int(steals)
-		for w := range busyNS {
-			tel.Busy[w] = time.Duration(busyNS[w])
-		}
-		for i := range taskNS {
-			taskTime[i] = time.Duration(taskNS[i])
-		}
+		tel.Attempts, tel.Steals = attempts, steals
 	}
 
-	tel.Panics = int(panics)
+	tel.Panics = int(panics.Load())
 	tel.Wall = time.Since(start)
-	for i, d := range taskTime {
-		if d > tel.StragglerTime {
+	for i := range taskNS {
+		if d := time.Duration(taskNS[i].Load()); d > tel.StragglerTime {
 			tel.StragglerIndex, tel.StragglerTime = i, d
 		}
 	}
-	if cancelled {
-		return results, tel, ctx.Err()
+	switch {
+	case completed < n && ctx.Err() != nil:
+		return tel, ctx.Err()
+	case completed < n:
+		return tel, fmt.Errorf("%w: %d of %d tasks unfinished", ErrNoWorkers, n-completed, n)
 	}
-	var firstErr error
-	for _, err := range errs {
-		if err != nil {
-			firstErr = err
-			break
-		}
+	if Errors(errs).first() != nil {
+		return tel, Errors(errs)
 	}
-	return results, tel, firstErr
+	return tel, nil
+}
+
+// panicked renders a recovered task panic as the task's error, in every
+// placement the same words.
+func panicked(index int, r any) error {
+	return fmt.Errorf("sched: task %d panicked: %v", index, r)
 }

@@ -157,54 +157,6 @@ func TestMapPanicBecomesError(t *testing.T) {
 	}
 }
 
-// TestMapRetryQueue checks the retry path: a task that fails on its first
-// attempts is re-queued and eventually succeeds, the ledger counts the extra
-// attempts, and under a multi-worker pool the pickups register as steals.
-func TestMapRetryQueue(t *testing.T) {
-	items := make([]int, 12)
-	for _, jobs := range []int{1, 4} {
-		attempts := make([]int32, len(items))
-		got, tel, err := Map(context.Background(), Config{Jobs: jobs, Retries: 2}, items, func(task Task, _ int) (int, error) {
-			attempts[task.Index]++
-			// Tasks 1 and 5 fail twice before succeeding; the rest pass.
-			if (task.Index == 1 || task.Index == 5) && attempts[task.Index] <= 2 {
-				return 0, errors.New("transient")
-			}
-			return task.Index, nil
-		})
-		if err != nil {
-			t.Fatalf("jobs=%d: %v", jobs, err)
-		}
-		for i, v := range got {
-			if v != i {
-				t.Errorf("jobs=%d: result[%d] = %d", jobs, i, v)
-			}
-		}
-		if want := len(items) + 4; tel.Attempts != want {
-			t.Errorf("jobs=%d: attempts = %d, want %d", jobs, tel.Attempts, want)
-		}
-		if jobs > 1 && tel.Steals != 4 {
-			t.Errorf("jobs=%d: steals = %d, want 4 retry pickups", jobs, tel.Steals)
-		}
-	}
-}
-
-func TestMapRetriesExhausted(t *testing.T) {
-	items := make([]int, 3)
-	_, tel, err := Map(context.Background(), Config{Jobs: 2, Retries: 3}, items, func(task Task, _ int) (int, error) {
-		if task.Index == 1 {
-			return 0, errors.New("always down")
-		}
-		return 0, nil
-	})
-	if err == nil || !strings.Contains(err.Error(), "always down") {
-		t.Fatalf("err = %v, want exhausted-retries failure", err)
-	}
-	if want := 2 + 4; tel.Attempts != want { // 2 clean tasks + 1 initial + 3 retries
-		t.Errorf("attempts = %d, want %d", tel.Attempts, want)
-	}
-}
-
 func TestMapEmptyAndTelemetryRender(t *testing.T) {
 	got, tel, err := Map(context.Background(), Config{Jobs: 4}, nil, func(Task, struct{}) (int, error) { return 0, nil })
 	if err != nil || len(got) != 0 {

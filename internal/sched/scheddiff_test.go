@@ -10,8 +10,7 @@
 // the source's Health ledger. The merged results — per-task records, the
 // index-ordered commit ledger, and the accumulated Health tally — must be
 // identical at every worker count, including rounds where permanent faults
-// kill sources mid-run and rounds where tasks fail their first attempt and
-// travel through the retry queue.
+// kill sources mid-run.
 package sched_test
 
 import (
@@ -19,7 +18,6 @@ import (
 	"fmt"
 	"math"
 	"reflect"
-	"sync/atomic"
 	"testing"
 
 	"jepo/internal/rapl"
@@ -101,9 +99,7 @@ type diffLedger struct {
 }
 
 // TestSchedDifferentialFuzz runs 48 rounds of the sequential-vs-parallel
-// comparison. Each round also marks a deterministic subset of tasks to fail
-// their first attempt, so the retry queue (and its steal path) is part of
-// every comparison rather than a separate code path.
+// comparison.
 func TestSchedDifferentialFuzz(t *testing.T) {
 	const master = uint64(20200518)
 	const rounds = 48
@@ -121,16 +117,12 @@ func TestSchedDifferentialFuzz(t *testing.T) {
 		workerSets := []int{2, 3, 1 + int(diffMix(r^4)%8)}
 
 		run := func(jobs int) ([]diffResult, diffLedger, sched.Telemetry) {
-			tries := make([]int32, tasks)
 			var ledger diffLedger
 			out, tel, err := sched.MapCommit(
 				context.Background(),
-				sched.Config{Jobs: jobs, Seed: r, Retries: 2},
+				sched.Config{Jobs: jobs, Seed: r},
 				make([]struct{}, tasks),
 				func(task sched.Task, _ struct{}) (diffResult, error) {
-					if task.Seed%5 == 0 && atomic.AddInt32(&tries[task.Index], 1) == 1 {
-						return diffResult{}, fmt.Errorf("induced first-attempt failure")
-					}
 					return diffMeasure(task.Seed, snaps, rates), nil
 				},
 				func(task sched.Task, res diffResult) {

@@ -2,7 +2,7 @@
 // through these helpers, so "byte-identical to the CLI" holds by
 // construction: there is exactly one function that turns an analysis report
 // (or a table) into user-facing bytes, and both surfaces call it. Anything
-// timing-dependent — pool telemetry, cache statistics, dispatch ledgers —
+// timing-dependent — pool telemetry, cache statistics —
 // is excluded here and travels as progress events or stderr instead.
 package service
 
@@ -13,8 +13,7 @@ import (
 
 	"jepo/internal/core"
 	"jepo/internal/jmetrics"
-	"jepo/internal/refactor"
-	"jepo/internal/suggest"
+	"jepo/internal/passes"
 	"jepo/internal/tables"
 )
 
@@ -32,7 +31,7 @@ func RenderAnalyze(rep *core.AnalysisReport) string {
 // (The CLI historically iterated the project map directly; map iteration
 // order is random, so sorted order is the only form both surfaces can agree
 // on byte-for-byte.)
-func RenderOptimize(refactored core.Project, res *refactor.Result) string {
+func RenderOptimize(refactored core.Project, res *passes.Result) string {
 	var sb strings.Builder
 	sb.WriteString(RenderOptimizeSummary(res))
 	paths := make([]string, 0, len(refactored))
@@ -47,10 +46,10 @@ func RenderOptimize(refactored core.Project, res *refactor.Result) string {
 }
 
 // RenderOptimizeSummary is the change-count block alone (`jepo optimize -dry`).
-func RenderOptimizeSummary(res *refactor.Result) string {
+func RenderOptimizeSummary(res *passes.Result) string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "applied %d change(s):\n", res.Changes)
-	for _, r := range suggest.AllRules() {
+	for _, r := range passes.AllRules() {
 		if n := res.ByRule[r]; n > 0 {
 			fmt.Fprintf(&sb, "  %-30s %d\n", r.Component(), n)
 		}

@@ -11,7 +11,7 @@ import (
 	"jepo/internal/engine"
 	"jepo/internal/minijava/ast"
 	"jepo/internal/minijava/interp"
-	"jepo/internal/refactor"
+	"jepo/internal/passes"
 	"jepo/internal/stats"
 )
 
@@ -88,7 +88,8 @@ func Ablate(ctx context.Context, cfg AblationConfig) ([]AblationRow, error) {
 	if err != nil {
 		return nil, err
 	}
-	refactor.Apply([]*ast.File{refd})
+	kernel := []*ast.File{refd}
+	passes.ApplyFixes(kernel, passes.AnalyzeFiles(kernel))
 
 	data := airlines.Generate(cfg.Instances, cfg.Seed)
 	feats, labels := kernelData(data)

@@ -8,34 +8,32 @@ import (
 
 	"jepo/internal/dist"
 	"jepo/internal/minijava/interp"
+	"jepo/internal/sched"
 )
 
+// goldenKind runs one golden battery case; the battery is the kind's setup,
+// built once per map and once per worker.
+var goldenKind = sched.NewSetupKind("golden",
+	func(engine interp.Engine) ([]goldenCase, error) { return goldenCases(engine, 1) },
+	func(_ context.Context, t sched.Task, cases []goldenCase) (goldenRecord, error) {
+		if t.Index < 0 || t.Index >= len(cases) {
+			return goldenRecord{}, fmt.Errorf("case %d out of range", t.Index)
+		}
+		return cases[t.Index].run()
+	})
+
 // TestGoldenEnergyDistWorkers runs the golden energy battery through the
-// fault-tolerant dispatcher against the same golden file: every record —
+// executor's process placement against the same golden file: every record —
 // charge bits, op counts, program output — must survive the JSON worker
-// protocol and a mid-campaign worker kill untouched. This is the
-// distributed half of the parallel-determinism acceptance gate that
-// TestGoldenEnergySchedJobs pins for the in-process pool.
+// protocol and a mid-map worker kill untouched. This is the process half of
+// the parallel-determinism acceptance gate that TestGoldenEnergySchedJobs
+// pins for the in-process pool.
 func TestGoldenEnergyDistWorkers(t *testing.T) {
 	if *updateGolden {
 		t.Skip("golden file is regenerated by TestGoldenEnergyDeterminism")
 	}
 	want := readGolden(t)
-	cases, err := goldenCases(interp.EngineVM, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The battery cases are closures, so the registry is test-local and the
-	// workers are in-process pipe workers sharing it; the results still ride
-	// the full JSON task/result protocol.
-	reg := dist.NewRegistry()
-	dist.RegisterFunc(reg, "golden", func(task dist.Task, _ struct{}) (goldenRecord, error) {
-		if task.Index < 0 || task.Index >= len(cases) {
-			return goldenRecord{}, fmt.Errorf("case %d out of range", task.Index)
-		}
-		return cases[task.Index].run()
-	})
-
+	n := len(want)
 	for _, tc := range []struct {
 		workers int
 		plan    *dist.FaultPlan
@@ -44,22 +42,23 @@ func TestGoldenEnergyDistWorkers(t *testing.T) {
 		{4, &dist.FaultPlan{Script: map[int]map[int]dist.FaultKind{2: {1: dist.FaultKill}}}},
 	} {
 		t.Run(fmt.Sprintf("workers=%d", tc.workers), func(t *testing.T) {
-			cfg := dist.Config{
-				Workers:   tc.workers,
-				Seed:      20200518,
-				Retries:   2,
-				Deadline:  30 * time.Second,
-				Heartbeat: 25 * time.Millisecond,
-				Spawn:     dist.PipeSpawner(reg),
-				Plan:      tc.plan,
+			// The workers are in-process pipe workers; the records still
+			// ride the full JSON task/result protocol.
+			cfg := sched.Config{
+				Jobs:     1,
+				Workers:  tc.workers,
+				Seed:     20200518,
+				Deadline: 30 * time.Second,
+				Spawn:    dist.PipeSpawner(sched.Handle),
+				Plan:     tc.plan,
 			}
-			got, rep, err := dist.Map[struct{}, goldenRecord](context.Background(), cfg, reg, "golden", struct{}{}, len(cases), nil)
+			got, tel, err := goldenKind.Map(context.Background(), cfg, interp.EngineVM, n, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
 			compareGolden(t, want, got)
-			if tc.plan != nil && rep.Quarantines != 1 {
-				t.Errorf("expected the killed worker quarantined: %s", rep.String())
+			if tc.plan != nil && tel.Quarantines != 1 {
+				t.Errorf("expected the killed worker quarantined: %s", tel)
 			}
 		})
 	}

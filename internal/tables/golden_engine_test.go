@@ -9,7 +9,7 @@ import (
 	cache "jepo/internal/engine"
 	"jepo/internal/minijava/ast"
 	"jepo/internal/minijava/interp"
-	"jepo/internal/refactor"
+	"jepo/internal/passes"
 )
 
 // TestGoldenEnergyEngineCache is the tentpole acceptance gate in test form:
@@ -78,7 +78,8 @@ func TestGoldenEnergyEngineCache(t *testing.T) {
 			if err != nil {
 				return nil, err
 			}
-			refactor.Apply([]*ast.File{kernel})
+			files := []*ast.File{kernel}
+			passes.ApplyFixes(files, passes.AnalyzeFiles(files))
 			// Memoized on the refactored print — identity only; the build
 			// loads the live AST.
 			k := cache.NewKey("test/refactored-kernel").Str(ast.Print(kernel)).Key()

@@ -18,7 +18,7 @@ import (
 	"jepo/internal/minijava/ast"
 	"jepo/internal/minijava/interp"
 	"jepo/internal/minijava/parser"
-	"jepo/internal/refactor"
+	"jepo/internal/passes"
 	"jepo/internal/sched"
 )
 
@@ -142,7 +142,8 @@ func goldenCases(engine interp.Engine, runs int) ([]goldenCase, error) {
 				return nil, err
 			}
 			if refactored {
-				refactor.Apply([]*ast.File{kernel})
+				files := []*ast.File{kernel}
+				passes.ApplyFixes(files, passes.AnalyzeFiles(files))
 			}
 			return interp.Load(kernel)
 		}

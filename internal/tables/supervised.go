@@ -1,35 +1,28 @@
-// Supervised Table IV runner. The plain Table4 aborts the whole regeneration
-// on the first failing classifier; under real measurement conditions one bad
-// row must not kill a run that has already spent minutes measuring the other
-// nine. Table4Supervised runs every classifier under its own supervisor —
-// panic recovery, optional deadline — turns failures into per-row error
-// entries, and checkpoints completed rows so an interrupted run resumes
-// without re-measuring.
+// Supervised Table IV runner. Under real measurement conditions one bad row
+// must not kill a run that has already spent minutes measuring the other
+// nine, so every classifier runs under its own supervisor — panic recovery,
+// optional deadline — and a failed row is a task error to the executor:
+// never recorded in a checkpoint ledger, so a resumed run re-attempts
+// exactly the failures, and rendered as a failure entry in the table.
 package tables
 
 import (
 	"context"
-	"encoding/json"
+	"errors"
 	"fmt"
-	"os"
-	"path/filepath"
 	"sync"
 	"time"
 
 	"jepo/internal/airlines"
 	"jepo/internal/corpus"
 	"jepo/internal/dataset"
-	"jepo/internal/dist"
 	"jepo/internal/sched"
 )
 
-// Table4Runner is the per-row face of the supervised Table IV pipeline:
-// the shared inputs (generated data, normalized kernel features) computed
-// once, plus a Row method that runs one classifier under full supervision.
-// It exists so row execution can be hosted anywhere — the sched pool here,
-// or a dist worker process, which memoizes one runner per campaign and
-// serves rows from it.
-type Table4Runner struct {
+// table4Inputs is what every Table IV row shares: the generated airlines
+// data and the normalized kernel features, built once per map in process
+// and once per worker process.
+type table4Inputs struct {
 	cfg    Table4Config
 	data   *dataset.Dataset
 	feats  [][]float64
@@ -37,69 +30,59 @@ type Table4Runner struct {
 	sayMu  sync.Mutex
 }
 
-// NewTable4Runner prepares the shared inputs and the checkpoint directory.
-func NewTable4Runner(cfg Table4Config) (*Table4Runner, error) {
-	if cfg.CheckpointDir != "" {
-		if err := os.MkdirAll(cfg.CheckpointDir, 0o755); err != nil {
-			return nil, fmt.Errorf("tables: checkpoint dir: %w", err)
-		}
-	}
+func newTable4Inputs(cfg Table4Config) (*table4Inputs, error) {
 	data := airlines.Generate(cfg.Instances, cfg.Seed)
 	feats, labels := kernelData(data)
-	return &Table4Runner{cfg: cfg, data: data, feats: feats, labels: labels}, nil
+	return &table4Inputs{cfg: cfg, data: data, feats: feats, labels: labels}, nil
 }
 
-func (r *Table4Runner) say(format string, args ...any) {
-	if r.cfg.Progress != nil {
-		r.sayMu.Lock()
-		r.cfg.Progress(fmt.Sprintf(format, args...))
-		r.sayMu.Unlock()
+func (in *table4Inputs) say(format string, args ...any) {
+	if in.cfg.Progress != nil {
+		in.sayMu.Lock()
+		in.cfg.Progress(fmt.Sprintf(format, args...))
+		in.sayMu.Unlock()
 	}
 }
 
-// Row runs one classifier's supervised pipeline: a valid checkpointed row
-// is returned without re-measuring, a freshly measured successful row is
-// persisted (atomically), and every failure mode — error, panic, deadline
-// — comes back as a row with Err set, never as an error. Rows are
-// independent and Row is goroutine-safe.
-func (r *Table4Runner) Row(ctx context.Context, name string) Table4Row {
-	if row, ok := loadCheckpoint(r.cfg.CheckpointDir, name); ok {
-		r.say("%s: resumed from checkpoint", name)
-		return row
-	}
-	row := superviseRow(ctx, name, r.data, r.feats, r.labels, r.cfg, r.say)
-	if row.Err == "" {
-		if err := saveCheckpoint(r.cfg.CheckpointDir, row); err != nil {
-			r.say("%s: checkpoint not written: %v", name, err)
+// table4Kind runs one classifier's supervised pipeline; every failure mode
+// — error, panic, deadline — comes back as the task's error.
+var table4Kind = sched.NewSetupKind("table4row", newTable4Inputs,
+	func(ctx context.Context, t sched.Task, in *table4Inputs) (Table4Row, error) {
+		if t.Index < 0 || t.Index >= len(corpus.Classifiers) {
+			return Table4Row{}, fmt.Errorf("tables: table 4 row %d out of range", t.Index)
 		}
-	}
-	return row
+		return superviseRow(ctx, corpus.Classifiers[t.Index], in)
+	})
+
+// Table4Supervised runs the full §VIII validation in process, Slots rows
+// at a time. Every classifier produces a row: successful rows carry
+// measurements, failed ones carry Err. The returned error covers
+// infrastructure problems only (cancellation), never a row failure.
+func Table4Supervised(ctx context.Context, cfg Table4Config) ([]Table4Row, error) {
+	rows, _, err := Table4Map(ctx, sched.Config{Jobs: cfg.Slots, Seed: cfg.Seed}, cfg)
+	return rows, err
 }
 
-// Table4Supervised runs the full §VIII validation with per-row supervision.
-// Every classifier produces a row: successful rows carry measurements,
-// failed ones carry Err. The returned error covers infrastructure problems
-// only (an unusable checkpoint directory), never a row failure.
-func Table4Supervised(ctx context.Context, cfg Table4Config) ([]Table4Row, error) {
-	runner, err := NewTable4Runner(cfg)
-	if err != nil {
-		return nil, err
-	}
-	// Rows run on the sched pool under the same supervision semantics as
-	// before: superviseRow converts every failure mode (error, panic,
-	// deadline) into a row with Err set, so the pool's fn never errors and
-	// every classifier always yields a row, committed in paper order.
-	rows, tel, err := sched.Map(ctx, sched.Config{Jobs: cfg.Slots, Seed: cfg.Seed}, corpus.Classifiers,
-		func(_ sched.Task, name string) (Table4Row, error) {
-			return runner.Row(ctx, name), nil
-		})
-	if cfg.OnTelemetry != nil {
-		cfg.OnTelemetry(tel)
+// Table4Map runs the supervised Table IV at the placement ex names, one
+// row per classifier in paper order, failed rows carrying Err. With
+// ex.Checkpoint set, rows a previous run finished are replayed from its
+// ledger. The returned error covers infrastructure only: cancellation, an
+// unusable checkpoint directory, or every worker node lost.
+func Table4Map(ctx context.Context, ex sched.Config, cfg Table4Config) ([]Table4Row, sched.Telemetry, error) {
+	rows, tel, err := table4Kind.Map(ctx, ex, cfg, len(corpus.Classifiers), nil)
+	var failed sched.Errors
+	if errors.As(err, &failed) {
+		for i, ferr := range failed {
+			if ferr != nil {
+				rows[i] = Table4Row{Classifier: corpus.Classifiers[i], Err: ferr.Error()}
+			}
+		}
+		err = nil
 	}
 	if err != nil {
-		return nil, err
+		return nil, tel, err
 	}
-	return rows, nil
+	return rows, tel, nil
 }
 
 // FailedRows filters the rows the supervised runner could not measure.
@@ -117,7 +100,8 @@ func FailedRows(rows []Table4Row) []Table4Row {
 // by panic recovery and the configured deadline. A timed-out pipeline is
 // abandoned (its goroutine drains into a buffered channel); the row reports
 // the deadline instead of blocking the run.
-func superviseRow(ctx context.Context, name string, data *dataset.Dataset, feats [][]float64, labels []int64, cfg Table4Config, say func(string, ...any)) Table4Row {
+func superviseRow(ctx context.Context, name string, in *table4Inputs) (Table4Row, error) {
+	cfg := in.cfg
 	type outcome struct {
 		row Table4Row
 		err error
@@ -135,7 +119,7 @@ func superviseRow(ctx context.Context, name string, data *dataset.Dataset, feats
 				return
 			}
 		}
-		row, err := table4Row(ctx, name, data, feats, labels, cfg, say)
+		row, err := table4Row(ctx, name, in.data, in.feats, in.labels, cfg, in.say)
 		done <- outcome{row: row, err: err}
 	}()
 
@@ -148,49 +132,11 @@ func superviseRow(ctx context.Context, name string, data *dataset.Dataset, feats
 	select {
 	case out := <-done:
 		if out.err != nil {
-			say("%s: FAILED: %v", name, out.err)
-			return Table4Row{Classifier: name, Err: out.err.Error()}
+			in.say("%s: FAILED: %v", name, out.err)
 		}
-		return out.row
+		return out.row, out.err
 	case <-deadline:
-		say("%s: deadline %v exceeded; row abandoned", name, cfg.RowTimeout)
-		return Table4Row{Classifier: name, Err: fmt.Sprintf("deadline exceeded (%v)", cfg.RowTimeout)}
+		in.say("%s: deadline %v exceeded; row abandoned", name, cfg.RowTimeout)
+		return Table4Row{}, fmt.Errorf("deadline exceeded (%v)", cfg.RowTimeout)
 	}
-}
-
-// checkpointPath names one classifier's persisted row.
-func checkpointPath(dir, name string) string {
-	return filepath.Join(dir, name+".json")
-}
-
-// loadCheckpoint restores a previously completed row. Corrupt or mismatched
-// files are ignored — the row is simply re-measured.
-func loadCheckpoint(dir, name string) (Table4Row, bool) {
-	if dir == "" {
-		return Table4Row{}, false
-	}
-	blob, err := os.ReadFile(checkpointPath(dir, name))
-	if err != nil {
-		return Table4Row{}, false
-	}
-	var row Table4Row
-	if err := json.Unmarshal(blob, &row); err != nil || row.Classifier != name || row.Err != "" {
-		return Table4Row{}, false
-	}
-	return row, true
-}
-
-// saveCheckpoint persists a completed row. Only successful rows are written,
-// so a rerun retries exactly the failures. The write is atomic (temp file +
-// rename): a worker or process death mid-write leaves the previous bytes —
-// or no file — never a truncated checkpoint that would poison resume.
-func saveCheckpoint(dir string, row Table4Row) error {
-	if dir == "" {
-		return nil
-	}
-	blob, err := json.MarshalIndent(row, "", "  ")
-	if err != nil {
-		return err
-	}
-	return dist.AtomicWriteFile(checkpointPath(dir, row.Classifier), append(blob, '\n'), 0o644)
 }

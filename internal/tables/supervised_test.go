@@ -2,57 +2,139 @@ package tables
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"jepo/internal/corpus"
+	"jepo/internal/dist"
+	"jepo/internal/engine"
+	"jepo/internal/sched"
 )
 
-// fakeRow builds a plausible completed measurement for checkpoint fixtures.
-func fakeRow(name string) Table4Row {
+// fakeRow builds a plausible completed measurement for a classifier; the
+// seed shifts it, so rows of different configurations never compare equal.
+func fakeRow(name string, seed uint64) Table4Row {
 	return Table4Row{
 		Classifier:  name,
 		Changes:     700 + len(name),
-		PackagePct:  3.5,
+		PackagePct:  3.5 + float64(seed%7),
 		CPUPct:      3.1,
 		TimePct:     2.8,
 		AccuracyPct: 0.2,
 	}
 }
 
+// fakeStore returns an artifact store that answers the named classifiers'
+// rows under cfg with fakeRow, so supervision and resume tests never run a
+// real pipeline, and answers the poisoned ones with a value that is not a
+// row: their pipeline panics on the type assertion, a row failure that —
+// unlike RowHook — also strikes inside worker processes sharing the store.
+func fakeStore(cfg Table4Config, fake, poisoned []string) *engine.Engine {
+	eng := engine.New(engine.Config{})
+	for _, name := range fake {
+		row := fakeRow(name, cfg.Seed)
+		eng.Memo(table4RowKey(name, cfg), func() (any, error) { return row, nil })
+	}
+	for _, name := range poisoned {
+		eng.Memo(table4RowKey(name, cfg), func() (any, error) { return "poison", nil })
+	}
+	return eng
+}
+
+// without lists the classifiers not named.
+func without(names ...string) []string {
+	var out []string
+	for _, c := range corpus.Classifiers {
+		if !contains(names, c) {
+			out = append(out, c)
+		}
+	}
+	return out
+}
+
+func contains(names []string, name string) bool {
+	for _, n := range names {
+		if n == name {
+			return true
+		}
+	}
+	return false
+}
+
+// ledgerRows reads the Table IV ledger in dir: recorded rows by classifier.
+func ledgerRows(t *testing.T, dir string) map[string]Table4Row {
+	t.Helper()
+	blob, err := os.ReadFile(filepath.Join(dir, "table4row.json"))
+	if err != nil {
+		t.Fatalf("no Table IV ledger: %v", err)
+	}
+	var doc struct {
+		Done map[string]Table4Row `json:"done"`
+	}
+	if err := json.Unmarshal(blob, &doc); err != nil {
+		t.Fatal(err)
+	}
+	out := map[string]Table4Row{}
+	for key, row := range doc.Done {
+		i, err := strconv.Atoi(key)
+		if err != nil || corpus.Classifiers[i] != row.Classifier {
+			t.Fatalf("ledger entry %s holds %s", key, row.Classifier)
+		}
+		out[row.Classifier] = row
+	}
+	return out
+}
+
+// attempts records which classifiers reach the row supervisor's hook.
+type attempts struct {
+	mu    sync.Mutex
+	names []string
+}
+
+func (a *attempts) hook(fail func(name string) error) func(string) error {
+	return func(name string) error {
+		a.mu.Lock()
+		a.names = append(a.names, name)
+		a.mu.Unlock()
+		return fail(name)
+	}
+}
+
+func (a *attempts) sorted() []string {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	out := append([]string(nil), a.names...)
+	sort.Strings(out)
+	return out
+}
+
 // TestSupervisedPanicIsolatedAndResumed is the Table IV acceptance test: one
-// classifier's pipeline panicking must not lose the other nine rows, and a
-// rerun against the same checkpoint directory must re-attempt exactly the
-// failed classifier.
+// classifier's pipeline panicking must not lose the other nine rows, the
+// ledger must not record the failure, and a rerun against the same
+// checkpoint directory must re-attempt exactly the failed classifier.
 func TestSupervisedPanicIsolatedAndResumed(t *testing.T) {
 	dir := t.TempDir()
 	const bad = "SMO"
-	for _, name := range corpus.Classifiers {
+	cfg := Table4Config{Instances: 50}
+	cfg.Cache = fakeStore(cfg, without(bad), nil)
+	cfg.RowHook = func(name string) error {
 		if name == bad {
-			continue
+			panic("injected kernel fault")
 		}
-		if err := saveCheckpoint(dir, fakeRow(name)); err != nil {
-			t.Fatal(err)
-		}
+		return nil
 	}
-	cfg := Table4Config{
-		Instances:     50,
-		CheckpointDir: dir,
-		RowHook: func(name string) error {
-			if name == bad {
-				panic("injected kernel fault")
-			}
-			return fmt.Errorf("hook reached %s: checkpoint resume failed", name)
-		},
-	}
-	rows, err := Table4Supervised(context.Background(), cfg)
+	ex := sched.Config{Checkpoint: dir}
+	rows, _, err := Table4Map(context.Background(), ex, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,19 +148,17 @@ func TestSupervisedPanicIsolatedAndResumed(t *testing.T) {
 			}
 			continue
 		}
-		if r.Err != "" {
-			t.Errorf("%s failed instead of resuming: %s", r.Classifier, r.Err)
-		}
-		if want := fakeRow(r.Classifier); r != want {
-			t.Errorf("%s resumed row = %+v, want %+v", r.Classifier, r, want)
+		if want := fakeRow(r.Classifier, 0); r != want {
+			t.Errorf("%s row = %+v, want %+v", r.Classifier, r, want)
 		}
 	}
 	if failed := FailedRows(rows); len(failed) != 1 || failed[0].Classifier != bad {
 		t.Errorf("failed rows = %+v, want exactly %s", failed, bad)
 	}
-	// Failures must not be checkpointed, so the rerun retries them.
-	if _, err := os.Stat(checkpointPath(dir, bad)); !os.IsNotExist(err) {
-		t.Errorf("failed row was checkpointed: stat err = %v", err)
+	// Failures must not be recorded, so the rerun retries them.
+	if recorded := ledgerRows(t, dir); len(recorded) != len(corpus.Classifiers)-1 || recorded[bad].Classifier != "" {
+		t.Errorf("ledger holds %d rows (failed row recorded: %v), want the %d successes",
+			len(recorded), recorded[bad].Classifier != "", len(corpus.Classifiers)-1)
 	}
 	out := RenderTable4(rows)
 	if !strings.Contains(out, "FAILED: panic: injected kernel fault") {
@@ -88,21 +168,16 @@ func TestSupervisedPanicIsolatedAndResumed(t *testing.T) {
 		t.Errorf("render lost the surviving rows:\n%s", out)
 	}
 
-	// Rerun: only the failed classifier is re-attempted.
-	var mu sync.Mutex
-	var attempted []string
-	cfg.RowHook = func(name string) error {
-		mu.Lock()
-		attempted = append(attempted, name)
-		mu.Unlock()
-		return errors.New("still failing")
-	}
-	rows2, err := Table4Supervised(context.Background(), cfg)
+	// Rerun on an empty store: only the failed classifier is re-attempted.
+	var tried attempts
+	cfg.Cache = engine.New(engine.Config{})
+	cfg.RowHook = tried.hook(func(string) error { return errors.New("still failing") })
+	rows2, _, err := Table4Map(context.Background(), ex, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(attempted) != 1 || attempted[0] != bad {
-		t.Errorf("rerun attempted %v, want only %s", attempted, bad)
+	if got := tried.sorted(); !reflect.DeepEqual(got, []string{bad}) {
+		t.Errorf("rerun attempted %v, want only %s", got, bad)
 	}
 	for i, r := range rows2 {
 		if r.Classifier == bad {
@@ -152,59 +227,176 @@ func TestSupervisedRowTimeout(t *testing.T) {
 	}
 }
 
+// TestLoadCheckpointRejectsBadFiles covers the Table IV ledger's four bad
+// cases: a truncated ledger, one written for another configuration, one
+// whose run failed a row, and a missing one. None may replay a row that was
+// not measured for this configuration; each reruns exactly what it must.
 func TestLoadCheckpointRejectsBadFiles(t *testing.T) {
 	dir := t.TempDir()
-	writeFile := func(name, content string) {
-		t.Helper()
-		if err := os.WriteFile(checkpointPath(dir, name), []byte(content), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	writeFile("J48", "{truncated")
-	if _, ok := loadCheckpoint(dir, "J48"); ok {
-		t.Error("corrupt JSON accepted")
-	}
-	writeFile("IBk", `{"Classifier": "J48", "Changes": 1}`)
-	if _, ok := loadCheckpoint(dir, "IBk"); ok {
-		t.Error("mismatched classifier accepted")
-	}
-	writeFile("SGD", `{"Classifier": "SGD", "Err": "old failure"}`)
-	if _, ok := loadCheckpoint(dir, "SGD"); ok {
-		t.Error("checkpointed failure accepted — failures must be re-attempted")
-	}
-	if _, ok := loadCheckpoint(dir, "Logistic"); ok {
-		t.Error("missing file accepted")
-	}
-	if err := saveCheckpoint(dir, fakeRow("Logistic")); err != nil {
+	path := filepath.Join(dir, "table4row.json")
+	cfg := Table4Config{Seed: 3, Instances: 50}
+	cfg.Cache = fakeStore(cfg, corpus.Classifiers, nil)
+	ex := sched.Config{Seed: cfg.Seed, Checkpoint: dir}
+	if _, _, err := Table4Map(context.Background(), ex, cfg); err != nil {
 		t.Fatal(err)
 	}
-	row, ok := loadCheckpoint(dir, "Logistic")
-	if !ok || row != fakeRow("Logistic") {
-		t.Errorf("round-trip = %+v, %v", row, ok)
+	good, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
 	}
-	// Empty dir disables checkpointing entirely.
-	if err := saveCheckpoint("", fakeRow("J48")); err != nil {
-		t.Errorf("no-dir save errored: %v", err)
+	// rerun reports which rows reach the pipeline; every one that does fails.
+	rerun := func(ex sched.Config, cfg Table4Config) []string {
+		t.Helper()
+		var tried attempts
+		cfg.RowHook = tried.hook(func(string) error { return errors.New("re-measured") })
+		if _, _, err := Table4Map(context.Background(), ex, cfg); err != nil {
+			t.Fatal(err)
+		}
+		return tried.sorted()
 	}
-	if _, ok := loadCheckpoint("", "Logistic"); ok {
-		t.Error("no-dir load resumed something")
+	all := append([]string(nil), corpus.Classifiers...)
+	sort.Strings(all)
+
+	if err := os.WriteFile(path, good[:len(good)/3], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if got := rerun(ex, cfg); !reflect.DeepEqual(got, all) {
+		t.Errorf("truncated ledger: re-measured %v, want every row", got)
+	}
+
+	if err := os.WriteFile(path, good, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	other := cfg
+	other.Instances = 60
+	if got := rerun(ex, other); !reflect.DeepEqual(got, all) {
+		t.Errorf("ledger of another configuration: re-measured %v, want every row", got)
+	}
+
+	// A run that fails a row leaves it out of the ledger.
+	os.Remove(path)
+	failing := cfg
+	failing.Cache = fakeStore(cfg, without("SGD"), []string{"SGD"})
+	if _, _, err := Table4Map(context.Background(), ex, failing); err != nil {
+		t.Fatal(err)
+	}
+	if recorded := ledgerRows(t, dir); recorded["SGD"].Classifier != "" {
+		t.Error("failed row recorded — failures must be re-attempted")
+	}
+	if got := rerun(ex, cfg); !reflect.DeepEqual(got, []string{"SGD"}) {
+		t.Errorf("ledger of a run with a failed row: re-measured %v, want only SGD", got)
+	}
+
+	os.Remove(path)
+	if got := rerun(ex, cfg); !reflect.DeepEqual(got, all) {
+		t.Errorf("missing ledger: re-measured %v, want every row", got)
 	}
 }
 
+// TestTable4ResumeKeyedByConfig is the regression test for per-row
+// checkpoints keyed by classifier name alone: a run resumed over a ledger
+// written with a different Seed or Instances must re-measure every row and
+// print what a fresh run prints.
+func TestTable4ResumeKeyedByConfig(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		first func(*Table4Config)
+	}{
+		{"seed", func(c *Table4Config) { c.Seed = 1 }},
+		{"instances", func(c *Table4Config) { c.Instances = 60 }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := Table4Config{Seed: 2, Instances: 50}
+			first := cfg
+			tc.first(&first)
+			store := fakeStore(cfg, corpus.Classifiers, nil)
+			for _, name := range corpus.Classifiers {
+				row := fakeRow(name, first.Seed)
+				row.Changes += first.Instances
+				store.Memo(table4RowKey(name, first), func() (any, error) { return row, nil })
+			}
+			cfg.Cache, first.Cache = store, store
+			dir := t.TempDir()
+			if _, _, err := Table4Map(context.Background(), sched.Config{Seed: first.Seed, Checkpoint: dir}, first); err != nil {
+				t.Fatal(err)
+			}
+			fresh, _, err := Table4Map(context.Background(), sched.Config{Seed: cfg.Seed}, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resumed, _, err := Table4Map(context.Background(), sched.Config{Seed: cfg.Seed, Checkpoint: dir}, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, want := RenderTable4(resumed), RenderTable4(fresh); got != want {
+				t.Errorf("run resumed over another configuration's ledger:\n%s\nfresh run:\n%s", got, want)
+			}
+		})
+	}
+}
+
+// TestTable4PipeWorkersRetryFailedRows is the regression test for failed
+// rows recorded as results under process placement: on pipe workers, a
+// checkpointed run whose rows failed must leave them out of the ledger, so
+// the rerun re-attempts exactly those rows and replays the successful ones.
+func TestTable4PipeWorkersRetryFailedRows(t *testing.T) {
+	failing := []string{"J48", "SMO", "IBk"}
+	cfg := Table4Config{Seed: 5, Instances: 50}
+	ex := sched.Config{
+		Workers:    2,
+		Seed:       cfg.Seed,
+		Checkpoint: t.TempDir(),
+		Spawn:      dist.PipeSpawner(sched.Handle),
+	}
+	// Pipe workers share this process's default store. The first run fails
+	// the three rows; the rerun can only succeed on those three and fails
+	// the other seven unless the ledger replays them.
+	prev := engine.SetDefault(fakeStore(cfg, without(failing...), failing))
+	defer engine.SetDefault(prev)
+	rows, _, err := Table4Map(context.Background(), ex, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var failed []string
+	for _, r := range FailedRows(rows) {
+		failed = append(failed, r.Classifier)
+	}
+	sort.Strings(failed)
+	if want := []string{"IBk", "J48", "SMO"}; !reflect.DeepEqual(failed, want) {
+		t.Fatalf("first run failed %v, want %v", failed, want)
+	}
+
+	engine.SetDefault(fakeStore(cfg, failing, without(failing...)))
+	rows, tel, err := Table4Map(context.Background(), ex, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range rows {
+		if want := fakeRow(r.Classifier, cfg.Seed); r != want {
+			t.Errorf("rerun %s = %+v, want %+v", r.Classifier, r, want)
+		}
+	}
+	if want := len(corpus.Classifiers) - len(failing); tel.Replayed != want {
+		t.Errorf("rerun replayed %d rows, want the %d successes (%s)", tel.Replayed, want, tel)
+	}
+}
+
+// TestSupervisedCheckpointDirInfraError: an unusable checkpoint directory
+// is an infrastructure error, not a table of failed rows.
 func TestSupervisedCheckpointDirInfraError(t *testing.T) {
 	file := filepath.Join(t.TempDir(), "not-a-dir")
 	if err := os.WriteFile(file, []byte("x"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	cfg := Table4Config{CheckpointDir: filepath.Join(file, "sub")}
-	if _, err := Table4Supervised(context.Background(), cfg); err == nil {
+	ex := sched.Config{Checkpoint: filepath.Join(file, "sub")}
+	if _, _, err := Table4Map(context.Background(), ex, Table4Config{}); err == nil {
 		t.Fatal("unusable checkpoint dir must be an infrastructure error")
 	}
 }
 
 // TestSupervisedMeasuresOneRealRow runs a single classifier's genuine
 // pipeline at minimal scale through the supervisor, proving the success path
-// measures, checkpoints, and resumes bit-identically.
+// measures, records, and resumes bit-identically.
 func TestSupervisedMeasuresOneRealRow(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs one real classifier pipeline; skipped with -short")
@@ -217,15 +409,15 @@ func TestSupervisedMeasuresOneRealRow(t *testing.T) {
 	cfg.Protocol.Runs = 3
 	cfg.Protocol.MaxRounds = 1
 	cfg.CVFolds = 2
-	cfg.Quiet = true
-	cfg.CheckpointDir = dir
+	cfg.Cache = engine.New(engine.Config{})
 	cfg.RowHook = func(name string) error {
 		if name == real {
 			return nil
 		}
 		return errors.New("skipped for speed")
 	}
-	rows, err := Table4Supervised(context.Background(), cfg)
+	ex := sched.Config{Seed: cfg.Seed, Checkpoint: dir}
+	rows, _, err := Table4Map(context.Background(), ex, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,31 +433,25 @@ func TestSupervisedMeasuresOneRealRow(t *testing.T) {
 	if measured.Changes <= 0 {
 		t.Errorf("measured row has no changes: %+v", measured)
 	}
-	saved, ok := loadCheckpoint(dir, real)
-	if !ok {
-		t.Fatal("successful row not checkpointed")
+	recorded := ledgerRows(t, dir)
+	if len(recorded) != 1 || recorded[real] != *measured {
+		t.Errorf("ledger holds %+v, want only the measured row %+v", recorded, *measured)
 	}
-	if saved != *measured {
-		t.Errorf("checkpoint round-trip drifted: %+v vs %+v", saved, *measured)
-	}
-	// Resume run must not re-measure: the hook fails everything, yet the
-	// measured row returns intact.
-	rows2, err := Table4Supervised(context.Background(), cfg)
+	// The resume run must not re-measure: the hook fails everything and the
+	// store is empty, yet the measured row returns intact.
+	cfg.Cache = engine.New(engine.Config{})
+	cfg.RowHook = func(string) error { return fmt.Errorf("re-measured") }
+	rows2, _, err := Table4Map(context.Background(), ex, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	names := []string{}
 	for _, r := range rows2 {
 		if r.Classifier == real {
 			if r != *measured {
 				t.Errorf("resumed row drifted: %+v vs %+v", r, *measured)
 			}
-		} else if r.Err == "" {
-			names = append(names, r.Classifier)
+		} else if r.Err != "re-measured" {
+			t.Errorf("%s: %+v, want a re-measured failure", r.Classifier, r)
 		}
-	}
-	sort.Strings(names)
-	if len(names) != 0 {
-		t.Errorf("unexpected successes without checkpoints: %v", names)
 	}
 }

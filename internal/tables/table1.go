@@ -13,13 +13,13 @@ import (
 	"jepo/internal/energy"
 	"jepo/internal/engine"
 	"jepo/internal/minijava/interp"
+	"jepo/internal/passes"
 	"jepo/internal/sched"
-	"jepo/internal/suggest"
 )
 
 // Table1Row is one measured component comparison.
 type Table1Row struct {
-	Rule        suggest.Rule
+	Rule        passes.Rule
 	Component   string
 	Suggestion  string
 	PaperClaim  string  // the "up to N%" figure Table I quotes
@@ -30,7 +30,7 @@ type Table1Row struct {
 // efficient one the suggestion recommends. Both expose `static double f()`
 // in class B (for bench) and must compute comparable results.
 type table1Bench struct {
-	rule       suggest.Rule
+	rule       passes.Rule
 	paperClaim string
 	slow, fast string
 }
@@ -39,7 +39,7 @@ const table1Iters = "20000"
 
 var table1Benches = []table1Bench{
 	{
-		rule:       suggest.RulePrimitiveTypes,
+		rule:       passes.RulePrimitiveTypes,
 		paperClaim: "int is the most energy-efficient primitive",
 		slow: `class B { static double f() {
 			double s = 0.0;
@@ -53,7 +53,7 @@ var table1Benches = []table1Bench{
 		} }`,
 	},
 	{
-		rule:       suggest.RuleScientificNotation,
+		rule:       passes.RuleScientificNotation,
 		paperClaim: "scientific notation is cheaper for decimals",
 		slow: `class B { static double f() {
 			double s = 0.0;
@@ -67,7 +67,7 @@ var table1Benches = []table1Bench{
 		} }`,
 	},
 	{
-		rule:       suggest.RuleWrapperClasses,
+		rule:       passes.RuleWrapperClasses,
 		paperClaim: "Integer is the most energy-efficient wrapper",
 		slow: `class B { static double f() {
 			int s = 0;
@@ -87,7 +87,7 @@ var table1Benches = []table1Bench{
 		} }`,
 	},
 	{
-		rule:       suggest.RuleStaticKeyword,
+		rule:       passes.RuleStaticKeyword,
 		paperClaim: "static +17,700%",
 		slow: `class B {
 			static int acc;
@@ -103,7 +103,7 @@ var table1Benches = []table1Bench{
 		} }`,
 	},
 	{
-		rule:       suggest.RuleModulusOperator,
+		rule:       passes.RuleModulusOperator,
 		paperClaim: "modulus +1,620%",
 		slow: `class B { static double f() {
 			int s = 0;
@@ -117,7 +117,7 @@ var table1Benches = []table1Bench{
 		} }`,
 	},
 	{
-		rule:       suggest.RuleTernaryOperator,
+		rule:       passes.RuleTernaryOperator,
 		paperClaim: "ternary +37%",
 		slow: `class B { static double f() {
 			int s = 0;
@@ -135,7 +135,7 @@ var table1Benches = []table1Bench{
 		} }`,
 	},
 	{
-		rule:       suggest.RuleShortCircuit,
+		rule:       passes.RuleShortCircuit,
 		paperClaim: "most common case first",
 		// i > 3 is true for nearly every iteration; testing it first
 		// short-circuits the expensive second test.
@@ -155,7 +155,7 @@ var table1Benches = []table1Bench{
 		} }`,
 	},
 	{
-		rule:       suggest.RuleStringConcat,
+		rule:       passes.RuleStringConcat,
 		paperClaim: "StringBuilder ≪ concatenation",
 		slow: `class B { static double f() {
 			String s = "";
@@ -169,7 +169,7 @@ var table1Benches = []table1Bench{
 		} }`,
 	},
 	{
-		rule:       suggest.RuleStringComparison,
+		rule:       passes.RuleStringComparison,
 		paperClaim: "compareTo +33%",
 		slow: `class B { static double f() {
 			String a = "airlinesAirlines";
@@ -191,7 +191,7 @@ var table1Benches = []table1Bench{
 		} }`,
 	},
 	{
-		rule:       suggest.RuleArraysCopy,
+		rule:       passes.RuleArraysCopy,
 		paperClaim: "System.arraycopy is the best copy",
 		slow: `class B { static double f() {
 			int[] a = new int[4000];
@@ -211,7 +211,7 @@ var table1Benches = []table1Bench{
 		} }`,
 	},
 	{
-		rule:       suggest.RuleArrayTraversal,
+		rule:       passes.RuleArrayTraversal,
 		paperClaim: "column traversal +793%",
 		slow: `class B { static double f() {
 			int[][] m = new int[600][600];
@@ -277,18 +277,14 @@ func Table1(ctx context.Context, engine interp.Engine) ([]Table1Row, error) {
 	return rows, err
 }
 
-// Table1Count is the number of component pairs Table I measures.
-func Table1Count() int { return len(table1Benches) }
-
-// Table1Pair measures one component pair by paper-order index: both
+// table1Kind measures one component pair by paper-order index: both
 // variants on fresh parser/interpreter/meter instances, so pairs are fully
-// independent of each other. This is the task unit both the sched pool and
-// the dist "table1" campaign shard.
-func Table1Pair(ctx context.Context, i int, engine interp.Engine) (Table1Row, error) {
-	if i < 0 || i >= len(table1Benches) {
-		return Table1Row{}, fmt.Errorf("tables: table 1 pair %d out of range", i)
+// independent of each other.
+var table1Kind = sched.NewKind("table1", func(ctx context.Context, t sched.Task, engine interp.Engine) (Table1Row, error) {
+	if t.Index < 0 || t.Index >= len(table1Benches) {
+		return Table1Row{}, fmt.Errorf("tables: table 1 pair %d out of range", t.Index)
 	}
-	b := table1Benches[i]
+	b := table1Benches[t.Index]
 	slow, err := measureBench(ctx, b.slow, engine)
 	if err != nil {
 		return Table1Row{}, fmt.Errorf("tables: %v slow variant: %w", b.rule, err)
@@ -304,17 +300,19 @@ func Table1Pair(ctx context.Context, i int, engine interp.Engine) (Table1Row, er
 		PaperClaim:  b.paperClaim,
 		MeasuredPct: 100 * (float64(slow)/float64(fast) - 1),
 	}, nil
+})
+
+// Table1Jobs measures the Table I component pairs on a jobs-wide pool.
+func Table1Jobs(ctx context.Context, engine interp.Engine, jobs int) ([]Table1Row, sched.Telemetry, error) {
+	return Table1Map(ctx, sched.Config{Jobs: jobs}, engine)
 }
 
-// Table1Jobs measures the Table I component pairs on a bounded worker pool.
-// Each bench pair builds its own parser/interpreter/meter instances, so rows
-// are independent; committed in paper order they are bit-identical at any
-// jobs count.
-func Table1Jobs(ctx context.Context, engine interp.Engine, jobs int) ([]Table1Row, sched.Telemetry, error) {
-	return sched.Map(ctx, sched.Config{Jobs: jobs}, table1Benches,
-		func(task sched.Task, _ table1Bench) (Table1Row, error) {
-			return Table1Pair(ctx, task.Index, engine)
-		})
+// Table1Map measures the Table I component pairs at the placement ex
+// names. Each pair builds its own parser/interpreter/meter instances, so
+// rows are independent; committed in paper order they are bit-identical at
+// any width and placement.
+func Table1Map(ctx context.Context, ex sched.Config, engine interp.Engine) ([]Table1Row, sched.Telemetry, error) {
+	return table1Kind.Map(ctx, ex, engine, len(table1Benches), nil)
 }
 
 // RenderTable1 lays the rows out like the paper's Table I, with the measured

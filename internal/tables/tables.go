@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"strings"
-	"sync"
 	"time"
 
 	"jepo/internal/airlines"
@@ -22,7 +21,7 @@ import (
 	"jepo/internal/jmetrics"
 	"jepo/internal/minijava/ast"
 	"jepo/internal/minijava/interp"
-	"jepo/internal/refactor"
+	"jepo/internal/passes"
 	"jepo/internal/sched"
 	"jepo/internal/stats"
 )
@@ -35,21 +34,28 @@ func Table2(ctx context.Context, seed uint64) ([]jmetrics.Metrics, error) {
 	return rows, err
 }
 
-// Table2Parallel measures the Table II rows on a bounded worker pool. Every
-// classifier's corpus generation, parsing and metric measurement is fully
-// independent, and rows are committed in paper order, so the result is
-// bit-identical at any jobs count.
+// Table2Parallel measures the Table II rows on a jobs-wide pool.
 func Table2Parallel(ctx context.Context, seed uint64, jobs int) ([]jmetrics.Metrics, sched.Telemetry, error) {
-	return sched.Map(ctx, sched.Config{Jobs: jobs, Seed: seed}, corpus.Classifiers,
-		func(_ sched.Task, name string) (jmetrics.Metrics, error) {
-			return Table2Row(name, seed)
-		})
+	return Table2Map(ctx, sched.Config{Jobs: jobs, Seed: seed}, seed)
 }
+
+// Table2Map measures the Table II rows for the corpora generated from seed
+// at the placement ex names. Every classifier's corpus generation, parsing
+// and metric measurement is fully independent, and rows are committed in
+// paper order, so the result is bit-identical at any width and placement.
+func Table2Map(ctx context.Context, ex sched.Config, seed uint64) ([]jmetrics.Metrics, sched.Telemetry, error) {
+	return table2Kind.Map(ctx, ex, seed, len(corpus.Classifiers), nil)
+}
+
+var table2Kind = sched.NewKind("table2", func(_ context.Context, t sched.Task, seed uint64) (jmetrics.Metrics, error) {
+	if t.Index < 0 || t.Index >= len(corpus.Classifiers) {
+		return jmetrics.Metrics{}, fmt.Errorf("tables: table 2 row %d out of range", t.Index)
+	}
+	return Table2Row(corpus.Classifiers[t.Index], seed)
+})
 
 // Table2Row measures one classifier's Table II metrics: its own corpus
 // generation, parse and measurement, fully independent of the other rows.
-// This is the task unit both the sched pool and the dist "table2" campaign
-// shard.
 func Table2Row(name string, seed uint64) (jmetrics.Metrics, error) {
 	p, err := corpus.Generate(name, seed)
 	if err != nil {
@@ -89,43 +95,38 @@ type Table4Row struct {
 	CPUPct      float64
 	TimePct     float64
 	AccuracyPct float64 // accuracy drop (positive = refactoring lost accuracy)
-	// Err is set by the supervised runner when this classifier's pipeline
-	// failed (error, panic or deadline); the measurement columns are then
-	// meaningless and the row renders as a failure entry.
+	// Err is set when this classifier's pipeline failed (error, panic or
+	// deadline); the measurement columns are then meaningless and the row
+	// renders as a failure entry.
 	Err string
 }
 
-// Table4Config parameterizes the §VIII experiment.
+// Table4Config parameterizes the §VIII experiment. It is the params of the
+// Table IV kind, so it crosses to worker processes as JSON; the fields a
+// worker cannot honor stay behind.
 type Table4Config struct {
 	Seed      uint64
 	Instances int            // airlines rows for kernels and cross-validation
 	Reps      int            // kernel repetitions per measurement
 	Protocol  stats.Protocol // the run/Tukey/replace loop
 	CVFolds   int            // stratified folds (paper: 10)
-	Slots     int            // classifiers evaluated concurrently (0 = GOMAXPROCS)
+	Slots     int            `json:"-"` // Table4Supervised's row pool width (0 = GOMAXPROCS)
 	CVJobs    int            // fold-training workers inside each row's cross-validation (0 = 1)
 	Engine    interp.Engine  // execution engine (zero value = bytecode VM)
-	Quiet     bool
-	Progress  func(string) // optional progress callback
-	// OnTelemetry, when set, receives the row pool's execution ledger after
-	// the run (worker utilization, retry-queue steals, straggler row). The
-	// CLIs print it to stderr so determinism-pinned stdout stays byte-equal
-	// across -jobs values.
-	OnTelemetry func(sched.Telemetry)
+	// Progress, when set, receives per-row narration (in process only).
+	Progress func(string) `json:"-"`
 
-	// Supervision knobs, honored by Table4Supervised only.
-	RowTimeout    time.Duration // per-classifier deadline (0 = none)
-	CheckpointDir string        // persist completed rows; reruns resume from here
-	// RowHook runs inside the supervised worker before a row's pipeline; a
+	// RowTimeout is the per-classifier deadline (0 = none).
+	RowTimeout time.Duration
+	// RowHook runs inside the row's supervisor before its pipeline; a
 	// non-nil error (or panic) fails the row. It is the fault-injection seam
-	// the resilience tests use.
-	RowHook func(classifier string) error
+	// the resilience tests use, and never leaves the process.
+	RowHook func(classifier string) error `json:"-"`
 
 	// Cache selects the artifact engine the pipeline's parse and kernel
-	// measurement stages go through (nil = engine.Default()). Deliberately
-	// absent from the dist wire form: worker processes always use their own
-	// process-wide engine.
-	Cache *engine.Engine
+	// measurement stages go through (nil = engine.Default()). Worker
+	// processes always use their own process-wide engine.
+	Cache *engine.Engine `json:"-"`
 }
 
 // cache resolves the artifact engine for this config.
@@ -154,7 +155,7 @@ type kernelMeasurement struct {
 	elapsed   time.Duration
 }
 
-// Table4 runs the full validation pipeline per classifier:
+// table4Row runs the full validation pipeline for one classifier:
 //
 //  1. generate its WEKA-shaped corpus and apply every JEPO suggestion,
 //     counting changes;
@@ -164,56 +165,32 @@ type kernelMeasurement struct {
 //  3. run the real (Go) classifier under stratified k-fold cross-validation
 //     in double and single precision to measure the accuracy drop caused by
 //     the double→float / long→int changes.
-func Table4(ctx context.Context, cfg Table4Config) ([]Table4Row, error) {
-	var sayMu sync.Mutex
-	say := func(format string, args ...any) {
-		if cfg.Progress != nil {
-			sayMu.Lock()
-			cfg.Progress(fmt.Sprintf(format, args...))
-			sayMu.Unlock()
-		}
-	}
-	data := airlines.Generate(cfg.Instances, cfg.Seed)
-	feats, labels := kernelData(data)
-
-	// Every classifier's pipeline is independent (its own corpus, its own
-	// interpreters, its own deterministic streams), so rows are evaluated by
-	// the sched pool, like WEKA's execution slots. Rows are committed in
-	// paper order, so results are bit-identical at any parallelism.
-	rows, tel, err := sched.Map(ctx, sched.Config{Jobs: cfg.Slots, Seed: cfg.Seed}, corpus.Classifiers,
-		func(_ sched.Task, name string) (Table4Row, error) {
-			return table4Row(ctx, name, data, feats, labels, cfg, say)
-		})
-	if cfg.OnTelemetry != nil {
-		cfg.OnTelemetry(tel)
-	}
-	if err != nil {
-		return nil, err
-	}
-	return rows, nil
-}
-
-// table4Row runs the full pipeline for one classifier. The finished row is
-// itself a cached artifact: every input — corpus, kernels, airlines data —
-// derives from the keyed config fields, so a warm store answers a repeated
-// row without regenerating or re-refactoring anything. Slots/CVJobs (pure
-// placement), supervision knobs and progress plumbing stay out of the key.
-// On a hit the pipeline never runs, so its progress narration is skipped too.
+//
+// The finished row is itself a cached artifact: every input — corpus,
+// kernels, airlines data — derives from the keyed config fields, so a warm
+// store answers a repeated row without regenerating or re-refactoring
+// anything. On a hit the pipeline never runs, so its progress narration is
+// skipped too.
 func table4Row(ctx context.Context, name string, data *dataset.Dataset, feats [][]float64, labels []int64, cfg Table4Config, say func(string, ...any)) (Table4Row, error) {
-	k := engine.NewKey("tables/table4row").
-		Str(name).
-		Int(int64(cfg.Seed)).Int(int64(cfg.Instances)).
-		Int(int64(cfg.Reps)).Int(int64(cfg.Engine)).
-		Int(int64(cfg.Protocol.Runs)).Int(int64(cfg.Protocol.MaxRounds)).
-		Int(int64(cfg.CVFolds)).
-		Key()
-	v, err := cfg.cache().Memo(k, func() (any, error) {
+	v, err := cfg.cache().Memo(table4RowKey(name, cfg), func() (any, error) {
 		return table4RowUncached(ctx, name, data, feats, labels, cfg, say)
 	})
 	if err != nil {
 		return Table4Row{}, err
 	}
 	return v.(Table4Row), nil
+}
+
+// table4RowKey addresses one classifier's row. Slots/CVJobs (pure
+// placement), supervision knobs and progress plumbing stay out of the key.
+func table4RowKey(name string, cfg Table4Config) engine.Key {
+	return engine.NewKey("tables/table4row").
+		Str(name).
+		Int(int64(cfg.Seed)).Int(int64(cfg.Instances)).
+		Int(int64(cfg.Reps)).Int(int64(cfg.Engine)).
+		Int(int64(cfg.Protocol.Runs)).Int(int64(cfg.Protocol.MaxRounds)).
+		Int(int64(cfg.CVFolds)).
+		Key()
 }
 
 func table4RowUncached(ctx context.Context, name string, data *dataset.Dataset, feats [][]float64, labels []int64, cfg Table4Config, say func(string, ...any)) (Table4Row, error) {
@@ -224,13 +201,13 @@ func table4RowUncached(ctx context.Context, name string, data *dataset.Dataset, 
 	}
 	// Checkout from the parse cache: the corpus generator emits the same core
 	// library files for every classifier, so sibling rows (and reruns) share
-	// their parse artifacts. refactor.Apply mutates the checkouts, never the
+	// their parse artifacts. ApplyFixes mutates the checkouts, never the
 	// cached masters.
 	files, err := parseCorpus(cfg.cache(), proj)
 	if err != nil {
 		return Table4Row{}, err
 	}
-	res := refactor.Apply(files)
+	res := passes.ApplyFixes(files, passes.AnalyzeFiles(files))
 	say("%s: applied %d changes", name, res.Changes)
 
 	// Locate the original and refactored kernel ASTs.
@@ -513,8 +490,8 @@ func accuracyDropUncached(ctx context.Context, name string, d *dataset.Dataset, 
 	return rd.Accuracy() - rs.Accuracy(), nil
 }
 
-// RenderTable4 lays the rows out like the paper's Table IV. Rows the
-// supervised runner failed render as failure entries instead of numbers.
+// RenderTable4 lays the rows out like the paper's Table IV. Failed rows
+// render as failure entries instead of numbers.
 func RenderTable4(rows []Table4Row) string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "%-14s %8s %12s %12s %12s %12s\n",

@@ -9,8 +9,8 @@ import (
 	"jepo/internal/classify"
 	"jepo/internal/corpus"
 	"jepo/internal/minijava/interp"
+	"jepo/internal/passes"
 	"jepo/internal/stats"
-	"jepo/internal/suggest"
 )
 
 func TestTable1RatiosHavePaperShape(t *testing.T) {
@@ -18,10 +18,10 @@ func TestTable1RatiosHavePaperShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != suggest.NumTableIRules {
-		t.Fatalf("rows = %d, want %d (one per Table I row)", len(rows), suggest.NumTableIRules)
+	if len(rows) != passes.NumTableIRules {
+		t.Fatalf("rows = %d, want %d (one per Table I row)", len(rows), passes.NumTableIRules)
 	}
-	byRule := map[suggest.Rule]float64{}
+	byRule := map[passes.Rule]float64{}
 	for _, r := range rows {
 		byRule[r.Rule] = r.MeasuredPct
 		// Every inefficient variant must actually cost more.
@@ -31,22 +31,22 @@ func TestTable1RatiosHavePaperShape(t *testing.T) {
 	}
 	// Ordering claims from the paper: static is the most extreme penalty,
 	// modulus the worst arithmetic, both far beyond ternary and compareTo.
-	if byRule[suggest.RuleStaticKeyword] < 1000 {
-		t.Errorf("static penalty = %.0f%%, paper reports up to 17,700%%", byRule[suggest.RuleStaticKeyword])
+	if byRule[passes.RuleStaticKeyword] < 1000 {
+		t.Errorf("static penalty = %.0f%%, paper reports up to 17,700%%", byRule[passes.RuleStaticKeyword])
 	}
-	if byRule[suggest.RuleModulusOperator] < 200 {
-		t.Errorf("modulus penalty = %.0f%%, paper reports up to 1,620%%", byRule[suggest.RuleModulusOperator])
+	if byRule[passes.RuleModulusOperator] < 200 {
+		t.Errorf("modulus penalty = %.0f%%, paper reports up to 1,620%%", byRule[passes.RuleModulusOperator])
 	}
-	if byRule[suggest.RuleTernaryOperator] > 100 || byRule[suggest.RuleTernaryOperator] < 5 {
-		t.Errorf("ternary penalty = %.1f%%, paper reports up to 37%%", byRule[suggest.RuleTernaryOperator])
+	if byRule[passes.RuleTernaryOperator] > 100 || byRule[passes.RuleTernaryOperator] < 5 {
+		t.Errorf("ternary penalty = %.1f%%, paper reports up to 37%%", byRule[passes.RuleTernaryOperator])
 	}
-	if byRule[suggest.RuleStringComparison] > 100 || byRule[suggest.RuleStringComparison] < 5 {
-		t.Errorf("compareTo penalty = %.1f%%, paper reports up to 33%%", byRule[suggest.RuleStringComparison])
+	if byRule[passes.RuleStringComparison] > 100 || byRule[passes.RuleStringComparison] < 5 {
+		t.Errorf("compareTo penalty = %.1f%%, paper reports up to 33%%", byRule[passes.RuleStringComparison])
 	}
-	if byRule[suggest.RuleArrayTraversal] < 100 {
-		t.Errorf("column traversal penalty = %.0f%%, paper reports up to 793%%", byRule[suggest.RuleArrayTraversal])
+	if byRule[passes.RuleArrayTraversal] < 100 {
+		t.Errorf("column traversal penalty = %.0f%%, paper reports up to 793%%", byRule[passes.RuleArrayTraversal])
 	}
-	if byRule[suggest.RuleStaticKeyword] <= byRule[suggest.RuleModulusOperator] {
+	if byRule[passes.RuleStaticKeyword] <= byRule[passes.RuleModulusOperator] {
 		t.Error("static must dominate modulus, as in Table I")
 	}
 	out := RenderTable1(rows)
@@ -98,9 +98,12 @@ func TestTable4EndToEnd(t *testing.T) {
 		Protocol:  stats.Protocol{Runs: 3, MaxRounds: 3},
 		CVFolds:   4,
 	}
-	rows, err := Table4(context.Background(), cfg)
+	rows, err := Table4Supervised(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if failed := FailedRows(rows); len(failed) > 0 {
+		t.Fatalf("rows failed: %+v", failed)
 	}
 	if len(rows) != 10 {
 		t.Fatalf("rows = %d", len(rows))

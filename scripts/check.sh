@@ -43,16 +43,17 @@ echo "== engine diff =="
 go test -tags enginediff -run EngineDiff ./internal/minijava/interp
 
 echo "== sched diff =="
-# Differential fuzz for the worker pool: random task counts, worker counts
-# and fault plans must merge to identical results and Health ledgers at any
-# parallelism.
+# Differential fuzz for the executor's in-process pool: random task counts,
+# worker counts and RAPL read-fault rates must merge to identical results
+# and Health ledgers at any parallelism.
 go test -tags scheddiff -run SchedDifferentialFuzz ./internal/sched
 
 echo "== dist diff =="
-# Differential fuzz for the fault-tolerant process dispatcher: random task
-# counts, worker counts and chaos plans (kills, hangs, slow-walks, corrupted
-# replies) must merge to results, commit ledgers and Health tallies that are
-# bit-identical to the inline run.
+# Differential fuzz for the executor's process placement over the dist
+# transport: random task counts, worker counts and chaos plans (kills,
+# hangs, slow-walks, corrupted replies) on pipe workers must merge to
+# results, commit ledgers and Health tallies that are bit-identical to the
+# in-process run.
 go test -tags distdiff -run DistDifferentialFuzz ./internal/dist
 
 echo "== golden battery: both engines, cold and warm, across -jobs and -workers =="
@@ -60,9 +61,10 @@ echo "== golden battery: both engines, cold and warm, across -jobs and -workers 
 # both engines cold (Determinism), agree bit for bit between engines when
 # each case runs twice on one instance so the VM executes its quickened
 # copies (WarmExecution), survive sharding over the pool at -jobs 1, 4
-# and GOMAXPROCS (SchedJobs), survive the dist worker protocol with a
-# mid-campaign kill (DistWorkers), and reproduce the golden through the
-# artifact engine's cached parse/program path, cold and warm (EngineCache).
+# and GOMAXPROCS (SchedJobs), survive process placement on pipe workers
+# speaking the JSON protocol, with a mid-map kill (DistWorkers), and
+# reproduce the golden through the artifact engine's cached parse/program
+# path, cold and warm (EngineCache).
 # The golden is also priced from its own recorded counts and must match its
 # recorded bits (PricedFromCounts): the meter's samples are a pure function
 # of op counts, cache hits and cache misses.
@@ -123,11 +125,29 @@ for pair in "1 2" "default nocache"; do
     fi
 done
 
+echo "== -workers byte-identity =="
+# Process placement is a pure wall-clock knob too: the corpus kind and
+# jperf's measure kind, run on two re-exec'd worker processes, must print
+# exactly what the in-process run prints.
+go run ./cmd/jepo corpus -classifier J48 -workers 2 >"$tmpdir/corpus.w2" 2>/dev/null
+if ! cmp -s "$tmpdir/corpus.1" "$tmpdir/corpus.w2"; then
+    echo "jepo corpus stdout differs between -jobs 1 and -workers 2" >&2
+    diff -u "$tmpdir/corpus.1" "$tmpdir/corpus.w2" >&2 || true
+    exit 1
+fi
+go run ./cmd/jperf -r 3 -jobs 1 examples/java/EnergyDemo.java >"$tmpdir/jperf.1" 2>/dev/null
+go run ./cmd/jperf -r 3 -workers 2 examples/java/EnergyDemo.java >"$tmpdir/jperf.w2" 2>/dev/null
+if ! cmp -s "$tmpdir/jperf.1" "$tmpdir/jperf.w2"; then
+    echo "jperf stdout differs between -jobs 1 and -workers 2" >&2
+    diff -u "$tmpdir/jperf.1" "$tmpdir/jperf.w2" >&2 || true
+    exit 1
+fi
+
 echo "== -workers byte-identity under faults =="
-# The distributed campaign drill: -workers 4 with one worker process killed
-# and one hung mid-campaign must quarantine both nodes, finish the table,
-# and keep stdout byte-identical to the sequential run. The quarantine tally
-# is asserted from the dispatch report on stderr.
+# The fault drill: -workers 4 with one worker process killed and one hung
+# mid-map must quarantine both nodes, finish the table, and keep stdout
+# byte-identical to the sequential run. The quarantine tally is asserted
+# from the executor's telemetry line on stderr.
 JEPO_DIST_FAULTS="1:kill@1;2:hang@0" go run ./cmd/wekaexp -table 2 -workers 4 -node-deadline 5s \
     >"$tmpdir/table2.w4" 2>"$tmpdir/table2.w4.err"
 if ! cmp -s "$tmpdir/table2.1" "$tmpdir/table2.w4"; then
@@ -136,7 +156,7 @@ if ! cmp -s "$tmpdir/table2.1" "$tmpdir/table2.w4"; then
     exit 1
 fi
 if ! grep -q 'quarantined=2' "$tmpdir/table2.w4.err"; then
-    echo "dispatch report did not record the two quarantined workers:" >&2
+    echo "telemetry did not record the two quarantined workers:" >&2
     cat "$tmpdir/table2.w4.err" >&2
     exit 1
 fi
