@@ -35,6 +35,7 @@ import (
 	"jepo/internal/cliconfig"
 	"jepo/internal/core"
 	"jepo/internal/dist"
+	cache "jepo/internal/engine"
 	"jepo/internal/sched"
 	"jepo/internal/service"
 	"jepo/internal/tables"
@@ -122,10 +123,8 @@ commands:
             -engine E execution engine: vm (bytecode, default) or ast
             -jobs N   bench-pair workers (default GOMAXPROCS)
 
-every command also accepts the artifact-cache knobs (pure cost knobs —
-stdout is byte-identical with the cache on or off):
-  -cache        content-addressed parse/program/sample cache (default true)
-  -cache-size N cache capacity in entries; hit/miss stats print to stderr
+analyze, corpus and table1 print the artifact cache's hit/miss statistics
+to stderr.
 `)
 }
 
@@ -172,9 +171,7 @@ func loadProject(args []string) (core.Project, error) {
 func cmdSuggest(args []string) error {
 	fs := flag.NewFlagSet("suggest", flag.ExitOnError)
 	line := fs.Int("line", 0, "order suggestions by proximity to this line (dynamic view)")
-	shared := cliconfig.Register(fs, 0)
 	fs.Parse(args)
-	shared.ApplyCache()
 	p, err := loadProject(fs.Args())
 	if err != nil {
 		return err
@@ -197,7 +194,6 @@ func cmdAnalyze(ctx context.Context, args []string) error {
 	mainClass := fs.String("main", "", "class whose main method anchors the measurement runs")
 	shared := cliconfig.Register(fs, cliconfig.FeatEngine|cliconfig.FeatJobs)
 	fs.Parse(args)
-	eng := shared.ApplyCache()
 	engine, err := shared.Engine()
 	if err != nil {
 		return err
@@ -211,7 +207,7 @@ func cmdAnalyze(ctx context.Context, args []string) error {
 		return err
 	}
 	fmt.Print(service.RenderAnalyze(rep))
-	fmt.Fprintln(os.Stderr, eng.Stats())
+	fmt.Fprintln(os.Stderr, cache.Default().Stats())
 	return nil
 }
 
@@ -219,9 +215,7 @@ func cmdOptimize(ctx context.Context, args []string) error {
 	fs := flag.NewFlagSet("optimize", flag.ExitOnError)
 	out := fs.String("o", "", "directory to write refactored sources into")
 	dry := fs.Bool("dry", false, "report changes without writing anything")
-	shared := cliconfig.Register(fs, 0)
 	fs.Parse(args)
-	shared.ApplyCache()
 	p, err := loadProject(fs.Args())
 	if err != nil {
 		return err
@@ -258,7 +252,6 @@ func cmdProfile(ctx context.Context, args []string) error {
 	resultPath := fs.String("result", "result.txt", "path for the per-execution log")
 	shared := cliconfig.Register(fs, cliconfig.FeatEngine)
 	fs.Parse(args)
-	shared.ApplyCache()
 	engine, err := shared.Engine()
 	if err != nil {
 		return err
@@ -282,9 +275,7 @@ func cmdProfile(ctx context.Context, args []string) error {
 func cmdMetrics(args []string) error {
 	fs := flag.NewFlagSet("metrics", flag.ExitOnError)
 	root := fs.String("root", "", "root class for the dependency closure")
-	shared := cliconfig.Register(fs, 0)
 	fs.Parse(args)
-	shared.ApplyCache()
 	if *root == "" {
 		return fmt.Errorf("metrics: -root is required")
 	}
@@ -309,7 +300,6 @@ func cmdCorpus(ctx context.Context, args []string) error {
 	seed := fs.Uint64("seed", 20200518, "corpus generation seed")
 	shared := cliconfig.Register(fs, cliconfig.FeatEngine|cliconfig.FeatJobs|cliconfig.FeatDist)
 	fs.Parse(args)
-	eng := shared.ApplyCache()
 	engine, err := shared.Engine()
 	if err != nil {
 		return err
@@ -324,7 +314,7 @@ func cmdCorpus(ctx context.Context, args []string) error {
 	}
 	fmt.Print(core.CorpusView(rep))
 	fmt.Fprintln(os.Stderr, tel)
-	fmt.Fprintln(os.Stderr, eng.Stats())
+	fmt.Fprintln(os.Stderr, cache.Default().Stats())
 	return nil
 }
 
@@ -332,7 +322,6 @@ func cmdTable1(ctx context.Context, args []string) error {
 	fs := flag.NewFlagSet("table1", flag.ExitOnError)
 	shared := cliconfig.Register(fs, cliconfig.FeatEngine|cliconfig.FeatJobs)
 	fs.Parse(args)
-	eng := shared.ApplyCache()
 	engine, err := shared.Engine()
 	if err != nil {
 		return err
@@ -343,6 +332,6 @@ func cmdTable1(ctx context.Context, args []string) error {
 	}
 	fmt.Print(service.RenderTable1(rows))
 	fmt.Fprintln(os.Stderr, tel)
-	fmt.Fprintln(os.Stderr, eng.Stats())
+	fmt.Fprintln(os.Stderr, cache.Default().Stats())
 	return nil
 }

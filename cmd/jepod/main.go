@@ -9,7 +9,10 @@
 // Usage:
 //
 //	jepod [-addr 127.0.0.1:7361] [-slots N] [-max-queue N]
-//	      [-engine vm|ast] [-jobs N] [-cache] [-cache-size N]
+//	      [-engine vm|ast] [-jobs N] [-cache-size N]
+//
+// -cache-size bounds the shared artifact store in entries, and with it the
+// daemon's memory.
 //
 // Admission control: at most -slots requests execute concurrently, up to
 // -max-queue more wait FIFO, and further arrivals are shed with 503.
@@ -31,6 +34,7 @@ import (
 	"time"
 
 	"jepo/internal/cliconfig"
+	"jepo/internal/engine"
 	"jepo/internal/service"
 )
 
@@ -39,25 +43,25 @@ func main() {
 	addr := fs.String("addr", "127.0.0.1:7361", "listen address")
 	slots := fs.Int("slots", 1, "requests executing concurrently")
 	maxQueue := fs.Int("max-queue", 16, "requests waiting for a slot before arrivals are shed with 503")
+	cacheSize := fs.Int("cache-size", engine.DefaultCapacity, "artifact cache capacity in entries")
 	shared := cliconfig.Register(fs, cliconfig.FeatEngine|cliconfig.FeatJobs)
 	fs.Parse(os.Args[1:])
-	if err := run(*addr, *slots, *maxQueue, shared); err != nil {
+	if err := run(*addr, *slots, *maxQueue, *cacheSize, shared); err != nil {
 		fmt.Fprintln(os.Stderr, "jepod:", err)
 		os.Exit(1)
 	}
 }
 
-func run(addr string, slots, maxQueue int, shared *cliconfig.Set) error {
-	engine, err := shared.Engine()
+func run(addr string, slots, maxQueue, cacheSize int, shared *cliconfig.Set) error {
+	eng, err := shared.Engine()
 	if err != nil {
 		return err
 	}
-	// The daemon builds a private store from the parsed cache flags instead
-	// of mutating the process-wide default: sessions share it through the
-	// Service, and nothing else in the process observes it.
+	// The daemon builds a private store instead of using the process-wide
+	// default: sessions share it through the Service.
 	svc := service.New(service.Config{
-		Cache:    shared.CacheConfig(),
-		Engine:   engine,
+		Cache:    engine.Config{Capacity: cacheSize},
+		Engine:   eng,
 		Jobs:     shared.Jobs(),
 		Slots:    slots,
 		MaxQueue: maxQueue,

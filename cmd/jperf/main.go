@@ -77,10 +77,6 @@ func main() {
 		os.Exit(1)
 	}
 	defer prof.stop()
-	// Install the process-wide artifact engine and export the configuration so
-	// re-exec'd -workers processes inherit it. Stats go to stderr after the
-	// report; stdout stays determinism-pinned.
-	eng := shared.ApplyCache()
 	engine, err := shared.Engine()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "jperf:", err)
@@ -93,7 +89,9 @@ func main() {
 		}
 		os.Exit(1)
 	}
-	fmt.Fprintln(os.Stderr, eng.Stats())
+	// Cache statistics go to stderr after the report; stdout stays
+	// determinism-pinned.
+	fmt.Fprintln(os.Stderr, cache.Default().Stats())
 }
 
 // runDisasmCmd prints the compiled bytecode of every method in the given
@@ -163,8 +161,8 @@ var measureKind = sched.NewSetupKind("measure",
 		}
 		return p, err
 	},
-	func(_ context.Context, _ sched.Task, p measureParams) (measurement, error) {
-		return runOnce(p.prog, p.Main, p.Engine)
+	func(ctx context.Context, _ sched.Task, p measureParams) (measurement, error) {
+		return runOnce(ctx, p.prog, p.Main, p.Engine)
 	})
 
 func run(ctx context.Context, mainClass string, runs int, tukey bool, engine interp.Engine, shared *cliconfig.Set, args []string) error {
@@ -180,8 +178,6 @@ func run(ctx context.Context, mainClass string, runs int, tukey bool, engine int
 	if err != nil {
 		return err
 	}
-	// The cold program is a cached artifact: parse masters and the linked
-	// bytecode are shared with any other consumer of the same sources.
 	prog, err := cache.Default().Program(srcs, false)
 	if err != nil {
 		return err
@@ -208,7 +204,7 @@ func run(ctx context.Context, mainClass string, runs int, tukey bool, engine int
 			all = append(all, m)
 			return float64(m.Pkg)
 		}
-		m, err2 := runOnce(prog, mainClass, engine)
+		m, err2 := runOnce(ctx, prog, mainClass, engine)
 		if err2 != nil && err == nil {
 			err = err2
 		}
@@ -262,7 +258,9 @@ func run(ctx context.Context, mainClass string, runs int, tukey bool, engine int
 	return nil
 }
 
-func runOnce(prog *interp.Program, mainClass string, engine interp.Engine) (measurement, error) {
+// runOnce measures one run of prog's main. ctx bounds the interpreter run,
+// so an interrupt stops a run in flight instead of waiting out its budget.
+func runOnce(ctx context.Context, prog *interp.Program, mainClass string, engine interp.Engine) (measurement, error) {
 	meter := energy.NewMeter(energy.DefaultCosts())
 	// Measure through the resilient wrapper, as on hardware: transient read
 	// faults cost a retry, not the run. With no faults it is a passthrough.
@@ -272,7 +270,7 @@ func runOnce(prog *interp.Program, mainClass string, engine interp.Engine) (meas
 		return measurement{}, err
 	}
 	t0 := meter.Snapshot()
-	in := interp.New(prog, meter, interp.WithMaxOps(2_000_000_000), interp.WithEngine(engine))
+	in := interp.New(prog, meter, interp.WithMaxOps(2_000_000_000), interp.WithEngine(engine), interp.WithContext(ctx))
 	if err := in.RunMain(mainClass); err != nil {
 		return measurement{}, err
 	}

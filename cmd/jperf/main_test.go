@@ -2,6 +2,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"io"
 	"math"
@@ -87,6 +88,40 @@ func TestRunErrors(t *testing.T) {
 	}
 }
 
+// TestRunCancelsInFlight: an interrupt stops a measurement run in flight.
+// The program loops far past a second; cancelling about 100 ms in must end
+// the run with context.Canceled within 2 s, not after it finishes or
+// exhausts its op budget.
+func TestRunCancelsInFlight(t *testing.T) {
+	dir := t.TempDir()
+	src := `class Spin {
+	public static void main(String[] args) {
+		int s = 0;
+		for (int i = 0; i < 100000; i++) {
+			for (int j = 0; j < 100000; j++) { s += j % 7; }
+		}
+		System.out.println(s);
+	}
+}
+`
+	if err := os.WriteFile(filepath.Join(dir, "Spin.java"), []byte(src), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	time.AfterFunc(100*time.Millisecond, cancel)
+	done := make(chan error, 1)
+	go func() { done <- run(ctx, "", 3, true, interp.EngineVM, testShared(t, 1), []string{dir}) }()
+	select {
+	case err := <-done:
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("cancelled run returned %v, want context.Canceled", err)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("run still going 2 s after a cancel ~100 ms in")
+	}
+}
+
 func TestRunOnceDeterministic(t *testing.T) {
 	dir := writeDemo(t)
 	files, err := parseArgs([]string{dir})
@@ -97,11 +132,11 @@ func TestRunOnceDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := runOnce(prog, "", interp.EngineVM)
+	a, err := runOnce(context.Background(), prog, "", interp.EngineVM)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := runOnce(prog, "", interp.EngineVM)
+	b, err := runOnce(context.Background(), prog, "", interp.EngineVM)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +147,7 @@ func TestRunOnceDeterministic(t *testing.T) {
 		t.Errorf("degenerate measurement: %+v", a)
 	}
 	// Both engines must report bit-identical simulated energy.
-	c, err := runOnce(prog, "", interp.EngineAST)
+	c, err := runOnce(context.Background(), prog, "", interp.EngineAST)
 	if err != nil {
 		t.Fatal(err)
 	}

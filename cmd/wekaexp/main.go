@@ -42,6 +42,7 @@ import (
 	"jepo/internal/cliconfig"
 	"jepo/internal/corpus"
 	"jepo/internal/dist"
+	cache "jepo/internal/engine"
 	"jepo/internal/sched"
 	"jepo/internal/service"
 	"jepo/internal/stats"
@@ -97,11 +98,9 @@ func realMain(ctx context.Context, args []string, stdout, stderr io.Writer) erro
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	// Install the process-wide artifact engine and export the configuration,
-	// so re-exec'd -workers processes inherit it. Stats print to stderr at
-	// the end; stdout stays determinism-pinned.
-	eng := shared.ApplyCache()
-	defer func() { fmt.Fprintln(stderr, eng.Stats()) }()
+	// Artifact cache statistics print to stderr at the end; stdout stays
+	// determinism-pinned.
+	defer func() { fmt.Fprintln(stderr, cache.Default().Stats()) }()
 	engine, err := shared.Engine()
 	if err != nil {
 		return err

@@ -1,18 +1,14 @@
 // Package cliconfig is the one place the repository's command-line surfaces
 // declare their shared execution knobs. jepo, jperf, wekaexp and the jepod
-// daemon all expose the same five flags — -engine, -jobs, -cache,
-// -cache-size, -workers (plus -node-deadline) — and before this package each
-// binary re-declared them with drifting help strings and its own
-// apply-after-parse ritual. Register once, Parse, then read the typed
-// accessors.
+// daemon expose the same flags — -engine, -jobs, and on the batch commands
+// -workers and -node-deadline — and before this package each binary
+// re-declared them with drifting help strings. Register once, Parse, then
+// read the typed accessors.
 //
 // DistConfig is the one constructor of the executor config (sched.Config)
 // a command maps with: it reads -jobs, -workers, -node-deadline and the
 // JEPO_DIST_FAULTS chaos plan, so one call places a map in process or on
-// worker processes. The package also owns the environment inheritance
-// contract for re-exec'd worker processes: ApplyCache installs the
-// process-wide artifact engine AND exports JEPO_CACHE / JEPO_CACHE_SIZE, so
-// a worker child observes exactly the cache configuration its parent parsed.
+// worker processes.
 package cliconfig
 
 import (
@@ -22,13 +18,11 @@ import (
 	"time"
 
 	"jepo/internal/dist"
-	"jepo/internal/engine"
 	"jepo/internal/minijava/interp"
 	"jepo/internal/sched"
 )
 
-// Feature selects which optional flag groups Register declares. The cache
-// flags are always registered — every binary takes them.
+// Feature selects which flag groups Register declares.
 type Feature uint
 
 const (
@@ -49,16 +43,12 @@ type Set struct {
 	jobs         *int
 	workers      *int
 	nodeDeadline *time.Duration
-	cacheOn      *bool
-	cacheSize    *int
 }
 
-// Register declares the shared flags on fs: the artifact-cache pair always,
-// plus the groups selected by features. Call before fs.Parse.
+// Register declares the flag groups selected by features on fs. Call before
+// fs.Parse.
 func Register(fs *flag.FlagSet, features Feature) *Set {
 	s := &Set{features: features}
-	s.cacheOn = fs.Bool("cache", true, "content-addressed artifact cache (parse/program/sample reuse; stdout is identical either way)")
-	s.cacheSize = fs.Int("cache-size", engine.DefaultCapacity, "artifact cache capacity in entries")
 	if features&FeatEngine != 0 {
 		s.engineName = fs.String("engine", "vm", "execution engine: vm (bytecode) or ast (tree-walker)")
 	}
@@ -70,21 +60,6 @@ func Register(fs *flag.FlagSet, features Feature) *Set {
 		s.nodeDeadline = fs.Duration("node-deadline", 10*time.Second, "silence window after which a worker node is quarantined and its task reassigned")
 	}
 	return s
-}
-
-// ApplyCache installs the process-wide artifact engine from the parsed
-// -cache/-cache-size values and exports the configuration to the
-// environment (JEPO_CACHE, JEPO_CACHE_SIZE) so re-exec'd worker processes
-// inherit it. Call exactly once, right after parsing.
-func (s *Set) ApplyCache() *engine.Engine {
-	return engine.SetProcessConfig(engine.Config{Disabled: !*s.cacheOn, Capacity: *s.cacheSize})
-}
-
-// CacheConfig returns the parsed cache configuration without installing it.
-// The daemon uses this form: it builds a private engine for its sessions
-// instead of mutating process-wide state.
-func (s *Set) CacheConfig() engine.Config {
-	return engine.Config{Disabled: !*s.cacheOn, Capacity: *s.cacheSize}
 }
 
 // Engine resolves the parsed -engine name. Requires FeatEngine.

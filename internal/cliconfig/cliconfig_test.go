@@ -3,11 +3,8 @@ package cliconfig
 import (
 	"flag"
 	"io"
-	"os"
 	"testing"
 	"time"
-
-	"jepo/internal/engine"
 )
 
 func newFlagSet() *flag.FlagSet {
@@ -21,9 +18,6 @@ func TestDefaults(t *testing.T) {
 	s := Register(fs, FeatEngine|FeatJobs|FeatDist)
 	if err := fs.Parse(nil); err != nil {
 		t.Fatal(err)
-	}
-	if cfg := s.CacheConfig(); cfg.Disabled || cfg.Capacity != engine.DefaultCapacity {
-		t.Errorf("default cache config = %+v, want enabled at DefaultCapacity", cfg)
 	}
 	eng, err := s.Engine()
 	if err != nil {
@@ -48,13 +42,10 @@ func TestParsedValues(t *testing.T) {
 	s := Register(fs, FeatEngine|FeatJobs|FeatDist)
 	args := []string{
 		"-engine", "ast", "-jobs", "3", "-workers", "4",
-		"-node-deadline", "2s", "-cache=false", "-cache-size", "99",
+		"-node-deadline", "2s",
 	}
 	if err := fs.Parse(args); err != nil {
 		t.Fatal(err)
-	}
-	if cfg := s.CacheConfig(); !cfg.Disabled || cfg.Capacity != 99 {
-		t.Errorf("cache config = %+v, want disabled with capacity 99", cfg)
 	}
 	eng, err := s.Engine()
 	if err != nil {
@@ -72,41 +63,9 @@ func TestParsedValues(t *testing.T) {
 func TestFeatureGating(t *testing.T) {
 	fs := newFlagSet()
 	Register(fs, 0)
-	for _, name := range []string{"engine", "jobs", "workers", "node-deadline"} {
-		if fs.Lookup(name) != nil {
-			t.Errorf("flag -%s registered without its feature bit", name)
-		}
-	}
-	for _, name := range []string{"cache", "cache-size"} {
-		if fs.Lookup(name) == nil {
-			t.Errorf("flag -%s should always be registered", name)
-		}
-	}
-}
-
-func TestApplyCacheExportsEnv(t *testing.T) {
-	t.Cleanup(func() {
-		os.Unsetenv(engine.EnvCache)
-		os.Unsetenv(engine.EnvCacheSize)
+	fs.VisitAll(func(f *flag.Flag) {
+		t.Errorf("flag -%s registered without a feature bit", f.Name)
 	})
-	fs := newFlagSet()
-	s := Register(fs, 0)
-	if err := fs.Parse([]string{"-cache=false", "-cache-size", "77"}); err != nil {
-		t.Fatal(err)
-	}
-	eng := s.ApplyCache()
-	if !eng.Stats().Disabled {
-		t.Error("ApplyCache did not disable the engine")
-	}
-	if got := os.Getenv(engine.EnvCache); got != "0" {
-		t.Errorf("%s = %q, want \"0\" (worker processes must inherit -cache=false)", engine.EnvCache, got)
-	}
-	if got := os.Getenv(engine.EnvCacheSize); got != "77" {
-		t.Errorf("%s = %q, want \"77\"", engine.EnvCacheSize, got)
-	}
-	if cfg := engine.EnvConfig(); !cfg.Disabled || cfg.Capacity != 77 {
-		t.Errorf("EnvConfig round-trip = %+v, want disabled/77", cfg)
-	}
 }
 
 func TestDistConfigInheritsFaultPlan(t *testing.T) {

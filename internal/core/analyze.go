@@ -154,11 +154,9 @@ func reportKey(srcs []engine.Source, cfg AnalyzeConfig) engine.Key {
 //
 // The interpreter and meter are deterministic, so a single before/after run
 // pair per fix is an exact measurement, and repeated Analyze calls agree.
-// The whole pipeline goes through the artifact engine: parses, the compiled
-// baseline program, the baseline sample, per-fix outcomes and the report
-// itself are content-addressed, so a repeated call is a cache hit with a
-// bit-identical report. With the cache disabled every stage rebuilds from
-// scratch and produces the same bytes.
+// Every parse is a checkout of a cached master, and the report itself is
+// content-addressed, so a repeated call is a cache hit with a bit-identical
+// report.
 //
 // Cancelling ctx aborts the pipeline — including mid-interpretation inside a
 // measurement run — and returns ctx's error. Because the engine never caches
@@ -170,9 +168,8 @@ func Analyze(ctx context.Context, p Project, cfg AnalyzeConfig) (*AnalysisReport
 	}
 	eng := cfg.cache()
 	srcs := engine.Sources(p)
-	rk := reportKey(srcs, cfg)
-	v, err := eng.Memo(rk, func() (any, error) {
-		return analyze(ctx, eng, srcs, cfg, rk)
+	v, err := eng.Memo(reportKey(srcs, cfg), func() (any, error) {
+		return analyze(ctx, eng, srcs, cfg)
 	})
 	if err != nil {
 		return nil, err
@@ -180,7 +177,7 @@ func Analyze(ctx context.Context, p Project, cfg AnalyzeConfig) (*AnalysisReport
 	return v.(*AnalysisReport), nil
 }
 
-func analyze(ctx context.Context, eng *engine.Engine, srcs []engine.Source, cfg AnalyzeConfig, rk engine.Key) (*AnalysisReport, error) {
+func analyze(ctx context.Context, eng *engine.Engine, srcs []engine.Source, cfg AnalyzeConfig) (*AnalysisReport, error) {
 	files, err := eng.ParseAll(srcs)
 	if err != nil {
 		return nil, err
@@ -195,9 +192,6 @@ func analyze(ctx context.Context, eng *engine.Engine, srcs []engine.Source, cfg 
 		report.Diags[i] = AnalyzedDiagnostic{Diagnostic: d, Verdict: v}
 	}
 
-	// Baseline sample through the engine: the compiled program and the
-	// measurement are shared artifacts, so the baseline costs nothing when a
-	// previous run (or another caller of the same sources) already took it.
 	baseline, err := eng.Sample(ctx, srcs, cfg.runSpec())
 	if err != nil {
 		// A cancelled baseline run must surface as an error, never as a
@@ -231,7 +225,7 @@ func analyze(ctx context.Context, eng *engine.Engine, srcs []engine.Source, cfg 
 	}
 	_, _, err = sched.MapCommit(ctx, sched.Config{Jobs: jobs}, idxs,
 		func(_ sched.Task, i int) (fixOutcome, error) {
-			return measureFix(ctx, eng, srcs, cfg, rk, i, len(diags), baseline)
+			return measureFix(ctx, eng, srcs, cfg, i, len(diags), baseline)
 		},
 		func(task sched.Task, out fixOutcome) {
 			ad := &report.Diags[idxs[task.Index]]
@@ -255,9 +249,8 @@ func analyze(ctx context.Context, eng *engine.Engine, srcs []engine.Source, cfg 
 	return report, nil
 }
 
-// fixOutcome is one fix measurement's cached artifact: the measured delta,
-// or the note explaining why the fix could not be measured. Both cases are
-// pure functions of (project bytes, config, fix index), so both cache.
+// fixOutcome is one fix measurement: the measured delta, or the note
+// explaining why the fix could not be measured.
 type fixOutcome struct {
 	Delta energy.Joules
 	Note  string
@@ -270,61 +263,40 @@ type fixOutcome struct {
 // measures the resulting program. The unchanged-file majority never
 // re-parses: a checkout is a clone of the cached master, so Analyze performs
 // O(files) parses total instead of O(files × fixes).
-func measureFix(ctx context.Context, eng *engine.Engine, srcs []engine.Source, cfg AnalyzeConfig, rk engine.Key, i, want int, baseline energy.Sample) (fixOutcome, error) {
-	fk := engine.NewKey("core/fix").Str(string(rk[:])).Int(int64(i)).Key()
-	v, err := eng.Memo(fk, func() (any, error) {
-		files, err := eng.ParseAll(srcs)
-		if err != nil {
-			return nil, err
-		}
-		diags := passes.AnalyzeFilesRules(files, cfg.Rules...)
-		if len(diags) != want {
-			return nil, fmt.Errorf("core: analysis is not deterministic: %d diagnostics, then %d", want, len(diags))
-		}
-		res := passes.ApplyFixes(files, []passes.Diagnostic{diags[i]})
-		if res.Changes == 0 {
-			return fixOutcome{Note: "fix made no change when replayed alone"}, nil
-		}
-		after, err := measureRun(ctx, files, cfg)
-		if err != nil {
-			// Same trap as the baseline: a cancelled measurement is an
-			// error, not a cacheable "rewritten program failed" note.
-			if cerr := ctx.Err(); cerr != nil {
-				return nil, cerr
-			}
-			return fixOutcome{Note: "rewritten program failed: " + err.Error()}, nil
-		}
-		return fixOutcome{Delta: baseline.Package - after.Package}, nil
-	})
+func measureFix(ctx context.Context, eng *engine.Engine, srcs []engine.Source, cfg AnalyzeConfig, i, want int, baseline energy.Sample) (fixOutcome, error) {
+	files, err := eng.ParseAll(srcs)
 	if err != nil {
 		return fixOutcome{}, err
 	}
-	return v.(fixOutcome), nil
+	diags := passes.AnalyzeFilesRules(files, cfg.Rules...)
+	if len(diags) != want {
+		return fixOutcome{}, fmt.Errorf("core: analysis is not deterministic: %d diagnostics, then %d", want, len(diags))
+	}
+	res := passes.ApplyFixes(files, []passes.Diagnostic{diags[i]})
+	if res.Changes == 0 {
+		return fixOutcome{Note: "fix made no change when replayed alone"}, nil
+	}
+	after, err := measureRun(ctx, files, cfg)
+	if err != nil {
+		// Same trap as the baseline: a cancelled measurement is an error,
+		// not a cacheable "rewritten program failed" note.
+		if cerr := ctx.Err(); cerr != nil {
+			return fixOutcome{}, cerr
+		}
+		return fixOutcome{Note: "rewritten program failed: " + err.Error()}, nil
+	}
+	return fixOutcome{Delta: baseline.Package - after.Package}, nil
 }
 
-// measureRun executes a rewritten project's main under a fresh meter and
-// returns the whole-run sample. The ASTs here are post-fix mutants private
-// to the caller, so they load directly rather than through the program
-// cache.
+// measureRun links a rewritten project and measures its main under the
+// baseline's run configuration. The ASTs here are post-fix mutants private
+// to the caller.
 func measureRun(ctx context.Context, files []*ast.File, cfg AnalyzeConfig) (energy.Sample, error) {
 	prog, err := interp.Load(files...)
 	if err != nil {
 		return energy.Sample{}, err
 	}
-	costs := energy.DefaultCosts()
-	if cfg.Costs != nil {
-		costs = *cfg.Costs
-	}
-	meter := energy.NewMeter(costs)
-	maxOps := cfg.MaxOps
-	if maxOps == 0 {
-		maxOps = interp.DefaultMaxOps
-	}
-	in := interp.New(prog, meter, interp.WithMaxOps(maxOps), interp.WithEngine(cfg.Engine), interp.WithContext(ctx))
-	if err := in.RunMain(cfg.MainClass); err != nil {
-		return energy.Sample{}, err
-	}
-	return meter.Snapshot(), nil
+	return engine.Run(ctx, prog, cfg.runSpec())
 }
 
 // AnalysisView renders the unified diagnostic view: every finding with its

@@ -44,11 +44,9 @@ func fixableCount(r *AnalysisReport) int {
 	return n
 }
 
-// TestAnalyzeParseCountRegression pins the tentpole's headline win: with the
-// artifact engine, Analyze parses each file exactly once — detection, the
-// baseline program and every per-fix checkout all hydrate from the same
-// masters — instead of the old O(files × fixes) full re-parses. The disabled
-// engine reproduces the old parse count, proving the comparison is honest.
+// TestAnalyzeParseCountRegression: Analyze parses each file exactly once —
+// detection, the baseline program and every per-fix checkout all hydrate
+// from the same masters — instead of O(files × fixes) full re-parses.
 func TestAnalyzeParseCountRegression(t *testing.T) {
 	const nFiles = 3
 
@@ -66,22 +64,6 @@ func TestAnalyzeParseCountRegression(t *testing.T) {
 	}
 	if got := cached.Stats().Parses; got != nFiles {
 		t.Fatalf("cached Analyze parses = %d, want %d (one per file)", got, nFiles)
-	}
-
-	off := engine.New(engine.Config{Disabled: true})
-	repOff, err := Analyze(context.Background(), cacheProject, AnalyzeConfig{Cache: off})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Old pipeline shape: detection + baseline + one full re-parse per fix.
-	want := uint64(nFiles * (2 + fixes))
-	if got := off.Stats().Parses; got != want {
-		t.Fatalf("disabled Analyze parses = %d, want %d (files × (2 + fixes))", got, want)
-	}
-
-	// Cost changed; bytes must not have.
-	if AnalysisView(rep) != AnalysisView(repOff) {
-		t.Fatal("cached and uncached analysis reports diverge")
 	}
 }
 

@@ -101,9 +101,9 @@ func TestAnalysisReportRoundTrip(t *testing.T) {
 // the corpusfile kind on pipe workers (AnalyzeCorpus) hammer ONE shared
 // store concurrently, alongside a loop of direct Sample calls over the same
 // sources. Run under -race by scripts/check.sh. Assertions: every consumer's
-// output is bit-identical to a disabled-cache baseline, and the shared store
-// tallies both hits and misses (i.e. the consumers really did share
-// artifacts rather than each building their own).
+// output is bit-identical to a baseline taken on a fresh store, and the
+// shared store tallies both hits and misses (i.e. the consumers really did
+// share artifacts rather than each building their own).
 func TestSharedStoreRaceStress(t *testing.T) {
 	const classifier = "RandomTree"
 	proj, err := corpus.Generate(classifier, corpusSeed)
@@ -111,9 +111,8 @@ func TestSharedStoreRaceStress(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Baseline with the cache disabled: the pre-engine pipeline's bytes.
-	off := engine.New(engine.Config{Disabled: true})
-	baseline, _, err := AnalyzeAll(context.Background(), proj, AnalyzeConfig{Jobs: 1, Cache: off})
+	// Baseline on a fresh store of its own: every artifact built cold.
+	baseline, _, err := AnalyzeAll(context.Background(), proj, AnalyzeConfig{Jobs: 1, Cache: engine.New(engine.Config{})})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +133,7 @@ func TestSharedStoreRaceStress(t *testing.T) {
 	}
 }`}}
 	benchSpec := engine.RunSpec{CallClass: "B", CallMethod: "f", MaxOps: 10_000_000}
-	benchRef, err := engine.New(engine.Config{Disabled: true}).Sample(context.Background(), benchSrcs, benchSpec)
+	benchRef, err := engine.New(engine.Config{}).Sample(context.Background(), benchSrcs, benchSpec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +160,7 @@ func TestSharedStoreRaceStress(t *testing.T) {
 	}()
 
 	// Consumer 3: direct Sample traffic on the same store — every returned
-	// sample must be bit-identical to the uncached reference.
+	// sample must be bit-identical to the fresh-store reference.
 	for g := 0; g < 4; g++ {
 		wg.Add(1)
 		go func() {
@@ -173,7 +172,7 @@ func TestSharedStoreRaceStress(t *testing.T) {
 					return
 				}
 				if math.Float64bits(float64(s.Package)) != math.Float64bits(float64(benchRef.Package)) {
-					t.Error("concurrent Sample diverged from uncached reference")
+					t.Error("concurrent Sample diverged from the fresh-store reference")
 					return
 				}
 			}
@@ -192,7 +191,7 @@ func TestSharedStoreRaceStress(t *testing.T) {
 	}
 
 	if got := CorpusView(poolReport); got != baseView {
-		t.Errorf("pool AnalyzeAll view diverged from disabled-cache baseline:\n%s\n---\n%s", got, baseView)
+		t.Errorf("pool AnalyzeAll view diverged from the fresh-store baseline:\n%s\n---\n%s", got, baseView)
 	}
 	// Joule bits per file: a hit must not move a single charge.
 	for i, fa := range poolReport.Files {
@@ -205,7 +204,7 @@ func TestSharedStoreRaceStress(t *testing.T) {
 		}
 	}
 	if got := CorpusView(placedReport); got != baseView {
-		t.Errorf("placed AnalyzeCorpus view diverged from disabled-cache baseline:\n%s\n---\n%s", got, baseView)
+		t.Errorf("placed AnalyzeCorpus view diverged from the fresh-store baseline:\n%s\n---\n%s", got, baseView)
 	}
 
 	st := shared.Stats()

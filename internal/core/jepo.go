@@ -10,12 +10,13 @@
 //   - Metrics: the dependency/attribute/method/package/LOC analysis of
 //     Table II
 //
-// Measurements run against real powercap RAPL counters when the host exposes
-// them, and against the calibrated simulator otherwise.
+// Measurements read the calibrated simulator's counters (rapl.NewSimSource
+// over the energy meter); no entry point reads host RAPL counters.
 //
-// Every entry point routes its parse/compile/measure stages through the
-// content-addressed artifact engine (internal/engine), so repeated work over
-// unchanged sources is served from cache with bit-identical results.
+// Every entry point parses through the content-addressed artifact engine
+// (internal/engine), so unchanged sources are clone checkouts of cached
+// masters, and Analyze reports are cached whole, so a repeated analysis is
+// served from cache with bit-identical results.
 package core
 
 import (
@@ -101,17 +102,10 @@ func abs(x int) int {
 	return x
 }
 
-// optimized is Optimize's cached artifact. Shared across calls; read-only.
-type optimized struct {
-	Out Project
-	Res *passes.Result
-}
-
 // Optimize applies the (selected, default all) Table I refactorings to a
-// project, returning the rewritten sources and the change report. The result
-// is a cached artifact keyed by the project bytes and the rule selection.
-// The rewrite itself is pure parse-and-print work, so ctx is only consulted
-// between stages; a cancelled context aborts before the rebuild.
+// project, returning the rewritten sources and the change report. The
+// rewrite itself is pure parse-and-print work, so ctx is only consulted
+// before it starts.
 func Optimize(ctx context.Context, p Project, rules ...passes.Rule) (Project, *passes.Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -119,33 +113,16 @@ func Optimize(ctx context.Context, p Project, rules ...passes.Rule) (Project, *p
 	if err := ctx.Err(); err != nil {
 		return nil, nil, err
 	}
-	eng := engine.Default()
-	srcs := engine.Sources(p)
-	h := engine.NewKey("core/optimize")
-	h.Int(int64(len(rules)))
-	for _, r := range rules {
-		h.Int(int64(r))
-	}
-	for _, s := range srcs {
-		h.Str(s.Path).Str(s.Source)
-	}
-	v, err := eng.Memo(h.Key(), func() (any, error) {
-		files, err := eng.ParseAll(srcs)
-		if err != nil {
-			return nil, err
-		}
-		res := passes.ApplyFixes(files, passes.AnalyzeFilesRules(files, rules...))
-		out := make(Project, len(files))
-		for _, f := range files {
-			out[f.Path] = ast.Print(f)
-		}
-		return &optimized{Out: out, Res: res}, nil
-	})
+	files, err := ParseProject(p)
 	if err != nil {
 		return nil, nil, err
 	}
-	o := v.(*optimized)
-	return o.Out, o.Res, nil
+	res := passes.ApplyFixes(files, passes.AnalyzeFilesRules(files, rules...))
+	out := make(Project, len(files))
+	for _, f := range files {
+		out[f.Path] = ast.Print(f)
+	}
+	return out, res, nil
 }
 
 // ProfileResult is the outcome of a profiled run.
@@ -176,10 +153,8 @@ type ProfileConfig struct {
 
 // Profile instruments every method of the project with JEPO.enter/exit
 // probes, executes the main class, and returns per-execution measurements —
-// the library form of the "JEPO profiler" pop-up action. The instrumented
-// program is a cached artifact; the profiler itself runs live because its
-// hook observes the interpreter as it executes. Cancelling ctx aborts the
-// run mid-interpretation and returns ctx's error.
+// the library form of the "JEPO profiler" pop-up action. Cancelling ctx
+// aborts the run mid-interpretation and returns ctx's error.
 func Profile(ctx context.Context, p Project, cfg ProfileConfig) (*ProfileResult, error) {
 	eng := cfg.Cache
 	if eng == nil {

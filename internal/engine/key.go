@@ -28,8 +28,8 @@ type Hasher struct {
 }
 
 // NewKey starts a hasher for one artifact stage. The stage name partitions
-// the key space, so a parse artifact and a program artifact of the same
-// source can never collide.
+// the key space, so a parse artifact and a report of the same source can
+// never collide.
 func NewKey(stage string) *Hasher {
 	h := &Hasher{h: sha256.New()}
 	return h.Str(stage)

@@ -18,7 +18,7 @@ const counterSrc = `class Counter {
 	}
 }`
 
-// TestSharedProgramStaticsAreIndependent runs one cached program from four
+// TestSharedProgramStaticsAreIndependent runs one linked program from four
 // interpreters at once. Static fields are per-run state, so every run must
 // count to 20000 on its own and charge the same joules as the others; under
 // -race, any static value or address kept in the shared program is a

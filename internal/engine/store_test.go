@@ -102,23 +102,6 @@ func TestMemoErrorNotCached(t *testing.T) {
 	}
 }
 
-func TestMemoDisabledAlwaysBuilds(t *testing.T) {
-	e := New(Config{Disabled: true})
-	calls := 0
-	for i := 0; i < 3; i++ {
-		if _, err := e.Memo(key("m"), func() (any, error) { calls++; return calls, nil }); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if calls != 3 {
-		t.Fatalf("calls = %d, want 3 (disabled engine must not cache)", calls)
-	}
-	st := e.Stats()
-	if !st.Disabled || st.Hits != 0 || st.Misses != 0 {
-		t.Fatalf("disabled stats polluted: %+v", st)
-	}
-}
-
 func TestStoreConcurrentAccess(t *testing.T) {
 	s := newStore(64)
 	var wg sync.WaitGroup

@@ -18,9 +18,8 @@ package ast
 // Cursor describes the node currently being visited and its edge from the
 // parent, and carries the mutation operations.
 type Cursor struct {
-	node   Node
-	parent Node   // enclosing node; nil at the root
-	name   string // field name in the parent ("Stmts", "Cond", ...)
+	node Node
+	name string // field name in the parent ("Stmts", "Cond", ...)
 
 	// For nodes held in a statement slice: the slice and index; otherwise
 	// slice is nil and set writes the single field slot.
@@ -31,9 +30,6 @@ type Cursor struct {
 
 // Node returns the node the cursor currently points at.
 func (c *Cursor) Node() Node { return c.node }
-
-// Parent returns the enclosing node (nil at the traversal root).
-func (c *Cursor) Parent() Node { return c.parent }
 
 // Name returns the field name of the parent holding this node.
 func (c *Cursor) Name() string { return c.name }
@@ -174,31 +170,31 @@ func (rs *rewriteState) runPost(c *Cursor) {
 }
 
 // expr visits a single-slot expression child.
-func (rs *rewriteState) expr(parent Node, name string, e Expr, set func(Expr)) {
+func (rs *rewriteState) expr(name string, e Expr, set func(Expr)) {
 	if e == nil || rs.done {
 		return
 	}
-	rs.visit(&Cursor{node: e, parent: parent, name: name,
+	rs.visit(&Cursor{node: e, name: name,
 		set: func(n Node) { set(n.(Expr)) }})
 }
 
 // stmtSlot visits a single-slot statement child (If.Then, For.Body, ...).
-func (rs *rewriteState) stmtSlot(parent Node, name string, s Stmt, set func(Stmt)) {
+func (rs *rewriteState) stmtSlot(name string, s Stmt, set func(Stmt)) {
 	if s == nil || rs.done {
 		return
 	}
-	rs.visit(&Cursor{node: s, parent: parent, name: name,
+	rs.visit(&Cursor{node: s, name: name,
 		set: func(n Node) { set(n.(Stmt)) }})
 }
 
 // stmts sweeps a statement slice, re-reading the length each step so hooks
 // may splice the slice mid-sweep.
-func (rs *rewriteState) stmts(parent Node, name string, slice *[]Stmt) {
+func (rs *rewriteState) stmts(name string, slice *[]Stmt) {
 	for i := 0; i < len(*slice); i++ {
 		if rs.done {
 			return
 		}
-		c := &Cursor{node: (*slice)[i], parent: parent, name: name,
+		c := &Cursor{node: (*slice)[i], name: name,
 			slice: slice, index: i}
 		rs.visit(c)
 		i = c.index // InsertBefore advances the index past inserted nodes
@@ -212,94 +208,94 @@ func (rs *rewriteState) stmts(parent Node, name string, slice *[]Stmt) {
 func (rs *rewriteState) children(node Node) {
 	switch n := node.(type) {
 	case *Block:
-		rs.stmts(n, "Stmts", &n.Stmts)
+		rs.stmts("Stmts", &n.Stmts)
 	case *LocalVar:
-		rs.expr(n, "Init", n.Init, func(e Expr) { n.Init = e })
+		rs.expr("Init", n.Init, func(e Expr) { n.Init = e })
 	case *ExprStmt:
-		rs.expr(n, "X", n.X, func(e Expr) { n.X = e })
+		rs.expr("X", n.X, func(e Expr) { n.X = e })
 	case *If:
-		rs.expr(n, "Cond", n.Cond, func(e Expr) { n.Cond = e })
-		rs.stmtSlot(n, "Then", n.Then, func(s Stmt) { n.Then = s })
-		rs.stmtSlot(n, "Else", n.Else, func(s Stmt) { n.Else = s })
+		rs.expr("Cond", n.Cond, func(e Expr) { n.Cond = e })
+		rs.stmtSlot("Then", n.Then, func(s Stmt) { n.Then = s })
+		rs.stmtSlot("Else", n.Else, func(s Stmt) { n.Else = s })
 	case *While:
-		rs.expr(n, "Cond", n.Cond, func(e Expr) { n.Cond = e })
-		rs.stmtSlot(n, "Body", n.Body, func(s Stmt) { n.Body = s })
+		rs.expr("Cond", n.Cond, func(e Expr) { n.Cond = e })
+		rs.stmtSlot("Body", n.Body, func(s Stmt) { n.Body = s })
 	case *DoWhile:
-		rs.stmtSlot(n, "Body", n.Body, func(s Stmt) { n.Body = s })
-		rs.expr(n, "Cond", n.Cond, func(e Expr) { n.Cond = e })
+		rs.stmtSlot("Body", n.Body, func(s Stmt) { n.Body = s })
+		rs.expr("Cond", n.Cond, func(e Expr) { n.Cond = e })
 	case *Switch:
-		rs.expr(n, "Tag", n.Tag, func(e Expr) { n.Tag = e })
+		rs.expr("Tag", n.Tag, func(e Expr) { n.Tag = e })
 		for ci := range n.Cases {
 			cs := &n.Cases[ci]
 			for vi := range cs.Values {
 				vi := vi
-				rs.expr(n, "Values", cs.Values[vi], func(e Expr) { cs.Values[vi] = e })
+				rs.expr("Values", cs.Values[vi], func(e Expr) { cs.Values[vi] = e })
 			}
-			rs.stmts(n, "Stmts", &cs.Stmts)
+			rs.stmts("Stmts", &cs.Stmts)
 		}
 	case *For:
-		rs.stmtSlot(n, "Init", n.Init, func(s Stmt) { n.Init = s })
-		rs.expr(n, "Cond", n.Cond, func(e Expr) { n.Cond = e })
+		rs.stmtSlot("Init", n.Init, func(s Stmt) { n.Init = s })
+		rs.expr("Cond", n.Cond, func(e Expr) { n.Cond = e })
 		for i := range n.Post {
 			i := i
-			rs.expr(n, "Post", n.Post[i], func(e Expr) { n.Post[i] = e })
+			rs.expr("Post", n.Post[i], func(e Expr) { n.Post[i] = e })
 		}
-		rs.stmtSlot(n, "Body", n.Body, func(s Stmt) { n.Body = s })
+		rs.stmtSlot("Body", n.Body, func(s Stmt) { n.Body = s })
 	case *Return:
-		rs.expr(n, "X", n.X, func(e Expr) { n.X = e })
+		rs.expr("X", n.X, func(e Expr) { n.X = e })
 	case *Throw:
-		rs.expr(n, "X", n.X, func(e Expr) { n.X = e })
+		rs.expr("X", n.X, func(e Expr) { n.X = e })
 	case *Try:
-		rs.stmtSlot(n, "Block", n.Block, func(s Stmt) { n.Block = s.(*Block) })
+		rs.stmtSlot("Block", n.Block, func(s Stmt) { n.Block = s.(*Block) })
 		for i := range n.Catches {
 			ct := &n.Catches[i]
-			rs.stmtSlot(n, "Catch", ct.Block, func(s Stmt) { ct.Block = s.(*Block) })
+			rs.stmtSlot("Catch", ct.Block, func(s Stmt) { ct.Block = s.(*Block) })
 		}
 		if n.Finally != nil {
-			rs.stmtSlot(n, "Finally", n.Finally, func(s Stmt) { n.Finally = s.(*Block) })
+			rs.stmtSlot("Finally", n.Finally, func(s Stmt) { n.Finally = s.(*Block) })
 		}
 	case *Select:
-		rs.expr(n, "X", n.X, func(e Expr) { n.X = e })
+		rs.expr("X", n.X, func(e Expr) { n.X = e })
 	case *Index:
-		rs.expr(n, "X", n.X, func(e Expr) { n.X = e })
-		rs.expr(n, "I", n.I, func(e Expr) { n.I = e })
+		rs.expr("X", n.X, func(e Expr) { n.X = e })
+		rs.expr("I", n.I, func(e Expr) { n.I = e })
 	case *Call:
-		rs.expr(n, "Recv", n.Recv, func(e Expr) { n.Recv = e })
+		rs.expr("Recv", n.Recv, func(e Expr) { n.Recv = e })
 		for i := range n.Args {
 			i := i
-			rs.expr(n, "Args", n.Args[i], func(e Expr) { n.Args[i] = e })
+			rs.expr("Args", n.Args[i], func(e Expr) { n.Args[i] = e })
 		}
 	case *New:
 		for i := range n.Args {
 			i := i
-			rs.expr(n, "Args", n.Args[i], func(e Expr) { n.Args[i] = e })
+			rs.expr("Args", n.Args[i], func(e Expr) { n.Args[i] = e })
 		}
 	case *NewArray:
 		for i := range n.Lens {
 			i := i
-			rs.expr(n, "Lens", n.Lens[i], func(e Expr) { n.Lens[i] = e })
+			rs.expr("Lens", n.Lens[i], func(e Expr) { n.Lens[i] = e })
 		}
 	case *ArrayLit:
 		for i := range n.Elems {
 			i := i
-			rs.expr(n, "Elems", n.Elems[i], func(e Expr) { n.Elems[i] = e })
+			rs.expr("Elems", n.Elems[i], func(e Expr) { n.Elems[i] = e })
 		}
 	case *Unary:
-		rs.expr(n, "X", n.X, func(e Expr) { n.X = e })
+		rs.expr("X", n.X, func(e Expr) { n.X = e })
 	case *Binary:
-		rs.expr(n, "X", n.X, func(e Expr) { n.X = e })
-		rs.expr(n, "Y", n.Y, func(e Expr) { n.Y = e })
+		rs.expr("X", n.X, func(e Expr) { n.X = e })
+		rs.expr("Y", n.Y, func(e Expr) { n.Y = e })
 	case *Assign:
-		rs.expr(n, "LHS", n.LHS, func(e Expr) { n.LHS = e })
-		rs.expr(n, "RHS", n.RHS, func(e Expr) { n.RHS = e })
+		rs.expr("LHS", n.LHS, func(e Expr) { n.LHS = e })
+		rs.expr("RHS", n.RHS, func(e Expr) { n.RHS = e })
 	case *Ternary:
-		rs.expr(n, "Cond", n.Cond, func(e Expr) { n.Cond = e })
-		rs.expr(n, "Then", n.Then, func(e Expr) { n.Then = e })
-		rs.expr(n, "Else", n.Else, func(e Expr) { n.Else = e })
+		rs.expr("Cond", n.Cond, func(e Expr) { n.Cond = e })
+		rs.expr("Then", n.Then, func(e Expr) { n.Then = e })
+		rs.expr("Else", n.Else, func(e Expr) { n.Else = e })
 	case *Cast:
-		rs.expr(n, "X", n.X, func(e Expr) { n.X = e })
+		rs.expr("X", n.X, func(e Expr) { n.X = e })
 	case *InstanceOf:
-		rs.expr(n, "X", n.X, func(e Expr) { n.X = e })
+		rs.expr("X", n.X, func(e Expr) { n.X = e })
 	case *Literal, *Ident, *This, *Break, *Continue, *Empty:
 		// leaves
 	}

@@ -381,16 +381,6 @@ func (in *Interp) NewDoubleMatrix(data [][]float64) Value {
 	return outer
 }
 
-// NewStringArray builds a String[] from host data.
-func (in *Interp) NewStringArray(data []string) Value {
-	a := in.newArrayRaw(ast.Type{Kind: ast.ClassType, Name: "String"}, len(data))
-	ar := a.R.(*Array)
-	for i, s := range data {
-		ar.R[i] = StringVal(s)
-	}
-	return a
-}
-
 // --- frames ---
 
 // cell is one frame slot. live distinguishes a declared local from a slot

@@ -13,8 +13,8 @@ import (
 )
 
 // TestEntryPointFailureCompilesNothing: a program whose entry point cannot
-// be found fails with RunMain's error text, through engine.Sample as through
-// RunMain, and is never lowered to bytecode.
+// be found fails with RunMain's error text, through engine.Sample and
+// engine.Run as through RunMain, and is never lowered to bytecode.
 func TestEntryPointFailureCompilesNothing(t *testing.T) {
 	cases := []struct {
 		name, src, main, want string
@@ -37,12 +37,15 @@ func TestEntryPointFailureCompilesNothing(t *testing.T) {
 			if err == nil || err.Error() != c.want {
 				t.Fatalf("Sample error %v, want %q", err, c.want)
 			}
-			prog, err := e.Program(srcs, false) // the program Sample used
+			prog, err := e.Program(srcs, false)
 			if err != nil {
 				t.Fatal(err)
 			}
+			if _, err := engine.Run(context.Background(), prog, engine.RunSpec{Main: c.main}); err == nil || err.Error() != c.want {
+				t.Fatalf("Run error %v, want %q", err, c.want)
+			}
 			if interp.Compiled(prog) {
-				t.Error("Sample compiled a program it could not run")
+				t.Error("Run compiled a program it could not run")
 			}
 
 			f, err := parser.Parse("A.java", c.src)
@@ -65,11 +68,14 @@ func TestEntryPointFailureCompilesNothing(t *testing.T) {
 
 	// The control: a runnable program is compiled by its first run.
 	e := engine.New(engine.Config{})
-	srcs := []engine.Source{{Path: "A.java", Source: `class A { public static void main(String[] args) { } }`}}
-	if _, err := e.Sample(context.Background(), srcs, engine.RunSpec{}); err != nil {
+	prog, err := e.Program([]engine.Source{{Path: "A.java", Source: `class A { public static void main(String[] args) { } }`}}, false)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if prog, _ := e.Program(srcs, false); !interp.Compiled(prog) {
+	if _, err := engine.Run(context.Background(), prog, engine.RunSpec{}); err != nil {
+		t.Fatal(err)
+	}
+	if !interp.Compiled(prog) {
 		t.Error("a successful run left the program uncompiled")
 	}
 }

@@ -106,24 +106,6 @@ func CountByRule(diags []Diagnostic) map[Rule]int {
 	return m
 }
 
-// Filter keeps only diagnostics of the given rules (all when none given).
-func Filter(diags []Diagnostic, rules ...Rule) []Diagnostic {
-	if len(rules) == 0 {
-		return diags
-	}
-	keep := map[Rule]bool{}
-	for _, r := range rules {
-		keep[r] = true
-	}
-	out := make([]Diagnostic, 0, len(diags))
-	for _, d := range diags {
-		if keep[d.Rule] {
-			out = append(out, d)
-		}
-	}
-	return out
-}
-
 // A Pass is one registered rule. Its hooks are invoked from the single shared
 // traversal the engine runs per file; a pass sets only the hooks its rule
 // needs. Hooks emit diagnostics (with fixes where a mechanical repair is

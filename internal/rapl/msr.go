@@ -5,8 +5,10 @@
 // (MSR) protocol — 32-bit energy-status counters in energy-status units that
 // wrap around — backed by the energy-model meter, so the full read/unwrap
 // path is exercised exactly as it would be against /dev/cpu/*/msr. Sysfs
-// reads the Linux powercap interface (/sys/class/powercap/intel-rapl*) and is
-// used automatically on hosts that expose real RAPL counters.
+// reads the Linux powercap interface (/sys/class/powercap/intel-rapl*);
+// Detect returns it on hosts that expose real RAPL counters. Only the
+// examples/rapl program calls Detect: the commands and core.Profile read the
+// simulator, so their output stays deterministic.
 package rapl
 
 import (

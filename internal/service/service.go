@@ -39,7 +39,7 @@ var ErrNoSession = errors.New("service: no such session")
 // Config sizes a Service.
 type Config struct {
 	// Cache configures the artifact store every session shares. The zero
-	// value is an enabled store at the default capacity.
+	// value is a store at the default capacity.
 	Cache engine.Config
 	// Engine is the default execution engine for requests that don't name
 	// one (zero value = bytecode VM).
@@ -151,7 +151,7 @@ func (svc *Service) Close() {
 // Session is one client's virtual file set. Files never touch the
 // filesystem: they exist only in the session, keyed by a relative path, and
 // flow into the shared artifact store content-addressed, so two sessions
-// holding identical sources share every cached parse, program and sample.
+// holding identical sources share every cached parse and analysis report.
 type Session struct {
 	svc *Service
 	id  string
@@ -459,8 +459,9 @@ type TableResult struct {
 }
 
 // Table regenerates paper table n (1 or 2). Tables need no session — they
-// run over built-in corpora — but they share the gate and the store with
-// session requests, so a table regeneration queues like everything else.
+// run over built-in corpora — but they share the gate with session
+// requests, so a table regeneration queues like everything else. They parse
+// through the process-wide engine.Default(), not the service's store.
 func (svc *Service) Table(ctx context.Context, n int, seed uint64, req Request, onEvent Progress) (*TableResult, error) {
 	em := &emitter{fn: onEvent}
 	eng, jobs, _, err := svc.resolve(req)

@@ -8,7 +8,6 @@ import (
 	"jepo/internal/airlines"
 	"jepo/internal/corpus"
 	"jepo/internal/energy"
-	"jepo/internal/engine"
 	"jepo/internal/minijava/ast"
 	"jepo/internal/minijava/interp"
 	"jepo/internal/passes"
@@ -80,11 +79,11 @@ func Ablate(ctx context.Context, cfg AblationConfig) ([]AblationRow, error) {
 	if err != nil {
 		return nil, err
 	}
-	orig, err := kernelAST(engine.Default(), proj, cfg.Classifier)
+	orig, err := kernelAST(proj, cfg.Classifier)
 	if err != nil {
 		return nil, err
 	}
-	refd, err := kernelAST(engine.Default(), proj, cfg.Classifier)
+	refd, err := kernelAST(proj, cfg.Classifier)
 	if err != nil {
 		return nil, err
 	}
@@ -101,11 +100,11 @@ func Ablate(ctx context.Context, cfg AblationConfig) ([]AblationRow, error) {
 		if err := costs.Validate(); err != nil {
 			return nil, fmt.Errorf("tables: ablation %s produced invalid costs: %w", v.name, err)
 		}
-		before, err := runKernelWithCosts(ctx, orig, cfg.Classifier, feats, labels, cfg.Reps, costs, cfg.Engine)
+		before, err := runKernelOnce(ctx, orig, cfg.Classifier, feats, labels, cfg.Reps, costs, cfg.Engine)
 		if err != nil {
 			return nil, fmt.Errorf("tables: ablation %s: %w", v.name, err)
 		}
-		after, err := runKernelWithCosts(ctx, refd, cfg.Classifier, feats, labels, cfg.Reps, costs, cfg.Engine)
+		after, err := runKernelOnce(ctx, refd, cfg.Classifier, feats, labels, cfg.Reps, costs, cfg.Engine)
 		if err != nil {
 			return nil, fmt.Errorf("tables: ablation %s: %w", v.name, err)
 		}
@@ -116,31 +115,6 @@ func Ablate(ctx context.Context, cfg AblationConfig) ([]AblationRow, error) {
 		})
 	}
 	return rows, nil
-}
-
-// runKernelWithCosts is runKernelOnce with an explicit cost table.
-func runKernelWithCosts(ctx context.Context, kernel *ast.File, name string, feats [][]float64, labels []int64, reps int, costs energy.CostTable, engine interp.Engine) (kernelMeasurement, error) {
-	prog, err := interp.Load(kernel)
-	if err != nil {
-		return kernelMeasurement{}, err
-	}
-	in := interp.New(prog, energy.NewMeter(costs), interp.WithMaxOps(2_000_000_000), interp.WithEngine(engine), interp.WithContext(ctx))
-	if err := in.InitStatics(); err != nil {
-		return kernelMeasurement{}, err
-	}
-	kc := corpus.KernelClass(name)
-	if err := in.Bind(kc, "DATA", in.NewDoubleMatrix(feats)); err != nil {
-		return kernelMeasurement{}, err
-	}
-	if err := in.Bind(kc, "LABELS", in.NewIntArray(labels)); err != nil {
-		return kernelMeasurement{}, err
-	}
-	before := in.Meter().Snapshot()
-	if _, err := in.CallStatic(kc, "run", interp.IntVal(int64(reps))); err != nil {
-		return kernelMeasurement{}, err
-	}
-	d := in.Meter().Snapshot().Sub(before)
-	return kernelMeasurement{pkg: d.Package, core: d.Core, elapsed: d.Elapsed}, nil
 }
 
 // RenderAblation lays out the ablation rows.

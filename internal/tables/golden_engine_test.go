@@ -27,7 +27,7 @@ func TestGoldenEnergyEngineCache(t *testing.T) {
 
 	battery := func() []goldenRecord {
 		var recs []goldenRecord
-		// Table I variants through eng.Program.
+		// Table I variants through eng.Program, linked from parse checkouts.
 		driveF := func(in *interp.Interp) error {
 			if err := in.InitStatics(); err != nil {
 				return err
@@ -50,8 +50,8 @@ func TestGoldenEnergyEngineCache(t *testing.T) {
 			run(fmt.Sprintf("table1/%v/efficient", b.rule), b.fast)
 		}
 
-		// Table IV kernel pair: original as a shared program artifact,
-		// refactored as a memoized build from a live parse checkout.
+		// Table IV kernel pair: original through eng.Program, refactored as
+		// a memoized build from a live parse checkout.
 		const kernelName = "RandomForest"
 		proj, err := corpus.Generate(kernelName, 20200518)
 		if err != nil {

@@ -14,7 +14,6 @@ import (
 	"jepo/internal/airlines"
 	"jepo/internal/corpus"
 	"jepo/internal/energy"
-	cache "jepo/internal/engine"
 	"jepo/internal/minijava/ast"
 	"jepo/internal/minijava/interp"
 	"jepo/internal/minijava/parser"
@@ -137,7 +136,7 @@ func goldenCases(engine interp.Engine, runs int) ([]goldenCase, error) {
 	feats, labels := kernelData(data)
 	loadKernel := func(refactored bool) func() (*interp.Program, error) {
 		return func() (*interp.Program, error) {
-			kernel, err := kernelAST(cache.Default(), proj, kernelName)
+			kernel, err := kernelAST(proj, kernelName)
 			if err != nil {
 				return nil, err
 			}

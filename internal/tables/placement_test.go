@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"jepo/internal/dist"
-	"jepo/internal/engine"
 	"jepo/internal/minijava/interp"
 	"jepo/internal/sched"
 )
@@ -56,11 +55,6 @@ func TestTable1Placements(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The placed run gets an empty store. With the in-process run's
-	// artifacts cached every task is a hit, and one node can drain the queue
-	// before the other reaches its scripted third task.
-	prev := engine.SetDefault(engine.New(engine.Config{}))
-	defer engine.SetDefault(prev)
 	plan := &dist.FaultPlan{Script: map[int]map[int]dist.FaultKind{0: {2: dist.FaultKill}}}
 	got, tel, err := Table1Map(context.Background(), pipeWorkers(2, plan), interp.EngineVM)
 	if err != nil {

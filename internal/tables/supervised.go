@@ -119,7 +119,7 @@ func superviseRow(ctx context.Context, name string, in *table4Inputs) (Table4Row
 				return
 			}
 		}
-		row, err := table4Row(ctx, name, in.data, in.feats, in.labels, cfg, in.say)
+		row, err := table4Row(ctx, name, in)
 		done <- outcome{row: row, err: err}
 	}()
 

@@ -17,38 +17,36 @@ import (
 
 	"jepo/internal/corpus"
 	"jepo/internal/dist"
-	"jepo/internal/engine"
 	"jepo/internal/sched"
 )
 
 // fakeRow builds a plausible completed measurement for a classifier; the
-// seed shifts it, so rows of different configurations never compare equal.
-func fakeRow(name string, seed uint64) Table4Row {
+// seed and instance count shift it, so rows of different configurations
+// never compare equal.
+func fakeRow(name string, cfg Table4Config) Table4Row {
 	return Table4Row{
 		Classifier:  name,
-		Changes:     700 + len(name),
-		PackagePct:  3.5 + float64(seed%7),
+		Changes:     700 + len(name) + cfg.Instances,
+		PackagePct:  3.5 + float64(cfg.Seed%7),
 		CPUPct:      3.1,
 		TimePct:     2.8,
 		AccuracyPct: 0.2,
 	}
 }
 
-// fakeStore returns an artifact store that answers the named classifiers'
-// rows under cfg with fakeRow, so supervision and resume tests never run a
-// real pipeline, and answers the poisoned ones with a value that is not a
-// row: their pipeline panics on the type assertion, a row failure that —
-// unlike RowHook — also strikes inside worker processes sharing the store.
-func fakeStore(cfg Table4Config, fake, poisoned []string) *engine.Engine {
-	eng := engine.New(engine.Config{})
-	for _, name := range fake {
-		row := fakeRow(name, cfg.Seed)
-		eng.Memo(table4RowKey(name, cfg), func() (any, error) { return row, nil })
+// fakeRows swaps the row pipeline, until the test ends, for one that answers
+// every classifier with its fakeRow, so supervision and resume tests never
+// run a real pipeline, except the poisoned ones, whose pipeline panics: a
+// row failure that — unlike RowHook — also strikes inside pipe workers.
+func fakeRows(t *testing.T, poisoned ...string) {
+	prev := table4Row
+	t.Cleanup(func() { table4Row = prev })
+	table4Row = func(_ context.Context, name string, in *table4Inputs) (Table4Row, error) {
+		if contains(poisoned, name) {
+			panic("poisoned row")
+		}
+		return fakeRow(name, in.cfg), nil
 	}
-	for _, name := range poisoned {
-		eng.Memo(table4RowKey(name, cfg), func() (any, error) { return "poison", nil })
-	}
-	return eng
 }
 
 // without lists the classifiers not named.
@@ -126,7 +124,7 @@ func TestSupervisedPanicIsolatedAndResumed(t *testing.T) {
 	dir := t.TempDir()
 	const bad = "SMO"
 	cfg := Table4Config{Instances: 50}
-	cfg.Cache = fakeStore(cfg, without(bad), nil)
+	fakeRows(t)
 	cfg.RowHook = func(name string) error {
 		if name == bad {
 			panic("injected kernel fault")
@@ -148,7 +146,7 @@ func TestSupervisedPanicIsolatedAndResumed(t *testing.T) {
 			}
 			continue
 		}
-		if want := fakeRow(r.Classifier, 0); r != want {
+		if want := fakeRow(r.Classifier, cfg); r != want {
 			t.Errorf("%s row = %+v, want %+v", r.Classifier, r, want)
 		}
 	}
@@ -168,9 +166,8 @@ func TestSupervisedPanicIsolatedAndResumed(t *testing.T) {
 		t.Errorf("render lost the surviving rows:\n%s", out)
 	}
 
-	// Rerun on an empty store: only the failed classifier is re-attempted.
+	// Rerun: only the failed classifier is re-attempted.
 	var tried attempts
-	cfg.Cache = engine.New(engine.Config{})
 	cfg.RowHook = tried.hook(func(string) error { return errors.New("still failing") })
 	rows2, _, err := Table4Map(context.Background(), ex, cfg)
 	if err != nil {
@@ -235,7 +232,7 @@ func TestLoadCheckpointRejectsBadFiles(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "table4row.json")
 	cfg := Table4Config{Seed: 3, Instances: 50}
-	cfg.Cache = fakeStore(cfg, corpus.Classifiers, nil)
+	fakeRows(t)
 	ex := sched.Config{Seed: cfg.Seed, Checkpoint: dir}
 	if _, _, err := Table4Map(context.Background(), ex, cfg); err != nil {
 		t.Fatal(err)
@@ -275,9 +272,8 @@ func TestLoadCheckpointRejectsBadFiles(t *testing.T) {
 
 	// A run that fails a row leaves it out of the ledger.
 	os.Remove(path)
-	failing := cfg
-	failing.Cache = fakeStore(cfg, without("SGD"), []string{"SGD"})
-	if _, _, err := Table4Map(context.Background(), ex, failing); err != nil {
+	fakeRows(t, "SGD")
+	if _, _, err := Table4Map(context.Background(), ex, cfg); err != nil {
 		t.Fatal(err)
 	}
 	if recorded := ledgerRows(t, dir); recorded["SGD"].Classifier != "" {
@@ -309,13 +305,7 @@ func TestTable4ResumeKeyedByConfig(t *testing.T) {
 			cfg := Table4Config{Seed: 2, Instances: 50}
 			first := cfg
 			tc.first(&first)
-			store := fakeStore(cfg, corpus.Classifiers, nil)
-			for _, name := range corpus.Classifiers {
-				row := fakeRow(name, first.Seed)
-				row.Changes += first.Instances
-				store.Memo(table4RowKey(name, first), func() (any, error) { return row, nil })
-			}
-			cfg.Cache, first.Cache = store, store
+			fakeRows(t)
 			dir := t.TempDir()
 			if _, _, err := Table4Map(context.Background(), sched.Config{Seed: first.Seed, Checkpoint: dir}, first); err != nil {
 				t.Fatal(err)
@@ -348,11 +338,10 @@ func TestTable4PipeWorkersRetryFailedRows(t *testing.T) {
 		Checkpoint: t.TempDir(),
 		Spawn:      dist.PipeSpawner(sched.Handle),
 	}
-	// Pipe workers share this process's default store. The first run fails
-	// the three rows; the rerun can only succeed on those three and fails
-	// the other seven unless the ledger replays them.
-	prev := engine.SetDefault(fakeStore(cfg, without(failing...), failing))
-	defer engine.SetDefault(prev)
+	// Pipe workers run in this process, so they see the swapped pipeline.
+	// The first run fails the three rows; the rerun can only succeed on
+	// those three and fails the other seven unless the ledger replays them.
+	fakeRows(t, failing...)
 	rows, _, err := Table4Map(context.Background(), ex, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -366,13 +355,13 @@ func TestTable4PipeWorkersRetryFailedRows(t *testing.T) {
 		t.Fatalf("first run failed %v, want %v", failed, want)
 	}
 
-	engine.SetDefault(fakeStore(cfg, failing, without(failing...)))
+	fakeRows(t, without(failing...)...)
 	rows, tel, err := Table4Map(context.Background(), ex, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, r := range rows {
-		if want := fakeRow(r.Classifier, cfg.Seed); r != want {
+		if want := fakeRow(r.Classifier, cfg); r != want {
 			t.Errorf("rerun %s = %+v, want %+v", r.Classifier, r, want)
 		}
 	}
@@ -409,7 +398,6 @@ func TestSupervisedMeasuresOneRealRow(t *testing.T) {
 	cfg.Protocol.Runs = 3
 	cfg.Protocol.MaxRounds = 1
 	cfg.CVFolds = 2
-	cfg.Cache = engine.New(engine.Config{})
 	cfg.RowHook = func(name string) error {
 		if name == real {
 			return nil
@@ -437,9 +425,8 @@ func TestSupervisedMeasuresOneRealRow(t *testing.T) {
 	if len(recorded) != 1 || recorded[real] != *measured {
 		t.Errorf("ledger holds %+v, want only the measured row %+v", recorded, *measured)
 	}
-	// The resume run must not re-measure: the hook fails everything and the
-	// store is empty, yet the measured row returns intact.
-	cfg.Cache = engine.New(engine.Config{})
+	// The resume run must not re-measure: the hook fails everything, yet
+	// the measured row returns intact.
 	cfg.RowHook = func(string) error { return fmt.Errorf("re-measured") }
 	rows2, _, err := Table4Map(context.Background(), ex, cfg)
 	if err != nil {

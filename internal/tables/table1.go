@@ -254,10 +254,8 @@ func InterpBenches() []InterpBench {
 }
 
 // measureBench runs one program variant and returns its package energy. The
-// run goes through the artifact engine: the parse, the compiled program and
-// the measured sample are all content-addressed, so re-measuring an unchanged
-// variant (repeat runs, the efficient twin of a pair sharing core files) is a
-// cache hit with bit-identical joules.
+// source is parsed through the artifact engine's parse store; the program is
+// linked and run afresh.
 func measureBench(ctx context.Context, src string, eng interp.Engine) (energy.Joules, error) {
 	s, err := engine.Default().Sample(ctx,
 		[]engine.Source{{Path: "bench.java", Source: src}},

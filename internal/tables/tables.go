@@ -61,7 +61,7 @@ func Table2Row(name string, seed uint64) (jmetrics.Metrics, error) {
 	if err != nil {
 		return jmetrics.Metrics{}, err
 	}
-	files, err := parseCorpus(engine.Default(), p)
+	files, err := parseCorpus(p)
 	if err != nil {
 		return jmetrics.Metrics{}, err
 	}
@@ -122,19 +122,6 @@ type Table4Config struct {
 	// non-nil error (or panic) fails the row. It is the fault-injection seam
 	// the resilience tests use, and never leaves the process.
 	RowHook func(classifier string) error `json:"-"`
-
-	// Cache selects the artifact engine the pipeline's parse and kernel
-	// measurement stages go through (nil = engine.Default()). Worker
-	// processes always use their own process-wide engine.
-	Cache *engine.Engine `json:"-"`
-}
-
-// cache resolves the artifact engine for this config.
-func (cfg Table4Config) cache() *engine.Engine {
-	if cfg.Cache != nil {
-		return cfg.Cache
-	}
-	return engine.Default()
 }
 
 // DefaultTable4Config mirrors the paper's methodology at a tractable scale
@@ -155,7 +142,12 @@ type kernelMeasurement struct {
 	elapsed   time.Duration
 }
 
-// table4Row runs the full validation pipeline for one classifier:
+// table4Row is the row pipeline superviseRow runs. It is a variable only so
+// the supervision tests can swap in fake rows; pipe workers run in the test
+// process, so they see the swap too.
+var table4Row = measureTable4Row
+
+// measureTable4Row runs the full validation pipeline for one classifier:
 //
 //  1. generate its WEKA-shaped corpus and apply every JEPO suggestion,
 //     counting changes;
@@ -165,53 +157,25 @@ type kernelMeasurement struct {
 //  3. run the real (Go) classifier under stratified k-fold cross-validation
 //     in double and single precision to measure the accuracy drop caused by
 //     the double→float / long→int changes.
-//
-// The finished row is itself a cached artifact: every input — corpus,
-// kernels, airlines data — derives from the keyed config fields, so a warm
-// store answers a repeated row without regenerating or re-refactoring
-// anything. On a hit the pipeline never runs, so its progress narration is
-// skipped too.
-func table4Row(ctx context.Context, name string, data *dataset.Dataset, feats [][]float64, labels []int64, cfg Table4Config, say func(string, ...any)) (Table4Row, error) {
-	v, err := cfg.cache().Memo(table4RowKey(name, cfg), func() (any, error) {
-		return table4RowUncached(ctx, name, data, feats, labels, cfg, say)
-	})
-	if err != nil {
-		return Table4Row{}, err
-	}
-	return v.(Table4Row), nil
-}
-
-// table4RowKey addresses one classifier's row. Slots/CVJobs (pure
-// placement), supervision knobs and progress plumbing stay out of the key.
-func table4RowKey(name string, cfg Table4Config) engine.Key {
-	return engine.NewKey("tables/table4row").
-		Str(name).
-		Int(int64(cfg.Seed)).Int(int64(cfg.Instances)).
-		Int(int64(cfg.Reps)).Int(int64(cfg.Engine)).
-		Int(int64(cfg.Protocol.Runs)).Int(int64(cfg.Protocol.MaxRounds)).
-		Int(int64(cfg.CVFolds)).
-		Key()
-}
-
-func table4RowUncached(ctx context.Context, name string, data *dataset.Dataset, feats [][]float64, labels []int64, cfg Table4Config, say func(string, ...any)) (Table4Row, error) {
-	say("=== %s ===", name)
+func measureTable4Row(ctx context.Context, name string, in *table4Inputs) (Table4Row, error) {
+	cfg := in.cfg
+	in.say("=== %s ===", name)
 	proj, err := corpus.Generate(name, cfg.Seed)
 	if err != nil {
 		return Table4Row{}, err
 	}
 	// Checkout from the parse cache: the corpus generator emits the same core
-	// library files for every classifier, so sibling rows (and reruns) share
-	// their parse artifacts. ApplyFixes mutates the checkouts, never the
-	// cached masters.
-	files, err := parseCorpus(cfg.cache(), proj)
+	// library files for every classifier, so sibling rows share their parse
+	// masters. ApplyFixes mutates the checkouts, never the cached masters.
+	files, err := parseCorpus(proj)
 	if err != nil {
 		return Table4Row{}, err
 	}
 	res := passes.ApplyFixes(files, passes.AnalyzeFiles(files))
-	say("%s: applied %d changes", name, res.Changes)
+	in.say("%s: applied %d changes", name, res.Changes)
 
 	// Locate the original and refactored kernel ASTs.
-	orig, err := kernelAST(cfg.cache(), proj, name)
+	orig, err := kernelAST(proj, name)
 	if err != nil {
 		return Table4Row{}, err
 	}
@@ -225,17 +189,17 @@ func table4RowUncached(ctx context.Context, name string, data *dataset.Dataset, 
 		return Table4Row{}, fmt.Errorf("tables: refactored kernel for %s missing", name)
 	}
 
-	before, err := measureKernelProtocol(ctx, orig, name, feats, labels, cfg)
+	before, err := measureKernelProtocol(ctx, orig, name, in.feats, in.labels, cfg)
 	if err != nil {
 		return Table4Row{}, err
 	}
-	after, err := measureKernelProtocol(ctx, refd, name, feats, labels, cfg)
+	after, err := measureKernelProtocol(ctx, refd, name, in.feats, in.labels, cfg)
 	if err != nil {
 		return Table4Row{}, err
 	}
-	say("%s: package %v → %v", name, energy.Joules(before.pkg), energy.Joules(after.pkg))
+	in.say("%s: package %v → %v", name, energy.Joules(before.pkg), energy.Joules(after.pkg))
 
-	drop, err := accuracyDrop(ctx, name, data, cfg)
+	drop, err := accuracyDrop(ctx, name, in.data, cfg)
 	if err != nil {
 		return Table4Row{}, err
 	}
@@ -284,13 +248,13 @@ func kernelData(d *dataset.Dataset) ([][]float64, []int64) {
 	return feats, labels
 }
 
-// parseCorpus checks every file of a generated corpus out of the parse cache
-// in corpus order. The generator emits identical core-library sources for
-// every classifier, so those masters parse once per process.
-func parseCorpus(eng *engine.Engine, p *corpus.Project) ([]*ast.File, error) {
+// parseCorpus checks every file of a generated corpus out of the process's
+// parse cache in corpus order. The generator emits identical core-library
+// sources for every classifier, so those masters parse once per process.
+func parseCorpus(p *corpus.Project) ([]*ast.File, error) {
 	files := make([]*ast.File, len(p.Files))
 	for i, f := range p.Files {
-		parsed, err := eng.ParseFile(f.Path, f.Source)
+		parsed, err := engine.Default().ParseFile(f.Path, f.Source)
 		if err != nil {
 			return nil, err
 		}
@@ -300,73 +264,51 @@ func parseCorpus(eng *engine.Engine, p *corpus.Project) ([]*ast.File, error) {
 }
 
 // kernelAST parses the pristine kernel of a project.
-func kernelAST(eng *engine.Engine, p *corpus.Project, name string) (*ast.File, error) {
+func kernelAST(p *corpus.Project, name string) (*ast.File, error) {
 	want := corpus.KernelClass(name) + ".java"
 	for _, f := range p.Files {
 		if strings.HasSuffix(f.Path, want) {
-			return eng.ParseFile(f.Path, f.Source)
+			return engine.Default().ParseFile(f.Path, f.Source)
 		}
 	}
 	return nil, fmt.Errorf("tables: kernel source for %s not found", name)
 }
 
-// kernelProtocolKey addresses one kernel variant's full protocol measurement.
-// The kernel AST is identified by its printed source (refactored variants
-// print differently from pristine ones); the airlines inputs are a pure
-// function of (Instances, Seed), so those two ints stand in for the matrix.
-func kernelProtocolKey(kernel *ast.File, name string, cfg Table4Config) engine.Key {
-	return engine.NewKey("tables/kernelproto").
-		Str(ast.Print(kernel)).Str(name).
-		Int(int64(cfg.Reps)).Int(int64(cfg.Engine)).
-		Int(int64(cfg.Protocol.Runs)).Int(int64(cfg.Protocol.MaxRounds)).
-		Int(int64(cfg.Seed)).Int(int64(cfg.Instances)).
-		Key()
-}
-
 // measureKernelProtocol runs one kernel variant under the repeat/Tukey
-// protocol and returns mean measurements. The simulated kernel is fully
-// deterministic, so the whole protocol result is one cached artifact; the
-// measurement builds from the live AST — the printed source in the key is
-// identity, not a round-trip.
+// protocol and returns mean measurements.
 func measureKernelProtocol(ctx context.Context, kernel *ast.File, name string, feats [][]float64, labels []int64, cfg Table4Config) (kernelMeasurement, error) {
-	v, err := cfg.cache().Memo(kernelProtocolKey(kernel, name, cfg), func() (any, error) {
-		var firstErr error
-		var cores, times []float64
-		run := func() float64 {
-			m, err := runKernelOnce(ctx, kernel, name, feats, labels, cfg.Reps, cfg.Engine)
-			if err != nil && firstErr == nil {
-				firstErr = err
-			}
-			cores = append(cores, float64(m.core))
-			times = append(times, float64(m.elapsed))
-			return float64(m.pkg)
+	var firstErr error
+	var cores, times []float64
+	run := func() float64 {
+		m, err := runKernelOnce(ctx, kernel, name, feats, labels, cfg.Reps, energy.DefaultCosts(), cfg.Engine)
+		if err != nil && firstErr == nil {
+			firstErr = err
 		}
-		meanPkg, _, err := cfg.Protocol.Measure(run)
-		if err != nil {
-			return nil, err
-		}
-		if firstErr != nil {
-			return nil, firstErr
-		}
-		return kernelMeasurement{
-			pkg:     energy.Joules(meanPkg),
-			core:    energy.Joules(stats.Mean(cores)),
-			elapsed: time.Duration(stats.Mean(times)),
-		}, nil
-	})
+		cores = append(cores, float64(m.core))
+		times = append(times, float64(m.elapsed))
+		return float64(m.pkg)
+	}
+	meanPkg, _, err := cfg.Protocol.Measure(run)
 	if err != nil {
 		return kernelMeasurement{}, err
 	}
-	return v.(kernelMeasurement), nil
+	if firstErr != nil {
+		return kernelMeasurement{}, firstErr
+	}
+	return kernelMeasurement{
+		pkg:     energy.Joules(meanPkg),
+		core:    energy.Joules(stats.Mean(cores)),
+		elapsed: time.Duration(stats.Mean(times)),
+	}, nil
 }
 
-// runKernelOnce loads and executes one kernel variant.
-func runKernelOnce(ctx context.Context, kernel *ast.File, name string, feats [][]float64, labels []int64, reps int, engine interp.Engine) (kernelMeasurement, error) {
+// runKernelOnce loads and executes one kernel variant under a cost table.
+func runKernelOnce(ctx context.Context, kernel *ast.File, name string, feats [][]float64, labels []int64, reps int, costs energy.CostTable, engine interp.Engine) (kernelMeasurement, error) {
 	prog, err := interp.Load(kernel)
 	if err != nil {
 		return kernelMeasurement{}, err
 	}
-	in := interp.New(prog, energy.NewMeter(energy.DefaultCosts()), interp.WithMaxOps(2_000_000_000), interp.WithEngine(engine), interp.WithContext(ctx))
+	in := interp.New(prog, energy.NewMeter(costs), interp.WithMaxOps(2_000_000_000), interp.WithEngine(engine), interp.WithContext(ctx))
 	if err := in.InitStatics(); err != nil {
 		return kernelMeasurement{}, err
 	}
@@ -445,28 +387,7 @@ func FactorySeeded(name string, base classify.Options) (eval.SeededFactory, erro
 // the same pre-derived per-fold seeds, so fold f trains on identical splits
 // and identical random streams in both modes — the drop isolates precision,
 // not seed noise — and fold training parallelizes under cfg.CVJobs.
-//
-// The result is a cached artifact: d is derived entirely from cfg.Instances
-// and cfg.Seed, so (classifier, seed, instances, folds) determines the drop.
-// CVJobs moves work across fold workers without changing a bit, so it stays
-// out of the key, like Slots elsewhere.
 func accuracyDrop(ctx context.Context, name string, d *dataset.Dataset, cfg Table4Config) (float64, error) {
-	k := engine.NewKey("tables/accuracydrop").
-		Str(name).
-		Int(int64(cfg.Seed)).
-		Int(int64(cfg.Instances)).
-		Int(int64(cfg.CVFolds)).
-		Key()
-	v, err := cfg.cache().Memo(k, func() (any, error) {
-		return accuracyDropUncached(ctx, name, d, cfg)
-	})
-	if err != nil {
-		return 0, err
-	}
-	return v.(float64), nil
-}
-
-func accuracyDropUncached(ctx context.Context, name string, d *dataset.Dataset, cfg Table4Config) (float64, error) {
 	dbl, err := FactorySeeded(name, classify.Options{Seed: cfg.Seed, FP: classify.Double})
 	if err != nil {
 		return 0, err

@@ -63,8 +63,8 @@ echo "== golden battery: both engines, cold and warm, across -jobs and -workers 
 # copies (WarmExecution), survive sharding over the pool at -jobs 1, 4
 # and GOMAXPROCS (SchedJobs), survive process placement on pipe workers
 # speaking the JSON protocol, with a mid-map kill (DistWorkers), and
-# reproduce the golden through the artifact engine's cached parse/program
-# path, cold and warm (EngineCache).
+# reproduce the golden through the artifact engine, linking from parse
+# checkouts of cached masters, cold and warm (EngineCache).
 # The golden is also priced from its own recorded counts and must match its
 # recorded bits (PricedFromCounts): the meter's samples are a pure function
 # of op counts, cache hits and cache misses.
@@ -91,39 +91,23 @@ if ! cmp -s "$tmpdir/table2.1" "$tmpdir/table2.4"; then
     exit 1
 fi
 
-echo "== -cache byte-identity =="
-# The artifact cache is a pure cost knob: CLI stdout must be byte-identical
-# with the cache on (default) and off. Cache statistics go to stderr.
-go run ./cmd/jepo analyze -cache=false examples/java >"$tmpdir/analyze.nocache" 2>/dev/null
-if ! cmp -s "$tmpdir/analyze.1" "$tmpdir/analyze.nocache"; then
-    echo "jepo analyze stdout differs between -cache=false and the cached default" >&2
-    diff -u "$tmpdir/analyze.1" "$tmpdir/analyze.nocache" >&2 || true
-    exit 1
-fi
-go run ./cmd/wekaexp -table 2 -cache=false >"$tmpdir/table2.nocache" 2>/dev/null
-if ! cmp -s "$tmpdir/table2.1" "$tmpdir/table2.nocache"; then
-    echo "wekaexp -table 2 stdout differs between -cache=false and the cached default" >&2
-    diff -u "$tmpdir/table2.1" "$tmpdir/table2.nocache" >&2 || true
-    exit 1
-fi
+echo "== artifact store: cold then warm =="
+# The store caches parse masters and analysis reports. The analyze, Table II
+# and corpus pipelines, run twice on one fresh store, must render the same
+# bytes, and the warm pass must be served from hits with no new parse.
+go test -run '^TestStoreColdThenWarm$' ./internal/service
 
 echo "== jepo corpus byte-identity =="
 # The corpus run links every generated library class and runs none (they
 # have no main), so it is the path where programs are never compiled. Its
-# stdout must be byte-identical at -jobs 1 and -jobs 2, and with the cache
-# off and on.
-go run ./cmd/jepo corpus -classifier J48 >"$tmpdir/corpus.default" 2>/dev/null
+# stdout must be byte-identical at -jobs 1 and -jobs 2.
 go run ./cmd/jepo corpus -classifier J48 -jobs 1 >"$tmpdir/corpus.1" 2>/dev/null
 go run ./cmd/jepo corpus -classifier J48 -jobs 2 >"$tmpdir/corpus.2" 2>/dev/null
-go run ./cmd/jepo corpus -classifier J48 -cache=false >"$tmpdir/corpus.nocache" 2>/dev/null
-for pair in "1 2" "default nocache"; do
-    set -- $pair
-    if ! cmp -s "$tmpdir/corpus.$1" "$tmpdir/corpus.$2"; then
-        echo "jepo corpus stdout differs between the $1 and $2 runs" >&2
-        diff -u "$tmpdir/corpus.$1" "$tmpdir/corpus.$2" >&2 || true
-        exit 1
-    fi
-done
+if ! cmp -s "$tmpdir/corpus.1" "$tmpdir/corpus.2"; then
+    echo "jepo corpus stdout differs between -jobs 1 and -jobs 2" >&2
+    diff -u "$tmpdir/corpus.1" "$tmpdir/corpus.2" >&2 || true
+    exit 1
+fi
 
 echo "== -workers byte-identity =="
 # Process placement is a pure wall-clock knob too: the corpus kind and
