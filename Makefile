@@ -24,20 +24,22 @@ serve-check:
 enginediff:
 	go test -tags enginediff -run EngineDiff ./internal/minijava/interp
 
-# Seeded fault-injection fuzz over the measurement layer: random fault mixes
-# against the resilient source, the sampler unwrap, and profiled runs.
+# Seeded fuzz over the measurement path: the sampler unwrap against random
+# wrapping, stale and backwards counter streams, and profiled runs over a
+# source whose reads fail at random.
 faultmatrix:
 	go test -tags faultmatrix -run FaultMatrix ./internal/rapl/... ./internal/profile/...
 
-# Differential fuzz for the executor's in-process pool: random task counts,
-# worker counts and RAPL read-fault rates must produce identical merged
-# results and Health ledgers at any parallelism.
+# Differential fuzz for the executor's in-process pool: random task counts
+# and worker counts, each task sampling a scripted RAPL counter stream, must
+# produce identical merged results and commit-order joule sums at any
+# parallelism.
 scheddiff:
 	go test -tags scheddiff -run SchedDifferentialFuzz ./internal/sched
 
 # Differential fuzz for the executor's process placement: random chaos plans
 # (kills, hangs, slow-walks, corrupt replies) on pipe workers must merge to
-# results, commit ledgers and Health tallies bit-identical to the in-process
-# run.
+# results, commit ledgers and commit-order joule sums bit-identical to the
+# in-process run.
 distdiff:
 	go test -tags distdiff -run DistDifferentialFuzz ./internal/dist

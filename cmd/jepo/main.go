@@ -304,10 +304,7 @@ func cmdCorpus(ctx context.Context, args []string) error {
 	if err != nil {
 		return err
 	}
-	ex, err := shared.DistConfig(*seed, func(msg string) { fmt.Fprintln(os.Stderr, "jepo:", msg) })
-	if err != nil {
-		return err
-	}
+	ex := shared.DistConfig(*seed, func(msg string) { fmt.Fprintln(os.Stderr, "jepo:", msg) })
 	rep, tel, err := core.AnalyzeCorpus(ctx, ex, *classifier, *seed, engine)
 	if err != nil {
 		return err

@@ -129,15 +129,13 @@ func runDisasmCmd(args []string) error {
 	return nil
 }
 
-// measurement is one run's counters, plus the degraded-path tally the
-// resilient source absorbed while producing them. It is also the measure
-// kind's result on the wire: encoding/json emits the shortest
-// round-tripping form of every float, so decoded bits equal measured bits.
+// measurement is one run's counters. It is also the measure kind's result
+// on the wire: encoding/json emits the shortest round-tripping form of
+// every float, so decoded bits equal measured bits.
 type measurement struct {
 	Pkg, Core, DRAM energy.Joules
 	Elapsed         time.Duration
 	Cycles          float64
-	Health          rapl.Health
 }
 
 // measureParams is the measure kind's params: the full program source, the
@@ -187,10 +185,7 @@ func run(ctx context.Context, mainClass string, runs int, tukey bool, engine int
 	// its own meter and interpreter, so they are independent — and replay
 	// into the protocol in index order, in process or on worker processes.
 	// Tukey replacement rounds, if any, fall back to live sequential runs.
-	ex, err := shared.DistConfig(0, func(msg string) { fmt.Fprintln(os.Stderr, "jperf:", msg) })
-	if err != nil {
-		return err
-	}
+	ex := shared.DistConfig(0, func(msg string) { fmt.Fprintln(os.Stderr, "jperf:", msg) })
 	pre, tel, err := measureKind.Map(ctx, ex, measureParams{Files: srcs, Main: mainClass, Engine: engine, prog: prog}, runs, nil)
 	if err != nil {
 		return err
@@ -225,10 +220,6 @@ func run(ctx context.Context, mainClass string, runs int, tukey bool, engine int
 	}
 
 	var cores, drams, times, cycles []float64
-	var health rapl.Health
-	for _, m := range all {
-		health = health.Add(m.Health)
-	}
 	for _, m := range all[len(all)-len(samples):] {
 		cores = append(cores, float64(m.Core))
 		drams = append(drams, float64(m.DRAM))
@@ -251,10 +242,6 @@ func run(ctx context.Context, mainClass string, runs int, tukey bool, engine int
 		fmt.Printf("  ( +- %.2f%% )", 100*sd/float64(meanTime))
 	}
 	fmt.Println()
-	fmt.Printf("\n Measurement health: %s\n", health)
-	if health.Degraded() {
-		fmt.Println(" WARNING: degraded reads occurred; energy figures include estimated values")
-	}
 	return nil
 }
 
@@ -262,9 +249,7 @@ func run(ctx context.Context, mainClass string, runs int, tukey bool, engine int
 // so an interrupt stops a run in flight instead of waiting out its budget.
 func runOnce(ctx context.Context, prog *interp.Program, mainClass string, engine interp.Engine) (measurement, error) {
 	meter := energy.NewMeter(energy.DefaultCosts())
-	// Measure through the resilient wrapper, as on hardware: transient read
-	// faults cost a retry, not the run. With no faults it is a passthrough.
-	src := rapl.NewResilient(rapl.NewSimSource(meter))
+	src := rapl.NewSimSource(meter)
 	before, err := src.Snapshot()
 	if err != nil {
 		return measurement{}, err
@@ -286,7 +271,6 @@ func runOnce(ctx context.Context, prog *interp.Program, mainClass string, engine
 		DRAM:    d.DRAM,
 		Elapsed: t1.Elapsed - t0.Elapsed,
 		Cycles:  t1.Cycles - t0.Cycles,
-		Health:  src.Health(),
 	}, nil
 }
 

@@ -157,7 +157,7 @@ func TestRunOnceDeterministic(t *testing.T) {
 }
 
 // TestMeasureKindPlacements: a measurement run on a pipe worker carries the
-// same counter bits, health tally included, as one run in process.
+// same counter bits as one run in process.
 func TestMeasureKindPlacements(t *testing.T) {
 	p := measureParams{
 		Files: []cache.Source{{Path: "Work.java", Source: `class Work {

@@ -105,10 +105,7 @@ func realMain(ctx context.Context, args []string, stdout, stderr io.Writer) erro
 	if err != nil {
 		return err
 	}
-	ex, err := shared.DistConfig(*seed, narrate(stderr))
-	if err != nil {
-		return err
-	}
+	ex := shared.DistConfig(*seed, narrate(stderr))
 
 	if *dumpDir != "" {
 		if err := dumpCorpus(stdout, *dumpDir, *dumpFor, *seed); err != nil {

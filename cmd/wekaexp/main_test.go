@@ -9,10 +9,13 @@ import (
 	"regexp"
 	"strings"
 	"testing"
+	"time"
 
 	"jepo/internal/corpus"
 	"jepo/internal/dist"
 	"jepo/internal/sched"
+	"jepo/internal/service"
+	"jepo/internal/tables"
 )
 
 // TestMain lets the test binary stand in for wekaexp's worker processes:
@@ -97,6 +100,35 @@ func TestWorkersStderrLines(t *testing.T) {
 	}
 	if !regexp.MustCompile(`(?m)^cache: \d+ hits`).MatchString(stderr) {
 		t.Errorf("cache statistics do not start a line:\n%s", stderr)
+	}
+}
+
+// TestWorkersFaultDrill is the process-placement fault drill: Table II on
+// four worker processes of this test binary, with node 1 killed taking its
+// 2nd task and node 2 hung on its 1st, must quarantine both nodes, finish
+// the table, and render exactly what the in-process -jobs 1 run prints.
+func TestWorkersFaultDrill(t *testing.T) {
+	want, _ := wekaexp(t, "-table", "2", "-jobs", "1")
+	plan := &dist.FaultPlan{Script: map[int]map[int]dist.FaultKind{
+		1: {1: dist.FaultKill},
+		2: {0: dist.FaultHang},
+	}}
+	const seed = 20200518 // wekaexp's default -seed
+	ex := sched.Config{
+		Workers:  4,
+		Seed:     seed,
+		Deadline: 5 * time.Second,
+		Spawn:    dist.ChaosSpawner(dist.SelfSpawner(), plan),
+	}
+	rows, tel, err := tables.Table2Map(context.Background(), ex, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := service.RenderTable2(rows); got != want {
+		t.Errorf("faulted -workers 4 table differs from -jobs 1:\n%s\nvs\n%s", got, want)
+	}
+	if !strings.Contains(tel.String(), "quarantined=2") {
+		t.Errorf("telemetry did not record the two quarantined workers: %s", tel)
 	}
 }
 

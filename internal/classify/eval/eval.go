@@ -64,48 +64,6 @@ func (r *Result) String() string {
 	return sb.String()
 }
 
-// PrecisionRecallF1 computes the per-class detailed accuracy measures WEKA
-// prints ("Detailed Accuracy By Class"). Degenerate denominators yield 0.
-func (r *Result) PrecisionRecallF1(class int) (precision, recall, f1 float64) {
-	if class < 0 || class >= len(r.Confusion) {
-		return 0, 0, 0
-	}
-	var tp, fp, fn float64
-	for j := range r.Confusion {
-		if j == class {
-			tp = float64(r.Confusion[class][class])
-			continue
-		}
-		fp += float64(r.Confusion[j][class])
-		fn += float64(r.Confusion[class][j])
-	}
-	if tp+fp > 0 {
-		precision = tp / (tp + fp)
-	}
-	if tp+fn > 0 {
-		recall = tp / (tp + fn)
-	}
-	if precision+recall > 0 {
-		f1 = 2 * precision * recall / (precision + recall)
-	}
-	return precision, recall, f1
-}
-
-// DetailedByClass renders the WEKA "Detailed Accuracy By Class" block.
-func (r *Result) DetailedByClass(classNames []string) string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "%-12s %10s %10s %10s\n", "Class", "Precision", "Recall", "F-Measure")
-	for k := range r.Confusion {
-		name := fmt.Sprintf("class%d", k)
-		if k < len(classNames) {
-			name = classNames[k]
-		}
-		p, rec, f1 := r.PrecisionRecallF1(k)
-		fmt.Fprintf(&sb, "%-12s %10.3f %10.3f %10.3f\n", name, p, rec, f1)
-	}
-	return sb.String()
-}
-
 // Factory builds a fresh classifier per fold.
 type Factory func() classify.Classifier
 

@@ -224,40 +224,6 @@ func TestConfusionMatrixConsistent(t *testing.T) {
 	}
 }
 
-func TestPrecisionRecallF1(t *testing.T) {
-	r := &Result{
-		Correct: 7,
-		Total:   10,
-		Confusion: [][]int{
-			{4, 1}, // actual 0: 4 right, 1 predicted as 1
-			{2, 3}, // actual 1: 2 predicted as 0, 3 right
-		},
-	}
-	p, rec, f1 := r.PrecisionRecallF1(0)
-	if math.Abs(p-4.0/6.0) > 1e-12 {
-		t.Errorf("precision = %v, want 4/6", p)
-	}
-	if math.Abs(rec-4.0/5.0) > 1e-12 {
-		t.Errorf("recall = %v, want 4/5", rec)
-	}
-	wantF1 := 2 * (4.0 / 6.0) * (4.0 / 5.0) / (4.0/6.0 + 4.0/5.0)
-	if math.Abs(f1-wantF1) > 1e-12 {
-		t.Errorf("f1 = %v, want %v", f1, wantF1)
-	}
-	// Out-of-range class and degenerate rows are safe.
-	if p, _, _ := r.PrecisionRecallF1(9); p != 0 {
-		t.Error("out-of-range class must yield zeros")
-	}
-	zero := &Result{Confusion: [][]int{{0, 0}, {0, 0}}}
-	if p, rec, f1 := zero.PrecisionRecallF1(0); p != 0 || rec != 0 || f1 != 0 {
-		t.Error("degenerate confusion must yield zeros")
-	}
-	out := r.DetailedByClass([]string{"no", "yes"})
-	if !strings.Contains(out, "no") || !strings.Contains(out, "Precision") {
-		t.Errorf("detailed block malformed:\n%s", out)
-	}
-}
-
 // seededTreeFactory builds a per-fold RandomTree from the fold's pre-derived
 // seed — the randomized classifier most sensitive to its stream.
 func seededTreeFactory(fp classify.FP) SeededFactory {

@@ -6,18 +6,15 @@
 // read the typed accessors.
 //
 // DistConfig is the one constructor of the executor config (sched.Config)
-// a command maps with: it reads -jobs, -workers, -node-deadline and the
-// JEPO_DIST_FAULTS chaos plan, so one call places a map in process or on
-// worker processes.
+// a command maps with: it reads -jobs, -workers and -node-deadline, so one
+// call places a map in process or on worker processes.
 package cliconfig
 
 import (
 	"flag"
-	"fmt"
 	"runtime"
 	"time"
 
-	"jepo/internal/dist"
 	"jepo/internal/minijava/interp"
 	"jepo/internal/sched"
 )
@@ -96,23 +93,17 @@ func (s *Set) NodeDeadline() time.Duration {
 
 // DistConfig assembles the executor configuration a command maps with: the
 // parsed -jobs width (when declared), worker count and node deadline, the
-// map's base seed, the JEPO_DIST_FAULTS chaos plan from the environment,
-// and fault-path events narrated through onEvent (stderr material — never
-// stdout). Requires FeatDist.
-func (s *Set) DistConfig(seed uint64, onEvent func(string)) (sched.Config, error) {
-	plan, err := dist.EnvPlan()
-	if err != nil {
-		return sched.Config{}, fmt.Errorf("cliconfig: %w", err)
-	}
+// map's base seed, and fault-path events narrated through onEvent (stderr
+// material — never stdout). Requires FeatDist.
+func (s *Set) DistConfig(seed uint64, onEvent func(string)) sched.Config {
 	cfg := sched.Config{
 		Seed:     seed,
 		Workers:  s.Workers(),
 		Deadline: s.NodeDeadline(),
-		Plan:     plan,
 		OnEvent:  onEvent,
 	}
 	if s.jobs != nil {
 		cfg.Jobs = *s.jobs
 	}
-	return cfg, nil
+	return cfg
 }

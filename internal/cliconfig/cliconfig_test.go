@@ -68,56 +68,31 @@ func TestFeatureGating(t *testing.T) {
 	})
 }
 
-func TestDistConfigInheritsFaultPlan(t *testing.T) {
-	t.Setenv("JEPO_DIST_FAULTS", "1:kill@2")
+// TestDistConfigReadsJobs: DistConfig folds -workers, -node-deadline, the
+// seed and the event sink into the one executor config, and with -jobs
+// declared the pool width too, so the same value places a map in process.
+func TestDistConfigReadsJobs(t *testing.T) {
 	fs := newFlagSet()
 	s := Register(fs, FeatDist)
 	if err := fs.Parse([]string{"-workers", "3", "-node-deadline", "1s"}); err != nil {
 		t.Fatal(err)
 	}
 	var events []string
-	cfg, err := s.DistConfig(42, func(msg string) { events = append(events, msg) })
-	if err != nil {
-		t.Fatal(err)
-	}
+	cfg := s.DistConfig(42, func(msg string) { events = append(events, msg) })
 	if cfg.Workers != 3 || cfg.Seed != 42 || cfg.Deadline != time.Second || cfg.Jobs != 0 {
 		t.Errorf("executor config = %+v, want workers=3 seed=42 deadline=1s and no -jobs width", cfg)
-	}
-	if cfg.Plan == nil {
-		t.Error("JEPO_DIST_FAULTS was not folded into the executor config")
 	}
 	cfg.OnEvent("probe")
 	if len(events) != 1 || events[0] != "probe" {
 		t.Errorf("OnEvent not wired: %v", events)
 	}
-}
 
-// TestDistConfigReadsJobs: with -jobs declared, the one executor config
-// carries the pool width too, so the same value places a map in process.
-func TestDistConfigReadsJobs(t *testing.T) {
-	t.Setenv("JEPO_DIST_FAULTS", "")
-	fs := newFlagSet()
-	s := Register(fs, FeatJobs|FeatDist)
+	fs = newFlagSet()
+	s = Register(fs, FeatJobs|FeatDist)
 	if err := fs.Parse([]string{"-jobs", "5"}); err != nil {
 		t.Fatal(err)
 	}
-	cfg, err := s.DistConfig(7, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cfg.Jobs != 5 || cfg.Workers != 1 || cfg.Seed != 7 || cfg.Plan != nil {
-		t.Errorf("executor config = %+v, want jobs=5 workers=1 seed=7 and no fault plan", cfg)
-	}
-}
-
-func TestDistConfigRejectsBadFaultPlan(t *testing.T) {
-	t.Setenv("JEPO_DIST_FAULTS", "not-a-plan")
-	fs := newFlagSet()
-	s := Register(fs, FeatDist)
-	if err := fs.Parse(nil); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.DistConfig(0, nil); err == nil {
-		t.Error("DistConfig accepted a malformed JEPO_DIST_FAULTS")
+	if cfg := s.DistConfig(7, nil); cfg.Jobs != 5 || cfg.Workers != 1 || cfg.Seed != 7 {
+		t.Errorf("executor config = %+v, want jobs=5 workers=1 seed=7", cfg)
 	}
 }

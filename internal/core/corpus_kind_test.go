@@ -26,8 +26,7 @@ func pipeWorkers(workers int, plan *dist.FaultPlan) sched.Config {
 		Workers:  workers,
 		Seed:     corpusSeed,
 		Deadline: 30 * time.Second,
-		Spawn:    dist.PipeSpawner(sched.Handle),
-		Plan:     plan,
+		Spawn:    dist.ChaosSpawner(dist.PipeSpawner(sched.Handle), plan),
 	}
 }
 

@@ -119,16 +119,6 @@ func (d *Dataset) Subset(rows []int) *Dataset {
 	return out
 }
 
-// Head returns the first n rows (or all when fewer).
-func (d *Dataset) Head(n int) *Dataset {
-	if n > len(d.X) {
-		n = len(d.X)
-	}
-	out := d.Empty()
-	out.X = d.X[:n]
-	return out
-}
-
 // ClassCounts tallies instances per class.
 func (d *Dataset) ClassCounts() []int {
 	counts := make([]int, d.NumClasses())
@@ -148,24 +138,6 @@ func (d *Dataset) MajorityClass() int {
 		}
 	}
 	return best
-}
-
-// Entropy is the class entropy in bits.
-func (d *Dataset) Entropy() float64 {
-	counts := d.ClassCounts()
-	n := float64(len(d.X))
-	if n == 0 {
-		return 0
-	}
-	h := 0.0
-	for _, c := range counts {
-		if c == 0 {
-			continue
-		}
-		p := float64(c) / n
-		h -= p * math.Log2(p)
-	}
-	return h
 }
 
 // NumericStats reports mean and standard deviation of a numeric column,

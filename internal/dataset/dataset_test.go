@@ -43,9 +43,6 @@ func TestBasicAccessors(t *testing.T) {
 	if got := d.ClassCounts(); got[0] != 4 || got[1] != 4 {
 		t.Errorf("class counts = %v", got)
 	}
-	if d.Entropy() != 1.0 {
-		t.Errorf("entropy of balanced binary = %v, want 1", d.Entropy())
-	}
 	if d.DistinctValues(1) != 3 {
 		t.Errorf("distinct colors = %d", d.DistinctValues(1))
 	}
@@ -148,9 +145,6 @@ func TestSubsetHeadShuffle(t *testing.T) {
 	s := d.Subset([]int{0, 2})
 	if s.NumInstances() != 2 || s.X[1][0] != 3.5 {
 		t.Error("subset wrong")
-	}
-	if d.Head(3).NumInstances() != 3 || d.Head(100).NumInstances() != 8 {
-		t.Error("head wrong")
 	}
 	sh := d.Shuffle(7)
 	if sh.NumInstances() != 8 {
@@ -263,62 +257,5 @@ func TestStratifiedFoldsPartitionProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestCSVRoundTrip(t *testing.T) {
-	d := sample(t)
-	d.X[2][0] = math.NaN()
-	var buf bytes.Buffer
-	if err := d.WriteCSV(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadCSV(&buf, d.Attrs, d.ClassIdx)
-	if err != nil {
-		t.Fatalf("reparse: %v\n%s", err, buf.String())
-	}
-	if got.NumInstances() != d.NumInstances() {
-		t.Fatalf("rows = %d", got.NumInstances())
-	}
-	for i := range d.X {
-		for j := range d.X[i] {
-			a, b := d.X[i][j], got.X[i][j]
-			if math.IsNaN(a) != math.IsNaN(b) || (!math.IsNaN(a) && a != b) {
-				t.Errorf("cell (%d,%d): %v vs %v", i, j, a, b)
-			}
-		}
-	}
-}
-
-func TestCSVQuoting(t *testing.T) {
-	d := New("q", 1, NewNominal("a", `v"1`, "v,2"), NewNominal("c", "x", "y"))
-	d.Add([]float64{0, 0})
-	d.Add([]float64{1, 1})
-	var buf bytes.Buffer
-	if err := d.WriteCSV(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadCSV(&buf, d.Attrs, 1)
-	if err != nil {
-		t.Fatalf("reparse: %v\n%s", err, buf.String())
-	}
-	if got.X[0][0] != 0 || got.X[1][0] != 1 {
-		t.Errorf("quoted values lost: %v", got.X)
-	}
-}
-
-func TestCSVErrors(t *testing.T) {
-	attrs := []*Attribute{NewNumeric("x"), NewNominal("c", "a", "b")}
-	for _, src := range []string{
-		"",
-		"x\n1\n",
-		"wrong,c\n1,a\n",
-		"x,c\n1\n",
-		"x,c\n1,zzz\n",
-		"x,c\nnope,a\n",
-	} {
-		if _, err := ReadCSV(bytes.NewBufferString(src), attrs, 1); err == nil {
-			t.Errorf("ReadCSV(%q): want error", src)
-		}
 	}
 }

@@ -3,9 +3,10 @@
 // its reply comes back. Workers are normally the same binary re-exec'd in
 // worker mode, speaking a JSON-line protocol over stdio; the package holds
 // the spawners and connections, the protocol, the worker loop, and the
-// chaos harness that injects node faults into the transport. Scheduling —
-// claiming, requeueing, quarantine, commit and the checkpoint ledger — is
-// the executor's job, not the transport's.
+// chaos harness (ChaosSpawner) that tests wrap around a spawner to inject
+// node faults into the transport. Scheduling — claiming, requeueing,
+// quarantine, commit and the checkpoint ledger — is the executor's job, not
+// the transport's.
 //
 // Byte identity across the process boundary rests on Go's encoding/json
 // rendering float64 values in shortest form, which round-trips every finite
@@ -19,11 +20,6 @@ import "encoding/json"
 // binary into worker mode. It is deliberately un-flag-like so it can never
 // collide with a real input file or flag.
 const WorkerArg = "__dist-worker"
-
-// FaultsEnv names the environment variable the CLIs consult for a scripted
-// chaos plan (see ParseFaultPlan). It exists so shell-level gates like
-// scripts/check.sh can inject worker kills without new flags.
-const FaultsEnv = "JEPO_DIST_FAULTS"
 
 // Handler runs one task for a worker: the task of the given kind at index,
 // with its seed and the map's params, returning the result as JSON or the

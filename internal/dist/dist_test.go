@@ -8,6 +8,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -21,13 +22,12 @@ import (
 )
 
 // mixResult is the test kind's task result: a splitmix-style digest of the
-// task seed plus a synthetic health tally, both pure functions of the task.
-// Health rides inside the result, as it does in jperf's measurements.
+// task seed and the package energy sampled from the task's scripted counter
+// stream, both pure functions of the task.
 type mixResult struct {
-	Index  int         `json:"index"`
-	Bits   uint64      `json:"bits"`
-	Joule  float64     `json:"joule"`
-	Health rapl.Health `json:"health"`
+	Index int     `json:"index"`
+	Bits  uint64  `json:"bits"`
+	Joule float64 `json:"joule"`
 }
 
 func mix(seed uint64) uint64 {
@@ -35,6 +35,42 @@ func mix(seed uint64) uint64 {
 	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
 	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
 	return z ^ (z >> 31)
+}
+
+// sampleScripted reads snaps snapshots through the unwrapping sampler over a
+// ScriptedMSR counter stream derived from seed and returns the last one.
+// The stream takes small steps with an occasional wrap-sized jump, so the
+// sampler unwraps counters and its half-range guard skips backward jumps.
+// Rebuilding it from the seed makes a task a pure function: a reassigned
+// task replays identically.
+func sampleScripted(seed uint64, snaps int) (rapl.Snapshot, error) {
+	s := seed
+	seq := map[uint32][]uint64{}
+	for _, reg := range []uint32{rapl.MSRPkgEnergyStatus, rapl.MSRPP0EnergyStatus, rapl.MSRDRAMEnergyStatus} {
+		vals := make([]uint64, 0, snaps)
+		c := mix(s) & 0xFFFFFFFF
+		for i := 0; i < snaps; i++ {
+			s = mix(s)
+			step := s % 50_000
+			if s%97 == 0 {
+				step = s % (1 << 33)
+			}
+			c = (c + step) & 0xFFFFFFFF
+			vals = append(vals, c)
+		}
+		seq[reg] = vals
+	}
+	sampler, err := rapl.NewSampler(&rapl.ScriptedMSR{Seq: seq})
+	if err != nil {
+		return rapl.Snapshot{}, err
+	}
+	var last rapl.Snapshot
+	for i := 0; i < snaps; i++ {
+		if last, err = sampler.Snapshot(); err != nil {
+			return rapl.Snapshot{}, err
+		}
+	}
+	return last, nil
 }
 
 type mixParams struct {
@@ -55,35 +91,35 @@ var mixKind = sched.NewKind("mix", func(_ context.Context, t sched.Task, _ mixPa
 	if g := mixGate.Load(); g != nil && t.Index >= g.from {
 		<-g.ch
 	}
-	bits := mix(t.Seed)
-	return mixResult{
-		Index:  t.Index,
-		Bits:   bits,
-		Joule:  float64(bits%1000) / 997,
-		Health: rapl.Health{Reads: 2, Retries: int(t.Seed % 3)},
-	}, nil
+	snap, err := sampleScripted(t.Seed, 4)
+	if err != nil {
+		return mixResult{}, err
+	}
+	return mixResult{Index: t.Index, Bits: mix(t.Seed), Joule: float64(snap.Package)}, nil
 })
 
-// pipes places tasks on in-process pipe workers.
+// pipes places tasks on in-process pipe workers, with the chaos harness
+// injecting plan's node faults (none when plan is nil).
 func pipes(workers int, seed uint64, plan *dist.FaultPlan) sched.Config {
-	return sched.Config{Workers: workers, Seed: seed, Spawn: dist.PipeSpawner(sched.Handle), Plan: plan}
+	return sched.Config{Workers: workers, Seed: seed, Spawn: dist.ChaosSpawner(dist.PipeSpawner(sched.Handle), plan)}
 }
 
 // runMix runs an n-task mix map and returns the results, the commit order,
-// the health tally merged in commit order, and the telemetry.
-func runMix(t *testing.T, cfg sched.Config, n int) ([]mixResult, []int, rapl.Health, sched.Telemetry) {
+// the joules summed in commit order (float addition does not reassociate,
+// so the sum depends on that order), and the telemetry.
+func runMix(t *testing.T, cfg sched.Config, n int) ([]mixResult, []int, float64, sched.Telemetry) {
 	t.Helper()
 	var order []int
-	var health rapl.Health
+	var total float64
 	out, tel, err := mixKind.Map(context.Background(), cfg, mixParams{Label: "t"}, n,
 		func(task sched.Task, r mixResult) {
 			order = append(order, task.Index)
-			health = health.Add(r.Health)
+			total += r.Joule
 		})
 	if err != nil {
 		t.Fatalf("map failed: %v", err)
 	}
-	return out, order, health, tel
+	return out, order, total, tel
 }
 
 // TestDispatcherFaultCampaign is the robustness acceptance test: four
@@ -93,7 +129,7 @@ func runMix(t *testing.T, cfg sched.Config, n int) ([]mixResult, []int, rapl.Hea
 // scripts/check.sh.
 func TestDispatcherFaultCampaign(t *testing.T) {
 	const n = 24
-	seq, seqOrder, seqHealth, _ := runMix(t, sched.Config{Jobs: 1, Seed: 20200518}, n)
+	seq, seqOrder, seqTotal, _ := runMix(t, sched.Config{Jobs: 1, Seed: 20200518}, n)
 
 	// Node 0 is slowed on every assignment so nodes 1 and 3 are always
 	// handed the second tasks their faults are scripted on: unslowed, node
@@ -110,7 +146,7 @@ func TestDispatcherFaultCampaign(t *testing.T) {
 	}, SlowBy: 20 * time.Millisecond}
 	cfg := pipes(4, 20200518, plan)
 	cfg.Deadline = 250 * time.Millisecond
-	got, order, health, tel := runMix(t, cfg, n)
+	got, order, total, tel := runMix(t, cfg, n)
 
 	if len(got) != len(seq) {
 		t.Fatalf("result count %d, in-process %d", len(got), len(seq))
@@ -149,10 +185,10 @@ func TestDispatcherFaultCampaign(t *testing.T) {
 		t.Errorf("telemetry %q does not surface the quarantine tally", tel.String())
 	}
 
-	// Health merged in commit order must match the in-process run exactly
-	// despite the reassignments.
-	if health != seqHealth {
-		t.Errorf("merged health drifted: placed %+v, in-process %+v", health, seqHealth)
+	// The sum taken in commit order must match the in-process run bit for
+	// bit despite the reassignments.
+	if math.Float64bits(total) != math.Float64bits(seqTotal) {
+		t.Errorf("commit-order sum drifted: placed %v, in-process %v", total, seqTotal)
 	}
 }
 
@@ -261,7 +297,7 @@ func TestDispatcherCheckpointResume(t *testing.T) {
 		t.Fatalf("no ledger written: %v", err)
 	}
 
-	cfg.Plan = nil
+	cfg.Spawn = dist.PipeSpawner(sched.Handle)
 	got, _, _, tel := runMix(t, cfg, n)
 	if tel.Replayed == 0 {
 		t.Error("resume replayed nothing; ledger was not used")
@@ -285,31 +321,6 @@ func TestDispatcherCheckpointResume(t *testing.T) {
 	for i := range got2 {
 		if got2[i] != seq[i] {
 			t.Errorf("task %d drifted after corrupt-ledger rerun", i)
-		}
-	}
-}
-
-// TestParseFaultPlan covers the scripted spec grammar.
-func TestParseFaultPlan(t *testing.T) {
-	plan, err := dist.ParseFaultPlan("1:kill@1; 2:hang@0;3:corrupt@2")
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := map[int]map[int]dist.FaultKind{
-		1: {1: dist.FaultKill},
-		2: {0: dist.FaultHang},
-		3: {2: dist.FaultCorrupt},
-	}
-	for node, faults := range want {
-		for nth, kind := range faults {
-			if plan.Script[node][nth] != kind {
-				t.Errorf("node %d nth %d = %v, want %v", node, nth, plan.Script[node][nth], kind)
-			}
-		}
-	}
-	for _, bad := range []string{"", "x", "1:frob@0", "a:kill@0", "1:kill@-1", "1:kill"} {
-		if _, err := dist.ParseFaultPlan(bad); err == nil {
-			t.Errorf("spec %q parsed; want error", bad)
 		}
 	}
 }

@@ -7,14 +7,14 @@
 // worker count and chaos plan (kills, hangs, slow-walks, corrupted replies
 // at seeded random rates), then runs the same measurement kind in process
 // and on pipe workers: every task rebuilds a ScriptedMSR counter stream
-// from task.Seed, corrupts it with a seeded fault injector, and reads it
-// through the resilient wrapper — a pure function of the task seed, so
-// reassigned tasks replay identically. The per-task results, the
-// index-ordered commit ledger and the Health tally merged in commit order
-// must be bit-identical to the in-process run at every worker count, no
-// matter which nodes the chaos plan takes down. Rounds where chaos kills
-// every worker must fail with ErrNoWorkers and leave an exact prefix of
-// the in-process ledger.
+// from task.Seed, with wraps and backward jumps, and reads it through the
+// unwrapping sampler (sampleScripted) — a pure function of the task seed,
+// so reassigned tasks replay identically. The per-task results, the
+// index-ordered commit ledger and the joules summed in commit order must be
+// bit-identical to the in-process run at every worker count, no matter
+// which nodes the chaos plan takes down. Rounds where chaos kills every
+// worker must fail with ErrNoWorkers and leave an exact prefix of the
+// in-process ledger.
 package dist_test
 
 import (
@@ -27,10 +27,11 @@ import (
 	"time"
 
 	"jepo/internal/dist"
-	"jepo/internal/rapl"
 	"jepo/internal/sched"
 )
 
+// ddMix advances a splitmix64 stream; every round parameter derives from
+// it so failures reproduce from the master seed alone.
 func ddMix(z uint64) uint64 {
 	z += 0x9E3779B97F4A7C15
 	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
@@ -38,75 +39,36 @@ func ddMix(z uint64) uint64 {
 	return z ^ (z >> 31)
 }
 
-// ddParams is the per-round campaign parameter block shipped to workers.
+// ddParams is the per-round parameter block shipped to workers.
 type ddParams struct {
-	Snaps     int     `json:"snaps"`
-	Transient float64 `json:"transient"`
-	Stale     float64 `json:"stale"`
-	Permanent float64 `json:"permanent"`
+	Snaps int `json:"snaps"`
 }
 
-// ddResult is one task's complete observable outcome; errors ride as
-// strings so dead-source rounds still produce comparable records.
+// ddResult is one task's complete observable outcome: the float64 bit
+// patterns of its last snapshot.
 type ddResult struct {
-	Pkg    uint64      `json:"pkg"`
-	Core   uint64      `json:"core"`
-	DRAM   uint64      `json:"dram"`
-	Health rapl.Health `json:"health"`
-	Err    string      `json:"err"`
-}
-
-// ddMeasure mirrors scheddiff's workload: a scripted counter stream derived
-// from the task seed, random read faults, resilient retries.
-func ddMeasure(seed uint64, p ddParams) ddResult {
-	s := seed
-	seq := map[uint32][]uint64{}
-	for _, reg := range []uint32{rapl.MSRPkgEnergyStatus, rapl.MSRPP0EnergyStatus, rapl.MSRDRAMEnergyStatus} {
-		n := p.Snaps*4 + 8
-		vals := make([]uint64, 0, n)
-		c := ddMix(s) & 0xFFFFFFFF
-		for i := 0; i < n; i++ {
-			s = ddMix(s)
-			step := s % 50_000
-			if s%97 == 0 {
-				step = s % (1 << 33)
-			}
-			c = (c + step) & 0xFFFFFFFF
-			vals = append(vals, c)
-		}
-		seq[reg] = vals
-	}
-	rates := rapl.FaultRates{Transient: p.Transient, Stale: p.Stale, Permanent: p.Permanent}
-	faulty := rapl.NewRandomFaultyMSR(&rapl.ScriptedMSR{Seq: seq}, ddMix(seed^0xfeedface), rates)
-	sampler, err := rapl.NewSampler(faulty)
-	if err != nil {
-		return ddResult{Err: err.Error()}
-	}
-	res := rapl.NewResilient(sampler, rapl.WithRetries(2), rapl.WithBackoff(func(int) {}))
-	var last rapl.Snapshot
-	for i := 0; i < p.Snaps; i++ {
-		snap, err := res.Snapshot()
-		if err != nil {
-			return ddResult{Health: res.Health(), Err: err.Error()}
-		}
-		last = snap
-	}
-	return ddResult{
-		Pkg:    math.Float64bits(float64(last.Package)),
-		Core:   math.Float64bits(float64(last.Core)),
-		DRAM:   math.Float64bits(float64(last.DRAM)),
-		Health: res.Health(),
-	}
+	Pkg  uint64 `json:"pkg"`
+	Core uint64 `json:"core"`
+	DRAM uint64 `json:"dram"`
 }
 
 var ddKind = sched.NewKind("ddmeasure", func(_ context.Context, t sched.Task, p ddParams) (ddResult, error) {
-	return ddMeasure(t.Seed, p), nil
+	snap, err := sampleScripted(t.Seed, p.Snaps)
+	if err != nil {
+		return ddResult{}, err
+	}
+	return ddResult{
+		Pkg:  math.Float64bits(float64(snap.Package)),
+		Core: math.Float64bits(float64(snap.Core)),
+		DRAM: math.Float64bits(float64(snap.DRAM)),
+	}, nil
 })
 
-// ddLedger is the order-sensitive commit reduction.
+// ddLedger is the order-sensitive commit reduction: the per-task lines and
+// the joules summed in commit order.
 type ddLedger struct {
 	Lines []string
-	Total rapl.Health
+	Total float64
 }
 
 // TestDistDifferentialFuzz runs randomized in-process-vs-placed rounds.
@@ -118,14 +80,7 @@ func TestDistDifferentialFuzz(t *testing.T) {
 		r := sched.TaskSeed(master, round)
 		tasks := 1 + int(ddMix(r)%24)
 		workers := 2 + int(ddMix(r^1)%3)
-		params := ddParams{
-			Snaps:     2 + int(ddMix(r^2)%5),
-			Transient: float64(ddMix(r^3)%30) / 100,
-			Stale:     float64(ddMix(r^4)%25) / 100,
-		}
-		if round%5 == 4 {
-			params.Permanent = 0.05
-		}
+		params := ddParams{Snaps: 2 + int(ddMix(r^2)%5)}
 		var plan *dist.FaultPlan
 		if round%4 != 3 { // some rounds run chaos-free as a control
 			plan = &dist.FaultPlan{
@@ -140,9 +95,10 @@ func TestDistDifferentialFuzz(t *testing.T) {
 			var ledger ddLedger
 			out, _, err := ddKind.Map(context.Background(), cfg, params, tasks,
 				func(task sched.Task, res ddResult) {
-					ledger.Lines = append(ledger.Lines,
-						fmt.Sprintf("#%d %x/%x/%x %s err=%q", task.Index, res.Pkg, res.Core, res.DRAM, res.Health, res.Err))
-					ledger.Total = ledger.Total.Add(res.Health)
+					ledger.Lines = append(ledger.Lines, fmt.Sprintf("#%d %x/%x/%x", task.Index, res.Pkg, res.Core, res.DRAM))
+					for _, bits := range []uint64{res.Pkg, res.Core, res.DRAM} {
+						ledger.Total += math.Float64frombits(bits)
+					}
 				})
 			return out, ledger, err
 		}
@@ -156,8 +112,7 @@ func TestDistDifferentialFuzz(t *testing.T) {
 			Workers:  workers,
 			Seed:     r,
 			Deadline: 150 * time.Millisecond,
-			Spawn:    dist.PipeSpawner(sched.Handle),
-			Plan:     plan,
+			Spawn:    dist.ChaosSpawner(dist.PipeSpawner(sched.Handle), plan),
 		})
 		if err != nil {
 			if !errors.Is(err, sched.ErrNoWorkers) {
@@ -180,14 +135,14 @@ func TestDistDifferentialFuzz(t *testing.T) {
 		}
 		if !reflect.DeepEqual(out, seqOut) {
 			for i := range out {
-				if !reflect.DeepEqual(out[i], seqOut[i]) {
+				if out[i] != seqOut[i] {
 					t.Errorf("round %d (tasks=%d workers=%d) task %d diverged:\n  dist %+v\n  seq  %+v",
 						round, tasks, workers, i, out[i], seqOut[i])
 				}
 			}
 		}
 		if !reflect.DeepEqual(ledger, seqLedger) {
-			t.Errorf("round %d workers=%d: commit ledger diverged:\n  dist total %s\n  seq  total %s",
+			t.Errorf("round %d workers=%d: commit ledger diverged:\n  dist total %v\n  seq  total %v",
 				round, workers, ledger.Total, seqLedger.Total)
 		}
 	}

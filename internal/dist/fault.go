@@ -1,30 +1,14 @@
 // The chaos harness: scripted or seeded node faults injected at the
-// transport layer, mirroring rapl's ScriptedMSR/FaultyMSR design one level
-// up the stack — there a read lies or dies, here a whole node does. The
-// executor never knows it is being tested; it sees exactly what a real
-// crashed, hung, slow or babbling worker would produce.
+// transport layer. Tests install it by wrapping a spawner with
+// ChaosSpawner; the executor never knows it is being tested, it sees
+// exactly what a real crashed, hung, slow or babbling worker would produce.
 package dist
 
 import (
 	"encoding/json"
-	"fmt"
-	"os"
-	"strconv"
-	"strings"
 	"sync"
 	"time"
 )
-
-// EnvPlan returns the fault plan scripted in $JEPO_DIST_FAULTS, or nil
-// when the variable is unset. CLIs install it on their executor config so
-// shell gates can kill and hang workers without extra flags.
-func EnvPlan() (*FaultPlan, error) {
-	spec := os.Getenv(FaultsEnv)
-	if spec == "" {
-		return nil, nil
-	}
-	return ParseFaultPlan(spec)
-}
 
 // FaultKind is one injected node behavior.
 type FaultKind int
@@ -65,8 +49,8 @@ type FaultRates struct {
 }
 
 // FaultPlan decides which fault, if any, strikes the nth task assigned to
-// a node. Like rapl.ScriptedMSR it has a scripted mode (exact placement,
-// for acceptance tests) and a seeded-random mode (rates drawn from a
+// a node. It has a scripted mode (exact placement, for acceptance tests)
+// and a seeded-random mode (rates drawn from a
 // splitmix64 stream keyed by (seed, node, nth), for the differential
 // fuzz). The decision is a pure function of (node, nth), so a plan is
 // reusable and ordering-independent.
@@ -94,9 +78,9 @@ func (p *FaultPlan) at(node, nth int) FaultKind {
 	if total <= 0 {
 		return FaultNone
 	}
-	// One independent splitmix64 draw per (seed, node, nth) cell, the same
-	// derivation-style rapl's faultRNG uses: no stream is shared across
-	// assignments, so injection cannot depend on scheduling order.
+	// One independent splitmix64 draw per (seed, node, nth) cell: no stream
+	// is shared across assignments, so injection cannot depend on
+	// scheduling order.
 	z := p.Seed + (uint64(node)+1)*0x9E3779B97F4A7C15 + (uint64(nth)+1)*0xD1B54A32D192ED03
 	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
 	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
@@ -121,57 +105,6 @@ func (p *FaultPlan) slowBy() time.Duration {
 		return p.SlowBy
 	}
 	return 2 * time.Millisecond
-}
-
-// ParseFaultPlan parses the scripted spec format the CLIs accept via
-// JEPO_DIST_FAULTS: semicolon-separated "node:kind@nth" clauses, e.g.
-// "1:kill@1;2:hang@0" kills node 1 on its second assigned task and hangs
-// node 2 on its first.
-func ParseFaultPlan(spec string) (*FaultPlan, error) {
-	script := make(map[int]map[int]FaultKind)
-	for _, clause := range strings.Split(spec, ";") {
-		clause = strings.TrimSpace(clause)
-		if clause == "" {
-			continue
-		}
-		nodeStr, rest, ok := strings.Cut(clause, ":")
-		if !ok {
-			return nil, fmt.Errorf("dist: fault clause %q: want node:kind@nth", clause)
-		}
-		kindStr, nthStr, ok := strings.Cut(rest, "@")
-		if !ok {
-			return nil, fmt.Errorf("dist: fault clause %q: want node:kind@nth", clause)
-		}
-		node, err := strconv.Atoi(strings.TrimSpace(nodeStr))
-		if err != nil || node < 0 {
-			return nil, fmt.Errorf("dist: fault clause %q: bad node id", clause)
-		}
-		nth, err := strconv.Atoi(strings.TrimSpace(nthStr))
-		if err != nil || nth < 0 {
-			return nil, fmt.Errorf("dist: fault clause %q: bad task ordinal", clause)
-		}
-		var kind FaultKind
-		switch strings.TrimSpace(kindStr) {
-		case "kill":
-			kind = FaultKill
-		case "hang":
-			kind = FaultHang
-		case "slow":
-			kind = FaultSlow
-		case "corrupt":
-			kind = FaultCorrupt
-		default:
-			return nil, fmt.Errorf("dist: fault clause %q: unknown kind %q", clause, kindStr)
-		}
-		if script[node] == nil {
-			script[node] = make(map[int]FaultKind)
-		}
-		script[node][nth] = kind
-	}
-	if len(script) == 0 {
-		return nil, fmt.Errorf("dist: empty fault spec %q", spec)
-	}
-	return &FaultPlan{Script: script}, nil
 }
 
 // ChaosSpawner wraps a transport with a fault plan. Faults trigger on task

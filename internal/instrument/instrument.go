@@ -89,20 +89,3 @@ func IsInstrumented(m *ast.Method) bool {
 	tr, ok := m.Body.Stmts[1].(*ast.Try)
 	return ok && tr.Finally != nil
 }
-
-// mainFinder mirrors the plugin's behaviour of locating classes with a main
-// method; when there is more than one the plugin asks the user (the CLI does
-// the same via a flag).
-func MainClasses(files ...*ast.File) []string {
-	var out []string
-	for _, f := range files {
-		for _, c := range f.Classes {
-			for _, m := range c.Methods {
-				if m.Name == "main" && m.Mods.Has(ast.ModStatic) && len(m.Params) == 1 {
-					out = append(out, c.Name)
-				}
-			}
-		}
-	}
-	return out
-}

@@ -26,29 +26,51 @@ const matrixSrc = `class B {
 	}
 }`
 
+// seededFailures picks which of the first reads reads fail: each one
+// independently with probability rate, and every read from the first death
+// on, where a read dies with probability death. The picks come from a
+// splitmix64 stream, so every failure reproduces from its seed alone.
+func seededFailures(seed uint64, reads int, rate, death float64) map[int]bool {
+	fail := map[int]bool{}
+	dead := false
+	z := seed
+	draw := func() float64 {
+		z += 0x9E3779B97F4A7C15
+		x := z
+		x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9
+		x = (x ^ (x >> 27)) * 0x94D049BB133111EB
+		x ^= x >> 31
+		return float64(x>>11) / float64(1<<53)
+	}
+	for i := 0; i < reads; i++ {
+		dead = dead || draw() < death
+		if dead || draw() < rate {
+			fail[i] = true
+		}
+	}
+	return fail
+}
+
 // TestFaultMatrixProfiledRunsComplete fuzzes profiled interpreter runs over
-// randomly faulting measurement sources: every run must complete with a full
-// record set, non-negative energies, a balanced probe stream, and a health
-// ledger consistent with the faults actually delivered.
+// a seeded failing source: every run must complete with a full record set,
+// non-negative energies and a balanced probe stream, count every failed
+// read, and set Err exactly when a read failed.
 func TestFaultMatrixProfiledRunsComplete(t *testing.T) {
-	mixes := []rapl.FaultRates{
-		{Transient: 0.20},
-		{Stale: 0.30},
-		{Transient: 0.15, Stale: 0.10, Permanent: 0.04},
-		{Permanent: 0.15},
+	mixes := []struct{ rate, death float64 }{
+		{rate: 0.20},
+		{rate: 0.10, death: 0.04},
+		{death: 0.15},
+		{}, // a clean control
 	}
 	const reps = 6
-	for mi, rates := range mixes {
+	const reads = 2 * 4 * reps // f, leaf ×2, boom per rep; two reads each
+	for mi, mx := range mixes {
 		for seed := uint64(1); seed <= 25; seed++ {
 			meter := energy.NewMeter(energy.DefaultCosts())
-			primary := rapl.NewRandomFaultySource(rapl.NewSimSource(meter), seed, rates)
-			res := rapl.NewResilient(primary,
-				rapl.WithFallback(rapl.NewSimSource(meter)),
-				rapl.WithRetries(2), noBackoff)
-			prof := driveBench(t, res, meter, matrixSrc, reps)
+			src := &windowFailSource{inner: rapl.NewSimSource(meter), fail: seededFailures(seed, reads, mx.rate, mx.death)}
+			prof := driveBench(t, src, meter, matrixSrc, reps)
 
 			recs := prof.Records()
-			// f, leaf ×2, boom per rep — 4 records each.
 			if len(recs) != 4*reps {
 				t.Fatalf("mix %d seed %d: records = %d, want %d", mi, seed, len(recs), 4*reps)
 			}
@@ -58,40 +80,31 @@ func TestFaultMatrixProfiledRunsComplete(t *testing.T) {
 				}
 			}
 			h := prof.Health()
-			if h.Enters != h.Exits {
-				t.Errorf("mix %d seed %d: probes unbalanced: %s", mi, seed, h)
+			if h.Enters != h.Exits || src.reads != reads {
+				t.Errorf("mix %d seed %d: probes unbalanced (%d reads): %s", mi, seed, src.reads, h)
 			}
 			if h.UnbalancedExits != 0 || h.DroppedFrames != 0 {
 				t.Errorf("mix %d seed %d: finally probes lost frames: %s", mi, seed, h)
 			}
-			if h.ReadErrors != 0 {
-				t.Errorf("mix %d seed %d: resilient source with fallback leaked read errors: %s", mi, seed, h)
+			if h.ReadErrors != src.failed {
+				t.Errorf("mix %d seed %d: read errors = %d, source failed %d reads", mi, seed, h.ReadErrors, src.failed)
 			}
-			if prof.Err() != nil {
-				t.Errorf("mix %d seed %d: degraded run poisoned the profiler: %v", mi, seed, prof.Err())
-			}
-			if primary.Dead() && h.Source.Discontinuities != 1 {
-				t.Errorf("mix %d seed %d: primary died, discontinuities = %d: %s",
-					mi, seed, h.Source.Discontinuities, h)
-			}
-			if h.Source.Reads != 2*4*reps {
-				t.Errorf("mix %d seed %d: source reads = %d, want %d", mi, seed, h.Source.Reads, 2*4*reps)
+			if (prof.Err() != nil) != (src.failed > 0) {
+				t.Errorf("mix %d seed %d: Err = %v after %d failed reads", mi, seed, prof.Err(), src.failed)
 			}
 		}
 	}
 }
 
 // TestFaultMatrixSummariesStayOrdered checks the aggregation contract under
-// faults: summaries exist for every method and inclusive totals never go
-// negative, so degraded runs still produce a usable profiler view.
+// failing reads: summaries exist for every method and inclusive totals never
+// go negative, so degraded runs still produce a usable profiler view.
 func TestFaultMatrixSummariesStayOrdered(t *testing.T) {
+	const reps = 4
 	for seed := uint64(1); seed <= 25; seed++ {
 		meter := energy.NewMeter(energy.DefaultCosts())
-		primary := rapl.NewRandomFaultySource(rapl.NewSimSource(meter), seed,
-			rapl.FaultRates{Transient: 0.2, Stale: 0.2, Permanent: 0.05})
-		res := rapl.NewResilient(primary,
-			rapl.WithFallback(rapl.NewSimSource(meter)), noBackoff)
-		prof := driveBench(t, res, meter, matrixSrc, 4)
+		src := &windowFailSource{inner: rapl.NewSimSource(meter), fail: seededFailures(seed, 2*4*reps, 0.2, 0.05)}
+		prof := driveBench(t, src, meter, matrixSrc, reps)
 		sums := prof.Summaries()
 		if len(sums) != 3 {
 			t.Fatalf("seed %d: summaries = %d, want 3 (f, leaf, boom)", seed, len(sums))

@@ -5,11 +5,12 @@
 // execution — "if one method is executed more than once, then the
 // measurements are stored for each execution", as the paper specifies.
 //
-// The profiler is fault tolerant: a failed counter read degrades the record
-// (flagged Estimated, measured against the last good reading) instead of
-// poisoning the whole run, unbalanced enter/exit pairs from unwinding
+// The profiler keeps recording past an anomaly: a failed counter read
+// degrades the record (flagged Estimated, measured against the last good
+// reading) instead of losing it, unbalanced enter/exit pairs from unwinding
 // exceptions are recovered by dropping the orphaned frames, and Health()
-// summarizes every degraded path taken so reports can qualify their joules.
+// counts both. Err() still reports the first anomaly, and core.Profile
+// fails the run on it.
 package profile
 
 import (
@@ -32,9 +33,9 @@ type Record struct {
 	Core    energy.Joules
 	DRAM    energy.Joules
 
-	// Degraded marks a record whose counters took a degraded read path
-	// (retry, interpolation, fallback, quarantine) or whose frame survived
-	// an exception unwind; the energy is real but lower-confidence.
+	// Degraded marks a record whose enter or exit read failed or whose
+	// frame survived an exception unwind; the energy is real but
+	// lower-confidence.
 	Degraded bool
 	// Estimated marks a record whose enter or exit read failed outright and
 	// was served from the last-known-good snapshot; its delta is a floor.
@@ -42,48 +43,27 @@ type Record struct {
 }
 
 // Health summarizes the degraded paths a profiled run took. The zero value
-// means every probe balanced and every counter read succeeded first try.
+// means every probe balanced and every counter read succeeded.
 type Health struct {
 	Enters          int // enter probes received
 	Exits           int // exit probes received
-	ReadErrors      int // counter reads that failed even through the source's own resilience
+	ReadErrors      int // counter reads that failed
 	UnbalancedExits int // exit probes with no matching enter on the stack
 	DroppedFrames   int // enters discarded while recovering from an unwind
 	Degraded        int // records flagged Degraded
 	Estimated       int // records flagged Estimated
-	// Source carries the measurement source's own tally when it implements
-	// rapl.HealthReporter (retries, interpolations, fallbacks, quarantines).
-	Source rapl.Health
-}
-
-// Clean reports whether the run completed with no degradation at all.
-func (h Health) Clean() bool {
-	return h.ReadErrors == 0 && h.UnbalancedExits == 0 && h.DroppedFrames == 0 &&
-		h.Degraded == 0 && h.Estimated == 0 && !h.Source.Degraded()
 }
 
 // String renders the summary in the form the CLIs print with every report.
 func (h Health) String() string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "probes: enters=%d exits=%d read_errors=%d unbalanced_exits=%d dropped_frames=%d degraded=%d estimated=%d",
+	return fmt.Sprintf("probes: enters=%d exits=%d read_errors=%d unbalanced_exits=%d dropped_frames=%d degraded=%d estimated=%d",
 		h.Enters, h.Exits, h.ReadErrors, h.UnbalancedExits, h.DroppedFrames, h.Degraded, h.Estimated)
-	if h.Source != (rapl.Health{}) {
-		fmt.Fprintf(&sb, "; source: %s", h.Source)
-	}
-	return sb.String()
 }
 
 // Profiler implements interp.ProbeHook over a RAPL source.
 type Profiler struct {
 	src   rapl.Source
 	clock func() time.Duration
-
-	// hr caches the source's HealthReporter view. Probes run on the
-	// interpreter's hot path — two snapshots per instrumented call — and
-	// the interface assertion is loop-invariant, so it is done once here
-	// rather than per read.
-	hr    rapl.HealthReporter
-	hasHR bool
 
 	stack    []frame
 	records  []Record
@@ -98,47 +78,28 @@ type frame struct {
 	at        rapl.Snapshot
 	t         time.Duration
 	estimated bool
-	degraded  bool
 }
 
 // New builds a profiler reading from src. clock supplies modelled elapsed
 // time (use the meter's snapshot elapsed time for simulated runs, or a
 // wall-clock function for real powercap runs).
 func New(src rapl.Source, clock func() time.Duration) *Profiler {
-	p := &Profiler{src: src, clock: clock, counts: map[string]int{}}
-	p.hr, p.hasHR = src.(rapl.HealthReporter)
-	return p
+	return &Profiler{src: src, clock: clock, counts: map[string]int{}}
 }
 
-// snapshot reads the source, classifying the read: estimated means the read
-// failed and the last good snapshot stands in; degraded means the source
-// itself took a degraded path (retry/interpolation/fallback/quarantine) to
-// produce it.
-func (p *Profiler) snapshot(context, method string) (snap rapl.Snapshot, estimated, degraded bool) {
-	var before rapl.Health
-	if p.hasHR {
-		before = p.hr.Health()
-	}
+// snapshot reads the source. failed means the read failed and the last good
+// snapshot stands in.
+func (p *Profiler) snapshot(context, method string) (snap rapl.Snapshot, failed bool) {
 	snap, err := p.src.Snapshot()
-	if p.hasHR {
-		after := p.hr.Health()
-		if after.Retries > before.Retries || after.Fallbacks > before.Fallbacks ||
-			after.Quarantined > before.Quarantined || after.Resets > before.Resets {
-			degraded = true
-		}
-		if after.Interpolated > before.Interpolated {
-			degraded, estimated = true, true
-		}
-	}
 	if err != nil {
 		p.health.ReadErrors++
 		if p.err == nil {
 			p.err = fmt.Errorf("profile: reading counters at %s of %s: %w", context, method, err)
 		}
-		return p.lastGood, true, true
+		return p.lastGood, true
 	}
 	p.lastGood = snap
-	return snap, estimated, degraded
+	return snap, false
 }
 
 // Enter implements interp.ProbeHook. A failed counter read no longer loses
@@ -146,8 +107,8 @@ func (p *Profiler) snapshot(context, method string) (snap rapl.Snapshot, estimat
 // flagged Estimated, so the probe stack stays balanced.
 func (p *Profiler) Enter(method string) {
 	p.health.Enters++
-	snap, est, deg := p.snapshot("enter", method)
-	p.stack = append(p.stack, frame{method: method, at: snap, t: p.clock(), estimated: est, degraded: deg})
+	snap, failed := p.snapshot("enter", method)
+	p.stack = append(p.stack, frame{method: method, at: snap, t: p.clock(), estimated: failed})
 }
 
 // Exit implements interp.ProbeHook. A mismatched exit — the signature of an
@@ -178,16 +139,17 @@ func (p *Profiler) Exit(method string) {
 	top := p.stack[i]
 	p.stack = p.stack[:i]
 
-	snap, est, deg := p.snapshot("exit", method)
+	snap, failed := p.snapshot("exit", method)
 	d := snap.Sub(top.at)
+	estimated := failed || top.estimated
 	rec := Record{
 		Method:    method,
 		Elapsed:   p.clock() - top.t,
 		Package:   d.Package,
 		Core:      d.Core,
 		DRAM:      d.DRAM,
-		Estimated: est || top.estimated,
-		Degraded:  deg || top.degraded || dropped > 0 || est || top.estimated,
+		Estimated: estimated,
+		Degraded:  estimated || dropped > 0,
 	}
 	p.counts[method]++
 	rec.Seq = p.counts[method]
@@ -204,15 +166,8 @@ func (p *Profiler) Exit(method string) {
 // keeps recording past it; consult Health() for the full degradation tally.
 func (p *Profiler) Err() error { return p.err }
 
-// Health returns the degradation summary, including the source's own tally
-// when the source reports one.
-func (p *Profiler) Health() Health {
-	h := p.health
-	if p.hasHR {
-		h.Source = p.hr.Health()
-	}
-	return h
-}
+// Health returns the degradation summary.
+func (p *Profiler) Health() Health { return p.health }
 
 // Records returns every per-execution measurement in completion order.
 func (p *Profiler) Records() []Record { return p.records }

@@ -201,10 +201,6 @@ func TestIsInstrumentedAndMainClasses(t *testing.T) {
 	if !instrument.IsInstrumented(f.Classes[0].Methods[0]) {
 		t.Error("instrumented method not detected")
 	}
-	mains := instrument.MainClasses(f)
-	if len(mains) != 1 || mains[0] != "Work" {
-		t.Errorf("main classes = %v", mains)
-	}
 }
 
 // failingSource errors after N successful reads, simulating a permission

@@ -112,3 +112,43 @@ func EnergyUnit(powerUnit uint64) energy.Joules {
 	esu := (powerUnit >> 8) & 0x1F
 	return energy.Joules(1.0 / float64(uint64(1)<<esu))
 }
+
+// ScriptedMSR replays exact per-register counter sequences. It is the tool
+// for boundary tests — wraps exactly at the 32-bit edge, double wraps
+// between snapshots, first-read initialization — where the value stream must
+// be controlled to the count. Once a sequence is exhausted its final value
+// is held, like a counter between increments.
+type ScriptedMSR struct {
+	// ESU is the energy-status-unit exponent reported via MSR_RAPL_POWER_UNIT
+	// (0 means the stock 2^-16 J).
+	ESU uint
+	// Seq holds the counter values returned for each register, in order.
+	Seq map[uint32][]uint64
+
+	pos map[uint32]int
+}
+
+// ReadMSR implements MSRReader over the scripted sequences.
+func (s *ScriptedMSR) ReadMSR(reg uint32) (uint64, error) {
+	if reg == MSRPowerUnit {
+		esu := s.ESU
+		if esu == 0 {
+			esu = defaultESU
+		}
+		return uint64(3) | uint64(esu)<<8 | uint64(10)<<16, nil
+	}
+	seq, ok := s.Seq[reg]
+	if !ok || len(seq) == 0 {
+		return 0, fmt.Errorf("rapl: scripted MSR has no sequence for 0x%x", reg)
+	}
+	if s.pos == nil {
+		s.pos = map[uint32]int{}
+	}
+	i := s.pos[reg]
+	if i >= len(seq) {
+		i = len(seq) - 1
+	} else {
+		s.pos[reg] = i + 1
+	}
+	return seq[i], nil
+}

@@ -23,34 +23,27 @@ type zone struct {
 
 	fails       int  // consecutive failed reads
 	quarantined bool // dropped after too many consecutive failures
-	resets      int  // backwards jumps with no declared wrap range
 }
 
-// DefaultQuarantineAfter is how many consecutive failed reads drop a zone.
-const DefaultQuarantineAfter = 3
+// quarantineAfter is how many consecutive failed reads drop a zone.
+const quarantineAfter = 3
 
 // Sysfs reads real RAPL counters through the Linux powercap interface. It
 // maps the top-level "package-N" zones to the Package domain and their
 // "core" / "dram" sub-zones to Core and DRAM, summing across sockets.
 //
-// The reader degrades instead of failing: a zone whose energy_uj read fails
-// (permission flip, hotplug removal) contributes its last accumulated value,
-// and after QuarantineAfter consecutive failures it is quarantined — never
-// read again, its accumulated energy frozen so totals stay monotonic. The
-// snapshot only errors once every package zone is quarantined, which is the
-// signal for the resilient wrapper to fall back.
+// The reader guards input from outside the program: a zone whose energy_uj
+// read fails (permission flip, hotplug removal) contributes its last
+// accumulated value, and after quarantineAfter consecutive failures it is
+// quarantined — never read again, its accumulated energy frozen so totals
+// stay monotonic. The snapshot only errors once every package zone is
+// quarantined.
 type Sysfs struct {
-	// QuarantineAfter overrides the consecutive-failure threshold
-	// (DefaultQuarantineAfter when zero or unset).
-	QuarantineAfter int
-
-	zones  [numDomains][]*zone
-	health Health
+	zones [numDomains][]*zone
 }
 
 // NewSysfs scans root (usually PowercapRoot) for intel-rapl zones. It returns
-// an error when no package zone is readable, which is the signal to fall back
-// to the simulator.
+// an error when no package zone is readable.
 func NewSysfs(root string) (*Sysfs, error) {
 	entries, err := os.ReadDir(root)
 	if err != nil {
@@ -131,37 +124,13 @@ func (z *zone) read() (uint64, error) {
 		z.acc += v - z.last
 	} else if z.maxRange > 0 {
 		z.acc += (z.maxRange - z.last) + v
-	} else {
-		// Backwards with no declared range: a counter reset (hotplug,
-		// suspend) is indistinguishable from a stale duplicate reading, and
-		// accumulating v would re-count energy already charged whenever the
-		// glitch repeats. Count nothing, resync from the new value, and let
-		// the health tally record the discarded delta.
-		z.resets++
 	}
+	// Backwards with no declared range counts nothing: a counter reset
+	// (hotplug, suspend) is indistinguishable from a stale duplicate
+	// reading, and accumulating v would re-count energy already charged
+	// whenever the glitch repeats. The zone resyncs from the new value.
 	z.last = v
 	return z.acc, nil
-}
-
-// quarantineAfter resolves the configured consecutive-failure threshold.
-func (s *Sysfs) quarantineAfter() int {
-	if s.QuarantineAfter > 0 {
-		return s.QuarantineAfter
-	}
-	return DefaultQuarantineAfter
-}
-
-// Health reports the zone-level degradation tallies: quarantined zones,
-// reads served from a zone's last accumulated value, and discarded
-// backwards jumps.
-func (s *Sysfs) Health() Health {
-	h := s.health
-	for d := Domain(0); d < numDomains; d++ {
-		for _, z := range s.zones[d] {
-			h.Resets += z.resets
-		}
-	}
-	return h
 }
 
 // Snapshot implements Source, summing zones per domain across sockets.
@@ -179,11 +148,7 @@ func (s *Sysfs) Snapshot() (Snapshot, error) {
 				nv, err := z.read()
 				if err != nil {
 					z.fails++
-					s.health.Interpolated++
-					if z.fails >= s.quarantineAfter() {
-						z.quarantined = true
-						s.health.Quarantined++
-					}
+					z.quarantined = z.fails >= quarantineAfter
 				} else {
 					z.fails = 0
 					v = nv

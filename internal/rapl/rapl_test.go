@@ -269,3 +269,234 @@ func TestDetectFallsBackGracefully(t *testing.T) {
 		}
 	}
 }
+
+// TestSysfsBackwardsWithoutRangeSkipsDelta covers the counter-reset branch:
+// with max_energy_range_uj absent, a backwards jump must not re-accumulate
+// the counter value (double-counting on stale reads); the delta is skipped.
+// The known-range wrap branch is covered by
+// TestSysfsUnwrapsAgainstMaxRange.
+func TestSysfsBackwardsWithoutRangeSkipsDelta(t *testing.T) {
+	root := t.TempDir()
+	pkg := writeZone(t, root, "intel-rapl:0", "package-0", 999_000, 0) // no range file
+	s, err := NewSysfs(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Snapshot(); err != nil {
+		t.Fatal(err)
+	}
+	// Counter goes backwards: reset or stale duplicate, either way the
+	// accumulated energy must not jump by the raw value.
+	os.WriteFile(filepath.Join(pkg, "energy_uj"), []byte("500\n"), 0o644)
+	s1, err := s.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s1.Package != 0 {
+		t.Errorf("backwards jump accumulated %v µJ, want 0 (delta skipped)", s1.Package.Microjoules())
+	}
+	// The zone resyncs from the new value and keeps counting.
+	os.WriteFile(filepath.Join(pkg, "energy_uj"), []byte("1500\n"), 0o644)
+	s2, err := s.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.Abs(s2.Package.Microjoules()-1000) > 1e-6 {
+		t.Errorf("post-reset delta = %v µJ, want 1000", s2.Package.Microjoules())
+	}
+}
+
+// TestSysfsSurvivesDisappearingZone exercises zone loss mid-run: a sub-zone
+// whose files vanish between reads contributes its frozen accumulation, is
+// quarantined after the threshold, and the snapshot keeps succeeding from
+// the surviving zones.
+func TestSysfsSurvivesDisappearingZone(t *testing.T) {
+	root := t.TempDir()
+	pkg := writeZone(t, root, "intel-rapl:0", "package-0", 1_000_000, 0)
+	core := writeZone(t, root, "intel-rapl:0:0", "core", 400_000, 0)
+	s, err := NewSysfs(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Snapshot(); err != nil {
+		t.Fatal(err)
+	}
+	// Both zones advance once, so the core zone has accumulated energy to
+	// freeze when it disappears.
+	os.WriteFile(filepath.Join(core, "energy_uj"), []byte("500000\n"), 0o644)
+	os.WriteFile(filepath.Join(pkg, "energy_uj"), []byte("1050000\n"), 0o644)
+	s1, err := s.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.Abs(s1.Core.Microjoules()-100_000) > 1e-6 || math.Abs(s1.Package.Microjoules()-50_000) > 1e-6 {
+		t.Fatalf("pre-loss accumulation wrong: %+v", s1)
+	}
+
+	// The core zone disappears (hotplug); the package keeps advancing.
+	if err := os.RemoveAll(core); err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i <= quarantineAfter; i++ {
+		os.WriteFile(filepath.Join(pkg, "energy_uj"), []byte(itoa(1_050_000+uint64(i)*100_000)), 0o644)
+		snap, err := s.Snapshot()
+		if err != nil {
+			t.Fatalf("snapshot %d after zone loss: %v", i, err)
+		}
+		if math.Abs(snap.Core.Microjoules()-100_000) > 1e-6 {
+			t.Errorf("snapshot %d: core = %v µJ, want frozen 100000", i, snap.Core.Microjoules())
+		}
+		wantPkg := float64(50_000 + i*100_000)
+		if math.Abs(snap.Package.Microjoules()-wantPkg) > 1e-6 {
+			t.Errorf("snapshot %d: package = %v µJ, want %v", i, snap.Package.Microjoules(), wantPkg)
+		}
+	}
+
+	// Quarantined means never read again: a zone that comes back stays
+	// frozen.
+	writeZone(t, root, "intel-rapl:0:0", "core", 900_000, 0)
+	snap, err := s.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.Abs(snap.Core.Microjoules()-100_000) > 1e-6 {
+		t.Errorf("quarantined zone read again: core = %v µJ, want frozen 100000", snap.Core.Microjoules())
+	}
+}
+
+// TestSysfsDiesWhenAllPackageZonesGone: the lost package zone is served
+// frozen until it is quarantined, and from then on the source errors.
+func TestSysfsDiesWhenAllPackageZonesGone(t *testing.T) {
+	root := t.TempDir()
+	writeZone(t, root, "intel-rapl:0", "package-0", 1_000_000, 0)
+	s, err := NewSysfs(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Snapshot(); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.RemoveAll(filepath.Join(root, "intel-rapl:0")); err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i < quarantineAfter; i++ {
+		if _, err := s.Snapshot(); err != nil {
+			t.Fatalf("failed read %d of %d before quarantine: %v", i, quarantineAfter, err)
+		}
+	}
+	for i := 0; i < 2; i++ {
+		if _, err := s.Snapshot(); err == nil {
+			t.Fatal("losing the only package zone must kill the source")
+		}
+	}
+}
+
+// newScriptedSampler builds a sampler whose package counter replays seq
+// (core and dram held at zero). The stock unit is 2^-16 J per count.
+func newScriptedSampler(t *testing.T, seq []uint64) *Sampler {
+	t.Helper()
+	msr := &ScriptedMSR{Seq: map[uint32][]uint64{
+		MSRPkgEnergyStatus:  seq,
+		MSRPP0EnergyStatus:  {0},
+		MSRDRAMEnergyStatus: {0},
+	}}
+	s, err := NewSampler(msr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+// TestSamplerUnwrapBoundary drives the unwrap logic with exact counter
+// values around the 32-bit edge: first-read initialization, a wrap exactly
+// at the boundary, wrap from the maximum value, and the aliasing limit of a
+// double wrap between snapshots.
+func TestSamplerUnwrapBoundary(t *testing.T) {
+	cases := []struct {
+		name string
+		seq  []uint64 // raw counter per snapshot
+		want []uint64 // accumulated counts after each snapshot
+	}{
+		{
+			name: "first read initializes, not accumulates",
+			seq:  []uint64{0xFFFF_FFF0, 0xFFFF_FFF0},
+			want: []uint64{0, 0},
+		},
+		{
+			name: "wrap exactly at the boundary",
+			seq:  []uint64{0xFFFF_FFFF, 0x0000_0000, 0x0000_0001},
+			want: []uint64{0, 1, 2},
+		},
+		{
+			name: "wrap across the boundary mid-delta",
+			seq:  []uint64{0xFFFF_FFF0, 0x0000_0010},
+			want: []uint64{0, 0x20},
+		},
+		{
+			name: "largest plausible delta is kept",
+			seq:  []uint64{0, samplerMaxDelta - 1},
+			want: []uint64{0, samplerMaxDelta - 1},
+		},
+		{
+			// A counter advancing by exactly 2^32 between two snapshots is
+			// invisible: the modular delta is 0. This is the documented
+			// aliasing limit — sample faster than the wrap period.
+			name: "double wrap between snapshots aliases to zero",
+			seq:  []uint64{0x0000_0100, 0x0000_0100},
+			want: []uint64{0, 0},
+		},
+		{
+			// A backwards/stale reading would alias to a near-2^32 delta;
+			// the half-range guard skips it and resyncs.
+			name: "backwards reading skipped by half-range guard",
+			seq:  []uint64{0x0000_1000, 0x0000_0100, 0x0000_0200},
+			want: []uint64{0, 0, 0x100},
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			s := newScriptedSampler(t, tc.seq)
+			for i := range tc.seq {
+				snap, err := s.Snapshot()
+				if err != nil {
+					t.Fatalf("snapshot %d: %v", i, err)
+				}
+				got := uint64(float64(snap.Package) / float64(s.unit))
+				if got != tc.want[i] {
+					t.Errorf("after snapshot %d: accumulated %d counts, want %d", i, got, tc.want[i])
+				}
+			}
+		})
+	}
+}
+
+// TestSamplerHealthCountsStaleSkips: a backwards reading charges nothing,
+// and the sampler resyncs from it, so the next forward step counts in full.
+func TestSamplerHealthCountsStaleSkips(t *testing.T) {
+	s := newScriptedSampler(t, []uint64{0x1000, 0x100, 0x200})
+	for i, want := range []uint64{0, 0, 0x100} {
+		snap, err := s.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := uint64(float64(snap.Package) / float64(s.unit)); got != want {
+			t.Errorf("after snapshot %d: accumulated %d counts, want %d", i, got, want)
+		}
+	}
+}
+
+func TestScriptedMSRHoldsLastValue(t *testing.T) {
+	msr := &ScriptedMSR{Seq: map[uint32][]uint64{MSRPkgEnergyStatus: {5, 9}}}
+	for i, want := range []uint64{5, 9, 9, 9} {
+		v, err := msr.ReadMSR(MSRPkgEnergyStatus)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v != want {
+			t.Errorf("read %d = %d, want %d", i, v, want)
+		}
+	}
+	if _, err := msr.ReadMSR(MSRPP0EnergyStatus); err == nil {
+		t.Error("register without a sequence must error")
+	}
+}

@@ -47,12 +47,11 @@ type Source interface {
 // need, since MSR_PKG_ENERGY_STATUS wraps every minute or so under load on
 // real parts.
 type Sampler struct {
-	msr   MSRReader
-	unit  energy.Joules
-	last  [numDomains]uint64
-	acc   [numDomains]uint64 // accumulated counts, 64-bit so it never wraps
-	init  bool
-	stale int // skipped implausible deltas (stale/backwards readings)
+	msr  MSRReader
+	unit energy.Joules
+	last [numDomains]uint64
+	acc  [numDomains]uint64 // accumulated counts, 64-bit so it never wraps
+	init bool
 }
 
 // samplerMaxDelta is the half-range plausibility bound on one snapshot's
@@ -102,7 +101,6 @@ func (s *Sampler) Snapshot() (Snapshot, error) {
 		if delta >= samplerMaxDelta {
 			// Stale/backwards reading aliased through the modular unwrap;
 			// skip the delta and resync rather than charge a phantom wrap.
-			s.stale++
 			delta = 0
 		}
 		s.acc[d] += delta
@@ -113,12 +111,6 @@ func (s *Sampler) Snapshot() (Snapshot, error) {
 		Core:    energy.Joules(float64(s.acc[Core])) * s.unit,
 		DRAM:    energy.Joules(float64(s.acc[DRAM])) * s.unit,
 	}, nil
-}
-
-// Health implements HealthReporter: skipped stale/backwards deltas surface
-// as Resets, so resilient wrappers and the profiler can flag the readings.
-func (s *Sampler) Health() Health {
-	return Health{Resets: s.stale}
 }
 
 // NewSimSource builds the full simulated read path — meter → simulated MSRs →

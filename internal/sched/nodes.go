@@ -61,9 +61,6 @@ func spawnNodes(ctx context.Context, cfg Config, want int, kind string, params j
 	if spawn == nil {
 		spawn = dist.SelfSpawner()
 	}
-	if cfg.Plan != nil {
-		spawn = dist.ChaosSpawner(spawn, cfg.Plan)
-	}
 	for id := 0; id < want; id++ {
 		conn, err := spawn(id)
 		if err != nil {

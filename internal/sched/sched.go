@@ -85,8 +85,6 @@ type Config struct {
 	Checkpoint string
 	// Spawn mints worker connections (default dist.SelfSpawner()).
 	Spawn dist.Spawner
-	// Plan, when set, wraps the transport in the chaos harness.
-	Plan *dist.FaultPlan
 	// OnEvent receives human-readable fault-path and ledger events (stderr
 	// material; never part of determinism-pinned stdout).
 	OnEvent func(string)
@@ -190,7 +188,7 @@ func Map[T, R any](ctx context.Context, cfg Config, items []T, fn func(Task, T) 
 // MapCommit is Map plus an in-order commit hook: commit runs on the calling
 // goroutine once per successful task, in strict task-index order, as results
 // become final. It is the seam for order-sensitive reductions — summing
-// Joules, concatenating Health ledgers, emitting output — that must be
+// Joules, concatenating per-task lines, emitting output — that must be
 // bit-identical at any worker count.
 func MapCommit[T, R any](ctx context.Context, cfg Config, items []T, fn func(Task, T) (R, error), commit func(Task, R)) ([]R, Telemetry, error) {
 	results := make([]R, len(items))

@@ -2,15 +2,13 @@
 
 // Differential fuzz for the deterministic pool, gated behind -tags scheddiff
 // (wired into scripts/check.sh and `make scheddiff`). Every round draws a
-// random task count, random worker counts and a random fault plan, then runs
-// the same measurement workload sequentially and at each worker count: every
-// task builds its own ScriptedMSR counter stream from task.Seed, corrupts it
-// with a seeded random fault injector, reads it through the unwrapping
-// sampler and the resilient wrapper, and returns the final snapshot bits plus
-// the source's Health ledger. The merged results — per-task records, the
-// index-ordered commit ledger, and the accumulated Health tally — must be
-// identical at every worker count, including rounds where permanent faults
-// kill sources mid-run.
+// random task count, snapshot count and worker counts, then runs the same
+// measurement workload sequentially and at each worker count: every task
+// builds its own ScriptedMSR counter stream from task.Seed, with wraps and
+// backward jumps, reads it through the unwrapping sampler, and returns the
+// final snapshot bits. The merged results — per-task records, the
+// index-ordered commit ledger, and the joules summed in commit order — must
+// be identical at every worker count.
 package sched_test
 
 import (
@@ -33,32 +31,26 @@ func diffMix(z uint64) uint64 {
 	return z ^ (z >> 31)
 }
 
-// diffResult is one task's complete observable outcome. Errors are carried as
-// strings rather than returned, so every round produces a full-length result
-// slice to compare regardless of how many sources died.
+// diffResult is one task's complete observable outcome: the float64 bit
+// patterns of the final snapshot.
 type diffResult struct {
-	Pkg, Core, DRAM uint64 // float64 bit patterns of the final snapshot
-	Health          rapl.Health
-	Err             string
+	Pkg, Core, DRAM uint64
 }
 
 // diffMeasure is the per-task workload: a scripted counter stream derived
-// from seed, random faults at the round's rates, sampler unwrap, resilient
-// retry. Rebuilding the whole pipeline from the seed makes the task a pure
-// function — a retried attempt replays identically.
-func diffMeasure(seed uint64, snaps int, rates rapl.FaultRates) diffResult {
+// from seed, read through the unwrapping sampler. Rebuilding the whole
+// pipeline from the seed makes the task a pure function — a retried attempt
+// replays identically.
+func diffMeasure(seed uint64, snaps int) (diffResult, error) {
 	s := seed
 	seq := map[uint32][]uint64{}
 	for _, reg := range []uint32{rapl.MSRPkgEnergyStatus, rapl.MSRPP0EnergyStatus, rapl.MSRDRAMEnergyStatus} {
-		// Enough values to survive per-read retries; the script holds its
-		// final value once exhausted, like a counter between increments.
-		n := snaps*4 + 8
-		vals := make([]uint64, 0, n)
+		vals := make([]uint64, 0, snaps)
 		c := diffMix(s) & 0xFFFFFFFF
-		for i := 0; i < n; i++ {
+		for i := 0; i < snaps; i++ {
 			s = diffMix(s)
 			// Small increments with an occasional wraparound-sized jump so the
-			// sampler's unwrap and stale-delta paths both get exercised.
+			// sampler's unwrap and its half-range guard both get exercised.
 			step := s % 50_000
 			if s%97 == 0 {
 				step = s % (1 << 33)
@@ -68,34 +60,29 @@ func diffMeasure(seed uint64, snaps int, rates rapl.FaultRates) diffResult {
 		}
 		seq[reg] = vals
 	}
-	faulty := rapl.NewRandomFaultyMSR(&rapl.ScriptedMSR{Seq: seq}, diffMix(seed^0xfeedface), rates)
-	sampler, err := rapl.NewSampler(faulty)
+	sampler, err := rapl.NewSampler(&rapl.ScriptedMSR{Seq: seq})
 	if err != nil {
-		return diffResult{Err: err.Error()}
+		return diffResult{}, err
 	}
-	res := rapl.NewResilient(sampler, rapl.WithRetries(2), rapl.WithBackoff(func(int) {}))
 	var last rapl.Snapshot
 	for i := 0; i < snaps; i++ {
-		snap, err := res.Snapshot()
-		if err != nil {
-			return diffResult{Health: res.Health(), Err: err.Error()}
+		if last, err = sampler.Snapshot(); err != nil {
+			return diffResult{}, err
 		}
-		last = snap
 	}
 	return diffResult{
-		Pkg:    math.Float64bits(float64(last.Package)),
-		Core:   math.Float64bits(float64(last.Core)),
-		DRAM:   math.Float64bits(float64(last.DRAM)),
-		Health: res.Health(),
-	}
+		Pkg:  math.Float64bits(float64(last.Package)),
+		Core: math.Float64bits(float64(last.Core)),
+		DRAM: math.Float64bits(float64(last.DRAM)),
+	}, nil
 }
 
 // diffLedger is the order-sensitive reduction committed on the caller
-// goroutine: the concatenated per-task lines and the accumulated Health
-// tally, both of which depend on commit order.
+// goroutine: the concatenated per-task lines and the joules summed in commit
+// order, both of which depend on commit order.
 type diffLedger struct {
 	Lines []string
-	Total rapl.Health
+	Total float64
 }
 
 // TestSchedDifferentialFuzz runs 48 rounds of the sequential-vs-parallel
@@ -107,13 +94,6 @@ func TestSchedDifferentialFuzz(t *testing.T) {
 		r := sched.TaskSeed(master, round)
 		tasks := 1 + int(diffMix(r)%40)
 		snaps := 2 + int(diffMix(r^1)%6)
-		rates := rapl.FaultRates{
-			Transient: float64(diffMix(r^2)%30) / 100,
-			Stale:     float64(diffMix(r^3)%25) / 100,
-		}
-		if round%5 == 4 {
-			rates.Permanent = 0.05 // some rounds kill sources outright
-		}
 		workerSets := []int{2, 3, 1 + int(diffMix(r^4)%8)}
 
 		run := func(jobs int) ([]diffResult, diffLedger, sched.Telemetry) {
@@ -123,12 +103,13 @@ func TestSchedDifferentialFuzz(t *testing.T) {
 				sched.Config{Jobs: jobs, Seed: r},
 				make([]struct{}, tasks),
 				func(task sched.Task, _ struct{}) (diffResult, error) {
-					return diffMeasure(task.Seed, snaps, rates), nil
+					return diffMeasure(task.Seed, snaps)
 				},
 				func(task sched.Task, res diffResult) {
-					ledger.Lines = append(ledger.Lines,
-						fmt.Sprintf("#%d %x/%x/%x %s err=%q", task.Index, res.Pkg, res.Core, res.DRAM, res.Health, res.Err))
-					ledger.Total = ledger.Total.Add(res.Health)
+					ledger.Lines = append(ledger.Lines, fmt.Sprintf("#%d %x/%x/%x", task.Index, res.Pkg, res.Core, res.DRAM))
+					for _, bits := range []uint64{res.Pkg, res.Core, res.DRAM} {
+						ledger.Total += math.Float64frombits(bits)
+					}
 				})
 			if err != nil {
 				t.Fatalf("round %d jobs=%d: %v", round, jobs, err)
@@ -142,13 +123,13 @@ func TestSchedDifferentialFuzz(t *testing.T) {
 			if !reflect.DeepEqual(out, seqOut) {
 				for i := range out {
 					if out[i] != seqOut[i] {
-						t.Errorf("round %d (tasks=%d rates=%+v) jobs=%d: task %d diverged:\n  par %+v\n  seq %+v",
-							round, tasks, rates, jobs, i, out[i], seqOut[i])
+						t.Errorf("round %d (tasks=%d snaps=%d) jobs=%d: task %d diverged:\n  par %+v\n  seq %+v",
+							round, tasks, snaps, jobs, i, out[i], seqOut[i])
 					}
 				}
 			}
 			if !reflect.DeepEqual(ledger, seqLedger) {
-				t.Errorf("round %d jobs=%d: commit ledger diverged:\n  par total %s\n  seq total %s",
+				t.Errorf("round %d jobs=%d: commit ledger diverged:\n  par total %v\n  seq total %v",
 					round, jobs, ledger.Total, seqLedger.Total)
 			}
 			if tel.Tasks != seqTel.Tasks || tel.Attempts != seqTel.Attempts || tel.Panics != seqTel.Panics {

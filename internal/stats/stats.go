@@ -99,9 +99,6 @@ type Protocol struct {
 	MaxRounds int // safety bound on replacement rounds
 }
 
-// DefaultProtocol mirrors the paper: 10 runs, generous replacement budget.
-func DefaultProtocol() Protocol { return Protocol{Runs: 10, MaxRounds: 20} }
-
 // Measure collects p.Runs samples from measure, then repeatedly replaces any
 // Tukey outliers with fresh measurements until none remain (or MaxRounds is
 // hit, in which case the final set is used). It returns the mean and the

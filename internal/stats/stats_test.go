@@ -71,7 +71,7 @@ func TestProtocolReplacesOutliers(t *testing.T) {
 		}
 		return 10 + float64(calls%3)*0.1
 	}
-	p := DefaultProtocol()
+	p := Protocol{Runs: 10, MaxRounds: 20}
 	mean, xs, err := p.Measure(measure)
 	if err != nil {
 		t.Fatal(err)

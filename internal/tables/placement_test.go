@@ -19,8 +19,7 @@ func pipeWorkers(workers int, plan *dist.FaultPlan) sched.Config {
 		Workers:  workers,
 		Seed:     20200518,
 		Deadline: 30 * time.Second,
-		Spawn:    dist.PipeSpawner(sched.Handle),
-		Plan:     plan,
+		Spawn:    dist.ChaosSpawner(dist.PipeSpawner(sched.Handle), plan),
 	}
 }
 

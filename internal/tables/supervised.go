@@ -98,10 +98,14 @@ func FailedRows(rows []Table4Row) []Table4Row {
 
 // superviseRow runs one classifier's pipeline in a child goroutine guarded
 // by panic recovery and the configured deadline. A timed-out pipeline is
-// abandoned (its goroutine drains into a buffered channel); the row reports
-// the deadline instead of blocking the run.
+// abandoned: the row reports the deadline at once instead of blocking the
+// run, and the pipeline's context is cancelled, so it stops instead of
+// competing with the live rows for the pool's CPUs (its goroutine drains
+// into a buffered channel).
 func superviseRow(ctx context.Context, name string, in *table4Inputs) (Table4Row, error) {
 	cfg := in.cfg
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel()
 	type outcome struct {
 		row Table4Row
 		err error

@@ -18,6 +18,7 @@ import (
 	"jepo/internal/corpus"
 	"jepo/internal/dist"
 	"jepo/internal/sched"
+	"jepo/internal/stats"
 )
 
 // fakeRow builds a plausible completed measurement for a classifier; the
@@ -224,6 +225,47 @@ func TestSupervisedRowTimeout(t *testing.T) {
 	}
 }
 
+// TestSupervisedRowTimeoutCancelsRow: a row abandoned at its deadline is
+// cancelled, not left running to compete with the live rows. Every row's
+// pipeline blocks until its context is done; each must see the
+// cancellation within 2 s of the run returning.
+func TestSupervisedRowTimeoutCancelsRow(t *testing.T) {
+	release := make(chan struct{})
+	t.Cleanup(func() { close(release) }) // frees rows that were never cancelled
+	cancelled := make(chan string, len(corpus.Classifiers))
+	prev := table4Row
+	t.Cleanup(func() { table4Row = prev })
+	table4Row = func(ctx context.Context, name string, _ *table4Inputs) (Table4Row, error) {
+		select {
+		case <-ctx.Done():
+			cancelled <- name
+		case <-release:
+		}
+		return Table4Row{}, errors.New("row released")
+	}
+
+	rows, err := Table4Supervised(context.Background(), Table4Config{Instances: 50, RowTimeout: 20 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range rows {
+		if !strings.Contains(r.Err, "deadline exceeded (20ms)") {
+			t.Errorf("%s Err = %q, want the deadline", r.Classifier, r.Err)
+		}
+	}
+	seen := map[string]bool{}
+	timeout := time.After(2 * time.Second)
+	for len(seen) < len(corpus.Classifiers) {
+		select {
+		case name := <-cancelled:
+			seen[name] = true
+		case <-timeout:
+			t.Fatalf("2 s after the run returned only %d of %d abandoned rows were cancelled: %v",
+				len(seen), len(corpus.Classifiers), seen)
+		}
+	}
+}
+
 // TestLoadCheckpointRejectsBadFiles covers the Table IV ledger's four bad
 // cases: a truncated ledger, one written for another configuration, one
 // whose run failed a row, and a missing one. None may replay a row that was
@@ -392,12 +434,13 @@ func TestSupervisedMeasuresOneRealRow(t *testing.T) {
 	}
 	dir := t.TempDir()
 	const real = "NaiveBayes"
-	cfg := DefaultTable4Config()
-	cfg.Instances = 150
-	cfg.Reps = 1
-	cfg.Protocol.Runs = 3
-	cfg.Protocol.MaxRounds = 1
-	cfg.CVFolds = 2
+	cfg := Table4Config{
+		Seed:      20200518,
+		Instances: 150,
+		Reps:      1,
+		Protocol:  stats.Protocol{Runs: 3, MaxRounds: 1},
+		CVFolds:   2,
+	}
 	cfg.RowHook = func(name string) error {
 		if name == real {
 			return nil

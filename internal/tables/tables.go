@@ -124,18 +124,6 @@ type Table4Config struct {
 	RowHook func(classifier string) error `json:"-"`
 }
 
-// DefaultTable4Config mirrors the paper's methodology at a tractable scale
-// for the simulated substrate.
-func DefaultTable4Config() Table4Config {
-	return Table4Config{
-		Seed:      20200518,
-		Instances: 2000,
-		Reps:      3,
-		Protocol:  stats.Protocol{Runs: 5, MaxRounds: 10},
-		CVFolds:   10,
-	}
-}
-
 // kernelMeasurement is one simulated run's package/core/time reading.
 type kernelMeasurement struct {
 	pkg, core energy.Joules

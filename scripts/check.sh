@@ -34,6 +34,9 @@ echo "== bench module: go vet, go test =="
 (cd bench && go vet ./... && go test ./...)
 
 echo "== fault matrix =="
+# Seeded fuzz over the measurement path: the sampler's unwrap against random
+# wrapping, stale and backwards counter streams, and profiled runs over a
+# source whose reads fail at random.
 go test -tags faultmatrix -run FaultMatrix ./internal/rapl/... ./internal/profile/...
 
 echo "== engine diff =="
@@ -43,17 +46,17 @@ echo "== engine diff =="
 go test -tags enginediff -run EngineDiff ./internal/minijava/interp
 
 echo "== sched diff =="
-# Differential fuzz for the executor's in-process pool: random task counts,
-# worker counts and RAPL read-fault rates must merge to identical results
-# and Health ledgers at any parallelism.
+# Differential fuzz for the executor's in-process pool: random task counts
+# and worker counts, each task sampling a scripted RAPL counter stream, must
+# merge to identical results and commit-order joule sums at any parallelism.
 go test -tags scheddiff -run SchedDifferentialFuzz ./internal/sched
 
 echo "== dist diff =="
 # Differential fuzz for the executor's process placement over the dist
 # transport: random task counts, worker counts and chaos plans (kills,
 # hangs, slow-walks, corrupted replies) on pipe workers must merge to
-# results, commit ledgers and Health tallies that are bit-identical to the
-# in-process run.
+# results, commit ledgers and commit-order joule sums that are bit-identical
+# to the in-process run.
 go test -tags distdiff -run DistDifferentialFuzz ./internal/dist
 
 echo "== golden battery: both engines, cold and warm, across -jobs and -workers =="
@@ -128,22 +131,11 @@ if ! cmp -s "$tmpdir/jperf.1" "$tmpdir/jperf.w2"; then
 fi
 
 echo "== -workers byte-identity under faults =="
-# The fault drill: -workers 4 with one worker process killed and one hung
-# mid-map must quarantine both nodes, finish the table, and keep stdout
-# byte-identical to the sequential run. The quarantine tally is asserted
-# from the executor's telemetry line on stderr.
-JEPO_DIST_FAULTS="1:kill@1;2:hang@0" go run ./cmd/wekaexp -table 2 -workers 4 -node-deadline 5s \
-    >"$tmpdir/table2.w4" 2>"$tmpdir/table2.w4.err"
-if ! cmp -s "$tmpdir/table2.1" "$tmpdir/table2.w4"; then
-    echo "wekaexp -table 2 stdout differs between -workers 1 and faulted -workers 4" >&2
-    diff -u "$tmpdir/table2.1" "$tmpdir/table2.w4" >&2 || true
-    exit 1
-fi
-if ! grep -q 'quarantined=2' "$tmpdir/table2.w4.err"; then
-    echo "telemetry did not record the two quarantined workers:" >&2
-    cat "$tmpdir/table2.w4.err" >&2
-    exit 1
-fi
+# The fault drill: Table II on four real worker processes with one killed
+# and one hung mid-map must quarantine both nodes, finish the table, and
+# render exactly what the sequential run prints. The test installs the
+# chaos harness on the executor's spawner.
+go test -run '^TestWorkersFaultDrill$' ./cmd/wekaexp
 
 echo "== jepo analyze golden =="
 # Rule drift shows up here the way energy drift shows up in golden_test.go:
@@ -153,6 +145,17 @@ if ! go run ./cmd/jepo analyze examples/java | diff -u examples/java/golden_anal
     echo "jepo analyze output drifted from examples/java/golden_analyze.txt" >&2
     echo "regenerate (after auditing the diff) with:" >&2
     echo "    go run ./cmd/jepo analyze examples/java > examples/java/golden_analyze.txt" >&2
+    exit 1
+fi
+
+echo "== jperf golden =="
+# Measurement drift shows up here: the example program's perf-stat report
+# (simulated joules, cycles and elapsed time) must match the checked-in
+# golden byte for byte.
+if ! go run ./cmd/jperf -r 3 -jobs 1 examples/java/EnergyDemo.java 2>/dev/null | diff -u examples/java/golden_jperf.txt -; then
+    echo "jperf output drifted from examples/java/golden_jperf.txt" >&2
+    echo "regenerate (after auditing the diff) with:" >&2
+    echo "    go run ./cmd/jperf -r 3 -jobs 1 examples/java/EnergyDemo.java > examples/java/golden_jperf.txt" >&2
     exit 1
 fi
 
