@@ -312,16 +312,14 @@ func collectSources(args []string) ([]cache.Source, error) {
 	return srcs, nil
 }
 
+// parseSources parses the sources through the artifact store and returns
+// copies of the read-only masters: disasm links them.
 func parseSources(srcs []cache.Source) ([]*ast.File, error) {
-	files := make([]*ast.File, 0, len(srcs))
-	for _, s := range srcs {
-		f, err := cache.Default().ParseFile(s.Path, s.Source)
-		if err != nil {
-			return nil, err
-		}
-		files = append(files, f)
+	masters, err := cache.Default().ParseAll(srcs)
+	if err != nil {
+		return nil, err
 	}
-	return files, nil
+	return ast.CloneFiles(masters), nil
 }
 
 func parseArgs(args []string) ([]*ast.File, error) {

@@ -58,7 +58,10 @@ type AnalyzedDiagnostic struct {
 
 // AnalysisReport is the outcome of Analyze over a project. Reports are
 // cached by the artifact engine and may be shared across Analyze calls with
-// identical inputs; treat them as read-only.
+// identical inputs; treat them as read-only. Its diagnostics were detected
+// on read-only parse masters, so their fixes anchor into frozen ASTs and
+// can never be applied (passes.ApplyFixes panics on them): to rewrite a
+// project, use Optimize.
 type AnalysisReport struct {
 	Diags []AnalyzedDiagnostic
 	// Executable reports whether the project ran end-to-end, enabling
@@ -147,14 +150,14 @@ func reportKey(srcs []engine.Source, cfg AnalyzeConfig) engine.Key {
 // Analyze is the detect/fix/verify pipeline: it runs every pass over the
 // project in one shared traversal per file, and — when the project has a
 // runnable main — measures each mechanical fix in isolation by replaying
-// just that fix on a private AST checkout and running the program before and
+// just that fix on a private AST copy and running the program before and
 // after through the interpreter and energy model. Fixes whose measured
 // package-energy delta is negative are flagged VerdictRejected rather than
 // trusted on the rule's say-so.
 //
 // The interpreter and meter are deterministic, so a single before/after run
 // pair per fix is an exact measurement, and repeated Analyze calls agree.
-// Every parse is a checkout of a cached master, and the report itself is
+// Detection reads the cached parse masters in place; the report itself is
 // content-addressed, so a repeated call is a cache hit with a bit-identical
 // report.
 //
@@ -210,7 +213,7 @@ func analyze(ctx context.Context, eng *engine.Engine, srcs []engine.Source, cfg 
 	report.Executable = true
 	report.Baseline = baseline
 
-	// Each fix measures on its own AST checkout and interpreter, so the
+	// Each fix measures on its own AST copy and interpreter, so the
 	// measurements shard across the pool; verdicts commit in diagnostic
 	// order, keeping the report bit-identical at any cfg.Jobs.
 	var idxs []int
@@ -256,18 +259,19 @@ type fixOutcome struct {
 	Note  string
 }
 
-// measureFix checks out a private copy of the project's ASTs from the parse
-// cache, re-derives the diagnostics on it (fix closures anchor to exact node
-// instances, so they cannot be replayed across parses; the engine is
-// deterministic, so index i names the same finding), applies only fix i, and
-// measures the resulting program. The unchanged-file majority never
-// re-parses: a checkout is a clone of the cached master, so Analyze performs
-// O(files) parses total instead of O(files × fixes).
+// measureFix copies the project's read-only parse masters, re-derives the
+// diagnostics on the copy (fix closures anchor to exact node instances, so
+// the report's fixes, detected on the masters, can never be applied; the
+// engine is deterministic, so index i names the same finding), applies only
+// fix i, and measures the resulting program. The masters come from the parse
+// cache, so Analyze performs O(files) parses total instead of
+// O(files × fixes).
 func measureFix(ctx context.Context, eng *engine.Engine, srcs []engine.Source, cfg AnalyzeConfig, i, want int, baseline energy.Sample) (fixOutcome, error) {
-	files, err := eng.ParseAll(srcs)
+	masters, err := eng.ParseAll(srcs)
 	if err != nil {
 		return fixOutcome{}, err
 	}
+	files := ast.CloneFiles(masters)
 	diags := passes.AnalyzeFilesRules(files, cfg.Rules...)
 	if len(diags) != want {
 		return fixOutcome{}, fmt.Errorf("core: analysis is not deterministic: %d diagnostics, then %d", want, len(diags))
@@ -289,7 +293,7 @@ func measureFix(ctx context.Context, eng *engine.Engine, srcs []engine.Source, c
 }
 
 // measureRun links a rewritten project and measures its main under the
-// baseline's run configuration. The ASTs here are post-fix mutants private
+// baseline's run configuration. The ASTs here are post-fix copies private
 // to the caller.
 func measureRun(ctx context.Context, files []*ast.File, cfg AnalyzeConfig) (energy.Sample, error) {
 	prog, err := interp.Load(files...)

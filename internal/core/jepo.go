@@ -14,9 +14,11 @@
 // over the energy meter); no entry point reads host RAPL counters.
 //
 // Every entry point parses through the content-addressed artifact engine
-// (internal/engine), so unchanged sources are clone checkouts of cached
-// masters, and Analyze reports are cached whole, so a repeated analysis is
-// served from cache with bit-identical results.
+// (internal/engine), so unchanged sources are cached read-only parse
+// masters: the readers (Suggest, SuggestProject, Metrics and Analyze's
+// detection) read them in place, and the writers (Optimize, Analyze's fix
+// measurements, Profile) copy them first. Analyze reports are cached whole,
+// so a repeated analysis is served from cache with bit-identical results.
 package core
 
 import (
@@ -40,8 +42,9 @@ import (
 type Project map[string]string
 
 // ParseProject parses every file, in deterministic path order, through the
-// process-wide artifact engine: unchanged files are clone checkouts of
-// cached masters rather than fresh parses.
+// process-wide artifact engine: unchanged files are cached masters rather
+// than fresh parses. The files are read-only (see engine.ParseFile); take
+// ast.CloneFiles copies to link or rewrite them.
 func ParseProject(p Project) ([]*ast.File, error) {
 	return engine.Default().ParseAll(engine.Sources(p))
 }
@@ -113,10 +116,11 @@ func Optimize(ctx context.Context, p Project, rules ...passes.Rule) (Project, *p
 	if err := ctx.Err(); err != nil {
 		return nil, nil, err
 	}
-	files, err := ParseProject(p)
+	masters, err := ParseProject(p)
 	if err != nil {
 		return nil, nil, err
 	}
+	files := ast.CloneFiles(masters)
 	res := passes.ApplyFixes(files, passes.AnalyzeFilesRules(files, rules...))
 	out := make(Project, len(files))
 	for _, f := range files {

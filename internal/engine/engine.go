@@ -1,22 +1,26 @@
 // Package engine is the content-addressed artifact store under every JEPO
-// pipeline. It caches what the traffic repeats and nothing else: pristine
-// parse masters, handed out as private clone checkouts, and — through the
-// generic Memo — the analysis reports core.Analyze keys on its complete
-// input (source bytes plus rule, entry point, budget, engine and cost
-// configuration). Both live in one bounded, concurrency-safe LRU store with
-// hit/miss/eviction counters. An artifact is stored only if some request
-// reads it again: jepod re-analyzes unchanged sessions, and the generated
-// WEKA corpora share their core library files across classifiers.
+// pipeline. It caches what the traffic repeats and nothing else: parse
+// masters, handed out read-only, and — through the generic Memo — the
+// analysis reports core.Analyze keys on its complete input (source bytes
+// plus rule, entry point, budget, engine and cost configuration). Both live
+// in one bounded, concurrency-safe LRU store with hit/miss/eviction
+// counters. An artifact is stored only if some request reads it again:
+// jepod re-analyzes unchanged sessions, and the generated WEKA corpora share
+// their core library files across classifiers.
 //
-// Program and Sample build on the parse store — they check the sources out,
-// link (instrumenting if asked) and run — but keep no artifact of their own:
-// every caller links and runs afresh.
+// Program and Sample build on the parse store — they look the sources up,
+// copy them, link (instrumenting if asked) and run — but keep no artifact of
+// their own: every caller links and runs afresh.
 //
 // The determinism invariant is the design constraint: every artifact is a
 // pure function of its key, so a cache hit changes the cost of an answer and
-// never the answer. AST masters are stored pristine (never interp.Load-ed)
-// and every checkout is a deep clone, because both interp.Load and
-// passes.ApplyFixes annotate/mutate ASTs in place.
+// never the answer. A parse master is frozen (ast.File.Freeze) before it is
+// stored and is shared by every caller: readers (the passes' detection,
+// metrics, printing) read it in place, and the in-place writers
+// (interp.Load, instrument.Inject, passes.ApplyFixes) refuse it, so a caller
+// that links or rewrites takes an ast.CloneFile copy first. Sample runs the
+// entry-point check on the masters themselves, so a program with no runnable
+// main is turned away before anything is copied or resolved.
 //
 // Racing builders may compute the same artifact twice; the first put wins
 // and, with deterministic artifacts, the duplicate is bit-identical, so the
@@ -147,15 +151,23 @@ func Sources(m map[string]string) []Source {
 // ---------------------------------------------------------------------------
 // Stage: source → AST.
 
-// ParseFile returns a private AST for one source file. Masters are keyed by
-// source bytes alone — the same source at two paths parses once — and stay
-// pristine forever; a hit hands out a deep clone with the requested path, so
-// the caller may load, instrument or rewrite it freely.
+// ParseFile returns the read-only parse master for one source file.
+// Masters are keyed by source bytes alone — the same source at two paths
+// parses once — and are frozen before they are stored: the caller may read
+// the result from any goroutine but must not write to it (interp.Load,
+// instrument.Inject and passes.ApplyFixes panic on it). To link or rewrite,
+// take an ast.CloneFile copy. A hit at a different path returns a shallow
+// copy of the file header that carries that path and shares the master's
+// classes.
 func (e *Engine) ParseFile(path, source string) (*ast.File, error) {
 	k := NewKey("parse").Str(source).Key()
 	if v, ok := e.s.get(k); ok {
-		f := ast.CloneFile(v.(*ast.File))
-		f.Path = path
+		f := v.(*ast.File)
+		if f.Path != path {
+			h := *f
+			h.Path = path
+			f = &h
+		}
 		return f, nil
 	}
 	e.parses.Add(1)
@@ -163,12 +175,13 @@ func (e *Engine) ParseFile(path, source string) (*ast.File, error) {
 	if err != nil {
 		return nil, err // parse errors are cheap and path-specific: not cached
 	}
-	e.s.put(k, ast.CloneFile(f))
+	f.Freeze()
+	e.s.put(k, f)
 	return f, nil
 }
 
 // ParseAll parses every source, in the given order, each through the parse
-// cache.
+// cache. The files are read-only parse masters (see ParseFile).
 func (e *Engine) ParseAll(srcs []Source) ([]*ast.File, error) {
 	files := make([]*ast.File, len(srcs))
 	for i, s := range srcs {
@@ -184,14 +197,21 @@ func (e *Engine) ParseAll(srcs []Source) ([]*ast.File, error) {
 // ---------------------------------------------------------------------------
 // Linking and measuring: built on the parse store, stored nowhere.
 
-// Program checks the sources out of the parse store and links (and
-// optionally probe-instruments) them into a cold *interp.Program, which
-// compiles itself on its first run. The program is the caller's own.
+// Program looks the sources up in the parse store, copies them and links
+// (and optionally probe-instruments) the copies into a cold *interp.Program,
+// which compiles itself on its first run. The program is the caller's own.
 func (e *Engine) Program(srcs []Source, instrumented bool) (*interp.Program, error) {
-	files, err := e.ParseAll(srcs)
+	masters, err := e.ParseAll(srcs)
 	if err != nil {
 		return nil, err
 	}
+	return link(masters, instrumented)
+}
+
+// link copies read-only masters and links the copies: interp.Load (and
+// instrument.Inject) annotate the AST they are given in place.
+func link(masters []*ast.File, instrumented bool) (*interp.Program, error) {
+	files := ast.CloneFiles(masters)
 	if instrumented {
 		instrument.Inject(files...)
 	}
@@ -218,8 +238,22 @@ type RunSpec struct {
 
 // Sample links the sources and measures one run under spec. ctx bounds the
 // interpreter run: a cancelled run returns ctx's error.
+//
+// In main mode the entry point is checked on the read-only masters first
+// (interp.CheckEntry), so a program that cannot run returns Load's or
+// CheckMain's error before it is copied or resolved; a runnable one is then
+// copied and linked from the same masters.
 func (e *Engine) Sample(ctx context.Context, srcs []Source, spec RunSpec) (energy.Sample, error) {
-	prog, err := e.Program(srcs, false)
+	masters, err := e.ParseAll(srcs)
+	if err != nil {
+		return energy.Sample{}, err
+	}
+	if spec.CallClass == "" {
+		if err := interp.CheckEntry(spec.Main, masters...); err != nil {
+			return energy.Sample{}, err
+		}
+	}
+	prog, err := link(masters, false)
 	if err != nil {
 		return energy.Sample{}, err
 	}

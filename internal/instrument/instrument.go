@@ -29,7 +29,14 @@ func MethodName(pkg, class, method string) string {
 
 // Inject instruments every method (including constructors) of every class in
 // the given files, in place, and returns the number of methods instrumented.
+// It panics on a frozen file (a read-only parse master): instrument an
+// ast.CloneFile copy.
 func Inject(files ...*ast.File) int {
+	for _, f := range files {
+		if f.Frozen() {
+			panic("instrument: Inject into read-only parse master " + f.Path + " (instrument an ast.CloneFile copy)")
+		}
+	}
 	n := 0
 	for _, f := range files {
 		for _, c := range f.Classes {

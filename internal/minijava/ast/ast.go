@@ -118,7 +118,20 @@ type File struct {
 	Package string
 	Imports []string
 	Classes []*Class
+
+	// frozen marks a read-only file: a parse master shared by every reader.
+	frozen bool
 }
+
+// Freeze marks the file read-only. The artifact store freezes every parse
+// master it hands out, and every in-place writer (interp.Load,
+// instrument.Inject, passes.ApplyFixes) refuses a frozen file, so a master
+// can be read by any number of goroutines and written by none. Freezing is
+// one-way: CloneFile returns an unfrozen copy to write to.
+func (f *File) Freeze() { f.frozen = true }
+
+// Frozen reports whether the file is read-only.
+func (f *File) Frozen() bool { return f.frozen }
 
 // Class is a class declaration.
 type Class struct {

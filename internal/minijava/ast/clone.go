@@ -1,14 +1,15 @@
 package ast
 
-// CloneFile returns a deep copy of a compilation unit. Every node is
-// duplicated, including the interpreter's load-time annotation fields
+// CloneFile returns a deep, writable copy of a compilation unit. Every node
+// is duplicated, including the interpreter's load-time annotation fields
 // (Ident.RSlot/RKind/RIx, call-site SiteIx, Method.NSlots/CIx, LocalVar and
 // Catch slots), so a clone of a pristine parse is itself pristine and a clone
-// of a loaded file reproduces its resolution state exactly.
+// of a loaded file reproduces its resolution state exactly. The copy is never
+// frozen, even when f is.
 //
-// The artifact engine depends on this: interp.Load and passes.ApplyFixes
-// both mutate ASTs in place, so a cached master AST can only be shared by
-// handing each consumer its own clone. Cloning reads the source tree without
+// It is the one way to write to a parse master: the artifact store hands
+// masters out read-only, and every caller that links, instruments or
+// rewrites a file clones it first. Cloning reads the source tree without
 // writing to it, so any number of goroutines may clone one master
 // concurrently.
 func CloneFile(f *File) *File {
@@ -24,6 +25,15 @@ func CloneFile(f *File) *File {
 		for i, c := range f.Classes {
 			out.Classes[i] = cloneClass(c)
 		}
+	}
+	return out
+}
+
+// CloneFiles clones every file, in order.
+func CloneFiles(files []*File) []*File {
+	out := make([]*File, len(files))
+	for i, f := range files {
+		out[i] = CloneFile(f)
 	}
 	return out
 }

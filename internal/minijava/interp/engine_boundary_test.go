@@ -169,3 +169,62 @@ func TestEngineOpBudgetParity(t *testing.T) {
 		}
 	}
 }
+
+// TestEngineCallDepthParity pins the call-depth bound's trip point on both
+// engines: MaxCallDepth nested calls run (CallStatic's own call of f is the
+// first), the next one fails with the same message, a mini-Java catch cannot
+// stop it, and calls unwound by exceptions give their depth back.
+func TestEngineCallDepthParity(t *testing.T) {
+	deep := func(stop int) string {
+		return fmt.Sprintf(`class T {
+	static int g(int n) { if (n == %d) { return n; } return g(n + 1); }
+	static int f() { return g(1); }
+}`, stop)
+	}
+	caught := fmt.Sprintf(`class T {
+	static int g(int n) { if (n == %d) { return n; } return g(n + 1); }
+	static int f() {
+		try { return g(1); } catch (RuntimeException e) { return -1; }
+	}
+}`, MaxCallDepth)
+	unwound := fmt.Sprintf(`class T {
+	static int g(int n) { if (n == %d) { throw new RuntimeException("deep"); } return g(n + 1); }
+	static int f() {
+		int caught = 0;
+		for (int i = 0; i < 3; i++) {
+			try { g(1); } catch (RuntimeException e) { caught++; }
+		}
+		return g(%d);
+	}
+}`, MaxCallDepth-1, MaxCallDepth)
+	want := fmt.Sprintf("interp: call depth of %d exceeded", MaxCallDepth)
+	cases := []struct {
+		name, src, wantErr string
+	}{
+		{"at the bound", deep(MaxCallDepth - 1), ""},
+		{"one past the bound", deep(MaxCallDepth), want},
+		{"past the bound under a catch", caught, want},
+		{"after exceptions unwound deep calls", unwound, want},
+	}
+	for _, c := range cases {
+		var vm, ast *Interp
+		vmErr, vmOut, vmBits := boundaryRun(t, c.src, DefaultMaxOps, EngineVM, func(in *Interp) { vm = in })
+		astErr, astOut, astBits := boundaryRun(t, c.src, DefaultMaxOps, EngineAST, func(in *Interp) { ast = in })
+		if vmErr != astErr || vmOut != astOut {
+			t.Errorf("%s: engines diverged:\n  vm:  %q %q\n  ast: %q %q", c.name, vmErr, vmOut, astErr, astOut)
+		}
+		if c.wantErr == "" {
+			if vmErr != "" {
+				t.Errorf("%s: unexpected error %q", c.name, vmErr)
+			}
+			if vmBits != astBits {
+				t.Errorf("%s: energy diverged", c.name)
+			}
+		} else if !strings.HasPrefix(vmErr, c.wantErr) {
+			t.Errorf("%s: error %q, want prefix %q", c.name, vmErr, c.wantErr)
+		}
+		if vm.calls != 0 || ast.calls != 0 {
+			t.Errorf("%s: call depth not given back: vm=%d ast=%d", c.name, vm.calls, ast.calls)
+		}
+	}
+}

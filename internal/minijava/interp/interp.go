@@ -27,6 +27,7 @@ type Interp struct {
 
 	maxOps int64 // 0 = unlimited
 	ops    int64
+	calls  int32  // mini-Java calls in progress, bounded by MaxCallDepth
 	rngInt uint64 // deterministic LCG for Math.random
 
 	// ctx, when set, lets a long run be cancelled or deadlined mid-flight.
@@ -109,6 +110,16 @@ func WithMaxOps(n int64) Option { return func(in *Interp) { in.maxOps = n } }
 // configures none: far beyond any program in the repository's corpora, small
 // enough that a runaway loop ends in an error.
 const DefaultMaxOps int64 = 500_000_000
+
+// MaxCallDepth bounds nested mini-Java calls (methods and constructors) on
+// both engines: the call past it fails the run with an error, as the op
+// budget does, and mini-Java code cannot catch it. Every nested call holds
+// Go stack (about 2 KB on either engine, plus up to about 0.6 KB per
+// expression level on the tree-walker, whose evaluation recurses through
+// the expression the call sits in), so together with parser.MaxDepth the
+// bound caps a run's Go stack far below the runtime's fatal limit (see
+// DESIGN.md). The deepest recursion in the repository's programs is fib(17).
+const MaxCallDepth = 1024
 
 // ctxCheckInterval is how many budget-counted ops run between context polls.
 // Small enough that cancellation lands within microseconds of real work,
@@ -522,6 +533,22 @@ func (in *Interp) armCheck() {
 	}
 }
 
+// enterCall counts one nested call against MaxCallDepth; leaveCall undoes
+// it, on normal return and on unwinding alike.
+func (in *Interp) enterCall() {
+	if in.calls == MaxCallDepth {
+		panic(bugPanic{fmt.Sprintf("call depth of %d exceeded (likely unbounded recursion)", MaxCallDepth)})
+	}
+	in.calls++
+}
+
+// leaveCall ends a tree-walker call: it returns the frame's slots to the
+// free list and undoes enterCall.
+func (in *Interp) leaveCall(locals []cell) {
+	in.calls--
+	in.releaseLocals(locals)
+}
+
 // checkpoint runs the two checks checkAt stands for, budget first: a run
 // past its op budget fails, and a due context poll re-arms the next poll
 // point and aborts a run whose context is done. It charges nothing to the
@@ -808,13 +835,14 @@ func (in *Interp) invoke(ci *classInfo, this *Object, m *ast.Method, args []Valu
 			}
 		}
 	}
+	in.enterCall()
 	in.meter.Step(energy.OpCall, 1)
 	nslots := int(m.NSlots)
 	if nslots < len(m.Params) {
 		nslots = len(m.Params) // unresolved method; should not happen
 	}
 	fr := frame{class: ci, this: this, locals: in.grabLocals(nslots)}
-	defer in.releaseLocals(fr.locals)
+	defer in.leaveCall(fr.locals)
 	for i := range m.Params {
 		p := &m.Params[i]
 		pk := kindOfType(p.Type)

@@ -102,16 +102,52 @@ type progSite struct {
 	v    Value
 }
 
-// Load links a set of parsed files into an executable program. It reports
-// duplicate classes, unknown superclasses and inheritance cycles.
+// Load links a set of parsed files into an executable program: the link
+// phase, then the annotate phase. Link reports duplicate classes, unknown
+// superclasses and inheritance cycles, and builds the class, field and
+// method tables; it only reads the AST. Annotate numbers the method bodies
+// (Method.CIx) and runs the resolution pass (see resolve.go), and it writes
+// to the AST in place.
 //
-// Load also runs the resolution pass (see resolve.go), which annotates the
-// AST in place. Loading the same AST from two goroutines concurrently is
-// therefore a data race, and after re-loading a mutated AST (e.g. after
-// refactor.Apply), programs obtained from earlier loads of that AST must not
-// keep executing. The first run compiles the program from the AST, so the
-// AST must not change between Load and the last run.
+// The files must therefore be the caller's own: Load panics on a frozen
+// file (a read-only parse master; load an ast.CloneFile copy). Loading the
+// same AST from two goroutines concurrently is a data race, and after
+// re-loading a mutated AST (e.g. after passes.ApplyFixes), programs obtained
+// from earlier loads of that AST must not keep executing. The first run
+// compiles the program from the AST, so the AST must not change between
+// Load and the last run.
 func Load(files ...*ast.File) (*Program, error) {
+	for _, f := range files {
+		if f.Frozen() {
+			panic("interp: Load of read-only parse master " + f.Path + " (load an ast.CloneFile copy)")
+		}
+	}
+	p, err := link(files)
+	if err != nil {
+		return nil, err
+	}
+	p.annotate()
+	return p, nil
+}
+
+// CheckEntry reports the error Load followed by (*Program).CheckMain would
+// return for these files, with the same text and precedence: link errors
+// (duplicate class, unknown superclass, inheritance cycle) first, then the
+// entry-point errors. It runs only the link phase, so it writes nothing to
+// the files and accepts read-only masters: a caller can turn a program that
+// cannot run away before it copies or resolves anything.
+func CheckEntry(mainClass string, files ...*ast.File) error {
+	p, err := link(files)
+	if err != nil {
+		return err
+	}
+	return p.CheckMain(mainClass)
+}
+
+// link is Load's first phase: class table, superclasses, inheritance
+// cycles, field and method tables, and the static slots' numbering. It
+// reads the AST and writes only the Program.
+func link(files []*ast.File) (*Program, error) {
 	p := &Program{classes: make(map[string]*classInfo)}
 	for _, f := range files {
 		for _, c := range f.Classes {
@@ -223,16 +259,24 @@ func Load(files ...*ast.File) (*Program, error) {
 			}
 		}
 	}
-	// Number the static slots in initialization order and the method
-	// bodies in compilation order (see compileProgram).
-	var nfuncs int32
+	// Number the static slots in initialization order.
 	for _, name := range p.order {
 		ci := p.classes[name]
 		for _, fname := range ci.statOrd {
 			ci.statics[fname].ix = int32(p.nStatics)
 			p.nStatics++
 		}
-		for _, m := range ci.Decl.Methods {
+	}
+	return p, nil
+}
+
+// annotate is Load's second phase, the only one that writes to the AST: it
+// numbers the method bodies in compilation order (see compileProgram) and
+// runs the resolution pass.
+func (p *Program) annotate() {
+	var nfuncs int32
+	for _, name := range p.order {
+		for _, m := range p.classes[name].Decl.Methods {
 			if m.Body == nil {
 				m.CIx = 0
 				continue
@@ -242,7 +286,6 @@ func Load(files ...*ast.File) (*Program, error) {
 		}
 	}
 	resolveProgram(p)
-	return p, nil
 }
 
 // compile lowers the program to bytecode once, on the first run. Every path

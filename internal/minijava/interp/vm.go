@@ -33,12 +33,14 @@ import (
 // coercion only for an explicit return in a non-void method.
 func (in *Interp) invokeVM(ci *classInfo, this *Object, m *ast.Method, cf *compiledFn, args []Value) Value {
 	fn := cf.fn
+	in.enterCall()
 	in.meter.Step(energy.OpCall, 1)
 	w := in.warmFor(cf)
 	code, ics := w.code, w.ics
 	fr := frame{class: ci, this: this, locals: in.grabLocals(fn.NSlots)}
 	stack := in.grabStack(fn.MaxStack)
 	defer func() {
+		in.calls--
 		in.releaseLocals(fr.locals)
 		in.releaseStack(stack)
 	}()

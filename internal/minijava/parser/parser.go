@@ -45,6 +45,116 @@ type parser struct {
 	path string
 	toks []token.Token
 	i    int
+
+	// nest counts the levels above the node being parsed, from the method
+	// body or field initializer it belongs to. It can fall short of the
+	// node's final depth (an operator chain or a postfix chain pushes what
+	// was parsed before it one level down), never exceed it.
+	nest int
+	// h is the height of the node built last: 1 for a leaf, 1 + its tallest
+	// child otherwise.
+	h int
+}
+
+// MaxDepth bounds the ASTs the parser builds: no path from a method body or
+// a field initializer down to a leaf is longer than MaxDepth nodes, a
+// parenthesized expression and a unary plus counting as a node each. Every
+// walker over the tree — the parser itself, the passes, the printer, the
+// cloner, the resolver, the compiler and the tree-walking interpreter —
+// recurses once or a few times per level, so the bound caps the Go stack
+// any of them can use (see DESIGN.md). Real sources stay far below it: the
+// deepest method in the generated corpora and the examples is 16 levels
+// deep.
+const MaxDepth = 128
+
+// tooDeep is the error for a tree past MaxDepth, at the node where the
+// parser found it. It is kept out of line so the checks that call it stay
+// cheap enough to inline.
+//
+//go:noinline
+func (p *parser) tooDeep(pos token.Pos) error {
+	return &Error{Path: p.path, Pos: pos, Msg: fmt.Sprintf("nesting deeper than %d levels", MaxDepth)}
+}
+
+//go:noinline
+func (p *parser) tooDeepAt(n ast.Node) error { return p.tooDeep(n.NodePos()) }
+
+// expr and stmt record the height h of the node just built and reject it
+// if it reaches past MaxDepth below the levels above it. nest is exact at
+// the root, so the check at a method body or field initializer is exact;
+// the checks below it stop an over-deep tree early.
+func (p *parser) expr(x ast.Expr, h int) (ast.Expr, error) {
+	p.h = h
+	if p.nest+h > MaxDepth {
+		return nil, p.tooDeepAt(x)
+	}
+	return x, nil
+}
+
+func (p *parser) stmt(s ast.Stmt, h int) (ast.Stmt, error) {
+	p.h = h
+	if p.nest+h > MaxDepth {
+		return nil, p.tooDeepAt(s)
+	}
+	return s, nil
+}
+
+// down enters the level of a child about to be parsed. It bounds the
+// parser's own recursion: every recursive path through the grammar passes
+// through it.
+func (p *parser) down() error {
+	p.nest++
+	if p.nest >= MaxDepth {
+		return p.tooDeep(p.cur().Pos)
+	}
+	return nil
+}
+
+// subExpr, subUnary, subInit, subStmt and subBlock parse a child one level
+// down and return it with its height.
+func (p *parser) subExpr() (ast.Expr, int, error) {
+	if err := p.down(); err != nil {
+		return nil, 0, err
+	}
+	x, err := p.parseExpr()
+	p.nest--
+	return x, p.h, err
+}
+
+func (p *parser) subUnary() (ast.Expr, int, error) {
+	if err := p.down(); err != nil {
+		return nil, 0, err
+	}
+	x, err := p.parseUnary()
+	p.nest--
+	return x, p.h, err
+}
+
+func (p *parser) subInit() (ast.Expr, int, error) {
+	if err := p.down(); err != nil {
+		return nil, 0, err
+	}
+	x, err := p.parseInitializer()
+	p.nest--
+	return x, p.h, err
+}
+
+func (p *parser) subStmt() (ast.Stmt, int, error) {
+	if err := p.down(); err != nil {
+		return nil, 0, err
+	}
+	s, err := p.parseStmt()
+	p.nest--
+	return s, p.h, err
+}
+
+func (p *parser) subBlock() (*ast.Block, int, error) {
+	if err := p.down(); err != nil {
+		return nil, 0, err
+	}
+	b, err := p.parseBlock()
+	p.nest--
+	return b, p.h, err
 }
 
 func (p *parser) cur() token.Token { return p.toks[p.i] }
@@ -332,17 +442,22 @@ func (p *parser) parseBlock() (*ast.Block, error) {
 		return nil, err
 	}
 	blk := &ast.Block{Pos: lb.Pos}
+	h := 0
 	for !p.at(token.RBrace) {
 		if p.at(token.EOF) {
 			return nil, p.errf("unexpected EOF in block")
 		}
-		s, err := p.parseStmt()
+		s, hs, err := p.subStmt()
 		if err != nil {
 			return nil, err
 		}
+		h = max(h, hs)
 		blk.Stmts = append(blk.Stmts, s)
 	}
 	p.next()
+	if _, err := p.stmt(blk, 1+h); err != nil {
+		return nil, err
+	}
 	return blk, nil
 }
 
@@ -384,7 +499,7 @@ func (p *parser) parseStmt() (ast.Stmt, error) {
 		return p.parseBlock()
 	case token.Semi:
 		p.next()
-		return &ast.Empty{Pos: pos}, nil
+		return p.stmt(&ast.Empty{Pos: pos}, 1)
 	case token.KwIf:
 		return p.parseIf()
 	case token.KwWhile:
@@ -394,38 +509,38 @@ func (p *parser) parseStmt() (ast.Stmt, error) {
 	case token.KwReturn:
 		p.next()
 		if p.accept(token.Semi) {
-			return &ast.Return{Pos: pos}, nil
+			return p.stmt(&ast.Return{Pos: pos}, 1)
 		}
-		x, err := p.parseExpr()
+		x, h, err := p.subExpr()
 		if err != nil {
 			return nil, err
 		}
 		if _, err := p.expect(token.Semi); err != nil {
 			return nil, err
 		}
-		return &ast.Return{Pos: pos, X: x}, nil
+		return p.stmt(&ast.Return{Pos: pos, X: x}, 1+h)
 	case token.KwBreak:
 		p.next()
 		if _, err := p.expect(token.Semi); err != nil {
 			return nil, err
 		}
-		return &ast.Break{Pos: pos}, nil
+		return p.stmt(&ast.Break{Pos: pos}, 1)
 	case token.KwContinue:
 		p.next()
 		if _, err := p.expect(token.Semi); err != nil {
 			return nil, err
 		}
-		return &ast.Continue{Pos: pos}, nil
+		return p.stmt(&ast.Continue{Pos: pos}, 1)
 	case token.KwThrow:
 		p.next()
-		x, err := p.parseExpr()
+		x, h, err := p.subExpr()
 		if err != nil {
 			return nil, err
 		}
 		if _, err := p.expect(token.Semi); err != nil {
 			return nil, err
 		}
-		return &ast.Throw{Pos: pos, X: x}, nil
+		return p.stmt(&ast.Throw{Pos: pos, X: x}, 1+h)
 	case token.KwTry:
 		return p.parseTry()
 	case token.KwDo:
@@ -443,14 +558,14 @@ func (p *parser) parseStmt() (ast.Stmt, error) {
 		}
 		return s, nil
 	}
-	x, err := p.parseExpr()
+	x, h, err := p.subExpr()
 	if err != nil {
 		return nil, err
 	}
 	if _, err := p.expect(token.Semi); err != nil {
 		return nil, err
 	}
-	return &ast.ExprStmt{Pos: pos, X: x}, nil
+	return p.stmt(&ast.ExprStmt{Pos: pos, X: x}, 1+h)
 }
 
 // parseLocalVar parses one declarator without the trailing semicolon. Multi-
@@ -468,12 +583,13 @@ func (p *parser) parseLocalVar() (ast.Stmt, error) {
 		return nil, err
 	}
 	lv := &ast.LocalVar{Pos: pos, Final: final, Type: typ, Name: nameTok.Text}
+	h := 1
 	if p.accept(token.Assign) {
-		init, err := p.parseInitializer()
+		init, hi, err := p.subInit()
 		if err != nil {
 			return nil, err
 		}
-		lv.Init = init
+		lv.Init, h = init, 1+hi
 	}
 	if p.at(token.Comma) {
 		// Desugar `int a = 1, b = 2;` into a block-less sequence by wrapping
@@ -486,17 +602,17 @@ func (p *parser) parseLocalVar() (ast.Stmt, error) {
 			}
 			next := &ast.LocalVar{Pos: nt.Pos, Final: final, Type: typ, Name: nt.Text}
 			if p.accept(token.Assign) {
-				init, err := p.parseInitializer()
+				init, hi, err := p.subInit()
 				if err != nil {
 					return nil, err
 				}
-				next.Init = init
+				next.Init, h = init, max(h, 1+hi)
 			}
 			seq.Stmts = append(seq.Stmts, next)
 		}
-		return seq, nil
+		return p.stmt(seq, 1+h)
 	}
-	return lv, nil
+	return p.stmt(lv, h)
 }
 
 // parseInitializer parses either an expression or an array literal.
@@ -504,11 +620,13 @@ func (p *parser) parseInitializer() (ast.Expr, error) {
 	if p.at(token.LBrace) {
 		pos := p.next().Pos
 		lit := &ast.ArrayLit{Pos: pos}
+		h := 0
 		for !p.at(token.RBrace) {
-			e, err := p.parseInitializer()
+			e, he, err := p.subInit()
 			if err != nil {
 				return nil, err
 			}
+			h = max(h, he)
 			lit.Elems = append(lit.Elems, e)
 			if !p.accept(token.Comma) {
 				break
@@ -517,7 +635,7 @@ func (p *parser) parseInitializer() (ast.Expr, error) {
 		if _, err := p.expect(token.RBrace); err != nil {
 			return nil, err
 		}
-		return lit, nil
+		return p.expr(lit, 1+h)
 	}
 	return p.parseExpr()
 }
@@ -527,26 +645,27 @@ func (p *parser) parseIf() (ast.Stmt, error) {
 	if _, err := p.expect(token.LParen); err != nil {
 		return nil, err
 	}
-	cond, err := p.parseExpr()
+	cond, hc, err := p.subExpr()
 	if err != nil {
 		return nil, err
 	}
 	if _, err := p.expect(token.RParen); err != nil {
 		return nil, err
 	}
-	then, err := p.parseStmt()
+	then, ht, err := p.subStmt()
 	if err != nil {
 		return nil, err
 	}
 	node := &ast.If{Pos: pos, Cond: cond, Then: then}
+	h := max(hc, ht)
 	if p.accept(token.KwElse) {
-		els, err := p.parseStmt()
+		els, he, err := p.subStmt()
 		if err != nil {
 			return nil, err
 		}
-		node.Else = els
+		node.Else, h = els, max(h, he)
 	}
-	return node, nil
+	return p.stmt(node, 1+h)
 }
 
 func (p *parser) parseWhile() (ast.Stmt, error) {
@@ -554,18 +673,18 @@ func (p *parser) parseWhile() (ast.Stmt, error) {
 	if _, err := p.expect(token.LParen); err != nil {
 		return nil, err
 	}
-	cond, err := p.parseExpr()
+	cond, hc, err := p.subExpr()
 	if err != nil {
 		return nil, err
 	}
 	if _, err := p.expect(token.RParen); err != nil {
 		return nil, err
 	}
-	body, err := p.parseStmt()
+	body, hb, err := p.subStmt()
 	if err != nil {
 		return nil, err
 	}
-	return &ast.While{Pos: pos, Cond: cond, Body: body}, nil
+	return p.stmt(&ast.While{Pos: pos, Cond: cond, Body: body}, 1+max(hc, hb))
 }
 
 func (p *parser) parseFor() (ast.Stmt, error) {
@@ -574,40 +693,45 @@ func (p *parser) parseFor() (ast.Stmt, error) {
 		return nil, err
 	}
 	node := &ast.For{Pos: pos}
+	h := 0
 	if !p.at(token.Semi) {
+		if err := p.down(); err != nil {
+			return nil, err
+		}
 		if p.startsLocalVar() {
 			s, err := p.parseLocalVar()
 			if err != nil {
 				return nil, err
 			}
-			node.Init = s
+			node.Init, h = s, p.h
 		} else {
-			x, err := p.parseExpr()
+			x, hx, err := p.subExpr()
 			if err != nil {
 				return nil, err
 			}
-			node.Init = &ast.ExprStmt{Pos: x.NodePos(), X: x}
+			node.Init, h = &ast.ExprStmt{Pos: x.NodePos(), X: x}, 1+hx
 		}
+		p.nest--
 	}
 	if _, err := p.expect(token.Semi); err != nil {
 		return nil, err
 	}
 	if !p.at(token.Semi) {
-		cond, err := p.parseExpr()
+		cond, hc, err := p.subExpr()
 		if err != nil {
 			return nil, err
 		}
-		node.Cond = cond
+		node.Cond, h = cond, max(h, hc)
 	}
 	if _, err := p.expect(token.Semi); err != nil {
 		return nil, err
 	}
 	for !p.at(token.RParen) {
-		x, err := p.parseExpr()
+		x, hx, err := p.subExpr()
 		if err != nil {
 			return nil, err
 		}
-		node.Post = append(node.Post, x)
+		node.Post, h = append(node.Post, x), max(h, hx)
 		if !p.accept(token.Comma) {
 			break
 		}
@@ -615,17 +739,17 @@ func (p *parser) parseFor() (ast.Stmt, error) {
 	if _, err := p.expect(token.RParen); err != nil {
 		return nil, err
 	}
-	body, err := p.parseStmt()
+	body, hb, err := p.subStmt()
 	if err != nil {
 		return nil, err
 	}
 	node.Body = body
-	return node, nil
+	return p.stmt(node, 1+max(h, hb))
 }
 
 func (p *parser) parseTry() (ast.Stmt, error) {
 	pos := p.next().Pos
-	blk, err := p.parseBlock()
+	blk, h, err := p.subBlock()
 	if err != nil {
 		return nil, err
 	}
@@ -646,30 +770,31 @@ func (p *parser) parseTry() (ast.Stmt, error) {
 		if _, err := p.expect(token.RParen); err != nil {
 			return nil, err
 		}
-		cblk, err := p.parseBlock()
+		cblk, hc, err := p.subBlock()
 		if err != nil {
 			return nil, err
 		}
+		h = max(h, hc)
 		node.Catches = append(node.Catches, ast.Catch{
 			Pos: cpos, Type: typTok.Text, Name: nameTok.Text, Block: cblk,
 		})
 	}
 	if p.accept(token.KwFinally) {
-		fblk, err := p.parseBlock()
+		fblk, hf, err := p.subBlock()
 		if err != nil {
 			return nil, err
 		}
-		node.Finally = fblk
+		node.Finally, h = fblk, max(h, hf)
 	}
 	if len(node.Catches) == 0 && node.Finally == nil {
 		return nil, p.errf("try without catch or finally")
 	}
-	return node, nil
+	return p.stmt(node, 1+h)
 }
 
 func (p *parser) parseDoWhile() (ast.Stmt, error) {
 	pos := p.next().Pos // do
-	body, err := p.parseStmt()
+	body, hb, err := p.subStmt()
 	if err != nil {
 		return nil, err
 	}
@@ -679,7 +804,7 @@ func (p *parser) parseDoWhile() (ast.Stmt, error) {
 	if _, err := p.expect(token.LParen); err != nil {
 		return nil, err
 	}
-	cond, err := p.parseExpr()
+	cond, hc, err := p.subExpr()
 	if err != nil {
 		return nil, err
 	}
@@ -689,7 +814,7 @@ func (p *parser) parseDoWhile() (ast.Stmt, error) {
 	if _, err := p.expect(token.Semi); err != nil {
 		return nil, err
 	}
-	return &ast.DoWhile{Pos: pos, Body: body, Cond: cond}, nil
+	return p.stmt(&ast.DoWhile{Pos: pos, Body: body, Cond: cond}, 1+max(hb, hc))
 }
 
 func (p *parser) parseSwitch() (ast.Stmt, error) {
@@ -697,7 +822,7 @@ func (p *parser) parseSwitch() (ast.Stmt, error) {
 	if _, err := p.expect(token.LParen); err != nil {
 		return nil, err
 	}
-	tag, err := p.parseExpr()
+	tag, h, err := p.subExpr()
 	if err != nil {
 		return nil, err
 	}
@@ -717,11 +842,11 @@ func (p *parser) parseSwitch() (ast.Stmt, error) {
 		switch p.cur().Kind {
 		case token.KwCase:
 			cpos := p.next().Pos
-			v, err := p.parseExpr()
+			v, hv, err := p.subExpr()
 			if err != nil {
 				return nil, err
 			}
-			arm = ast.SwitchCase{Pos: cpos, Values: []ast.Expr{v}}
+			arm, h = ast.SwitchCase{Pos: cpos, Values: []ast.Expr{v}}, max(h, hv)
 		case token.KwDefault:
 			if sawDefault {
 				return nil, p.errf("duplicate default label")
@@ -738,16 +863,16 @@ func (p *parser) parseSwitch() (ast.Stmt, error) {
 			if p.at(token.EOF) {
 				return nil, p.errf("unexpected EOF in switch arm")
 			}
-			st, err := p.parseStmt()
+			st, hs, err := p.subStmt()
 			if err != nil {
 				return nil, err
 			}
-			arm.Stmts = append(arm.Stmts, st)
+			arm.Stmts, h = append(arm.Stmts, st), max(h, hs)
 		}
 		node.Cases = append(node.Cases, arm)
 	}
 	p.next() // }
-	return node, nil
+	return p.stmt(node, 1+h)
 }
 
 // --- expressions ---
@@ -769,15 +894,16 @@ func (p *parser) parseAssign() (ast.Expr, error) {
 		return nil, err
 	}
 	if isAssignOp(p.cur().Kind) {
+		hl := p.h
 		op := p.next()
-		rhs, err := p.parseAssign()
+		rhs, hr, err := p.subExpr()
 		if err != nil {
 			return nil, err
 		}
 		if !isLValue(lhs) {
 			return nil, &Error{Path: p.path, Pos: op.Pos, Msg: "assignment target is not a variable, field or array element"}
 		}
-		return &ast.Assign{Pos: op.Pos, Op: op.Kind, LHS: lhs, RHS: rhs}, nil
+		return p.expr(&ast.Assign{Pos: op.Pos, Op: op.Kind, LHS: lhs, RHS: rhs}, 1+max(hl, hr))
 	}
 	return lhs, nil
 }
@@ -796,19 +922,20 @@ func (p *parser) parseTernary() (ast.Expr, error) {
 		return nil, err
 	}
 	if p.at(token.Question) {
+		hc := p.h
 		qpos := p.next().Pos
-		then, err := p.parseAssign()
+		then, ht, err := p.subExpr()
 		if err != nil {
 			return nil, err
 		}
 		if _, err := p.expect(token.Colon); err != nil {
 			return nil, err
 		}
-		els, err := p.parseAssign()
+		els, he, err := p.subExpr()
 		if err != nil {
 			return nil, err
 		}
-		return &ast.Ternary{Pos: qpos, Cond: cond, Then: then, Else: els}, nil
+		return p.expr(&ast.Ternary{Pos: qpos, Cond: cond, Then: then, Else: els}, 1+max(hc, ht, he))
 	}
 	return cond, nil
 }
@@ -839,11 +966,15 @@ func binPrec(k token.Kind) int {
 	return 0
 }
 
+// parseBinary builds a chain of same-precedence operators as a left-deep
+// spine in a loop, so the spine's height is counted here: each operator
+// pushes everything parsed so far one level down.
 func (p *parser) parseBinary(min int) (ast.Expr, error) {
 	lhs, err := p.parseUnary()
 	if err != nil {
 		return nil, err
 	}
+	h := p.h
 	for {
 		pr := binPrec(p.cur().Kind)
 		if pr == 0 || pr < min {
@@ -855,14 +986,24 @@ func (p *parser) parseBinary(min int) (ast.Expr, error) {
 			if err != nil {
 				return nil, err
 			}
-			lhs = &ast.InstanceOf{Pos: op.Pos, X: lhs, Name: t.Text}
+			if lhs, err = p.expr(&ast.InstanceOf{Pos: op.Pos, X: lhs, Name: t.Text}, 1+h); err != nil {
+				return nil, err
+			}
+			h = p.h
 			continue
+		}
+		if err := p.down(); err != nil {
+			return nil, err
 		}
 		rhs, err := p.parseBinary(pr + 1)
 		if err != nil {
 			return nil, err
 		}
-		lhs = &ast.Binary{Pos: op.Pos, Op: op.Kind, X: lhs, Y: rhs}
+		p.nest--
+		if lhs, err = p.expr(&ast.Binary{Pos: op.Pos, Op: op.Kind, X: lhs, Y: rhs}, 1+max(h, p.h)); err != nil {
+			return nil, err
+		}
+		h = p.h
 	}
 }
 
@@ -884,21 +1025,19 @@ func (p *parser) parseUnary() (ast.Expr, error) {
 	switch t.Kind {
 	case token.Plus:
 		p.next()
-		return p.parseUnary() // unary plus is a no-op
-	case token.Minus, token.Not:
-		p.next()
-		x, err := p.parseUnary()
+		// Unary plus is a no-op, but like a parenthesis it counts as a level.
+		x, h, err := p.subUnary()
 		if err != nil {
 			return nil, err
 		}
-		return &ast.Unary{Pos: t.Pos, Op: t.Kind, X: x}, nil
-	case token.Inc, token.Dec:
+		return p.expr(x, 1+h)
+	case token.Minus, token.Not, token.Inc, token.Dec:
 		p.next()
-		x, err := p.parseUnary()
+		x, h, err := p.subUnary()
 		if err != nil {
 			return nil, err
 		}
-		return &ast.Unary{Pos: t.Pos, Op: t.Kind, X: x}, nil
+		return p.expr(&ast.Unary{Pos: t.Pos, Op: t.Kind, X: x}, 1+h)
 	case token.LParen:
 		// Cast heuristic: "(primitive)" always; "(Ident)" when followed by a
 		// token that begins a unary expression and is not an operator.
@@ -927,18 +1066,21 @@ func (p *parser) parseCast() (ast.Expr, error) {
 	if _, err := p.expect(token.RParen); err != nil {
 		return nil, err
 	}
-	x, err := p.parseUnary()
+	x, h, err := p.subUnary()
 	if err != nil {
 		return nil, err
 	}
-	return &ast.Cast{Pos: lp.Pos, Type: typ, X: x}, nil
+	return p.expr(&ast.Cast{Pos: lp.Pos, Type: typ, X: x}, 1+h)
 }
 
+// parsePostfix builds selector, call, index and postfix-operator chains as
+// a left-deep spine in a loop, counting the spine's height as it grows.
 func (p *parser) parsePostfix() (ast.Expr, error) {
 	x, err := p.parsePrimary()
 	if err != nil {
 		return nil, err
 	}
+	h := p.h
 	for {
 		switch p.cur().Kind {
 		case token.Dot:
@@ -948,52 +1090,63 @@ func (p *parser) parsePostfix() (ast.Expr, error) {
 				return nil, err
 			}
 			if p.at(token.LParen) {
-				args, err := p.parseArgs()
+				args, ha, err := p.parseArgs()
 				if err != nil {
 					return nil, err
 				}
-				x = &ast.Call{Pos: nameTok.Pos, Recv: x, Name: nameTok.Text, Args: args}
+				x, err = p.expr(&ast.Call{Pos: nameTok.Pos, Recv: x, Name: nameTok.Text, Args: args}, 1+max(h, ha))
 			} else {
-				x = &ast.Select{Pos: nameTok.Pos, X: x, Name: nameTok.Text}
+				x, err = p.expr(&ast.Select{Pos: nameTok.Pos, X: x, Name: nameTok.Text}, 1+h)
+			}
+			if err != nil {
+				return nil, err
 			}
 		case token.LBracket:
 			lb := p.next()
-			idx, err := p.parseExpr()
+			idx, hi, err := p.subExpr()
 			if err != nil {
 				return nil, err
 			}
 			if _, err := p.expect(token.RBracket); err != nil {
 				return nil, err
 			}
-			x = &ast.Index{Pos: lb.Pos, X: x, I: idx}
+			if x, err = p.expr(&ast.Index{Pos: lb.Pos, X: x, I: idx}, 1+max(h, hi)); err != nil {
+				return nil, err
+			}
 		case token.Inc, token.Dec:
 			op := p.next()
-			x = &ast.Unary{Pos: op.Pos, Op: op.Kind, X: x, Postfix: true}
+			if x, err = p.expr(&ast.Unary{Pos: op.Pos, Op: op.Kind, X: x, Postfix: true}, 1+h); err != nil {
+				return nil, err
+			}
 		default:
 			return x, nil
 		}
+		h = p.h
 	}
 }
 
-func (p *parser) parseArgs() ([]ast.Expr, error) {
+// parseArgs parses a parenthesized argument list and returns it with the
+// height of its tallest argument.
+func (p *parser) parseArgs() ([]ast.Expr, int, error) {
 	if _, err := p.expect(token.LParen); err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	var args []ast.Expr
+	h := 0
 	for !p.at(token.RParen) {
-		a, err := p.parseExpr()
+		a, ha, err := p.subExpr()
 		if err != nil {
-			return nil, err
+			return nil, 0, err
 		}
-		args = append(args, a)
+		args, h = append(args, a), max(h, ha)
 		if !p.accept(token.Comma) {
 			break
 		}
 	}
 	if _, err := p.expect(token.RParen); err != nil {
-		return nil, err
+		return nil, 0, err
 	}
-	return args, nil
+	return args, h, nil
 }
 
 func (p *parser) parsePrimary() (ast.Expr, error) {
@@ -1002,32 +1155,38 @@ func (p *parser) parsePrimary() (ast.Expr, error) {
 	case token.INTLIT, token.LONGLIT, token.FLOATLIT, token.DOUBLELIT,
 		token.CHARLIT, token.STRINGLIT, token.KwTrue, token.KwFalse, token.KwNull:
 		p.next()
-		return decodeLiteral(t, p.path)
+		x, err := decodeLiteral(t, p.path)
+		if err != nil {
+			return nil, err
+		}
+		return p.expr(x, 1)
 	case token.IDENT:
 		p.next()
 		if p.at(token.LParen) {
-			args, err := p.parseArgs()
+			args, h, err := p.parseArgs()
 			if err != nil {
 				return nil, err
 			}
-			return &ast.Call{Pos: t.Pos, Name: t.Text, Args: args}, nil
+			return p.expr(&ast.Call{Pos: t.Pos, Name: t.Text, Args: args}, 1+h)
 		}
-		return &ast.Ident{Pos: t.Pos, Name: t.Text}, nil
+		return p.expr(&ast.Ident{Pos: t.Pos, Name: t.Text}, 1)
 	case token.KwThis:
 		p.next()
-		return &ast.This{Pos: t.Pos}, nil
+		return p.expr(&ast.This{Pos: t.Pos}, 1)
 	case token.KwNew:
 		return p.parseNew()
 	case token.LParen:
 		p.next()
-		x, err := p.parseExpr()
+		// Parentheses build no node, but they count as a level: the
+		// parser's own recursion descends through them.
+		x, h, err := p.subExpr()
 		if err != nil {
 			return nil, err
 		}
 		if _, err := p.expect(token.RParen); err != nil {
 			return nil, err
 		}
-		return x, nil
+		return p.expr(x, 1+h)
 	}
 	return nil, p.errf("unexpected token %q in expression", t.Text)
 }
@@ -1054,25 +1213,26 @@ func (p *parser) parseNew() (ast.Expr, error) {
 		if elem.Kind != ast.ClassType || elem.Dims > 0 {
 			return nil, p.errf("cannot construct %s", elem)
 		}
-		args, err := p.parseArgs()
+		args, h, err := p.parseArgs()
 		if err != nil {
 			return nil, err
 		}
-		return &ast.New{Pos: pos, Name: elem.Name, Args: args}, nil
+		return p.expr(&ast.New{Pos: pos, Name: elem.Name, Args: args}, 1+h)
 	}
 
 	// Array creation: sized dims, then optional unsized [] pairs.
 	var lens []ast.Expr
+	h := 0
 	for p.at(token.LBracket) && p.peek(1).Kind != token.RBracket {
 		p.next()
-		l, err := p.parseExpr()
+		l, hl, err := p.subExpr()
 		if err != nil {
 			return nil, err
 		}
 		if _, err := p.expect(token.RBracket); err != nil {
 			return nil, err
 		}
-		lens = append(lens, l)
+		lens, h = append(lens, l), max(h, hl)
 	}
 	for p.at(token.LBracket) && p.peek(1).Kind == token.RBracket {
 		p.next()
@@ -1085,7 +1245,7 @@ func (p *parser) parseNew() (ast.Expr, error) {
 	if len(lens) == 0 {
 		return nil, p.errf("array creation needs at least one sized dimension")
 	}
-	return &ast.NewArray{Pos: pos, Elem: elem, Lens: lens}, nil
+	return p.expr(&ast.NewArray{Pos: pos, Elem: elem, Lens: lens}, 1+h)
 }
 
 // decodeLiteral turns a literal token into an AST literal with decoded value.

@@ -29,7 +29,20 @@ type hoistRecord struct {
 // cursor reaches its anchor. Fixes sharing an anchor run in diagnostic
 // order; a fix whose anchor is removed by an earlier fix (a declaration
 // inside a loop that became a System.arraycopy call) simply never fires.
+//
+// ApplyFixes panics on a frozen file and on a fix detected on frozen files
+// (see AnalyzeFiles): both would write a read-only parse master.
 func ApplyFixes(files []*ast.File, diags []Diagnostic) *Result {
+	for _, f := range files {
+		if f.Frozen() {
+			panic("passes: ApplyFixes on read-only parse master " + f.Path + " (rewrite an ast.CloneFile copy)")
+		}
+	}
+	for _, d := range diags {
+		if d.Fix != nil && d.Fix.readOnly {
+			panic("passes: ApplyFixes of a fix detected on read-only parse masters (analyze ast.CloneFile copies)")
+		}
+	}
 	res := &Result{ByRule: map[Rule]int{}}
 	ap := &applier{
 		res:          res,

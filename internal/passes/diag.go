@@ -75,6 +75,12 @@ type Fix struct {
 	// declaration rules to hoisted locals the same way).
 	field     *ast.Field
 	fieldKind fieldFixKind
+
+	// readOnly marks a fix detected on read-only input (see ast.File.Freeze).
+	// Its closures hold the nodes of those frozen files, and a statics hoist
+	// spans several files' methods, so applying it would write the frozen
+	// files whatever files ApplyFixes is given: ApplyFixes refuses it.
+	readOnly bool
 }
 
 type fieldFixKind int

@@ -9,7 +9,10 @@ import (
 
 // AnalyzeFiles runs every registered pass over the files — one shared
 // traversal per file — and returns the diagnostics ordered by line within
-// each file, preserving the file order.
+// each file, preserving the file order. Analysis only reads the files, so
+// it runs on read-only parse masters; but when any file is frozen, every
+// fix it returns is marked read-only and ApplyFixes refuses it. To apply
+// fixes, analyze ast.CloneFile copies.
 func AnalyzeFiles(files []*ast.File) []Diagnostic {
 	return analyze(files, nil)
 }
@@ -66,6 +69,16 @@ func analyze(files []*ast.File, enabled map[Rule]bool) []Diagnostic {
 		}
 		chunk := out[start:]
 		sort.SliceStable(chunk, func(i, j int) bool { return chunk[i].Line < chunk[j].Line })
+	}
+	for _, f := range files {
+		if f.Frozen() {
+			for _, d := range out {
+				if d.Fix != nil {
+					d.Fix.readOnly = true
+				}
+			}
+			break
+		}
 	}
 	return out
 }

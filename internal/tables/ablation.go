@@ -87,6 +87,7 @@ func Ablate(ctx context.Context, cfg AblationConfig) ([]AblationRow, error) {
 	if err != nil {
 		return nil, err
 	}
+	orig, refd = ast.CloneFile(orig), ast.CloneFile(refd)
 	kernel := []*ast.File{refd}
 	passes.ApplyFixes(kernel, passes.AnalyzeFiles(kernel))
 

@@ -136,10 +136,12 @@ func goldenCases(engine interp.Engine, runs int) ([]goldenCase, error) {
 	feats, labels := kernelData(data)
 	loadKernel := func(refactored bool) func() (*interp.Program, error) {
 		return func() (*interp.Program, error) {
-			kernel, err := kernelAST(proj, kernelName)
+			master, err := kernelAST(proj, kernelName)
 			if err != nil {
 				return nil, err
 			}
+			// The master is read-only: load and rewrite a copy.
+			kernel := ast.CloneFile(master)
 			if refactored {
 				files := []*ast.File{kernel}
 				passes.ApplyFixes(files, passes.AnalyzeFiles(files))

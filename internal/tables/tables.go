@@ -152,21 +152,24 @@ func measureTable4Row(ctx context.Context, name string, in *table4Inputs) (Table
 	if err != nil {
 		return Table4Row{}, err
 	}
-	// Checkout from the parse cache: the corpus generator emits the same core
-	// library files for every classifier, so sibling rows share their parse
-	// masters. ApplyFixes mutates the checkouts, never the cached masters.
-	files, err := parseCorpus(proj)
+	// The corpus generator emits the same core library files for every
+	// classifier, so sibling rows share their read-only parse masters.
+	// ApplyFixes rewrites a copy of the whole corpus, never the masters.
+	masters, err := parseCorpus(proj)
 	if err != nil {
 		return Table4Row{}, err
 	}
+	files := ast.CloneFiles(masters)
 	res := passes.ApplyFixes(files, passes.AnalyzeFiles(files))
 	in.say("%s: applied %d changes", name, res.Changes)
 
-	// Locate the original and refactored kernel ASTs.
+	// Locate the original and refactored kernel ASTs. Every kernel run
+	// links its AST, so the original is a copy too.
 	orig, err := kernelAST(proj, name)
 	if err != nil {
 		return Table4Row{}, err
 	}
+	orig = ast.CloneFile(orig)
 	var refd *ast.File
 	for _, f := range files {
 		if strings.HasSuffix(f.Path, corpus.KernelClass(name)+".java") {
@@ -236,9 +239,11 @@ func kernelData(d *dataset.Dataset) ([][]float64, []int64) {
 	return feats, labels
 }
 
-// parseCorpus checks every file of a generated corpus out of the process's
-// parse cache in corpus order. The generator emits identical core-library
-// sources for every classifier, so those masters parse once per process.
+// parseCorpus looks every file of a generated corpus up in the process's
+// parse cache, in corpus order, and returns the read-only masters (see
+// engine.ParseFile); a caller that rewrites or links them copies them
+// first. The generator emits identical core-library sources for every
+// classifier, so those masters parse once per process.
 func parseCorpus(p *corpus.Project) ([]*ast.File, error) {
 	files := make([]*ast.File, len(p.Files))
 	for i, f := range p.Files {
@@ -251,7 +256,8 @@ func parseCorpus(p *corpus.Project) ([]*ast.File, error) {
 	return files, nil
 }
 
-// kernelAST parses the pristine kernel of a project.
+// kernelAST returns the read-only parse master of a project's kernel. Its
+// callers link the kernel, so they run an ast.CloneFile copy.
 func kernelAST(p *corpus.Project, name string) (*ast.File, error) {
 	want := corpus.KernelClass(name) + ".java"
 	for _, f := range p.Files {

@@ -94,16 +94,22 @@ if ! cmp -s "$tmpdir/table2.1" "$tmpdir/table2.4"; then
     exit 1
 fi
 
-echo "== artifact store: cold then warm =="
+echo "== artifact store: cold then warm, read-only masters =="
 # The store caches parse masters and analysis reports. The analyze, Table II
 # and corpus pipelines, run twice on one fresh store, must render the same
-# bytes, and the warm pass must be served from hits with no new parse.
+# bytes, and the warm pass must be served from hits with no new parse. The
+# masters are read-only and shared: every reader and every mutating path
+# (sample, measured analyze, optimize, profile, a Table IV row) run at once
+# over one store's masters under the race detector, and each master must
+# still print like a fresh parse with every resolver field zero.
 go test -run '^TestStoreColdThenWarm$' ./internal/service
+go test -race -run '^TestReadOnlyMastersShared$' ./internal/tables
 
 echo "== jepo corpus byte-identity =="
-# The corpus run links every generated library class and runs none (they
-# have no main), so it is the path where programs are never compiled. Its
-# stdout must be byte-identical at -jobs 1 and -jobs 2.
+# No generated library class has a main, so the corpus run turns every one
+# away at the entry check and links none: it is the path where programs are
+# never copied, resolved or compiled. Its stdout must be byte-identical at
+# -jobs 1 and -jobs 2.
 go run ./cmd/jepo corpus -classifier J48 -jobs 1 >"$tmpdir/corpus.1" 2>/dev/null
 go run ./cmd/jepo corpus -classifier J48 -jobs 2 >"$tmpdir/corpus.2" 2>/dev/null
 if ! cmp -s "$tmpdir/corpus.1" "$tmpdir/corpus.2"; then
@@ -111,6 +117,14 @@ if ! cmp -s "$tmpdir/corpus.1" "$tmpdir/corpus.2"; then
     diff -u "$tmpdir/corpus.1" "$tmpdir/corpus.2" >&2 || true
     exit 1
 fi
+
+echo "== hostile input =="
+# jepod runs client-supplied source, and a Go stack overflow kills every
+# session. Under a 256 MiB stack cap, a 1 MiB nested-paren file, a 1 MiB +
+# chain, unbounded recursion and recursion through the deepest expression
+# the parser accepts must each come back as a typed error on both engines,
+# while a benign session keeps its normal bytes.
+go test -run '^TestHostileInputKeepsServing$' ./internal/service
 
 echo "== -workers byte-identity =="
 # Process placement is a pure wall-clock knob too: the corpus kind and
