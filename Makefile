@@ -1,6 +1,6 @@
 # Standard entry points for the reproduction repo.
 
-.PHONY: build test check serve-check enginediff faultmatrix scheddiff distdiff
+.PHONY: build test check serve-check enginediff parserfuzz faultmatrix scheddiff distdiff
 
 build:
 	go build ./...
@@ -23,6 +23,14 @@ serve-check:
 # seeded random programs.
 enginediff:
 	go test -tags enginediff -run EngineDiff ./internal/minijava/interp
+
+# Native fuzzing of the lexer and parser beyond their seeds: the lexer ends
+# on any input and its first error is the error Parse returns (FuzzScan);
+# the parser never panics and accepted source round-trips through the
+# printer (FuzzParse).
+parserfuzz:
+	go test -run '^$$' -fuzz '^FuzzScan$$' -fuzztime 20000x ./internal/minijava/parser
+	go test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 20000x ./internal/minijava/parser
 
 # Seeded fuzz over the measurement path: the sampler unwrap against random
 # wrapping, stale and backwards counter streams, and profiled runs over a

@@ -1,12 +1,12 @@
 // Package engine is the content-addressed artifact store under every JEPO
 // pipeline. It caches what the traffic repeats and nothing else: parse
-// masters, handed out read-only, and — through the generic Memo — the
-// analysis reports core.Analyze keys on its complete input (source bytes
-// plus rule, entry point, budget, engine and cost configuration). Both live
-// in one bounded, concurrency-safe LRU store with hit/miss/eviction
-// counters. An artifact is stored only if some request reads it again:
-// jepod re-analyzes unchanged sessions, and the generated WEKA corpora share
-// their core library files across classifiers.
+// masters, handed out read-only, parse errors, and — through the generic
+// Memo — the analysis reports core.Analyze keys on its complete input
+// (source bytes plus rule, entry point, budget, engine and cost
+// configuration). They live in one bounded, concurrency-safe LRU store with
+// hit/miss/eviction counters. An artifact is stored only if some request
+// reads it again: jepod re-analyzes unchanged sessions, and the generated
+// WEKA corpora share their core library files across classifiers.
 //
 // Program and Sample build on the parse store — they look the sources up,
 // copy them, link (instrumenting if asked) and run — but keep no artifact of
@@ -22,10 +22,11 @@
 // entry-point check on the masters themselves, so a program with no runnable
 // main is turned away before anything is copied or resolved.
 //
-// Racing builders may compute the same artifact twice; the first put wins
-// and, with deterministic artifacts, the duplicate is bit-identical, so the
-// race is a cost blip and not an observable event. Eviction likewise only
-// costs a rebuild.
+// Concurrent misses on one source parse it once: later callers wait for the
+// first parse. Concurrent Memo misses on one key may compute the same report
+// twice; the first put wins and, with deterministic artifacts, the duplicate
+// is bit-identical, so the race is a cost blip and not an observable event.
+// Eviction likewise only costs a rebuild.
 package engine
 
 import (
@@ -159,25 +160,39 @@ func Sources(m map[string]string) []Source {
 // take an ast.CloneFile copy. A hit at a different path returns a shallow
 // copy of the file header that carries that path and shares the master's
 // classes.
+//
+// A parse error is a function of the source bytes too, so it is stored the
+// same way, and a hit at a different path returns a copy carrying that
+// path: its text is what a fresh parser.Parse at that path returns.
+// Concurrent misses on one source parse it once (see store.do).
 func (e *Engine) ParseFile(path, source string) (*ast.File, error) {
 	k := NewKey("parse").Str(source).Key()
-	if v, ok := e.s.get(k); ok {
-		f := v.(*ast.File)
-		if f.Path != path {
-			h := *f
-			h.Path = path
-			f = &h
+	v := e.s.do(k, func() any {
+		e.parses.Add(1)
+		f, err := parser.Parse(path, source)
+		if err != nil {
+			return err
 		}
-		return f, nil
+		f.Freeze()
+		return f
+	})
+	switch v := v.(type) {
+	case *ast.File:
+		if v.Path != path {
+			h := *v
+			h.Path = path
+			return &h, nil
+		}
+		return v, nil
+	case *parser.Error:
+		if v.Path != path {
+			pe := *v
+			pe.Path = path
+			return nil, &pe
+		}
+		return nil, v
 	}
-	e.parses.Add(1)
-	f, err := parser.Parse(path, source)
-	if err != nil {
-		return nil, err // parse errors are cheap and path-specific: not cached
-	}
-	f.Freeze()
-	e.s.put(k, f)
-	return f, nil
+	return nil, v.(error)
 }
 
 // ParseAll parses every source, in the given order, each through the parse

@@ -2,7 +2,10 @@ package engine_test
 
 import (
 	"context"
+	"fmt"
 	"reflect"
+	"strings"
+	"sync"
 	"testing"
 
 	"jepo/internal/energy"
@@ -155,5 +158,61 @@ func TestSampleConfigKeying(t *testing.T) {
 	}
 	if sm == s1 {
 		t.Fatal("main-mode run aliased the call-mode sample")
+	}
+}
+
+// TestParseSingleFlight: goroutines that miss on one source at once parse
+// it once. The others wait for that parse and get the master under their
+// own path.
+func TestParseSingleFlight(t *testing.T) {
+	// A source large enough that the racers' lookups overlap its parse.
+	src := strings.Repeat(benchSrc+"\n", 200)
+	e := engine.New(engine.Config{})
+	const n = 16
+	files := make([]*ast.File, n)
+	errs := make([]error, n)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := range n {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			files[i], errs[i] = e.ParseFile(fmt.Sprintf("p%d/B.java", i), src)
+		}()
+	}
+	close(start)
+	wg.Wait()
+	if st := e.Stats(); st.Parses != 1 || st.Misses != 1 || st.Hits != n-1 {
+		t.Fatalf("parses = %d, misses = %d, hits = %d; want 1, 1, %d", st.Parses, st.Misses, st.Hits, n-1)
+	}
+	for i, f := range files {
+		if errs[i] != nil {
+			t.Fatal(errs[i])
+		}
+		if want := fmt.Sprintf("p%d/B.java", i); f.Path != want {
+			t.Errorf("result %d has path %q, want %q", i, f.Path, want)
+		}
+		if len(f.Classes) != 200 || f.Classes[0] != files[0].Classes[0] {
+			t.Errorf("result %d does not share the master's classes", i)
+		}
+	}
+}
+
+// TestParseErrorCached: a parse error is stored under the source's key like
+// a master, so the same failing source at two paths parses once, and each
+// error reads as a fresh parse at its path.
+func TestParseErrorCached(t *testing.T) {
+	const bad = "class T { int f( { } }"
+	e := engine.New(engine.Config{})
+	for _, path := range []string{"a/T.java", "b/T.java", "a/T.java"} {
+		_, err := e.ParseFile(path, bad)
+		_, want := parser.Parse(path, bad)
+		if err == nil || want == nil || err.Error() != want.Error() {
+			t.Fatalf("%s: err = %v, want %v", path, err, want)
+		}
+	}
+	if st := e.Stats(); st.Parses != 1 || st.Hits != 2 {
+		t.Fatalf("parses = %d, hits = %d; want 1 parse and 2 hits", st.Parses, st.Hits)
 	}
 }

@@ -29,25 +29,6 @@ func New(src string) *Lexer {
 	return &Lexer{src: src, line: 1, col: 1}
 }
 
-// Scan tokenizes the whole input, returning the token stream (terminated by
-// an EOF token) or the first lexical error.
-func Scan(src string) ([]token.Token, error) {
-	lx := New(src)
-	// Real sources run 3.5–5 bytes per token, so one byte in three sizes the
-	// stream in a single allocation; denser input grows by append as usual.
-	toks := make([]token.Token, 0, len(src)/3+1)
-	for {
-		t, err := lx.Next()
-		if err != nil {
-			return nil, err
-		}
-		toks = append(toks, t)
-		if t.Kind == token.EOF {
-			return toks, nil
-		}
-	}
-}
-
 func (lx *Lexer) peek() byte {
 	if lx.off >= len(lx.src) {
 		return 0
@@ -119,7 +100,8 @@ func isLetter(c byte) bool {
 
 func isDigit(c byte) bool { return '0' <= c && c <= '9' }
 
-// Next scans the next token.
+// Next scans the next token. Its errors are *Error. At the end of the input
+// it returns an EOF token, the same one on every later call.
 func (lx *Lexer) Next() (token.Token, error) {
 	if err := lx.skipSpaceAndComments(); err != nil {
 		return token.Token{}, err
@@ -265,38 +247,47 @@ func (lx *Lexer) scanChar(pos token.Pos) (token.Token, error) {
 	return token.Token{Kind: token.CHARLIT, Text: lx.src[start:lx.off], Pos: pos}, nil
 }
 
-// two-char and one-char operator tables, longest match first.
-var twoChar = map[string]token.Kind{
-	"<<": token.Shl, ">>": token.Shr, "&&": token.AndAnd, "||": token.OrOr,
-	"==": token.Eq, "!=": token.Ne, "<=": token.Le, ">=": token.Ge,
-	"++": token.Inc, "--": token.Dec,
-	"+=": token.PlusEq, "-=": token.MinusEq, "*=": token.StarEq,
-	"/=": token.SlashEq, "%=": token.PercentEq,
-	"&=": token.AndEq, "|=": token.OrEq, "^=": token.XorEq,
-}
-
-var oneChar = map[byte]token.Kind{
-	'(': token.LParen, ')': token.RParen, '{': token.LBrace, '}': token.RBrace,
-	'[': token.LBracket, ']': token.RBracket, ';': token.Semi, ',': token.Comma,
-	'.': token.Dot, '?': token.Question, ':': token.Colon, '=': token.Assign,
-	'+': token.Plus, '-': token.Minus, '*': token.Star, '/': token.Slash,
-	'%': token.Percent, '!': token.Not, '&': token.BitAnd, '|': token.BitOr,
-	'^': token.BitXor, '<': token.Lt, '>': token.Gt,
-}
+// Operator tables, indexed by an operator's first character; EOF, which no
+// operator is, marks a miss. A two-character operator is either a character
+// followed by '=' (withEq) or a doubled character (doubled); the longest
+// match wins.
+var (
+	withEq = [256]token.Kind{
+		'=': token.Eq, '!': token.Ne, '<': token.Le, '>': token.Ge,
+		'+': token.PlusEq, '-': token.MinusEq, '*': token.StarEq,
+		'/': token.SlashEq, '%': token.PercentEq,
+		'&': token.AndEq, '|': token.OrEq, '^': token.XorEq,
+	}
+	doubled = [256]token.Kind{
+		'<': token.Shl, '>': token.Shr, '&': token.AndAnd, '|': token.OrOr,
+		'+': token.Inc, '-': token.Dec,
+	}
+	oneChar = [256]token.Kind{
+		'(': token.LParen, ')': token.RParen, '{': token.LBrace, '}': token.RBrace,
+		'[': token.LBracket, ']': token.RBracket, ';': token.Semi, ',': token.Comma,
+		'.': token.Dot, '?': token.Question, ':': token.Colon, '=': token.Assign,
+		'+': token.Plus, '-': token.Minus, '*': token.Star, '/': token.Slash,
+		'%': token.Percent, '!': token.Not, '&': token.BitAnd, '|': token.BitOr,
+		'^': token.BitXor, '<': token.Lt, '>': token.Gt,
+	}
+)
 
 func (lx *Lexer) scanOperator(pos token.Pos) (token.Token, error) {
-	if lx.off+1 < len(lx.src) {
-		two := lx.src[lx.off : lx.off+2]
-		if k, ok := twoChar[two]; ok {
-			lx.advance()
-			lx.advance()
-			return token.Token{Kind: k, Text: two, Pos: pos}, nil
-		}
+	c, d := lx.peek(), lx.peek2()
+	k := token.EOF
+	if d == '=' {
+		k = withEq[c]
+	} else if d == c {
+		k = doubled[c]
 	}
-	c := lx.peek()
-	if k, ok := oneChar[c]; ok {
+	if k != token.EOF {
 		lx.advance()
-		return token.Token{Kind: k, Text: string(c), Pos: pos}, nil
+		lx.advance()
+		return token.Token{Kind: k, Text: lx.src[lx.off-2 : lx.off], Pos: pos}, nil
+	}
+	if k := oneChar[c]; k != token.EOF {
+		lx.advance()
+		return token.Token{Kind: k, Text: lx.src[lx.off-1 : lx.off], Pos: pos}, nil
 	}
 	return token.Token{}, lx.errf(pos, "unexpected character %q", string(c))
 }

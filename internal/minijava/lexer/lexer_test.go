@@ -1,16 +1,34 @@
 package lexer
 
 import (
+	"strings"
 	"testing"
 
 	"jepo/internal/minijava/token"
 )
 
+// scan lexes the whole input: the token stream up to and including EOF, or
+// the first lexical error.
+func scan(src string) ([]token.Token, error) {
+	lx := New(src)
+	var toks []token.Token
+	for {
+		t, err := lx.Next()
+		if err != nil {
+			return nil, err
+		}
+		toks = append(toks, t)
+		if t.Kind == token.EOF {
+			return toks, nil
+		}
+	}
+}
+
 func kinds(t *testing.T, src string) []token.Kind {
 	t.Helper()
-	toks, err := Scan(src)
+	toks, err := scan(src)
 	if err != nil {
-		t.Fatalf("Scan(%q): %v", src, err)
+		t.Fatalf("scan(%q): %v", src, err)
 	}
 	out := make([]token.Kind, 0, len(toks))
 	for _, tk := range toks {
@@ -36,7 +54,7 @@ func TestScanBasics(t *testing.T) {
 func TestScanOperators(t *testing.T) {
 	src := `a += b; c <<= 0; x && y || !z; i++; j--; p <= q; r >= s; m != n; k == l;`
 	// <<= is not in the dialect: it lexes as << then =.
-	toks, err := Scan(src)
+	toks, err := scan(src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,6 +69,25 @@ func TestScanOperators(t *testing.T) {
 	}
 	if !sawShl || !sawAssign {
 		t.Error("<<= must lex as << followed by =")
+	}
+
+	// Every operator, alone between spaces, lexes to its kind and is spelled
+	// as it reads (operator kinds name themselves).
+	var ops []string
+	for k := token.LParen; k <= token.XorEq; k++ {
+		ops = append(ops, k.String())
+	}
+	toks, err = scan(strings.Join(ops, " "))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, tk := range toks[:len(toks)-1] {
+		if want := token.LParen + token.Kind(i); tk.Kind != want || tk.Text != want.String() {
+			t.Errorf("token %d = %v %q, want %v", i, tk.Kind, tk.Text, want)
+		}
+	}
+	if len(toks) != len(ops)+1 {
+		t.Errorf("%d tokens from %d operators", len(toks)-1, len(ops))
 	}
 }
 
@@ -72,22 +109,22 @@ func TestScanNumbers(t *testing.T) {
 		{"1_000_000", token.INTLIT},
 	}
 	for _, c := range cases {
-		toks, err := Scan(c.src)
+		toks, err := scan(c.src)
 		if err != nil {
-			t.Errorf("Scan(%q): %v", c.src, err)
+			t.Errorf("scan(%q): %v", c.src, err)
 			continue
 		}
 		if toks[0].Kind != c.kind {
-			t.Errorf("Scan(%q) kind = %v, want %v", c.src, toks[0].Kind, c.kind)
+			t.Errorf("scan(%q) kind = %v, want %v", c.src, toks[0].Kind, c.kind)
 		}
 		if toks[0].Text != c.src {
-			t.Errorf("Scan(%q) text = %q", c.src, toks[0].Text)
+			t.Errorf("scan(%q) text = %q", c.src, toks[0].Text)
 		}
 	}
 }
 
 func TestScanStringsAndChars(t *testing.T) {
-	toks, err := Scan(`"hello \"world\"" 'a' '\n' '\''`)
+	toks, err := scan(`"hello \"world\"" 'a' '\n' '\''`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +145,7 @@ func TestScanComments(t *testing.T) {
 }
 
 func TestScanPositions(t *testing.T) {
-	toks, err := Scan("int x;\n  y = 2;")
+	toks, err := scan("int x;\n  y = 2;")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,8 +169,8 @@ func TestScanErrors(t *testing.T) {
 		`1e`,
 		`1.5L`,
 	} {
-		if _, err := Scan(src); err == nil {
-			t.Errorf("Scan(%q): want error", src)
+		if _, err := scan(src); err == nil {
+			t.Errorf("scan(%q): want error", src)
 		}
 	}
 }

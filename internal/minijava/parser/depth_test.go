@@ -3,6 +3,7 @@ package parser
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -76,7 +77,9 @@ func TestMaxDepth(t *testing.T) {
 
 // TestMaxDepthHugeInput: a 1 MiB source nesting half a million levels is
 // turned away with the same error, without the parser's own recursion or an
-// operator loop running away on it.
+// operator loop running away on it, and in less memory than the source
+// itself: the parser stops at the limit, and lexing the rest of the input
+// to rule out a lexical error allocates nothing.
 func TestMaxDepthHugeInput(t *testing.T) {
 	const size = 1 << 20
 	wrap := func(e string) string { return "class A { static int f() { return " + e + "; } }" }
@@ -91,8 +94,15 @@ func TestMaxDepthHugeInput(t *testing.T) {
 		if len(src) != size {
 			t.Fatalf("%s: %d bytes, want %d", name, len(src), size)
 		}
-		if _, err := Parse("huge.java", src); err == nil || !strings.Contains(err.Error(), want) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := Parse("huge.java", src)
+		runtime.ReadMemStats(&after)
+		if err == nil || !strings.Contains(err.Error(), want) {
 			t.Errorf("%s: err = %v, want %q", name, err, want)
+		}
+		if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= size {
+			t.Errorf("%s: Parse allocated %d bytes, want under %d", name, alloc, size)
 		}
 	}
 }

@@ -1,14 +1,19 @@
 package parser
 
 import (
+	"reflect"
 	"testing"
 
 	"jepo/internal/minijava/ast"
 	"jepo/internal/minijava/lexer"
+	"jepo/internal/minijava/token"
 )
 
 // FuzzScan asserts the lexer never panics or loops on arbitrary input: it
-// either produces a token stream ending in EOF or returns an error.
+// reaches EOF, each token having consumed input, or returns an error. When
+// lexing fails, Parse must return exactly that error carrying its path: a
+// lexical error anywhere in the file wins over whatever the parser, which
+// lexes on demand, finds first.
 func FuzzScan(f *testing.F) {
 	for _, seed := range []string{
 		"", "class T { }", "int x = 5;", `"unterminated`, "'a'", "1e", "0x",
@@ -18,15 +23,32 @@ func FuzzScan(f *testing.F) {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, src string) {
-		toks, err := lexer.Scan(src)
-		if err != nil {
+		lx := lexer.New(src)
+		var lexErr error
+		for n := 0; ; n++ {
+			if n > len(src) {
+				t.Fatalf("%d tokens from %d bytes without reaching EOF", n, len(src))
+			}
+			tok, err := lx.Next()
+			if err != nil {
+				lexErr = err
+				break
+			}
+			if tok.Kind == token.EOF {
+				break
+			}
+		}
+		_, err := Parse("fuzz.java", src)
+		if lexErr == nil {
 			return
 		}
-		if len(toks) == 0 {
-			t.Fatal("no tokens and no error")
+		le, ok := lexErr.(*lexer.Error)
+		if !ok {
+			t.Fatalf("lexer error %v is a %T, want a *lexer.Error", lexErr, lexErr)
 		}
-		if toks[len(toks)-1].Kind.String() != "EOF" {
-			t.Fatal("token stream not EOF-terminated")
+		want := &Error{Path: "fuzz.java", Pos: le.Pos, Msg: le.Msg}
+		if !reflect.DeepEqual(err, want) {
+			t.Fatalf("Parse = %v, want the lexical error %v", err, want)
 		}
 	})
 }

@@ -28,23 +28,44 @@ func (e *Error) Error() string {
 }
 
 // Parse parses one compilation unit. path is recorded on the File for
-// diagnostics and suggestions.
+// diagnostics and suggestions. Every error is a positioned *Error carrying
+// path. A lexical error anywhere in src wins over a syntax error, even an
+// earlier one: the first lexical error is reported if there is one.
 func Parse(path, src string) (*ast.File, error) {
-	toks, err := lexer.Scan(src)
-	if err != nil {
-		if le, ok := err.(*lexer.Error); ok {
+	p := &parser{path: path, lx: lexer.New(src), win: make([]token.Token, 0, window)}
+	p.fill(0)
+	f, err := p.parseFile()
+	if err != nil && p.lexErr == nil {
+		p.lexRest()
+	}
+	if p.lexErr != nil {
+		if le, ok := p.lexErr.(*lexer.Error); ok {
 			return nil, &Error{Path: path, Pos: le.Pos, Msg: le.Msg}
 		}
-		return nil, err
+		return nil, p.lexErr
 	}
-	p := &parser{path: path, toks: toks}
-	return p.parseFile()
+	return f, err
 }
+
+// window is the lookahead window's capacity. The grammar looks at most two
+// tokens past the current one, except across a run of `[]` pairs, for which
+// the window grows.
+const window = 8
 
 type parser struct {
 	path string
-	toks []token.Token
-	i    int
+	lx   *lexer.Lexer
+
+	// win holds the tokens lexed but not yet consumed: win[lo] is the
+	// current token, and there always is one. Tokens are lexed a window at
+	// a time when the parser reaches past the last one, after the unread
+	// ones slide down to the front.
+	win []token.Token
+	lo  int
+	// lexErr is the first lexical error. The window reads EOF from there
+	// on, and Parse reports lexErr instead of whatever the parser made of
+	// the truncated input.
+	lexErr error
 
 	// nest counts the levels above the node being parsed, from the method
 	// body or field initializer it belongs to. It can fall short of the
@@ -157,20 +178,64 @@ func (p *parser) subBlock() (*ast.Block, int, error) {
 	return b, p.h, err
 }
 
-func (p *parser) cur() token.Token { return p.toks[p.i] }
+func (p *parser) cur() token.Token { return p.win[p.lo] }
+
+// peek returns the token n places past the current one, lexing up to it.
+// Past the end of the input every token is EOF.
 func (p *parser) peek(n int) token.Token {
-	if p.i+n >= len(p.toks) {
-		return p.toks[len(p.toks)-1]
+	if p.lo+n >= len(p.win) {
+		p.fill(n)
 	}
-	return p.toks[p.i+n]
+	return p.win[p.lo+n]
 }
 
+// next consumes the current token and returns it. Consuming EOF is
+// harmless: the lexer returns the same EOF token again, as fill does after
+// a lexical error.
 func (p *parser) next() token.Token {
-	t := p.toks[p.i]
-	if p.i < len(p.toks)-1 {
-		p.i++
+	t := p.win[p.lo]
+	p.lo++
+	if p.lo == len(p.win) {
+		p.fill(0)
 	}
 	return t
+}
+
+// fill lexes until the window holds the token n places past the current
+// one, first sliding the unread tokens to the front if they would not fit.
+// It lexes on until the window is full, so next calls it once per window.
+// From the first lexical error on, every token is EOF.
+func (p *parser) fill(n int) {
+	if p.lo > 0 && p.lo+n >= cap(p.win) {
+		p.win = p.win[:copy(p.win, p.win[p.lo:])]
+		p.lo = 0
+	}
+	for len(p.win) <= p.lo+n || len(p.win) < cap(p.win) {
+		t := token.Token{Kind: token.EOF}
+		if p.lexErr == nil {
+			var err error
+			if t, err = p.lx.Next(); err != nil {
+				t, p.lexErr = token.Token{Kind: token.EOF}, err
+			}
+		}
+		p.win = append(p.win, t)
+	}
+}
+
+// lexRest lexes the input past the window to its end, to find a lexical
+// error that would win over the parser's. It allocates nothing unless it
+// finds one.
+func (p *parser) lexRest() {
+	for {
+		t, err := p.lx.Next()
+		if err != nil {
+			p.lexErr = err
+			return
+		}
+		if t.Kind == token.EOF {
+			return
+		}
+	}
 }
 
 func (p *parser) at(k token.Kind) bool { return p.cur().Kind == k }
@@ -464,32 +529,22 @@ func (p *parser) parseBlock() (*ast.Block, error) {
 // startsLocalVar reports whether the upcoming tokens begin a local variable
 // declaration rather than an expression.
 func (p *parser) startsLocalVar() bool {
-	j := p.i
-	if p.toks[j].Kind == token.KwFinal {
+	t := p.cur()
+	if t.Kind == token.KwFinal {
 		return true
 	}
-	if p.toks[j].IsType() && p.toks[j].Kind != token.KwVoid {
+	if t.IsType() && t.Kind != token.KwVoid {
 		return true
 	}
-	if p.toks[j].Kind != token.IDENT {
+	if t.Kind != token.IDENT {
 		return false
 	}
-	// IDENT IDENT → decl; IDENT[] → decl; IDENT[][]... IDENT → decl.
-	k := j + 1
-	for p.peekAt(k).Kind == token.LBracket && p.peekAt(k+1).Kind == token.RBracket {
+	// IDENT IDENT → decl; IDENT[][]... IDENT → decl.
+	k := 1
+	for p.peek(k).Kind == token.LBracket && p.peek(k+1).Kind == token.RBracket {
 		k += 2
 	}
-	if k > j+1 {
-		return p.peekAt(k).Kind == token.IDENT
-	}
-	return p.peekAt(k).Kind == token.IDENT
-}
-
-func (p *parser) peekAt(idx int) token.Token {
-	if idx >= len(p.toks) {
-		return p.toks[len(p.toks)-1]
-	}
-	return p.toks[idx]
+	return p.peek(k).Kind == token.IDENT
 }
 
 func (p *parser) parseStmt() (ast.Stmt, error) {

@@ -255,6 +255,26 @@ func TestParseErrors(t *testing.T) {
 	}
 }
 
+// TestParseErrorText pins exact error texts. The parser lexes on demand, but
+// a lexical error anywhere in the file still wins over an earlier syntax or
+// depth error, and over a file that parses up to it.
+func TestParseErrorText(t *testing.T) {
+	deep := "class A { static int f() { return " + strings.Repeat("(", 200) + "1" + strings.Repeat(")", 200) + "; } }"
+	for _, c := range []struct{ name, src, want string }{
+		{"syntax error", "class T { int f( { } }", `bad.java:1:18: expected type, found "{"`},
+		{"syntax then lexical error", "class T { int f( { } }\nclass U { char c = ''; }", "bad.java:2:20: empty char literal"},
+		{"depth error", deep, "bad.java:1:161: nesting deeper than 128 levels"},
+		{"depth then lexical error", deep + "\n#", `bad.java:2:1: unexpected character "#"`},
+		{"lexical error after a class", "class A { } #", `bad.java:1:13: unexpected character "#"`},
+		{"unterminated string", `class T { String s = "abc; }`, "bad.java:1:22: unterminated string literal"},
+	} {
+		_, err := Parse("bad.java", c.src)
+		if err == nil || err.Error() != c.want {
+			t.Errorf("%s: err = %v, want %s", c.name, err, c.want)
+		}
+	}
+}
+
 func TestPrintRoundTrip(t *testing.T) {
 	f := parse(t, demo)
 	printed := ast.Print(f)

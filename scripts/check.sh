@@ -39,6 +39,14 @@ echo "== fault matrix =="
 # source whose reads fail at random.
 go test -tags faultmatrix -run FaultMatrix ./internal/rapl/... ./internal/profile/...
 
+echo "== parser fuzz =="
+# The parser lexes on demand through a small lookahead window; fuzz it past
+# its seeds on every run. FuzzScan: the lexer ends on any input, and a
+# lexical error anywhere in a file is exactly the error Parse returns.
+# FuzzParse: no panic, and accepted source round-trips through the printer.
+go test -run '^$' -fuzz '^FuzzScan$' -fuzztime 20000x ./internal/minijava/parser
+go test -run '^$' -fuzz '^FuzzParse$' -fuzztime 20000x ./internal/minijava/parser
+
 echo "== engine diff =="
 # The bytecode VM and the tree-walker must be observationally identical:
 # results, output, op counts and energy bits, over the Table I corpus and
@@ -76,7 +84,9 @@ go test -run 'GoldenEnergyDeterminism|GoldenEnergyWarmExecution|GoldenEnergySche
 echo "== -jobs byte-identity =="
 # CLI stdout must be byte-identical at any -jobs value (pool telemetry goes
 # to stderr). Diff sequential vs parallel output of the analyzer and the
-# classifier table.
+# classifier table. The parse store is single-flight (concurrent misses on
+# one source parse it once), so the classifier table's stderr cache line
+# (hits, misses, entries, parses) must be identical at both widths too.
 tmpdir=$(mktemp -d)
 trap 'rm -rf "$tmpdir"' EXIT
 go run ./cmd/jepo analyze -jobs 1 examples/java >"$tmpdir/analyze.1" 2>/dev/null
@@ -86,11 +96,18 @@ if ! cmp -s "$tmpdir/analyze.1" "$tmpdir/analyze.4"; then
     diff -u "$tmpdir/analyze.1" "$tmpdir/analyze.4" >&2 || true
     exit 1
 fi
-go run ./cmd/wekaexp -table 2 -jobs 1 >"$tmpdir/table2.1" 2>/dev/null
-go run ./cmd/wekaexp -table 2 -jobs 4 >"$tmpdir/table2.4" 2>/dev/null
+go run ./cmd/wekaexp -table 2 -jobs 1 >"$tmpdir/table2.1" 2>"$tmpdir/table2.1.err"
+go run ./cmd/wekaexp -table 2 -jobs 4 >"$tmpdir/table2.4" 2>"$tmpdir/table2.4.err"
 if ! cmp -s "$tmpdir/table2.1" "$tmpdir/table2.4"; then
     echo "wekaexp -table 2 stdout differs between -jobs 1 and -jobs 4" >&2
     diff -u "$tmpdir/table2.1" "$tmpdir/table2.4" >&2 || true
+    exit 1
+fi
+cache1=$(grep '^cache:' "$tmpdir/table2.1.err" || true)
+cache4=$(grep '^cache:' "$tmpdir/table2.4.err" || true)
+if [ -z "$cache1" ] || [ "$cache1" != "$cache4" ]; then
+    echo "wekaexp -table 2 stderr cache line differs between -jobs 1 and -jobs 4" >&2
+    printf '%s\n%s\n' "-jobs 1: $cache1" "-jobs 4: $cache4" >&2
     exit 1
 fi
 
