@@ -1,6 +1,6 @@
 # Standard entry points for the reproduction repo.
 
-.PHONY: build test check serve-check enginediff parserfuzz faultmatrix scheddiff distdiff
+.PHONY: build test check serve-check enginediff parserfuzz faultmatrix scheddiff
 
 build:
 	go build ./...
@@ -44,10 +44,3 @@ faultmatrix:
 # parallelism.
 scheddiff:
 	go test -tags scheddiff -run SchedDifferentialFuzz ./internal/sched
-
-# Differential fuzz for the executor's process placement: random chaos plans
-# (kills, hangs, slow-walks, corrupt replies) on pipe workers must merge to
-# results, commit ledgers and commit-order joule sums bit-identical to the
-# in-process run.
-distdiff:
-	go test -tags distdiff -run DistDifferentialFuzz ./internal/dist

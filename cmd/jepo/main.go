@@ -12,13 +12,13 @@
 //	jepo optimize [-o dir] [-dry] <file.java>...
 //	jepo profile [-main Class] [-result result.txt] <file.java>...
 //	jepo metrics -root Class <file.java>...
-//	jepo corpus [-classifier C] [-jobs N] [-workers N]
+//	jepo corpus [-classifier C] [-jobs N]
 //	jepo table1 [-jobs N]
 //
-// All -jobs and -workers flags are pure wall-clock knobs: the work shards
-// across the deterministic executor, in process or on worker processes,
-// results commit in input order, and stdout is byte-identical at any value.
-// Executor telemetry (timing-dependent) prints to stderr only.
+// All -jobs flags are pure wall-clock knobs: the work shards across the
+// deterministic executor, results commit in input order, and stdout is
+// byte-identical at any value. Executor telemetry (timing-dependent) prints
+// to stderr only.
 package main
 
 import (
@@ -34,9 +34,8 @@ import (
 
 	"jepo/internal/cliconfig"
 	"jepo/internal/core"
-	"jepo/internal/dist"
+	"jepo/internal/corpus"
 	cache "jepo/internal/engine"
-	"jepo/internal/sched"
 	"jepo/internal/service"
 	"jepo/internal/tables"
 )
@@ -46,16 +45,8 @@ func main() {
 		usage()
 		os.Exit(2)
 	}
-	if os.Args[1] == dist.WorkerArg {
-		if err := sched.ServeWorker(); err != nil {
-			fmt.Fprintln(os.Stderr, "jepo worker:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	// Ctrl-C / SIGTERM cancels the root context: pools drain, worker nodes
-	// shut down, and the run exits with the cancellation error instead of
-	// dying mid-write.
+	// Ctrl-C / SIGTERM cancels the root context: pools drain and the run
+	// exits with the cancellation error instead of dying mid-write.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	var err error
@@ -115,10 +106,6 @@ commands:
             -classifier C  whose closure to analyze (default J48)
             -seed N   corpus generation seed
             -jobs N   analysis workers (default GOMAXPROCS)
-            -workers N     worker processes; >1 places files on
-                           re-exec'd workers with node fault tolerance
-                           (stdout stays bit-identical)
-            -node-deadline D  silence window before a node is quarantined
   table1    measure the component-energy ratios behind the suggestions
             -engine E execution engine: vm (bytecode, default) or ast
             -jobs N   bench-pair workers (default GOMAXPROCS)
@@ -298,14 +285,17 @@ func cmdCorpus(ctx context.Context, args []string) error {
 	fs := flag.NewFlagSet("corpus", flag.ExitOnError)
 	classifier := fs.String("classifier", "J48", "classifier whose generated closure to analyze")
 	seed := fs.Uint64("seed", 20200518, "corpus generation seed")
-	shared := cliconfig.Register(fs, cliconfig.FeatEngine|cliconfig.FeatJobs|cliconfig.FeatDist)
+	shared := cliconfig.Register(fs, cliconfig.FeatEngine|cliconfig.FeatJobs)
 	fs.Parse(args)
 	engine, err := shared.Engine()
 	if err != nil {
 		return err
 	}
-	ex := shared.DistConfig(*seed, func(msg string) { fmt.Fprintln(os.Stderr, "jepo:", msg) })
-	rep, tel, err := core.AnalyzeCorpus(ctx, ex, *classifier, *seed, engine)
+	p, err := corpus.Generate(*classifier, *seed)
+	if err != nil {
+		return err
+	}
+	rep, tel, err := core.AnalyzeAll(ctx, p, core.AnalyzeConfig{Engine: engine, Jobs: shared.Jobs()})
 	if err != nil {
 		return err
 	}

@@ -7,7 +7,7 @@
 //
 // Usage:
 //
-//	jperf [-main Class] [-r runs] [-jobs N] [-workers N] [-tukey] [-engine vm|ast]
+//	jperf [-main Class] [-r runs] [-jobs N] [-tukey] [-engine vm|ast]
 //	      [-cpuprofile file] [-memprofile file] <file.java>...
 //	jperf disasm [-warm] [-main Class] <file.java>...
 //
@@ -17,10 +17,6 @@
 // in-process pool. Every run builds its own meter and interpreter and runs
 // are replayed into the Tukey protocol in index order, so the printed report
 // is bit-identical at any -jobs value; executor telemetry goes to stderr.
-//
-// -workers N places the runs on N re-exec'd worker processes instead, with
-// heartbeats, deadlines and node quarantine; the report stays bit-identical
-// and the telemetry line adds the node counters.
 package main
 
 import (
@@ -36,7 +32,6 @@ import (
 	"time"
 
 	"jepo/internal/cliconfig"
-	"jepo/internal/dist"
 	"jepo/internal/energy"
 	cache "jepo/internal/engine"
 	"jepo/internal/minijava/ast"
@@ -47,15 +42,8 @@ import (
 )
 
 func main() {
-	if len(os.Args) > 1 && os.Args[1] == dist.WorkerArg {
-		if err := sched.ServeWorker(); err != nil {
-			fmt.Fprintln(os.Stderr, "jperf worker:", err)
-			os.Exit(1)
-		}
-		return
-	}
 	// Ctrl-C / SIGTERM cancels the root context: the measurement pool drains
-	// and worker nodes shut down instead of being orphaned.
+	// instead of being abandoned mid-run.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	if len(os.Args) > 1 && os.Args[1] == "disasm" {
@@ -70,7 +58,7 @@ func main() {
 	runs := fs.Int("r", 10, "repeat count (perf -r), as in the paper")
 	tukey := fs.Bool("tukey", true, "replace Tukey outliers with fresh runs")
 	prof := registerProfileFlags(fs)
-	shared := cliconfig.Register(fs, cliconfig.FeatEngine|cliconfig.FeatJobs|cliconfig.FeatDist)
+	shared := cliconfig.Register(fs, cliconfig.FeatEngine|cliconfig.FeatJobs)
 	fs.Parse(os.Args[1:])
 	if err := prof.start(); err != nil {
 		fmt.Fprintln(os.Stderr, "jperf:", err)
@@ -82,7 +70,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "jperf:", err)
 		os.Exit(1)
 	}
-	if err := run(ctx, *mainClass, *runs, *tukey, engine, shared, fs.Args()); err != nil {
+	if err := run(ctx, *mainClass, *runs, *tukey, engine, shared.Jobs(), fs.Args()); err != nil {
 		fmt.Fprintln(os.Stderr, "jperf:", err)
 		if errors.Is(err, context.Canceled) {
 			os.Exit(130)
@@ -129,43 +117,25 @@ func runDisasmCmd(args []string) error {
 	return nil
 }
 
-// measurement is one run's counters. It is also the measure kind's result
-// on the wire: encoding/json emits the shortest round-tripping form of
-// every float, so decoded bits equal measured bits.
+// measurement is one run's counters.
 type measurement struct {
 	Pkg, Core, DRAM energy.Joules
 	Elapsed         time.Duration
 	Cycles          float64
 }
 
-// measureParams is the measure kind's params: the full program source, the
-// entry class and the engine. Runs are identical by construction — the
-// simulator is deterministic — so the task index only names the repetition.
-// prog is the program already linked in this process; being unexported it
-// never crosses to a worker, whose setup links its own.
-type measureParams struct {
-	Files  []cache.Source
-	Main   string
-	Engine interp.Engine
-	prog   *interp.Program
+// measureRuns performs n measurement runs of prog's main, jobs at a time.
+// Runs are identical by construction — the simulator is deterministic — so
+// the task index only names the repetition.
+func measureRuns(ctx context.Context, prog *interp.Program, mainClass string, engine interp.Engine, n, jobs int) ([]measurement, sched.Telemetry, error) {
+	return sched.Map(ctx, sched.Config{Jobs: jobs}, make([]struct{}, n), func(sched.Task, struct{}) (measurement, error) {
+		return runOnce(ctx, prog, mainClass, engine)
+	})
 }
 
-// measureKind performs one measurement run.
-var measureKind = sched.NewSetupKind("measure",
-	func(p measureParams) (measureParams, error) {
-		var err error
-		if p.prog == nil {
-			p.prog, err = cache.Default().Program(p.Files, false)
-		}
-		return p, err
-	},
-	func(ctx context.Context, _ sched.Task, p measureParams) (measurement, error) {
-		return runOnce(ctx, p.prog, p.Main, p.Engine)
-	})
-
-func run(ctx context.Context, mainClass string, runs int, tukey bool, engine interp.Engine, shared *cliconfig.Set, args []string) error {
-	// Reject a run count the protocol cannot use before any source is read
-	// or any worker spawned, not after the measurements.
+func run(ctx context.Context, mainClass string, runs int, tukey bool, engine interp.Engine, jobs int, args []string) error {
+	// Reject a run count the protocol cannot use before any source is read,
+	// not after the measurements.
 	if runs < 3 {
 		return fmt.Errorf("-r %d: the Tukey protocol needs at least 3 runs", runs)
 	}
@@ -183,10 +153,9 @@ func run(ctx context.Context, mainClass string, runs int, tukey bool, engine int
 
 	// The protocol's initial runs shard across the executor — each run has
 	// its own meter and interpreter, so they are independent — and replay
-	// into the protocol in index order, in process or on worker processes.
-	// Tukey replacement rounds, if any, fall back to live sequential runs.
-	ex := shared.DistConfig(0, func(msg string) { fmt.Fprintln(os.Stderr, "jperf:", msg) })
-	pre, tel, err := measureKind.Map(ctx, ex, measureParams{Files: srcs, Main: mainClass, Engine: engine, prog: prog}, runs, nil)
+	// into the protocol in index order. Tukey replacement rounds, if any,
+	// fall back to live sequential runs.
+	pre, tel, err := measureRuns(ctx, prog, mainClass, engine, runs, jobs)
 	if err != nil {
 		return err
 	}
@@ -275,8 +244,8 @@ func runOnce(ctx context.Context, prog *interp.Program, mainClass string, engine
 }
 
 // collectSources reads the raw .java sources named by the arguments
-// (directories are walked). The raw form is what the measure kind ships to
-// worker processes; parseSources turns it into ASTs for disassembly.
+// (directories are walked). The artifact store links the raw form into the
+// measured program; parseSources turns it into ASTs for disassembly.
 func collectSources(args []string) ([]cache.Source, error) {
 	var srcs []cache.Source
 	for _, arg := range args {

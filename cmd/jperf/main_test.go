@@ -3,36 +3,16 @@ package main
 import (
 	"context"
 	"errors"
-	"flag"
-	"io"
 	"math"
 	"os"
 	"path/filepath"
 	"reflect"
-	"strconv"
 	"strings"
 	"testing"
 	"time"
 
-	"jepo/internal/cliconfig"
-	"jepo/internal/dist"
-	cache "jepo/internal/engine"
 	"jepo/internal/minijava/interp"
-	"jepo/internal/sched"
 )
-
-// testShared parses a cliconfig set with the given pool width; the dist
-// group stays at its defaults (workers=1) so runs stay in-process.
-func testShared(t *testing.T, jobs int) *cliconfig.Set {
-	t.Helper()
-	fs := flag.NewFlagSet("test", flag.ContinueOnError)
-	fs.SetOutput(io.Discard)
-	s := cliconfig.Register(fs, cliconfig.FeatEngine|cliconfig.FeatJobs|cliconfig.FeatDist)
-	if err := fs.Parse([]string{"-jobs", strconv.Itoa(jobs)}); err != nil {
-		t.Fatal(err)
-	}
-	return s
-}
 
 func writeDemo(t *testing.T) string {
 	t.Helper()
@@ -53,10 +33,10 @@ func writeDemo(t *testing.T) string {
 
 func TestRunMeasures(t *testing.T) {
 	dir := writeDemo(t)
-	if err := run(context.Background(), "", 4, true, interp.EngineVM, testShared(t, 2), []string{dir}); err != nil {
+	if err := run(context.Background(), "", 4, true, interp.EngineVM, 2, []string{dir}); err != nil {
 		t.Fatal(err)
 	}
-	if err := run(context.Background(), "", 3, false, interp.EngineAST, testShared(t, 1), []string{filepath.Join(dir, "Demo.java")}); err != nil {
+	if err := run(context.Background(), "", 3, false, interp.EngineAST, 1, []string{filepath.Join(dir, "Demo.java")}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -64,26 +44,26 @@ func TestRunMeasures(t *testing.T) {
 func TestRunErrors(t *testing.T) {
 	// A run count below the protocol's minimum is refused before the
 	// sources are read: the missing file must not be what reports.
-	if err := run(context.Background(), "", 2, true, interp.EngineVM, testShared(t, 1), []string{"missing.java"}); err == nil || !strings.Contains(err.Error(), "-r 2") {
+	if err := run(context.Background(), "", 2, true, interp.EngineVM, 1, []string{"missing.java"}); err == nil || !strings.Contains(err.Error(), "-r 2") {
 		t.Errorf("runs=2 with a missing file: err = %v, want the -r error", err)
 	}
-	if err := run(context.Background(), "", 3, true, interp.EngineVM, testShared(t, 1), nil); err == nil {
+	if err := run(context.Background(), "", 3, true, interp.EngineVM, 1, nil); err == nil {
 		t.Error("no input accepted")
 	}
-	if err := run(context.Background(), "", 3, true, interp.EngineVM, testShared(t, 1), []string{"missing.java"}); err == nil {
+	if err := run(context.Background(), "", 3, true, interp.EngineVM, 1, []string{"missing.java"}); err == nil {
 		t.Error("missing file accepted")
 	}
 	dir := writeDemo(t)
-	if err := run(context.Background(), "NoSuchClass", 3, true, interp.EngineVM, testShared(t, 1), []string{dir}); err == nil {
+	if err := run(context.Background(), "NoSuchClass", 3, true, interp.EngineVM, 1, []string{dir}); err == nil {
 		t.Error("unknown main class accepted")
 	}
 	bad := t.TempDir()
 	os.WriteFile(filepath.Join(bad, "Bad.java"), []byte("class {"), 0o644)
-	if err := run(context.Background(), "", 3, true, interp.EngineVM, testShared(t, 1), []string{bad}); err == nil {
+	if err := run(context.Background(), "", 3, true, interp.EngineVM, 1, []string{bad}); err == nil {
 		t.Error("syntax error accepted")
 	}
 	empty := t.TempDir()
-	if err := run(context.Background(), "", 3, true, interp.EngineVM, testShared(t, 1), []string{empty}); err == nil {
+	if err := run(context.Background(), "", 3, true, interp.EngineVM, 1, []string{empty}); err == nil {
 		t.Error("empty dir accepted")
 	}
 }
@@ -111,7 +91,7 @@ func TestRunCancelsInFlight(t *testing.T) {
 	defer cancel()
 	time.AfterFunc(100*time.Millisecond, cancel)
 	done := make(chan error, 1)
-	go func() { done <- run(ctx, "", 3, true, interp.EngineVM, testShared(t, 1), []string{dir}) }()
+	go func() { done <- run(ctx, "", 3, true, interp.EngineVM, 1, []string{dir}) }()
 	select {
 	case err := <-done:
 		if !errors.Is(err, context.Canceled) {
@@ -156,39 +136,34 @@ func TestRunOnceDeterministic(t *testing.T) {
 	}
 }
 
-// TestMeasureKindPlacements: a measurement run on a pipe worker carries the
-// same counter bits as one run in process.
+// TestMeasureKindPlacements: measurement runs on the pool carry the same
+// counter bits as runs made inline.
 func TestMeasureKindPlacements(t *testing.T) {
-	p := measureParams{
-		Files: []cache.Source{{Path: "Work.java", Source: `class Work {
-	public static void main(String[] args) {
-		long total = 0;
-		for (int i = 0; i < 200; i++) {
-			total = total + i % 8;
-		}
-		System.out.println(total);
-	}
-}`}},
-		Engine: interp.EngineVM,
-	}
-	want, _, err := measureKind.Map(context.Background(), sched.Config{Jobs: 1}, p, 4, nil)
+	files, err := parseArgs([]string{writeDemo(t)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ex := sched.Config{Workers: 2, Deadline: 10 * time.Second, Spawn: dist.PipeSpawner(sched.Handle)}
-	got, tel, err := measureKind.Map(context.Background(), ex, p, 4, nil)
+	prog, err := interp.Load(files...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, _, err := measureRuns(context.Background(), prog, "", interp.EngineVM, 4, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, tel, err := measureRuns(context.Background(), prog, "", interp.EngineVM, 4, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got, want) {
-		t.Errorf("placed measurements diverge:\n got %+v\nwant %+v", got, want)
+		t.Errorf("pool measurements diverge:\n got %+v\nwant %+v", got, want)
 	}
 	for i, m := range got {
 		if math.Float64bits(float64(m.Pkg)) != math.Float64bits(float64(want[i].Pkg)) {
 			t.Errorf("run %d: pkg bits diverge", i)
 		}
 	}
-	if tel.Workers != 2 || tel.Jobs != 2 {
-		t.Errorf("telemetry workers=%d jobs=%d, want 2 nodes", tel.Workers, tel.Jobs)
+	if tel.Jobs != 2 {
+		t.Errorf("telemetry jobs=%d, want 2", tel.Jobs)
 	}
 }

@@ -15,12 +15,6 @@
 // stdout is bit-identical at any value, and the pool's timing telemetry
 // goes to stderr.
 //
-// -workers N places table rows on N worker *processes* instead (the binary
-// re-exec'd in worker mode), with heartbeats, per-node deadlines and
-// deterministic reassignment: a killed or hung worker costs a quarantine,
-// never a row, and stdout stays bit-identical to -workers 1. The same
-// telemetry line, with the node counters added, goes to stderr.
-//
 // -checkpoint DIR keeps a ledger of the Table IV rows that finished without
 // error; a rerun with the same configuration replays them and re-attempts
 // only the rest.
@@ -41,7 +35,6 @@ import (
 	"jepo/internal/airlines"
 	"jepo/internal/cliconfig"
 	"jepo/internal/corpus"
-	"jepo/internal/dist"
 	cache "jepo/internal/engine"
 	"jepo/internal/sched"
 	"jepo/internal/service"
@@ -50,16 +43,9 @@ import (
 )
 
 func main() {
-	if len(os.Args) > 1 && os.Args[1] == dist.WorkerArg {
-		if err := sched.ServeWorker(); err != nil {
-			fmt.Fprintln(os.Stderr, "wekaexp worker:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	// Ctrl-C / SIGTERM cancels the root context: pools drain, worker nodes
-	// shut down, and the -checkpoint ledger is saved valid so a rerun
-	// resumes instead of restarting.
+	// Ctrl-C / SIGTERM cancels the root context: pools drain and the
+	// -checkpoint ledger is saved valid so a rerun resumes instead of
+	// restarting.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	if err := realMain(ctx, os.Args[1:], os.Stdout, os.Stderr); err != nil {
@@ -69,11 +55,6 @@ func main() {
 		}
 		os.Exit(1)
 	}
-}
-
-// narrate prefixes executor fault-path and ledger events onto stderr.
-func narrate(stderr io.Writer) func(string) {
-	return func(msg string) { fmt.Fprintln(stderr, "wekaexp:", msg) }
 }
 
 // realMain is the whole command behind an injectable surface: argument list
@@ -93,7 +74,7 @@ func realMain(ctx context.Context, args []string, stdout, stderr io.Writer) erro
 	dumpFor := fs.String("classifier", "J48", "classifier whose corpus -dump-corpus writes")
 	checkpoint := fs.String("checkpoint", "", "directory holding the ledger of completed Table IV rows; reruns resume from it")
 	rowTimeout := fs.Duration("row-timeout", 0, "per-classifier deadline for Table IV (0 = none)")
-	shared := cliconfig.Register(fs, cliconfig.FeatEngine|cliconfig.FeatJobs|cliconfig.FeatDist)
+	shared := cliconfig.Register(fs, cliconfig.FeatEngine|cliconfig.FeatJobs)
 	verbose := fs.Bool("v", false, "print progress")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -105,7 +86,6 @@ func realMain(ctx context.Context, args []string, stdout, stderr io.Writer) erro
 	if err != nil {
 		return err
 	}
-	ex := shared.DistConfig(*seed, narrate(stderr))
 
 	if *dumpDir != "" {
 		if err := dumpCorpus(stdout, *dumpDir, *dumpFor, *seed); err != nil {
@@ -128,7 +108,7 @@ func realMain(ctx context.Context, args []string, stdout, stderr io.Writer) erro
 	}
 
 	run("1", func() error {
-		rows, tel, err := tables.Table1Map(ctx, ex, engine)
+		rows, tel, err := tables.Table1Jobs(ctx, engine, shared.Jobs())
 		if err != nil {
 			return err
 		}
@@ -140,7 +120,7 @@ func realMain(ctx context.Context, args []string, stdout, stderr io.Writer) erro
 	})
 
 	run("2", func() error {
-		rows, tel, err := tables.Table2Map(ctx, ex, *seed)
+		rows, tel, err := tables.Table2Parallel(ctx, *seed, shared.Jobs())
 		if err != nil {
 			return err
 		}
@@ -195,8 +175,13 @@ func realMain(ctx context.Context, args []string, stdout, stderr io.Writer) erro
 		if *verbose {
 			cfg.Progress = func(msg string) { fmt.Fprintln(stderr, msg) }
 		}
-		ex := ex
-		ex.Checkpoint = *checkpoint
+		ex := sched.Config{
+			Jobs:       shared.Jobs(),
+			Seed:       *seed,
+			Checkpoint: *checkpoint,
+			// Ledger notes go to stderr.
+			OnEvent: func(msg string) { fmt.Fprintln(stderr, "wekaexp:", msg) },
+		}
 		fmt.Fprintln(stdout, "=== Table IV: WEKA evaluation ===")
 		rows, tel, err := tables.Table4Map(ctx, ex, cfg)
 		if err != nil {

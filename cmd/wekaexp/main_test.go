@@ -6,30 +6,11 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"regexp"
 	"strings"
 	"testing"
-	"time"
 
 	"jepo/internal/corpus"
-	"jepo/internal/dist"
-	"jepo/internal/sched"
-	"jepo/internal/service"
-	"jepo/internal/tables"
 )
-
-// TestMain lets the test binary stand in for wekaexp's worker processes:
-// -workers re-execs the running binary with dist.WorkerArg.
-func TestMain(m *testing.M) {
-	if len(os.Args) > 1 && os.Args[1] == dist.WorkerArg {
-		if err := sched.ServeWorker(); err != nil {
-			fmt.Fprintln(os.Stderr, "wekaexp test worker:", err)
-			os.Exit(1)
-		}
-		os.Exit(0)
-	}
-	os.Exit(m.Run())
-}
 
 // small keeps a real Table IV run to about a second.
 var small = []string{"-instances", "120", "-reps", "1", "-runs", "3", "-folds", "2"}
@@ -83,71 +64,23 @@ func TestTable4ResumesFromCheckpoint(t *testing.T) {
 	}
 }
 
-// TestWorkersStderrLines: under -workers every stderr line is whole — the
-// telemetry line ends in a newline, so the cache statistics start their own
-// line — and stdout matches the in-process run.
-func TestWorkersStderrLines(t *testing.T) {
-	want, _ := wekaexp(t, "-table", "2", "-jobs", "1")
-	got, stderr := wekaexp(t, "-table", "2", "-workers", "2")
-	if got != want {
-		t.Errorf("-workers 2 stdout differs from -jobs 1:\n%s\nvs\n%s", got, want)
-	}
-	if !strings.HasSuffix(stderr, "\n") {
-		t.Errorf("stderr does not end in a newline: %q", stderr)
-	}
-	if !regexp.MustCompile(`(?m)^sched: .* quarantined=0$`).MatchString(stderr) {
-		t.Errorf("no whole telemetry line with the node counters:\n%s", stderr)
-	}
-	if !regexp.MustCompile(`(?m)^cache: \d+ hits`).MatchString(stderr) {
-		t.Errorf("cache statistics do not start a line:\n%s", stderr)
-	}
-}
-
-// TestWorkersFaultDrill is the process-placement fault drill: Table II on
-// four worker processes of this test binary, with node 1 killed taking its
-// 2nd task and node 2 hung on its 1st, must quarantine both nodes, finish
-// the table, and render exactly what the in-process -jobs 1 run prints.
-func TestWorkersFaultDrill(t *testing.T) {
-	want, _ := wekaexp(t, "-table", "2", "-jobs", "1")
-	plan := &dist.FaultPlan{Script: map[int]map[int]dist.FaultKind{
-		1: {1: dist.FaultKill},
-		2: {0: dist.FaultHang},
-	}}
-	const seed = 20200518 // wekaexp's default -seed
-	ex := sched.Config{
-		Workers:  4,
-		Seed:     seed,
-		Deadline: 5 * time.Second,
-		Spawn:    dist.ChaosSpawner(dist.SelfSpawner(), plan),
-	}
-	rows, tel, err := tables.Table2Map(context.Background(), ex, seed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := service.RenderTable2(rows); got != want {
-		t.Errorf("faulted -workers 4 table differs from -jobs 1:\n%s\nvs\n%s", got, want)
-	}
-	if !strings.Contains(tel.String(), "quarantined=2") {
-		t.Errorf("telemetry did not record the two quarantined workers: %s", tel)
-	}
-}
-
-// TestWorkersRerunRetriesFailedRows: rows that fail on worker processes are
-// never recorded, so a rerun over the same checkpoint re-attempts them
-// instead of replaying the failures.
+// TestWorkersRerunRetriesFailedRows: rows that fail on the pool are never
+// recorded, so a rerun over the same checkpoint re-attempts them instead of
+// replaying the failures.
 func TestWorkersRerunRetriesFailedRows(t *testing.T) {
-	args := append([]string{"-table", "4", "-seed", "3", "-row-timeout", "1ms", "-workers", "2", "-checkpoint", t.TempDir()}, small...)
+	args := append([]string{"-table", "4", "-seed", "3", "-row-timeout", "1ms", "-jobs", "2", "-checkpoint", t.TempDir()}, small...)
 	for run := 1; run <= 2; run++ {
 		var out, errb bytes.Buffer
 		err := realMain(context.Background(), args, &out, &errb)
 		if err == nil || !strings.Contains(errb.String(), "classifier row(s) failed") {
 			t.Fatalf("run %d: err = %v, want failed rows\nstderr:\n%s", run, err, errb.String())
 		}
-		if !strings.Contains(errb.String(), " replayed=0 ") {
-			t.Errorf("run %d replayed rows that failed:\n%s", run, errb.String())
+		n := len(corpus.Classifiers)
+		if strings.Contains(errb.String(), "resumed") || !strings.Contains(errb.String(), fmt.Sprintf(" tasks=%d attempts=%d ", n, n)) {
+			t.Errorf("run %d did not re-attempt every failed row:\n%s", run, errb.String())
 		}
-		if n := strings.Count(out.String(), "FAILED: deadline exceeded (1ms)"); n != len(corpus.Classifiers) {
-			t.Errorf("run %d: %d rows hit the deadline, want all %d:\n%s", run, n, len(corpus.Classifiers), out.String())
+		if got := strings.Count(out.String(), "FAILED: deadline exceeded (1ms)"); got != n {
+			t.Errorf("run %d: %d rows hit the deadline, want all %d:\n%s", run, got, n, out.String())
 		}
 	}
 }

@@ -3,7 +3,7 @@
 // of running JEPO over all of WEKA (§VIII ran it over 3,373 classes): each
 // file is analyzed in isolation — detect, fix, verify with its own parser,
 // interpreter and meter instances — and per-file reports merge in file order,
-// so the corpus report is bit-identical at any width and placement.
+// so the corpus report is bit-identical at any width.
 package core
 
 import (
@@ -13,7 +13,6 @@ import (
 	"strings"
 
 	"jepo/internal/corpus"
-	"jepo/internal/minijava/interp"
 	"jepo/internal/passes"
 	"jepo/internal/sched"
 )
@@ -74,40 +73,17 @@ func AnalyzeAll(ctx context.Context, p *corpus.Project, cfg AnalyzeConfig) (*Cor
 		func(_ sched.Task, f corpus.File) (*AnalysisReport, error) {
 			return analyzeFile(ctx, f, cfg)
 		},
-		report.commit(p))
+		func(t sched.Task, ar *AnalysisReport) {
+			report.Files = append(report.Files, FileAnalysis{Path: p.Files[t.Index].Path, Report: ar})
+		})
 	if err != nil {
 		return nil, tel, err
 	}
 	return report, tel, nil
 }
 
-// AnalyzeCorpus generates a classifier's corpus and runs the pass engine
-// over every file at the placement ex names — in process, or on worker
-// processes that regenerate the corpus themselves. Reports commit in corpus
-// file order, so the report is byte-identical at any width and placement.
-func AnalyzeCorpus(ctx context.Context, ex sched.Config, classifier string, seed uint64, engine interp.Engine) (*CorpusReport, sched.Telemetry, error) {
-	p, err := corpus.Generate(classifier, seed)
-	if err != nil {
-		return nil, sched.Telemetry{}, err
-	}
-	report := &CorpusReport{Root: p.Root, Files: make([]FileAnalysis, 0, len(p.Files))}
-	params := corpusParams{Classifier: classifier, Seed: seed, Engine: engine, proj: p}
-	_, tel, err := corpusFileKind.Map(ctx, ex, params, len(p.Files), report.commit(p))
-	if err != nil {
-		return nil, tel, err
-	}
-	return report, tel, nil
-}
-
-// commit appends one file's report, in corpus file order.
-func (r *CorpusReport) commit(p *corpus.Project) func(sched.Task, *AnalysisReport) {
-	return func(t sched.Task, ar *AnalysisReport) {
-		r.Files = append(r.Files, FileAnalysis{Path: p.Files[t.Index].Path, Report: ar})
-	}
-}
-
-// analyzeFile is the per-file unit of both AnalyzeAll and the corpusfile
-// kind: the file as its own single-file project.
+// analyzeFile is AnalyzeAll's per-file unit: the file as its own
+// single-file project.
 func analyzeFile(ctx context.Context, f corpus.File, cfg AnalyzeConfig) (*AnalysisReport, error) {
 	cfg.Jobs = 1 // the fan-out is per file; fixes inside one file run inline
 	r, err := Analyze(ctx, Project{f.Path: f.Source}, cfg)
@@ -116,34 +92,6 @@ func analyzeFile(ctx context.Context, f corpus.File, cfg AnalyzeConfig) (*Analys
 	}
 	return r, nil
 }
-
-// corpusParams names a generated corpus and the engine that analyzes it.
-// proj is the corpus already generated in this process; being unexported,
-// it never crosses to a worker, whose setup regenerates it.
-type corpusParams struct {
-	Classifier string
-	Seed       uint64
-	Engine     interp.Engine
-	proj       *corpus.Project
-}
-
-// corpusFileKind analyzes one file of a generated corpus. Its result is the
-// file's whole AnalysisReport; fixes do not cross to the caller (their
-// closures are tagged out of the JSON), nothing that renders needs them.
-var corpusFileKind = sched.NewSetupKind("corpusfile",
-	func(p corpusParams) (corpusParams, error) {
-		var err error
-		if p.proj == nil {
-			p.proj, err = corpus.Generate(p.Classifier, p.Seed)
-		}
-		return p, err
-	},
-	func(ctx context.Context, t sched.Task, p corpusParams) (*AnalysisReport, error) {
-		if t.Index < 0 || t.Index >= len(p.proj.Files) {
-			return nil, fmt.Errorf("core: corpus file %d out of range", t.Index)
-		}
-		return analyzeFile(ctx, p.proj.Files[t.Index], AnalyzeConfig{Engine: p.Engine})
-	})
 
 // CorpusView renders the corpus-wide summary: totals, the per-rule breakdown
 // in descending-count order, and the most-flagged files. The rendering is a

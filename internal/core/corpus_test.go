@@ -8,70 +8,45 @@ import (
 	"runtime"
 	"sync"
 	"testing"
-	"time"
 
 	"jepo/internal/corpus"
-	"jepo/internal/dist"
 	"jepo/internal/engine"
-	"jepo/internal/minijava/interp"
-	"jepo/internal/sched"
 )
 
 const corpusSeed = 20200518
 
-// pipeWorkers places a map on in-process pipe workers; the reports still
-// ride the full JSON task/result protocol.
-func pipeWorkers(workers int, plan *dist.FaultPlan) sched.Config {
-	return sched.Config{
-		Workers:  workers,
-		Seed:     corpusSeed,
-		Deadline: 30 * time.Second,
-		Spawn:    dist.ChaosSpawner(dist.PipeSpawner(sched.Handle), plan),
-	}
-}
-
-// TestAnalyzeCorpusPlacements: the corpusfile kind yields the report an
-// in-process AnalyzeAll yields — every diagnostic, verdict and joule bit,
-// not only the rendered view — in process and on pipe workers, even with a
-// worker killed mid-map.
+// TestAnalyzeCorpusPlacements: AnalyzeAll on the pool yields the report the
+// inline run yields — every diagnostic, verdict and joule bit, not only the
+// rendered view. Each run gets a fresh store, so no report is a cache hit.
 func TestAnalyzeCorpusPlacements(t *testing.T) {
 	proj, err := corpus.Generate("RandomTree", corpusSeed)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, _, err := AnalyzeAll(context.Background(), proj, AnalyzeConfig{Jobs: 1})
+	want, _, err := AnalyzeAll(context.Background(), proj, AnalyzeConfig{Jobs: 1, Cache: engine.New(engine.Config{})})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, tc := range []struct {
-		name string
-		ex   sched.Config
-		kill bool
-	}{
-		{"jobs=2", sched.Config{Jobs: 2, Seed: corpusSeed}, false},
-		{"workers=4", pipeWorkers(4, &dist.FaultPlan{Script: map[int]map[int]dist.FaultKind{2: {3: dist.FaultKill}}}), true},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			got, tel, err := AnalyzeCorpus(context.Background(), tc.ex, "RandomTree", corpusSeed, interp.EngineVM)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if CorpusView(got) != CorpusView(want) {
-				t.Error("corpus view diverges from the in-process AnalyzeAll render")
-			}
-			if !reflect.DeepEqual(flattenCorpus(got), flattenCorpus(want)) {
-				t.Error("corpus reports diverge from the in-process AnalyzeAll reports")
-			}
-			if tc.kill && tel.Quarantines != 1 {
-				t.Errorf("expected one quarantine: %s", tel)
-			}
-		})
-	}
+	t.Run("jobs=2", func(t *testing.T) {
+		got, tel, err := AnalyzeAll(context.Background(), proj, AnalyzeConfig{Jobs: 2, Cache: engine.New(engine.Config{})})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tel.Jobs != 2 {
+			t.Errorf("ran on %d workers, want 2: %s", tel.Jobs, tel)
+		}
+		if CorpusView(got) != CorpusView(want) {
+			t.Error("pool corpus view diverges from the inline render")
+		}
+		if !reflect.DeepEqual(flattenCorpus(got), flattenCorpus(want)) {
+			t.Error("pool corpus reports diverge from the inline reports")
+		}
+	})
 }
 
-// TestAnalysisReportRoundTrip: a report crosses the wire whole. Decoded, it
+// TestAnalysisReportRoundTrip: a report encodes to JSON whole. Decoded, it
 // renders and flattens exactly like the original; only the fixes stay
-// behind, since they close over the sender's AST nodes.
+// behind, since they close over the analyzed AST nodes.
 func TestAnalysisReportRoundTrip(t *testing.T) {
 	rep, err := Analyze(context.Background(), Project{"Work.java": measurableProject}, AnalyzeConfig{})
 	if err != nil {
@@ -96,13 +71,12 @@ func TestAnalysisReportRoundTrip(t *testing.T) {
 }
 
 // TestSharedStoreRaceStress is the concurrency acceptance gate for the
-// artifact engine: an in-process pool at -jobs GOMAXPROCS (AnalyzeAll) and
-// the corpusfile kind on pipe workers (AnalyzeCorpus) hammer ONE shared
-// store concurrently, alongside a loop of direct Sample calls over the same
-// sources. Run under -race by scripts/check.sh. Assertions: every consumer's
-// output is bit-identical to a baseline taken on a fresh store, and the
-// shared store tallies both hits and misses (i.e. the consumers really did
-// share artifacts rather than each building their own).
+// artifact engine: an in-process pool at -jobs GOMAXPROCS (AnalyzeAll)
+// hammers ONE shared store concurrently with loops of direct Sample calls.
+// Run under -race by scripts/check.sh. Assertions: every consumer's output
+// is bit-identical to a baseline taken on a fresh store, and the shared
+// store tallies both hits and misses (i.e. the consumers really did share
+// artifacts rather than each building their own).
 func TestSharedStoreRaceStress(t *testing.T) {
 	const classifier = "RandomTree"
 	proj, err := corpus.Generate(classifier, corpusSeed)
@@ -117,12 +91,8 @@ func TestSharedStoreRaceStress(t *testing.T) {
 	}
 	baseView := CorpusView(baseline)
 
-	// One shared store for everything below. The pipe workers run in
-	// process and reach their cache via engine.Default(), so the default is
-	// swapped to the shared engine for the duration.
+	// One shared store for everything below.
 	shared := engine.New(engine.Config{})
-	prev := engine.SetDefault(shared)
-	defer engine.SetDefault(prev)
 
 	benchSrcs := []engine.Source{{Path: "bench.java", Source: `class B {
 	static double f() {
@@ -138,8 +108,8 @@ func TestSharedStoreRaceStress(t *testing.T) {
 	}
 
 	var wg sync.WaitGroup
-	var poolReport, placedReport *CorpusReport
-	var poolErr, placedErr error
+	var poolReport *CorpusReport
+	var poolErr error
 	errs := make(chan error, 16)
 
 	// Consumer 1: in-process pool at full width, explicitly on the shared store.
@@ -150,15 +120,7 @@ func TestSharedStoreRaceStress(t *testing.T) {
 			AnalyzeConfig{Jobs: runtime.GOMAXPROCS(0), Cache: shared})
 	}()
 
-	// Consumer 2: the corpusfile kind on pipe workers, which hydrate from the
-	// same store through engine.Default().
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		placedReport, _, placedErr = AnalyzeCorpus(context.Background(), pipeWorkers(3, nil), classifier, corpusSeed, interp.EngineVM)
-	}()
-
-	// Consumer 3: direct Sample traffic on the same store — every returned
+	// Consumer 2: direct Sample traffic on the same store — every returned
 	// sample must be bit-identical to the fresh-store reference.
 	for g := 0; g < 4; g++ {
 		wg.Add(1)
@@ -185,9 +147,6 @@ func TestSharedStoreRaceStress(t *testing.T) {
 	if poolErr != nil {
 		t.Fatal(poolErr)
 	}
-	if placedErr != nil {
-		t.Fatal(placedErr)
-	}
 
 	if got := CorpusView(poolReport); got != baseView {
 		t.Errorf("pool AnalyzeAll view diverged from the fresh-store baseline:\n%s\n---\n%s", got, baseView)
@@ -201,9 +160,6 @@ func TestSharedStoreRaceStress(t *testing.T) {
 		if math.Float64bits(float64(fa.Report.Baseline.Package)) != math.Float64bits(float64(ref.Report.Baseline.Package)) {
 			t.Errorf("%s: baseline joule bits diverged under the shared store", fa.Path)
 		}
-	}
-	if got := CorpusView(placedReport); got != baseView {
-		t.Errorf("placed AnalyzeCorpus view diverged from the fresh-store baseline:\n%s\n---\n%s", got, baseView)
 	}
 
 	st := shared.Stats()

@@ -27,8 +27,8 @@ func (s Severity) String() string {
 
 // Diagnostic is one positioned finding emitted by a pass. A diagnostic is
 // mechanically repairable exactly when Fix is non-nil. Fix closes over the
-// exact AST nodes the match saw, so it never crosses a process boundary: it
-// is tagged out of the JSON form, and a decoded diagnostic has no fix.
+// exact AST nodes the match saw, so it is tagged out of the JSON form, and a
+// decoded diagnostic has no fix.
 type Diagnostic struct {
 	File     string
 	Class    string

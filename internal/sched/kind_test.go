@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -25,16 +26,17 @@ var (
 	squareCalls []int
 )
 
-var squareKind = NewKind("sched-test-square", func(_ context.Context, t Task, p squareParams) (uint64, error) {
-	squareMu.Lock()
-	squareCalls = append(squareCalls, t.Index)
-	fail := squareFail[t.Index]
-	squareMu.Unlock()
-	if fail {
-		return 0, fmt.Errorf("task %d: induced failure", t.Index)
-	}
-	return uint64(t.Index+p.Offset)*uint64(t.Index+p.Offset) ^ t.Seed, nil
-})
+var squareKind = NewSetupKind("sched-test-square", func(p squareParams) (squareParams, error) { return p, nil },
+	func(_ context.Context, t Task, p squareParams) (uint64, error) {
+		squareMu.Lock()
+		squareCalls = append(squareCalls, t.Index)
+		fail := squareFail[t.Index]
+		squareMu.Unlock()
+		if fail {
+			return 0, fmt.Errorf("task %d: induced failure", t.Index)
+		}
+		return uint64(t.Index+p.Offset)*uint64(t.Index+p.Offset) ^ t.Seed, nil
+	})
 
 // resetSquare sets which tasks fail and clears the call log.
 func resetSquare(fail ...int) {
@@ -59,9 +61,9 @@ func squareCallsSorted() []int {
 	return out
 }
 
-// TestKindMatchesMapCommit: a kind mapped in process returns what the same
-// function mapped as a closure returns, commits in index order, and keeps
-// the pool's telemetry line unchanged (no process counters in process).
+// TestKindMatchesMapCommit: a kind returns what the same function mapped as
+// a closure returns, commits in index order, and renders the pool's
+// telemetry line.
 func TestKindMatchesMapCommit(t *testing.T) {
 	resetSquare()
 	const n = 23
@@ -88,8 +90,8 @@ func TestKindMatchesMapCommit(t *testing.T) {
 				t.Fatalf("jobs=%d: commit order %v", jobs, order)
 			}
 		}
-		if s := tel.String(); strings.Contains(s, "quarantined=") || !strings.Contains(s, fmt.Sprintf("tasks=%d attempts=%d steals=0", n, n)) {
-			t.Errorf("jobs=%d: in-process telemetry line changed: %q", jobs, s)
+		if s := tel.String(); !strings.Contains(s, fmt.Sprintf("tasks=%d attempts=%d panics=0", n, n)) {
+			t.Errorf("jobs=%d: telemetry line changed: %q", jobs, s)
 		}
 	}
 }
@@ -128,6 +130,78 @@ func TestKindLedgerRetriesExactlyTheFailures(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("resumed results diverge from a clean run:\n got %v\nwant %v", got, want)
+	}
+}
+
+// cancelResult carries a float, so a result replayed from the ledger must
+// round-trip its bits through the ledger's JSON.
+type cancelResult struct {
+	Bits  uint64  `json:"bits"`
+	Joule float64 `json:"joule"`
+}
+
+var cancelKind = NewSetupKind("sched-test-cancel", func(p squareParams) (squareParams, error) { return p, nil },
+	func(_ context.Context, t Task, p squareParams) (cancelResult, error) {
+		return cancelResult{Bits: t.Seed, Joule: float64(t.Seed>>11) / (1 << 53) * float64(t.Index+p.Offset)}, nil
+	})
+
+// TestRunInlineCancel cancels a kind mapped inline (one job) at its third
+// commit and asserts the contract: ctx's error comes back, the committed
+// set is an exact index prefix, and a rerun over the ledger the cancelled
+// map saved replays exactly that prefix, ending with results (float bits
+// included) and a final ledger byte-identical to an uninterrupted run's.
+func TestRunInlineCancel(t *testing.T) {
+	const n = 20
+	p := squareParams{Offset: 5}
+	refDir := t.TempDir()
+	want, _, err := cancelKind.Map(context.Background(), Config{Jobs: 1, Seed: 7, Checkpoint: refDir}, p, n, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	refLedger, err := os.ReadFile(filepath.Join(refDir, "sched-test-cancel.json"))
+	if err != nil {
+		t.Fatalf("reference run left no ledger: %v", err)
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	dir := t.TempDir()
+	cfg := Config{Jobs: 1, Seed: 7, Checkpoint: dir}
+	var committed []int
+	_, _, err = cancelKind.Map(ctx, cfg, p, n, func(task Task, _ cancelResult) {
+		committed = append(committed, task.Index)
+		if len(committed) == 3 {
+			cancel()
+		}
+	})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled map returned %v, want context.Canceled", err)
+	}
+	if len(committed) >= n {
+		t.Fatal("cancel did not stop the map")
+	}
+	for i, idx := range committed {
+		if idx != i {
+			t.Fatalf("commit %d has index %d: %v", i, idx, committed)
+		}
+	}
+
+	resumed, tel, err := cancelKind.Map(context.Background(), cfg, p, n, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tel.Replayed != len(committed) {
+		t.Errorf("resume replayed %d tasks, want the %d committed", tel.Replayed, len(committed))
+	}
+	if !reflect.DeepEqual(resumed, want) {
+		t.Errorf("results drifted after cancel+resume:\n got %v\nwant %v", resumed, want)
+	}
+	gotLedger, err := os.ReadFile(filepath.Join(dir, "sched-test-cancel.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(gotLedger, refLedger) {
+		t.Error("final ledger after cancel+resume is not byte-identical to the uninterrupted run's")
 	}
 }
 

@@ -1,7 +1,6 @@
 // The checkpoint ledger: a JSON record of every task a kind map finished
-// without error, written atomically and throttled, so an interrupted map —
-// cancelled, or with every worker node lost — resumes from what it finished
-// instead of re-measuring. The ledger is keyed by (kind, seed, task count,
+// without error, written atomically and throttled, so an interrupted map
+// resumes from what it finished instead of re-measuring. The ledger is keyed by (kind, seed, task count,
 // params hash); a stale or corrupt file is ignored with a note, never
 // trusted. Failed tasks are never recorded, so a rerun re-attempts exactly
 // the failures.

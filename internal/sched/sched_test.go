@@ -177,7 +177,7 @@ func TestMapEmptyAndTelemetryRender(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := tel.String()
-	for _, want := range []string{"jobs=", "attempts=6", "steals=0", "straggler=#"} {
+	for _, want := range []string{"jobs=", "attempts=6", "panics=0", "straggler=#"} {
 		if !strings.Contains(s, want) {
 			t.Errorf("telemetry render %q missing %q", s, want)
 		}

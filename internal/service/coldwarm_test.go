@@ -7,9 +7,8 @@ import (
 	"testing"
 
 	"jepo/internal/core"
+	"jepo/internal/corpus"
 	"jepo/internal/engine"
-	"jepo/internal/minijava/interp"
-	"jepo/internal/sched"
 	"jepo/internal/tables"
 )
 
@@ -44,7 +43,11 @@ func TestStoreColdThenWarm(t *testing.T) {
 			return RenderTable2(rows), nil
 		}},
 		{"corpus", func() (string, error) {
-			rep, _, err := core.AnalyzeCorpus(ctx, sched.Config{Jobs: 2, Seed: seed}, "J48", seed, interp.EngineVM)
+			p, err := corpus.Generate("J48", seed)
+			if err != nil {
+				return "", err
+			}
+			rep, _, err := core.AnalyzeAll(ctx, p, core.AnalyzeConfig{Jobs: 2})
 			if err != nil {
 				return "", err
 			}

@@ -11,8 +11,7 @@
 //
 // Routes:
 //
-//	POST   /v1/sessions                   -> {"id": "s1"}
-//	GET    /v1/sessions                   -> {"sessions": [...]}
+//	POST   /v1/sessions                   -> {"id": "<32 hex digits>"}
 //	DELETE /v1/sessions/{id}
 //	PUT    /v1/sessions/{id}/files/{path...}   (body = source text)
 //	GET    /v1/sessions/{id}/files        -> {"files": [...]}
@@ -57,9 +56,6 @@ func Handler(svc *Service) http.Handler {
 			return
 		}
 		writeJSON(w, http.StatusCreated, map[string]string{"id": s.ID()})
-	})
-	mux.HandleFunc("GET /v1/sessions", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, map[string]any{"sessions": svc.Sessions()})
 	})
 	mux.HandleFunc("DELETE /v1/sessions/{id}", func(w http.ResponseWriter, r *http.Request) {
 		s, err := svc.Session(r.PathValue("id"))
@@ -181,7 +177,7 @@ func Handler(svc *Service) http.Handler {
 				"queued":   gs.Queued,
 			},
 			"cache":    cs.String(),
-			"sessions": len(svc.Sessions()),
+			"sessions": svc.SessionCount(),
 		})
 	})
 	return mux

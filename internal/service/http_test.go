@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"regexp"
 	"strings"
 	"testing"
 )
@@ -53,6 +54,26 @@ func createHTTPSession(t *testing.T, ts *httptest.Server) string {
 		t.Fatal(err)
 	}
 	return out.ID
+}
+
+// TestSessionIDsUnguessableAndUnlisted: two sessions get distinct
+// 32-digit hex IDs (128 random bits), and no route lists the open sessions,
+// so a client reaches only the sessions whose IDs it was handed.
+func TestSessionIDsUnguessableAndUnlisted(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	hexID := regexp.MustCompile(`^[0-9a-f]{32}$`)
+	a, b := createHTTPSession(t, ts), createHTTPSession(t, ts)
+	for _, id := range []string{a, b} {
+		if !hexID.MatchString(id) {
+			t.Errorf("session ID %q is not 32 lowercase hex digits", id)
+		}
+	}
+	if a == b {
+		t.Errorf("two sessions share the ID %q", a)
+	}
+	if resp, body := do(t, "GET", ts.URL+"/v1/sessions", "", nil); resp.StatusCode != http.StatusMethodNotAllowed {
+		t.Errorf("GET /v1/sessions = %d %q, want 405", resp.StatusCode, body)
+	}
 }
 
 // TestHTTPAnalyzeRaw is the serve gate's identity contract in miniature:

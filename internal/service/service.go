@@ -16,6 +16,8 @@ package service
 
 import (
 	"context"
+	"crypto/rand"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"runtime"
@@ -67,7 +69,6 @@ type Service struct {
 
 	mu       sync.Mutex
 	sessions map[string]*Session
-	seq      int
 	closed   bool
 }
 
@@ -94,17 +95,22 @@ func (svc *Service) Store() *engine.Engine { return svc.store }
 // GateStats reports the admission gate's counters.
 func (svc *Service) GateStats() sched.GateStats { return svc.gate.Stats() }
 
-// CreateSession opens a new empty session.
+// CreateSession opens a new empty session. Its ID is 128 random bits,
+// hex-encoded, and no route lists the open IDs, so a client reaches only
+// the sessions whose IDs it was handed.
 func (svc *Service) CreateSession() (*Session, error) {
+	var id [16]byte
+	if _, err := rand.Read(id[:]); err != nil {
+		return nil, err
+	}
 	svc.mu.Lock()
 	defer svc.mu.Unlock()
 	if svc.closed {
 		return nil, ErrClosed
 	}
-	svc.seq++
 	s := &Session{
 		svc:   svc,
-		id:    fmt.Sprintf("s%d", svc.seq),
+		id:    hex.EncodeToString(id[:]),
 		files: make(map[string]string),
 	}
 	svc.sessions[s.id] = s
@@ -122,18 +128,11 @@ func (svc *Service) Session(id string) (*Session, error) {
 	return s, nil
 }
 
-// Sessions returns the open session IDs in creation order.
-func (svc *Service) Sessions() []string {
+// SessionCount returns the number of open sessions.
+func (svc *Service) SessionCount() int {
 	svc.mu.Lock()
 	defer svc.mu.Unlock()
-	ids := make([]string, 0, len(svc.sessions))
-	for id := range svc.sessions {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool {
-		return len(ids[i]) < len(ids[j]) || (len(ids[i]) == len(ids[j]) && ids[i] < ids[j])
-	})
-	return ids
+	return len(svc.sessions)
 }
 
 // Close closes the service and every open session. In-flight requests run

@@ -20,8 +20,7 @@ import (
 )
 
 // table4Inputs is what every Table IV row shares: the generated airlines
-// data and the normalized kernel features, built once per map in process
-// and once per worker process.
+// data and the normalized kernel features, built once per map.
 type table4Inputs struct {
 	cfg    Table4Config
 	data   *dataset.Dataset
@@ -63,11 +62,11 @@ func Table4Supervised(ctx context.Context, cfg Table4Config) ([]Table4Row, error
 	return rows, err
 }
 
-// Table4Map runs the supervised Table IV at the placement ex names, one
-// row per classifier in paper order, failed rows carrying Err. With
+// Table4Map runs the supervised Table IV ex.Jobs rows at a time, one row
+// per classifier in paper order, failed rows carrying Err. With
 // ex.Checkpoint set, rows a previous run finished are replayed from its
-// ledger. The returned error covers infrastructure only: cancellation, an
-// unusable checkpoint directory, or every worker node lost.
+// ledger. The returned error covers infrastructure only: cancellation or an
+// unusable checkpoint directory.
 func Table4Map(ctx context.Context, ex sched.Config, cfg Table4Config) ([]Table4Row, sched.Telemetry, error) {
 	rows, tel, err := table4Kind.Map(ctx, ex, cfg, len(corpus.Classifiers), nil)
 	var failed sched.Errors

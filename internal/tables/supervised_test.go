@@ -16,7 +16,6 @@ import (
 	"time"
 
 	"jepo/internal/corpus"
-	"jepo/internal/dist"
 	"jepo/internal/sched"
 	"jepo/internal/stats"
 )
@@ -37,8 +36,7 @@ func fakeRow(name string, cfg Table4Config) Table4Row {
 
 // fakeRows swaps the row pipeline, until the test ends, for one that answers
 // every classifier with its fakeRow, so supervision and resume tests never
-// run a real pipeline, except the poisoned ones, whose pipeline panics: a
-// row failure that — unlike RowHook — also strikes inside pipe workers.
+// run a real pipeline, except the poisoned ones, whose pipeline panics.
 func fakeRows(t *testing.T, poisoned ...string) {
 	prev := table4Row
 	t.Cleanup(func() { table4Row = prev })
@@ -48,17 +46,6 @@ func fakeRows(t *testing.T, poisoned ...string) {
 		}
 		return fakeRow(name, in.cfg), nil
 	}
-}
-
-// without lists the classifiers not named.
-func without(names ...string) []string {
-	var out []string
-	for _, c := range corpus.Classifiers {
-		if !contains(names, c) {
-			out = append(out, c)
-		}
-	}
-	return out
 }
 
 func contains(names []string, name string) bool {
@@ -364,51 +351,6 @@ func TestTable4ResumeKeyedByConfig(t *testing.T) {
 				t.Errorf("run resumed over another configuration's ledger:\n%s\nfresh run:\n%s", got, want)
 			}
 		})
-	}
-}
-
-// TestTable4PipeWorkersRetryFailedRows is the regression test for failed
-// rows recorded as results under process placement: on pipe workers, a
-// checkpointed run whose rows failed must leave them out of the ledger, so
-// the rerun re-attempts exactly those rows and replays the successful ones.
-func TestTable4PipeWorkersRetryFailedRows(t *testing.T) {
-	failing := []string{"J48", "SMO", "IBk"}
-	cfg := Table4Config{Seed: 5, Instances: 50}
-	ex := sched.Config{
-		Workers:    2,
-		Seed:       cfg.Seed,
-		Checkpoint: t.TempDir(),
-		Spawn:      dist.PipeSpawner(sched.Handle),
-	}
-	// Pipe workers run in this process, so they see the swapped pipeline.
-	// The first run fails the three rows; the rerun can only succeed on
-	// those three and fails the other seven unless the ledger replays them.
-	fakeRows(t, failing...)
-	rows, _, err := Table4Map(context.Background(), ex, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var failed []string
-	for _, r := range FailedRows(rows) {
-		failed = append(failed, r.Classifier)
-	}
-	sort.Strings(failed)
-	if want := []string{"IBk", "J48", "SMO"}; !reflect.DeepEqual(failed, want) {
-		t.Fatalf("first run failed %v, want %v", failed, want)
-	}
-
-	fakeRows(t, without(failing...)...)
-	rows, tel, err := Table4Map(context.Background(), ex, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range rows {
-		if want := fakeRow(r.Classifier, cfg); r != want {
-			t.Errorf("rerun %s = %+v, want %+v", r.Classifier, r, want)
-		}
-	}
-	if want := len(corpus.Classifiers) - len(failing); tel.Replayed != want {
-		t.Errorf("rerun replayed %d rows, want the %d successes (%s)", tel.Replayed, want, tel)
 	}
 }
 

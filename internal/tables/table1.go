@@ -275,42 +275,28 @@ func Table1(ctx context.Context, engine interp.Engine) ([]Table1Row, error) {
 	return rows, err
 }
 
-// table1Kind measures one component pair by paper-order index: both
-// variants on fresh parser/interpreter/meter instances, so pairs are fully
-// independent of each other.
-var table1Kind = sched.NewKind("table1", func(ctx context.Context, t sched.Task, engine interp.Engine) (Table1Row, error) {
-	if t.Index < 0 || t.Index >= len(table1Benches) {
-		return Table1Row{}, fmt.Errorf("tables: table 1 pair %d out of range", t.Index)
-	}
-	b := table1Benches[t.Index]
-	slow, err := measureBench(ctx, b.slow, engine)
-	if err != nil {
-		return Table1Row{}, fmt.Errorf("tables: %v slow variant: %w", b.rule, err)
-	}
-	fast, err := measureBench(ctx, b.fast, engine)
-	if err != nil {
-		return Table1Row{}, fmt.Errorf("tables: %v fast variant: %w", b.rule, err)
-	}
-	return Table1Row{
-		Rule:        b.rule,
-		Component:   b.rule.Component(),
-		Suggestion:  b.rule.Text(),
-		PaperClaim:  b.paperClaim,
-		MeasuredPct: 100 * (float64(slow)/float64(fast) - 1),
-	}, nil
-})
-
-// Table1Jobs measures the Table I component pairs on a jobs-wide pool.
+// Table1Jobs measures the Table I component pairs on a jobs-wide pool. Each
+// pair runs both variants on fresh parser/interpreter/meter instances, so
+// pairs are independent; committed in paper order they are bit-identical at
+// any width.
 func Table1Jobs(ctx context.Context, engine interp.Engine, jobs int) ([]Table1Row, sched.Telemetry, error) {
-	return Table1Map(ctx, sched.Config{Jobs: jobs}, engine)
-}
-
-// Table1Map measures the Table I component pairs at the placement ex
-// names. Each pair builds its own parser/interpreter/meter instances, so
-// rows are independent; committed in paper order they are bit-identical at
-// any width and placement.
-func Table1Map(ctx context.Context, ex sched.Config, engine interp.Engine) ([]Table1Row, sched.Telemetry, error) {
-	return table1Kind.Map(ctx, ex, engine, len(table1Benches), nil)
+	return sched.Map(ctx, sched.Config{Jobs: jobs}, table1Benches, func(_ sched.Task, b table1Bench) (Table1Row, error) {
+		slow, err := measureBench(ctx, b.slow, engine)
+		if err != nil {
+			return Table1Row{}, fmt.Errorf("tables: %v slow variant: %w", b.rule, err)
+		}
+		fast, err := measureBench(ctx, b.fast, engine)
+		if err != nil {
+			return Table1Row{}, fmt.Errorf("tables: %v fast variant: %w", b.rule, err)
+		}
+		return Table1Row{
+			Rule:        b.rule,
+			Component:   b.rule.Component(),
+			Suggestion:  b.rule.Text(),
+			PaperClaim:  b.paperClaim,
+			MeasuredPct: 100 * (float64(slow)/float64(fast) - 1),
+		}, nil
+	})
 }
 
 // RenderTable1 lays the rows out like the paper's Table I, with the measured

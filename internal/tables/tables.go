@@ -34,25 +34,15 @@ func Table2(ctx context.Context, seed uint64) ([]jmetrics.Metrics, error) {
 	return rows, err
 }
 
-// Table2Parallel measures the Table II rows on a jobs-wide pool.
-func Table2Parallel(ctx context.Context, seed uint64, jobs int) ([]jmetrics.Metrics, sched.Telemetry, error) {
-	return Table2Map(ctx, sched.Config{Jobs: jobs, Seed: seed}, seed)
-}
-
-// Table2Map measures the Table II rows for the corpora generated from seed
-// at the placement ex names. Every classifier's corpus generation, parsing
+// Table2Parallel measures the Table II rows for the corpora generated from
+// seed on a jobs-wide pool. Every classifier's corpus generation, parsing
 // and metric measurement is fully independent, and rows are committed in
-// paper order, so the result is bit-identical at any width and placement.
-func Table2Map(ctx context.Context, ex sched.Config, seed uint64) ([]jmetrics.Metrics, sched.Telemetry, error) {
-	return table2Kind.Map(ctx, ex, seed, len(corpus.Classifiers), nil)
+// paper order, so the result is bit-identical at any width.
+func Table2Parallel(ctx context.Context, seed uint64, jobs int) ([]jmetrics.Metrics, sched.Telemetry, error) {
+	return sched.Map(ctx, sched.Config{Jobs: jobs, Seed: seed}, corpus.Classifiers, func(_ sched.Task, name string) (jmetrics.Metrics, error) {
+		return Table2Row(name, seed)
+	})
 }
-
-var table2Kind = sched.NewKind("table2", func(_ context.Context, t sched.Task, seed uint64) (jmetrics.Metrics, error) {
-	if t.Index < 0 || t.Index >= len(corpus.Classifiers) {
-		return jmetrics.Metrics{}, fmt.Errorf("tables: table 2 row %d out of range", t.Index)
-	}
-	return Table2Row(corpus.Classifiers[t.Index], seed)
-})
 
 // Table2Row measures one classifier's Table II metrics: its own corpus
 // generation, parse and measurement, fully independent of the other rows.
@@ -102,8 +92,9 @@ type Table4Row struct {
 }
 
 // Table4Config parameterizes the §VIII experiment. It is the params of the
-// Table IV kind, so it crosses to worker processes as JSON; the fields a
-// worker cannot honor stay behind.
+// Table IV kind, so its JSON is the identity of the -checkpoint ledger: a
+// rerun resumes only from a ledger written under the same configuration.
+// The pool width, the narration and the test hook are not part of it.
 type Table4Config struct {
 	Seed      uint64
 	Instances int            // airlines rows for kernels and cross-validation
@@ -113,14 +104,14 @@ type Table4Config struct {
 	Slots     int            `json:"-"` // Table4Supervised's row pool width (0 = GOMAXPROCS)
 	CVJobs    int            // fold-training workers inside each row's cross-validation (0 = 1)
 	Engine    interp.Engine  // execution engine (zero value = bytecode VM)
-	// Progress, when set, receives per-row narration (in process only).
+	// Progress, when set, receives per-row narration.
 	Progress func(string) `json:"-"`
 
 	// RowTimeout is the per-classifier deadline (0 = none).
 	RowTimeout time.Duration
 	// RowHook runs inside the row's supervisor before its pipeline; a
 	// non-nil error (or panic) fails the row. It is the fault-injection seam
-	// the resilience tests use, and never leaves the process.
+	// the resilience tests use.
 	RowHook func(classifier string) error `json:"-"`
 }
 
@@ -131,8 +122,7 @@ type kernelMeasurement struct {
 }
 
 // table4Row is the row pipeline superviseRow runs. It is a variable only so
-// the supervision tests can swap in fake rows; pipe workers run in the test
-// process, so they see the swap too.
+// the supervision tests can swap in fake rows.
 var table4Row = measureTable4Row
 
 // measureTable4Row runs the full validation pipeline for one classifier:

@@ -59,27 +59,18 @@ echo "== sched diff =="
 # merge to identical results and commit-order joule sums at any parallelism.
 go test -tags scheddiff -run SchedDifferentialFuzz ./internal/sched
 
-echo "== dist diff =="
-# Differential fuzz for the executor's process placement over the dist
-# transport: random task counts, worker counts and chaos plans (kills,
-# hangs, slow-walks, corrupted replies) on pipe workers must merge to
-# results, commit ledgers and commit-order joule sums that are bit-identical
-# to the in-process run.
-go test -tags distdiff -run DistDifferentialFuzz ./internal/dist
-
-echo "== golden battery: both engines, cold and warm, across -jobs and -workers =="
+echo "== golden battery: both engines, cold and warm, across -jobs =="
 # The golden energy battery must reproduce the golden file bit for bit on
 # both engines cold (Determinism), agree bit for bit between engines when
 # each case runs twice on one instance so the VM executes its quickened
 # copies (WarmExecution), survive sharding over the pool at -jobs 1, 4
-# and GOMAXPROCS (SchedJobs), survive process placement on pipe workers
-# speaking the JSON protocol, with a mid-map kill (DistWorkers), and
-# reproduce the golden through the artifact engine, linking from parse
-# checkouts of cached masters, cold and warm (EngineCache).
+# and GOMAXPROCS (SchedJobs), and reproduce the golden through the artifact
+# engine, linking from parse checkouts of cached masters, cold and warm
+# (EngineCache).
 # The golden is also priced from its own recorded counts and must match its
 # recorded bits (PricedFromCounts): the meter's samples are a pure function
 # of op counts, cache hits and cache misses.
-go test -run 'GoldenEnergyDeterminism|GoldenEnergyWarmExecution|GoldenEnergySchedJobs|GoldenEnergyDistWorkers|GoldenEnergyEngineCache|GoldenEnergyPricedFromCounts' ./internal/tables
+go test -run 'GoldenEnergyDeterminism|GoldenEnergyWarmExecution|GoldenEnergySchedJobs|GoldenEnergyEngineCache|GoldenEnergyPricedFromCounts' ./internal/tables
 
 echo "== -jobs byte-identity =="
 # CLI stdout must be byte-identical at any -jobs value (pool telemetry goes
@@ -143,31 +134,6 @@ echo "== hostile input =="
 # while a benign session keeps its normal bytes.
 go test -run '^TestHostileInputKeepsServing$' ./internal/service
 
-echo "== -workers byte-identity =="
-# Process placement is a pure wall-clock knob too: the corpus kind and
-# jperf's measure kind, run on two re-exec'd worker processes, must print
-# exactly what the in-process run prints.
-go run ./cmd/jepo corpus -classifier J48 -workers 2 >"$tmpdir/corpus.w2" 2>/dev/null
-if ! cmp -s "$tmpdir/corpus.1" "$tmpdir/corpus.w2"; then
-    echo "jepo corpus stdout differs between -jobs 1 and -workers 2" >&2
-    diff -u "$tmpdir/corpus.1" "$tmpdir/corpus.w2" >&2 || true
-    exit 1
-fi
-go run ./cmd/jperf -r 3 -jobs 1 examples/java/EnergyDemo.java >"$tmpdir/jperf.1" 2>/dev/null
-go run ./cmd/jperf -r 3 -workers 2 examples/java/EnergyDemo.java >"$tmpdir/jperf.w2" 2>/dev/null
-if ! cmp -s "$tmpdir/jperf.1" "$tmpdir/jperf.w2"; then
-    echo "jperf stdout differs between -jobs 1 and -workers 2" >&2
-    diff -u "$tmpdir/jperf.1" "$tmpdir/jperf.w2" >&2 || true
-    exit 1
-fi
-
-echo "== -workers byte-identity under faults =="
-# The fault drill: Table II on four real worker processes with one killed
-# and one hung mid-map must quarantine both nodes, finish the table, and
-# render exactly what the sequential run prints. The test installs the
-# chaos harness on the executor's spawner.
-go test -run '^TestWorkersFaultDrill$' ./cmd/wekaexp
-
 echo "== jepo analyze golden =="
 # Rule drift shows up here the way energy drift shows up in golden_test.go:
 # the analyzer's measured diagnostic listing over the example corpus must
@@ -182,13 +148,15 @@ fi
 echo "== jperf golden =="
 # Measurement drift shows up here: the example program's perf-stat report
 # (simulated joules, cycles and elapsed time) must match the checked-in
-# golden byte for byte.
-if ! go run ./cmd/jperf -r 3 -jobs 1 examples/java/EnergyDemo.java 2>/dev/null | diff -u examples/java/golden_jperf.txt -; then
-    echo "jperf output drifted from examples/java/golden_jperf.txt" >&2
-    echo "regenerate (after auditing the diff) with:" >&2
-    echo "    go run ./cmd/jperf -r 3 -jobs 1 examples/java/EnergyDemo.java > examples/java/golden_jperf.txt" >&2
-    exit 1
-fi
+# golden byte for byte, inline and with the runs sharded over the pool.
+for jobs in 1 2; do
+    if ! go run ./cmd/jperf -r 3 -jobs "$jobs" examples/java/EnergyDemo.java 2>/dev/null | diff -u examples/java/golden_jperf.txt -; then
+        echo "jperf -jobs $jobs output drifted from examples/java/golden_jperf.txt" >&2
+        echo "regenerate (after auditing the diff) with:" >&2
+        echo "    go run ./cmd/jperf -r 3 -jobs 1 examples/java/EnergyDemo.java > examples/java/golden_jperf.txt" >&2
+        exit 1
+    fi
+done
 
 echo "== jperf disasm golden =="
 # Compiler drift shows up as a bytecode diff: the example program's
