@@ -1,7 +1,7 @@
 // Profiler example: find the energy-hungry method in a multi-method program,
-// exactly as the paper's Fig. 4 profiler view does — every method gets
-// JEPO.enter/JEPO.exit probes injected, each probe reads the RAPL counters,
-// and each execution of each method is recorded separately into result.txt.
+// exactly as the paper's Fig. 4 profiler view does — every method gets an
+// entry and an exit probe, each probe reads the RAPL counters, and each
+// execution of each method is recorded separately into result.txt.
 package main
 
 import (

@@ -155,7 +155,7 @@ type ProfileConfig struct {
 	Cache *engine.Engine
 }
 
-// Profile instruments every method of the project with JEPO.enter/exit
+// Profile instruments every method of the project with entry and exit
 // probes, executes the main class, and returns per-execution measurements —
 // the library form of the "JEPO profiler" pop-up action. Cancelling ctx
 // aborts the run mid-interpretation and returns ctx's error.

@@ -21,9 +21,10 @@ func (k Key) String() string { return hex.EncodeToString(k[:8]) }
 // a function of the part sequence, not of the concatenated bytes.
 type Hasher struct {
 	h hash.Hash
-	// buf carries string parts into h, which only takes []byte: copying
-	// through a fixed buffer costs no allocation, where []byte(s) would copy
-	// every source into a fresh one.
+	// buf carries every part into h, which only takes []byte: copying
+	// through a buffer the Hasher already owns costs no allocation, where
+	// []byte(s) would copy every source into a fresh one and a local array
+	// handed to h.Write would escape to the heap. Key sums into it too.
 	buf [256]byte
 }
 
@@ -37,9 +38,8 @@ func NewKey(stage string) *Hasher {
 
 // Str appends one string part.
 func (h *Hasher) Str(s string) *Hasher {
-	var n [8]byte
-	binary.LittleEndian.PutUint64(n[:], uint64(len(s)))
-	h.h.Write(n[:])
+	binary.LittleEndian.PutUint64(h.buf[:8], uint64(len(s)))
+	h.h.Write(h.buf[:8])
 	for len(s) > 0 {
 		k := copy(h.buf[:], s)
 		h.h.Write(h.buf[:k])
@@ -50,16 +50,15 @@ func (h *Hasher) Str(s string) *Hasher {
 
 // Int appends one integer part.
 func (h *Hasher) Int(v int64) *Hasher {
-	var n [9]byte
-	n[0] = 0xb1 // tag byte distinguishing ints from string length prefixes
-	binary.LittleEndian.PutUint64(n[1:], uint64(v))
-	h.h.Write(n[:])
+	h.buf[0] = 0xb1 // tag byte distinguishing ints from string length prefixes
+	binary.LittleEndian.PutUint64(h.buf[1:9], uint64(v))
+	h.h.Write(h.buf[:9])
 	return h
 }
 
 // Key finalizes the accumulated parts.
 func (h *Hasher) Key() Key {
 	var k Key
-	h.h.Sum(k[:0])
+	copy(k[:], h.h.Sum(h.buf[:0]))
 	return k
 }

@@ -32,3 +32,21 @@ func TestKeyEncoding(t *testing.T) {
 		t.Fatalf("key %s does not match the length-prefixed encoding", got)
 	}
 }
+
+// TestParseFileHitAllocs bounds the allocations of a parse-store hit at the
+// master's own path: the hasher and its sha256 state, nothing per key part.
+func TestParseFileHitAllocs(t *testing.T) {
+	e := New(Config{})
+	src := "class A { int f() { return 1; } }"
+	if _, err := e.ParseFile("A.java", src); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, err := e.ParseFile("A.java", src); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 2 {
+		t.Errorf("ParseFile store hit allocates %v times, want at most 2", allocs)
+	}
+}

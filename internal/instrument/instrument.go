@@ -1,17 +1,10 @@
 // Package instrument reproduces JEPO's profiler-side code injection. The
 // paper injects MSR-reading probes into the bytecode of every method with
-// Javassist; here the same effect is achieved as an AST transformation that
-// wraps each method body in
-//
-//	JEPO.enter("pkg.Class.method");
-//	try {
-//	    ... original body ...
-//	} finally {
-//	    JEPO.exit("pkg.Class.method");
-//	}
-//
-// The JEPO builtin routes the events to an interp.ProbeHook — the profile
-// package implements the hook and takes the RAPL readings.
+// Javassist; here every method gets a probe label (ast.Method.Probe) naming
+// it "pkg.Class.method", and both execution engines fire the interpreter's
+// interp.ProbeHook with that label at method entry and exit. The method
+// bodies are left as parsed. The profile package implements the hook and
+// takes the RAPL readings.
 package instrument
 
 import (
@@ -27,10 +20,10 @@ func MethodName(pkg, class, method string) string {
 	return pkg + "." + class + "." + method
 }
 
-// Inject instruments every method (including constructors) of every class in
-// the given files, in place, and returns the number of methods instrumented.
-// It panics on a frozen file (a read-only parse master): instrument an
-// ast.CloneFile copy.
+// Inject labels every method (including constructors) of every class in the
+// given files for probing, in place, and returns the number of methods
+// labelled. It panics on a frozen file (a read-only parse master): instrument
+// an ast.CloneFile copy.
 func Inject(files ...*ast.File) int {
 	for _, f := range files {
 		if f.Frozen() {
@@ -44,55 +37,10 @@ func Inject(files ...*ast.File) int {
 				if m.Body == nil {
 					continue
 				}
-				injectMethod(f.Package, c.Name, m)
+				m.Probe = MethodName(f.Package, c.Name, m.Name)
 				n++
 			}
 		}
 	}
 	return n
-}
-
-func injectMethod(pkg, class string, m *ast.Method) {
-	name := MethodName(pkg, class, m.Name)
-	pos := m.Pos
-	probe := func(fn string) ast.Stmt {
-		return &ast.ExprStmt{Pos: pos, X: &ast.Call{
-			Pos:  pos,
-			Recv: &ast.Ident{Pos: pos, Name: "JEPO"},
-			Name: fn,
-			Args: []ast.Expr{&ast.Literal{Pos: pos, Kind: ast.LitString, S: name,
-				Raw: "\"" + name + "\""}},
-		}}
-	}
-	original := &ast.Block{Pos: pos, Stmts: m.Body.Stmts}
-	m.Body = &ast.Block{Pos: pos, Stmts: []ast.Stmt{
-		probe("enter"),
-		&ast.Try{
-			Pos:     pos,
-			Block:   original,
-			Finally: &ast.Block{Pos: pos, Stmts: []ast.Stmt{probe("exit")}},
-		},
-	}}
-}
-
-// IsInstrumented reports whether a method already carries the probe pattern,
-// so double instrumentation can be avoided.
-func IsInstrumented(m *ast.Method) bool {
-	if m.Body == nil || len(m.Body.Stmts) != 2 {
-		return false
-	}
-	es, ok := m.Body.Stmts[0].(*ast.ExprStmt)
-	if !ok {
-		return false
-	}
-	call, ok := es.X.(*ast.Call)
-	if !ok || call.Name != "enter" {
-		return false
-	}
-	recv, ok := call.Recv.(*ast.Ident)
-	if !ok || recv.Name != "JEPO" {
-		return false
-	}
-	tr, ok := m.Body.Stmts[1].(*ast.Try)
-	return ok && tr.Finally != nil
 }

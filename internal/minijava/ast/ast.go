@@ -179,6 +179,11 @@ type Method struct {
 	// the table itself is filled on the program's first run, and its entry
 	// is empty when the method has no lowering (the tree-walker runs it).
 	CIx int32
+
+	// Probe is the profiler label instrument.Inject gives the method ("" =
+	// unprobed). Both engines fire the interpreter's probe hook with it at
+	// method entry and exit; the body itself is never rewritten.
+	Probe string
 }
 
 // Node is any AST node carrying a position.

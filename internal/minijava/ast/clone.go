@@ -3,9 +3,10 @@ package ast
 // CloneFile returns a deep, writable copy of a compilation unit. Every node
 // is duplicated, including the interpreter's load-time annotation fields
 // (Ident.RSlot/RKind/RIx, call-site SiteIx, Method.NSlots/CIx, LocalVar and
-// Catch slots), so a clone of a pristine parse is itself pristine and a clone
-// of a loaded file reproduces its resolution state exactly. The copy is never
-// frozen, even when f is.
+// Catch slots) and the profiler's Method.Probe label, so a clone of a
+// pristine parse is itself pristine and a clone of a loaded or instrumented
+// file reproduces its state exactly. The copy is never frozen, even when f
+// is.
 //
 // It is the one way to write to a parse master: the artifact store hands
 // masters out read-only, and every caller that links, instruments or
@@ -71,7 +72,7 @@ func cloneMethod(m *Method) *Method {
 	}
 	out := &Method{
 		Pos: m.Pos, Mods: m.Mods, Ret: m.Ret, Name: m.Name,
-		IsCtor: m.IsCtor, NSlots: m.NSlots, CIx: m.CIx,
+		IsCtor: m.IsCtor, NSlots: m.NSlots, CIx: m.CIx, Probe: m.Probe,
 		Body: cloneBlock(m.Body),
 	}
 	if m.Params != nil {

@@ -3,7 +3,7 @@ package bytecode
 import "jepo/internal/minijava/ast"
 
 // This file is the post-compilation pass: basic-block partitioning and
-// compile-time quickening. Finalize runs after probe injection and patches
+// compile-time quickening. Finalize runs after compilation and patches
 // Func.Code in place of the stream the compiler emitted.
 //
 // The pass is exact because it moves nothing:
@@ -14,8 +14,7 @@ import "jepo/internal/minijava/ast"
 //     the instruction that incurs it, in the order the compiler emitted it,
 //     so the meter sees the tree-walker's exact call sequence.
 //   - Block leaders are recorded for the disassembler only; the VM runs
-//     straight through them. Probe opcodes are leaders because the profiler
-//     snapshots the meter at them.
+//     straight through them.
 
 // isJump reports whether op transfers control via the A offset.
 func isJump(op Op) bool {
@@ -28,15 +27,15 @@ func isJump(op Op) bool {
 	return false
 }
 
-// Finalize rewrites a compiled (and probe-injected) function into the form
+// Finalize rewrites a compiled function into the form
 // the VM runs: leaders are recorded, load-resolved identifier accesses are
 // quickened at compile time, and inline-cache slots are numbered.
 func Finalize(fn *Func) {
 	code := fn.Code
 	n := len(code)
 
-	// Basic-block leaders: entry, jump targets, fall-throughs after jumps
-	// and terminators, and probe opcodes (measurement seams).
+	// Basic-block leaders: entry, jump targets, and fall-throughs after
+	// jumps and terminators.
 	leader := make([]bool, n+1)
 	leader[0] = true
 	for pc := range code {
@@ -46,9 +45,6 @@ func Finalize(fn *Func) {
 			leader[pc+int(ins.A)] = true
 			leader[pc+1] = true
 		case ins.Op == OpRet || ins.Op == OpRetVoid || ins.Op == OpThrow:
-			leader[pc+1] = true
-		case ins.Op == OpProbeEnter || ins.Op == OpProbeExit:
-			leader[pc] = true
 			leader[pc+1] = true
 		}
 	}

@@ -8,12 +8,10 @@ import (
 	"jepo/internal/minijava/token"
 )
 
-// Compile lowers one resolved method to bytecode. body overrides m.Body when
-// non-nil (the probe injector compiles the original body it extracts from the
-// AST-level instrumentation pattern). Compile returns nil when the method uses
-// a construct the VM has no lowering for (try/catch, break or continue outside
-// a loop); such methods stay on the tree-walker, which is bit-identical by
-// definition.
+// Compile lowers one resolved method to bytecode. It returns nil when the
+// method uses a construct the VM has no lowering for (try/catch, break or
+// continue outside a loop); such methods stay on the tree-walker, which is
+// bit-identical by definition.
 //
 // The invariant the compiler maintains is charge identity: between any two
 // meter reads, executing the emitted instructions charges the same op counts
@@ -22,12 +20,9 @@ import (
 // and counts the same total of op-budget steps. Walker steps that produce no instruction of their own are folded into
 // the Steps field of the next emitted instruction (flushed as a standalone
 // OpStep before jump targets so no path double- or under-counts).
-func Compile(className string, m *ast.Method, body *ast.Block) (fn *Func) {
+func Compile(className string, m *ast.Method) (fn *Func) {
 	if m.Body == nil {
 		return nil
-	}
-	if body == nil {
-		body = m.Body
 	}
 	nslots := int(m.NSlots)
 	if nslots < len(m.Params) {
@@ -47,7 +42,7 @@ func Compile(className string, m *ast.Method, body *ast.Block) (fn *Func) {
 			panic(r)
 		}
 	}()
-	c.stmt(body)
+	c.stmt(m.Body)
 	// Falling off the end of the body: the walker's invoke treats it as a
 	// void completion with no return-value coercion (B=0 marks "implicit").
 	c.emit(Instr{Op: OpRetVoid})

@@ -28,7 +28,7 @@ func compileMethod(t *testing.T, src, method string) *bytecode.Func {
 	for _, cl := range f.Classes {
 		for _, m := range cl.Methods {
 			if m.Name == method {
-				fn := bytecode.Compile(cl.Name, m, nil)
+				fn := bytecode.Compile(cl.Name, m)
 				if fn == nil {
 					t.Fatalf("method %s did not compile (tree-walker fallback)", method)
 				}
@@ -149,10 +149,10 @@ func TestCompileSkipsUnresolvedMethods(t *testing.T) {
 	// Without interp.Load no slots are resolved, so Compile must decline
 	// rather than produce a wrong frame layout.
 	m := f.Classes[0].Methods[0]
-	if fn := bytecode.Compile("T", m, nil); fn != nil && len(m.Params) > 0 {
+	if fn := bytecode.Compile("T", m); fn != nil && len(m.Params) > 0 {
 		t.Error("unresolved method must fall back to the tree-walker")
 	}
-	if fn := bytecode.Compile("T", &ast.Method{Name: "empty"}, nil); fn != nil {
+	if fn := bytecode.Compile("T", &ast.Method{Name: "empty"}); fn != nil {
 		t.Error("bodyless method must compile to nil")
 	}
 }
@@ -173,44 +173,5 @@ func TestDisasmDeterministic(t *testing.T) {
 		if !strings.Contains(a, want) {
 			t.Errorf("disassembly missing %q:\n%s", want, a)
 		}
-	}
-}
-
-func TestInjectProbesRewritesEveryReturn(t *testing.T) {
-	cases := map[string]string{
-		"value return": `class T { static int f(int x) {
-			if (x > 0) { return x; }
-			return -x;
-		} }`,
-		"explicit void": `class T { static void f(int x) {
-			if (x > 0) { return; }
-			x = x + 1;
-		} }`,
-		"implicit fall-off": `class T { static void f(int x) { x = x + 1; } }`,
-	}
-	for name, src := range cases {
-		name, src := name, src
-		t.Run(name, func(t *testing.T) {
-			fn := compileMethod(t, src, "f")
-			bytecode.InjectProbes(fn, "T.f")
-			if fn.Probe != "T.f" {
-				t.Errorf("Probe = %q, want %q", fn.Probe, "T.f")
-			}
-			if fn.Code[0].Op != bytecode.OpProbeEnter {
-				t.Errorf("Code[0] = %v, want probe.enter", fn.Code[0].Op)
-			}
-			checkJumps(t, fn)
-			// Every surviving return must sit in an epilogue, directly
-			// behind the exit probe — otherwise a path leaves the frame
-			// without firing the hook.
-			for pc, ins := range fn.Code {
-				if ins.Op != bytecode.OpRet && ins.Op != bytecode.OpRetVoid {
-					continue
-				}
-				if pc == 0 || fn.Code[pc-1].Op != bytecode.OpProbeExit {
-					t.Errorf("return at pc %d is not behind a probe.exit", pc)
-				}
-			}
-		})
 	}
 }

@@ -21,11 +21,7 @@ func (f *Func) Disasm() string { return f.DisasmCode(f.Code) }
 // annotations and jump targets carry over unchanged.
 func (f *Func) DisasmCode(code []Instr) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "func %s  slots=%d stack=%d", f.Name, f.NSlots, f.MaxStack)
-	if f.Probe != "" {
-		fmt.Fprintf(&b, " probe=%q", f.Probe)
-	}
-	b.WriteByte('\n')
+	fmt.Fprintf(&b, "func %s  slots=%d stack=%d\n", f.Name, f.NSlots, f.MaxStack)
 	block := 0
 	for pc := range code {
 		ins := &code[pc]

@@ -199,13 +199,6 @@ const (
 	OpRet
 	OpRetVoid
 
-	// OpProbeEnter / OpProbeExit fire the profiler hook with the function's
-	// probe label. They charge nothing: probe opcodes are the zero-cost
-	// measurement seam the AST-level injection approximates with real
-	// statements (the measured difference is the probe overhead delta).
-	OpProbeEnter
-	OpProbeExit
-
 	// --- compile-time quickening (Finalize) ---
 
 	// OpQLoadStatic pushes the load-resolved static slot statRefs[A]
@@ -339,8 +332,6 @@ var opNames = [...]string{
 	OpSwitchEnd:     "swend",
 	OpRet:           "ret",
 	OpRetVoid:       "ret.void",
-	OpProbeEnter:    "probe.enter",
-	OpProbeExit:     "probe.exit",
 	OpQLoadStatic:   "getstatic",
 	OpQLoadField:    "getself",
 	OpQStoreStatic:  "putstatic",
@@ -390,15 +381,9 @@ type Func struct {
 	NSlots   int
 	MaxStack int
 
-	// Probe is the profiler label when probe opcodes have been spliced in
-	// ("" = uninstrumented). The VM fires the hook's Exit for this label
-	// when an exception unwinds through the frame, mirroring the finally
-	// block of the AST-level instrumentation.
-	Probe string
-
 	// Blocks are the basic-block leader pcs of Code, ascending — pc 0, jump
-	// targets, fall-throughs after jumps and terminators, and probe opcode
-	// boundaries. The disassembler annotates them.
+	// targets, and fall-throughs after jumps and terminators. The
+	// disassembler annotates them.
 	Blocks []int32
 
 	// NICs is the number of inline-cache slots quickened instructions index

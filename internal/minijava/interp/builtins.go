@@ -13,7 +13,7 @@ import (
 // isBuiltinClass reports whether a name denotes a class the runtime provides.
 func isBuiltinClass(name string) bool {
 	switch name {
-	case "System", "Math", "String", "StringBuilder", "Object", "JEPO":
+	case "System", "Math", "String", "StringBuilder", "Object":
 		return true
 	}
 	return wrapperKind(name) != KVoid || IsExceptionClass(name)
@@ -129,8 +129,6 @@ func (in *Interp) callBuiltinStatic(class, name string, args []Value, pos token.
 		return in.systemCall(name, args, pos)
 	case "Math":
 		return in.mathCall(name, args, pos)
-	case "JEPO":
-		return in.jepoCall(name, args, pos)
 	case "String":
 		if name == "valueOf" && len(args) == 1 {
 			s := args[0].JavaString()
@@ -382,24 +380,6 @@ func (in *Interp) nextRandom() float64 {
 	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
 	z ^= z >> 31
 	return float64(z>>11) / float64(1<<53)
-}
-
-func (in *Interp) jepoCall(name string, args []Value, pos token.Pos) (Value, bool) {
-	switch name {
-	case "enter", "exit":
-		if len(args) != 1 || args[0].K != KString {
-			in.bugf(pos, "JEPO.%s takes one String", name)
-		}
-		if in.hook != nil {
-			if name == "enter" {
-				in.hook.Enter(args[0].Str())
-			} else {
-				in.hook.Exit(args[0].Str())
-			}
-		}
-		return Value{K: KVoid}, true
-	}
-	return Value{}, false
 }
 
 // callBuiltinInstance dispatches method calls on runtime value kinds.

@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"jepo/internal/energy"
-	"jepo/internal/instrument"
 	"jepo/internal/minijava/ast"
 	"jepo/internal/minijava/bytecode"
 )
@@ -98,9 +97,7 @@ func makeConstVals(lits []*ast.Literal) []constVal {
 // compileProgram lowers every method body to bytecode, in the order Load
 // numbered them (class load order, then declaration order). It runs once per
 // Program, under Program.compile, and only reads the AST. Methods the
-// compiler cannot lower keep a nil entry and run on the tree-walker. Bodies
-// carrying the AST-level probe pattern are compiled from their inner block
-// with probe opcodes spliced in — the bytecode instrumentation mode.
+// compiler cannot lower keep a nil entry and run on the tree-walker.
 func compileProgram(p *Program) {
 	for _, name := range p.order {
 		ci := p.classes[name]
@@ -108,18 +105,9 @@ func compileProgram(p *Program) {
 			if m.Body == nil {
 				continue
 			}
-			var fn *bytecode.Func
-			if inner, label, ok := instrument.BytecodeBody(m); ok {
-				if fn = bytecode.Compile(ci.Name, m, inner); fn != nil {
-					instrument.InjectBytecode(fn, label)
-				}
-			} else {
-				fn = bytecode.Compile(ci.Name, m, nil)
-			}
+			fn := bytecode.Compile(ci.Name, m)
 			cf := compiledFn{ix: m.CIx - 1}
 			if fn != nil {
-				// Compile-time quickening, after probe splicing so probe
-				// opcodes are recorded as block leaders.
 				bytecode.Finalize(fn)
 				cf.fn, cf.consts = fn, makeConstVals(fn.Consts)
 			}

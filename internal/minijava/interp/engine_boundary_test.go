@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"jepo/internal/energy"
+	"jepo/internal/instrument"
 	"jepo/internal/minijava/parser"
 )
 
@@ -225,6 +226,68 @@ func TestEngineCallDepthParity(t *testing.T) {
 		}
 		if vm.calls != 0 || ast.calls != 0 {
 			t.Errorf("%s: call depth not given back: vm=%d ast=%d", c.name, vm.calls, ast.calls)
+		}
+	}
+}
+
+// TestEngineProbeUnwindParity pins where the probe hook fires when a
+// labelled call does not return normally, on both engines: a mini-Java
+// exception leaving a frame fires its Exit on the way out, whether the frame
+// runs compiled (mid, boom) or on the walker (f, whose try/catch has no
+// lowering), while an op-budget trip ends the run with no Exit at all.
+func TestEngineProbeUnwindParity(t *testing.T) {
+	cases := []struct {
+		name, src string
+		maxOps    int64
+		wantErr   string
+		want      string
+	}{
+		{
+			name: "exception caught by the caller",
+			src: `class T {
+	static int boom() { throw new RuntimeException("x"); }
+	static int mid() { return boom(); }
+	static int f() {
+		try { return mid(); } catch (RuntimeException e) { return 7; }
+	}
+}`,
+			maxOps: 1_000_000,
+			want:   "+T.f +T.mid +T.boom -T.boom -T.mid -T.f",
+		},
+		{
+			name: "op budget trip",
+			src: `class T {
+	static int spin() { int s = 0; while (true) { s = s + 1; } }
+	static int f() { return spin(); }
+}`,
+			maxOps:  1_000,
+			wantErr: "op budget of 1000 exceeded",
+			want:    "+T.f +T.spin",
+		},
+	}
+	for _, c := range cases {
+		for _, e := range []Engine{EngineVM, EngineAST} {
+			f, err := parser.Parse("probe.java", c.src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			instrument.Inject(f)
+			prog, err := Load(f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rec := &recordingHook{}
+			in := New(prog, energy.NewMeter(energy.DefaultCosts()), WithHook(rec), WithMaxOps(c.maxOps), WithEngine(e))
+			_, err = in.CallStatic("T", "f")
+			if c.wantErr == "" && err != nil {
+				t.Errorf("%s, %v: %v", c.name, e, err)
+			}
+			if c.wantErr != "" && (err == nil || !strings.Contains(err.Error(), c.wantErr)) {
+				t.Errorf("%s, %v: error %v, want %q", c.name, e, err, c.wantErr)
+			}
+			if got := strings.Join(rec.events, " "); got != c.want {
+				t.Errorf("%s, %v: probe events %q, want %q", c.name, e, got, c.want)
+			}
 		}
 	}
 }

@@ -8,6 +8,11 @@
 // short-circuits, casts, calls and exception handling. Any divergence is a
 // compiler or dispatch bug, never acceptable drift.
 //
+// The profiled pass runs the same programs with every method labelled by
+// instrument.Inject and a hook that logs each probe event with the meter's
+// package-energy and cycle bits at that moment, so both engines must also
+// fire the same events at the same points of the charge sequence.
+//
 // Run with:
 //
 //	go test -tags enginediff -run EngineDiff ./internal/minijava/interp
@@ -21,6 +26,7 @@ import (
 	"testing"
 
 	"jepo/internal/energy"
+	"jepo/internal/instrument"
 	"jepo/internal/minijava/interp"
 	"jepo/internal/minijava/parser"
 	"jepo/internal/tables"
@@ -47,20 +53,27 @@ type observation struct {
 // expected to match each other: statics mutate across runs. Each boundary is
 // compared against the same boundary on the other engine.) A run that errors
 // ends the sequence — both engines must fail identically at the same point.
-func observe(t *testing.T, src, class, method string, e interp.Engine) []observation {
+//
+// A profiled observation labels every method for probing first and returns
+// the hook's event log as well.
+func observe(t *testing.T, src, class, method string, e interp.Engine, profiled bool) ([]observation, []string) {
 	t.Helper()
 	f, err := parser.Parse("fuzz.java", src)
 	if err != nil {
 		t.Fatalf("parse: %v\nsource:\n%s", err, src)
 	}
+	if profiled {
+		instrument.Inject(f)
+	}
 	prog, err := interp.Load(f)
 	if err != nil {
 		t.Fatalf("load: %v\nsource:\n%s", err, src)
 	}
-	in := interp.New(prog, energy.NewMeter(energy.DefaultCosts()),
-		interp.WithMaxOps(100_000_000), interp.WithEngine(e))
+	meter := energy.NewMeter(energy.DefaultCosts())
+	hook := &meterHook{meter: meter}
+	in := interp.New(prog, meter, interp.WithMaxOps(100_000_000), interp.WithEngine(e), interp.WithHook(hook))
 	if err := in.InitStatics(); err != nil {
-		return []observation{{errText: "init: " + err.Error()}}
+		return []observation{{errText: "init: " + err.Error()}}, hook.events
 	}
 	var obs []observation
 	for run := 0; run < 2; run++ {
@@ -83,15 +96,48 @@ func observe(t *testing.T, src, class, method string, e interp.Engine) []observa
 			break
 		}
 	}
-	return obs
+	return obs, hook.events
+}
+
+// meterHook logs every probe event with the meter's package-energy and
+// cycle bits at the moment it fires.
+type meterHook struct {
+	meter  *energy.Meter
+	events []string
+}
+
+func (h *meterHook) Enter(m string) { h.log("+", m) }
+func (h *meterHook) Exit(m string)  { h.log("-", m) }
+
+func (h *meterHook) log(dir, m string) {
+	s := h.meter.Snapshot()
+	h.events = append(h.events, fmt.Sprintf("%s%s pkg=%#x cycles=%#x",
+		dir, m, math.Float64bits(float64(s.Package)), math.Float64bits(s.Cycles)))
 }
 
 // diffEngines asserts observational identity of the two engines on src, at
-// both the cold and the warm run boundary.
-func diffEngines(t *testing.T, name, src, class, method string) {
+// both the cold and the warm run boundary and, when profiled, at every probe
+// event.
+func diffEngines(t *testing.T, name, src, class, method string, profiled bool) {
 	t.Helper()
-	vm := observe(t, src, class, method, interp.EngineVM)
-	ast := observe(t, src, class, method, interp.EngineAST)
+	vm, vmEvents := observe(t, src, class, method, interp.EngineVM, profiled)
+	ast, astEvents := observe(t, src, class, method, interp.EngineAST, profiled)
+	if profiled && len(vmEvents) == 0 {
+		t.Errorf("%s: profiled run fired no probe events", name)
+	}
+	for i := 0; i < len(vmEvents) || i < len(astEvents); i++ {
+		var v, a string
+		if i < len(vmEvents) {
+			v = vmEvents[i]
+		}
+		if i < len(astEvents) {
+			a = astEvents[i]
+		}
+		if v != a {
+			t.Errorf("%s: probe event %d diverged\n  vm:  %s\n  ast: %s", name, i, v, a)
+			break
+		}
+	}
 	if len(vm) != len(ast) {
 		t.Errorf("%s: engines diverged in run count: vm %d, ast %d\nsource:\n%s",
 			name, len(vm), len(ast), src)
@@ -105,22 +151,30 @@ func diffEngines(t *testing.T, name, src, class, method string) {
 	}
 }
 
-func TestEngineDiffTableICorpus(t *testing.T) {
+func TestEngineDiffTableICorpus(t *testing.T) { diffTableICorpus(t, false) }
+
+func TestEngineDiffRandomPrograms(t *testing.T) { diffRandomPrograms(t, false) }
+
+func TestEngineDiffProfiledTableICorpus(t *testing.T) { diffTableICorpus(t, true) }
+
+func TestEngineDiffProfiledRandomPrograms(t *testing.T) { diffRandomPrograms(t, true) }
+
+func diffTableICorpus(t *testing.T, profiled bool) {
 	for _, b := range tables.InterpBenches() {
 		b := b
 		t.Run(b.Name, func(t *testing.T) {
-			diffEngines(t, b.Name, b.Src, "B", "f")
+			diffEngines(t, b.Name, b.Src, "B", "f", profiled)
 		})
 	}
 }
 
-func TestEngineDiffRandomPrograms(t *testing.T) {
+func diffRandomPrograms(t *testing.T, profiled bool) {
 	const programs = 60
 	for seed := int64(0); seed < programs; seed++ {
 		seed := seed
 		t.Run(fmt.Sprintf("seed%02d", seed), func(t *testing.T) {
 			src := generate(rand.New(rand.NewSource(seed)))
-			diffEngines(t, fmt.Sprintf("seed %d", seed), src, "F", "f")
+			diffEngines(t, fmt.Sprintf("seed %d", seed), src, "F", "f", profiled)
 		})
 	}
 }

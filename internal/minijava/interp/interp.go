@@ -11,8 +11,8 @@ import (
 	"jepo/internal/minijava/token"
 )
 
-// ProbeHook receives the method enter/exit events the instrumenter injects
-// (the JEPO.enter / JEPO.exit builtins). The profiler implements it.
+// ProbeHook receives the enter/exit events of probe-labelled methods
+// (ast.Method.Probe, set by instrument.Inject). The profiler implements it.
 type ProbeHook interface {
 	Enter(method string)
 	Exit(method string)
@@ -99,7 +99,7 @@ type siteState struct {
 // Option configures an interpreter.
 type Option func(*Interp)
 
-// WithHook installs a probe hook for JEPO.enter/JEPO.exit.
+// WithHook installs the hook probe-labelled methods report to.
 func WithHook(h ProbeHook) Option { return func(in *Interp) { in.hook = h } }
 
 // WithMaxOps bounds the number of interpreted nodes, turning runaway programs
@@ -826,7 +826,8 @@ func (in *Interp) evalCond(fr *frame, e ast.Expr) bool {
 
 // invoke runs a method with already-evaluated arguments. The frame's slot
 // array comes from the free list and is returned on the way out, including
-// when a mini-Java exception unwinds through the call.
+// when a mini-Java exception unwinds through the call. A probe-labelled
+// method reports to the hook around its body (see probed).
 func (in *Interp) invoke(ci *classInfo, this *Object, m *ast.Method, args []Value) Value {
 	if in.engine == EngineVM {
 		if ix := int(m.CIx) - 1; uint(ix) < uint(len(in.prog.funcs)) {
@@ -852,7 +853,12 @@ func (in *Interp) invoke(ci *classInfo, this *Object, m *ast.Method, args []Valu
 		}
 		fr.locals[i] = cell{t: p.Type, k: pk, v: av, live: true}
 	}
-	c := in.exec(&fr, m.Body)
+	var c ctrl
+	if m.Probe != "" && in.hook != nil {
+		in.probed(m.Probe, func() { c = in.exec(&fr, m.Body) })
+	} else {
+		c = in.exec(&fr, m.Body)
+	}
 	if c.kind == ctrlReturn {
 		if m.Ret.Kind != ast.Void || m.Ret.Dims > 0 {
 			return in.coerceTo(c.v, m.Ret, m.Pos)
@@ -860,6 +866,28 @@ func (in *Interp) invoke(ci *classInfo, this *Object, m *ast.Method, args []Valu
 		return Value{K: KVoid}
 	}
 	return Value{K: KVoid}
+}
+
+// probed runs a probe-labelled method body between the hook's Enter and Exit
+// events; both engines call it from the same points of a call. Enter fires
+// after the call charge and the parameter binding, and Exit after the body,
+// before return-value coercion (which may charge a narrowing). A mini-Java
+// exception leaving the body fires Exit on its way out; an interpreter
+// error, a cancellation or an op-budget trip fires none, since the run ends
+// there. The events charge nothing, so a profiled run charges exactly what
+// an unprofiled one does (DESIGN.md, "One probe path").
+func (in *Interp) probed(label string, body func()) {
+	in.hook.Enter(label)
+	defer func() {
+		if r := recover(); r != nil {
+			if _, ok := r.(javaPanic); ok {
+				in.hook.Exit(label)
+			}
+			panic(r)
+		}
+	}()
+	body()
+	in.hook.Exit(label)
 }
 
 // construct builds a new instance of a user class and runs the given

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"jepo/internal/energy"
+	"jepo/internal/instrument"
 	"jepo/internal/minijava/ast"
 	"jepo/internal/minijava/parser"
 )
@@ -487,25 +488,33 @@ func TestLoadErrors(t *testing.T) {
 	}
 }
 
+// TestMethodGranularProbes pins that both engines report a labelled
+// method's entry and exit to the hook, nested in call order, and that an
+// unlabelled method reports nothing.
 func TestMethodGranularProbes(t *testing.T) {
 	src := `class T {
-		static int inner() { JEPO.enter("T.inner"); int r = 21 * 2; JEPO.exit("T.inner"); return r; }
-		static int f() { JEPO.enter("T.f"); int v = inner(); JEPO.exit("T.f"); return v; }
+		static int inner() { int r = 21 * 2; return r; }
+		static int quiet() { return 0; }
+		static int f() { int v = inner() + quiet(); return v; }
 	}`
-	f, _ := parser.Parse("t.java", src)
-	prog, _ := Load(f)
-	rec := &recordingHook{}
-	in := New(prog, energy.NewMeter(energy.DefaultCosts()), WithHook(rec))
-	v, err := in.CallStatic("T", "f")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v.I != 42 {
-		t.Errorf("result = %d", v.I)
-	}
-	want := []string{"+T.f", "+T.inner", "-T.inner", "-T.f"}
-	if strings.Join(rec.events, ",") != strings.Join(want, ",") {
-		t.Errorf("probe events = %v, want %v", rec.events, want)
+	for _, e := range []Engine{EngineVM, EngineAST} {
+		f, _ := parser.Parse("t.java", src)
+		instrument.Inject(f)
+		f.Classes[0].Methods[1].Probe = ""
+		prog, _ := Load(f)
+		rec := &recordingHook{}
+		in := New(prog, energy.NewMeter(energy.DefaultCosts()), WithHook(rec), WithEngine(e))
+		v, err := in.CallStatic("T", "f")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v.I != 42 {
+			t.Errorf("%v: result = %d", e, v.I)
+		}
+		want := []string{"+T.f", "+T.inner", "-T.inner", "-T.f"}
+		if strings.Join(rec.events, ",") != strings.Join(want, ",") {
+			t.Errorf("%v: probe events = %v, want %v", e, rec.events, want)
+		}
 	}
 }
 

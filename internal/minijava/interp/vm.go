@@ -29,8 +29,9 @@ import (
 //     lookups the generic path uses, so behaviour is identical.
 
 // invokeVM runs a compiled method. It mirrors invoke exactly: the call
-// charge, parameter coercion into pooled frame slots, and return-value
-// coercion only for an explicit return in a non-void method.
+// charge, parameter coercion into pooled frame slots, the probe hook's
+// events for a labelled method, and return-value coercion only for an
+// explicit return in a non-void method.
 func (in *Interp) invokeVM(ci *classInfo, this *Object, m *ast.Method, cf *compiledFn, args []Value) Value {
 	fn := cf.fn
 	in.enterCall()
@@ -55,8 +56,8 @@ func (in *Interp) invokeVM(ci *classInfo, this *Object, m *ast.Method, cf *compi
 	}
 	var ret Value
 	var explicit bool
-	if fn.Probe != "" && in.hook != nil {
-		ret, explicit = in.execVMProbed(cf, code, ics, &fr, stack)
+	if m.Probe != "" && in.hook != nil {
+		in.probed(m.Probe, func() { ret, explicit = in.execVM(cf, code, ics, &fr, stack) })
 	} else {
 		ret, explicit = in.execVM(cf, code, ics, &fr, stack)
 	}
@@ -66,22 +67,6 @@ func (in *Interp) invokeVM(ci *classInfo, this *Object, m *ast.Method, cf *compi
 		}
 	}
 	return Value{K: KVoid}
-}
-
-// execVMProbed wraps execVM with the exception-unwind half of the probe
-// contract: a mini-Java exception leaving the frame fires the exit hook (the
-// AST instrumentation's finally block), while interpreter-level errors do not
-// (runProtected never catches those either).
-func (in *Interp) execVMProbed(cf *compiledFn, code []bytecode.Instr, ics []vmIC, fr *frame, stack []Value) (Value, bool) {
-	defer func() {
-		if r := recover(); r != nil {
-			if _, ok := r.(javaPanic); ok {
-				in.hook.Exit(cf.fn.Probe)
-			}
-			panic(r)
-		}
-	}()
-	return in.execVM(cf, code, ics, fr, stack)
 }
 
 // liveCell returns the live cell at a compiled slot operand, or nil when the
@@ -178,7 +163,6 @@ func intLaneOp(op token.Kind) bool {
 // so the hot path does no interface type assertion; the assertions happen
 // only on the slow resolution ladder.
 func (in *Interp) execVM(cf *compiledFn, code []bytecode.Instr, ics []vmIC, fr *frame, stack []Value) (Value, bool) {
-	fn := cf.fn
 	meter := in.meter
 	consts := cf.consts
 	pc, sp := 0, 0
@@ -1065,14 +1049,6 @@ func (in *Interp) execVM(cf *compiledFn, code []bytecode.Instr, ics []vmIC, fr *
 			return stack[sp-1], true
 		case bytecode.OpRetVoid:
 			return Value{}, ins.B != 0
-		case bytecode.OpProbeEnter:
-			if in.hook != nil {
-				in.hook.Enter(fn.Probe)
-			}
-		case bytecode.OpProbeExit:
-			if in.hook != nil {
-				in.hook.Exit(fn.Probe)
-			}
 		default:
 			panic(bugPanic{"vm: unknown opcode " + ins.Op.String()})
 		}

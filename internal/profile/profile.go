@@ -1,9 +1,10 @@
 // Package profile implements JEPO's method-granularity energy profiler. It
-// receives the enter/exit events the instrumenter injects, reads the
-// simulated (or real) RAPL counters at each event through the same sampler
-// protocol hardware probes use, and records one measurement per method
-// execution — "if one method is executed more than once, then the
-// measurements are stored for each execution", as the paper specifies.
+// receives the enter/exit events of the methods the instrumenter labels
+// (both interpreter engines fire them), reads the simulated (or real) RAPL
+// counters at each event through the same sampler protocol hardware probes
+// use, and records one measurement per method execution — "if one method
+// is executed more than once, then the measurements are stored for each
+// execution", as the paper specifies.
 //
 // The profiler keeps recording past an anomaly: a failed counter read
 // degrades the record (flagged Estimated, measured against the last good

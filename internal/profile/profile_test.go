@@ -194,12 +194,17 @@ func TestProfilerMismatchDetection(t *testing.T) {
 
 func TestIsInstrumentedAndMainClasses(t *testing.T) {
 	f, _ := parser.Parse("T.java", demoSrc)
-	if instrument.IsInstrumented(f.Classes[0].Methods[0]) {
-		t.Error("fresh method reported instrumented")
+	m := f.Classes[0].Methods[0]
+	if m.Probe != "" {
+		t.Errorf("fresh method carries probe label %q", m.Probe)
 	}
+	body := ast.Print(f)
 	instrument.Inject(f)
-	if !instrument.IsInstrumented(f.Classes[0].Methods[0]) {
-		t.Error("instrumented method not detected")
+	if want := "weka.demo.Work.hot"; m.Probe != want {
+		t.Errorf("probe label = %q, want %q", m.Probe, want)
+	}
+	if ast.Print(f) != body {
+		t.Error("Inject rewrote a method body; it must only label methods")
 	}
 }
 

@@ -191,6 +191,77 @@ func TestProfileBudget(t *testing.T) {
 	}
 }
 
+// mixedSrc is a program the VM runs partly on the tree-walker: risky and
+// guard hold try/catch, which has no bytecode lowering, while plain and boom
+// compile. boom's exception unwinds a compiled frame into a walker frame.
+const mixedSrc = `class Demo {
+	static int risky(int n) {
+		int s = 0;
+		try {
+			for (int i = 0; i < n; i++) {
+				if (i > 1000) { throw new RuntimeException("past 1000"); }
+				s += i % 7;
+			}
+		} catch (RuntimeException e) {
+			s = -s;
+		}
+		return s;
+	}
+	static int plain(int n) {
+		int s = 0;
+		for (int i = 0; i < n; i++) { s += i % 5; }
+		return s;
+	}
+	static int boom(int n) {
+		if (n > 0) { throw new IllegalStateException("boom " + n); }
+		return n;
+	}
+	static int guard(int n) {
+		try { return boom(n); } catch (IllegalStateException e) { return -1; }
+	}
+	public static void main(String[] args) {
+		int a = risky(500) + risky(2000);
+		int b = plain(800);
+		int c = guard(3) + guard(0);
+		System.out.println(a + " " + b + " " + c);
+	}
+}`
+
+// TestProfileIdenticalAcrossEngines pins that the profiler's view and
+// result.txt do not depend on the engine, for a program whose methods the
+// VM splits between bytecode and the walker: probes are method labels both
+// engines fire at the same points, and they charge nothing on either.
+func TestProfileIdenticalAcrossEngines(t *testing.T) {
+	svc := newTestService(t, Config{})
+	s, err := svc.CreateSession()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.PutFile("Demo.java", mixedSrc); err != nil {
+		t.Fatal(err)
+	}
+	vm, err := s.Profile(context.Background(), Request{Engine: "vm"}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ast, err := s.Profile(context.Background(), Request{Engine: "ast"}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if vm.Output != ast.Output {
+		t.Errorf("profile output differs across engines:\nvm:\n%s\nast:\n%s", vm.Output, ast.Output)
+	}
+	if vm.ResultTxt != ast.ResultTxt {
+		t.Errorf("result.txt differs across engines:\nvm:\n%s\nast:\n%s", vm.ResultTxt, ast.ResultTxt)
+	}
+	for _, want := range []string{"Demo.risky", "Demo.plain", "Demo.boom", "Demo.guard",
+		"probes: enters=8 exits=8 read_errors=0 unbalanced_exits=0"} {
+		if !strings.Contains(vm.Output, want) {
+			t.Errorf("profile output missing %q:\n%s", want, vm.Output)
+		}
+	}
+}
+
 // spinSrc never ends on its own: only an op budget or the context stops it.
 const spinSrc = `class Spin {
 	public static void main(String[] args) {

@@ -21,7 +21,8 @@ import (
 // engine.Sample, a measured core.Analyze, core.Optimize, core.Profile and a
 // Table IV row copy them and link or rewrite the copies. Under the race
 // detector it proves the masters are never written; afterwards every master
-// must print like a fresh parse and carry no resolver annotation.
+// must print like a fresh parse and carry no resolver annotation and no
+// probe label.
 func TestReadOnlyMastersShared(t *testing.T) {
 	const seed = 20200518
 	const classifier = "NaiveBayes"
@@ -151,6 +152,14 @@ func TestReadOnlyMastersShared(t *testing.T) {
 		// SiteIx, Method.CIx/NSlots, LocalVar and Catch slots).
 		if !reflect.DeepEqual(master.Classes, fresh.Classes) {
 			t.Errorf("%s: master carries resolver annotations or edits", f.Path)
+		}
+		// Profiling labels the copies it links, never the master.
+		for _, c := range master.Classes {
+			for _, m := range c.Methods {
+				if m.Probe != "" {
+					t.Errorf("%s: master method %s.%s carries probe label %q", f.Path, c.Name, m.Name, m.Probe)
+				}
+			}
 		}
 	}
 }

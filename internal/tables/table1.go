@@ -239,9 +239,10 @@ type InterpBench struct {
 	Src  string
 }
 
-// InterpBenches exposes the Table I benchmark corpus, slow and fast variant
-// of each pair in paper order, to the engine-diff and race tests and to the
-// repository benchmark's per-layer tracer (bench/tracer).
+// InterpBenches lists the Table I benchmark corpus, slow and fast variant of
+// each pair in paper order: Table1Jobs measures it, and the engine-diff and
+// race tests and the repository benchmark's per-layer tracer (bench/tracer)
+// run it.
 func InterpBenches() []InterpBench {
 	out := make([]InterpBench, 0, 2*len(table1Benches))
 	for _, b := range table1Benches {
@@ -276,27 +277,38 @@ func Table1(ctx context.Context, engine interp.Engine) ([]Table1Row, error) {
 }
 
 // Table1Jobs measures the Table I component pairs on a jobs-wide pool. Each
-// pair runs both variants on fresh parser/interpreter/meter instances, so
-// pairs are independent; committed in paper order they are bit-identical at
-// any width.
+// of the 22 variants is its own task, run on a fresh interpreter and meter,
+// so one costly pair (array traversal) does not hold a worker for both of
+// its variants. The rows are assembled in paper order from the per-variant
+// energies, so they are bit-identical at any width.
 func Table1Jobs(ctx context.Context, engine interp.Engine, jobs int) ([]Table1Row, sched.Telemetry, error) {
-	return sched.Map(ctx, sched.Config{Jobs: jobs}, table1Benches, func(_ sched.Task, b table1Bench) (Table1Row, error) {
-		slow, err := measureBench(ctx, b.slow, engine)
+	variants := InterpBenches() // slow then fast variant of each pair
+	joules, tel, err := sched.Map(ctx, sched.Config{Jobs: jobs}, variants, func(t sched.Task, v InterpBench) (energy.Joules, error) {
+		j, err := measureBench(ctx, v.Src, engine)
 		if err != nil {
-			return Table1Row{}, fmt.Errorf("tables: %v slow variant: %w", b.rule, err)
+			kind := "slow"
+			if t.Index%2 == 1 {
+				kind = "fast"
+			}
+			return 0, fmt.Errorf("tables: %v %s variant: %w", table1Benches[t.Index/2].rule, kind, err)
 		}
-		fast, err := measureBench(ctx, b.fast, engine)
-		if err != nil {
-			return Table1Row{}, fmt.Errorf("tables: %v fast variant: %w", b.rule, err)
-		}
-		return Table1Row{
+		return j, nil
+	})
+	if err != nil {
+		return nil, tel, err
+	}
+	rows := make([]Table1Row, len(table1Benches))
+	for i, b := range table1Benches {
+		slow, fast := joules[2*i], joules[2*i+1]
+		rows[i] = Table1Row{
 			Rule:        b.rule,
 			Component:   b.rule.Component(),
 			Suggestion:  b.rule.Text(),
 			PaperClaim:  b.paperClaim,
 			MeasuredPct: 100 * (float64(slow)/float64(fast) - 1),
-		}, nil
-	})
+		}
+	}
+	return rows, tel, nil
 }
 
 // RenderTable1 lays the rows out like the paper's Table I, with the measured

@@ -145,6 +145,26 @@ if ! go run ./cmd/jepo analyze examples/java | diff -u examples/java/golden_anal
     exit 1
 fi
 
+echo "== jepo profile golden: both engines =="
+# Probes are method labels that both engines fire at the same points of a
+# call, and they charge nothing, so the profiler view and result.txt must
+# match the checked-in goldens byte for byte on either engine. The final
+# "per-execution log written to" line names a path and is left out.
+for engine in vm ast; do
+    go run ./cmd/jepo profile -engine "$engine" -result "$tmpdir/result.$engine" \
+        examples/java/EnergyDemo.java >"$tmpdir/profile.$engine"
+    if ! sed '$d' "$tmpdir/profile.$engine" | diff -u examples/java/golden_profile.txt -; then
+        echo "jepo profile -engine $engine stdout drifted from examples/java/golden_profile.txt" >&2
+        echo "regenerate (after auditing the diff) with:" >&2
+        echo "    go run ./cmd/jepo profile -result examples/java/golden_profile_result.txt examples/java/EnergyDemo.java | sed '\$d' > examples/java/golden_profile.txt" >&2
+        exit 1
+    fi
+    if ! diff -u examples/java/golden_profile_result.txt "$tmpdir/result.$engine"; then
+        echo "jepo profile -engine $engine result.txt drifted from examples/java/golden_profile_result.txt" >&2
+        exit 1
+    fi
+done
+
 echo "== jperf golden =="
 # Measurement drift shows up here: the example program's perf-stat report
 # (simulated joules, cycles and elapsed time) must match the checked-in

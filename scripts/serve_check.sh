@@ -1,9 +1,9 @@
 #!/bin/sh
 # serve_check.sh is the daemon byte-identity gate: start jepod, drive a
-# scripted session (create, upload the example corpus, analyze) plus a
-# Table II regeneration over HTTP, and byte-diff both raw responses against
-# the corresponding CLI stdout. The daemon is then stopped with SIGTERM and
-# must drain to a zero exit. `make serve-check` and scripts/check.sh both
+# scripted session (create, upload the example corpus, analyze, profile on
+# both engines) plus a Table II regeneration over HTTP, and byte-diff the
+# raw responses against the corresponding CLI stdout or golden. The daemon
+# is then stopped with SIGTERM and must drain to a zero exit. `make serve-check` and scripts/check.sh both
 # call this script.
 set -eu
 
@@ -54,6 +54,18 @@ if ! cmp -s "$tmpdir/analyze.cli" "$tmpdir/analyze.http"; then
     diff -u "$tmpdir/analyze.cli" "$tmpdir/analyze.http" >&2 || true
     exit 1
 fi
+
+# Profile over HTTP, on the default engine and on the walker, vs the
+# profile golden (`jepo profile` stdout without its log-path line).
+curl -sf -X POST "$base/v1/sessions/$sid/profile" >"$tmpdir/profile.vm.http"
+curl -sf -X POST --data '{"engine":"ast"}' "$base/v1/sessions/$sid/profile" >"$tmpdir/profile.ast.http"
+for engine in vm ast; do
+    if ! cmp -s examples/java/golden_profile.txt "$tmpdir/profile.$engine.http"; then
+        echo "jepod session profile ($engine) differs from examples/java/golden_profile.txt" >&2
+        diff -u examples/java/golden_profile.txt "$tmpdir/profile.$engine.http" >&2 || true
+        exit 1
+    fi
+done
 
 # Table II over HTTP vs wekaexp -table 2.
 curl -sf -X POST "$base/v1/tables/2" >"$tmpdir/table2.http"
