@@ -20,7 +20,8 @@ serve-check:
 
 # Differential engine fuzz: the bytecode VM and the tree-walker must agree
 # bit-for-bit (results, output, op counts, Joules) on the Table I corpus and
-# seeded random programs.
+# seeded random programs over every numeric kind, the bitwise and shift
+# operators, and mixed-kind operands.
 enginediff:
 	go test -tags enginediff -run EngineDiff ./internal/minijava/interp
 

@@ -359,10 +359,11 @@ func BenchmarkInterpreter(b *testing.B) {
 
 // --- interpreter hot-path micro-benchmarks ---
 //
-// These three isolate the costs the slot-resolved interpreter attacks:
-// identifier resolution (locals vs fields vs statics), call dispatch, and
-// per-invoke allocation. allocs/op is the headline metric — frame and
-// argument pooling should hold it near zero once the pools warm.
+// Locals, Calls and Recursion isolate the costs the slot-resolved
+// interpreter attacks: identifier resolution (locals vs fields vs statics),
+// call dispatch, and per-invoke allocation. allocs/op is the headline metric
+// for them — frame and argument pooling should hold it near zero once the
+// pools warm. MixedArith times the arithmetic the int lanes do not take.
 
 // benchInterpCall loads src once and measures repeated CallStatic invocations
 // of B.f on a single interpreter, so pools and call-site caches stay warm
@@ -436,6 +437,24 @@ func BenchmarkInterpRecursion(b *testing.B) {
 			return fib(n - 1) + fib(n - 2);
 		}
 		static double f() { return fib(17); }
+	}`)
+}
+
+// BenchmarkInterpMixedArith is non-int arithmetic: double, long and float
+// operators and int operands mixed into them, none of which the VM's int
+// lanes take, so every operator runs the interpreter's one binary path.
+func BenchmarkInterpMixedArith(b *testing.B) {
+	benchInterpCall(b, `class B {
+		static double f() {
+			double s = 0.0; long h = 7L; float g = 1.0f; int k = 3;
+			for (int i = 0; i < 2000; i++) {
+				s = s + i * 0.5;
+				h = h * 31 + i;
+				g = g * 0.5f + k;
+				s = s - h % 7 + g / 2;
+			}
+			return s;
+		}
 	}`)
 }
 

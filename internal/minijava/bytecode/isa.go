@@ -393,9 +393,9 @@ type Func struct {
 }
 
 // LiteralCharge reports the meter charge evaluating a literal issues — the
-// source of truth for the interpreter's constant pool pre-evaluation, which
-// OpConst charges from. An unknown literal kind charges nothing, mirroring
-// the walker's evalLiteral default.
+// one source of that charge for both engines: the walker's chargeLiteral and
+// the interpreter's constant pool pre-evaluation, which OpConst charges
+// from. An unknown literal kind charges nothing.
 func LiteralCharge(n *ast.Literal) (energy.Op, bool) {
 	switch n.Kind {
 	case ast.LitInt, ast.LitLong, ast.LitChar, ast.LitString, ast.LitBool, ast.LitNull:

@@ -344,21 +344,12 @@ func (in *Interp) mathCall(name string, args []Value, pos token.Pos) (Value, boo
 			return IntVal(v.I), true
 		}
 	case "max", "min":
-		a, b := args[0], args[1]
-		if a.K == KBox {
-			a = in.unbox(a, pos)
-		}
-		if b.K == KBox {
-			b = in.unbox(b, pos)
-		}
-		k := promote(a.K, b.K)
-		in.chargeArith(k, token.Lt)
-		bigger := compare(token.Gt, a, b, k)
+		a, b := in.unbox(args[0], pos), in.unbox(args[1], pos)
 		pick := a
-		if (name == "max") != bigger {
+		if (name == "max") != in.binary(token.Gt, a, b, pos).Bool() {
 			pick = b
 		}
-		switch k {
+		switch promote(a.K, b.K) {
 		case KDouble:
 			return DoubleVal(pick.AsF64()), true
 		case KFloat:

@@ -53,43 +53,22 @@ type compiledFn struct {
 	ix     int32 // index in Program.funcs, for the per-Interp warm code table
 }
 
-// constVal is one pre-evaluated constant-pool entry. Splitting evalLiteral
-// into its (compile-time-constant) charge and its immutable Value is exact:
-// every literal kind charges one Step of one op and yields the same Value on
-// every evaluation.
+// constVal is one pre-evaluated constant-pool entry: a literal's charge and
+// its immutable Value, the two halves of the walker's literal evaluation.
 type constVal struct {
 	v      Value
 	op     energy.Op
 	charge bool
 }
 
-// makeConstVals pre-evaluates a constant pool, mirroring evalLiteral case by
-// case. The charge half comes from bytecode.LiteralCharge, so OpConst charges
-// exactly what the walker's literal evaluation does.
+// makeConstVals pre-evaluates a constant pool from the walker's own sources,
+// bytecode.LiteralCharge and literalValue, so OpConst charges and yields
+// exactly what evaluating the literal does.
 func makeConstVals(lits []*ast.Literal) []constVal {
 	out := make([]constVal, len(lits))
 	for i, n := range lits {
-		var c constVal
-		c.op, c.charge = bytecode.LiteralCharge(n)
-		switch n.Kind {
-		case ast.LitInt:
-			c.v = IntVal(n.I)
-		case ast.LitLong:
-			c.v = LongVal(n.I)
-		case ast.LitFloat:
-			c.v = FloatVal(n.D)
-		case ast.LitDouble:
-			c.v = DoubleVal(n.D)
-		case ast.LitChar:
-			c.v = CharVal(n.I)
-		case ast.LitString:
-			c.v = StringVal(n.S)
-		case ast.LitBool:
-			c.v = BoolVal(n.I != 0)
-		case ast.LitNull:
-			c.v = NullVal()
-		}
-		out[i] = c
+		op, charge := bytecode.LiteralCharge(n)
+		out[i] = constVal{v: literalValue(n), op: op, charge: charge}
 	}
 	return out
 }

@@ -8,6 +8,7 @@ import (
 
 	"jepo/internal/energy"
 	"jepo/internal/minijava/ast"
+	"jepo/internal/minijava/bytecode"
 	"jepo/internal/minijava/token"
 )
 
@@ -955,7 +956,8 @@ func (in *Interp) eval(fr *frame, e ast.Expr) Value {
 	case *ast.Ident:
 		return in.evalIdent(fr, n)
 	case *ast.Literal:
-		return in.evalLiteral(n)
+		in.chargeLiteral(n)
+		return literalValue(n)
 	case *ast.Binary:
 		return in.evalBinary(fr, n)
 	case *ast.Assign:
@@ -999,42 +1001,37 @@ func (in *Interp) eval(fr *frame, e ast.Expr) Value {
 	return Value{}
 }
 
-func (in *Interp) evalLiteral(n *ast.Literal) Value {
+// chargeLiteral charges evaluating a literal, as the VM's constant pool
+// does, through bytecode.LiteralCharge; literalValue is the value. Callers
+// return literalValue directly rather than through a wrapper, which costs a
+// Value copy per literal.
+func (in *Interp) chargeLiteral(n *ast.Literal) {
+	if op, ok := bytecode.LiteralCharge(n); ok {
+		in.meter.Step(op, 1)
+	}
+}
+
+// literalValue is the value a literal evaluates to, on both engines.
+func literalValue(n *ast.Literal) Value {
 	switch n.Kind {
 	case ast.LitInt:
-		in.meter.Step(energy.OpLocal, 1)
 		return IntVal(n.I)
 	case ast.LitLong:
-		in.meter.Step(energy.OpLocal, 1)
 		return LongVal(n.I)
 	case ast.LitFloat:
-		in.chargeConst(n.Sci)
 		return FloatVal(n.D)
 	case ast.LitDouble:
-		in.chargeConst(n.Sci)
 		return DoubleVal(n.D)
 	case ast.LitChar:
-		in.meter.Step(energy.OpLocal, 1)
 		return CharVal(n.I)
 	case ast.LitString:
-		in.meter.Step(energy.OpLocal, 1)
 		return StringVal(n.S)
 	case ast.LitBool:
-		in.meter.Step(energy.OpLocal, 1)
 		return BoolVal(n.I != 0)
 	case ast.LitNull:
-		in.meter.Step(energy.OpLocal, 1)
 		return NullVal()
 	}
 	return Value{}
-}
-
-func (in *Interp) chargeConst(sci bool) {
-	if sci {
-		in.meter.Step(energy.OpConstSci, 1)
-	} else {
-		in.meter.Step(energy.OpConstDecimal, 1)
-	}
 }
 
 // evalIdent resolves, in order: local, instance field, static field of the
@@ -1291,22 +1288,7 @@ func (in *Interp) newArrayRaw(elemT ast.Type, n int) Value {
 func (in *Interp) evalUnary(fr *frame, n *ast.Unary) Value {
 	switch n.Op {
 	case token.Minus:
-		v := in.operand(fr, n.X)
-		if v.K == KBox {
-			v = in.unbox(v, n.Pos)
-		}
-		in.chargeArith(v.K, token.Minus)
-		switch v.K {
-		case KFloat:
-			return FloatVal(-v.D)
-		case KDouble:
-			return DoubleVal(-v.D)
-		case KLong:
-			return LongVal(-v.I)
-		case KInt, KShort, KByte, KChar:
-			return IntVal(-v.I)
-		}
-		in.bugf(n.Pos, "unary - on %v", v.K)
+		return in.negate(in.operand(fr, n.X), n)
 	case token.Not:
 		v := in.operand(fr, n.X)
 		if v.K == KBox {
@@ -1322,27 +1304,7 @@ func (in *Interp) evalUnary(fr *frame, n *ast.Unary) Value {
 		if old.K == KBox {
 			old = in.unbox(old, n.Pos)
 		}
-		delta := int64(1)
-		if n.Op == token.Dec {
-			delta = -1
-		}
-		var updated Value
-		switch old.K {
-		case KFloat:
-			in.chargeArith(KFloat, token.Plus)
-			updated = FloatVal(old.D + float64(delta))
-		case KDouble:
-			in.chargeArith(KDouble, token.Plus)
-			updated = DoubleVal(old.D + float64(delta))
-		case KLong:
-			in.chargeArith(KLong, token.Plus)
-			updated = LongVal(old.I + delta)
-		case KInt, KShort, KByte, KChar:
-			in.chargeArith(old.K, token.Plus)
-			updated = Value{K: old.K, I: old.I + delta}
-		default:
-			in.bugf(n.Pos, "%v on %v", n.Op, old.K)
-		}
+		updated := in.increment(old, n)
 		in.writeLValue(fr, n.X, updated)
 		if n.Postfix {
 			return old
@@ -1351,6 +1313,45 @@ func (in *Interp) evalUnary(fr *frame, n *ast.Unary) Value {
 	}
 	in.bugf(n.Pos, "unsupported unary operator %v", n.Op)
 	return Value{}
+}
+
+// negate is unary minus on both engines: unbox, charge one arithmetic op of
+// the operand's own kind, negate. A narrow operand yields an int (JLS
+// §15.15.4).
+func (in *Interp) negate(v Value, n *ast.Unary) Value {
+	if v.K == KBox {
+		v = in.unbox(v, n.Pos)
+	}
+	in.meter.Step(arithOp(v.K, token.Minus), 1)
+	switch v.K {
+	case KFloat, KDouble:
+		return Value{K: v.K, D: -v.D}
+	case KLong:
+		return LongVal(-v.I)
+	case KInt, KShort, KByte, KChar:
+		return IntVal(-v.I)
+	}
+	in.bugf(n.Pos, "unary - on %v", v.K)
+	return Value{}
+}
+
+// increment is the arithmetic of ++ and -- on both engines, applied to the
+// operand's unboxed old value. It charges one arithmetic op of the operand's
+// kind, and the result keeps that kind and wraps at its width (JLS
+// §15.14.2), so storing it back converts and charges nothing.
+func (in *Interp) increment(old Value, n *ast.Unary) Value {
+	delta := int64(1)
+	if n.Op == token.Dec {
+		delta = -1
+	}
+	if !old.K.IsNumeric() {
+		in.bugf(n.Pos, "%v on %v", n.Op, old.K)
+	}
+	in.meter.Step(arithOp(old.K, token.Plus), 1)
+	if old.K == KFloat || old.K == KDouble {
+		return floatOf(old.K, old.D+float64(delta))
+	}
+	return intOf(old.K, old.I+delta)
 }
 
 // evalStmtExpr evaluates an expression in statement position (expression
@@ -1404,7 +1405,8 @@ func (in *Interp) operand(fr *frame, e ast.Expr) Value {
 		return in.evalIdent(fr, n)
 	case *ast.Literal:
 		in.step()
-		return in.evalLiteral(n)
+		in.chargeLiteral(n)
+		return literalValue(n)
 	case *ast.Binary:
 		in.step()
 		return in.evalBinary(fr, n)
@@ -1458,218 +1460,119 @@ func (in *Interp) evalBinary(fr *frame, n *ast.Binary) Value {
 	} else {
 		y = in.operand(fr, n.Y)
 	}
-	if v, ok := in.binaryFast(n.Op, x, y); ok {
-		return v
-	}
 	return in.binary(n.Op, x, y, n.Pos)
 }
 
-// binaryFast handles homogeneous int/int and double/double operands, the
-// overwhelmingly common cases. The charges are exactly what the generic
-// path would produce: promote(int,int)=int and promote(double,double)=
-// double, so the charges per operator (including the special division and
-// modulus costs, and the charge-before-zero-check order) reproduce the
-// generic path exactly.
-func (in *Interp) binaryFast(op token.Kind, x, y Value) (Value, bool) {
-	if x.K == KInt && y.K == KInt {
+// binary applies a (non-short-circuit) binary operator on both engines. Two
+// numeric operands take one body: binary numeric promotion (JLS §5.6.2), one
+// charge from arithOp, then the operator on int64 or float64. Every other
+// operand pair goes through binaryRef.
+func (in *Interp) binary(op token.Kind, x, y Value, pos token.Pos) Value {
+	if !x.K.IsNumeric() || !y.K.IsNumeric() {
+		return in.binaryRef(op, x, y, pos)
+	}
+	k := promote(x.K, y.K)
+	if k == KFloat || k == KDouble {
+		// The fields are read directly: a Value method call would copy the
+		// whole operand first.
+		a, b := x.D, y.D
+		if x.K.IsIntegral() {
+			a = widen(k, x.I)
+		}
+		if y.K.IsIntegral() {
+			b = widen(k, y.I)
+		}
+		in.meter.Step(arithOp(k, op), 1)
+		var r float64
 		switch op {
 		case token.Plus:
-			in.meter.Step(energy.OpArithInt, 1)
-			return IntVal(x.I + y.I), true
+			r = a + b
 		case token.Minus:
-			in.meter.Step(energy.OpArithInt, 1)
-			return IntVal(x.I - y.I), true
+			r = a - b
 		case token.Star:
-			in.meter.Step(energy.OpArithInt, 1)
-			return IntVal(x.I * y.I), true
-		case token.Lt:
-			in.meter.Step(energy.OpArithInt, 1)
-			return BoolVal(x.I < y.I), true
-		case token.Le:
-			in.meter.Step(energy.OpArithInt, 1)
-			return BoolVal(x.I <= y.I), true
-		case token.Gt:
-			in.meter.Step(energy.OpArithInt, 1)
-			return BoolVal(x.I > y.I), true
-		case token.Ge:
-			in.meter.Step(energy.OpArithInt, 1)
-			return BoolVal(x.I >= y.I), true
-		case token.Eq:
-			in.meter.Step(energy.OpArithInt, 1)
-			return BoolVal(x.I == y.I), true
-		case token.Ne:
-			in.meter.Step(energy.OpArithInt, 1)
-			return BoolVal(x.I != y.I), true
-		case token.BitAnd:
-			in.meter.Step(energy.OpArithInt, 1)
-			return IntVal(x.I & y.I), true
-		case token.BitOr:
-			in.meter.Step(energy.OpArithInt, 1)
-			return IntVal(x.I | y.I), true
-		case token.BitXor:
-			in.meter.Step(energy.OpArithInt, 1)
-			return IntVal(x.I ^ y.I), true
-		case token.Shl:
-			in.meter.Step(energy.OpArithInt, 1)
-			return IntVal(x.I << uint(y.I&63)), true
-		case token.Shr:
-			in.meter.Step(energy.OpArithInt, 1)
-			return IntVal(x.I >> uint(y.I&63)), true
+			r = a * b
 		case token.Slash:
-			// Same order as the generic path: the division cost is charged
-			// before the zero check throws.
-			in.meter.Step(energy.OpDivInt, 1)
-			if y.I == 0 {
-				in.throw("ArithmeticException", "/ by zero")
-			}
-			return IntVal(x.I / y.I), true
+			r = a / b // Inf or NaN, never a throw
 		case token.Percent:
-			in.meter.Step(energy.OpModInt, 1)
-			if y.I == 0 {
-				in.throw("ArithmeticException", "/ by zero")
-			}
-			return IntVal(x.I % y.I), true
-		}
-	} else if x.K == KDouble && y.K == KDouble {
-		switch op {
-		case token.Plus:
-			in.meter.Step(energy.OpArithDouble, 1)
-			return DoubleVal(x.D + y.D), true
-		case token.Minus:
-			in.meter.Step(energy.OpArithDouble, 1)
-			return DoubleVal(x.D - y.D), true
-		case token.Star:
-			in.meter.Step(energy.OpArithDouble, 1)
-			return DoubleVal(x.D * y.D), true
+			r = math.Mod(a, b)
 		case token.Lt:
-			in.meter.Step(energy.OpArithDouble, 1)
-			return BoolVal(x.D < y.D), true
+			return BoolVal(a < b)
 		case token.Le:
-			in.meter.Step(energy.OpArithDouble, 1)
-			return BoolVal(x.D <= y.D), true
+			return BoolVal(a <= b)
 		case token.Gt:
-			in.meter.Step(energy.OpArithDouble, 1)
-			return BoolVal(x.D > y.D), true
+			return BoolVal(a > b)
 		case token.Ge:
-			in.meter.Step(energy.OpArithDouble, 1)
-			return BoolVal(x.D >= y.D), true
+			return BoolVal(a >= b)
 		case token.Eq:
-			in.meter.Step(energy.OpArithDouble, 1)
-			return BoolVal(x.D == y.D), true
+			return BoolVal(a == b)
 		case token.Ne:
-			in.meter.Step(energy.OpArithDouble, 1)
-			return BoolVal(x.D != y.D), true
-		case token.Slash:
-			in.meter.Step(energy.OpDivFP, 1)
-			return DoubleVal(x.D / y.D), true // Java FP division yields Inf/NaN, never throws
-		case token.Percent:
-			in.meter.Step(energy.OpDivFP, 1)
-			return DoubleVal(fmod(x.D, y.D)), true
+			return BoolVal(a != b)
+		default:
+			in.bugf(pos, "operator %v on %v and %v", op, x.K, y.K)
 		}
-	} else if x.K == KLong && y.K == KLong {
-		switch op {
-		case token.Plus:
-			in.meter.Step(energy.OpArithLong, 1)
-			return LongVal(x.I + y.I), true
-		case token.Minus:
-			in.meter.Step(energy.OpArithLong, 1)
-			return LongVal(x.I - y.I), true
-		case token.Star:
-			in.meter.Step(energy.OpArithLong, 1)
-			return LongVal(x.I * y.I), true
-		case token.Lt:
-			in.meter.Step(energy.OpArithLong, 1)
-			return BoolVal(x.I < y.I), true
-		case token.Le:
-			in.meter.Step(energy.OpArithLong, 1)
-			return BoolVal(x.I <= y.I), true
-		case token.Gt:
-			in.meter.Step(energy.OpArithLong, 1)
-			return BoolVal(x.I > y.I), true
-		case token.Ge:
-			in.meter.Step(energy.OpArithLong, 1)
-			return BoolVal(x.I >= y.I), true
-		case token.Eq:
-			in.meter.Step(energy.OpArithLong, 1)
-			return BoolVal(x.I == y.I), true
-		case token.Ne:
-			in.meter.Step(energy.OpArithLong, 1)
-			return BoolVal(x.I != y.I), true
-		case token.Slash:
-			in.meter.Step(energy.OpDivInt, 1)
-			if y.I == 0 {
-				in.throw("ArithmeticException", "/ by zero")
-			}
-			return LongVal(x.I / y.I), true
-		case token.Percent:
-			in.meter.Step(energy.OpModInt, 1)
-			if y.I == 0 {
-				in.throw("ArithmeticException", "/ by zero")
-			}
-			return LongVal(x.I % y.I), true
-		}
-	} else if x.K == KFloat && y.K == KFloat {
-		switch op {
-		case token.Plus:
-			in.meter.Step(energy.OpArithFloat, 1)
-			return FloatVal(x.D + y.D), true
-		case token.Minus:
-			in.meter.Step(energy.OpArithFloat, 1)
-			return FloatVal(x.D - y.D), true
-		case token.Star:
-			in.meter.Step(energy.OpArithFloat, 1)
-			return FloatVal(x.D * y.D), true
-		case token.Lt:
-			in.meter.Step(energy.OpArithFloat, 1)
-			return BoolVal(x.D < y.D), true
-		case token.Le:
-			in.meter.Step(energy.OpArithFloat, 1)
-			return BoolVal(x.D <= y.D), true
-		case token.Gt:
-			in.meter.Step(energy.OpArithFloat, 1)
-			return BoolVal(x.D > y.D), true
-		case token.Ge:
-			in.meter.Step(energy.OpArithFloat, 1)
-			return BoolVal(x.D >= y.D), true
-		case token.Eq:
-			in.meter.Step(energy.OpArithFloat, 1)
-			return BoolVal(x.D == y.D), true
-		case token.Ne:
-			in.meter.Step(energy.OpArithFloat, 1)
-			return BoolVal(x.D != y.D), true
-		case token.Slash:
-			in.meter.Step(energy.OpDivFP, 1)
-			return FloatVal(x.D / y.D), true
-		case token.Percent:
-			in.meter.Step(energy.OpDivFP, 1)
-			return FloatVal(fmod(x.D, y.D)), true
-		}
-	} else if x.K.IsNumeric() && y.K.IsNumeric() {
-		// Mixed-kind numeric pairs: promote and delegate to the same arith
-		// helpers the generic path uses, skipping only its non-numeric
-		// preamble (string concat, unboxing, reference equality, booleans),
-		// none of which can apply here. The position is only consulted for
-		// unsupported operators, which this lane never forwards.
-		k := promote(x.K, y.K)
-		switch op {
-		case token.Lt, token.Le, token.Gt, token.Ge, token.Eq, token.Ne:
-			in.chargeArith(k, op)
-			return BoolVal(compare(op, x, y, k)), true
-		case token.Plus, token.Minus, token.Star, token.Slash, token.Percent:
-			in.chargeArith(k, op)
-			if k == KFloat || k == KDouble {
-				return in.floatArith(op, x.AsF64(), y.AsF64(), k, token.Pos{}), true
-			}
-			return in.intArith(op, x.AsI64(), y.AsI64(), k, token.Pos{}), true
+		return floatOf(k, r)
+	}
+	a, b := x.I, y.I
+	if op == token.Shl || op == token.Shr {
+		// JLS §15.19: each operand promotes on its own, the result has the
+		// left operand's type, and the distance keeps its low 5 bits for an
+		// int and its low 6 bits for a long.
+		k, b = KInt, b&31
+		if x.K == KLong {
+			k, b = KLong, y.I&63
 		}
 	}
-	return Value{}, false
+	in.meter.Step(arithOp(k, op), 1)
+	var r int64
+	switch op {
+	case token.Plus:
+		r = a + b
+	case token.Minus:
+		r = a - b
+	case token.Star:
+		r = a * b
+	case token.Slash, token.Percent:
+		// Charged before the zero check throws.
+		if b == 0 {
+			in.throw("ArithmeticException", "/ by zero")
+		}
+		if op == token.Slash {
+			r = a / b
+		} else {
+			r = a % b
+		}
+	case token.BitAnd:
+		r = a & b
+	case token.BitOr:
+		r = a | b
+	case token.BitXor:
+		r = a ^ b
+	case token.Shl:
+		r = a << b
+	case token.Shr:
+		r = a >> b
+	case token.Lt:
+		return BoolVal(a < b)
+	case token.Le:
+		return BoolVal(a <= b)
+	case token.Gt:
+		return BoolVal(a > b)
+	case token.Ge:
+		return BoolVal(a >= b)
+	case token.Eq:
+		return BoolVal(a == b)
+	case token.Ne:
+		return BoolVal(a != b)
+	default:
+		in.bugf(pos, "operator %v on %v and %v", op, x.K, y.K)
+	}
+	return intOf(k, r)
 }
 
-// binary applies a (non-short-circuit) binary operator with Java's numeric
-// promotion, charging the promoted kind's arithmetic cost.
-func (in *Interp) binary(op token.Kind, x, y Value, pos token.Pos) Value {
-	// String concatenation.
+// binaryRef is binary for operand pairs that are not both numeric: string
+// concatenation, boxed operands (unboxed, then back through binary),
+// reference and null equality, and boolean logic.
+func (in *Interp) binaryRef(op token.Kind, x, y Value, pos token.Pos) Value {
 	if op == token.Plus && (x.K == KString || y.K == KString) {
 		xs, ys := x.JavaString(), y.JavaString()
 		in.meter.Step(energy.OpStrSetup, 1)
@@ -1677,24 +1580,9 @@ func (in *Interp) binary(op token.Kind, x, y Value, pos token.Pos) Value {
 		in.meter.Alloc(16 + len(xs) + len(ys))
 		return StringVal(xs + ys)
 	}
-	if x.K == KBox {
-		x = in.unbox(x, pos)
+	if x.K == KBox || y.K == KBox {
+		return in.binary(op, in.unbox(x, pos), in.unbox(y, pos), pos)
 	}
-	if y.K == KBox {
-		y = in.unbox(y, pos)
-	}
-	// Reference / null / string equality.
-	if op == token.Eq || op == token.Ne {
-		if !x.K.IsNumeric() || !y.K.IsNumeric() {
-			in.meter.Step(energy.OpArithInt, 1)
-			eq := refEqual(x, y)
-			if op == token.Ne {
-				eq = !eq
-			}
-			return BoolVal(eq)
-		}
-	}
-	// Boolean logic without short circuit: & | ^.
 	if x.K == KBool && y.K == KBool {
 		in.meter.Step(energy.OpArithInt, 1)
 		a, b := x.I != 0, y.I != 0
@@ -1703,29 +1591,51 @@ func (in *Interp) binary(op token.Kind, x, y Value, pos token.Pos) Value {
 			return BoolVal(a && b)
 		case token.BitOr:
 			return BoolVal(a || b)
-		case token.BitXor:
+		case token.BitXor, token.Ne:
 			return BoolVal(a != b)
 		case token.Eq:
 			return BoolVal(a == b)
-		case token.Ne:
-			return BoolVal(a != b)
 		}
 		in.bugf(pos, "operator %v on booleans", op)
 	}
-	if !x.K.IsNumeric() || !y.K.IsNumeric() {
-		in.bugf(pos, "operator %v on %v and %v", op, x.K, y.K)
+	if op == token.Eq || op == token.Ne {
+		in.meter.Step(energy.OpArithInt, 1)
+		return BoolVal(refEqual(x, y) == (op == token.Eq))
 	}
-	k := promote(x.K, y.K)
-	switch op {
-	case token.Lt, token.Le, token.Gt, token.Ge, token.Eq, token.Ne:
-		in.chargeArith(k, op)
-		return BoolVal(compare(op, x, y, k))
+	in.bugf(pos, "operator %v on %v and %v", op, x.K, y.K)
+	return Value{}
+}
+
+// intOf is v as an integral value of kind k, wrapped at k's width.
+func intOf(k Kind, v int64) Value {
+	switch k {
+	case KInt:
+		v = int64(int32(v))
+	case KShort:
+		v = int64(int16(v))
+	case KByte:
+		v = int64(int8(v))
+	case KChar:
+		v = int64(uint16(v))
 	}
-	in.chargeArith(k, op)
-	if k == KFloat || k == KDouble {
-		return in.floatArith(op, x.AsF64(), y.AsF64(), k, pos)
+	return Value{K: k, I: v}
+}
+
+// widen converts an integral operand of a float or double operation, rounding
+// as Java's int and long to float or double conversions do.
+func widen(k Kind, v int64) float64 {
+	if k == KFloat {
+		return float64(float32(v))
 	}
-	return in.intArith(op, x.AsI64(), y.AsI64(), k, pos)
+	return float64(v)
+}
+
+// floatOf is d as a value of kind k, rounded to float precision for KFloat.
+func floatOf(k Kind, d float64) Value {
+	if k == KFloat {
+		d = float64(float32(d))
+	}
+	return Value{K: k, D: d}
 }
 
 func refEqual(x, y Value) bool {
@@ -1753,134 +1663,37 @@ func promote(a, b Kind) Kind {
 	return KInt
 }
 
-func compare(op token.Kind, x, y Value, k Kind) bool {
-	if k == KFloat || k == KDouble {
-		a, b := x.AsF64(), y.AsF64()
-		switch op {
-		case token.Lt:
-			return a < b
-		case token.Le:
-			return a <= b
-		case token.Gt:
-			return a > b
-		case token.Ge:
-			return a >= b
-		case token.Eq:
-			return a == b
-		default:
-			return a != b
+// arithOp is the one table from an operand kind and an operator to the
+// energy op it charges, on both engines; it is where Table I's arithmetic
+// ratios enter. Integral and floating division and modulus have costs of
+// their own, and every other operator costs one ALU op of the kind. The VM's
+// int lanes inline its int row, and TestOperatorTable pins them to it.
+func arithOp(k Kind, op token.Kind) energy.Op {
+	if op == token.Slash || op == token.Percent {
+		switch {
+		case k == KFloat || k == KDouble:
+			return energy.OpDivFP
+		case k.IsIntegral() && op == token.Percent:
+			return energy.OpModInt
+		case k.IsIntegral():
+			return energy.OpDivInt
 		}
-	}
-	a, b := x.AsI64(), y.AsI64()
-	switch op {
-	case token.Lt:
-		return a < b
-	case token.Le:
-		return a <= b
-	case token.Gt:
-		return a > b
-	case token.Ge:
-		return a >= b
-	case token.Eq:
-		return a == b
-	default:
-		return a != b
-	}
-}
-
-// chargeArith charges one arithmetic op of the promoted kind, with modulus
-// and division charged their special costs.
-func (in *Interp) chargeArith(k Kind, op token.Kind) {
-	switch {
-	case op == token.Percent && (k == KInt || k == KLong || k == KShort || k == KByte || k == KChar):
-		in.meter.Step(energy.OpModInt, 1)
-		return
-	case op == token.Slash && k.IsIntegral():
-		in.meter.Step(energy.OpDivInt, 1)
-		return
-	case (op == token.Slash || op == token.Percent) && (k == KFloat || k == KDouble):
-		in.meter.Step(energy.OpDivFP, 1)
-		return
 	}
 	switch k {
-	case KInt:
-		in.meter.Step(energy.OpArithInt, 1)
 	case KLong:
-		in.meter.Step(energy.OpArithLong, 1)
+		return energy.OpArithLong
 	case KShort, KByte, KChar:
-		in.meter.Step(energy.OpArithNarrow, 1)
+		return energy.OpArithNarrow
 	case KFloat:
-		in.meter.Step(energy.OpArithFloat, 1)
+		return energy.OpArithFloat
 	case KDouble:
-		in.meter.Step(energy.OpArithDouble, 1)
-	default:
-		in.meter.Step(energy.OpArithInt, 1)
+		return energy.OpArithDouble
 	}
+	return energy.OpArithInt
 }
 
-func (in *Interp) intArith(op token.Kind, a, b int64, k Kind, pos token.Pos) Value {
-	mk := func(v int64) Value {
-		if k == KLong {
-			return LongVal(v)
-		}
-		return IntVal(v)
-	}
-	switch op {
-	case token.Plus:
-		return mk(a + b)
-	case token.Minus:
-		return mk(a - b)
-	case token.Star:
-		return mk(a * b)
-	case token.Slash:
-		if b == 0 {
-			in.throw("ArithmeticException", "/ by zero")
-		}
-		return mk(a / b)
-	case token.Percent:
-		if b == 0 {
-			in.throw("ArithmeticException", "/ by zero")
-		}
-		return mk(a % b)
-	case token.BitAnd:
-		return mk(a & b)
-	case token.BitOr:
-		return mk(a | b)
-	case token.BitXor:
-		return mk(a ^ b)
-	case token.Shl:
-		return mk(a << uint(b&63))
-	case token.Shr:
-		return mk(a >> uint(b&63))
-	}
-	in.bugf(pos, "unsupported integer operator %v", op)
-	return Value{}
-}
-
-func (in *Interp) floatArith(op token.Kind, a, b float64, k Kind, pos token.Pos) Value {
-	mk := func(v float64) Value {
-		if k == KFloat {
-			return FloatVal(v)
-		}
-		return DoubleVal(v)
-	}
-	switch op {
-	case token.Plus:
-		return mk(a + b)
-	case token.Minus:
-		return mk(a - b)
-	case token.Star:
-		return mk(a * b)
-	case token.Slash:
-		return mk(a / b) // Java FP division yields Inf/NaN, never throws
-	case token.Percent:
-		return mk(fmod(a, b))
-	}
-	in.bugf(pos, "unsupported floating operator %v", op)
-	return Value{}
-}
-
-func fmod(a, b float64) float64 { return math.Mod(a, b) }
+// chargeArith charges one arithmetic op of kind k, priced by arithOp.
+func (in *Interp) chargeArith(k Kind, op token.Kind) { in.meter.Step(arithOp(k, op), 1) }
 
 // --- assignment ---
 
@@ -1896,11 +1709,7 @@ func (in *Interp) evalAssign(fr *frame, n *ast.Assign) Value {
 	} else {
 		old := in.readLValue(fr, n.LHS)
 		r := in.operand(fr, n.RHS)
-		base := compoundBase(n.Op)
-		var ok bool
-		if rhs, ok = in.binaryFast(base, old, r); !ok {
-			rhs = in.binary(base, old, r, n.Pos)
-		}
+		rhs = in.binary(compoundBase(n.Op), old, r, n.Pos)
 	}
 	// Store straight into a live local slot; writeLValue handles every
 	// other target (and unresolved idents) with identical charges.

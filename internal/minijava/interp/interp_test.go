@@ -1,6 +1,8 @@
 package interp
 
 import (
+	"fmt"
+	"math"
 	"strings"
 	"testing"
 
@@ -409,7 +411,7 @@ func TestInstanceOf(t *testing.T) {
 }
 
 func TestIncDecSemantics(t *testing.T) {
-	body := `
+	src := `class T { static int f() {
 		int i = 5;
 		int a = i++;
 		int b = ++i;
@@ -417,10 +419,63 @@ func TestIncDecSemantics(t *testing.T) {
 		int d = --i;
 		int[] arr = new int[3];
 		arr[1]++;
-		return a * 1000 + b * 100 + c * 10 + d + arr[1];`
+		return a * 1000 + b * 100 + c * 10 + d + arr[1];
+	} }`
 	// a=5, i=6; b=7, i=7; c=7, i=6; d=5, i=5; arr[1]=1
-	if got := evalInt(t, body); got != 5000+700+70+5+1 {
-		t.Errorf("inc/dec = %d, want 5776", got)
+	for _, e := range engines {
+		v, err := newOn(t, e, src).CallStatic("T", "f")
+		if err != nil || v.I != 5000+700+70+5+1 {
+			t.Errorf("%v: inc/dec = %d, %v; want 5776", e, v.I, err)
+		}
+	}
+
+	// ++ and -- wrap at the operand's width (JLS §15.14.2), prefix and
+	// postfix, wherever the operand lives. Each case starts the operand at
+	// the edge the operator crosses and prints the expression's value and
+	// the stored one.
+	types := []struct {
+		name     string
+		min, max int64
+	}{
+		{"int", math.MinInt32, math.MaxInt32},
+		{"short", math.MinInt16, math.MaxInt16},
+		{"byte", math.MinInt8, math.MaxInt8},
+		{"char", 0, math.MaxUint16},
+	}
+	targets := []string{"x", "s", "p.f", "a[0]"}
+	for _, e := range engines {
+		for _, ty := range types {
+			for _, op := range []string{"++", "--"} {
+				start, end := ty.max, ty.min
+				if op == "--" {
+					start, end = ty.min, ty.max
+				}
+				for _, postfix := range []bool{false, true} {
+					for _, target := range targets {
+						expr, want := op+target, fmt.Sprintf("%d,%d", end, end)
+						if postfix {
+							expr, want = target+op, fmt.Sprintf("%d,%d", start, end)
+						}
+						src := fmt.Sprintf(`class P {
+							static %[1]s s;
+							%[1]s f;
+							static String run() {
+								P p = new P();
+								%[1]s[] a = new %[1]s[1];
+								%[1]s x = (%[1]s) 0;
+								%[2]s = (%[1]s) %[3]dL;
+								%[1]s r = %[4]s;
+								return "" + (int) r + "," + (int) %[2]s;
+							}
+						}`, ty.name, target, start, expr)
+						v, err := newOn(t, e, src).CallStatic("P", "run")
+						if got := v.Str(); err != nil || got != want {
+							t.Errorf("%v: %s %s from %d: got %q, %v; want %q", e, ty.name, expr, start, got, err, want)
+						}
+					}
+				}
+			}
+		}
 	}
 }
 

@@ -7,22 +7,32 @@ import (
 	"testing/quick"
 
 	"jepo/internal/energy"
+	"jepo/internal/minijava/ast"
 	"jepo/internal/minijava/parser"
 )
 
-// evalIntExpr runs `return <expr>;` with int parameters a and b.
-func evalIntExpr(t *testing.T, expr string, a, b int32) (int64, error) {
+// engines lists both execution engines; every property in this file, and the
+// semantics tests that share these helpers, must hold on each.
+var engines = []Engine{EngineVM, EngineAST}
+
+// newOn parses and loads src and returns an interpreter for it on engine e.
+func newOn(t *testing.T, e Engine, src string) *Interp {
 	t.Helper()
-	src := fmt.Sprintf("class P { static int f(int a, int b) { return %s; } }", expr)
 	f, err := parser.Parse("p.java", src)
 	if err != nil {
-		t.Fatalf("parse %q: %v", expr, err)
+		t.Fatalf("parse: %v\nsource:\n%s", err, src)
 	}
 	prog, err := Load(f)
 	if err != nil {
 		t.Fatal(err)
 	}
-	in := New(prog, energy.NewMeter(energy.DefaultCosts()), WithMaxOps(1_000_000))
+	return New(prog, energy.NewMeter(energy.DefaultCosts()), WithMaxOps(1_000_000), WithEngine(e))
+}
+
+// evalIntExpr runs `return <expr>;` with int parameters a and b on engine e.
+func evalIntExpr(t *testing.T, e Engine, expr string, a, b int32) (int64, error) {
+	t.Helper()
+	in := newOn(t, e, fmt.Sprintf("class P { static int f(int a, int b) { return %s; } }", expr))
 	v, err := in.CallStatic("P", "f", IntVal(int64(a)), IntVal(int64(b)))
 	if err != nil {
 		return 0, err
@@ -33,6 +43,12 @@ func evalIntExpr(t *testing.T, expr string, a, b int32) (int64, error) {
 // Property: int arithmetic matches Go's int32 semantics, including overflow
 // wraparound and Java's truncated division/remainder.
 func TestIntArithmeticMatchesInt32Semantics(t *testing.T) {
+	for _, e := range engines {
+		t.Run(e.String(), func(t *testing.T) { testIntArithmetic(t, e) })
+	}
+}
+
+func testIntArithmetic(t *testing.T, e Engine) {
 	ops := []struct {
 		expr string
 		ref  func(a, b int32) (int32, bool) // ok=false → expect exception
@@ -65,7 +81,7 @@ func TestIntArithmeticMatchesInt32Semantics(t *testing.T) {
 	for _, op := range ops {
 		op := op
 		f := func(a, b int32) bool {
-			got, err := evalIntExpr(t, op.expr, a, b)
+			got, err := evalIntExpr(t, e, op.expr, a, b)
 			want, ok := op.ref(a, b)
 			if !ok {
 				return err != nil // division by zero must throw
@@ -82,25 +98,69 @@ func TestIntArithmeticMatchesInt32Semantics(t *testing.T) {
 	}
 }
 
-// Property: shift operands mask to Java's 5-bit shift distance for int.
+// Property: << and >> follow JLS §15.19 on both engines. Each operand
+// promotes on its own, the result has the left operand's type, and the
+// distance keeps its low 5 bits for an int and its low 6 bits for a long.
+// Distances are drawn from -64..127, so both masks and negative distances
+// show, with int and long on either side.
 func TestShiftSemantics(t *testing.T) {
-	f := func(a int32, s uint8) bool {
-		// The dialect masks shift distances to 6 bits (long-width) but
-		// stores ints as int32, so compare against Go on the masked value.
-		got, err := evalIntExpr(t, "a << b", a, int32(s%31))
-		if err != nil {
+	for _, e := range engines {
+		for _, left := range []string{"int", "long"} {
+			for _, right := range []string{"int", "long"} {
+				for _, op := range []string{"<<", ">>"} {
+					name := fmt.Sprintf("%v/%s%s%s", e, left, op, right)
+					t.Run(name, func(t *testing.T) { testShift(t, e, left, op, right) })
+				}
+			}
+		}
+	}
+}
+
+func testShift(t *testing.T, e Engine, left, op, right string) {
+	in := newOn(t, e, fmt.Sprintf(
+		"class P { static %s f(%s a, %s b) { return a %s b; } }", left, left, right, op))
+	val := func(typ string, v int64) Value {
+		if typ == "long" {
+			return LongVal(v)
+		}
+		return IntVal(v)
+	}
+	f := func(a int64, d uint8) bool {
+		dist := int64(d%192) - 64
+		var want int64
+		if left == "long" {
+			s := uint(dist) & 63
+			want = a << s
+			if op == ">>" {
+				want = a >> s
+			}
+		} else {
+			x, s := int32(a), uint(dist)&31
+			want = int64(x << s)
+			if op == ">>" {
+				want = int64(x >> s)
+			}
+		}
+		got, err := in.CallStatic("P", "f", val(left, a), val(right, dist))
+		if err != nil || got.I != want {
+			t.Logf("%v %s %d %s %d (%s): got %d, %v; want %d", e, left, a, op, dist, right, got.I, err, want)
 			return false
 		}
-		want := int32(int64(a) << uint(s%31))
-		return got == int64(want)
+		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
 	}
 }
 
 // Property: float arithmetic in the dialect rounds exactly like float32.
 func TestFloatRoundsLikeFloat32(t *testing.T) {
+	for _, e := range engines {
+		t.Run(e.String(), func(t *testing.T) { testFloatRounding(t, e) })
+	}
+}
+
+func testFloatRounding(t *testing.T, e Engine) {
 	f := func(a, b float32) bool {
 		if math.IsNaN(float64(a)) || math.IsNaN(float64(b)) ||
 			math.IsInf(float64(a), 0) || math.IsInf(float64(b), 0) {
@@ -121,7 +181,7 @@ func TestFloatRoundsLikeFloat32(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		in := New(prog, energy.NewMeter(energy.DefaultCosts()), WithMaxOps(1_000_000))
+		in := New(prog, energy.NewMeter(energy.DefaultCosts()), WithMaxOps(1_000_000), WithEngine(e))
 		v, err := in.CallStatic("P", "f")
 		if err != nil {
 			return false
@@ -138,20 +198,22 @@ func TestFloatRoundsLikeFloat32(t *testing.T) {
 
 // Property: narrowing stores wrap exactly like Go's fixed-width casts.
 func TestNarrowingMatchesGoCasts(t *testing.T) {
-	f := func(v int32) bool {
-		gotB, err := evalIntExpr(t, "(byte) (a + b)", v, 0)
-		if err != nil || gotB != int64(int8(v)) {
-			return false
+	for _, e := range engines {
+		f := func(v int32) bool {
+			gotB, err := evalIntExpr(t, e, "(byte) (a + b)", v, 0)
+			if err != nil || gotB != int64(int8(v)) {
+				return false
+			}
+			gotS, err := evalIntExpr(t, e, "(short) (a + b)", v, 0)
+			if err != nil || gotS != int64(int16(v)) {
+				return false
+			}
+			gotC, err := evalIntExpr(t, e, "(char) (a + b)", v, 0)
+			return err == nil && gotC == int64(uint16(v))
 		}
-		gotS, err := evalIntExpr(t, "(short) (a + b)", v, 0)
-		if err != nil || gotS != int64(int16(v)) {
-			return false
+		if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
+			t.Errorf("%v: %v", e, err)
 		}
-		gotC, err := evalIntExpr(t, "(char) (a + b)", v, 0)
-		return err == nil && gotC == int64(uint16(v))
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Error(err)
 	}
 }
 
@@ -168,13 +230,19 @@ func TestEnergyAdditivity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	for _, e := range engines {
+		t.Run(e.String(), func(t *testing.T) { testAdditivity(t, e, file) })
+	}
+}
+
+func testAdditivity(t *testing.T, e Engine, file *ast.File) {
 	f := func(nRaw uint8) bool {
 		n := int64(nRaw%50) + 1
 		prog, err := Load(file)
 		if err != nil {
 			return false
 		}
-		in := New(prog, energy.NewMeter(energy.DefaultCosts()), WithMaxOps(10_000_000))
+		in := New(prog, energy.NewMeter(energy.DefaultCosts()), WithMaxOps(10_000_000), WithEngine(e))
 		if err := in.InitStatics(); err != nil {
 			return false
 		}
@@ -200,6 +268,12 @@ func TestEnergyAdditivity(t *testing.T) {
 // the whole generated corpus kernel set (behavioural round-trip, stronger
 // than textual stability).
 func TestStringConcatAssociativity(t *testing.T) {
+	for _, e := range engines {
+		t.Run(e.String(), func(t *testing.T) { testConcat(t, e) })
+	}
+}
+
+func testConcat(t *testing.T, e Engine) {
 	f := func(a, b uint8) bool {
 		src := fmt.Sprintf(`class P { static String f() {
 			return "" + %d + %d;
@@ -212,7 +286,7 @@ func TestStringConcatAssociativity(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		in := New(prog, energy.NewMeter(energy.DefaultCosts()), WithMaxOps(1_000_000))
+		in := New(prog, energy.NewMeter(energy.DefaultCosts()), WithMaxOps(1_000_000), WithEngine(e))
 		v, err := in.CallStatic("P", "f")
 		if err != nil {
 			return false

@@ -15,7 +15,10 @@ import (
 // the same order, as tree-walking the same body; every non-trivial operation
 // below therefore delegates to the walker's own helpers (selectFrom,
 // writeLValue, dispatchCall, coerceTo, ...) so the charges are shared code,
-// not transcriptions.
+// not transcriptions. Arithmetic is binary, negate and increment, charged
+// through arithOp, the one kind-and-operator charge table; only the int lanes
+// (the qbin forms, the fused int compare-jumps and the all-int ++/--) inline
+// its int row, and TestOperatorTable pins them to it.
 //
 // The VM adds two mechanisms on top, both charge-transparent:
 //
@@ -82,7 +85,7 @@ func liveCell(fr *frame, slot int32) *cell {
 }
 
 // intCmp applies an int comparison operator. Callers charge the single
-// OpArithInt step themselves (the charge vmIntFast's comparison lanes issue).
+// OpArithInt step themselves, arithOp's charge for an int comparison.
 func intCmp(op token.Kind, a, b int64) bool {
 	switch op {
 	case token.Lt:
@@ -100,46 +103,9 @@ func intCmp(op token.Kind, a, b int64) bool {
 	}
 }
 
-// vmIntFast applies an int,int binary operator, charging exactly what
-// binaryFast's KInt lane charges. It exists so the dispatch loop's binary
-// handlers pass two scalars instead of copying two full Values into a call;
-// operators it skips (division, shifts, bitwise) fall through to binaryFast.
-func vmIntFast(in *Interp, op token.Kind, a, b int64) (Value, bool) {
-	switch op {
-	case token.Plus:
-		in.meter.Step(energy.OpArithInt, 1)
-		return IntVal(a + b), true
-	case token.Minus:
-		in.meter.Step(energy.OpArithInt, 1)
-		return IntVal(a - b), true
-	case token.Star:
-		in.meter.Step(energy.OpArithInt, 1)
-		return IntVal(a * b), true
-	case token.Lt:
-		in.meter.Step(energy.OpArithInt, 1)
-		return BoolVal(a < b), true
-	case token.Le:
-		in.meter.Step(energy.OpArithInt, 1)
-		return BoolVal(a <= b), true
-	case token.Gt:
-		in.meter.Step(energy.OpArithInt, 1)
-		return BoolVal(a > b), true
-	case token.Ge:
-		in.meter.Step(energy.OpArithInt, 1)
-		return BoolVal(a >= b), true
-	case token.Eq:
-		in.meter.Step(energy.OpArithInt, 1)
-		return BoolVal(a == b), true
-	case token.Ne:
-		in.meter.Step(energy.OpArithInt, 1)
-		return BoolVal(a != b), true
-	}
-	return Value{}, false
-}
-
 // intLaneOp reports whether the int-specialized quick handlers implement op.
-// It must cover exactly the operator set of binaryFast's KInt lane (which the
-// handlers inline), so an installed OpQBinInt* can never meet an operator it
+// It must cover every operator binary computes on two ints (the handlers
+// inline that arm), so an installed OpQBinInt* can never meet an operator it
 // has no lane for.
 func intLaneOp(op token.Kind) bool {
 	switch op {
@@ -195,8 +161,9 @@ func (in *Interp) execVM(cf *compiledFn, code []bytecode.Instr, ics []vmIC, fr *
 			// One arm for all three int-specialized binary forms; they only
 			// differ in where the operands come from. The charge sequence is
 			// operand charges (locals/consts as the generic forms issue
-			// them), then exactly one arithmetic charge — binaryFast's KInt
-			// lane with the Step hoisted out of the operator switch.
+			// them), then exactly one arithmetic charge — binary's int arm,
+			// with arithOp's int row inlined and hoisted out of the operator
+			// switch.
 			var a, b int64
 			if ins.Op == bytecode.OpQBinInt {
 				y := stack[sp-1]
@@ -239,7 +206,7 @@ func (in *Interp) execVM(cf *compiledFn, code []bytecode.Instr, ics []vmIC, fr *
 			var v Value
 			switch ins.Tok {
 			case token.Slash, token.Percent:
-				// Division cost before the zero check, like binaryFast.
+				// Division cost before the zero check, like binary.
 				if ins.Tok == token.Slash {
 					meter.Step(energy.OpDivInt, 1)
 				} else {
@@ -281,9 +248,9 @@ func (in *Interp) execVM(cf *compiledFn, code []bytecode.Instr, ics []vmIC, fr *
 				case token.BitXor:
 					v = IntVal(a ^ b)
 				case token.Shl:
-					v = IntVal(a << uint(b&63))
+					v = IntVal(a << (b & 31))
 				default: // token.Shr — intLaneOp admits nothing else
-					v = IntVal(a >> uint(b&63))
+					v = IntVal(a >> (b & 31))
 				}
 			}
 			stack[sp] = v
@@ -310,18 +277,7 @@ func (in *Interp) execVM(cf *compiledFn, code []bytecode.Instr, ics []vmIC, fr *
 			} else {
 				y = in.evalIdent(fr, ins.Node.(*ast.Binary).Y.(*ast.Ident))
 			}
-			if x.K == KInt && y.K == KInt {
-				if v, ok := vmIntFast(in, ins.Tok, x.I, y.I); ok {
-					stack[sp] = v
-					sp++
-					break
-				}
-			}
-			v, ok := in.binaryFast(ins.Tok, x, y)
-			if !ok {
-				v = in.binary(ins.Tok, x, y, ins.Node.NodePos())
-			}
-			stack[sp] = v
+			stack[sp] = in.binary(ins.Tok, x, y, ins.Node.NodePos())
 			sp++
 		case bytecode.OpBinLC:
 			if intLaneOp(ins.Tok) && consts[ins.B].v.K == KInt {
@@ -341,18 +297,7 @@ func (in *Interp) execVM(cf *compiledFn, code []bytecode.Instr, ics []vmIC, fr *
 			if cv.charge {
 				meter.Step(cv.op, 1)
 			}
-			if x.K == KInt && cv.v.K == KInt {
-				if v, ok := vmIntFast(in, ins.Tok, x.I, cv.v.I); ok {
-					stack[sp] = v
-					sp++
-					break
-				}
-			}
-			v, ok := in.binaryFast(ins.Tok, x, cv.v)
-			if !ok {
-				v = in.binary(ins.Tok, x, cv.v, ins.Node.NodePos())
-			}
-			stack[sp] = v
+			stack[sp] = in.binary(ins.Tok, x, cv.v, ins.Node.NodePos())
 			sp++
 		case bytecode.OpBinary:
 			y := stack[sp-1]
@@ -362,11 +307,7 @@ func (in *Interp) execVM(cf *compiledFn, code []bytecode.Instr, ics []vmIC, fr *
 				goto dispatch
 			}
 			sp--
-			v, ok := in.binaryFast(ins.Tok, x, y)
-			if !ok {
-				v = in.binary(ins.Tok, x, y, ins.Node.NodePos())
-			}
-			stack[sp-1] = v
+			stack[sp-1] = in.binary(ins.Tok, x, y, ins.Node.NodePos())
 		case bytecode.OpJmp:
 			pc += int(ins.A)
 			continue
@@ -396,11 +337,7 @@ func (in *Interp) execVM(cf *compiledFn, code []bytecode.Instr, ics []vmIC, fr *
 				meter.Step(energy.OpArithInt, 1)
 				take = intCmp(ins.Tok, x.I, y.I)
 			} else {
-				v, ok := in.binaryFast(ins.Tok, x, y)
-				if !ok {
-					v = in.binary(ins.Tok, x, y, ins.Node.NodePos())
-				}
-				take = v.I != 0
+				take = in.binary(ins.Tok, x, y, ins.Node.NodePos()).I != 0
 			}
 			if take == (ins.Op == bytecode.OpJmpCmpLLTrue) {
 				pc += int(ins.A)
@@ -423,11 +360,7 @@ func (in *Interp) execVM(cf *compiledFn, code []bytecode.Instr, ics []vmIC, fr *
 				meter.Step(energy.OpArithInt, 1)
 				take = intCmp(ins.Tok, x.I, cv.v.I)
 			} else {
-				v, ok := in.binaryFast(ins.Tok, x, cv.v)
-				if !ok {
-					v = in.binary(ins.Tok, x, cv.v, ins.Node.NodePos())
-				}
-				take = v.I != 0
+				take = in.binary(ins.Tok, x, cv.v, ins.Node.NodePos()).I != 0
 			}
 			if take == (ins.Op == bytecode.OpJmpCmpLCTrue) {
 				pc += int(ins.A)
@@ -442,11 +375,7 @@ func (in *Interp) execVM(cf *compiledFn, code []bytecode.Instr, ics []vmIC, fr *
 				meter.Step(energy.OpArithInt, 1)
 				take = intCmp(ins.Tok, x.I, y.I)
 			} else {
-				v, ok := in.binaryFast(ins.Tok, x, y)
-				if !ok {
-					v = in.binary(ins.Tok, x, y, ins.Node.NodePos())
-				}
-				take = v.I != 0
+				take = in.binary(ins.Tok, x, y, ins.Node.NodePos()).I != 0
 			}
 			if take == (ins.Op == bytecode.OpJmpCmpTrue) {
 				pc += int(ins.A)
@@ -498,16 +427,16 @@ func (in *Interp) execVM(cf *compiledFn, code []bytecode.Instr, ics []vmIC, fr *
 			n := ins.Node.(*ast.Unary)
 			var res Value
 			if c := liveCell(fr, ins.A); c != nil && c.v.K == KInt && c.k == KInt {
-				// All-int ++/--: same charge sequence as the general arm
-				// below (step, local read, int arithmetic, local write), but
-				// the cell store touches only the scalar word — an int cell's
-				// reference word is nil and stays nil, so skipping it skips
-				// the write barrier.
+				// All-int ++/--: same charge sequence and 32-bit wrap as the
+				// general arm below (step, local read, int arithmetic, local
+				// write), but the cell store touches only the scalar word —
+				// an int cell's reference word is nil and stays nil, so
+				// skipping it skips the write barrier.
 				in.step()
 				meter.Step(energy.OpLocal, 1)
 				old := c.v.I
 				meter.Step(energy.OpArithInt, 1)
-				upd := old + int64(ins.B)
+				upd := int64(int32(old) + ins.B)
 				meter.Step(energy.OpLocal, 1)
 				c.v.I = upd
 				if n.Postfix {
@@ -517,34 +446,14 @@ func (in *Interp) execVM(cf *compiledFn, code []bytecode.Instr, ics []vmIC, fr *
 				}
 			} else if c != nil {
 				// Inline ++/--: the walker's readLValue step+charge, unbox,
-				// arithmetic charge, and writeLValue live-slot store.
+				// increment, and writeLValue live-slot store.
 				in.step()
 				meter.Step(energy.OpLocal, 1)
 				old := c.v
 				if old.K == KBox {
 					old = in.unbox(old, n.Pos)
 				}
-				delta := int64(ins.B)
-				var updated Value
-				switch old.K {
-				case KInt:
-					meter.Step(energy.OpArithInt, 1)
-					updated = Value{K: KInt, I: old.I + delta}
-				case KFloat:
-					in.chargeArith(KFloat, token.Plus)
-					updated = FloatVal(old.D + float64(delta))
-				case KDouble:
-					in.chargeArith(KDouble, token.Plus)
-					updated = DoubleVal(old.D + float64(delta))
-				case KLong:
-					in.chargeArith(KLong, token.Plus)
-					updated = LongVal(old.I + delta)
-				case KShort, KByte, KChar:
-					in.chargeArith(old.K, token.Plus)
-					updated = Value{K: old.K, I: old.I + delta}
-				default:
-					in.bugf(n.Pos, "%v on %v", n.Op, old.K)
-				}
+				updated := in.increment(old, n)
 				meter.Step(energy.OpLocal, 1)
 				if updated.K == c.k {
 					c.v = updated
@@ -929,24 +838,7 @@ func (in *Interp) execVM(cf *compiledFn, code []bytecode.Instr, ics []vmIC, fr *
 			fr.locals[ins.A] = cell{t: n.Type, k: kindOfType(n.Type), v: zeroValue(n.Type), live: true}
 			meter.Step(energy.OpLocal, 1)
 		case bytecode.OpNeg:
-			n := ins.Node.(*ast.Unary)
-			v := stack[sp-1]
-			if v.K == KBox {
-				v = in.unbox(v, n.Pos)
-			}
-			in.chargeArith(v.K, token.Minus)
-			switch v.K {
-			case KFloat:
-				stack[sp-1] = FloatVal(-v.D)
-			case KDouble:
-				stack[sp-1] = DoubleVal(-v.D)
-			case KLong:
-				stack[sp-1] = LongVal(-v.I)
-			case KInt, KShort, KByte, KChar:
-				stack[sp-1] = IntVal(-v.I)
-			default:
-				in.bugf(n.Pos, "unary - on %v", v.K)
-			}
+			stack[sp-1] = in.negate(stack[sp-1], ins.Node.(*ast.Unary))
 		case bytecode.OpNot:
 			n := ins.Node.(*ast.Unary)
 			v := stack[sp-1]

@@ -50,7 +50,10 @@ go test -run '^$' -fuzz '^FuzzParse$' -fuzztime 20000x ./internal/minijava/parse
 echo "== engine diff =="
 # The bytecode VM and the tree-walker must be observationally identical:
 # results, output, op counts and energy bits, over the Table I corpus and
-# seeded random programs.
+# seeded random programs. Their expressions cover every numeric kind (int,
+# long, float and double locals; short, byte and char through casts), the
+# bitwise and shift operators with distances in -40..70, and mixed-kind
+# operands (int with long, float with double, char with int).
 go test -tags enginediff -run EngineDiff ./internal/minijava/interp
 
 echo "== sched diff =="
