@@ -440,6 +440,27 @@ func BenchmarkInterpRecursion(b *testing.B) {
 	}`)
 }
 
+// BenchmarkInterpStaticAndBuiltin is the call and select shapes that resolve
+// through the load-time site table and have no quick form: a static call on
+// a class name, a builtin static call, a static field, an array length and a
+// builtin instance call.
+func BenchmarkInterpStaticAndBuiltin(b *testing.B) {
+	benchInterpCall(b, `class B {
+		static int k = 2;
+		static int twice(int x) { return x + x; }
+		static double f() {
+			int[] a = new int[4];
+			StringBuilder sb = new StringBuilder();
+			int s = 0;
+			for (int i = 0; i < 1000; i++) {
+				s += B.twice(i) + Math.max(i, 3) + B.k + a.length;
+				sb.append('x');
+			}
+			return s;
+		}
+	}`)
+}
+
 // BenchmarkInterpMixedArith is non-int arithmetic: double, long and float
 // operators and int operands mixed into them, none of which the VM's int
 // lanes take, so every operator runs the interpreter's one binary path.

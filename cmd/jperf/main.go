@@ -86,7 +86,7 @@ func main() {
 // files; methods without a lowering are listed with a tree-walker marker.
 // With -warm it first executes the program's main on a fresh interpreter and
 // prints that instance's quickened code copies — the stream the VM actually
-// dispatches once the inline caches are filled.
+// dispatches once the site cache is filled.
 func runDisasmCmd(args []string) error {
 	fs := flag.NewFlagSet("disasm", flag.ContinueOnError)
 	warm := fs.Bool("warm", false, "run main first and print the instance's quickened code")

@@ -2,24 +2,18 @@ package tree
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
 
 	"jepo/internal/classify"
 	"jepo/internal/dataset"
 )
 
 // RandomForest is bagging over RandomTrees with probability voting, as in
-// WEKA's RandomForest. Like WEKA's -num-slots option, training can run the
-// trees in parallel; results are identical regardless of parallelism because
-// every tree draws from its own seed-derived random stream.
+// WEKA's RandomForest. The trees train in index order, each drawing from its
+// own seed-derived random stream.
 type RandomForest struct {
 	// Trees is the ensemble size (WEKA default 100; the experiment harness
 	// uses a smaller forest to keep simulated runs tractable).
 	Trees int
-	// Slots is the number of trees trained concurrently (WEKA's
-	// numExecutionSlots). 0 = GOMAXPROCS, 1 = sequential.
-	Slots int
 
 	opts   classify.Options
 	ntrees []*RandomTree
@@ -31,7 +25,7 @@ func NewRandomForest(opts classify.Options, trees int) *RandomForest {
 	if trees <= 0 {
 		trees = 20
 	}
-	return &RandomForest{Trees: trees, Slots: 1, opts: opts}
+	return &RandomForest{Trees: trees, opts: opts}
 }
 
 // Name implements Classifier.
@@ -54,7 +48,7 @@ func (c *RandomForest) Train(d *dataset.Dataset) error {
 	c.ntrees = make([]*RandomTree, c.Trees)
 	n := d.NumInstances()
 
-	trainOne := func(t int) error {
+	for t := range c.ntrees {
 		rng := classify.NewRNG(c.treeSeed(t))
 		sample := make([]int, n)
 		for i := range sample {
@@ -65,56 +59,6 @@ func (c *RandomForest) Train(d *dataset.Dataset) error {
 			return err
 		}
 		c.ntrees[t] = rt
-		return nil
-	}
-
-	slots := c.Slots
-	if slots <= 0 {
-		slots = runtime.GOMAXPROCS(0)
-	}
-	if slots == 1 {
-		for t := 0; t < c.Trees; t++ {
-			if err := trainOne(t); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-
-	// Worker pool over tree indices; each slot writes only its own cells of
-	// c.ntrees, so no further synchronization is needed.
-	work := make(chan int)
-	errs := make(chan error, slots)
-	var wg sync.WaitGroup
-	for s := 0; s < slots; s++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for t := range work {
-				if err := trainOne(t); err != nil {
-					select {
-					case errs <- err:
-					default:
-					}
-					return
-				}
-			}
-		}()
-	}
-	for t := 0; t < c.Trees; t++ {
-		work <- t
-	}
-	close(work)
-	wg.Wait()
-	select {
-	case err := <-errs:
-		return err
-	default:
-	}
-	for t, rt := range c.ntrees {
-		if rt == nil {
-			return fmt.Errorf("randomforest: tree %d was not trained (worker aborted)", t)
-		}
 	}
 	return nil
 }

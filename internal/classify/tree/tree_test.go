@@ -204,42 +204,8 @@ func TestZScore(t *testing.T) {
 	}
 }
 
-// Parallel training must produce byte-identical predictions to sequential
-// training: every tree draws from its own seed-derived stream.
-func TestRandomForestParallelDeterminism(t *testing.T) {
-	d := thresholdData(400)
-	r := classify.NewRNG(8)
-	for i := range d.X {
-		if r.Float64() < 0.2 {
-			d.X[i][1] = 1 - d.X[i][1]
-		}
-	}
-	seq := NewRandomForest(classify.Options{Seed: 11}, 16)
-	seq.Slots = 1
-	if err := seq.Train(d); err != nil {
-		t.Fatal(err)
-	}
-	par := NewRandomForest(classify.Options{Seed: 11}, 16)
-	par.Slots = 4
-	if err := par.Train(d); err != nil {
-		t.Fatal(err)
-	}
-	auto := NewRandomForest(classify.Options{Seed: 11}, 16)
-	auto.Slots = 0 // GOMAXPROCS
-	if err := auto.Train(d); err != nil {
-		t.Fatal(err)
-	}
-	for i, row := range d.X {
-		s, p, a := seq.Predict(row), par.Predict(row), auto.Predict(row)
-		if s != p || s != a {
-			t.Fatalf("row %d: sequential=%d parallel=%d auto=%d", i, s, p, a)
-		}
-	}
-}
-
 func TestRandomForestParallelEmptyData(t *testing.T) {
 	f := NewRandomForest(classify.Options{}, 4)
-	f.Slots = 3
 	if err := f.Train(thresholdData(1).Empty()); err == nil {
 		t.Error("empty dataset accepted")
 	}

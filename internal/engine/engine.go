@@ -22,11 +22,10 @@
 // entry-point check on the masters themselves, so a program with no runnable
 // main is turned away before anything is copied or resolved.
 //
-// Concurrent misses on one source parse it once: later callers wait for the
-// first parse. Concurrent Memo misses on one key may compute the same report
-// twice; the first put wins and, with deterministic artifacts, the duplicate
-// is bit-identical, so the race is a cost blip and not an observable event.
-// Eviction likewise only costs a rebuild.
+// Concurrent misses on one key build once, parses and Memo reports alike:
+// later callers wait for the first build. A Memo build that fails is not
+// stored, and its waiters build again under their own contexts. Eviction
+// only costs a rebuild.
 package engine
 
 import (
@@ -167,14 +166,14 @@ func Sources(m map[string]string) []Source {
 // Concurrent misses on one source parse it once (see store.do).
 func (e *Engine) ParseFile(path, source string) (*ast.File, error) {
 	k := NewKey("parse").Str(source).Key()
-	v := e.s.do(k, func() any {
+	v := e.s.do(k, func() (any, bool) {
 		e.parses.Add(1)
 		f, err := parser.Parse(path, source)
 		if err != nil {
-			return err
+			return err, true
 		}
 		f.Freeze()
-		return f
+		return f, true
 	})
 	switch v := v.(type) {
 	case *ast.File:
@@ -315,17 +314,18 @@ func Run(ctx context.Context, prog *interp.Program, spec RunSpec) (energy.Sample
 // Generic memoization for caller-defined stages.
 
 // Memo returns the cached artifact for k, building and caching it on a miss.
-// Errors are never cached. The build runs outside the store lock, so racing
-// misses may build twice; determinism makes the duplicates identical and the
-// first put wins.
+// Concurrent misses build once (see store.do). Errors are never cached: a
+// build's error goes to its own caller, and callers waiting on that build
+// build again.
 func (e *Engine) Memo(k Key, build func() (any, error)) (any, error) {
-	if v, ok := e.s.get(k); ok {
-		return v, nil
-	}
-	v, err := build()
+	var err error
+	v := e.s.do(k, func() (any, bool) {
+		var v any
+		v, err = build()
+		return v, err == nil
+	})
 	if err != nil {
 		return nil, err
 	}
-	e.s.put(k, v)
 	return v, nil
 }

@@ -28,7 +28,7 @@ type entry struct {
 }
 
 // flight is one build in progress. done is closed when it ends; by then val
-// is set and ok is true, unless the build panicked.
+// is set, and ok is true unless the build failed or panicked.
 type flight struct {
 	done chan struct{}
 	val  any
@@ -44,48 +44,46 @@ func newStore(capacity int) *store {
 	}
 }
 
-// get returns the cached artifact and marks it recently used.
-func (s *store) get(k Key) (any, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	el, ok := s.entries[k]
-	if !ok {
-		s.misses.Add(1)
-		return nil, false
-	}
-	s.order.MoveToFront(el)
-	s.hits.Add(1)
-	return el.Value.(*entry).val, true
-}
-
 // do returns the artifact under k, building and storing it on a miss.
 // Concurrent misses on one key build once: the first caller builds, outside
 // the lock, and the others wait for its value and count as hits, as they
-// would had they come a moment later. So the hit, miss and build counts do
-// not depend on how callers are scheduled.
-func (s *store) do(k Key, build func() any) any {
-	s.mu.Lock()
-	if el, ok := s.entries[k]; ok {
-		s.order.MoveToFront(el)
-		s.hits.Add(1)
-		s.mu.Unlock()
-		return el.Value.(*entry).val
-	}
-	if fl, ok := s.flights[k]; ok {
-		s.hits.Add(1)
-		s.mu.Unlock()
-		<-fl.done
-		if !fl.ok {
-			return build() // the first build panicked; fail or succeed on our own
+// would had they come a moment later. So, when builds succeed, the hit, miss
+// and build counts do not depend on how callers are scheduled.
+//
+// build reports whether its value may be stored. A value it may not store,
+// such as an error under the builder's own context, goes back to that caller
+// alone: each caller waiting on it, counted as a hit, looks up the key again
+// and so builds under its own context. One caller's cancellation never fails
+// another's; a build that panics releases its waiters the same way.
+func (s *store) do(k Key, build func() (any, bool)) any {
+	for {
+		s.mu.Lock()
+		if el, ok := s.entries[k]; ok {
+			s.order.MoveToFront(el)
+			s.hits.Add(1)
+			s.mu.Unlock()
+			return el.Value.(*entry).val
 		}
-		return fl.val
+		if fl, ok := s.flights[k]; ok {
+			s.hits.Add(1)
+			s.mu.Unlock()
+			<-fl.done
+			if fl.ok {
+				return fl.val
+			}
+			continue
+		}
+		fl := &flight{done: make(chan struct{})}
+		s.flights[k] = fl
+		s.misses.Add(1)
+		s.mu.Unlock()
+		return s.fly(k, fl, build)
 	}
-	fl := &flight{done: make(chan struct{})}
-	s.flights[k] = fl
-	s.misses.Add(1)
-	s.mu.Unlock()
-	// The executor turns a task's panic into its error, so a build that
-	// panics must still release its waiters.
+}
+
+// fly runs one build for do. The executor turns a task's panic into its
+// error, so a build that panics must still release its waiters.
+func (s *store) fly(k Key, fl *flight, build func() (any, bool)) any {
 	defer func() {
 		s.mu.Lock()
 		delete(s.flights, k)
@@ -95,27 +93,14 @@ func (s *store) do(k Key, build func() any) any {
 		s.mu.Unlock()
 		close(fl.done)
 	}()
-	fl.val = build()
-	fl.ok = true
+	fl.val, fl.ok = build()
 	return fl.val
 }
 
-// put inserts an artifact, evicting the least recently used entries beyond
-// capacity. Racing puts of the same key keep the first value; with
-// deterministic artifacts both candidates are identical, so which one
-// survives is unobservable.
-func (s *store) put(k Key, v any) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.insert(k, v)
-}
-
-// insert is put with s.mu held.
+// insert stores a new artifact, with s.mu held, evicting the least recently
+// used entries beyond capacity. Only a flight inserts, and only under a key
+// that has no entry.
 func (s *store) insert(k Key, v any) {
-	if el, ok := s.entries[k]; ok {
-		s.order.MoveToFront(el)
-		return
-	}
 	s.entries[k] = s.order.PushFront(&entry{key: k, val: v})
 	for s.order.Len() > s.capacity {
 		el := s.order.Back()

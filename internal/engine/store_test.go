@@ -1,10 +1,13 @@
 package engine
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func key(parts ...string) Key {
@@ -30,24 +33,37 @@ func TestKeyPartBoundaries(t *testing.T) {
 	}
 }
 
+// lookup reads k through do and reports whether it was stored: a build
+// means it was not (and stores nothing).
+func lookup(s *store, k Key) (any, bool) {
+	built := false
+	v := s.do(k, func() (any, bool) { built = true; return nil, false })
+	return v, !built
+}
+
+// store1 stores v under k through do.
+func store1(s *store, k Key, v any) {
+	s.do(k, func() (any, bool) { return v, true })
+}
+
 func TestStoreEvictionLRU(t *testing.T) {
 	s := newStore(2)
-	s.put(key("a"), 1)
-	s.put(key("b"), 2)
-	if _, ok := s.get(key("a")); !ok { // touch a: b becomes LRU
+	store1(s, key("a"), 1)
+	store1(s, key("b"), 2)
+	if _, ok := lookup(s, key("a")); !ok { // touch a: b becomes LRU
 		t.Fatal("a missing before eviction")
 	}
-	s.put(key("c"), 3)
+	store1(s, key("c"), 3)
 	if s.len() != 2 {
 		t.Fatalf("len = %d, want 2", s.len())
 	}
-	if _, ok := s.get(key("b")); ok {
+	if _, ok := lookup(s, key("b")); ok {
 		t.Fatal("b should have been evicted as least recently used")
 	}
-	if _, ok := s.get(key("a")); !ok {
+	if _, ok := lookup(s, key("a")); !ok {
 		t.Fatal("a should have survived (recently used)")
 	}
-	if _, ok := s.get(key("c")); !ok {
+	if _, ok := lookup(s, key("c")); !ok {
 		t.Fatal("c should be present")
 	}
 	if got := s.evictions.Load(); got != 1 {
@@ -57,22 +73,23 @@ func TestStoreEvictionLRU(t *testing.T) {
 
 func TestStoreCounters(t *testing.T) {
 	s := newStore(8)
-	s.get(key("x")) // miss
-	s.put(key("x"), 1)
-	s.get(key("x")) // hit
-	s.get(key("x")) // hit
+	store1(s, key("x"), 1) // miss
+	lookup(s, key("x"))    // hit
+	lookup(s, key("x"))    // hit
 	if h, m := s.hits.Load(), s.misses.Load(); h != 2 || m != 1 {
 		t.Fatalf("hits=%d misses=%d, want 2/1", h, m)
 	}
 }
 
-func TestStoreDuplicatePutKeepsFirst(t *testing.T) {
+// TestStoreDoKeepsFirst: once a key is stored, do returns its value without
+// building again.
+func TestStoreDoKeepsFirst(t *testing.T) {
 	s := newStore(8)
-	s.put(key("x"), "first")
-	s.put(key("x"), "second")
-	v, _ := s.get(key("x"))
+	store1(s, key("x"), "first")
+	store1(s, key("x"), "second")
+	v, _ := lookup(s, key("x"))
 	if v != "first" {
-		t.Fatalf("duplicate put replaced value: got %v", v)
+		t.Fatalf("second do replaced value: got %v", v)
 	}
 	if s.len() != 1 {
 		t.Fatalf("len = %d, want 1", s.len())
@@ -110,15 +127,96 @@ func TestStoreConcurrentAccess(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
-				k := key(fmt.Sprintf("k%d", i%100))
-				if _, ok := s.get(k); !ok {
-					s.put(k, i)
-				}
+				store1(s, key(fmt.Sprintf("k%d", i%100)), i)
 			}
 		}(g)
 	}
 	wg.Wait()
 	if s.len() > 64 {
 		t.Fatalf("capacity breached: %d entries", s.len())
+	}
+}
+
+// waitHits polls until e has counted n hits. It may run on any goroutine,
+// so a timeout is reported with Errorf.
+func waitHits(t *testing.T, e *Engine, n uint64) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); e.Stats().Hits < n; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Errorf("hits = %d, want %d", e.Stats().Hits, n)
+			return
+		}
+	}
+}
+
+// TestMemoSingleFlight: concurrent Memo misses on one key run the build
+// once, count one miss and a hit for each waiter, and all get its value.
+func TestMemoSingleFlight(t *testing.T) {
+	e := New(Config{Capacity: 8})
+	const n = 8
+	var builds atomic.Int32
+	vals := make([]any, n)
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	for i := range n {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			vals[i], errs[i] = e.Memo(key("m"), func() (any, error) {
+				builds.Add(1)
+				waitHits(t, e, n-1) // every other caller waits on this build
+				return "report", nil
+			})
+		}()
+	}
+	wg.Wait()
+	if st := e.Stats(); builds.Load() != 1 || st.Misses != 1 || st.Hits != n-1 {
+		t.Fatalf("builds = %d, misses = %d, hits = %d; want 1, 1, %d", builds.Load(), st.Misses, st.Hits, n-1)
+	}
+	for i := range n {
+		if vals[i] != "report" || errs[i] != nil {
+			t.Errorf("caller %d: %v, %v", i, vals[i], errs[i])
+		}
+	}
+}
+
+// TestMemoCancelledBuildLeavesWaiter: a first build that fails with its own
+// context's cancellation fails only its own caller; a caller waiting on it
+// builds under its own context, succeeds and stores.
+func TestMemoCancelledBuildLeavesWaiter(t *testing.T) {
+	e := New(Config{Capacity: 8})
+	ctx, cancel := context.WithCancel(context.Background())
+	started := make(chan struct{})
+	var err1 error
+	done1 := make(chan struct{})
+	go func() {
+		defer close(done1)
+		_, err1 = e.Memo(key("m"), func() (any, error) {
+			close(started)
+			<-ctx.Done()
+			return nil, ctx.Err()
+		})
+	}()
+	<-started
+	var v2 any
+	var err2 error
+	done2 := make(chan struct{})
+	go func() {
+		defer close(done2)
+		v2, err2 = e.Memo(key("m"), func() (any, error) { return "report", nil })
+	}()
+	waitHits(t, e, 1) // the second caller waits on the first build
+	cancel()
+	<-done1
+	<-done2
+	if !errors.Is(err1, context.Canceled) {
+		t.Errorf("first caller: err = %v, want context.Canceled", err1)
+	}
+	if v2 != "report" || err2 != nil {
+		t.Errorf("waiter: %v, %v; want its own build's value", v2, err2)
+	}
+	v, err := e.Memo(key("m"), func() (any, error) { return nil, errors.New("built again") })
+	if v != "report" || err != nil {
+		t.Errorf("after the waiter's build: %v, %v; want the stored value", v, err)
 	}
 }

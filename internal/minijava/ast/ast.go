@@ -380,7 +380,7 @@ const (
 	ResField                  // instance field; RIx is the object slot index
 	ResStatic                 // static field; looked up by name in the class's flat table
 	ResStaticRef              // static field; RIx indexes the program's static-ref table
-	ResClass                  // a class name used as a value
+	ResClass                  // a class name used as a value; RIx indexes the program's class-ref table
 	ResDynamic                // ambiguous across subclasses: dynamic lookup
 )
 
@@ -392,7 +392,10 @@ type Ident struct {
 	// Interpreter resolution cache, maintained by interp.Load. RSlot is
 	// 1 + the frame slot when the enclosing method declares Name as a
 	// parameter, local or catch variable (0 otherwise); RKind/RIx cache
-	// what Name resolves to when no such local is live.
+	// what Name resolves to when no such local is live. RIx is an index
+	// whose table depends on RKind: the object slot (ResField), the
+	// program's static-ref table (ResStaticRef) or its class-ref table of
+	// class reference values boxed once at load (ResClass).
 	RSlot int32
 	RKind uint8
 	RIx   int32

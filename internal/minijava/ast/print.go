@@ -398,6 +398,11 @@ func (p *printer) expr(e Expr, min int) {
 			p.b.WriteString(n.Op.String())
 		} else {
 			p.b.WriteString(n.Op.String())
+			// "- -x" and "- --x" must not print as "--x" and "---x", which
+			// lex as a decrement.
+			if x, ok := n.X.(*Unary); ok && n.Op == token.Minus && !x.Postfix && (x.Op == token.Minus || x.Op == token.Dec) {
+				p.b.WriteByte(' ')
+			}
 			p.expr(n.X, 13)
 		}
 	case *Binary:

@@ -27,9 +27,9 @@ func isJump(op Op) bool {
 	return false
 }
 
-// Finalize rewrites a compiled function into the form
-// the VM runs: leaders are recorded, load-resolved identifier accesses are
-// quickened at compile time, and inline-cache slots are numbered.
+// Finalize rewrites a compiled function into the form the VM runs: leaders
+// are recorded, load-resolved identifier accesses are quickened at compile
+// time, and call and select instructions carry their site's cache index.
 func Finalize(fn *Func) {
 	code := fn.Code
 	n := len(code)
@@ -55,7 +55,6 @@ func Finalize(fn *Func) {
 		}
 	}
 
-	var ics int32
 	for pc := range code {
 		ins := &code[pc]
 		switch ins.Op {
@@ -69,6 +68,8 @@ func Finalize(fn *Func) {
 					ins.Op, ins.A = OpQLoadStatic, id.RIx
 				case id.RKind == ast.ResField && id.RIx >= 0:
 					ins.Op, ins.A = OpQLoadField, id.RIx
+				case id.RKind == ast.ResClass && id.RIx >= 0:
+					ins.Op, ins.A = OpQPushV, id.RIx
 				}
 			}
 		case OpStoreIdent, OpStoreIdentX:
@@ -88,14 +89,17 @@ func Finalize(fn *Func) {
 					}
 				}
 			}
-		}
-		// Number the inline-cache slots runtime quickening patches through.
-		switch ins.Op {
-		case OpCall, OpLoadSelect, OpLoadIdent:
-			ins.C = ics
-			ics++
+		case OpCall:
+			// The site cache index the call and select quick forms read.
+			if n, ok := ins.Node.(*ast.Call); ok {
+				ins.C = n.SiteIx - 1
+			}
+		case OpLoadSelect:
+			if n, ok := ins.Node.(*ast.Select); ok {
+				ins.C = n.SiteIx - 1
+			}
 		}
 	}
 
-	fn.Blocks, fn.NICs = blocks, ics
+	fn.Blocks = blocks
 }

@@ -58,13 +58,11 @@ func (f *Func) operands(pc int, ins *Instr) (string, string) {
 	case OpQLoadField, OpQStoreField, OpQStoreFieldX:
 		return fmt.Sprintf("f%d", ins.A), nodeText(ins.Node)
 	case OpQPushV:
-		return fmt.Sprintf("ic%d", ins.C), nodeText(ins.Node)
-	case OpQGetField, OpQGetStatic, OpQGetConst, OpQArrLen:
-		return fmt.Sprintf("ic%d", ins.C), nodeText(ins.Node)
-	case OpQCallSelf, OpQCallVirtual, OpQCallStatic, OpQCallBuiltin:
-		return fmt.Sprintf("argc=%d ic%d", ins.A, ins.C), nodeText(ins.Node)
-	case OpQCallInstance:
-		return fmt.Sprintf("argc=%d", ins.A), nodeText(ins.Node)
+		return fmt.Sprintf("k%d", ins.A), nodeText(ins.Node)
+	case OpQGetField:
+		return fmt.Sprintf("site%d", ins.C), nodeText(ins.Node)
+	case OpQCallSelf, OpQCallVirtual:
+		return fmt.Sprintf("argc=%d site%d", ins.A, ins.C), nodeText(ins.Node)
 	case OpQBinIntLL:
 		return fmt.Sprintf("%v s%d s%d", ins.Tok, ins.A, ins.B), nodeText(ins.Node)
 	case OpQBinIntLC:

@@ -220,49 +220,36 @@ const (
 	OpQStoreField
 	OpQStoreFieldX
 
+	// OpQPushV pushes the program's class reference classRefs[A]
+	// (OpLoadIdent specialized on ast.ResClass), charging nothing, exactly
+	// like the walker's ResClass lane; an out-of-range index falls back to
+	// the identifier ladder.
+	OpQPushV
+
 	// --- runtime quickening (per-Interp warm code copies) ---
 	//
 	// The opcodes below never appear in a shared Program: the VM installs
 	// them by patching its private copy of the code after first execution.
-	// C indexes the function's inline-cache table (Func.NICs entries); every
-	// quick form re-checks its guard and deopts to the generic opcode — which
-	// recomputes from scratch with the walker's own helpers — on a miss.
+	// Every quick form re-checks its guard and deopts to the generic opcode —
+	// which recomputes from scratch with the walker's own helpers — on a
+	// miss. The call and select forms cache nothing of their own: C is the
+	// site's index (its SiteIx-1, set by Finalize) into the interpreter's
+	// per-instance site cache, the one the walker resolves through, and a
+	// cache miss refills it through the walker's resolver for that lookup.
+	// Only these three shapes have a quick form; every other call and select
+	// runs the generic handler, which resolves through the site table.
 
-	// OpQPushV pushes inline cache C's invariant value (a resolved class
-	// reference), charging nothing, exactly like evalIdent's ResClass case.
-	OpQPushV
-
-	// OpQGetField is OpLoadSelect specialized to an object receiver: the
-	// cache holds the receiver class and field slot index.
+	// OpQGetField is OpLoadSelect specialized to an object receiver (guard:
+	// the receiver is an object; the cache keys the field slot on its class).
 	OpQGetField
 
-	// OpQGetStatic / OpQGetConst are OpLoadSelect specialized to a class-ref
-	// receiver resolved to a user static slot / builtin constant.
-	OpQGetStatic
-	OpQGetConst
-
-	// OpQArrLen is OpLoadSelect specialized to array .length.
-	OpQArrLen
-
-	// OpQCallSelf / OpQCallVirtual / OpQCallStatic are OpCall specialized to
-	// an unqualified call (guard: frame class), an instance call (guard:
-	// receiver class) and a load-resolved static call (guard: class name).
-	// The cache pins the resolved method and its compiled function, so the
-	// call skips the dispatch ladder and the pooled argument copy: the VM
-	// passes its operand-stack slice directly (the callee copies parameters
-	// into its own frame before executing).
+	// OpQCallSelf / OpQCallVirtual are OpCall specialized to an unqualified
+	// call (cache key: the frame's class) and an instance call on an object
+	// (guard: the receiver is an object; cache key: its class). Like every
+	// call, they pass the arguments as a window of the VM's operand stack:
+	// the callee copies its parameters into its own frame before executing.
 	OpQCallSelf
 	OpQCallVirtual
-	OpQCallStatic
-
-	// OpQCallBuiltin is OpCall specialized to a site-resolved builtin static
-	// call (guard: class name); OpQCallInstance to a builtin value-kind
-	// receiver (String, StringBuilder, box, throwable — guard: the kind is
-	// not a user object, class ref or null). Neither caches a resolution —
-	// the runtime dispatches on name strings either way — but both skip the
-	// generic path's pooled argument copy and dispatch ladder.
-	OpQCallBuiltin
-	OpQCallInstance
 
 	// OpQBinIntLL / OpQBinIntLC / OpQBinInt are the binary forms specialized
 	// to int operands with the arithmetic switch inlined in the handler
@@ -340,14 +327,8 @@ var opNames = [...]string{
 	OpQStoreFieldX:  "putself.x",
 	OpQPushV:        "qpush",
 	OpQGetField:     "qgetfield",
-	OpQGetStatic:    "qgetstatic",
-	OpQGetConst:     "qgetconst",
-	OpQArrLen:       "qarrlen",
 	OpQCallSelf:     "qcall.self",
 	OpQCallVirtual:  "qcall.virt",
-	OpQCallStatic:   "qcall.static",
-	OpQCallBuiltin:  "qcall.builtin",
-	OpQCallInstance: "qcall.inst",
 	OpQBinIntLL:     "qbin.ll",
 	OpQBinIntLC:     "qbin.lc",
 	OpQBinInt:       "qbin",
@@ -385,11 +366,6 @@ type Func struct {
 	// targets, and fall-throughs after jumps and terminators. The
 	// disassembler annotates them.
 	Blocks []int32
-
-	// NICs is the number of inline-cache slots quickened instructions index
-	// through their C operand; the VM sizes its per-instance cache table
-	// from it.
-	NICs int32
 }
 
 // LiteralCharge reports the meter charge evaluating a literal issues — the

@@ -73,8 +73,8 @@ func TestConcurrentInstancesShareProgram(t *testing.T) {
 }
 
 // TestConcurrentQuickeningSharesProgram pins the VM's central thread-safety
-// claim: runtime quickening patches opcodes and fills inline caches only in
-// per-instance warm code copies, never in the shared Program. Each worker
+// claim: runtime quickening patches opcodes only in per-instance warm code
+// copies, and fills only the instance's site cache, never the shared Program. Each worker
 // runs a call/field/static/builtin-heavy program twice on one instance — the
 // first run installs the quick forms, the second executes them — while every
 // other worker does the same concurrently. The race detector catches any

@@ -55,15 +55,17 @@ type Interp struct {
 	// interpreters sharing a Program run with independent statics.
 	statics []staticCell
 
-	// warm holds this instance's private copies of compiled code, created on
-	// first invocation per function. Quickening patches opcodes and fills
-	// inline caches in these copies only, so instances sharing a Program
-	// never write shared memory — race-free by construction.
-	warm []warmState
+	// warm holds this instance's private copies of compiled code, indexed
+	// like Program.funcs and created on first invocation per function.
+	// Quickening patches opcodes in these copies only, so instances sharing
+	// a Program never write shared memory — race-free by construction.
+	warm [][]bytecode.Instr
 
-	// siteCache holds per-interpreter monomorphic inline caches, indexed by
-	// the SiteIx annotations the resolver leaves on Call/Select nodes. The
-	// interpreter is single-threaded by design, so no locking is needed.
+	// siteCache is the one run-time resolution cache of both engines: a
+	// monomorphic entry per call and select site, indexed by SiteIx-1 (the
+	// walker) or by a quickened instruction's C operand (the VM), which
+	// Finalize set to the same index. The interpreter is single-threaded by
+	// design, so no locking is needed.
 	siteCache []siteState
 
 	// framePool, argPool and stackPool are free lists for frame slot arrays,
@@ -88,9 +90,10 @@ type staticCell struct {
 // static returns this instance's cell for a static slot.
 func (in *Interp) static(s *staticSlot) *staticCell { return &in.statics[s.ix] }
 
-// siteState is one monomorphic inline cache entry: the last dynamic class
-// seen at the site together with the resolved method (call sites) or field
-// slot index (select sites). A site is only ever one of the two.
+// siteState is one monomorphic cache entry: the last dynamic class seen at
+// the site together with the resolved method (call sites) or field slot
+// index (select sites). A site is only ever one of the two. A miss refills
+// the entry through resolveSelf, resolveVirtual or resolveField.
 type siteState struct {
 	class *classInfo
 	m     *ast.Method
@@ -543,11 +546,12 @@ func (in *Interp) enterCall() {
 	in.calls++
 }
 
-// leaveCall ends a tree-walker call: it returns the frame's slots to the
-// free list and undoes enterCall.
-func (in *Interp) leaveCall(locals []cell) {
+// leaveCall ends a call: it returns the frame's slots and the VM operand
+// stack (nil on the walker) to their free lists and undoes enterCall.
+func (in *Interp) leaveCall(locals []cell, stack []Value) {
 	in.calls--
 	in.releaseLocals(locals)
+	in.releaseStack(stack)
 }
 
 // checkpoint runs the two checks checkAt stands for, budget first: a run
@@ -825,26 +829,28 @@ func (in *Interp) evalCond(fr *frame, e ast.Expr) bool {
 
 // --- method invocation ---
 
-// invoke runs a method with already-evaluated arguments. The frame's slot
-// array comes from the free list and is returned on the way out, including
-// when a mini-Java exception unwinds through the call. A probe-labelled
-// method reports to the hook around its body (see probed).
+// invoke is the one method entry of both engines. It runs a method with
+// already-evaluated arguments: the call charge, parameter coercion into a
+// frame whose slot array comes from the free list (and goes back on the way
+// out, also when a mini-Java exception unwinds through the call), the body —
+// on execVM when the VM engine runs and the method has a lowering, on the
+// walker otherwise — and return-value coercion only for an explicit return
+// in a non-void method. A probe-labelled method reports to the hook around
+// its body (see probed). args is only read before the body runs, so a caller
+// may pass a window of its own operand stack.
 func (in *Interp) invoke(ci *classInfo, this *Object, m *ast.Method, args []Value) Value {
-	if in.engine == EngineVM {
-		if ix := int(m.CIx) - 1; uint(ix) < uint(len(in.prog.funcs)) {
-			if cf := &in.prog.funcs[ix]; cf.fn != nil {
-				return in.invokeVM(ci, this, m, cf, args)
-			}
-		}
-	}
 	in.enterCall()
 	in.meter.Step(energy.OpCall, 1)
-	nslots := int(m.NSlots)
-	if nslots < len(m.Params) {
-		nslots = len(m.Params) // unresolved method; should not happen
+	var cf *compiledFn
+	var stack []Value
+	if in.engine == EngineVM {
+		if ix := int(m.CIx) - 1; uint(ix) < uint(len(in.prog.funcs)) && in.prog.funcs[ix].fn != nil {
+			cf = &in.prog.funcs[ix]
+			stack = in.grabStack(cf.fn.MaxStack)
+		}
 	}
-	fr := frame{class: ci, this: this, locals: in.grabLocals(nslots)}
-	defer in.leaveCall(fr.locals)
+	fr := frame{class: ci, this: this, locals: in.grabLocals(int(m.NSlots))}
+	defer in.leaveCall(fr.locals, stack)
 	for i := range m.Params {
 		p := &m.Params[i]
 		pk := kindOfType(p.Type)
@@ -854,17 +860,23 @@ func (in *Interp) invoke(ci *classInfo, this *Object, m *ast.Method, args []Valu
 		}
 		fr.locals[i] = cell{t: p.Type, k: pk, v: av, live: true}
 	}
-	var c ctrl
-	if m.Probe != "" && in.hook != nil {
-		in.probed(m.Probe, func() { c = in.exec(&fr, m.Body) })
-	} else {
-		c = in.exec(&fr, m.Body)
-	}
-	if c.kind == ctrlReturn {
-		if m.Ret.Kind != ast.Void || m.Ret.Dims > 0 {
-			return in.coerceTo(c.v, m.Ret, m.Pos)
+	var ret Value
+	var explicit bool
+	body := func() {
+		if cf != nil {
+			ret, explicit = in.execVM(cf, in.warmFor(cf), &fr, stack)
+			return
 		}
-		return Value{K: KVoid}
+		c := in.exec(&fr, m.Body)
+		ret, explicit = c.v, c.kind == ctrlReturn
+	}
+	if m.Probe != "" && in.hook != nil {
+		in.probed(m.Probe, body)
+	} else {
+		body()
+	}
+	if explicit && (m.Ret.Kind != ast.Void || m.Ret.Dims > 0) {
+		return in.coerceTo(ret, m.Ret, m.Pos)
 	}
 	return Value{K: KVoid}
 }
@@ -1068,7 +1080,9 @@ func (in *Interp) evalIdent(fr *frame, n *ast.Ident) Value {
 			}
 		}
 	case ast.ResClass:
-		return Value{K: KClassRef, R: n.Name}
+		if ix := int(n.RIx); ix < len(in.prog.classRefs) {
+			return in.prog.classRefs[ix]
+		}
 	}
 	return in.evalIdentSlow(fr, n)
 }
@@ -1108,19 +1122,17 @@ func (in *Interp) selectFrom(x Value, n *ast.Select) Value {
 	switch x.K {
 	case KClassRef:
 		cls := x.R.(string)
-		if ix := int(n.SiteIx) - 1; ix >= 0 && ix < len(in.prog.sites) {
-			switch ps := &in.prog.sites[ix]; ps.kind {
-			case siteStaticSel:
-				if ps.cls == cls {
-					c := in.static(ps.slot)
-					in.meter.StaticAccess(c.Addr)
-					return c.V
-				}
-			case siteBuiltinConstSel:
-				if ps.cls == cls {
-					in.meter.Step(energy.OpStatic, 1)
-					return ps.v
-				}
+		switch ps := &in.prog.sites[n.SiteIx-1]; ps.kind {
+		case siteStaticSel:
+			if ps.cls == cls {
+				c := in.static(ps.slot)
+				in.meter.StaticAccess(c.Addr)
+				return c.V
+			}
+		case siteBuiltinConstSel:
+			if ps.cls == cls {
+				in.meter.Step(energy.OpStatic, 1)
+				return ps.v
 			}
 		}
 		if cls == "System" && n.Name == "out" {
@@ -1146,26 +1158,12 @@ func (in *Interp) selectFrom(x Value, n *ast.Select) Value {
 		in.bugf(n.Pos, "arrays have no field %s", n.Name)
 	case KRef:
 		obj := x.R.(*Object)
-		var ix int
-		if si := int(n.SiteIx) - 1; si >= 0 && si < len(in.siteCache) {
-			sc := &in.siteCache[si]
-			if sc.class != obj.Class {
-				fix, ok := obj.Class.fieldIx[n.Name]
-				if !ok {
-					in.bugf(n.Pos, "class %s has no field %s", obj.Class.Name, n.Name)
-				}
-				sc.class, sc.ix = obj.Class, int32(fix)
-			}
-			ix = int(sc.ix)
-		} else {
-			fix, ok := obj.Class.fieldIx[n.Name]
-			if !ok {
-				in.bugf(n.Pos, "class %s has no field %s", obj.Class.Name, n.Name)
-			}
-			ix = fix
+		sc := &in.siteCache[n.SiteIx-1]
+		if sc.class != obj.Class {
+			in.resolveField(sc, obj.Class, n)
 		}
-		in.meter.FieldAccess(obj.Base + 16 + uint64(8*ix))
-		return obj.Slots[ix]
+		in.meter.FieldAccess(obj.Base + 16 + uint64(8*sc.ix))
+		return obj.Slots[sc.ix]
 	case KNull:
 		in.throw("NullPointerException", "field "+n.Name+" on null")
 	}
@@ -1204,32 +1202,21 @@ func (in *Interp) indexCheck(xv, iv Value, n *ast.Index) (*Array, int) {
 }
 
 func (in *Interp) evalNew(fr *frame, n *ast.New) Value {
-	return in.newDispatch(n, in.evalArgs(fr, n.Args))
+	args := in.evalArgs(fr, n.Args)
+	v := in.newDispatch(n, args)
+	in.releaseArgs(args)
+	return v
 }
 
 // newDispatch constructs n with already-evaluated arguments — shared by the
-// tree-walk and the VM's OpNew.
+// tree-walk and the VM's OpNew. The site table resolved every New at load
+// time. It never releases args: the walker's evalNew does, and the VM passes
+// a window of its operand stack.
 func (in *Interp) newDispatch(n *ast.New, args []Value) Value {
-	if ix := int(n.SiteIx) - 1; ix >= 0 && ix < len(in.prog.sites) {
-		switch ps := &in.prog.sites[ix]; ps.kind {
-		case siteNewUser:
-			v := in.construct(ps.ci, ps.m, args, n.Pos)
-			in.releaseArgs(args)
-			return v
-		case siteNewBuiltin:
-			v := in.constructBuiltin(n.Name, args, n.Pos)
-			in.releaseArgs(args)
-			return v
-		}
+	if ps := &in.prog.sites[n.SiteIx-1]; ps.kind == siteNewUser {
+		return in.construct(ps.ci, ps.m, args, n.Pos)
 	}
-	if ci, ok := in.prog.classes[n.Name]; ok {
-		v := in.construct(ci, ci.findCtor(len(args)), args, n.Pos)
-		in.releaseArgs(args)
-		return v
-	}
-	v := in.constructBuiltin(n.Name, args, n.Pos)
-	in.releaseArgs(args)
-	return v
+	return in.constructBuiltin(n.Name, args, n.Pos)
 }
 
 func (in *Interp) evalNewArray(fr *frame, n *ast.NewArray) Value {
@@ -1571,7 +1558,10 @@ func (in *Interp) binary(op token.Kind, x, y Value, pos token.Pos) Value {
 
 // binaryRef is binary for operand pairs that are not both numeric: string
 // concatenation, boxed operands (unboxed, then back through binary),
-// reference and null equality, and boolean logic.
+// reference and null equality, and boolean logic. A number compared with a
+// boolean fails, as it does not compile in Java. Two boxed operands compare
+// their values, where Java compares references: modelling identity would
+// need the Integer.valueOf cache, which changes allocation counts.
 func (in *Interp) binaryRef(op token.Kind, x, y Value, pos token.Pos) Value {
 	if op == token.Plus && (x.K == KString || y.K == KString) {
 		xs, ys := x.JavaString(), y.JavaString()
@@ -1598,7 +1588,7 @@ func (in *Interp) binaryRef(op token.Kind, x, y Value, pos token.Pos) Value {
 		}
 		in.bugf(pos, "operator %v on booleans", op)
 	}
-	if op == token.Eq || op == token.Ne {
+	if (op == token.Eq || op == token.Ne) && !(x.K == KBool && y.K.IsNumeric() || x.K.IsNumeric() && y.K == KBool) {
 		in.meter.Step(energy.OpArithInt, 1)
 		return BoolVal(refEqual(x, y) == (op == token.Eq))
 	}
@@ -1860,24 +1850,11 @@ func (in *Interp) writeLValue(fr *frame, lhs ast.Expr, v Value) {
 		switch x.K {
 		case KRef:
 			obj := x.R.(*Object)
-			var ix int
-			if si := int(l.SiteIx) - 1; si >= 0 && si < len(in.siteCache) {
-				sc := &in.siteCache[si]
-				if sc.class != obj.Class {
-					fix, ok := obj.Class.fieldIx[l.Name]
-					if !ok {
-						in.bugf(l.Pos, "class %s has no field %s", obj.Class.Name, l.Name)
-					}
-					sc.class, sc.ix = obj.Class, int32(fix)
-				}
-				ix = int(sc.ix)
-			} else {
-				fix, ok := obj.Class.fieldIx[l.Name]
-				if !ok {
-					in.bugf(l.Pos, "class %s has no field %s", obj.Class.Name, l.Name)
-				}
-				ix = fix
+			sc := &in.siteCache[l.SiteIx-1]
+			if sc.class != obj.Class {
+				in.resolveField(sc, obj.Class, l)
 			}
+			ix := int(sc.ix)
 			in.meter.FieldAccess(obj.Base + 16 + uint64(8*ix))
 			if fi := &obj.Class.fields[ix]; v.K == fi.K {
 				obj.Slots[ix] = v
@@ -1887,13 +1864,11 @@ func (in *Interp) writeLValue(fr *frame, lhs ast.Expr, v Value) {
 			return
 		case KClassRef:
 			cls := x.R.(string)
-			if si := int(l.SiteIx) - 1; si >= 0 && si < len(in.prog.sites) {
-				if ps := &in.prog.sites[si]; ps.kind == siteStaticSel && ps.cls == cls {
-					c := in.static(ps.slot)
-					in.meter.StaticAccess(c.Addr)
-					c.V = in.coerceTo(v, ps.slot.Type, l.Pos)
-					return
-				}
+			if ps := &in.prog.sites[l.SiteIx-1]; ps.kind == siteStaticSel && ps.cls == cls {
+				c := in.static(ps.slot)
+				in.meter.StaticAccess(c.Addr)
+				c.V = in.coerceTo(v, ps.slot.Type, l.Pos)
+				return
 			}
 			if ci, ok := in.prog.classes[cls]; ok {
 				if slot := ci.findStatic(l.Name); slot != nil {
@@ -2213,74 +2188,50 @@ func (in *Interp) valueInstanceOf(v Value, name string) bool {
 // --- calls ---
 
 func (in *Interp) evalCall(fr *frame, n *ast.Call) Value {
-	if n.Recv == nil {
-		return in.dispatchCall(fr, n, Value{}, false, in.evalArgs(fr, n.Args))
+	var recv Value
+	if n.Recv != nil {
+		recv = in.operand(fr, n.Recv)
 	}
-	recv := in.operand(fr, n.Recv)
-	return in.dispatchCall(fr, n, recv, true, in.evalArgs(fr, n.Args))
+	args := in.evalArgs(fr, n.Args)
+	v := in.dispatchCall(fr, n, recv, n.Recv != nil, args)
+	in.releaseArgs(args)
+	return v
 }
 
 // dispatchCall resolves and invokes a call site with an already-evaluated
 // receiver and arguments — shared by the tree-walk and the VM's OpCall. It
-// releases args on every successful return path (an interpreter error or
-// mini-Java exception abandons the slice to the GC, like the walker always
-// has).
+// never releases args: the walker's evalCall does, and the VM passes a
+// window of its operand stack.
 func (in *Interp) dispatchCall(fr *frame, n *ast.Call, recv Value, hasRecv bool, args []Value) Value {
-	// Unqualified call: method of the enclosing class. The monomorphic site
-	// cache keys on the frame's dynamic class, so repeated calls skip the
-	// method-table lookup entirely.
+	// Unqualified call: method of the enclosing class, through the site's
+	// monomorphic cache keyed on the frame's dynamic class.
 	if !hasRecv {
-		var m *ast.Method
-		if ix := int(n.SiteIx) - 1; ix >= 0 && ix < len(in.siteCache) {
-			sc := &in.siteCache[ix]
-			if sc.class == fr.class {
-				m = sc.m
-			} else if m = fr.class.findMethod(n.Name, len(args)); m != nil {
-				sc.class, sc.m = fr.class, m
-			}
-		} else {
-			m = fr.class.findMethod(n.Name, len(args))
+		sc := &in.siteCache[n.SiteIx-1]
+		if sc.class != fr.class {
+			in.resolveSelf(sc, fr.class, n, len(args))
 		}
-		if m == nil {
-			in.bugf(n.Pos, "unknown method %s/%d in class %s", n.Name, len(args), fr.class.Name)
-		}
-		if m.Mods.Has(ast.ModStatic) {
-			v := in.invoke(fr.class, nil, m, args)
-			in.releaseArgs(args)
-			return v
-		}
-		if fr.this == nil {
-			in.bugf(n.Pos, "instance method %s called from static context", n.Name)
-		}
-		v := in.invoke(fr.this.Class, fr.this, m, args)
-		in.releaseArgs(args)
-		return v
+		ci, this := in.selfReceiver(fr, n, sc.m)
+		return in.invoke(ci, this, sc.m, args)
 	}
 	switch recv.K {
 	case KClassRef:
 		cls := recv.R.(string)
 		// Load-resolved static dispatch: the site table pins the target
 		// when the receiver is a statically-known class name.
-		if ix := int(n.SiteIx) - 1; ix >= 0 && ix < len(in.prog.sites) {
-			switch ps := &in.prog.sites[ix]; ps.kind {
-			case siteStaticCall:
-				if ps.cls == cls {
-					v := in.invoke(ps.ci, nil, ps.m, args)
-					in.releaseArgs(args)
+		switch ps := &in.prog.sites[n.SiteIx-1]; ps.kind {
+		case siteStaticCall:
+			if ps.cls == cls {
+				return in.invoke(ps.ci, nil, ps.m, args)
+			}
+		case siteBuiltinStaticCall:
+			if ps.cls == cls {
+				if v, ok := in.callBuiltinStatic(cls, n.Name, args, n.Pos); ok {
 					return v
-				}
-			case siteBuiltinStaticCall:
-				if ps.cls == cls {
-					if v, ok := in.callBuiltinStatic(cls, n.Name, args, n.Pos); ok {
-						in.releaseArgs(args)
-						return v
-					}
 				}
 			}
 		}
 		if cls == "System.out" {
 			if v, ok := in.callBuiltinInstance(recv, n.Name, args, n.Pos); ok {
-				in.releaseArgs(args)
 				return v
 			}
 			in.bugf(n.Pos, "unknown method System.out.%s", n.Name)
@@ -2290,45 +2241,75 @@ func (in *Interp) dispatchCall(fr *frame, n *ast.Call, recv Value, hasRecv bool,
 				if !m.Mods.Has(ast.ModStatic) {
 					in.bugf(n.Pos, "instance method %s.%s called statically", cls, n.Name)
 				}
-				v := in.invoke(ci, nil, m, args)
-				in.releaseArgs(args)
-				return v
+				return in.invoke(ci, nil, m, args)
 			}
 		}
 		if v, ok := in.callBuiltinStatic(cls, n.Name, args, n.Pos); ok {
-			in.releaseArgs(args)
 			return v
 		}
 		in.bugf(n.Pos, "unknown static method %s.%s/%d", cls, n.Name, len(args))
 	case KRef:
 		obj := recv.R.(*Object)
-		var m *ast.Method
-		if ix := int(n.SiteIx) - 1; ix >= 0 && ix < len(in.siteCache) {
-			sc := &in.siteCache[ix]
-			if sc.class == obj.Class {
-				m = sc.m
-			} else if m = obj.Class.findMethod(n.Name, len(args)); m != nil {
-				sc.class, sc.m = obj.Class, m
-			}
-		} else {
-			m = obj.Class.findMethod(n.Name, len(args))
+		sc := &in.siteCache[n.SiteIx-1]
+		if sc.class != obj.Class {
+			in.resolveVirtual(sc, obj.Class, n, len(args))
 		}
-		if m == nil {
-			in.bugf(n.Pos, "class %s has no method %s/%d", obj.Class.Name, n.Name, len(args))
-		}
-		v := in.invoke(obj.Class, obj, m, args)
-		in.releaseArgs(args)
-		return v
+		return in.invoke(obj.Class, obj, sc.m, args)
 	case KNull:
 		in.throw("NullPointerException", "call "+n.Name+" on null")
 	default:
 		if v, ok := in.callBuiltinInstance(recv, n.Name, args, n.Pos); ok {
-			in.releaseArgs(args)
 			return v
 		}
 		in.bugf(n.Pos, "no method %s on %v", n.Name, recv.K)
 	}
 	return Value{}
+}
+
+// selfReceiver returns the class and receiver the method an unqualified
+// call resolved to runs with: the frame's class and no receiver for a static
+// method, the frame's receiver for an instance method.
+func (in *Interp) selfReceiver(fr *frame, n *ast.Call, m *ast.Method) (*classInfo, *Object) {
+	if m.Mods.Has(ast.ModStatic) {
+		return fr.class, nil
+	}
+	if fr.this == nil {
+		in.bugf(n.Pos, "instance method %s called from static context", n.Name)
+	}
+	return fr.this.Class, fr.this
+}
+
+// resolveSelf refills an unqualified call site's cache entry for frame
+// class ci. It and its siblings resolveVirtual and resolveField are the one
+// copy of each run-time lookup and its error, for both engines: the walker's
+// dispatchCall, selectFrom and writeLValue call them on a cache miss, and so
+// do the VM's quick forms.
+func (in *Interp) resolveSelf(sc *siteState, ci *classInfo, n *ast.Call, argc int) {
+	m := ci.findMethod(n.Name, argc)
+	if m == nil {
+		in.bugf(n.Pos, "unknown method %s/%d in class %s", n.Name, argc, ci.Name)
+	}
+	sc.class, sc.m = ci, m
+}
+
+// resolveVirtual refills an instance call site's cache entry for receiver
+// class ci.
+func (in *Interp) resolveVirtual(sc *siteState, ci *classInfo, n *ast.Call, argc int) {
+	m := ci.findMethod(n.Name, argc)
+	if m == nil {
+		in.bugf(n.Pos, "class %s has no method %s/%d", ci.Name, n.Name, argc)
+	}
+	sc.class, sc.m = ci, m
+}
+
+// resolveField refills a field select site's cache entry for receiver class
+// ci; reads and stores share it.
+func (in *Interp) resolveField(sc *siteState, ci *classInfo, n *ast.Select) {
+	ix, ok := ci.fieldIx[n.Name]
+	if !ok {
+		in.bugf(n.Pos, "class %s has no field %s", ci.Name, n.Name)
+	}
+	sc.class, sc.ix = ci, int32(ix)
 }
 
 // evalArgs evaluates call arguments into a pooled slice; the caller releases

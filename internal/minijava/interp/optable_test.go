@@ -431,3 +431,39 @@ func TestBooleanEquality(t *testing.T) {
 		}
 	}
 }
+
+// TestNumberBooleanEquality: == and != between a number and a boolean fail
+// on both engines with one text, also when the boolean is boxed, while a
+// boxed number still compares with null and with another box by value.
+func TestNumberBooleanEquality(t *testing.T) {
+	for _, c := range []struct {
+		body, want string
+		val        bool // the result when want is empty
+	}{
+		{"return 1 == true;", "operator == on int and boolean", false},
+		{"return false != 0;", "operator != on boolean and int", false},
+		{"Boolean b = true; return 1 == b;", "operator == on int and boolean", false},
+		{"return 'a' == false;", "operator == on char and boolean", false},
+		{"double d = 1.0; return d != true;", "operator != on double and boolean", false},
+		{"Integer x = 5; return x == null;", "", false},
+		{"Integer a = 1000; Integer b = 1000; return a == b;", "", true},
+	} {
+		src := "class T { static boolean f() { " + c.body + " } }"
+		var vals []Value
+		var errs []string
+		for _, e := range engines {
+			v, err := newOn(t, e, src).CallStatic("T", "f")
+			got := ""
+			if err != nil {
+				got = err.Error()
+			}
+			if c.want == "" && (got != "" || v.Bool() != c.val) || !strings.HasSuffix(got, c.want) {
+				t.Errorf("%v: %s: %v, err %q, want %q", e, c.body, v, got, c.want)
+			}
+			vals, errs = append(vals, v), append(errs, got)
+		}
+		if vals[0] != vals[1] || errs[0] != errs[1] {
+			t.Errorf("%s: engines disagree: %v %q vs %v %q", c.body, vals[0], errs[0], vals[1], errs[1])
+		}
+	}
+}

@@ -62,9 +62,12 @@ type Program struct {
 	// Resolution tables built by resolveProgram. sites is indexed by the
 	// SiteIx annotations on Call/New/Select nodes and holds load-time
 	// resolved dispatch targets; statRefs is indexed by the RIx of
-	// ResStaticRef idents and points directly at unambiguous static slots.
-	sites    []progSite
-	statRefs []*staticSlot
+	// ResStaticRef idents and points directly at unambiguous static slots;
+	// classRefs is indexed by the RIx of ResClass idents and holds each
+	// class name's reference value, boxed once.
+	sites     []progSite
+	statRefs  []*staticSlot
+	classRefs []Value
 
 	// funcs is the compiled-bytecode table built by compileProgram, indexed
 	// by the CIx annotations Load numbers methods with (nil fn = no
@@ -76,8 +79,8 @@ type Program struct {
 
 // progSiteKind classifies what a call/new/select site resolved to at load
 // time. siteLazy (the zero value) means nothing could be pinned down
-// statically; the interpreter uses its per-instance monomorphic cache or the
-// fully dynamic path.
+// statically; both engines then resolve the site at run time, through the
+// per-instance monomorphic cache or the dynamic lookup ladder.
 type progSiteKind uint8
 
 const (

@@ -10,10 +10,13 @@ import "jepo/internal/minijava/ast"
 //     catch variable a numbered slot, and every identifier the slot of the
 //     local that can shadow it (Ident.RSlot) plus a cached resolution for
 //     the no-live-local case (Ident.RKind/RIx);
-//   - every Call/New/Select node gets a site index (SiteIx) into the
-//     program's site table, holding load-time resolved dispatch targets for
-//     statically-known receivers, and doubling as the index of the
-//     interpreter's per-instance monomorphic caches.
+//   - every Call/New/Select node gets a site index (SiteIx). It indexes the
+//     program's site table, which holds the targets resolved at load time
+//     for statically-known receivers, and the interpreter's per-instance
+//     monomorphic cache (Interp.siteCache), which holds the rest once run.
+//     Both engines resolve every call and select through these two tables;
+//   - every class name used as a value gets the index (RIx) of its class
+//     reference in the program's classRefs table, boxed once here.
 //
 // The dialect is dynamically scoped per frame (a local exists from the
 // moment its declaration statement executes) and method bodies execute
@@ -40,7 +43,8 @@ type resolver struct {
 	staticName  map[string]bool
 	multiStatic map[string]bool
 
-	statRefIx map[*staticSlot]int32
+	statRefIx  map[*staticSlot]int32
+	classRefIx map[string]int32
 }
 
 // rctx is the per-body resolution context: the declaring class, whether the
@@ -61,6 +65,7 @@ func resolveProgram(p *Program) {
 		staticName:  map[string]bool{},
 		multiStatic: map[string]bool{},
 		statRefIx:   map[*staticSlot]int32{},
+		classRefIx:  map[string]int32{},
 	}
 	for _, name := range p.order {
 		ci := p.classes[name]
@@ -328,7 +333,7 @@ func (r *resolver) ident(c *rctx, n *ast.Ident) {
 			n.RKind = ast.ResDynamic
 			return
 		}
-		n.RKind = ast.ResClass
+		n.RKind, n.RIx = ast.ResClass, r.classRef(n.Name)
 		return
 	}
 	n.RKind = ast.ResDynamic // unknown here; the dynamic path reports it
@@ -341,6 +346,17 @@ func (r *resolver) statRef(slot *staticSlot) int32 {
 	ix := int32(len(r.p.statRefs))
 	r.p.statRefs = append(r.p.statRefs, slot)
 	r.statRefIx[slot] = ix
+	return ix
+}
+
+// classRef returns the classRefs index of a class name's boxed reference.
+func (r *resolver) classRef(name string) int32 {
+	if ix, ok := r.classRefIx[name]; ok {
+		return ix
+	}
+	ix := int32(len(r.p.classRefs))
+	r.p.classRefs = append(r.p.classRefs, Value{K: KClassRef, R: name})
+	r.classRefIx[name] = ix
 	return ix
 }
 
@@ -361,7 +377,7 @@ func (r *resolver) classRecv(e ast.Expr) (string, bool) {
 
 // callSite resolves static-dispatch call sites. Unqualified and
 // instance-receiver calls stay lazy: the interpreter's per-instance
-// monomorphic cache handles them, keyed by the dynamic class.
+// monomorphic cache resolves them, keyed by the dynamic class.
 func (r *resolver) callSite(n *ast.Call) {
 	n.SiteIx = r.allocSite()
 	if n.Recv == nil {

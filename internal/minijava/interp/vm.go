@@ -20,57 +20,17 @@ import (
 // (the qbin forms, the fused int compare-jumps and the all-int ++/--) inline
 // its int row, and TestOperatorTable pins them to it.
 //
-// The VM adds two mechanisms on top, both charge-transparent:
-//
-//   - Runtime quickening: generic handlers patch their instruction (in this
-//     instance's private code copy only) into a specialized form after first
-//     execution. Every quick handler re-checks its guard and deopts by
-//     flipping the opcode back and re-entering the dispatch switch via the
-//     `dispatch` label — without re-counting the instruction's steps.
-//   - Monomorphic inline caches (vmIC) pin resolved methods, field offsets
-//     and static slots per site; a guard miss re-resolves through the same
-//     lookups the generic path uses, so behaviour is identical.
-
-// invokeVM runs a compiled method. It mirrors invoke exactly: the call
-// charge, parameter coercion into pooled frame slots, the probe hook's
-// events for a labelled method, and return-value coercion only for an
-// explicit return in a non-void method.
-func (in *Interp) invokeVM(ci *classInfo, this *Object, m *ast.Method, cf *compiledFn, args []Value) Value {
-	fn := cf.fn
-	in.enterCall()
-	in.meter.Step(energy.OpCall, 1)
-	w := in.warmFor(cf)
-	code, ics := w.code, w.ics
-	fr := frame{class: ci, this: this, locals: in.grabLocals(fn.NSlots)}
-	stack := in.grabStack(fn.MaxStack)
-	defer func() {
-		in.calls--
-		in.releaseLocals(fr.locals)
-		in.releaseStack(stack)
-	}()
-	for i := range m.Params {
-		p := &m.Params[i]
-		pk := kindOfType(p.Type)
-		av := args[i]
-		if av.K != pk {
-			av = in.coerceTo(av, p.Type, m.Pos)
-		}
-		fr.locals[i] = cell{t: p.Type, k: pk, v: av, live: true}
-	}
-	var ret Value
-	var explicit bool
-	if m.Probe != "" && in.hook != nil {
-		in.probed(m.Probe, func() { ret, explicit = in.execVM(cf, code, ics, &fr, stack) })
-	} else {
-		ret, explicit = in.execVM(cf, code, ics, &fr, stack)
-	}
-	if explicit {
-		if m.Ret.Kind != ast.Void || m.Ret.Dims > 0 {
-			return in.coerceTo(ret, m.Ret, m.Pos)
-		}
-	}
-	return Value{K: KVoid}
-}
+// The VM adds one mechanism on top, charge-transparent: runtime quickening.
+// Generic handlers patch their instruction (in this instance's private code
+// copy only) into a specialized form after first execution, and every quick
+// handler re-checks its guard and deopts by flipping the opcode back and
+// re-entering the dispatch switch via the `dispatch` label — without
+// re-counting the instruction's steps. The call and select quick forms keep
+// no cache of their own: they read the walker's per-instance site cache
+// (Interp.siteCache) at the instruction's C operand and refill it on a miss
+// through the walker's own resolvers, so both engines resolve a site once
+// and through one lookup. Every call, quick or not, enters the callee through
+// invoke.
 
 // liveCell returns the live cell at a compiled slot operand, or nil when the
 // declaration has not executed yet (the dialect declares at execution time)
@@ -121,14 +81,13 @@ func intLaneOp(op token.Kind) bool {
 // completed through an explicit return statement (which triggers invoke's
 // return-value coercion) as opposed to falling off the end of the body.
 //
-// code is this instance's private warm copy of the finalized stream, with
-// ics its inline-cache table, so handlers patch opcodes without ever writing
-// the shared Program.
+// code is this instance's private warm copy of the finalized stream, so
+// handlers patch opcodes without ever writing the shared Program.
 //
 // Identifier operands are read inline (liveCell + the walker's local charge)
 // so the hot path does no interface type assertion; the assertions happen
 // only on the slow resolution ladder.
-func (in *Interp) execVM(cf *compiledFn, code []bytecode.Instr, ics []vmIC, fr *frame, stack []Value) (Value, bool) {
+func (in *Interp) execVM(cf *compiledFn, code []bytecode.Instr, fr *frame, stack []Value) (Value, bool) {
 	meter := in.meter
 	consts := cf.consts
 	pc, sp := 0, 0
@@ -473,50 +432,37 @@ func (in *Interp) execVM(cf *compiledFn, code []bytecode.Instr, ics []vmIC, fr *
 				sp++
 			}
 		case bytecode.OpCall:
-			n := ins.Node.(*ast.Call)
+			// Quicken on the observed shape: an unqualified call or a user
+			// object receiver; the quick handler performs this very
+			// execution (installation charges nothing). Every other call
+			// dispatches on the walker's path, its arguments passed as a
+			// window of the operand stack: the callee reads them before
+			// anything can overwrite the window.
 			argc := int(ins.A)
-			// Quicken on the observed shape; the quick handler performs this
-			// very execution (installation charges nothing).
-			var recv Value
-			if ins.B != 0 {
-				recv = stack[sp-1-argc]
-			}
-			if in.quickenCall(ins, ics, fr, recv) {
+			if ins.B == 0 {
+				ins.Op = bytecode.OpQCallSelf
 				goto dispatch
 			}
-			args := in.grabArgs(argc)
-			copy(args, stack[sp-argc:sp])
-			sp -= argc
-			hasRecv := ins.B != 0
-			if hasRecv {
-				sp--
+			recv := stack[sp-1-argc]
+			if recv.K == KRef {
+				ins.Op = bytecode.OpQCallVirtual
+				goto dispatch
 			}
-			stack[sp] = in.dispatchCall(fr, n, recv, hasRecv, args)
+			sp -= argc + 1
+			stack[sp] = in.dispatchCall(fr, ins.Node.(*ast.Call), recv, true, stack[sp+1:sp+1+argc])
 			sp++
 		case bytecode.OpQCallSelf:
-			// Unqualified call, cache keyed on the frame's dynamic class —
-			// the same key dispatchCall's site cache uses. The argument
-			// window is passed as a stack slice: the callee copies its
-			// parameters into frame slots before executing, so the window is
-			// dead by the time anything can overwrite it.
+			// Unqualified call, cached on the frame's dynamic class — the
+			// key and the entry dispatchCall uses.
 			n := ins.Node.(*ast.Call)
 			argc := int(ins.A)
-			ic := &ics[ins.C]
-			if ic.class != fr.class {
-				in.icMissSelf(ic, fr, n, argc)
+			sc := &in.siteCache[ins.C]
+			if sc.class != fr.class {
+				in.resolveSelf(sc, fr.class, n, argc)
 			}
-			argv := stack[sp-argc : sp]
+			ci, this := in.selfReceiver(fr, n, sc.m)
 			sp -= argc
-			var v Value
-			if ic.static {
-				v = in.icInvoke(ic, fr.class, nil, argv)
-			} else {
-				if fr.this == nil {
-					in.bugf(n.Pos, "instance method %s called from static context", n.Name)
-				}
-				v = in.icInvoke(ic, fr.this.Class, fr.this, argv)
-			}
-			stack[sp] = v
+			stack[sp] = in.invoke(ci, this, sc.m, stack[sp:sp+argc])
 			sp++
 		case bytecode.OpQCallVirtual:
 			argc := int(ins.A)
@@ -526,48 +472,12 @@ func (in *Interp) execVM(cf *compiledFn, code []bytecode.Instr, ics []vmIC, fr *
 				goto dispatch
 			}
 			obj := recv.R.(*Object)
-			ic := &ics[ins.C]
-			if ic.class != obj.Class {
-				in.icMissVirtual(ic, obj, ins.Node.(*ast.Call), argc)
+			sc := &in.siteCache[ins.C]
+			if sc.class != obj.Class {
+				in.resolveVirtual(sc, obj.Class, ins.Node.(*ast.Call), argc)
 			}
-			argv := stack[sp-argc : sp]
 			sp -= argc + 1
-			stack[sp] = in.icInvoke(ic, obj.Class, obj, argv)
-			sp++
-		case bytecode.OpQCallStatic:
-			argc := int(ins.A)
-			recv := stack[sp-1-argc]
-			ic := &ics[ins.C]
-			if recv.K != KClassRef || recv.R.(string) != ic.cls {
-				ins.Op = bytecode.OpCall
-				goto dispatch
-			}
-			argv := stack[sp-argc : sp]
-			sp -= argc + 1
-			stack[sp] = in.icInvoke(ic, ic.class, nil, argv)
-			sp++
-		case bytecode.OpQCallBuiltin:
-			argc := int(ins.A)
-			recv := stack[sp-1-argc]
-			ic := &ics[ins.C]
-			if recv.K != KClassRef || recv.R.(string) != ic.cls {
-				ins.Op = bytecode.OpCall
-				goto dispatch
-			}
-			argv := stack[sp-argc : sp]
-			sp -= argc + 1
-			stack[sp] = in.callQBuiltinStatic(ic.cls, ins.Node.(*ast.Call), argv)
-			sp++
-		case bytecode.OpQCallInstance:
-			argc := int(ins.A)
-			recv := stack[sp-1-argc]
-			if recv.K == KRef || recv.K == KClassRef || recv.K == KNull {
-				ins.Op = bytecode.OpCall
-				goto dispatch
-			}
-			argv := stack[sp-argc : sp]
-			sp -= argc + 1
-			stack[sp] = in.callQBuiltinInstance(recv, ins.Node.(*ast.Call), argv)
+			stack[sp] = in.invoke(obj.Class, obj, sc.m, stack[sp+1:sp+1+argc])
 			sp++
 		case bytecode.OpLoadIndex:
 			iv := stack[sp-1]
@@ -679,7 +589,8 @@ func (in *Interp) execVM(cf *compiledFn, code []bytecode.Instr, ics []vmIC, fr *
 				sp++
 			}
 		case bytecode.OpLoadSelect:
-			if in.quickenSelect(ins, ics, stack[sp-1]) {
+			if stack[sp-1].K == KRef {
+				ins.Op = bytecode.OpQGetField
 				goto dispatch
 			}
 			stack[sp-1] = in.selectFrom(stack[sp-1], ins.Node.(*ast.Select))
@@ -690,38 +601,12 @@ func (in *Interp) execVM(cf *compiledFn, code []bytecode.Instr, ics []vmIC, fr *
 				goto dispatch
 			}
 			obj := x.R.(*Object)
-			ic := &ics[ins.C]
-			if ic.class != obj.Class {
-				in.icMissField(ic, obj, ins.Node.(*ast.Select))
+			sc := &in.siteCache[ins.C]
+			if sc.class != obj.Class {
+				in.resolveField(sc, obj.Class, ins.Node.(*ast.Select))
 			}
-			meter.FieldAccess(obj.Base + 16 + uint64(8*ic.ix))
-			stack[sp-1] = obj.Slots[ic.ix]
-		case bytecode.OpQGetStatic:
-			x := stack[sp-1]
-			ic := &ics[ins.C]
-			if x.K != KClassRef || x.R.(string) != ic.cls {
-				ins.Op = bytecode.OpLoadSelect
-				goto dispatch
-			}
-			meter.StaticAccess(ic.cell.Addr)
-			stack[sp-1] = ic.cell.V
-		case bytecode.OpQGetConst:
-			x := stack[sp-1]
-			ic := &ics[ins.C]
-			if x.K != KClassRef || x.R.(string) != ic.cls {
-				ins.Op = bytecode.OpLoadSelect
-				goto dispatch
-			}
-			meter.Step(energy.OpStatic, 1)
-			stack[sp-1] = ic.v
-		case bytecode.OpQArrLen:
-			x := stack[sp-1]
-			if x.K != KArr {
-				ins.Op = bytecode.OpLoadSelect
-				goto dispatch
-			}
-			meter.Step(energy.OpField, 1)
-			stack[sp-1] = IntVal(int64(x.R.(*Array).Len()))
+			meter.FieldAccess(obj.Base + 16 + uint64(8*sc.ix))
+			stack[sp-1] = obj.Slots[sc.ix]
 		case bytecode.OpStoreSelect, bytecode.OpStoreSelectX:
 			// The receiver expression is evaluated inside writeLValue, after
 			// the RHS — the walker's assignment order.
@@ -737,17 +622,15 @@ func (in *Interp) execVM(cf *compiledFn, code []bytecode.Instr, ics []vmIC, fr *
 				sp--
 			}
 		case bytecode.OpLoadIdent:
-			n := ins.Node.(*ast.Ident)
-			if n.RKind == ast.ResClass {
-				// evalIdent's ResClass lane is charge-free and invariant.
-				ics[ins.C] = vmIC{v: Value{K: KClassRef, R: n.Name}}
-				ins.Op = bytecode.OpQPushV
-				goto dispatch
-			}
-			stack[sp] = in.evalIdent(fr, n)
+			stack[sp] = in.evalIdent(fr, ins.Node.(*ast.Ident))
 			sp++
 		case bytecode.OpQPushV:
-			stack[sp] = ics[ins.C].v
+			if ix := int(ins.A); ix < len(in.prog.classRefs) {
+				stack[sp] = in.prog.classRefs[ix]
+				sp++
+				break
+			}
+			stack[sp] = in.evalIdent(fr, ins.Node.(*ast.Ident))
 			sp++
 		case bytecode.OpQLoadStatic:
 			if ix := int(ins.A); ix < len(in.prog.statRefs) {
@@ -869,12 +752,9 @@ func (in *Interp) execVM(cf *compiledFn, code []bytecode.Instr, ics []vmIC, fr *
 		case bytecode.OpStep, bytecode.OpNop:
 			// Steps were accounted above.
 		case bytecode.OpNew:
-			n := ins.Node.(*ast.New)
 			argc := int(ins.A)
-			args := in.grabArgs(argc)
-			copy(args, stack[sp-argc:sp])
 			sp -= argc
-			stack[sp] = in.newDispatch(n, args)
+			stack[sp] = in.newDispatch(ins.Node.(*ast.New), stack[sp:sp+argc])
 			sp++
 		case bytecode.OpLenCheck:
 			n := ins.Node.(*ast.NewArray)

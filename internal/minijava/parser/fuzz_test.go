@@ -67,6 +67,7 @@ func FuzzParse(f *testing.F) {
 		"class T { static int x = 100000; }",
 		"package p.q; import a.b.*; class T { }",
 		"class T { boolean b = x instanceof Y; }",
+		"class T { int m = -2147483648; int h = 0xFFFFFFFF; long l = -9223372036854775808L; long o = 01777777777777777777777L; }",
 	} {
 		f.Add(seed)
 	}

@@ -75,6 +75,10 @@ type parser struct {
 	// h is the height of the node built last: 1 for a leaf, 1 + its tallest
 	// child otherwise.
 	h int
+	// negLit is set while parsing the operand of a unary minus that is a
+	// bare integer literal, the one place JLS §3.10.1 admits the decimal
+	// literals 2147483648 and 9223372036854775808L.
+	negLit bool
 }
 
 // MaxDepth bounds the ASTs the parser builds: no path from a method body or
@@ -1088,6 +1092,11 @@ func (p *parser) parseUnary() (ast.Expr, error) {
 		return p.expr(x, 1+h)
 	case token.Minus, token.Not, token.Inc, token.Dec:
 		p.next()
+		// The literal must be the direct operand: no parenthesis before it
+		// and no selector, index or postfix operator after it.
+		k, after := p.cur().Kind, p.peek(1).Kind
+		p.negLit = t.Kind == token.Minus && (k == token.INTLIT || k == token.LONGLIT) &&
+			after != token.Dot && after != token.LBracket && after != token.Inc && after != token.Dec
 		x, h, err := p.subUnary()
 		if err != nil {
 			return nil, err
@@ -1210,7 +1219,9 @@ func (p *parser) parsePrimary() (ast.Expr, error) {
 	case token.INTLIT, token.LONGLIT, token.FLOATLIT, token.DOUBLELIT,
 		token.CHARLIT, token.STRINGLIT, token.KwTrue, token.KwFalse, token.KwNull:
 		p.next()
-		x, err := decodeLiteral(t, p.path)
+		neg := p.negLit
+		p.negLit = false
+		x, err := decodeLiteral(t, p.path, neg)
 		if err != nil {
 			return nil, err
 		}
@@ -1304,7 +1315,8 @@ func (p *parser) parseNew() (ast.Expr, error) {
 }
 
 // decodeLiteral turns a literal token into an AST literal with decoded value.
-func decodeLiteral(t token.Token, path string) (ast.Expr, error) {
+// neg reports that the literal is the direct operand of a unary minus.
+func decodeLiteral(t token.Token, path string, neg bool) (ast.Expr, error) {
 	lit := &ast.Literal{Pos: t.Pos, Raw: t.Text}
 	fail := func(msg string) (ast.Expr, error) {
 		return nil, &Error{Path: path, Pos: t.Pos, Msg: msg}
@@ -1312,16 +1324,19 @@ func decodeLiteral(t token.Token, path string) (ast.Expr, error) {
 	clean := strings.ReplaceAll(t.Text, "_", "")
 	switch t.Kind {
 	case token.INTLIT:
-		v, err := strconv.ParseInt(clean, 0, 64)
+		v, err := intLiteral(clean, 32, neg)
+		if err == strconv.ErrRange {
+			return fail("int literal out of range: " + t.Text)
+		}
 		if err != nil {
 			return fail("bad int literal " + t.Text)
 		}
-		if v > 1<<31-1 {
-			return fail("int literal out of range: " + t.Text)
-		}
 		lit.Kind, lit.I = ast.LitInt, v
 	case token.LONGLIT:
-		v, err := strconv.ParseInt(strings.TrimRight(clean, "Ll"), 0, 64)
+		v, err := intLiteral(strings.TrimRight(clean, "Ll"), 64, neg)
+		if err == strconv.ErrRange {
+			return fail("long literal out of range: " + t.Text)
+		}
 		if err != nil {
 			return fail("bad long literal " + t.Text)
 		}
@@ -1360,6 +1375,31 @@ func decodeLiteral(t token.Token, path string) (ast.Expr, error) {
 		lit.Kind = ast.LitNull
 	}
 	return lit, nil
+}
+
+// intLiteral decodes an integer literal's digits (no underscores, no type
+// suffix) for a type of the given width, per JLS §3.10.1. A decimal literal
+// may reach 2^(bits-1)-1, or 2^(bits-1) as the direct operand of a unary
+// minus (neg); a hex or octal literal may reach 2^bits-1. The value is the
+// two's complement of the digits at that width, so 0xFFFFFFFF is -1 and the
+// 2147483648 under a minus is -2147483648, which the minus leaves as it is.
+// A value past the range fails with strconv.ErrRange.
+func intLiteral(digits string, bits uint, neg bool) (int64, error) {
+	u, err := strconv.ParseUint(digits, 0, 64)
+	if err != nil {
+		return 0, err.(*strconv.NumError).Err
+	}
+	limit := uint64(1)<<(bits-1) - 1
+	switch {
+	case len(digits) > 1 && digits[0] == '0': // hex or octal
+		limit = limit<<1 | 1
+	case neg:
+		limit++
+	}
+	if u > limit {
+		return 0, strconv.ErrRange
+	}
+	return int64(u<<(64-bits)) >> (64 - bits), nil
 }
 
 func decodeChar(text string) (rune, error) {

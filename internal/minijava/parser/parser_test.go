@@ -375,3 +375,96 @@ func TestParseSwitchErrors(t *testing.T) {
 		}
 	}
 }
+
+// TestParseIntegerLiteralRanges pins JLS §3.10.1's ranges: a decimal int or
+// long literal may reach 2^31 or 2^63 only as the direct operand of a unary
+// minus, and a hex or octal literal may use all 32 or 64 bits, read as the
+// two's-complement value.
+func TestParseIntegerLiteralRanges(t *testing.T) {
+	for _, c := range []struct {
+		src  string
+		kind ast.LitKind
+		v    int64
+		neg  bool // the literal sits under a unary minus
+	}{
+		{"-2147483648", ast.LitInt, -2147483648, true},
+		{"- 2147483648", ast.LitInt, -2147483648, true},
+		{"-2147483647", ast.LitInt, 2147483647, true},
+		{"0x7FFFFFFF", ast.LitInt, 2147483647, false},
+		{"0xFFFFFFFF", ast.LitInt, -1, false},
+		{"0x80000000", ast.LitInt, -2147483648, false},
+		{"-0x80000000", ast.LitInt, -2147483648, true},
+		{"037777777777", ast.LitInt, -1, false},
+		{"020000000000", ast.LitInt, -2147483648, false},
+		{"-9223372036854775808L", ast.LitLong, -9223372036854775808, true},
+		{"0xFFFFFFFFFFFFFFFFL", ast.LitLong, -1, false},
+		{"0x8000000000000000L", ast.LitLong, -9223372036854775808, false},
+		{"01777777777777777777777L", ast.LitLong, -1, false},
+		{"2_147_483_647", ast.LitInt, 2147483647, false},
+	} {
+		f, err := Parse("lit.java", "class T { long v = "+c.src+"; }")
+		if err != nil {
+			t.Errorf("%s: %v", c.src, err)
+			continue
+		}
+		x := f.Classes[0].Fields[0].Init
+		if u, ok := x.(*ast.Unary); c.neg {
+			if !ok || u.Op != token.Minus {
+				t.Errorf("%s: parsed as %T, want a unary minus", c.src, x)
+				continue
+			}
+			x = u.X
+		}
+		lit, ok := x.(*ast.Literal)
+		if !ok || lit.Kind != c.kind || lit.I != c.v {
+			t.Errorf("%s: got %#v, want kind %v value %d", c.src, x, c.kind, c.v)
+		}
+		printed := ast.Print(f)
+		if _, err := Parse("printed.java", printed); err != nil {
+			t.Errorf("%s: does not round-trip: %v\n%s", c.src, err, printed)
+		}
+	}
+	for _, c := range []struct{ src, want string }{
+		{"2147483648", "int literal out of range: 2147483648"},
+		{"-(2147483648)", "int literal out of range: 2147483648"},
+		{"1 - 2147483648", "int literal out of range: 2147483648"},
+		{"-2147483648 .x", "int literal out of range: 2147483648"},
+		{"-2147483649", "int literal out of range: 2147483649"},
+		{"0x100000000", "int literal out of range: 0x100000000"},
+		{"040000000000", "int literal out of range: 040000000000"},
+		{"0x1_0000_0000", `expected ;, found identifier "_0000_0000"`},
+		{"9223372036854775808L", "long literal out of range: 9223372036854775808L"},
+		{"-(9223372036854775808L)", "long literal out of range: 9223372036854775808L"},
+		{"0x10000000000000000L", "long literal out of range: 0x10000000000000000L"},
+		{"09", "bad int literal 09"},
+	} {
+		_, err := Parse("lit.java", "class T { long v = "+c.src+"; }")
+		if err == nil || !strings.HasSuffix(err.Error(), ": "+c.want) {
+			t.Errorf("%s: err = %v, want %s", c.src, err, c.want)
+		}
+	}
+}
+
+// TestPrintNestedSigns checks that a unary minus over another unary minus
+// or a prefix decrement prints apart from it, so the printed source does not
+// lex as a decrement.
+func TestPrintNestedSigns(t *testing.T) {
+	for _, src := range []string{"- -a", "- --a", "- -2147483648", "-(-2147483648)"} {
+		f := parse(t, "class T { int f(int a) { return "+src+"; } }")
+		printed := ast.Print(f)
+		f2, err := Parse("rt.java", printed)
+		if err != nil {
+			t.Errorf("%s: reparse: %v\n%s", src, err, printed)
+			continue
+		}
+		want := f.Classes[0].Methods[0].Body.Stmts[0].(*ast.Return).X.(*ast.Unary).X.(*ast.Unary).Op
+		got, ok := f2.Classes[0].Methods[0].Body.Stmts[0].(*ast.Return).X.(*ast.Unary)
+		if !ok {
+			t.Errorf("%s: reparsed as %T\n%s", src, f2.Classes[0].Methods[0].Body.Stmts[0].(*ast.Return).X, printed)
+			continue
+		}
+		if inner, ok := got.X.(*ast.Unary); !ok || inner.Op != want {
+			t.Errorf("%s: printed %q reparses to a different operator", src, printed)
+		}
+	}
+}

@@ -236,7 +236,7 @@ func TestGoldenEnergyDeterminism(t *testing.T) {
 
 // TestGoldenEnergyWarmExecution is the warm half of the battery: every case
 // is driven twice on one interpreter instance per engine, so the VM's second
-// pass runs its quickened code copies against filled inline caches. The
+// pass runs its quickened code copies against a filled site cache. The
 // cumulative two-run fingerprints of the VM and the tree-walker must agree
 // bit for bit — runtime opcode patching must not move a single charge. (The
 // cold half is pinned against the golden file by TestGoldenEnergyDeterminism;

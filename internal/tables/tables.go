@@ -102,7 +102,6 @@ type Table4Config struct {
 	Protocol  stats.Protocol // the run/Tukey/replace loop
 	CVFolds   int            // stratified folds (paper: 10)
 	Slots     int            `json:"-"` // Table4Supervised's row pool width (0 = GOMAXPROCS)
-	CVJobs    int            // fold-training workers inside each row's cross-validation (0 = 1)
 	Engine    interp.Engine  // execution engine (zero value = bytecode VM)
 	// Progress, when set, receives per-row narration.
 	Progress func(string) `json:"-"`
@@ -370,7 +369,8 @@ func FactorySeeded(name string, base classify.Options) (eval.SeededFactory, erro
 // and returns the accuracy loss in percentage points. Both precision runs use
 // the same pre-derived per-fold seeds, so fold f trains on identical splits
 // and identical random streams in both modes — the drop isolates precision,
-// not seed noise — and fold training parallelizes under cfg.CVJobs.
+// not seed noise. The folds train one after another: the rows already run in
+// parallel.
 func accuracyDrop(ctx context.Context, name string, d *dataset.Dataset, cfg Table4Config) (float64, error) {
 	dbl, err := FactorySeeded(name, classify.Options{Seed: cfg.Seed, FP: classify.Double})
 	if err != nil {
@@ -380,15 +380,11 @@ func accuracyDrop(ctx context.Context, name string, d *dataset.Dataset, cfg Tabl
 	if err != nil {
 		return 0, err
 	}
-	jobs := cfg.CVJobs
-	if jobs <= 0 {
-		jobs = 1
-	}
-	rd, err := eval.CrossValidateSeeded(ctx, d, cfg.CVFolds, cfg.Seed, dbl, jobs)
+	rd, err := eval.CrossValidateSeeded(ctx, d, cfg.CVFolds, cfg.Seed, dbl, 1)
 	if err != nil {
 		return 0, err
 	}
-	rs, err := eval.CrossValidateSeeded(ctx, d, cfg.CVFolds, cfg.Seed, sgl, jobs)
+	rs, err := eval.CrossValidateSeeded(ctx, d, cfg.CVFolds, cfg.Seed, sgl, 1)
 	if err != nil {
 		return 0, err
 	}
