@@ -21,7 +21,7 @@ import (
 	"jepo/internal/sched"
 )
 
-var updateGolden = flag.Bool("update", false, "regenerate testdata/golden_energy.json")
+var updateGolden = flag.Bool("update", false, "regenerate the golden files under testdata")
 
 // goldenRecord pins one program's complete energy fingerprint: the counts
 // the meter prices (op counts, cache hits, cache misses) and the sample it

@@ -3,6 +3,8 @@ package tables
 import (
 	"context"
 	"math"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -139,7 +141,27 @@ func TestTable4EndToEnd(t *testing.T) {
 				r.Classifier, r.PackagePct, r.CPUPct)
 		}
 	}
-	t.Logf("\n%s", RenderTable4(rows))
+	// Every column of every row is a pure function of the configuration:
+	// the changes count, the simulated energy ratios and the accuracy drop.
+	// Regenerate (only after an intended change to a rule, the cost model or
+	// a classifier) with:
+	//
+	//	go test ./internal/tables -run Table4EndToEnd -update
+	got := RenderTable4(rows)
+	path := filepath.Join("testdata", "golden_table4.txt")
+	if *updateGolden {
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("missing golden file (run with -update to create): %v", err)
+	}
+	if got != string(want) {
+		t.Errorf("Table IV drifted from %s:\n got:\n%s\nwant:\n%s", path, got, want)
+	}
 }
 
 func TestFactoryCoversAllAndRejectsUnknown(t *testing.T) {
