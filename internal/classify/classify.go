@@ -75,9 +75,38 @@ func (r *RNG) Intn(n int) int { return int(r.Next() % uint64(n)) }
 // Float64 returns a uniform float in [0, 1).
 func (r *RNG) Float64() float64 { return float64(r.Next()>>11) / float64(1<<53) }
 
-// Encoder maps dataset rows to dense feature vectors: numeric attributes are
-// standardized, nominal attributes are one-hot encoded. The linear models
-// (Logistic, SGD, SMO) share it.
+// Feature is one non-zero feature of an encoded row.
+type Feature struct {
+	I int     // index into the encoded dimension
+	V float64 // value: never an exact zero (a NaN is kept)
+}
+
+// Row is an encoded row: its non-zero features, indices ascending.
+type Row []Feature
+
+// Dot is the inner product of two rows. It merges them in index order and
+// adds the product of each index both hold, left to right: the same terms in
+// the same order as a dense loop that skips zeros, so the same bits.
+func Dot(a, b Row) float64 {
+	dot := 0.0
+	for i, j := 0, 0; i < len(a) && j < len(b); {
+		switch {
+		case a[i].I < b[j].I:
+			i++
+		case a[i].I > b[j].I:
+			j++
+		default:
+			dot += a[i].V * b[j].V
+			i++
+			j++
+		}
+	}
+	return dot
+}
+
+// Encoder maps dataset rows to sparse feature vectors: numeric attributes are
+// standardized, nominal attributes are one-hot encoded, and only the non-zero
+// features are kept. The linear models (Logistic, SGD, SMO) share it.
 type Encoder struct {
 	attrs    []*dataset.Attribute
 	classIdx int
@@ -117,11 +146,15 @@ func NewEncoder(d *dataset.Dataset) *Encoder {
 // Dim is the encoded feature dimension.
 func (e *Encoder) Dim() int { return e.dim }
 
-// Encode writes the feature vector for row into out (len Dim).
-func (e *Encoder) Encode(row []float64, out []float64) {
-	for i := range out {
-		out[i] = 0
-	}
+// Encode returns row's non-zero features, indices ascending.
+func (e *Encoder) Encode(row []float64) Row {
+	return e.appendRow(make(Row, 0, len(e.attrs)), row)
+}
+
+// appendRow appends row's non-zero features to dst: at most one per
+// attribute. Attribute offsets grow with the attribute index, so the indices
+// come out ascending.
+func (e *Encoder) appendRow(dst Row, row []float64) Row {
 	for j, a := range e.attrs {
 		if j == e.classIdx {
 			continue
@@ -130,22 +163,27 @@ func (e *Encoder) Encode(row []float64, out []float64) {
 		if a.Kind == dataset.Nominal {
 			v := int(row[j])
 			if v >= 0 && v < a.NumValues() {
-				out[off+v] = 1
+				dst = append(dst, Feature{off + v, 1})
 			}
 			continue
 		}
-		out[off] = (row[j] - e.mean[j]) / e.std[j]
+		if v := (row[j] - e.mean[j]) / e.std[j]; v != 0 {
+			dst = append(dst, Feature{off, v})
+		}
 	}
+	return dst
 }
 
-// EncodeAll encodes every row of d into a dense matrix plus class labels.
-func (e *Encoder) EncodeAll(d *dataset.Dataset) ([][]float64, []int) {
-	x := make([][]float64, d.NumInstances())
+// EncodeAll encodes every row of d plus its class label. The rows share one
+// backing array.
+func (e *Encoder) EncodeAll(d *dataset.Dataset) ([]Row, []int) {
+	x := make([]Row, d.NumInstances())
 	y := make([]int, d.NumInstances())
-	flat := make([]float64, d.NumInstances()*e.dim)
+	flat := make(Row, 0, d.NumInstances()*len(e.attrs))
 	for i, row := range d.X {
-		x[i] = flat[i*e.dim : (i+1)*e.dim]
-		e.Encode(row, x[i])
+		start := len(flat)
+		flat = e.appendRow(flat, row)
+		x[i] = flat[start:len(flat):len(flat)]
 		y[i] = d.Class(i)
 	}
 	return x, y

@@ -2,6 +2,7 @@ package classify
 
 import (
 	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -63,14 +64,22 @@ func encDataset() *dataset.Dataset {
 	return d
 }
 
+// dense expands a sparse row to its dense vector of length dim.
+func dense(r Row, dim int) []float64 {
+	out := make([]float64, dim)
+	for _, f := range r {
+		out[f.I] = f.V
+	}
+	return out
+}
+
 func TestEncoderLayout(t *testing.T) {
 	d := encDataset()
 	e := NewEncoder(d)
 	if e.Dim() != 4 { // 1 numeric + 3 one-hot; class excluded
 		t.Fatalf("dim = %d, want 4", e.Dim())
 	}
-	out := make([]float64, e.Dim())
-	e.Encode(d.X[1], out)
+	out := dense(e.Encode(d.X[1]), e.Dim())
 	// Numeric standardized: mean 3, std sqrt(8/3).
 	if math.Abs(out[0]) > 1e-9 {
 		t.Errorf("standardized middle value = %v, want 0", out[0])
@@ -85,8 +94,7 @@ func TestEncoderHandlesConstantColumn(t *testing.T) {
 	d.Add([]float64{2, 0})
 	d.Add([]float64{2, 1})
 	e := NewEncoder(d)
-	out := make([]float64, e.Dim())
-	e.Encode(d.X[0], out)
+	out := dense(e.Encode(d.X[0]), e.Dim())
 	if math.IsNaN(out[0]) || math.IsInf(out[0], 0) {
 		t.Error("constant column produced non-finite feature")
 	}
@@ -102,6 +110,11 @@ func TestEncodeAll(t *testing.T) {
 	if y[0] != 0 || y[1] != 1 {
 		t.Error("labels wrong")
 	}
+	for i, row := range d.X {
+		if !reflect.DeepEqual(x[i], e.Encode(row)) {
+			t.Errorf("row %d: EncodeAll %v, Encode %v", i, x[i], e.Encode(row))
+		}
+	}
 }
 
 // Property: encoding never produces non-finite features for in-schema rows.
@@ -113,10 +126,8 @@ func TestEncoderFiniteProperty(t *testing.T) {
 			return true
 		}
 		row := []float64{math.Mod(x, 1e6), float64(nom % 3), 0}
-		out := make([]float64, e.Dim())
-		e.Encode(row, out)
-		for _, v := range out {
-			if math.IsNaN(v) || math.IsInf(v, 0) {
+		for _, f := range e.Encode(row) {
+			if math.IsNaN(f.V) || math.IsInf(f.V, 0) {
 				return false
 			}
 		}
@@ -124,5 +135,96 @@ func TestEncoderFiniteProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestEncodeSparseForm checks the row form the training loops rely on:
+// indices strictly ascending and no exact zero. A numeric value equal to the
+// training mean standardizes to zero and is left out; a missing (NaN) value
+// is kept, as the dense loops' v != 0 tests kept it; a nominal index out of
+// range sets no feature.
+func TestEncodeSparseForm(t *testing.T) {
+	d := encDataset()
+	e := NewEncoder(d)
+	mean, std, _ := d.NumericStats(0, -1)
+	for _, c := range []struct {
+		row  []float64
+		want Row
+	}{
+		{[]float64{mean, 1, 0}, Row{{2, 1}}},
+		{[]float64{5, 2, 0}, Row{{0, (5 - mean) / std}, {3, 1}}},
+		{[]float64{math.NaN(), 0, 0}, Row{{0, math.NaN()}, {1, 1}}},
+		{[]float64{mean, math.NaN(), 0}, Row{}},
+		{[]float64{mean, 3, 0}, Row{}},
+	} {
+		got := e.Encode(c.row)
+		if len(got) != len(c.want) {
+			t.Errorf("Encode(%v) = %v, want %v", c.row, got, c.want)
+			continue
+		}
+		for k, f := range got {
+			w := c.want[k]
+			if f.I != w.I || !(f.V == w.V || math.IsNaN(f.V) && math.IsNaN(w.V)) {
+				t.Errorf("Encode(%v) = %v, want %v", c.row, got, c.want)
+				break
+			}
+		}
+	}
+	r := NewRNG(5)
+	prop := func(x float64, nom uint8) bool {
+		row := []float64{x, float64(int(nom%5) - 1), 0}
+		if r.Intn(4) == 0 {
+			row[0] = mean
+		}
+		got := e.Encode(row)
+		for k, f := range got {
+			if f.V == 0 || f.I < 0 || f.I >= e.Dim() || k > 0 && got[k-1].I >= f.I {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 500}); err != nil {
+		t.Error(err)
+	}
+}
+
+// denseDot is the kernel loop the sparse rows replaced: it skips a feature
+// unless both vectors hold a non-zero there and sums in index order.
+func denseDot(a, b []float64) float64 {
+	dot := 0.0
+	for k, v := range a {
+		if v != 0 && b[k] != 0 {
+			dot += v * b[k]
+		}
+	}
+	return dot
+}
+
+// TestDotMatchesDenseLoop checks Dot against the dense loop bit for bit on
+// random sparse rows, NaNs included.
+func TestDotMatchesDenseLoop(t *testing.T) {
+	r := NewRNG(11)
+	const dim = 40
+	randRow := func() Row {
+		var row Row
+		for i := 0; i < dim; i++ {
+			switch r.Intn(4) {
+			case 0:
+				row = append(row, Feature{i, r.Float64()*200 - 100})
+			case 1:
+				if r.Intn(20) == 0 {
+					row = append(row, Feature{i, math.NaN()})
+				}
+			}
+		}
+		return row
+	}
+	for n := 0; n < 2000; n++ {
+		a, b := randRow(), randRow()
+		got, want := Dot(a, b), denseDot(dense(a, dim), dense(b, dim))
+		if math.Float64bits(got) != math.Float64bits(want) && !(math.IsNaN(got) && math.IsNaN(want)) {
+			t.Fatalf("Dot(%v, %v) = %v, dense loop %v", a, b, got, want)
+		}
 	}
 }

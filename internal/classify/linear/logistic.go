@@ -73,11 +73,8 @@ func (c *Logistic) Train(d *dataset.Dataset) error {
 				}
 				wk := c.w[k]
 				step := lr * g
-				for f, v := range x[i] {
-					if v == 0 {
-						continue
-					}
-					wk[f] = fp.R(wk[f] - step*v - lr*c.Ridge*wk[f])
+				for _, ft := range x[i] {
+					wk[ft.I] = fp.R(wk[ft.I] - step*ft.V - lr*c.Ridge*wk[ft.I])
 				}
 				wk[dim] = fp.R(wk[dim] - step)
 			}
@@ -88,17 +85,14 @@ func (c *Logistic) Train(d *dataset.Dataset) error {
 }
 
 // scores writes wᵀx per class into out.
-func (c *Logistic) scores(feat []float64, out []float64) {
+func (c *Logistic) scores(feat classify.Row, out []float64) {
 	fp := c.opts.FP
 	dim := c.enc.Dim()
 	for k := 0; k < c.nc; k++ {
 		s := c.w[k][dim]
 		wk := c.w[k]
-		for f, v := range feat {
-			if v == 0 {
-				continue
-			}
-			s = fp.R(s + wk[f]*v)
+		for _, ft := range feat {
+			s = fp.R(s + wk[ft.I]*ft.V)
 		}
 		out[k] = s
 	}
@@ -123,9 +117,7 @@ func softmax(xs []float64, fp classify.FP) {
 
 // Predict implements Classifier.
 func (c *Logistic) Predict(row []float64) int {
-	feat := make([]float64, c.enc.Dim())
-	c.enc.Encode(row, feat)
 	out := make([]float64, c.nc)
-	c.scores(feat, out)
+	c.scores(c.enc.Encode(row), out)
 	return classify.ArgMax(out)
 }

@@ -67,11 +67,8 @@ func (c *SGD) Train(d *dataset.Dataset) error {
 				}
 			}
 			if margin < 1 {
-				for f, v := range x[i] {
-					if v == 0 {
-						continue
-					}
-					c.w[f] = fp.R(c.w[f] + lr*t*v)
+				for _, ft := range x[i] {
+					c.w[ft.I] = fp.R(c.w[ft.I] + lr*t*ft.V)
 				}
 				c.bias = fp.R(c.bias + lr*t)
 			}
@@ -80,23 +77,18 @@ func (c *SGD) Train(d *dataset.Dataset) error {
 	return nil
 }
 
-func (c *SGD) margin(feat []float64) float64 {
+func (c *SGD) margin(feat classify.Row) float64 {
 	fp := c.opts.FP
 	s := c.bias
-	for f, v := range feat {
-		if v == 0 {
-			continue
-		}
-		s = fp.R(s + c.w[f]*v)
+	for _, ft := range feat {
+		s = fp.R(s + c.w[ft.I]*ft.V)
 	}
 	return s
 }
 
 // Predict implements Classifier.
 func (c *SGD) Predict(row []float64) int {
-	feat := make([]float64, c.enc.Dim())
-	c.enc.Encode(row, feat)
-	if c.margin(feat) >= 0 {
+	if c.margin(c.enc.Encode(row)) >= 0 {
 		return 1
 	}
 	return 0

@@ -27,7 +27,7 @@ type SMO struct {
 
 	opts  classify.Options
 	enc   *classify.Encoder
-	x     [][]float64
+	x     []classify.Row
 	y     []float64 // ±1
 	alpha []float64
 	b     float64
@@ -92,16 +92,13 @@ func (c *SMO) Train(d *dataset.Dataset) error {
 	return nil
 }
 
-// f evaluates the decision function on an encoded vector.
-func (c *SMO) f(feat []float64) float64 {
+// f evaluates the decision function on an encoded row.
+func (c *SMO) f(feat classify.Row) float64 {
 	fp := c.opts.FP
 	if c.Exponent == 1 {
 		s := c.b
-		for k, v := range feat {
-			if v == 0 {
-				continue
-			}
-			s = fp.R(s + c.w[k]*v)
+		for _, ft := range feat {
+			s = fp.R(s + c.w[ft.I]*ft.V)
 		}
 		return s
 	}
@@ -115,13 +112,8 @@ func (c *SMO) f(feat []float64) float64 {
 	return s
 }
 
-func (c *SMO) kernel(a, b []float64) float64 {
-	dot := 0.0
-	for k, v := range a {
-		if v != 0 && b[k] != 0 {
-			dot += v * b[k]
-		}
-	}
+func (c *SMO) kernel(a, b classify.Row) float64 {
+	dot := classify.Dot(a, b)
 	if c.Exponent == 1 {
 		return dot
 	}
@@ -174,15 +166,11 @@ func (c *SMO) optimizePair(i, j int, ei float64, fp classify.FP) bool {
 	if c.Exponent == 1 {
 		di := (newAi - ai) * c.y[i]
 		dj := (newAj - aj) * c.y[j]
-		for k, v := range c.x[i] {
-			if v != 0 {
-				c.w[k] = fp.R(c.w[k] + di*v)
-			}
+		for _, ft := range c.x[i] {
+			c.w[ft.I] = fp.R(c.w[ft.I] + di*ft.V)
 		}
-		for k, v := range c.x[j] {
-			if v != 0 {
-				c.w[k] = fp.R(c.w[k] + dj*v)
-			}
+		for _, ft := range c.x[j] {
+			c.w[ft.I] = fp.R(c.w[ft.I] + dj*ft.V)
 		}
 	}
 	c.alpha[i], c.alpha[j] = newAi, newAj
@@ -191,9 +179,7 @@ func (c *SMO) optimizePair(i, j int, ei float64, fp classify.FP) bool {
 
 // Predict implements Classifier.
 func (c *SMO) Predict(row []float64) int {
-	feat := make([]float64, c.enc.Dim())
-	c.enc.Encode(row, feat)
-	if c.f(feat) >= 0 {
+	if c.f(c.enc.Encode(row)) >= 0 {
 		return 1
 	}
 	return 0

@@ -47,7 +47,7 @@ func (c *J48) Train(d *dataset.Dataset) error {
 	rows := allRows(d)
 	c.root = b.grow(rows, 0)
 	if !c.Unpruned {
-		c.prune(c.root)
+		prune(c.root, zScore(c.ConfidenceFactor))
 	}
 	return nil
 }
@@ -60,22 +60,23 @@ func (c *J48) NumNodes() int { return c.root.countNodes() }
 
 // prune applies C4.5's subtree replacement: a subtree is replaced by a leaf
 // when the leaf's pessimistic error estimate does not exceed the subtree's.
-func (c *J48) prune(nd *node) {
+// z is the normal deviate of the confidence factor, computed once per tree.
+func prune(nd *node, z float64) {
 	if nd.isLeaf() {
 		return
 	}
 	for _, ch := range nd.children {
 		if ch != nil {
-			c.prune(ch)
+			prune(ch, z)
 		}
 	}
 	subtreeErr := 0.0
 	for _, ch := range nd.children {
 		if ch != nil {
-			subtreeErr += c.pessimisticError(ch)
+			subtreeErr += pessimisticError(ch, z)
 		}
 	}
-	leafErr := c.errUpper(nd.n, nd.n-maxOf(nd.dist))
+	leafErr := errUpper(nd.n, nd.n-maxOf(nd.dist), z)
 	if leafErr <= subtreeErr+0.1 {
 		nd.attr = -1
 		nd.children = nil
@@ -83,26 +84,26 @@ func (c *J48) prune(nd *node) {
 }
 
 // pessimisticError sums the leaf error bounds of a subtree.
-func (c *J48) pessimisticError(nd *node) float64 {
+func pessimisticError(nd *node, z float64) float64 {
 	if nd.isLeaf() {
-		return c.errUpper(nd.n, nd.n-maxOf(nd.dist))
+		return errUpper(nd.n, nd.n-maxOf(nd.dist), z)
 	}
 	s := 0.0
 	for _, ch := range nd.children {
 		if ch != nil {
-			s += c.pessimisticError(ch)
+			s += pessimisticError(ch, z)
 		}
 	}
 	return s
 }
 
 // errUpper is C4.5's upper confidence bound on the error count of a leaf
-// with n instances and e errors (normal approximation to the binomial).
-func (c *J48) errUpper(n, e float64) float64 {
+// with n instances and e errors (normal approximation to the binomial), at
+// the normal deviate z.
+func errUpper(n, e, z float64) float64 {
 	if n == 0 {
 		return 0
 	}
-	z := zScore(c.ConfidenceFactor)
 	f := e / n
 	z2 := z * z
 	num := f + z2/(2*n) + z*math.Sqrt(f/n-f*f/n+z2/(4*n*n))

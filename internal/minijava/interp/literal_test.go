@@ -17,8 +17,9 @@ func opCounts(in *Interp) [energy.NumOps]uint64 {
 }
 
 // TestIntegerLiteralRanges runs the integer literals JLS §3.10.1 admits at
-// the edges of int and long on both engines: each gives Java's value and
-// charges exactly what its in-range neighbour does, op for op.
+// the edges of int and long, hex digits grouped by underscores among them,
+// on both engines: each gives Java's value and charges exactly what its
+// in-range neighbour does, op for op.
 func TestIntegerLiteralRanges(t *testing.T) {
 	for _, c := range []struct {
 		typ, lit, neighbour string
@@ -30,6 +31,9 @@ func TestIntegerLiteralRanges(t *testing.T) {
 		{"int", "037777777777", "017777777777", -1},
 		{"long", "-9223372036854775808L", "-9223372036854775807L", math.MinInt64},
 		{"long", "0xFFFFFFFFFFFFFFFFL", "0x7FFFFFFFFFFFFFFFL", -1},
+		{"int", "0x7FFF_FFFF", "0x7FFFFFFE", math.MaxInt32},
+		{"int", "0xFFFF_FFFF", "0x7FFFFFFF", -1},
+		{"long", "0xFFFF_FFFF_FFFF_FFFFL", "0x7FFFFFFFFFFFFFFFL", -1},
 	} {
 		src := "class T { static " + c.typ + " f() { return " + c.lit + "; } static " +
 			c.typ + " g() { return " + c.neighbour + "; } }"

@@ -145,14 +145,14 @@ func (lx *Lexer) scanNumber(pos token.Pos) (token.Token, error) {
 	if lx.peek() == '0' && (lx.peek2() == 'x' || lx.peek2() == 'X') {
 		lx.advance()
 		lx.advance()
-		for lx.off < len(lx.src) && isHex(lx.peek()) {
+		for lx.off < len(lx.src) && (isHex(lx.peek()) || lx.peek() == '_') {
 			lx.advance()
 		}
 		if lx.peek() == 'L' || lx.peek() == 'l' {
 			lx.advance()
 			kind = token.LONGLIT
 		}
-		return token.Token{Kind: kind, Text: lx.src[start:lx.off], Pos: pos}, nil
+		return lx.number(pos, start, kind, isHex)
 	}
 	for lx.off < len(lx.src) {
 		c := lx.peek()
@@ -194,7 +194,22 @@ suffix:
 			kind = token.DOUBLELIT
 		}
 	}
-	return token.Token{Kind: kind, Text: lx.src[start:lx.off], Pos: pos}, nil
+	return lx.number(pos, start, kind, isDigit)
+}
+
+// number makes the numeric literal token scanned from start. JLS §3.10.1
+// allows underscores only between two digits, so an underscore after 0x,
+// next to a '.', an exponent or a type suffix, or at the end of the literal
+// is an error. A literal never starts with one.
+func (lx *Lexer) number(pos token.Pos, start int, kind token.Kind, digit func(byte) bool) (token.Token, error) {
+	text := lx.src[start:lx.off]
+	inRun := func(c byte) bool { return digit(c) || c == '_' }
+	for i := 1; i < len(text); i++ {
+		if text[i] == '_' && (!inRun(text[i-1]) || i+1 == len(text) || !inRun(text[i+1])) {
+			return token.Token{}, lx.errf(pos, "illegal underscore in numeric literal")
+		}
+	}
+	return token.Token{Kind: kind, Text: text, Pos: pos}, nil
 }
 
 func isHex(c byte) bool {

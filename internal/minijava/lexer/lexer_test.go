@@ -107,6 +107,10 @@ func TestScanNumbers(t *testing.T) {
 		{"2d", token.DOUBLELIT},
 		{".5", token.DOUBLELIT},
 		{"1_000_000", token.INTLIT},
+		{"1__0", token.INTLIT},
+		{"0x7FFF_FFFF", token.INTLIT},
+		{"0xFFFF_FFFF_FFFF_FFFFL", token.LONGLIT},
+		{"1_0.2_5e1_0", token.DOUBLELIT},
 	}
 	for _, c := range cases {
 		toks, err := scan(c.src)
@@ -171,6 +175,20 @@ func TestScanErrors(t *testing.T) {
 	} {
 		if _, err := scan(src); err == nil {
 			t.Errorf("scan(%q): want error", src)
+		}
+	}
+}
+
+// TestScanMisplacedUnderscores rejects every numeric literal with an
+// underscore anywhere but between two digits (JLS §3.10.1).
+func TestScanMisplacedUnderscores(t *testing.T) {
+	for _, src := range []string{
+		"0x_FF", "0xFF_", "0xFF_L", "0x_", "1_", "2_L", "1__", "1_.5", "1._5",
+		"1.5_", "1.5_f", "1_e5", "1e5_", "3_d",
+	} {
+		_, err := scan(src)
+		if err == nil || !strings.Contains(err.Error(), "illegal underscore in numeric literal") {
+			t.Errorf("scan(%q): err = %v, want an illegal underscore", src, err)
 		}
 	}
 }

@@ -68,6 +68,7 @@ func FuzzParse(f *testing.F) {
 		"package p.q; import a.b.*; class T { }",
 		"class T { boolean b = x instanceof Y; }",
 		"class T { int m = -2147483648; int h = 0xFFFFFFFF; long l = -9223372036854775808L; long o = 01777777777777777777777L; }",
+		"class T { int h = 0x7FFF_FFFF; long l = 0xFFFF_FFFF_FFFF_FFFFL; double d = 1_0.2_5e1_0; }",
 	} {
 		f.Add(seed)
 	}

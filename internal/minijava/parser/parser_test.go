@@ -401,6 +401,9 @@ func TestParseIntegerLiteralRanges(t *testing.T) {
 		{"0x8000000000000000L", ast.LitLong, -9223372036854775808, false},
 		{"01777777777777777777777L", ast.LitLong, -1, false},
 		{"2_147_483_647", ast.LitInt, 2147483647, false},
+		{"0x7FFF_FFFF", ast.LitInt, 2147483647, false},
+		{"0xFFFF_FFFF", ast.LitInt, -1, false},
+		{"0xFFFF_FFFF_FFFF_FFFFL", ast.LitLong, -1, false},
 	} {
 		f, err := Parse("lit.java", "class T { long v = "+c.src+"; }")
 		if err != nil {
@@ -432,11 +435,16 @@ func TestParseIntegerLiteralRanges(t *testing.T) {
 		{"-2147483649", "int literal out of range: 2147483649"},
 		{"0x100000000", "int literal out of range: 0x100000000"},
 		{"040000000000", "int literal out of range: 040000000000"},
-		{"0x1_0000_0000", `expected ;, found identifier "_0000_0000"`},
+		{"0x1_0000_0000", "int literal out of range: 0x1_0000_0000"},
 		{"9223372036854775808L", "long literal out of range: 9223372036854775808L"},
 		{"-(9223372036854775808L)", "long literal out of range: 9223372036854775808L"},
 		{"0x10000000000000000L", "long literal out of range: 0x10000000000000000L"},
 		{"09", "bad int literal 09"},
+		{"0x_FF", "illegal underscore in numeric literal"},
+		{"0xFF_", "illegal underscore in numeric literal"},
+		{"0xFF_L", "illegal underscore in numeric literal"},
+		{"1_", "illegal underscore in numeric literal"},
+		{"2_L", "illegal underscore in numeric literal"},
 	} {
 		_, err := Parse("lit.java", "class T { long v = "+c.src+"; }")
 		if err == nil || !strings.HasSuffix(err.Error(), ": "+c.want) {

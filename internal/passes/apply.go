@@ -6,6 +6,7 @@ import "jepo/internal/minijava/ast"
 type applier struct {
 	res     *Result
 	anchors map[ast.Node][]*Fix
+	bodies  map[*ast.Method]bool // methods whose body holds an anchor
 
 	// inMethodBody distinguishes the method-body traversals (which never
 	// enter array literals) from field-initializer traversals (which do).
@@ -25,7 +26,8 @@ type hoistRecord struct {
 // ApplyFixes applies every fix carried by the diagnostics, mutating the files
 // in place, and reports how many changes were made per rule. Fixes run in
 // three phases: statics hoisting, field/parameter declaration surgery, then
-// one cursor traversal per file that fires each remaining fix when the
+// a cursor traversal of every field initializer and of each method body
+// holding an anchor, in file order, that fires each remaining fix when the
 // cursor reaches its anchor. Fixes sharing an anchor run in diagnostic
 // order; a fix whose anchor is removed by an earlier fix (a declaration
 // inside a loop that became a System.arraycopy call) simply never fires.
@@ -47,6 +49,7 @@ func ApplyFixes(files []*ast.File, diags []Diagnostic) *Result {
 	ap := &applier{
 		res:          res,
 		anchors:      map[ast.Node][]*Fix{},
+		bodies:       map[*ast.Method]bool{},
 		fieldApplied: map[*ast.Field]fieldFixKind{},
 	}
 	var hoists, decls []*Fix
@@ -62,6 +65,7 @@ func ApplyFixes(files []*ast.File, diags []Diagnostic) *Result {
 			decls = append(decls, fx)
 		default:
 			ap.anchors[fx.anchor] = append(ap.anchors[fx.anchor], fx)
+			ap.bodies[fx.method] = true
 		}
 	}
 	// Phase 0: hoists restructure whole method bodies. They run before
@@ -92,7 +96,8 @@ func ApplyFixes(files []*ast.File, diags []Diagnostic) *Result {
 			}
 		}
 	}
-	// Phase 2: one traversal per file.
+	// Phase 2: the hook acts only at anchors, so a method body that holds
+	// none would come out unchanged and is not walked.
 	for _, f := range files {
 		for _, cl := range f.Classes {
 			for _, fd := range cl.Fields {
@@ -102,7 +107,7 @@ func ApplyFixes(files []*ast.File, diags []Diagnostic) *Result {
 				}
 			}
 			for _, mt := range cl.Methods {
-				if mt.Body != nil {
+				if mt.Body != nil && ap.bodies[mt] {
 					ap.inMethodBody = true
 					ast.Rewrite(mt.Body, ap.applyHook, nil)
 				}

@@ -47,8 +47,9 @@ func (d Diagnostic) String() string {
 
 // Fix phases: statics hoisting runs first (it restructures whole method
 // bodies), then field/parameter declaration rewrites (plain type surgery,
-// no tree walk), then one cursor traversal per file applies every fix
-// anchored at a node it reaches.
+// no tree walk), then a cursor traversal of every field initializer and of
+// each method body holding an anchor applies every fix anchored at a node
+// it reaches.
 const (
 	phaseHoist = iota
 	phaseDecl
@@ -65,6 +66,10 @@ type Fix struct {
 	// descend into the (possibly replaced) node.
 	anchor ast.Node
 	apply  func(ap *applier, c *ast.Cursor) (changes int, descend bool)
+	// method is the method whose body holds anchor, nil for an anchor in a
+	// field initializer: the apply traversal visits only the method bodies
+	// some fix names.
+	method *ast.Method
 
 	// Direct fixes run in a numbered phase before the traversal.
 	phase  int

@@ -33,7 +33,7 @@ func (m *matcher) primitiveDecl(d *declSite) {
 // reachable by the apply traversal.
 func (m *matcher) primitiveNode(n ast.Node) {
 	na, ok := n.(*ast.NewArray)
-	if !ok || !m.inMethod || m.arrayLitDepth > 0 || !narrowable(na.Elem) {
+	if !ok || m.method == nil || m.arrayLitDepth > 0 || !narrowable(na.Elem) {
 		return
 	}
 	fx := &Fix{anchor: na, apply: func(ap *applier, c *ast.Cursor) (int, bool) {
@@ -98,7 +98,7 @@ func (m *matcher) sciNode(n ast.Node) {
 	// Method-body array literals are never traversed by the applier (their
 	// elements are constant data, not code the interpreter re-evaluates), so
 	// a fix there would silently not apply.
-	if !m.inMethod || m.arrayLitDepth == 0 {
+	if m.method == nil || m.arrayLitDepth == 0 {
 		fx = &Fix{anchor: lit, apply: func(ap *applier, c *ast.Cursor) (int, bool) {
 			scientificize(lit)
 			return 1, true
@@ -287,7 +287,7 @@ func (m *matcher) concatNode(n ast.Node) {
 func (m *matcher) compareToNode(n ast.Node) {
 	switch x := n.(type) {
 	case *ast.Binary:
-		if !m.inMethod {
+		if m.method == nil {
 			return // field initializers are not rewritten
 		}
 		call := matchCompareToEquality(x)

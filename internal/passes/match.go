@@ -88,8 +88,7 @@ func analyze(files []*ast.File, enabled map[Rule]bool) []Diagnostic {
 type matcher struct {
 	file      *ast.File
 	class     *ast.Class
-	curMethod string
-	inMethod  bool
+	method    *ast.Method // nil while in a field initializer
 	loopDepth int
 	found     []Diagnostic
 	enabled   map[Rule]bool // nil = all rules
@@ -132,9 +131,16 @@ func (m *matcher) add(pos token.Pos, r Rule, detail string, fx *Fix) {
 	if fx != nil {
 		sev = SeverityFixable
 		fx.rule = r
+		if fx.anchor != nil {
+			fx.method = m.method
+		}
+	}
+	method := ""
+	if m.method != nil {
+		method = m.method.Name
 	}
 	m.found = append(m.found, Diagnostic{
-		File: m.file.Path, Class: m.class.Name, Method: m.curMethod,
+		File: m.file.Path, Class: m.class.Name, Method: method,
 		Line: pos.Line, Rule: r, Detail: detail, Severity: sev, Fix: fx,
 	})
 }
@@ -187,8 +193,7 @@ func (m *matcher) nodeHooks(n ast.Node) {
 }
 
 func (m *matcher) fieldDecl(fd *ast.Field) {
-	m.curMethod = ""
-	m.inMethod = false
+	m.method = nil
 	m.declHooks(&declSite{pos: fd.Pos, typ: fd.Type,
 		what: "field '" + fd.Name + "'", field: fd})
 	m.fieldHooks(fd)
@@ -198,8 +203,7 @@ func (m *matcher) fieldDecl(fd *ast.Field) {
 }
 
 func (m *matcher) methodDecl(mt *ast.Method) {
-	m.curMethod = mt.Name
-	m.inMethod = true
+	m.method = mt
 	for i := range mt.Params {
 		p := &mt.Params[i]
 		m.types[p.Name] = p.Type

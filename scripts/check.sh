@@ -77,10 +77,11 @@ go test -run 'GoldenEnergyDeterminism|GoldenEnergyWarmExecution|GoldenEnergySche
 
 echo "== -jobs byte-identity =="
 # CLI stdout must be byte-identical at any -jobs value (pool telemetry goes
-# to stderr). Diff sequential vs parallel output of the analyzer and the
-# classifier table. The parse store is single-flight (concurrent misses on
-# one source parse it once), so the classifier table's stderr cache line
-# (hits, misses, entries, parses) must be identical at both widths too.
+# to stderr). Diff sequential vs parallel output of the analyzer, the
+# classifier table and a reduced Table IV. The parse store is single-flight
+# (concurrent misses on one source parse it once), so the classifier table's
+# stderr cache line (hits, misses, entries, parses) must be identical at
+# both widths too.
 tmpdir=$(mktemp -d)
 trap 'rm -rf "$tmpdir"' EXIT
 go run ./cmd/jepo analyze -jobs 1 examples/java >"$tmpdir/analyze.1" 2>/dev/null
@@ -102,6 +103,17 @@ cache4=$(grep '^cache:' "$tmpdir/table2.4.err" || true)
 if [ -z "$cache1" ] || [ "$cache1" != "$cache4" ]; then
     echo "wekaexp -table 2 stderr cache line differs between -jobs 1 and -jobs 4" >&2
     printf '%s\n%s\n' "-jobs 1: $cache1" "-jobs 4: $cache4" >&2
+    exit 1
+fi
+# Table IV runs each classifier's row (apply every fix, run the kernel
+# before and after, cross-validate in both precisions) as one task; a
+# reduced run takes seconds.
+table4="-table 4 -instances 400 -reps 1 -runs 3 -folds 3"
+go run ./cmd/wekaexp $table4 -jobs 1 >"$tmpdir/table4.1" 2>/dev/null
+go run ./cmd/wekaexp $table4 -jobs 4 >"$tmpdir/table4.4" 2>/dev/null
+if ! cmp -s "$tmpdir/table4.1" "$tmpdir/table4.4"; then
+    echo "wekaexp $table4 stdout differs between -jobs 1 and -jobs 4" >&2
+    diff -u "$tmpdir/table4.1" "$tmpdir/table4.4" >&2 || true
     exit 1
 fi
 
