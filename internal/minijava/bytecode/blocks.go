@@ -60,34 +60,19 @@ func Finalize(fn *Func) {
 		switch ins.Op {
 		case OpLoadIdent:
 			// Compile-time quickening: the resolver already pinned these
-			// loads; the guards stay in the handlers (out-of-range index,
-			// static context) and deopt to the full identifier ladder.
-			if id, ok := ins.Node.(*ast.Ident); ok {
-				switch {
-				case id.RKind == ast.ResStaticRef && id.RIx >= 0:
+			// loads; the guards stay in the handlers (out-of-range index)
+			// and deopt to the full identifier ladder.
+			if id, ok := ins.Node.(*ast.Ident); ok && id.RIx >= 0 {
+				switch id.RKind {
+				case ast.ResStaticRef:
 					ins.Op, ins.A = OpQLoadStatic, id.RIx
-				case id.RKind == ast.ResField && id.RIx >= 0:
-					ins.Op, ins.A = OpQLoadField, id.RIx
-				case id.RKind == ast.ResClass && id.RIx >= 0:
+				case ast.ResClass:
 					ins.Op, ins.A = OpQPushV, id.RIx
 				}
 			}
-		case OpStoreIdent, OpStoreIdentX:
-			// Same pins for the store side; the X forms keep the value.
-			if id, ok := ins.Node.(*ast.Ident); ok {
-				x := ins.Op == OpStoreIdentX
-				switch {
-				case id.RKind == ast.ResStaticRef && id.RIx >= 0:
-					ins.Op, ins.A = OpQStoreStatic, id.RIx
-					if x {
-						ins.Op = OpQStoreStaticX
-					}
-				case id.RKind == ast.ResField && id.RIx >= 0:
-					ins.Op, ins.A = OpQStoreField, id.RIx
-					if x {
-						ins.Op = OpQStoreFieldX
-					}
-				}
+		case OpStoreIdent:
+			if id, ok := ins.Node.(*ast.Ident); ok && id.RIx >= 0 && id.RKind == ast.ResStaticRef {
+				ins.Op, ins.A = OpQStoreStatic, id.RIx
 			}
 		case OpCall:
 			// The site cache index the call and select quick forms read.

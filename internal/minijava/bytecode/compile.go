@@ -419,18 +419,31 @@ func (c *compiler) lowerSwitch(n *ast.Switch) {
 
 // stmtExpr lowers an expression in statement position with the walker's
 // evalStmtExpr step accounting (one step for the expression node, result
-// discarded).
+// discarded). Assignments and ++/-- on a local store without keeping a
+// value; every other expression is evaluated and popped.
 func (c *compiler) stmtExpr(e ast.Expr) {
 	switch x := e.(type) {
 	case *ast.Assign:
-		c.lowerAssign(x, false)
+		// An array-literal right-hand side needs lvalueType's evaluation
+		// order, so that assignment goes to the walker whole.
+		if _, isLit := x.RHS.(*ast.ArrayLit); !isLit {
+			c.lowerAssign(x)
+			return
+		}
 	case *ast.Unary:
-		c.lowerUnary(x, false)
-	default:
-		c.expr(e)
-		c.emit(Instr{Op: OpPop})
-		c.pop(1)
+		if id, ok := x.X.(*ast.Ident); ok && id.RSlot > 0 && (x.Op == token.Inc || x.Op == token.Dec) {
+			delta := int32(1)
+			if x.Op == token.Dec {
+				delta = -1
+			}
+			c.step(1)
+			c.emit(Instr{Op: OpIncLocal, A: id.RSlot - 1, B: delta, Node: x})
+			return
+		}
 	}
+	c.expr(e)
+	c.emit(Instr{Op: OpPop})
+	c.pop(1)
 }
 
 // --- expressions ---
@@ -452,8 +465,6 @@ func (c *compiler) expr(e ast.Expr) {
 		c.push(1)
 	case *ast.Binary:
 		c.lowerBinary(n)
-	case *ast.Assign:
-		c.lowerAssign(n, true)
 	case *ast.Select:
 		c.step(1)
 		c.expr(n.X)
@@ -475,7 +486,7 @@ func (c *compiler) expr(e ast.Expr) {
 		c.emit(Instr{Op: OpLoadIndex, Node: n})
 		c.pop(1)
 	case *ast.Unary:
-		c.lowerUnary(n, true)
+		c.lowerUnary(n)
 	case *ast.This:
 		c.step(1)
 		c.emit(Instr{Op: OpLoadThis, Node: n})
@@ -520,8 +531,9 @@ func (c *compiler) expr(e ast.Expr) {
 		c.expr(n.X)
 		c.emit(Instr{Op: OpInstanceOf, Node: n})
 	default:
-		// ArrayLit outside an initializer and future node kinds: hand the
-		// whole subtree to the walker, which steps and charges internally.
+		// Assignments used as values, ArrayLit outside an initializer and
+		// future node kinds: hand the whole subtree to the walker, which
+		// steps and charges internally.
 		c.emit(Instr{Op: OpEval, Node: n})
 		c.push(1)
 	}
@@ -582,25 +594,12 @@ func (c *compiler) lowerBinary(n *ast.Binary) {
 	c.pop(1)
 }
 
-// lowerAssign compiles simple and compound assignment. asExpr keeps the
-// walker's expression value (the pre-coercion RHS) on the stack.
-func (c *compiler) lowerAssign(n *ast.Assign, asExpr bool) {
-	// One step for the Assign node itself (eval / evalStmtExpr).
+// lowerAssign compiles a simple or compound assignment in statement
+// position; its value is not kept.
+func (c *compiler) lowerAssign(n *ast.Assign) {
+	// One step for the Assign node itself (evalStmtExpr).
 	c.step(1)
 	if n.Op == token.Assign {
-		if _, isLit := n.RHS.(*ast.ArrayLit); isLit {
-			// Array-literal RHS needs lvalueType's evaluation order; delegate
-			// the whole assignment to the walker.
-			op := OpAssign
-			if asExpr {
-				op = OpAssignX
-			}
-			c.emit(Instr{Op: op, Node: n})
-			if asExpr {
-				c.push(1)
-			}
-			return
-		}
 		c.expr(n.RHS)
 	} else {
 		// Compound: read the target, evaluate the RHS, apply the base
@@ -635,7 +634,7 @@ func (c *compiler) lowerAssign(n *ast.Assign, asExpr bool) {
 			c.bail("compound assignment to non-lvalue")
 		}
 		c.expr(n.RHS)
-		c.emit(Instr{Op: OpBinary, Tok: compoundBase(n.Op), Node: n})
+		c.emit(Instr{Op: OpBinary, Tok: CompoundBase(n.Op), Node: n})
 		c.pop(1)
 	}
 	// The store. Select and Index targets re-evaluate their receiver inside
@@ -644,51 +643,33 @@ func (c *compiler) lowerAssign(n *ast.Assign, asExpr bool) {
 	// tree-walk does).
 	switch l := n.LHS.(type) {
 	case *ast.Ident:
-		op := OpStoreLocal
-		if asExpr {
-			op = OpStoreLocalX
+		if l.RSlot > 0 {
+			c.emit(Instr{Op: OpStoreLocal, A: l.RSlot - 1, Node: l})
+		} else {
+			c.emit(Instr{Op: OpStoreIdent, Node: l})
 		}
-		if l.RSlot <= 0 {
-			op = OpStoreIdent
-			if asExpr {
-				op = OpStoreIdentX
-			}
-		}
-		c.emit(Instr{Op: op, A: l.RSlot - 1, Node: l})
 	case *ast.Select:
-		op := OpStoreSelect
-		if asExpr {
-			op = OpStoreSelectX
-		}
-		c.emit(Instr{Op: op, Node: l})
+		c.emit(Instr{Op: OpStoreSelect, Node: l})
 	case *ast.Index:
 		c.expr(l.X)
 		if id, ok := l.I.(*ast.Ident); ok && id.RSlot > 0 {
 			c.step(1)
-			op := OpStoreIndexL
-			if asExpr {
-				op = OpStoreIndexLX
-			}
-			c.emit(Instr{Op: op, A: id.RSlot - 1, Node: l})
+			c.emit(Instr{Op: OpStoreIndexL, A: id.RSlot - 1, Node: l})
 			c.pop(1)
 		} else {
 			c.expr(l.I)
-			op := OpStoreIndex
-			if asExpr {
-				op = OpStoreIndexX
-			}
-			c.emit(Instr{Op: op, Node: l})
+			c.emit(Instr{Op: OpStoreIndex, Node: l})
 			c.pop(2)
 		}
 	default:
 		c.bail("assignment to non-lvalue")
 	}
-	if !asExpr {
-		c.pop(1)
-	}
+	c.pop(1)
 }
 
-func (c *compiler) lowerUnary(n *ast.Unary, asExpr bool) {
+// lowerUnary compiles unary minus and logical not; ++ and -- used as
+// values, like any other unary form, go to the walker.
+func (c *compiler) lowerUnary(n *ast.Unary) {
 	switch n.Op {
 	case token.Minus:
 		c.step(1)
@@ -698,33 +679,9 @@ func (c *compiler) lowerUnary(n *ast.Unary, asExpr bool) {
 		c.step(1)
 		c.expr(n.X)
 		c.emit(Instr{Op: OpNot, Node: n})
-	case token.Inc, token.Dec:
-		if id, ok := n.X.(*ast.Ident); ok && id.RSlot > 0 {
-			delta := int32(1)
-			if n.Op == token.Dec {
-				delta = -1
-			}
-			c.step(1)
-			op := OpIncLocal
-			if asExpr {
-				op = OpIncLocalX
-			}
-			c.emit(Instr{Op: op, A: id.RSlot - 1, B: delta, Node: n})
-			if asExpr {
-				c.push(1)
-			}
-			return
-		}
-		// ++/-- on fields and array elements: walker-delegate the whole node.
-		c.emit(Instr{Op: OpEval, Node: n})
-		c.push(1)
 	default:
 		c.emit(Instr{Op: OpEval, Node: n})
 		c.push(1)
-	}
-	if !asExpr {
-		c.emit(Instr{Op: OpPop})
-		c.pop(1)
 	}
 }
 
@@ -743,9 +700,10 @@ func (c *compiler) lowerCall(n *ast.Call) {
 	c.push(1)
 }
 
-// compoundBase maps a compound assignment operator to its base operator
-// (mirrors the interpreter's table).
-func compoundBase(op token.Kind) token.Kind {
+// CompoundBase maps a compound assignment operator to its base operator —
+// the one table of both engines: the compiler lowers a compound
+// assignment's operator through it and the walker's evalAssign applies it.
+func CompoundBase(op token.Kind) token.Kind {
 	switch op {
 	case token.PlusEq:
 		return token.Plus

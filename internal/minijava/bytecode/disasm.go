@@ -53,10 +53,8 @@ func (f *Func) operands(pc int, ins *Instr) (string, string) {
 		return fmt.Sprintf("%v x%d", energy.Op(ins.A), ins.B), ""
 	case OpConst:
 		return fmt.Sprintf("c%d", ins.A), f.constText(ins.A)
-	case OpQLoadStatic, OpQStoreStatic, OpQStoreStaticX:
+	case OpQLoadStatic, OpQStoreStatic:
 		return fmt.Sprintf("g%d", ins.A), nodeText(ins.Node)
-	case OpQLoadField, OpQStoreField, OpQStoreFieldX:
-		return fmt.Sprintf("f%d", ins.A), nodeText(ins.Node)
 	case OpQPushV:
 		return fmt.Sprintf("k%d", ins.A), nodeText(ins.Node)
 	case OpQGetField:
@@ -74,22 +72,20 @@ func (f *Func) operands(pc int, ins *Instr) (string, string) {
 			return "true", ""
 		}
 		return "false", ""
-	case OpLoadLocal, OpStoreLocal, OpStoreLocalX, OpLocalZero:
+	case OpLoadLocal, OpStoreLocal, OpLocalZero:
 		return fmt.Sprintf("s%d", ins.A), nodeText(ins.Node)
 	case OpLocalDecl:
 		if ins.B != 0 {
 			return fmt.Sprintf("s%d arraylit", ins.A), nodeText(ins.Node)
 		}
 		return fmt.Sprintf("s%d", ins.A), nodeText(ins.Node)
-	case OpIncLocal, OpIncLocalX:
+	case OpIncLocal:
 		sign := "+"
 		if ins.B < 0 {
 			sign = "-"
 		}
 		return fmt.Sprintf("s%d %s1", ins.A, sign), nodeText(ins.Node)
-	case OpLoadIdent, OpStoreIdent, OpStoreIdentX:
-		return "", nodeText(ins.Node)
-	case OpLoadSelect, OpStoreSelect, OpStoreSelectX:
+	case OpLoadIdent, OpStoreIdent, OpLoadSelect, OpStoreSelect:
 		return "", nodeText(ins.Node)
 	case OpBinary:
 		return ins.Tok.String(), ""
@@ -97,7 +93,7 @@ func (f *Func) operands(pc int, ins *Instr) (string, string) {
 		return fmt.Sprintf("%v s%d s%d", ins.Tok, ins.A, ins.B), nodeText(ins.Node)
 	case OpBinLC:
 		return fmt.Sprintf("%v s%d c%d", ins.Tok, ins.A, ins.B), nodeText(ins.Node)
-	case OpLoadIndexL, OpStoreIndexL, OpStoreIndexLX:
+	case OpLoadIndexL, OpStoreIndexL:
 		return fmt.Sprintf("s%d", ins.A), nodeText(ins.Node)
 	case OpJmp, OpJmpBranch, OpJmpFalse, OpJmpTrue, OpCaseCmp, OpSwitchEnd:
 		return target(), ""
@@ -113,7 +109,7 @@ func (f *Func) operands(pc int, ins *Instr) (string, string) {
 		return fmt.Sprintf("argc=%d", ins.A), nodeText(ins.Node)
 	case OpNewArray:
 		return fmt.Sprintf("dims=%d", ins.A), ""
-	case OpEval, OpAssign, OpAssignX, OpCast, OpInstanceOf:
+	case OpEval, OpCast, OpInstanceOf:
 		return "", nodeText(ins.Node)
 	}
 	return "", ""

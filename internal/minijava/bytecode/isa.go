@@ -76,41 +76,31 @@ const (
 	OpEval
 
 	// OpStoreLocal pops a value into frame slot A (Node *ast.Ident holds
-	// the assignment target). OpStoreLocalX leaves the pre-coercion value
-	// on the stack (assignment used as an expression).
+	// the assignment target). Every store form below pops its value: an
+	// assignment whose value is used lowers to OpEval, and the walker's
+	// evalAssign computes that value in the one place it is computed.
 	OpStoreLocal
-	OpStoreLocalX
 
 	// OpStoreIdent pops a value into a non-local identifier target.
 	OpStoreIdent
-	OpStoreIdentX
 
 	// OpStoreSelect pops a value and stores into field Node (*ast.Select);
 	// the receiver expression is evaluated by the walker inside the store,
 	// after the RHS — exactly the tree-walker's assignment order.
 	OpStoreSelect
-	OpStoreSelectX
 
 	// OpStoreIndex pops index, array and value (pushed in value, array,
 	// index order) and stores the element (Node *ast.Index).
 	OpStoreIndex
-	OpStoreIndexX
 
-	// OpStoreIndexL / OpStoreIndexLX are the store counterparts of
-	// OpLoadIndexL: index from frame slot A, array and value popped.
+	// OpStoreIndexL is the store counterpart of OpLoadIndexL: index from
+	// frame slot A, array and value popped.
 	OpStoreIndexL
-	OpStoreIndexLX
 
-	// OpAssign delegates a whole assignment (Node *ast.Assign) to the
-	// walker — array-literal right-hand sides and other rare shapes.
-	OpAssign
-	OpAssignX
-
-	// OpIncLocal is ++/-- on a local: slot A, delta B (±1), Node
-	// (*ast.Unary). OpIncLocalX pushes the expression value (old value for
-	// postfix, updated for prefix).
+	// OpIncLocal is ++/-- on a local in statement position: slot A, delta
+	// B (±1), Node (*ast.Unary). An increment whose value is used lowers to
+	// OpEval.
 	OpIncLocal
-	OpIncLocalX
 
 	// OpBinary pops y then x and applies Tok (Node *ast.Binary for
 	// position). OpBinLL reads slots A and B, OpBinLC slot A and constant
@@ -206,19 +196,10 @@ const (
 	// out-of-range index falls back to the walker's identifier ladder.
 	OpQLoadStatic
 
-	// OpQLoadField pushes field A of the receiver (OpLoadIdent specialized on
-	// ast.ResField), falling back to the ladder in a static context.
-	OpQLoadField
-
-	// OpQStoreStatic / OpQStoreField are the store counterparts: OpStoreIdent
-	// specialized on the same resolver pins, replaying writeLValue's matching
-	// lane (one OpStatic/OpField step, one 8-byte access, kind-checked
-	// assignment) and deopting to writeLValue on a guard miss. The X forms
-	// keep the stored value on the stack, like OpStoreIdentX.
+	// OpQStoreStatic is the store counterpart: OpStoreIdent specialized on
+	// the same resolver pin, storing through the walker's one static store
+	// and deopting to writeLValue on a guard miss.
 	OpQStoreStatic
-	OpQStoreStaticX
-	OpQStoreField
-	OpQStoreFieldX
 
 	// OpQPushV pushes the program's class reference classRefs[A]
 	// (OpLoadIdent specialized on ast.ResClass), charging nothing, exactly
@@ -276,19 +257,11 @@ var opNames = [...]string{
 	OpLoadIndexL:    "aload.l",
 	OpEval:          "eval",
 	OpStoreLocal:    "store",
-	OpStoreLocalX:   "store.x",
 	OpStoreIdent:    "store.dyn",
-	OpStoreIdentX:   "store.dyn.x",
 	OpStoreSelect:   "putfield",
-	OpStoreSelectX:  "putfield.x",
 	OpStoreIndex:    "astore",
-	OpStoreIndexX:   "astore.x",
 	OpStoreIndexL:   "astore.l",
-	OpStoreIndexLX:  "astore.l.x",
-	OpAssign:        "assign",
-	OpAssignX:       "assign.x",
 	OpIncLocal:      "inc",
-	OpIncLocalX:     "inc.x",
 	OpBinary:        "bin",
 	OpBinLL:         "bin.ll",
 	OpBinLC:         "bin.lc",
@@ -320,11 +293,7 @@ var opNames = [...]string{
 	OpRet:           "ret",
 	OpRetVoid:       "ret.void",
 	OpQLoadStatic:   "getstatic",
-	OpQLoadField:    "getself",
 	OpQStoreStatic:  "putstatic",
-	OpQStoreStaticX: "putstatic.x",
-	OpQStoreField:   "putself",
-	OpQStoreFieldX:  "putself.x",
 	OpQPushV:        "qpush",
 	OpQGetField:     "qgetfield",
 	OpQCallSelf:     "qcall.self",

@@ -5,7 +5,8 @@
 // counts, same energy bits — on every program. The test drives both engines
 // over (a) the Table I benchmark corpus and (b) seeded randomly generated
 // programs exercising locals, statics, fields, arrays, loops, switches,
-// short-circuits, casts, calls and exception handling, with expressions over
+// short-circuits, casts, instanceof, calls, exceptions thrown from compiled
+// code, and assignments and ++/-- used as values, with expressions over
 // every numeric kind (int, long, float and double; short, byte and char
 // through casts), the bitwise and shift operators, and mixed-kind operands.
 // Any divergence is a compiler or dispatch bug, never acceptable drift.

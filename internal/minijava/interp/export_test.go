@@ -4,10 +4,28 @@ import (
 	"fmt"
 
 	"jepo/internal/minijava/ast"
+	"jepo/internal/minijava/bytecode"
 )
 
 // Compiled reports whether p has been lowered to bytecode yet.
 func Compiled(p *Program) bool { return p.funcs != nil }
+
+// MarkOps marks in seen every opcode of in's program's compiled streams, as
+// Finalize left them, and of in's warm copies, as its runs quickened them.
+func MarkOps(in *Interp, seen map[bytecode.Op]bool) {
+	for _, cf := range in.prog.funcs {
+		if cf.fn != nil {
+			for _, ins := range cf.fn.Code {
+				seen[ins.Op] = true
+			}
+		}
+	}
+	for _, code := range in.warm {
+		for _, ins := range code {
+			seen[ins.Op] = true
+		}
+	}
+}
 
 // SiteGaps lists what Load left unresolved in f, which p was loaded from:
 // every Call, Select and New without an index into p's site table, and every

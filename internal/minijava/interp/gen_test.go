@@ -18,7 +18,8 @@ import (
 // divisions use nonzero-by-construction denominators except in the guarded
 // try/catch template, which is the point. short, byte and char values come
 // from casts and are read wherever an int is; they change only through ++,
-// -- and compound assignment, which narrow implicitly.
+// -- and compound assignment, which narrow implicitly. Assignments and
+// ++/-- also appear as values, whose kind is the target's (JLS §15.26).
 type gen struct {
 	r      *rand.Rand
 	sb     strings.Builder
@@ -53,20 +54,24 @@ func generate(r *rand.Rand) string {
 	g.line("\tstatic int g(int x) { return x * 3 - 7; }")
 	g.line("\tstatic double h(double a, int b) { return a * 0.5 + b; }")
 	g.line("\tstatic long k(long a, float b) { return a ^ (long) (b * 4.0f); }")
+	// t throws from a compiled method into guard's handler, which the
+	// walker runs on both engines (a method with try/catch has no lowering).
+	g.line("\tstatic int t(int x) { if (x > 2) { throw new ArithmeticException(\"t\"); } return x; }")
+	g.line("\tstatic int guard(int x) { try { return t(x); } catch (ArithmeticException e) { return x - 1; } }")
 	g.line("\tstatic double f() {")
 
 	// Preamble: a fixed vocabulary every expression can draw from. Arrays
 	// are always length 8 and loop bounds never exceed 8, so loop counters
 	// double as safe indices.
-	g.line("\t\tint x0 = 3; int x1 = -5;")
+	g.line("\t\tint x0 = guard(4); int x1 = -5;")
 	g.line("\t\tdouble d0 = 1.25; double d1 = 340.0;")
 	g.line("\t\tlong l0 = 40000000000L; long l1 = -7L;")
 	g.line("\t\tfloat f0 = 1.5f; float f1 = -0.3f;")
 	g.line("\t\tshort s0 = (short) 300; byte y0 = (byte) -7; char c0 = 'q';")
-	g.line("\t\tboolean b0 = true;")
 	g.line("\t\tint[] a0 = new int[8];")
 	g.line("\t\tdouble[] e0 = new double[8];")
 	g.line("\t\tP p0 = new P(4);")
+	g.line("\t\tboolean b0 = x1 < x0 || p0 instanceof P;")
 	g.line("\t\tfor (int w0 = 0; w0 < 8; w0++) { a0[w0] = w0 * 2 - 3; e0[w0] = w0 * 0.75; }")
 	g.ints = []string{"x0", "x1", "sInt", "p0.v", "s0", "y0", "c0"}
 	g.mutInts = []string{"x0", "x1", "sInt", "p0.v"}
@@ -328,8 +333,8 @@ func (g *gen) numExpr(depth int) (int, string) {
 // nesting so generated programs stay small.
 func (g *gen) stmt(nest int) {
 	in := g.indent
-	const leaves = 8 // choices below this emit no nested statements
-	choice := g.r.Intn(14)
+	const leaves = 9 // choices below this emit no nested statements
+	choice := g.r.Intn(15)
 	if nest >= 2 && choice >= leaves {
 		choice = g.r.Intn(leaves)
 	}
@@ -388,7 +393,27 @@ func (g *gen) stmt(nest int) {
 	case 7: // increment of a long or float variable
 		v := g.pick(append(append([]string(nil), g.mutLongs...), g.mutFlts...))
 		g.line(in + v + g.pick([]string{"++", "--"}) + ";")
-	case 8: // if / else
+	case 8: // assignment and ++/-- used as values
+		k, e := g.numExpr(1)
+		switch g.r.Intn(5) {
+		case 0: // x = (y op= e)
+			g.line(in + g.pick(muts[k]) + " = (" + g.pick(muts[k]) + " " + g.pick([]string{"+=", "-=", "*="}) + " " + e + ");")
+		case 1: // an int target takes a double; its int value widens back
+			g.line(in + g.pick(g.mutDbls) + " = (" + g.pick(g.mutInts) + " += " + g.dblExpr(1) + ");")
+		case 2: // a narrow target's value read as an int
+			g.line(in + g.pick(g.mutInts) + " = (" + g.pick(g.narrows) + " " + g.pick([]string{"+=", "-=", "^="}) + " " + g.intExpr(1) + ");")
+		case 3: // an element store indexed by ++/--, masked into bounds
+			g.line(in + "a0[(" + g.pick(g.mutInts) + g.pick([]string{"++", "--"}) + ") & 7] = (" + g.pick(g.mutInts) + " = " + g.intExpr(1) + ");")
+		default: // prefix and postfix values in an expression
+			v := g.pick(muts[k])
+			if g.r.Intn(2) == 0 {
+				v = g.pick([]string{"++", "--"}) + v
+			} else {
+				v += g.pick([]string{"++", "--"})
+			}
+			g.line(in + g.pick(muts[k]) + " = " + v + " * 2 + " + e + ";")
+		}
+	case 9: // if / else
 		g.line(in + "if (" + g.boolExpr(2) + ") {")
 		g.nested(nest, 1+g.r.Intn(2))
 		if g.r.Intn(2) == 0 {
@@ -396,7 +421,7 @@ func (g *gen) stmt(nest int) {
 			g.nested(nest, 1+g.r.Intn(2))
 		}
 		g.line(in + "}")
-	case 9: // bounded for loop; the counter is readable but never assigned
+	case 10: // bounded for loop; the counter is readable but never assigned
 		v := g.name("i")
 		bound := 2 + g.r.Intn(7)
 		g.line(in + fmt.Sprintf("for (int %s = 0; %s < %d; %s++) {", v, v, bound, v))
@@ -404,7 +429,7 @@ func (g *gen) stmt(nest int) {
 		g.nested(nest, 1+g.r.Intn(2))
 		g.line(in + "}")
 		g.ints = g.ints[:len(g.ints)-1]
-	case 10: // countdown while loop
+	case 11: // countdown while loop
 		v := g.name("w")
 		g.line(in + fmt.Sprintf("int %s = %d;", v, 2+g.r.Intn(6)))
 		g.line(in + "while (" + v + " > 0) {")
@@ -415,13 +440,13 @@ func (g *gen) stmt(nest int) {
 		g.nested(nest, 1)
 		g.line(in + "}")
 		g.ints = g.ints[:len(g.ints)-1]
-	case 11: // switch over a small int range
+	case 12: // switch over a small int range
 		g.line(in + "switch (" + g.intExpr(1) + " % 3) {")
 		g.line(in + "case 0: " + g.pick(g.mutDbls) + " += 1.0; break;")
 		g.line(in + "case 1: " + g.pick(g.mutInts) + " -= 2; break;")
 		g.line(in + "default: " + g.pick(g.mutDbls) + " *= 0.5;")
 		g.line(in + "}")
-	case 12: // guarded division: exception paths must also agree
+	case 13: // guarded division: exception paths must also agree
 		tgt := g.pick(g.mutInts)
 		ex := g.name("ex")
 		g.line(in + "try { " + tgt + " = " + g.intExpr(1) + " / (" + g.intExpr(1) + " % 2); }")

@@ -608,9 +608,7 @@ func (in *Interp) exec(fr *frame, s ast.Stmt) ctrl {
 		var v Value
 		if n.Init != nil {
 			v = in.evalInit(fr, n.Init, n.Type)
-			if v.K != k {
-				v = in.coerceTo(v, n.Type, n.Pos)
-			}
+			in.assignConv(&v, k, &n.Type, n.Pos)
 		} else {
 			v = zeroValue(n.Type)
 		}
@@ -852,13 +850,9 @@ func (in *Interp) invoke(ci *classInfo, this *Object, m *ast.Method, args []Valu
 	fr := frame{class: ci, this: this, locals: in.grabLocals(int(m.NSlots))}
 	defer in.leaveCall(fr.locals, stack)
 	for i := range m.Params {
-		p := &m.Params[i]
-		pk := kindOfType(p.Type)
-		av := args[i]
-		if av.K != pk {
-			av = in.coerceTo(av, p.Type, m.Pos)
-		}
-		fr.locals[i] = cell{t: p.Type, k: pk, v: av, live: true}
+		p, c := &m.Params[i], &fr.locals[i]
+		c.t, c.k, c.v, c.live = p.Type, kindOfType(p.Type), args[i], true
+		in.assignConv(&c.v, c.k, &c.t, m.Pos)
 	}
 	var ret Value
 	var explicit bool
@@ -919,8 +913,8 @@ func (in *Interp) construct(ci *classInfo, ctor *ast.Method, args []Value, pos t
 	initFr := frame{class: ci, this: obj}
 	for i, f := range ci.fields {
 		if f.Init != nil {
-			obj.Slots[i] = in.coerceTo(in.evalInit(&initFr, f.Init, f.Type), f.Type, pos)
-			in.meter.FieldAccess(obj.Base + 16 + uint64(8*i))
+			v := in.evalInit(&initFr, f.Init, f.Type)
+			in.storeField(obj, i, &v, pos)
 		}
 	}
 	if ctor == nil {
@@ -980,7 +974,6 @@ func (in *Interp) eval(fr *frame, e ast.Expr) Value {
 		return in.evalCall(fr, n)
 	case *ast.Index:
 		arr, idx := in.evalIndexOperands(fr, n)
-		in.meter.ArrayAccess(arr.addr(idx), arr.ES)
 		return arr.get(idx)
 	case *ast.Unary:
 		return in.evalUnary(fr, n)
@@ -1051,32 +1044,25 @@ func literalValue(n *ast.Literal) Value {
 // common cases skip the map lookups; anything it could not pin down falls
 // through to evalIdentSlow, the original dynamic ladder.
 func (in *Interp) evalIdent(fr *frame, n *ast.Ident) Value {
-	if s := int(n.RSlot) - 1; s >= 0 && s < len(fr.locals) {
-		if c := &fr.locals[s]; c.live {
-			in.meter.Step(energy.OpLocal, 1)
-			return c.v
-		}
+	if c := fr.localCell(n); c != nil {
+		in.meter.Step(energy.OpLocal, 1)
+		return c.v
 	}
 	switch n.RKind {
 	case ast.ResField:
 		if this := fr.this; this != nil {
 			if ix := int(n.RIx); ix < len(this.Slots) {
-				in.meter.FieldAccess(this.Base + 16 + uint64(8*ix))
-				return this.Slots[ix]
+				return *in.loadField(this, ix)
 			}
 		}
 	case ast.ResStaticRef:
 		if ix := int(n.RIx); ix < len(in.prog.statRefs) {
-			c := in.static(in.prog.statRefs[ix])
-			in.meter.StaticAccess(c.Addr)
-			return c.V
+			return *in.loadStatic(in.prog.statRefs[ix])
 		}
 	case ast.ResStatic:
 		if fr.class != nil {
 			if slot := fr.class.flatStatics[n.Name]; slot != nil {
-				c := in.static(slot)
-				in.meter.StaticAccess(c.Addr)
-				return c.V
+				return *in.loadStatic(slot)
 			}
 		}
 	case ast.ResClass:
@@ -1094,15 +1080,12 @@ func (in *Interp) evalIdent(fr *frame, n *ast.Ident) Value {
 func (in *Interp) evalIdentSlow(fr *frame, n *ast.Ident) Value {
 	if fr.this != nil {
 		if ix, ok := fr.this.Class.fieldIx[n.Name]; ok {
-			in.meter.FieldAccess(fr.this.Base + 16 + uint64(8*ix))
-			return fr.this.Slots[ix]
+			return *in.loadField(fr.this, ix)
 		}
 	}
 	if fr.class != nil {
 		if slot := fr.class.findStatic(n.Name); slot != nil {
-			c := in.static(slot)
-			in.meter.StaticAccess(c.Addr)
-			return c.V
+			return *in.loadStatic(slot)
 		}
 	}
 	if _, ok := in.prog.classes[n.Name]; ok || isBuiltinClass(n.Name) {
@@ -1110,6 +1093,38 @@ func (in *Interp) evalIdentSlow(fr *frame, n *ast.Ident) Value {
 	}
 	in.bugf(n.Pos, "unknown identifier %s", n.Name)
 	return Value{}
+}
+
+// loadField and storeField are the one instance-field load and store of
+// both engines, and loadStatic and storeStatic the one static-field pair.
+// Each charges the access (FieldAccess, StaticAccess). A load returns the
+// slot it read, for the caller to copy: a returned Value is copied through
+// memory at a cost the hot lanes notice. A store converts *v in place
+// through assignConv and stores it, so *v is the stored value afterwards —
+// the value of an assignment expression (JLS §15.26).
+func (in *Interp) loadField(obj *Object, ix int) *Value {
+	in.meter.FieldAccess(obj.Base + 16 + uint64(8*ix))
+	return &obj.Slots[ix]
+}
+
+func (in *Interp) storeField(obj *Object, ix int, v *Value, pos token.Pos) {
+	in.meter.FieldAccess(obj.Base + 16 + uint64(8*ix))
+	fi := &obj.Class.fields[ix]
+	in.assignConv(v, fi.K, &fi.Type, pos)
+	obj.Slots[ix] = *v
+}
+
+func (in *Interp) loadStatic(s *staticSlot) *Value {
+	c := in.static(s)
+	in.meter.StaticAccess(c.Addr)
+	return &c.V
+}
+
+func (in *Interp) storeStatic(s *staticSlot, v *Value, pos token.Pos) {
+	c := in.static(s)
+	in.meter.StaticAccess(c.Addr)
+	in.assignConv(v, s.K, &s.Type, pos)
+	c.V = *v
 }
 
 func (in *Interp) evalSelect(fr *frame, n *ast.Select) Value {
@@ -1125,9 +1140,7 @@ func (in *Interp) selectFrom(x Value, n *ast.Select) Value {
 		switch ps := &in.prog.sites[n.SiteIx-1]; ps.kind {
 		case siteStaticSel:
 			if ps.cls == cls {
-				c := in.static(ps.slot)
-				in.meter.StaticAccess(c.Addr)
-				return c.V
+				return *in.loadStatic(ps.slot)
 			}
 		case siteBuiltinConstSel:
 			if ps.cls == cls {
@@ -1140,9 +1153,7 @@ func (in *Interp) selectFrom(x Value, n *ast.Select) Value {
 		}
 		if ci, ok := in.prog.classes[cls]; ok {
 			if slot := ci.findStatic(n.Name); slot != nil {
-				c := in.static(slot)
-				in.meter.StaticAccess(c.Addr)
-				return c.V
+				return *in.loadStatic(slot)
 			}
 		}
 		if v, ok := builtinStaticField(cls, n.Name); ok {
@@ -1162,8 +1173,7 @@ func (in *Interp) selectFrom(x Value, n *ast.Select) Value {
 		if sc.class != obj.Class {
 			in.resolveField(sc, obj.Class, n)
 		}
-		in.meter.FieldAccess(obj.Base + 16 + uint64(8*sc.ix))
-		return obj.Slots[sc.ix]
+		return *in.loadField(obj, int(sc.ix))
 	case KNull:
 		in.throw("NullPointerException", "field "+n.Name+" on null")
 	}
@@ -1174,30 +1184,52 @@ func (in *Interp) selectFrom(x Value, n *ast.Select) Value {
 func (in *Interp) evalIndexOperands(fr *frame, n *ast.Index) (*Array, int) {
 	xv := in.operand(fr, n.X)
 	iv := in.operand(fr, n.I)
-	return in.indexCheck(xv, iv, n)
+	return in.element(xv, iv, n)
 }
 
-// indexCheck validates an already-evaluated array/index pair (null check,
-// unbox, integral check, bounds) — shared by the tree-walk and the VM.
-func (in *Interp) indexCheck(xv, iv Value, n *ast.Index) (*Array, int) {
-	if xv.K == KNull {
-		in.throw("NullPointerException", "index on null array")
+// inBounds is the lane nearly every element access takes: an int index
+// within an array's bounds, which needs no other check. It reports false
+// for anything else. It reads its operands in place: taking the 40-byte
+// Values by value made each VM element arm copy both once more, which cost
+// `jepo table1` about a tenth of its CPU.
+func inBounds(xv, iv *Value) (*Array, int, bool) {
+	if xv.K == KArr && iv.K == KInt {
+		arr := xv.R.(*Array)
+		if idx := int(iv.I); uint(idx) < uint(arr.Len()) {
+			return arr, idx, true
+		}
 	}
-	if xv.K != KArr {
-		in.bugf(n.Pos, "indexing non-array %v", xv.K)
+	return nil, 0, false
+}
+
+// element is the one element check of both engines: it resolves an
+// already-evaluated array and index to the element they designate and
+// charges the access. Outside the inBounds lane it applies the null check,
+// the unboxing of a boxed index, the integral check and the bounds check.
+// The walker's reads and writes and, past their inline inBounds lane, the
+// VM's element loads and stores all go through it.
+func (in *Interp) element(xv, iv Value, n *ast.Index) (*Array, int) {
+	arr, idx, ok := inBounds(&xv, &iv)
+	if !ok {
+		if xv.K == KNull {
+			in.throw("NullPointerException", "index on null array")
+		}
+		if xv.K != KArr {
+			in.bugf(n.Pos, "indexing non-array %v", xv.K)
+		}
+		if iv.K == KBox {
+			iv = in.unbox(iv, n.Pos)
+		}
+		if !iv.K.IsIntegral() {
+			in.bugf(n.Pos, "array index is %v, not integral", iv.K)
+		}
+		arr, idx = xv.R.(*Array), int(iv.I)
+		if idx < 0 || idx >= arr.Len() {
+			in.throw("ArrayIndexOutOfBoundsException",
+				fmt.Sprintf("Index %d out of bounds for length %d", idx, arr.Len()))
+		}
 	}
-	if iv.K == KBox {
-		iv = in.unbox(iv, n.Pos)
-	}
-	if !iv.K.IsIntegral() {
-		in.bugf(n.Pos, "array index is %v, not integral", iv.K)
-	}
-	arr := xv.R.(*Array)
-	idx := int(iv.I)
-	if idx < 0 || idx >= arr.Len() {
-		in.throw("ArrayIndexOutOfBoundsException",
-			fmt.Sprintf("Index %d out of bounds for length %d", idx, arr.Len()))
-	}
+	in.meter.ArrayAccess(arr.addr(idx), arr.ES)
 	return arr, idx
 }
 
@@ -1292,7 +1324,7 @@ func (in *Interp) evalUnary(fr *frame, n *ast.Unary) Value {
 			old = in.unbox(old, n.Pos)
 		}
 		updated := in.increment(old, n)
-		in.writeLValue(fr, n.X, updated)
+		in.writeLValue(fr, n.X, &updated)
 		if n.Postfix {
 			return old
 		}
@@ -1687,6 +1719,9 @@ func (in *Interp) chargeArith(k Kind, op token.Kind) { in.meter.Step(arithOp(k, 
 
 // --- assignment ---
 
+// evalAssign evaluates an assignment. Its value is the variable's value
+// after the store (JLS §15.26), so `i += 1.5` on an int is 2: every store
+// leaves the value it stored in rhs.
 func (in *Interp) evalAssign(fr *frame, n *ast.Assign) Value {
 	var rhs Value
 	if n.Op == token.Assign {
@@ -1699,45 +1734,20 @@ func (in *Interp) evalAssign(fr *frame, n *ast.Assign) Value {
 	} else {
 		old := in.readLValue(fr, n.LHS)
 		r := in.operand(fr, n.RHS)
-		rhs = in.binary(compoundBase(n.Op), old, r, n.Pos)
+		rhs = in.binary(bytecode.CompoundBase(n.Op), old, r, n.Pos)
 	}
 	// Store straight into a live local slot; writeLValue handles every
 	// other target (and unresolved idents) with identical charges.
 	if id, ok := n.LHS.(*ast.Ident); ok {
 		if c := fr.localCell(id); c != nil {
 			in.meter.Step(energy.OpLocal, 1)
-			if rhs.K == c.k {
-				c.v = rhs
-			} else {
-				c.v = in.coerceTo(rhs, c.t, id.Pos)
-			}
+			in.assignConv(&rhs, c.k, &c.t, id.Pos)
+			c.v = rhs
 			return rhs
 		}
 	}
-	in.writeLValue(fr, n.LHS, rhs)
+	in.writeLValue(fr, n.LHS, &rhs)
 	return rhs
-}
-
-func compoundBase(op token.Kind) token.Kind {
-	switch op {
-	case token.PlusEq:
-		return token.Plus
-	case token.MinusEq:
-		return token.Minus
-	case token.StarEq:
-		return token.Star
-	case token.SlashEq:
-		return token.Slash
-	case token.PercentEq:
-		return token.Percent
-	case token.AndEq:
-		return token.BitAnd
-	case token.OrEq:
-		return token.BitOr
-	case token.XorEq:
-		return token.BitXor
-	}
-	return op
 }
 
 // lvalueType reports the declared type of an assignable expression, falling
@@ -1788,58 +1798,36 @@ func (in *Interp) readLValue(fr *frame, lhs ast.Expr) Value {
 	return in.operand(fr, lhs)
 }
 
-// writeLValue stores v into an assignable expression, charging the store.
-// Identifier and field targets use the same resolver annotations and caches
-// as the read paths; writeIdentSlow keeps the original dynamic ladder.
-func (in *Interp) writeLValue(fr *frame, lhs ast.Expr, v Value) {
+// writeLValue stores *v into an assignable expression, charging the store,
+// and leaves the stored value in *v. Identifier and field targets use the
+// same resolver annotations and caches as the read paths; writeIdentSlow
+// keeps the original dynamic ladder.
+func (in *Interp) writeLValue(fr *frame, lhs ast.Expr, v *Value) {
 	switch l := lhs.(type) {
 	case *ast.Ident:
-		if s := int(l.RSlot) - 1; s >= 0 && s < len(fr.locals) {
-			if c := &fr.locals[s]; c.live {
-				in.meter.Step(energy.OpLocal, 1)
-				if v.K == c.k {
-					c.v = v
-				} else {
-					c.v = in.coerceTo(v, c.t, l.Pos)
-				}
-				return
-			}
+		if c := fr.localCell(l); c != nil {
+			in.meter.Step(energy.OpLocal, 1)
+			in.assignConv(v, c.k, &c.t, l.Pos)
+			c.v = *v
+			return
 		}
 		switch l.RKind {
 		case ast.ResField:
 			if this := fr.this; this != nil {
 				if ix := int(l.RIx); ix < len(this.Slots) {
-					in.meter.FieldAccess(this.Base + 16 + uint64(8*ix))
-					if fi := &this.Class.fields[ix]; v.K == fi.K {
-						this.Slots[ix] = v
-					} else {
-						this.Slots[ix] = in.coerceTo(v, fi.Type, l.Pos)
-					}
+					in.storeField(this, ix, v, l.Pos)
 					return
 				}
 			}
 		case ast.ResStaticRef:
 			if ix := int(l.RIx); ix < len(in.prog.statRefs) {
-				slot := in.prog.statRefs[ix]
-				c := in.static(slot)
-				in.meter.StaticAccess(c.Addr)
-				if v.K == slot.K {
-					c.V = v
-				} else {
-					c.V = in.coerceTo(v, slot.Type, l.Pos)
-				}
+				in.storeStatic(in.prog.statRefs[ix], v, l.Pos)
 				return
 			}
 		case ast.ResStatic:
 			if fr.class != nil {
 				if slot := fr.class.flatStatics[l.Name]; slot != nil {
-					c := in.static(slot)
-					in.meter.StaticAccess(c.Addr)
-					if v.K == slot.K {
-						c.V = v
-					} else {
-						c.V = in.coerceTo(v, slot.Type, l.Pos)
-					}
+					in.storeStatic(slot, v, l.Pos)
 					return
 				}
 			}
@@ -1854,27 +1842,17 @@ func (in *Interp) writeLValue(fr *frame, lhs ast.Expr, v Value) {
 			if sc.class != obj.Class {
 				in.resolveField(sc, obj.Class, l)
 			}
-			ix := int(sc.ix)
-			in.meter.FieldAccess(obj.Base + 16 + uint64(8*ix))
-			if fi := &obj.Class.fields[ix]; v.K == fi.K {
-				obj.Slots[ix] = v
-			} else {
-				obj.Slots[ix] = in.coerceTo(v, fi.Type, l.Pos)
-			}
+			in.storeField(obj, int(sc.ix), v, l.Pos)
 			return
 		case KClassRef:
 			cls := x.R.(string)
 			if ps := &in.prog.sites[l.SiteIx-1]; ps.kind == siteStaticSel && ps.cls == cls {
-				c := in.static(ps.slot)
-				in.meter.StaticAccess(c.Addr)
-				c.V = in.coerceTo(v, ps.slot.Type, l.Pos)
+				in.storeStatic(ps.slot, v, l.Pos)
 				return
 			}
 			if ci, ok := in.prog.classes[cls]; ok {
 				if slot := ci.findStatic(l.Name); slot != nil {
-					c := in.static(slot)
-					in.meter.StaticAccess(c.Addr)
-					c.V = in.coerceTo(v, slot.Type, l.Pos)
+					in.storeStatic(slot, v, l.Pos)
 					return
 				}
 			}
@@ -1885,9 +1863,8 @@ func (in *Interp) writeLValue(fr *frame, lhs ast.Expr, v Value) {
 		in.bugf(l.Pos, "cannot assign field of %v", x.K)
 	case *ast.Index:
 		arr, idx := in.evalIndexOperands(fr, l)
-		in.meter.ArrayAccess(arr.addr(idx), arr.ES)
-		arr.set(idx, in.coerceTo(v, arr.Elem, l.Pos))
-		return
+		in.assignConv(v, arr.Kind, &arr.Elem, l.Pos)
+		arr.set(idx, *v)
 	default:
 		in.bugf(lhs.NodePos(), "invalid assignment target %T", lhs)
 	}
@@ -1895,23 +1872,31 @@ func (in *Interp) writeLValue(fr *frame, lhs ast.Expr, v Value) {
 
 // writeIdentSlow is the dynamic store ladder for identifiers the resolver
 // left unresolved. Locals were already handled by writeLValue's slot check.
-func (in *Interp) writeIdentSlow(fr *frame, l *ast.Ident, v Value) {
+func (in *Interp) writeIdentSlow(fr *frame, l *ast.Ident, v *Value) {
 	if fr.this != nil {
 		if ix, ok := fr.this.Class.fieldIx[l.Name]; ok {
-			in.meter.FieldAccess(fr.this.Base + 16 + uint64(8*ix))
-			fr.this.Slots[ix] = in.coerceTo(v, fr.this.Class.fields[ix].Type, l.Pos)
+			in.storeField(fr.this, ix, v, l.Pos)
 			return
 		}
 	}
 	if fr.class != nil {
 		if slot := fr.class.findStatic(l.Name); slot != nil {
-			c := in.static(slot)
-			in.meter.StaticAccess(c.Addr)
-			c.V = in.coerceTo(v, slot.Type, l.Pos)
+			in.storeStatic(slot, v, l.Pos)
 			return
 		}
 	}
 	in.bugf(l.Pos, "assignment to unknown variable %s", l.Name)
+}
+
+// assignConv is the one kind-checked store conversion of both engines: it
+// converts *v in place to the value a slot of kind k and declared type t
+// stores. A value of the slot's kind stays as it is, coerceTo's identity, so
+// only a kind mismatch pays the call. Every local, field, static and element
+// store and every parameter binding converts through it.
+func (in *Interp) assignConv(v *Value, k Kind, t *ast.Type, pos token.Pos) {
+	if v.K != k {
+		*v = in.coerceTo(*v, *t, pos)
+	}
 }
 
 // --- conversions ---

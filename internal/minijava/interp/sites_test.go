@@ -10,20 +10,25 @@ import (
 	"testing"
 
 	"jepo/internal/energy"
+	"jepo/internal/minijava/bytecode"
 	"jepo/internal/minijava/interp"
 	"jepo/internal/minijava/parser"
 	"jepo/internal/tables"
 )
 
-// TestLoadResolvesEverySite: after Load, every Call, Select and New has an
-// index into the program's site table, the one both engines resolve calls
-// and selects through, and every class name used as a value has the index
-// of its boxed reference. The programs are the Table I corpus, the examples
-// and the engine-diff generator's programs.
-func TestLoadResolvesEverySite(t *testing.T) {
-	srcs := map[string]string{}
+// corpusProgram is one program the corpus-wide tests load and run, with the
+// static method that runs it; an empty method runs main.
+type corpusProgram struct {
+	name, src, class, method string
+}
+
+// corpusPrograms returns the Table I corpus, the examples, the engine-diff
+// generator's seeded programs and the assignment-value programs.
+func corpusPrograms(t *testing.T) []corpusProgram {
+	t.Helper()
+	var ps []corpusProgram
 	for _, b := range tables.InterpBenches() {
-		srcs[b.Name] = b.Src
+		ps = append(ps, corpusProgram{b.Name, b.Src, "B", "f"})
 	}
 	paths, err := filepath.Glob("../../../examples/java/*.java")
 	if err != nil || len(paths) == 0 {
@@ -34,22 +39,68 @@ func TestLoadResolvesEverySite(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		srcs[p] = string(b)
+		ps = append(ps, corpusProgram{p, string(b), "", ""})
 	}
 	for seed := int64(0); seed < 60; seed++ {
-		srcs[fmt.Sprintf("generated seed %d", seed)] = generate(rand.New(rand.NewSource(seed)))
+		ps = append(ps, corpusProgram{fmt.Sprintf("generated seed %d", seed), generate(rand.New(rand.NewSource(seed))), "F", "f"})
 	}
-	for name, src := range srcs {
-		f, err := parser.Parse("sites.java", src)
+	names, srcs, _ := placePrograms()
+	for i := range srcs {
+		ps = append(ps, corpusProgram{names[i], srcs[i], "T", "f"})
+	}
+	return ps
+}
+
+// TestLoadResolvesEverySite: after Load, every Call, Select and New has an
+// index into the program's site table, the one both engines resolve calls
+// and selects through, and every class name used as a value has the index
+// of its boxed reference. The programs are corpusPrograms.
+func TestLoadResolvesEverySite(t *testing.T) {
+	for _, p := range corpusPrograms(t) {
+		f, err := parser.Parse("sites.java", p.src)
 		if err != nil {
-			t.Fatalf("%s: %v", name, err)
+			t.Fatalf("%s: %v", p.name, err)
 		}
 		prog, err := interp.Load(f)
 		if err != nil {
-			t.Fatalf("%s: %v", name, err)
+			t.Fatalf("%s: %v", p.name, err)
 		}
 		for _, gap := range interp.SiteGaps(prog, f) {
-			t.Errorf("%s: %s", name, gap)
+			t.Errorf("%s: %s", p.name, gap)
+		}
+	}
+}
+
+// TestEveryOpcodeRuns compiles and runs every corpus program on the VM,
+// cold and then warm on one instance, and fails on any opcode but nop that
+// appears in none of their cold or warm streams: no test would run it.
+func TestEveryOpcodeRuns(t *testing.T) {
+	seen := map[bytecode.Op]bool{}
+	for _, p := range corpusPrograms(t) {
+		f, err := parser.Parse("ops.java", p.src)
+		if err != nil {
+			t.Fatalf("%s: %v", p.name, err)
+		}
+		prog, err := interp.Load(f)
+		if err != nil {
+			t.Fatalf("%s: %v", p.name, err)
+		}
+		in := interp.New(prog, energy.NewMeter(energy.DefaultCosts()), interp.WithMaxOps(100_000_000))
+		for range 2 {
+			if p.method == "" {
+				err = in.RunMain("")
+			} else {
+				_, err = in.CallStatic(p.class, p.method)
+			}
+			if err != nil {
+				t.Fatalf("%s: %v", p.name, err)
+			}
+		}
+		interp.MarkOps(in, seen)
+	}
+	for op := bytecode.OpNop + 1; op.String() != "op?"; op++ {
+		if !seen[op] {
+			t.Errorf("opcode %v appears in no cold or warm stream of the corpus programs", op)
 		}
 	}
 }

@@ -14,8 +14,12 @@ import (
 // stream charges the same op counts, and issues the same memory accesses in
 // the same order, as tree-walking the same body; every non-trivial operation
 // below therefore delegates to the walker's own helpers (selectFrom,
-// writeLValue, dispatchCall, coerceTo, ...) so the charges are shared code,
-// not transcriptions. Arithmetic is binary, negate and increment, charged
+// writeLValue, dispatchCall, ...) so the charges are shared code, not
+// transcriptions. Places are read and written through the walker's one
+// field and static load and store (loadField, storeField, loadStatic,
+// storeStatic), its one element check (element, whose in-bounds lane the
+// two element arms inline) and its one kind-checked store conversion
+// (assignConv). Arithmetic is binary, negate and increment, charged
 // through arithOp, the one kind-and-operator charge table; only the int lanes
 // (the qbin forms, the fused int compare-jumps and the all-int ++/--) inline
 // its int row, and TestOperatorTable pins them to it.
@@ -366,25 +370,18 @@ func (in *Interp) execVM(cf *compiledFn, code []bytecode.Instr, fr *frame, stack
 				pc += int(ins.A)
 				continue
 			}
-		case bytecode.OpStoreLocal, bytecode.OpStoreLocalX:
-			rhs := stack[sp-1]
+		case bytecode.OpStoreLocal:
+			sp--
 			id := ins.Node.(*ast.Ident)
 			if c := liveCell(fr, ins.A); c != nil {
 				meter.Step(energy.OpLocal, 1)
-				if rhs.K == c.k {
-					c.v = rhs
-				} else {
-					c.v = in.coerceTo(rhs, c.t, id.Pos)
-				}
+				in.assignConv(&stack[sp], c.k, &c.t, id.Pos)
+				c.v = stack[sp]
 			} else {
-				in.writeLValue(fr, id, rhs)
+				in.writeLValue(fr, id, &stack[sp])
 			}
-			if ins.Op == bytecode.OpStoreLocal {
-				sp--
-			}
-		case bytecode.OpIncLocal, bytecode.OpIncLocalX:
+		case bytecode.OpIncLocal:
 			n := ins.Node.(*ast.Unary)
-			var res Value
 			if c := liveCell(fr, ins.A); c != nil && c.v.K == KInt && c.k == KInt {
 				// All-int ++/--: same charge sequence and 32-bit wrap as the
 				// general arm below (step, local read, int arithmetic, local
@@ -393,16 +390,9 @@ func (in *Interp) execVM(cf *compiledFn, code []bytecode.Instr, fr *frame, stack
 				// skipping it skips the write barrier.
 				in.step()
 				meter.Step(energy.OpLocal, 1)
-				old := c.v.I
 				meter.Step(energy.OpArithInt, 1)
-				upd := int64(int32(old) + ins.B)
 				meter.Step(energy.OpLocal, 1)
-				c.v.I = upd
-				if n.Postfix {
-					res = Value{K: KInt, I: old}
-				} else {
-					res = Value{K: KInt, I: upd}
-				}
+				c.v.I = int64(int32(c.v.I) + ins.B)
 			} else if c != nil {
 				// Inline ++/--: the walker's readLValue step+charge, unbox,
 				// increment, and writeLValue live-slot store.
@@ -414,22 +404,10 @@ func (in *Interp) execVM(cf *compiledFn, code []bytecode.Instr, fr *frame, stack
 				}
 				updated := in.increment(old, n)
 				meter.Step(energy.OpLocal, 1)
-				if updated.K == c.k {
-					c.v = updated
-				} else {
-					c.v = in.coerceTo(updated, c.t, n.X.(*ast.Ident).Pos)
-				}
-				if n.Postfix {
-					res = old
-				} else {
-					res = updated
-				}
+				in.assignConv(&updated, c.k, &c.t, n.X.(*ast.Ident).Pos)
+				c.v = updated
 			} else {
-				res = in.evalUnary(fr, n)
-			}
-			if ins.Op == bytecode.OpIncLocalX {
-				stack[sp] = res
-				sp++
+				in.evalUnary(fr, n)
 			}
 		case bytecode.OpCall:
 			// Quicken on the observed shape: an unqualified call or a user
@@ -479,115 +457,56 @@ func (in *Interp) execVM(cf *compiledFn, code []bytecode.Instr, fr *frame, stack
 			sp -= argc + 1
 			stack[sp] = in.invoke(obj.Class, obj, sc.m, stack[sp+1:sp+1+argc])
 			sp++
-		case bytecode.OpLoadIndex:
-			iv := stack[sp-1]
-			xv := stack[sp-2]
-			sp--
-			var arr *Array
-			var idx int
-			if xv.K == KArr && iv.K == KInt {
-				// In-bounds int index on an array: skip the generic ladder
-				// (which charges nothing up to this point, so parity holds).
-				arr = xv.R.(*Array)
-				if idx = int(iv.I); uint(idx) >= uint(arr.Len()) {
-					arr, idx = in.indexCheck(xv, iv, ins.Node.(*ast.Index))
-				}
-			} else {
-				arr, idx = in.indexCheck(xv, iv, ins.Node.(*ast.Index))
-			}
-			meter.ArrayAccess(arr.addr(idx), arr.ES)
-			if arr.Kind == KInt {
-				stack[sp-1] = Value{K: KInt, I: arr.I[idx]}
-			} else {
-				stack[sp-1] = arr.get(idx)
-			}
-		case bytecode.OpLoadIndexL:
-			// Fused a[i] with a local index: the index read is charged
-			// exactly where the stand-alone load instruction would have.
-			// The Node assertion is deferred into the resolution fallbacks
-			// so the hot lane does no interface work.
+		case bytecode.OpLoadIndex, bytecode.OpLoadIndexL:
+			// aload pops its index; aload.l, the dominant a[i] shape, reads
+			// it from slot A and charges the read exactly where the
+			// stand-alone load instruction would have. The Node assertion
+			// is deferred into the fallbacks so the hot lane does no
+			// interface work.
 			var iv Value
-			if c := liveCell(fr, ins.A); c != nil {
+			if ins.Op == bytecode.OpLoadIndex {
+				sp--
+				iv = stack[sp]
+			} else if c := liveCell(fr, ins.A); c != nil {
 				meter.Step(energy.OpLocal, 1)
 				iv = c.v
 			} else {
 				iv = in.evalIdent(fr, ins.Node.(*ast.Index).I.(*ast.Ident))
 			}
-			xv := stack[sp-1]
-			var arr *Array
-			var idx int
-			if xv.K == KArr && iv.K == KInt {
-				arr = xv.R.(*Array)
-				if idx = int(iv.I); uint(idx) >= uint(arr.Len()) {
-					arr, idx = in.indexCheck(xv, iv, ins.Node.(*ast.Index))
-				}
+			arr, idx, ok := inBounds(&stack[sp-1], &iv)
+			if ok {
+				meter.ArrayAccess(arr.addr(idx), arr.ES)
 			} else {
-				arr, idx = in.indexCheck(xv, iv, ins.Node.(*ast.Index))
+				arr, idx = in.element(stack[sp-1], iv, ins.Node.(*ast.Index))
 			}
-			meter.ArrayAccess(arr.addr(idx), arr.ES)
 			if arr.Kind == KInt {
 				stack[sp-1] = Value{K: KInt, I: arr.I[idx]}
 			} else {
 				stack[sp-1] = arr.get(idx)
 			}
-		case bytecode.OpStoreIndexL, bytecode.OpStoreIndexLX:
+		case bytecode.OpStoreIndex, bytecode.OpStoreIndexL:
+			// The element store: the same index operands and element check
+			// as the load arm above, then the kind-checked store.
 			var iv Value
-			if c := liveCell(fr, ins.A); c != nil {
+			if ins.Op == bytecode.OpStoreIndex {
+				sp--
+				iv = stack[sp]
+			} else if c := liveCell(fr, ins.A); c != nil {
 				meter.Step(energy.OpLocal, 1)
 				iv = c.v
 			} else {
 				iv = in.evalIdent(fr, ins.Node.(*ast.Index).I.(*ast.Ident))
 			}
-			xv := stack[sp-1]
-			rhs := stack[sp-2]
 			sp -= 2
-			var arr *Array
-			var idx int
-			if xv.K == KArr && iv.K == KInt {
-				arr = xv.R.(*Array)
-				if idx = int(iv.I); uint(idx) >= uint(arr.Len()) {
-					arr, idx = in.indexCheck(xv, iv, ins.Node.(*ast.Index))
-				}
+			n := ins.Node.(*ast.Index)
+			arr, idx, ok := inBounds(&stack[sp+1], &iv)
+			if ok {
+				meter.ArrayAccess(arr.addr(idx), arr.ES)
 			} else {
-				arr, idx = in.indexCheck(xv, iv, ins.Node.(*ast.Index))
+				arr, idx = in.element(stack[sp+1], iv, n)
 			}
-			meter.ArrayAccess(arr.addr(idx), arr.ES)
-			// Matching kinds store as-is — coerceTo's identity lane, with the
-			// call skipped (the walker's field stores use the same pattern).
-			if rhs.K == arr.Kind {
-				arr.set(idx, rhs)
-			} else {
-				arr.set(idx, in.coerceTo(rhs, arr.Elem, ins.Node.NodePos()))
-			}
-			if ins.Op == bytecode.OpStoreIndexLX {
-				stack[sp] = rhs
-				sp++
-			}
-		case bytecode.OpStoreIndex, bytecode.OpStoreIndexX:
-			iv := stack[sp-1]
-			xv := stack[sp-2]
-			rhs := stack[sp-3]
-			sp -= 3
-			var arr *Array
-			var idx int
-			if xv.K == KArr && iv.K == KInt {
-				arr = xv.R.(*Array)
-				if idx = int(iv.I); uint(idx) >= uint(arr.Len()) {
-					arr, idx = in.indexCheck(xv, iv, ins.Node.(*ast.Index))
-				}
-			} else {
-				arr, idx = in.indexCheck(xv, iv, ins.Node.(*ast.Index))
-			}
-			meter.ArrayAccess(arr.addr(idx), arr.ES)
-			if rhs.K == arr.Kind {
-				arr.set(idx, rhs)
-			} else {
-				arr.set(idx, in.coerceTo(rhs, arr.Elem, ins.Node.NodePos()))
-			}
-			if ins.Op == bytecode.OpStoreIndexX {
-				stack[sp] = rhs
-				sp++
-			}
+			in.assignConv(&stack[sp], arr.Kind, &arr.Elem, n.Pos)
+			arr.set(idx, stack[sp])
 		case bytecode.OpLoadSelect:
 			if stack[sp-1].K == KRef {
 				ins.Op = bytecode.OpQGetField
@@ -605,22 +524,15 @@ func (in *Interp) execVM(cf *compiledFn, code []bytecode.Instr, fr *frame, stack
 			if sc.class != obj.Class {
 				in.resolveField(sc, obj.Class, ins.Node.(*ast.Select))
 			}
-			meter.FieldAccess(obj.Base + 16 + uint64(8*sc.ix))
-			stack[sp-1] = obj.Slots[sc.ix]
-		case bytecode.OpStoreSelect, bytecode.OpStoreSelectX:
+			stack[sp-1] = *in.loadField(obj, int(sc.ix))
+		case bytecode.OpStoreSelect:
 			// The receiver expression is evaluated inside writeLValue, after
 			// the RHS — the walker's assignment order.
-			rhs := stack[sp-1]
-			in.writeLValue(fr, ins.Node.(*ast.Select), rhs)
-			if ins.Op == bytecode.OpStoreSelect {
-				sp--
-			}
-		case bytecode.OpStoreIdent, bytecode.OpStoreIdentX:
-			rhs := stack[sp-1]
-			in.writeLValue(fr, ins.Node.(*ast.Ident), rhs)
-			if ins.Op == bytecode.OpStoreIdent {
-				sp--
-			}
+			sp--
+			in.writeLValue(fr, ins.Node.(*ast.Select), &stack[sp])
+		case bytecode.OpStoreIdent:
+			sp--
+			in.writeLValue(fr, ins.Node.(*ast.Ident), &stack[sp])
 		case bytecode.OpLoadIdent:
 			stack[sp] = in.evalIdent(fr, ins.Node.(*ast.Ident))
 			sp++
@@ -634,57 +546,17 @@ func (in *Interp) execVM(cf *compiledFn, code []bytecode.Instr, fr *frame, stack
 			sp++
 		case bytecode.OpQLoadStatic:
 			if ix := int(ins.A); ix < len(in.prog.statRefs) {
-				c := in.static(in.prog.statRefs[ix])
-				meter.StaticAccess(c.Addr)
-				stack[sp] = c.V
-				sp++
-				break
+				stack[sp] = *in.loadStatic(in.prog.statRefs[ix])
+			} else {
+				stack[sp] = in.evalIdent(fr, ins.Node.(*ast.Ident))
 			}
-			stack[sp] = in.evalIdent(fr, ins.Node.(*ast.Ident))
 			sp++
-		case bytecode.OpQLoadField:
-			if this := fr.this; this != nil {
-				if ix := int(ins.A); ix < len(this.Slots) {
-					meter.FieldAccess(this.Base + 16 + uint64(8*ix))
-					stack[sp] = this.Slots[ix]
-					sp++
-					break
-				}
-			}
-			stack[sp] = in.evalIdent(fr, ins.Node.(*ast.Ident))
-			sp++
-		case bytecode.OpQStoreStatic, bytecode.OpQStoreStaticX:
-			rhs := stack[sp-1]
+		case bytecode.OpQStoreStatic:
+			sp--
 			if ix := int(ins.A); ix < len(in.prog.statRefs) {
-				slot := in.prog.statRefs[ix]
-				c := in.static(slot)
-				meter.StaticAccess(c.Addr)
-				if rhs.K == slot.K {
-					c.V = rhs
-				} else {
-					c.V = in.coerceTo(rhs, slot.Type, ins.Node.NodePos())
-				}
+				in.storeStatic(in.prog.statRefs[ix], &stack[sp], ins.Node.(*ast.Ident).Pos)
 			} else {
-				in.writeLValue(fr, ins.Node.(*ast.Ident), rhs)
-			}
-			if ins.Op == bytecode.OpQStoreStatic {
-				sp--
-			}
-		case bytecode.OpQStoreField, bytecode.OpQStoreFieldX:
-			rhs := stack[sp-1]
-			if this := fr.this; this != nil && int(ins.A) < len(this.Slots) {
-				ix := int(ins.A)
-				meter.FieldAccess(this.Base + 16 + uint64(8*ix))
-				if fi := &this.Class.fields[ix]; rhs.K == fi.K {
-					this.Slots[ix] = rhs
-				} else {
-					this.Slots[ix] = in.coerceTo(rhs, fi.Type, ins.Node.NodePos())
-				}
-			} else {
-				in.writeLValue(fr, ins.Node.(*ast.Ident), rhs)
-			}
-			if ins.Op == bytecode.OpQStoreField {
-				sp--
+				in.writeLValue(fr, ins.Node.(*ast.Ident), &stack[sp])
 			}
 		case bytecode.OpLoadThis:
 			if fr.this == nil {
@@ -695,26 +567,17 @@ func (in *Interp) execVM(cf *compiledFn, code []bytecode.Instr, fr *frame, stack
 		case bytecode.OpEval:
 			stack[sp] = in.operand(fr, ins.Node.(ast.Expr))
 			sp++
-		case bytecode.OpAssign, bytecode.OpAssignX:
-			v := in.evalAssign(fr, ins.Node.(*ast.Assign))
-			if ins.Op == bytecode.OpAssignX {
-				stack[sp] = v
-				sp++
-			}
 		case bytecode.OpLocalDecl:
 			n := ins.Node.(*ast.LocalVar)
-			k := kindOfType(n.Type)
-			var v Value
+			c := &fr.locals[ins.A]
 			if ins.B != 0 {
-				v = in.evalInit(fr, n.Init, n.Type)
+				c.v = in.evalInit(fr, n.Init, n.Type)
 			} else {
-				v = stack[sp-1]
 				sp--
+				c.v = stack[sp]
 			}
-			if v.K != k {
-				v = in.coerceTo(v, n.Type, n.Pos)
-			}
-			fr.locals[ins.A] = cell{t: n.Type, k: k, v: v, live: true}
+			c.t, c.k, c.live = n.Type, kindOfType(n.Type), true
+			in.assignConv(&c.v, c.k, &c.t, n.Pos)
 			meter.Step(energy.OpLocal, 1)
 		case bytecode.OpLocalZero:
 			n := ins.Node.(*ast.LocalVar)
