@@ -234,7 +234,7 @@ func BenchmarkFig2_DynamicSuggestions(b *testing.B) {
 	src := p.Files[0].Source
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sugs, err := core.Suggest(p.Files[0].Path, src)
+		sugs, err := core.SuggestProject(core.Project{p.Files[0].Path: src})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -441,9 +441,9 @@ func BenchmarkInterpRecursion(b *testing.B) {
 }
 
 // BenchmarkInterpStaticAndBuiltin is the call and select shapes that resolve
-// through the load-time site table and have no quick form: a static call on
-// a class name, a builtin static call, a static field, an array length and a
-// builtin instance call.
+// through the load-time site table and take none of the VM's self, virtual
+// or object lanes: a static call on a class name, a builtin static call, a
+// static field, an array length and a builtin instance call.
 func BenchmarkInterpStaticAndBuiltin(b *testing.B) {
 	benchInterpCall(b, `class B {
 		static int k = 2;
@@ -481,7 +481,7 @@ func BenchmarkInterpMixedArith(b *testing.B) {
 
 // A tiny sanity check so `go test .` is meaningful at the repo root too.
 func TestBenchHarnessSmoke(t *testing.T) {
-	rows, err := tables.Table1(context.Background(), interp.EngineVM)
+	rows, _, err := tables.Table1Jobs(context.Background(), interp.EngineVM, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,7 +9,7 @@
 //
 //	jperf [-main Class] [-r runs] [-jobs N] [-tukey] [-engine vm|ast]
 //	      [-cpuprofile file] [-memprofile file] <file.java>...
-//	jperf disasm [-warm] [-main Class] <file.java>...
+//	jperf disasm <file.java>...
 //
 // -r is the protocol's run count; Tukey's quartiles need at least 3.
 //
@@ -83,14 +83,10 @@ func main() {
 }
 
 // runDisasmCmd prints the compiled bytecode of every method in the given
-// files; methods without a lowering are listed with a tree-walker marker.
-// With -warm it first executes the program's main on a fresh interpreter and
-// prints that instance's quickened code copies — the stream the VM actually
-// dispatches once the site cache is filled.
+// files, exactly the stream the VM runs; methods without a lowering are
+// listed with a tree-walker marker.
 func runDisasmCmd(args []string) error {
 	fs := flag.NewFlagSet("disasm", flag.ContinueOnError)
-	warm := fs.Bool("warm", false, "run main first and print the instance's quickened code")
-	mainClass := fs.String("main", "", "class whose main method warms the code (with -warm)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -105,15 +101,7 @@ func runDisasmCmd(args []string) error {
 	if err != nil {
 		return err
 	}
-	if !*warm {
-		fmt.Print(prog.Disasm())
-		return nil
-	}
-	in := interp.New(prog, energy.NewMeter(energy.DefaultCosts()), interp.WithMaxOps(2_000_000_000))
-	if err := in.RunMain(*mainClass); err != nil {
-		return err
-	}
-	fmt.Print(in.DisasmWarm())
+	fmt.Print(prog.Disasm())
 	return nil
 }
 

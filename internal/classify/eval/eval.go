@@ -179,27 +179,6 @@ func CrossValidateSeeded(ctx context.Context, d *dataset.Dataset, k int, seed ui
 	return res, nil
 }
 
-// Holdout trains on train and evaluates on test.
-func Holdout(train, test *dataset.Dataset, make Factory) (*Result, error) {
-	c := make()
-	if err := c.Train(train); err != nil {
-		return nil, err
-	}
-	res := &Result{Name: c.Name(), Confusion: newConfusion(train.NumClasses())}
-	for i, row := range test.X {
-		pred := c.Predict(row)
-		actual := test.Class(i)
-		if pred >= 0 && pred < len(res.Confusion) {
-			res.Confusion[actual][pred]++
-		}
-		if pred == actual {
-			res.Correct++
-		}
-	}
-	res.Total = test.NumInstances()
-	return res, nil
-}
-
 func newConfusion(nc int) [][]int {
 	m := make([][]int, nc)
 	for i := range m {

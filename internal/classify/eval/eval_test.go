@@ -3,7 +3,6 @@ package eval
 import (
 	"context"
 	"math"
-	"strings"
 	"testing"
 
 	"jepo/internal/airlines"
@@ -138,42 +137,12 @@ func TestSinglePrecisionDropIsSmall(t *testing.T) {
 	}
 }
 
-func TestHoldout(t *testing.T) {
-	d := separable(400)
-	folds, err := d.StratifiedFolds(4, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	train, test := d.TrainTest(folds, 0)
-	res, err := Holdout(train, test, func() classify.Classifier {
-		return tree.NewJ48(classify.Options{})
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Total != test.NumInstances() {
-		t.Errorf("holdout total = %d", res.Total)
-	}
-	if res.Accuracy() < 95 {
-		t.Errorf("holdout accuracy = %.2f%%", res.Accuracy())
-	}
-	if !strings.Contains(res.String(), "Correctly Classified") {
-		t.Error("summary rendering broken")
-	}
-}
-
 func TestCrossValidateErrors(t *testing.T) {
 	d := separable(10)
 	if _, err := CrossValidate(d, 100, 1, func() classify.Classifier {
 		return bayes.New(classify.Options{})
 	}); err == nil {
 		t.Error("k > n accepted")
-	}
-	empty := d.Empty()
-	if _, err := Holdout(empty, d, func() classify.Classifier {
-		return bayes.New(classify.Options{})
-	}); err == nil {
-		t.Error("empty training set accepted")
 	}
 }
 

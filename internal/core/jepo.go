@@ -49,16 +49,6 @@ func ParseProject(p Project) ([]*ast.File, error) {
 	return engine.Default().ParseAll(engine.Sources(p))
 }
 
-// Suggest runs the Table I analysis over one source file. A finding is
-// mechanically applicable exactly when it carries a Fix.
-func Suggest(path, source string) ([]passes.Diagnostic, error) {
-	f, err := engine.Default().ParseFile(path, source)
-	if err != nil {
-		return nil, err
-	}
-	return passes.AnalyzeFiles([]*ast.File{f}), nil
-}
-
 // SuggestProject runs the analysis over a whole project.
 func SuggestProject(p Project) ([]passes.Diagnostic, error) {
 	files, err := ParseProject(p)

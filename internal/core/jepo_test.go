@@ -35,11 +35,14 @@ public class Hot {
 func proj() Project { return Project{"demo/Hot.java": demoProject} }
 
 func TestSuggest(t *testing.T) {
-	sugs, err := Suggest("demo/Hot.java", demoProject)
+	sugs, err := SuggestProject(proj())
 	if err != nil {
 		t.Fatal(err)
 	}
-	counts := passes.CountByRule(sugs)
+	counts := map[passes.Rule]int{}
+	for _, s := range sugs {
+		counts[s.Rule]++
+	}
 	for _, want := range []passes.Rule{
 		passes.RulePrimitiveTypes, passes.RuleStaticKeyword,
 		passes.RuleModulusOperator, passes.RuleTernaryOperator,
@@ -48,13 +51,13 @@ func TestSuggest(t *testing.T) {
 			t.Errorf("missing %v suggestion", want)
 		}
 	}
-	if _, err := Suggest("bad.java", "class {"); err == nil {
+	if _, err := SuggestProject(Project{"bad.java": "class {"}); err == nil {
 		t.Error("syntax error not reported")
 	}
 }
 
 func TestOptimizerAndDynamicViews(t *testing.T) {
-	sugs, _ := Suggest("demo/Hot.java", demoProject)
+	sugs, _ := SuggestProject(proj())
 	view := OptimizerView(sugs)
 	if !strings.Contains(view, "Hot") || !strings.Contains(view, "Suggestion") {
 		t.Errorf("optimizer view malformed:\n%s", view)

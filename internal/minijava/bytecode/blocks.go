@@ -61,7 +61,7 @@ func Finalize(fn *Func) {
 		case OpLoadIdent:
 			// Compile-time quickening: the resolver already pinned these
 			// loads; the guards stay in the handlers (out-of-range index)
-			// and deopt to the full identifier ladder.
+			// and fall back to the full identifier ladder.
 			if id, ok := ins.Node.(*ast.Ident); ok && id.RIx >= 0 {
 				switch id.RKind {
 				case ast.ResStaticRef:
@@ -75,7 +75,7 @@ func Finalize(fn *Func) {
 				ins.Op, ins.A = OpQStoreStatic, id.RIx
 			}
 		case OpCall:
-			// The site cache index the call and select quick forms read.
+			// The site cache index the call and select lanes read.
 			if n, ok := ins.Node.(*ast.Call); ok {
 				ins.C = n.SiteIx - 1
 			}

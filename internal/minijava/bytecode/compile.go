@@ -424,12 +424,8 @@ func (c *compiler) lowerSwitch(n *ast.Switch) {
 func (c *compiler) stmtExpr(e ast.Expr) {
 	switch x := e.(type) {
 	case *ast.Assign:
-		// An array-literal right-hand side needs lvalueType's evaluation
-		// order, so that assignment goes to the walker whole.
-		if _, isLit := x.RHS.(*ast.ArrayLit); !isLit {
-			c.lowerAssign(x)
-			return
-		}
+		c.lowerAssign(x)
+		return
 	case *ast.Unary:
 		if id, ok := x.X.(*ast.Ident); ok && id.RSlot > 0 && (x.Op == token.Inc || x.Op == token.Dec) {
 			delta := int32(1)
@@ -531,9 +527,8 @@ func (c *compiler) expr(e ast.Expr) {
 		c.expr(n.X)
 		c.emit(Instr{Op: OpInstanceOf, Node: n})
 	default:
-		// Assignments used as values, ArrayLit outside an initializer and
-		// future node kinds: hand the whole subtree to the walker, which
-		// steps and charges internally.
+		// Assignments used as values and future node kinds: hand the whole
+		// subtree to the walker, which steps and charges internally.
 		c.emit(Instr{Op: OpEval, Node: n})
 		c.push(1)
 	}

@@ -13,18 +13,12 @@ import (
 // comment, plus a header line per basic block. Jump targets are shown as
 // absolute pcs. The output is stable across runs (no pointers, no map
 // iteration), so it can be pinned by a golden file.
-func (f *Func) Disasm() string { return f.DisasmCode(f.Code) }
-
-// DisasmCode renders an instruction stream against this function's metadata.
-// The stream must be positionally identical to f.Code (runtime quickening
-// patches opcodes in place, so a warm per-instance copy qualifies); block
-// annotations and jump targets carry over unchanged.
-func (f *Func) DisasmCode(code []Instr) string {
+func (f *Func) Disasm() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "func %s  slots=%d stack=%d\n", f.Name, f.NSlots, f.MaxStack)
 	block := 0
-	for pc := range code {
-		ins := &code[pc]
+	for pc := range f.Code {
+		ins := &f.Code[pc]
 		for block < len(f.Blocks) && int(f.Blocks[block]) == pc {
 			fmt.Fprintf(&b, "  B%d:\n", block)
 			block++
@@ -57,16 +51,6 @@ func (f *Func) operands(pc int, ins *Instr) (string, string) {
 		return fmt.Sprintf("g%d", ins.A), nodeText(ins.Node)
 	case OpQPushV:
 		return fmt.Sprintf("k%d", ins.A), nodeText(ins.Node)
-	case OpQGetField:
-		return fmt.Sprintf("site%d", ins.C), nodeText(ins.Node)
-	case OpQCallSelf, OpQCallVirtual:
-		return fmt.Sprintf("argc=%d site%d", ins.A, ins.C), nodeText(ins.Node)
-	case OpQBinIntLL:
-		return fmt.Sprintf("%v s%d s%d", ins.Tok, ins.A, ins.B), nodeText(ins.Node)
-	case OpQBinIntLC:
-		return fmt.Sprintf("%v s%d c%d", ins.Tok, ins.A, ins.B), nodeText(ins.Node)
-	case OpQBinInt:
-		return ins.Tok.String(), ""
 	case OpPushBool:
 		if ins.A != 0 {
 			return "true", ""

@@ -58,7 +58,9 @@ const (
 	// identifier ladder (fields, statics, class refs).
 	OpLoadIdent
 
-	// OpLoadSelect pops the receiver and reads field Node (*ast.Select).
+	// OpLoadSelect pops the receiver and reads field Node (*ast.Select);
+	// C is the site's index into the interpreter's site cache, which an
+	// object receiver reads.
 	OpLoadSelect
 
 	// OpLoadIndex pops index and array and pushes the element
@@ -148,7 +150,9 @@ const (
 	OpToBool
 
 	// OpCall pops B (0/1) receiver and A arguments (receiver below the
-	// arguments) and dispatches Node (*ast.Call).
+	// arguments) and dispatches Node (*ast.Call); C is the site's index into
+	// the interpreter's site cache, which an unqualified call and a call on
+	// an object read.
 	OpCall
 
 	// OpNew pops A arguments and constructs Node (*ast.New).
@@ -192,13 +196,13 @@ const (
 	// --- compile-time quickening (Finalize) ---
 
 	// OpQLoadStatic pushes the load-resolved static slot statRefs[A]
-	// (OpLoadIdent specialized on ast.ResStaticRef). Guard-and-deopt: an
+	// (OpLoadIdent specialized on ast.ResStaticRef). Guarded: an
 	// out-of-range index falls back to the walker's identifier ladder.
 	OpQLoadStatic
 
 	// OpQStoreStatic is the store counterpart: OpStoreIdent specialized on
 	// the same resolver pin, storing through the walker's one static store
-	// and deopting to writeLValue on a guard miss.
+	// and falling back to writeLValue on a guard miss.
 	OpQStoreStatic
 
 	// OpQPushV pushes the program's class reference classRefs[A]
@@ -206,38 +210,6 @@ const (
 	// like the walker's ResClass lane; an out-of-range index falls back to
 	// the identifier ladder.
 	OpQPushV
-
-	// --- runtime quickening (per-Interp warm code copies) ---
-	//
-	// The opcodes below never appear in a shared Program: the VM installs
-	// them by patching its private copy of the code after first execution.
-	// Every quick form re-checks its guard and deopts to the generic opcode —
-	// which recomputes from scratch with the walker's own helpers — on a
-	// miss. The call and select forms cache nothing of their own: C is the
-	// site's index (its SiteIx-1, set by Finalize) into the interpreter's
-	// per-instance site cache, the one the walker resolves through, and a
-	// cache miss refills it through the walker's resolver for that lookup.
-	// Only these three shapes have a quick form; every other call and select
-	// runs the generic handler, which resolves through the site table.
-
-	// OpQGetField is OpLoadSelect specialized to an object receiver (guard:
-	// the receiver is an object; the cache keys the field slot on its class).
-	OpQGetField
-
-	// OpQCallSelf / OpQCallVirtual are OpCall specialized to an unqualified
-	// call (cache key: the frame's class) and an instance call on an object
-	// (guard: the receiver is an object; cache key: its class). Like every
-	// call, they pass the arguments as a window of the VM's operand stack:
-	// the callee copies its parameters into its own frame before executing.
-	OpQCallSelf
-	OpQCallVirtual
-
-	// OpQBinIntLL / OpQBinIntLC / OpQBinInt are the binary forms specialized
-	// to int operands with the arithmetic switch inlined in the handler
-	// (deopting on a non-int operand or non-int operator).
-	OpQBinIntLL
-	OpQBinIntLC
-	OpQBinInt
 
 	numOps
 )
@@ -295,12 +267,6 @@ var opNames = [...]string{
 	OpQLoadStatic:   "getstatic",
 	OpQStoreStatic:  "putstatic",
 	OpQPushV:        "qpush",
-	OpQGetField:     "qgetfield",
-	OpQCallSelf:     "qcall.self",
-	OpQCallVirtual:  "qcall.virt",
-	OpQBinIntLL:     "qbin.ll",
-	OpQBinIntLC:     "qbin.lc",
-	OpQBinInt:       "qbin",
 }
 
 func (o Op) String() string {
@@ -313,7 +279,10 @@ func (o Op) String() string {
 // Instr is one VM instruction. Steps is the number of walker step() counts
 // (AST nodes) this instruction accounts for against the op budget; the
 // compiler folds step-only prefixes into the next instruction so totals stay
-// identical to the tree-walk while the dispatch count stays low.
+// identical to the tree-walk while the dispatch count stays low. C is the
+// first slot of a fused compare-jump, and a call's or select's site index
+// (its SiteIx-1, set by Finalize) into the interpreter's per-instance site
+// cache.
 type Instr struct {
 	Op      Op
 	Steps   uint8

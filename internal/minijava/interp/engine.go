@@ -50,7 +50,6 @@ func WithEngine(e Engine) Option { return func(in *Interp) { in.engine = e } }
 type compiledFn struct {
 	fn     *bytecode.Func
 	consts []constVal
-	ix     int32 // index in Program.funcs, for the per-Interp warm code table
 }
 
 // constVal is one pre-evaluated constant-pool entry: a literal's charge and
@@ -84,9 +83,8 @@ func compileProgram(p *Program) {
 			if m.Body == nil {
 				continue
 			}
-			fn := bytecode.Compile(ci.Name, m)
-			cf := compiledFn{ix: m.CIx - 1}
-			if fn != nil {
+			var cf compiledFn
+			if fn := bytecode.Compile(ci.Name, m); fn != nil {
 				bytecode.Finalize(fn)
 				cf.fn, cf.consts = fn, makeConstVals(fn.Consts)
 			}
@@ -99,12 +97,6 @@ func compileProgram(p *Program) {
 // backend. Methods without a lowering are listed with a tree-walker marker.
 func (p *Program) Disasm() string {
 	p.compile()
-	return p.disasm(func(cf *compiledFn) string { return cf.fn.Disasm() })
-}
-
-// disasm walks the program's methods in deterministic order, rendering each
-// compiled one through render (shared by the cold and warm disassemblies).
-func (p *Program) disasm(render func(*compiledFn) string) string {
 	var b strings.Builder
 	for _, name := range p.order {
 		ci := p.classes[name]
@@ -113,7 +105,7 @@ func (p *Program) disasm(render func(*compiledFn) string) string {
 				continue
 			}
 			if ix := int(m.CIx) - 1; ix >= 0 && ix < len(p.funcs) && p.funcs[ix].fn != nil {
-				b.WriteString(render(&p.funcs[ix]))
+				b.WriteString(p.funcs[ix].fn.Disasm())
 			} else {
 				fmt.Fprintf(&b, "func %s.%s/%d  (tree-walker)\n", name, m.Name, len(m.Params))
 			}

@@ -73,13 +73,13 @@ func TestConcurrentInstancesShareProgram(t *testing.T) {
 }
 
 // TestConcurrentQuickeningSharesProgram pins the VM's central thread-safety
-// claim: runtime quickening patches opcodes only in per-instance warm code
-// copies, and fills only the instance's site cache, never the shared Program. Each worker
-// runs a call/field/static/builtin-heavy program twice on one instance — the
-// first run installs the quick forms, the second executes them — while every
+// claim: running writes only the instance's own state (its site cache and
+// statics), never the shared Program and its compiled code. Each worker runs
+// a call/field/static/builtin-heavy program twice on one instance — the
+// first run fills the site cache, the second runs against it — while every
 // other worker does the same concurrently. The race detector catches any
 // write to shared state; the bit-comparison (per run, across workers) catches
-// any nondeterminism the patching could introduce. Static fields are
+// any nondeterminism a cache hit could introduce. Static fields are
 // per-instance state too (Interp.statics), so the static counter each worker
 // bumps is its own: run 2 continues from run 1's count on every worker alike.
 func TestConcurrentQuickeningSharesProgram(t *testing.T) {

@@ -47,11 +47,11 @@ type observation struct {
 	core    uint64
 }
 
-// observe runs class.method() twice on ONE engine instance — cold, then warm
-// — and captures an observation at each run boundary. The second VM run
-// executes this instance's quickened code copies and hits its filled site
-// cache, so comparing both boundaries pins that runtime quickening never
-// shifts a result, an op count or an energy bit. (The two runs are not
+// observe runs class.method() twice on ONE engine instance — a first run,
+// then a second — and captures an observation at each run boundary. The
+// second run hits this instance's filled site cache, so comparing both
+// boundaries pins that a cache hit never shifts a result, an op count or an
+// energy bit. (The two runs are not
 // expected to match each other: statics mutate across runs. Each boundary is
 // compared against the same boundary on the other engine.) A run that errors
 // ends the sequence — both engines must fail identically at the same point.

@@ -11,18 +11,13 @@ import (
 func Compiled(p *Program) bool { return p.funcs != nil }
 
 // MarkOps marks in seen every opcode of in's program's compiled streams, as
-// Finalize left them, and of in's warm copies, as its runs quickened them.
+// Finalize left them: the streams the VM runs.
 func MarkOps(in *Interp, seen map[bytecode.Op]bool) {
 	for _, cf := range in.prog.funcs {
 		if cf.fn != nil {
 			for _, ins := range cf.fn.Code {
 				seen[ins.Op] = true
 			}
-		}
-	}
-	for _, code := range in.warm {
-		for _, ins := range code {
-			seen[ins.Op] = true
 		}
 	}
 }

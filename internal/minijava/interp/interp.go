@@ -55,17 +55,11 @@ type Interp struct {
 	// interpreters sharing a Program run with independent statics.
 	statics []staticCell
 
-	// warm holds this instance's private copies of compiled code, indexed
-	// like Program.funcs and created on first invocation per function.
-	// Quickening patches opcodes in these copies only, so instances sharing
-	// a Program never write shared memory — race-free by construction.
-	warm [][]bytecode.Instr
-
 	// siteCache is the one run-time resolution cache of both engines: a
 	// monomorphic entry per call and select site, indexed by SiteIx-1 (the
-	// walker) or by a quickened instruction's C operand (the VM), which
-	// Finalize set to the same index. The interpreter is single-threaded by
-	// design, so no locking is needed.
+	// walker) or by a call or select instruction's C operand (the VM),
+	// which Finalize set to the same index. The interpreter is
+	// single-threaded by design, so no locking is needed.
 	siteCache []siteState
 
 	// framePool, argPool and stackPool are free lists for frame slot arrays,
@@ -858,7 +852,7 @@ func (in *Interp) invoke(ci *classInfo, this *Object, m *ast.Method, args []Valu
 	var explicit bool
 	body := func() {
 		if cf != nil {
-			ret, explicit = in.execVM(cf, in.warmFor(cf), &fr, stack)
+			ret, explicit = in.execVM(cf, &fr, stack)
 			return
 		}
 		c := in.exec(&fr, m.Body)
@@ -1725,12 +1719,7 @@ func (in *Interp) chargeArith(k Kind, op token.Kind) { in.meter.Step(arithOp(k, 
 func (in *Interp) evalAssign(fr *frame, n *ast.Assign) Value {
 	var rhs Value
 	if n.Op == token.Assign {
-		if lit, ok := n.RHS.(*ast.ArrayLit); ok {
-			t := in.lvalueType(fr, n.LHS)
-			rhs = in.buildArrayLit(fr, lit, t)
-		} else {
-			rhs = in.operand(fr, n.RHS)
-		}
+		rhs = in.operand(fr, n.RHS)
 	} else {
 		old := in.readLValue(fr, n.LHS)
 		r := in.operand(fr, n.RHS)
@@ -1748,49 +1737,6 @@ func (in *Interp) evalAssign(fr *frame, n *ast.Assign) Value {
 	}
 	in.writeLValue(fr, n.LHS, &rhs)
 	return rhs
-}
-
-// lvalueType reports the declared type of an assignable expression, falling
-// back to a best-effort guess for array elements.
-func (in *Interp) lvalueType(fr *frame, lhs ast.Expr) ast.Type {
-	switch l := lhs.(type) {
-	case *ast.Ident:
-		if s := int(l.RSlot) - 1; s >= 0 && s < len(fr.locals) {
-			if c := &fr.locals[s]; c.live {
-				return c.t
-			}
-		}
-		if fr.this != nil {
-			if ix, ok := fr.this.Class.fieldIx[l.Name]; ok {
-				return fr.this.Class.fields[ix].Type
-			}
-		}
-		if fr.class != nil {
-			if slot := fr.class.findStatic(l.Name); slot != nil {
-				return slot.Type
-			}
-		}
-	case *ast.Select:
-		x := in.eval(fr, l.X)
-		switch x.K {
-		case KRef:
-			obj := x.R.(*Object)
-			if ix, ok := obj.Class.fieldIx[l.Name]; ok {
-				return obj.Class.fields[ix].Type
-			}
-		case KClassRef:
-			if ci, ok := in.prog.classes[x.R.(string)]; ok {
-				if slot := ci.findStatic(l.Name); slot != nil {
-					return slot.Type
-				}
-			}
-		}
-	case *ast.Index:
-		xt := in.lvalueType(fr, l.X)
-		return xt.Elem()
-	}
-	in.bugf(lhs.NodePos(), "cannot determine type of assignment target")
-	return ast.Type{}
 }
 
 // readLValue evaluates an assignable expression for compound assignment.
@@ -2268,7 +2214,7 @@ func (in *Interp) selfReceiver(fr *frame, n *ast.Call, m *ast.Method) (*classInf
 // class ci. It and its siblings resolveVirtual and resolveField are the one
 // copy of each run-time lookup and its error, for both engines: the walker's
 // dispatchCall, selectFrom and writeLValue call them on a cache miss, and so
-// do the VM's quick forms.
+// do the VM's call and field lanes.
 func (in *Interp) resolveSelf(sc *siteState, ci *classInfo, n *ast.Call, argc int) {
 	m := ci.findMethod(n.Name, argc)
 	if m == nil {

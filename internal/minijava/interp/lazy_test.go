@@ -133,8 +133,8 @@ type firstRun struct {
 	joules uint64
 }
 
-// runTwice runs main twice on one fresh instance: cold, then on the warm
-// (quickened) code copies the first run left behind.
+// runTwice runs main twice on one fresh instance: a first run, then a second
+// against the site cache the first run filled.
 func runTwice(prog *interp.Program, eng interp.Engine) ([2]firstRun, error) {
 	var runs [2]firstRun
 	in := interp.New(prog, energy.NewMeter(energy.DefaultCosts()), interp.WithMaxOps(10_000_000), interp.WithEngine(eng))
@@ -149,8 +149,8 @@ func runTwice(prog *interp.Program, eng interp.Engine) ([2]firstRun, error) {
 
 // TestConcurrentFirstRun: eight instances make the first run of one freshly
 // loaded program at once, so they race to compile it. Every one must see
-// the bit-identical results, cold and warm, of a sequential run on its own
-// program.
+// the bit-identical results, on the first and the second run, of a
+// sequential run on its own program.
 func TestConcurrentFirstRun(t *testing.T) {
 	load := func() *interp.Program {
 		f, err := parser.Parse("M.java", firstRunSrc)

@@ -12,10 +12,10 @@ import (
 // The operator table: every binary operator on every pair of numeric kinds,
 // on both engines, against a Java reference written out here. The right
 // operand takes three forms — a local, a literal and a parenthesized
-// expression — so the VM runs OpBinLL, OpBinLC and OpBinary; every case runs
-// twice on one instance, so the second run executes the quickened int lanes
-// (qbin) and, for comparisons in a condition, the fused compare-jumps. The
-// expression must charge exactly one arithmetic op, the one the reference
+// expression — so the VM runs OpBinLL, OpBinLC and OpBinary, whose int lane
+// two ints take, and, for comparisons in a condition, the fused
+// compare-jumps; every case runs twice on one instance, a first and a second
+// run. The expression must charge exactly one arithmetic op, the one the reference
 // names, counted against a baseline method that evaluates the same operands
 // without the operator.
 
@@ -325,7 +325,7 @@ func testOperator(t *testing.T, l, r opKind, op string) {
 					methods = append(methods, c.cond)
 				}
 				for _, method := range methods {
-					// Twice on one instance: cold, then through the quickened code.
+					// Twice on one instance: a first and a second run.
 					for run := 1; run <= 2; run++ {
 						var errs []string
 						for _, in := range []*Interp{vm, ast} {
@@ -365,7 +365,7 @@ func testOperator(t *testing.T, l, r opKind, op string) {
 }
 
 // TestUnaryTable runs unary minus, ++ and -- on every numeric kind on both
-// engines, cold and quickened: each charges one ALU op of the operand's own
+// engines, on a first and a second run: each charges one ALU op of the operand's own
 // kind, unary minus promotes a narrow operand to int, and ++/-- keep the
 // operand's kind.
 func TestUnaryTable(t *testing.T) {

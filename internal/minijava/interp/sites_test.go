@@ -71,9 +71,9 @@ func TestLoadResolvesEverySite(t *testing.T) {
 	}
 }
 
-// TestEveryOpcodeRuns compiles and runs every corpus program on the VM,
-// cold and then warm on one instance, and fails on any opcode but nop that
-// appears in none of their cold or warm streams: no test would run it.
+// TestEveryOpcodeRuns compiles and runs every corpus program on the VM, twice
+// on one instance, and fails on any opcode but nop that appears in none of
+// their compiled streams: no test would run it.
 func TestEveryOpcodeRuns(t *testing.T) {
 	seen := map[bytecode.Op]bool{}
 	for _, p := range corpusPrograms(t) {
@@ -100,7 +100,7 @@ func TestEveryOpcodeRuns(t *testing.T) {
 	}
 	for op := bytecode.OpNop + 1; op.String() != "op?"; op++ {
 		if !seen[op] {
-			t.Errorf("opcode %v appears in no cold or warm stream of the corpus programs", op)
+			t.Errorf("opcode %v appears in no compiled stream of the corpus programs", op)
 		}
 	}
 }
@@ -115,8 +115,8 @@ type siteRun struct {
 	hits uint64
 }
 
-// siteRuns runs T.f twice on one instance of engine e: cold, then with the
-// site caches and (on the VM) the quickened code the first run left.
+// siteRuns runs T.f twice on one instance of engine e: a first run, then a
+// second against the site cache the first run filled.
 func siteRuns(t *testing.T, src string, e interp.Engine) []siteRun {
 	t.Helper()
 	f, err := parser.Parse("sites.java", src)
@@ -144,7 +144,7 @@ func siteRuns(t *testing.T, src string, e interp.Engine) []siteRun {
 // TestSiteCacheGuardMisses feeds call and select sites more than one class,
 // so the monomorphic site cache both engines share misses and refills on
 // every turn: values, output, op counts, cache hits and joule bits must
-// agree across engines on the cold run and on a second run over the same
+// agree across engines on the first run and on a second run over the same
 // instance, and a lookup that fails on the second class must fail with the
 // same text on both.
 func TestSiteCacheGuardMisses(t *testing.T) {

@@ -21,20 +21,20 @@ import (
 // two element arms inline) and its one kind-checked store conversion
 // (assignConv). Arithmetic is binary, negate and increment, charged
 // through arithOp, the one kind-and-operator charge table; only the int lanes
-// (the qbin forms, the fused int compare-jumps and the all-int ++/--) inline
-// its int row, and TestOperatorTable pins them to it.
+// (the binary arm's, the fused int compare-jumps' and the all-int ++/--)
+// inline its int row, and TestOperatorTable pins them to it.
 //
-// The VM adds one mechanism on top, charge-transparent: runtime quickening.
-// Generic handlers patch their instruction (in this instance's private code
-// copy only) into a specialized form after first execution, and every quick
-// handler re-checks its guard and deopts by flipping the opcode back and
-// re-entering the dispatch switch via the `dispatch` label — without
-// re-counting the instruction's steps. The call and select quick forms keep
-// no cache of their own: they read the walker's per-instance site cache
+// The compiled stream is immutable: the VM never writes an instruction, so
+// every instance runs the Program's one copy and the disassembly shows
+// exactly what runs. Each shape specialises by an inline guard in its one
+// arm: two int operands take the binary arm's int lane, an unqualified call
+// and a call on an object take the call arm's self and virtual lanes, and an
+// object receiver takes the field arm's object lane; every other operand
+// goes to the walker's helper. The call and field lanes keep no cache of
+// their own: they read the walker's per-instance site cache
 // (Interp.siteCache) at the instruction's C operand and refill it on a miss
 // through the walker's own resolvers, so both engines resolve a site once
-// and through one lookup. Every call, quick or not, enters the callee through
-// invoke.
+// and through one lookup. Every call enters the callee through invoke.
 
 // liveCell returns the live cell at a compiled slot operand, or nil when the
 // declaration has not executed yet (the dialect declares at execution time)
@@ -67,10 +67,9 @@ func intCmp(op token.Kind, a, b int64) bool {
 	}
 }
 
-// intLaneOp reports whether the int-specialized quick handlers implement op.
-// It must cover every operator binary computes on two ints (the handlers
-// inline that arm), so an installed OpQBinInt* can never meet an operator it
-// has no lane for.
+// intLaneOp reports whether the binary arm's int lane computes op: only
+// operators binary computes on two ints, since the lane inlines that row and
+// reads the last operator it admits as >>.
 func intLaneOp(op token.Kind) bool {
 	switch op {
 	case token.Plus, token.Minus, token.Star, token.Slash, token.Percent,
@@ -85,15 +84,12 @@ func intLaneOp(op token.Kind) bool {
 // completed through an explicit return statement (which triggers invoke's
 // return-value coercion) as opposed to falling off the end of the body.
 //
-// code is this instance's private warm copy of the finalized stream, so
-// handlers patch opcodes without ever writing the shared Program.
-//
 // Identifier operands are read inline (liveCell + the walker's local charge)
 // so the hot path does no interface type assertion; the assertions happen
 // only on the slow resolution ladder.
-func (in *Interp) execVM(cf *compiledFn, code []bytecode.Instr, fr *frame, stack []Value) (Value, bool) {
+func (in *Interp) execVM(cf *compiledFn, fr *frame, stack []Value) (Value, bool) {
 	meter := in.meter
-	consts := cf.consts
+	code, consts := cf.fn.Code, cf.consts
 	pc, sp := 0, 0
 	for {
 		ins := &code[pc]
@@ -103,7 +99,6 @@ func (in *Interp) execVM(cf *compiledFn, code []bytecode.Instr, fr *frame, stack
 				in.checkpoint()
 			}
 		}
-	dispatch:
 		switch ins.Op {
 		case bytecode.OpLoadLocal:
 			if c := liveCell(fr, ins.A); c != nil {
@@ -120,52 +115,55 @@ func (in *Interp) execVM(cf *compiledFn, code []bytecode.Instr, fr *frame, stack
 			}
 			stack[sp] = cv.v
 			sp++
-		case bytecode.OpQBinIntLL, bytecode.OpQBinIntLC, bytecode.OpQBinInt:
-			// One arm for all three int-specialized binary forms; they only
-			// differ in where the operands come from. The charge sequence is
-			// operand charges (locals/consts as the generic forms issue
-			// them), then exactly one arithmetic charge — binary's int arm,
-			// with arithOp's int row inlined and hoisted out of the operator
-			// switch.
-			var a, b int64
-			if ins.Op == bytecode.OpQBinInt {
-				y := stack[sp-1]
-				x := stack[sp-2]
-				if x.K != KInt || y.K != KInt {
-					ins.Op = bytecode.OpBinary
-					goto dispatch
-				}
+		case bytecode.OpBinary, bytecode.OpBinLL, bytecode.OpBinLC:
+			// One arm for the three binary forms, which differ only in where
+			// their operands come from. Each operand is fetched with the
+			// walker's charge: bin pops two stack slots, bin.ll reads slots A
+			// and B, and bin.lc slot A and constant B; a slot that is not
+			// live goes through evalIdent. Two int operands under an operator
+			// intLaneOp admits then take the int lane, binary's int row with
+			// arithOp's charge inlined and hoisted out of the operator
+			// switch; every other pair goes to binary. Operands are read in
+			// place, so the int lane copies no Value, and the arm keeps no
+			// temporary Value of its own: an address-taken one grew execVM's
+			// frame, and that alone moved BenchmarkInterpStaticAndBuiltin by
+			// 15% (EXPERIMENTS.md, "Immutable bytecode").
+			var x, y *Value
+			if ins.Op == bytecode.OpBinary {
 				sp -= 2
-				a, b = x.I, y.I
+				x, y = &stack[sp], &stack[sp+1]
 			} else {
-				ca := liveCell(fr, ins.A)
-				if ca == nil || ca.v.K != KInt {
-					if ins.Op == bytecode.OpQBinIntLL {
-						ins.Op = bytecode.OpBinLL
-					} else {
-						ins.Op = bytecode.OpBinLC
-					}
-					goto dispatch
-				}
-				if ins.Op == bytecode.OpQBinIntLC {
-					cv := &consts[ins.B]
+				if c := liveCell(fr, ins.A); c != nil {
 					meter.Step(energy.OpLocal, 1)
+					x = &c.v
+				} else {
+					// The result slot holds the operand until the result
+					// replaces it.
+					stack[sp] = in.evalIdent(fr, ins.Node.(*ast.Binary).X.(*ast.Ident))
+					x = &stack[sp]
+				}
+				if ins.Op == bytecode.OpBinLC {
+					cv := &consts[ins.B]
 					if cv.charge {
 						meter.Step(cv.op, 1)
 					}
-					b = cv.v.I
+					y = &cv.v
+				} else if c := liveCell(fr, ins.B); c != nil {
+					meter.Step(energy.OpLocal, 1)
+					y = &c.v
 				} else {
-					cb := liveCell(fr, ins.B)
-					if cb == nil || cb.v.K != KInt {
-						ins.Op = bytecode.OpBinLL
-						goto dispatch
-					}
-					meter.Step(energy.OpLocal, 1)
-					meter.Step(energy.OpLocal, 1)
-					b = cb.v.I
+					yv := in.evalIdent(fr, ins.Node.(*ast.Binary).Y.(*ast.Ident))
+					stack[sp] = in.binary(ins.Tok, *x, yv, ins.Node.NodePos())
+					sp++
+					break
 				}
-				a = ca.v.I
 			}
+			if x.K != KInt || y.K != KInt || !intLaneOp(ins.Tok) {
+				stack[sp] = in.binary(ins.Tok, *x, *y, ins.Node.NodePos())
+				sp++
+				break
+			}
+			a, b := x.I, y.I
 			var v Value
 			switch ins.Tok {
 			case token.Slash, token.Percent:
@@ -218,59 +216,6 @@ func (in *Interp) execVM(cf *compiledFn, code []bytecode.Instr, fr *frame, stack
 			}
 			stack[sp] = v
 			sp++
-		case bytecode.OpBinLL:
-			if intLaneOp(ins.Tok) {
-				if ca := liveCell(fr, ins.A); ca != nil && ca.v.K == KInt {
-					if cb := liveCell(fr, ins.B); cb != nil && cb.v.K == KInt {
-						ins.Op = bytecode.OpQBinIntLL
-						goto dispatch
-					}
-				}
-			}
-			var x, y Value
-			if c := liveCell(fr, ins.A); c != nil {
-				meter.Step(energy.OpLocal, 1)
-				x = c.v
-			} else {
-				x = in.evalIdent(fr, ins.Node.(*ast.Binary).X.(*ast.Ident))
-			}
-			if c := liveCell(fr, ins.B); c != nil {
-				meter.Step(energy.OpLocal, 1)
-				y = c.v
-			} else {
-				y = in.evalIdent(fr, ins.Node.(*ast.Binary).Y.(*ast.Ident))
-			}
-			stack[sp] = in.binary(ins.Tok, x, y, ins.Node.NodePos())
-			sp++
-		case bytecode.OpBinLC:
-			if intLaneOp(ins.Tok) && consts[ins.B].v.K == KInt {
-				if ca := liveCell(fr, ins.A); ca != nil && ca.v.K == KInt {
-					ins.Op = bytecode.OpQBinIntLC
-					goto dispatch
-				}
-			}
-			var x Value
-			if c := liveCell(fr, ins.A); c != nil {
-				meter.Step(energy.OpLocal, 1)
-				x = c.v
-			} else {
-				x = in.evalIdent(fr, ins.Node.(*ast.Binary).X.(*ast.Ident))
-			}
-			cv := &consts[ins.B]
-			if cv.charge {
-				meter.Step(cv.op, 1)
-			}
-			stack[sp] = in.binary(ins.Tok, x, cv.v, ins.Node.NodePos())
-			sp++
-		case bytecode.OpBinary:
-			y := stack[sp-1]
-			x := stack[sp-2]
-			if x.K == KInt && y.K == KInt && intLaneOp(ins.Tok) {
-				ins.Op = bytecode.OpQBinInt
-				goto dispatch
-			}
-			sp--
-			stack[sp-1] = in.binary(ins.Tok, x, y, ins.Node.NodePos())
 		case bytecode.OpJmp:
 			pc += int(ins.A)
 			continue
@@ -410,52 +355,39 @@ func (in *Interp) execVM(cf *compiledFn, code []bytecode.Instr, fr *frame, stack
 				in.evalUnary(fr, n)
 			}
 		case bytecode.OpCall:
-			// Quicken on the observed shape: an unqualified call or a user
-			// object receiver; the quick handler performs this very
-			// execution (installation charges nothing). Every other call
-			// dispatches on the walker's path, its arguments passed as a
-			// window of the operand stack: the callee reads them before
-			// anything can overwrite the window.
+			// An unqualified call (B == 0) takes the self lane, cached on the
+			// frame's dynamic class, and a call on a user object the virtual
+			// lane, cached on its class — the keys and entries dispatchCall
+			// uses. Every other receiver dispatches on the walker's path.
+			// Arguments pass as a window of the operand stack: the callee
+			// reads them before anything can overwrite the window.
 			argc := int(ins.A)
 			if ins.B == 0 {
-				ins.Op = bytecode.OpQCallSelf
-				goto dispatch
+				n := ins.Node.(*ast.Call)
+				sc := &in.siteCache[ins.C]
+				if sc.class != fr.class {
+					in.resolveSelf(sc, fr.class, n, argc)
+				}
+				ci, this := in.selfReceiver(fr, n, sc.m)
+				sp -= argc
+				stack[sp] = in.invoke(ci, this, sc.m, stack[sp:sp+argc])
+				sp++
+				break
 			}
 			recv := stack[sp-1-argc]
 			if recv.K == KRef {
-				ins.Op = bytecode.OpQCallVirtual
-				goto dispatch
+				obj := recv.R.(*Object)
+				sc := &in.siteCache[ins.C]
+				if sc.class != obj.Class {
+					in.resolveVirtual(sc, obj.Class, ins.Node.(*ast.Call), argc)
+				}
+				sp -= argc + 1
+				stack[sp] = in.invoke(obj.Class, obj, sc.m, stack[sp+1:sp+1+argc])
+				sp++
+				break
 			}
 			sp -= argc + 1
 			stack[sp] = in.dispatchCall(fr, ins.Node.(*ast.Call), recv, true, stack[sp+1:sp+1+argc])
-			sp++
-		case bytecode.OpQCallSelf:
-			// Unqualified call, cached on the frame's dynamic class — the
-			// key and the entry dispatchCall uses.
-			n := ins.Node.(*ast.Call)
-			argc := int(ins.A)
-			sc := &in.siteCache[ins.C]
-			if sc.class != fr.class {
-				in.resolveSelf(sc, fr.class, n, argc)
-			}
-			ci, this := in.selfReceiver(fr, n, sc.m)
-			sp -= argc
-			stack[sp] = in.invoke(ci, this, sc.m, stack[sp:sp+argc])
-			sp++
-		case bytecode.OpQCallVirtual:
-			argc := int(ins.A)
-			recv := stack[sp-1-argc]
-			if recv.K != KRef {
-				ins.Op = bytecode.OpCall
-				goto dispatch
-			}
-			obj := recv.R.(*Object)
-			sc := &in.siteCache[ins.C]
-			if sc.class != obj.Class {
-				in.resolveVirtual(sc, obj.Class, ins.Node.(*ast.Call), argc)
-			}
-			sp -= argc + 1
-			stack[sp] = in.invoke(obj.Class, obj, sc.m, stack[sp+1:sp+1+argc])
 			sp++
 		case bytecode.OpLoadIndex, bytecode.OpLoadIndexL:
 			// aload pops its index; aload.l, the dominant a[i] shape, reads
@@ -508,16 +440,13 @@ func (in *Interp) execVM(cf *compiledFn, code []bytecode.Instr, fr *frame, stack
 			in.assignConv(&stack[sp], arr.Kind, &arr.Elem, n.Pos)
 			arr.set(idx, stack[sp])
 		case bytecode.OpLoadSelect:
-			if stack[sp-1].K == KRef {
-				ins.Op = bytecode.OpQGetField
-				goto dispatch
-			}
-			stack[sp-1] = in.selectFrom(stack[sp-1], ins.Node.(*ast.Select))
-		case bytecode.OpQGetField:
+			// An object receiver takes the object lane, its field slot cached
+			// on the receiver's class; every other receiver goes to
+			// selectFrom.
 			x := stack[sp-1]
 			if x.K != KRef {
-				ins.Op = bytecode.OpLoadSelect
-				goto dispatch
+				stack[sp-1] = in.selectFrom(x, ins.Node.(*ast.Select))
+				break
 			}
 			obj := x.R.(*Object)
 			sc := &in.siteCache[ins.C]

@@ -267,6 +267,7 @@ func TestParseErrorText(t *testing.T) {
 		{"depth then lexical error", deep + "\n#", `bad.java:2:1: unexpected character "#"`},
 		{"lexical error after a class", "class A { } #", `bad.java:1:13: unexpected character "#"`},
 		{"unterminated string", `class T { String s = "abc; }`, "bad.java:1:22: unterminated string literal"},
+		{"array literal outside an initializer", "class T { void f() { int[] a; a = {1, 2}; } }", `bad.java:1:35: unexpected token "{" in expression`},
 	} {
 		_, err := Parse("bad.java", c.src)
 		if err == nil || err.Error() != c.want {

@@ -108,15 +108,6 @@ func (r *Result) add(rule Rule, n int) {
 	r.ByRule[rule] += n
 }
 
-// CountByRule tallies diagnostics per rule.
-func CountByRule(diags []Diagnostic) map[Rule]int {
-	m := make(map[Rule]int)
-	for _, d := range diags {
-		m[d.Rule]++
-	}
-	return m
-}
-
 // A Pass is one registered rule. Its hooks are invoked from the single shared
 // traversal the engine runs per file; a pass sets only the hooks its rule
 // needs. Hooks emit diagnostics (with fixes where a mechanical repair is

@@ -50,9 +50,6 @@ func (d Domain) String() string {
 	return fmt.Sprintf("domain(%d)", int(d))
 }
 
-// Domains lists all modelled domains.
-func Domains() []Domain { return []Domain{Package, Core, DRAM} }
-
 // MSRReader reads one machine-specific register.
 type MSRReader interface {
 	ReadMSR(reg uint32) (uint64, error)

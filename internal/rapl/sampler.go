@@ -13,19 +13,6 @@ type Snapshot struct {
 	DRAM    energy.Joules
 }
 
-// Domain selects one domain's value from the snapshot.
-func (s Snapshot) Domain(d Domain) energy.Joules {
-	switch d {
-	case Package:
-		return s.Package
-	case Core:
-		return s.Core
-	case DRAM:
-		return s.DRAM
-	}
-	return 0
-}
-
 // Sub returns the per-domain difference b − a.
 func (b Snapshot) Sub(a Snapshot) Snapshot {
 	return Snapshot{

@@ -53,9 +53,9 @@ type goldenCase struct {
 
 // fingerprint runs one program `runs` times against a fresh interpreter and
 // meter and captures the cumulative charge fingerprint plus whatever it
-// printed. With runs > 1 the later drives execute the instance's warm
-// (quickened) code copies, so the fingerprint covers the VM's runtime
-// patching as well as the cold path.
+// printed. With runs > 1 the later drives run against the site cache the
+// first one filled, so the fingerprint covers the cache's hits as well as
+// its first fills.
 func fingerprint(engine interp.Engine, name string, runs int, load func() (*interp.Program, error), drive func(in *interp.Interp) error) (goldenRecord, error) {
 	prog, err := load()
 	if err != nil {
@@ -234,14 +234,14 @@ func TestGoldenEnergyDeterminism(t *testing.T) {
 	}
 }
 
-// TestGoldenEnergyWarmExecution is the warm half of the battery: every case
-// is driven twice on one interpreter instance per engine, so the VM's second
-// pass runs its quickened code copies against a filled site cache. The
-// cumulative two-run fingerprints of the VM and the tree-walker must agree
-// bit for bit — runtime opcode patching must not move a single charge. (The
-// cold half is pinned against the golden file by TestGoldenEnergyDeterminism;
-// warm runs have no golden of their own because statics mutate across runs,
-// so the walker itself is the reference.)
+// TestGoldenEnergyWarmExecution is the second-run half of the battery: every
+// case is driven twice on one interpreter instance per engine, so the second
+// pass runs the same lanes against a filled site cache. The cumulative
+// two-run fingerprints of the VM and the tree-walker must agree bit for bit —
+// a cache hit must not move a single charge. (The first run is pinned
+// against the golden file by TestGoldenEnergyDeterminism; second runs have no
+// golden of their own because statics mutate across runs, so the walker
+// itself is the reference.)
 func TestGoldenEnergyWarmExecution(t *testing.T) {
 	if *updateGolden {
 		t.Skip("golden file is regenerated by TestGoldenEnergyDeterminism")

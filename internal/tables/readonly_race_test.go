@@ -64,7 +64,7 @@ func TestReadOnlyMastersShared(t *testing.T) {
 	}{
 		{"suggest", func() error {
 			for _, f := range slice {
-				if _, err := core.Suggest(f.Path, f.Source); err != nil {
+				if _, err := core.SuggestProject(core.Project{f.Path: f.Source}); err != nil {
 					return err
 				}
 			}

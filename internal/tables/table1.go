@@ -267,19 +267,12 @@ func measureBench(ctx context.Context, src string, eng interp.Engine) (energy.Jo
 	return s.Package, nil
 }
 
-// Table1 measures every component pair and returns the rows in the paper's
-// order. Every number is produced by executing both variants on the
-// energy-model interpreter and comparing package energy. See Table1Jobs for
-// the pooled form.
-func Table1(ctx context.Context, engine interp.Engine) ([]Table1Row, error) {
-	rows, _, err := Table1Jobs(ctx, engine, 1)
-	return rows, err
-}
-
-// Table1Jobs measures the Table I component pairs on a jobs-wide pool. Each
-// of the 22 variants is its own task, run on a fresh interpreter and meter,
-// so one costly pair (array traversal) does not hold a worker for both of
-// its variants. The rows are assembled in paper order from the per-variant
+// Table1Jobs measures every Table I component pair on a jobs-wide pool and
+// returns the rows in the paper's order. Every number is produced by
+// executing both variants on the energy-model interpreter and comparing
+// package energy. Each of the 22 variants is its own task, run on a fresh
+// interpreter and meter, so one costly pair (array traversal) does not hold
+// a worker for both of its variants. The rows are assembled in paper order from the per-variant
 // energies, so they are bit-identical at any width.
 func Table1Jobs(ctx context.Context, engine interp.Engine, jobs int) ([]Table1Row, sched.Telemetry, error) {
 	variants := InterpBenches() // slow then fast variant of each pair

@@ -26,14 +26,6 @@ import (
 	"jepo/internal/stats"
 )
 
-// Table2 generates the per-classifier corpora and measures the Table II
-// metrics rows for each, sequentially. See Table2Parallel for the pooled
-// form the CLIs expose through -jobs.
-func Table2(ctx context.Context, seed uint64) ([]jmetrics.Metrics, error) {
-	rows, _, err := Table2Parallel(ctx, seed, 1)
-	return rows, err
-}
-
 // Table2Parallel measures the Table II rows for the corpora generated from
 // seed on a jobs-wide pool. Every classifier's corpus generation, parsing
 // and metric measurement is fully independent, and rows are committed in

@@ -16,7 +16,7 @@ import (
 )
 
 func TestTable1RatiosHavePaperShape(t *testing.T) {
-	rows, err := Table1(context.Background(), interp.EngineVM)
+	rows, _, err := Table1Jobs(context.Background(), interp.EngineVM, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +59,7 @@ func TestTable1RatiosHavePaperShape(t *testing.T) {
 }
 
 func TestTable2RowsCoverAllClassifiers(t *testing.T) {
-	rows, err := Table2(context.Background(), 20200518)
+	rows, _, err := Table2Parallel(context.Background(), 20200518, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
