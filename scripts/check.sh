@@ -160,6 +160,17 @@ if ! go run ./cmd/jepo analyze examples/java | diff -u examples/java/golden_anal
     exit 1
 fi
 
+echo "== jepo optimize golden =="
+# The refactoring's output pinned at the surface: the change report and every
+# rewritten source of the example corpus must match the checked-in golden
+# byte for byte.
+if ! go run ./cmd/jepo optimize examples/java | diff -u examples/java/golden_optimize.txt -; then
+    echo "jepo optimize output drifted from examples/java/golden_optimize.txt" >&2
+    echo "regenerate (after auditing the diff) with:" >&2
+    echo "    go run ./cmd/jepo optimize examples/java > examples/java/golden_optimize.txt" >&2
+    exit 1
+fi
+
 echo "== jepo profile golden: both engines =="
 # Probes are method labels that both engines fire at the same points of a
 # call, and they charge nothing, so the profiler view and result.txt must
