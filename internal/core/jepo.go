@@ -43,8 +43,9 @@ type Project map[string]string
 
 // ParseProject parses every file, in deterministic path order, through the
 // process-wide artifact engine: unchanged files are cached masters rather
-// than fresh parses. The files are read-only (see engine.ParseFile); take
-// ast.CloneFiles copies to link or rewrite them.
+// than fresh parses. The files are read-only (see engine.ParseFile): take
+// ast.CloneFiles copies to link them, and refactor them with
+// passes.Refactor.
 func ParseProject(p Project) ([]*ast.File, error) {
 	return engine.Default().ParseAll(engine.Sources(p))
 }
@@ -110,8 +111,7 @@ func Optimize(ctx context.Context, p Project, rules ...passes.Rule) (Project, *p
 	if err != nil {
 		return nil, nil, err
 	}
-	files := ast.CloneFiles(masters)
-	res := passes.ApplyFixes(files, passes.AnalyzeFilesRules(files, rules...))
+	files, res := passes.Refactor(masters, rules...)
 	out := make(Project, len(files))
 	for _, f := range files {
 		out[f.Path] = ast.Print(f)

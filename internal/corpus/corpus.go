@@ -15,6 +15,7 @@ package corpus
 import (
 	"fmt"
 	"strings"
+	"sync"
 
 	"jepo/internal/minijava/ast"
 	"jepo/internal/minijava/parser"
@@ -113,30 +114,19 @@ func (r *rng) intn(n int) int { return int(r.next() % uint64(n)) }
 
 // Generate builds the corpus for one classifier. The shared core is
 // generated from the seed alone, so it is byte-identical across classifiers
-// — mirroring how every WEKA classifier shares weka.core.
+// — mirroring how every WEKA classifier shares weka.core. It is generated
+// once per seed (see coreFiles): each Project gets its own Files slice, whose
+// core entries share their strings with every other Project of that seed.
+// The extras, the root class and the kernel are generated on every call.
+// Generate is safe for concurrent use.
 func Generate(classifier string, seed uint64) (*Project, error) {
 	spec, ok := specs[classifier]
 	if !ok {
 		return nil, fmt.Errorf("corpus: unknown classifier %s", classifier)
 	}
-	p := &Project{Root: classifier}
-
-	// Shared core.
-	core := &rng{s: seed}
-	coreNames := make([]string, coreClasses)
-	for i := range coreNames {
-		coreNames[i] = fmt.Sprintf("Core%03d", i)
-	}
-	for i := range coreNames {
-		pkg := corePackages[i%len(corePackages)]
-		next := coreNames[(i+1)%len(coreNames)]
-		pattern := patternKind(i % int(numPatterns)) // ≈1 pattern per core class
-		src := genClass(core, pkg, coreNames[i], next, pattern, 1)
-		p.Files = append(p.Files, File{
-			Path:   pathOf(pkg, coreNames[i]),
-			Source: src,
-		})
-	}
+	p := &Project{Root: classifier, Files: make([]File, coreClasses, coreClasses+spec.extras+2)}
+	copy(p.Files, coreFiles(seed))
+	firstCore := coreName(0)
 
 	// Per-classifier extras, in dedicated packages.
 	extra := &rng{s: seed ^ hashName(classifier)}
@@ -152,7 +142,7 @@ func Generate(classifier string, seed uint64) (*Project, error) {
 	for i, name := range extraNames {
 		pkg := fmt.Sprintf("weka.classifiers.%s.%s%d",
 			spec.family, strings.ToLower(classifier), i%spec.extraPackages)
-		next := coreNames[0]
+		next := firstCore
 		if i+1 < len(extraNames) {
 			next = extraNames[i+1]
 		}
@@ -166,11 +156,11 @@ func Generate(classifier string, seed uint64) (*Project, error) {
 
 	// Root classifier class referencing the extras chain and the core.
 	rootPkg := "weka.classifiers." + spec.family
-	first := coreNames[0]
+	first := firstCore
 	if len(extraNames) > 0 {
 		first = extraNames[0]
 	}
-	rootSrc := genRootClass(extra, rootPkg, classifier, first, coreNames[0])
+	rootSrc := genRootClass(extra, rootPkg, classifier, first, firstCore)
 	p.Files = append(p.Files, File{Path: pathOf(rootPkg, classifier), Source: rootSrc})
 
 	// The executable hot kernel for Table IV (see kernels.go).
@@ -182,6 +172,41 @@ func Generate(classifier string, seed uint64) (*Project, error) {
 	}
 	return p, nil
 }
+
+// coreMemo holds the shared core of the seed Generate last asked for. One
+// entry suffices: a run generates every classifier at one seed.
+var coreMemo struct {
+	sync.Mutex
+	seed  uint64
+	files []File
+}
+
+// coreFiles returns the shared core of a seed, generating it on a miss. The
+// lock is held while the core is built, so concurrent callers at one seed
+// build it once. The slice is shared: callers copy it before appending.
+func coreFiles(seed uint64) []File {
+	coreMemo.Lock()
+	defer coreMemo.Unlock()
+	if coreMemo.files == nil || coreMemo.seed != seed {
+		coreMemo.seed, coreMemo.files = seed, genCore(seed)
+	}
+	return coreMemo.files
+}
+
+// genCore generates the shared core library from the seed alone.
+func genCore(seed uint64) []File {
+	r := &rng{s: seed}
+	files := make([]File, coreClasses)
+	for i := range files {
+		pkg := corePackages[i%len(corePackages)]
+		pattern := patternKind(i % int(numPatterns)) // ≈1 pattern per core class
+		src := genClass(r, pkg, coreName(i), coreName((i+1)%coreClasses), pattern, 1)
+		files[i] = File{Path: pathOf(pkg, coreName(i)), Source: src}
+	}
+	return files
+}
+
+func coreName(i int) string { return fmt.Sprintf("Core%03d", i) }
 
 func pathOf(pkg, class string) string {
 	return strings.ReplaceAll(pkg, ".", "/") + "/" + class + ".java"

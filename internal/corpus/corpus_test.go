@@ -73,22 +73,65 @@ func TestCoreSharedAcrossClassifiers(t *testing.T) {
 	}
 }
 
+// TestDeterministicGeneration generates each seed's corpus first on its own,
+// then again from goroutines asking for interleaved seeds: the core memo
+// holds one seed, so a memo that served the other seed's core, or a core
+// built twice at once, would show as a file differing from its seed's first
+// generation. Run under -race it also checks the memo's locking.
 func TestDeterministicGeneration(t *testing.T) {
-	a, err := Generate("SMO", 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Generate("SMO", 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(a.Files) != len(b.Files) {
-		t.Fatal("file counts differ")
-	}
-	for i := range a.Files {
-		if a.Files[i].Source != b.Files[i].Source {
-			t.Fatalf("file %s not deterministic", a.Files[i].Path)
+	seeds := []uint64{7, 8}
+	first := map[uint64]*Project{}
+	for _, seed := range seeds {
+		p, err := Generate("SMO", seed)
+		if err != nil {
+			t.Fatal(err)
 		}
+		first[seed] = p
+	}
+	interleaved := []uint64{7, 8, 7, 8, 7, 8}
+	got := make([]*Project, len(interleaved))
+	errs := make([]error, len(interleaved))
+	var wg sync.WaitGroup
+	for i, seed := range interleaved {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i], errs[i] = Generate("SMO", seed)
+		}()
+	}
+	wg.Wait()
+	for i, seed := range interleaved {
+		if errs[i] != nil {
+			t.Fatal(errs[i])
+		}
+		want, p := first[seed], got[i]
+		if len(p.Files) != len(want.Files) {
+			t.Fatalf("seed %d: %d files, first generation had %d", seed, len(p.Files), len(want.Files))
+		}
+		for j := range p.Files {
+			if p.Files[j] != want.Files[j] {
+				t.Fatalf("seed %d: file %s differs from the first generation", seed, want.Files[j].Path)
+			}
+		}
+	}
+	coresDiffer := false
+	for i := 0; i < coreClasses; i++ {
+		if first[7].Files[i].Source != first[8].Files[i].Source {
+			coresDiffer = true
+			break
+		}
+	}
+	if !coresDiffer {
+		t.Error("seeds 7 and 8 generated the same core")
+	}
+	// Each Project owns its Files slice: a caller's write stays its own.
+	got[0].Files[0].Source = ""
+	again, err := Generate("SMO", 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again.Files[0] != first[7].Files[0] {
+		t.Error("a write to one project's core file reached a later generation")
 	}
 }
 

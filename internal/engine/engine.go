@@ -18,7 +18,8 @@
 // stored and is shared by every caller: readers (the passes' detection,
 // metrics, printing) read it in place, and the in-place writers
 // (interp.Load, instrument.Inject, passes.ApplyFixes) refuse it, so a caller
-// that links or rewrites takes an ast.CloneFile copy first. Sample runs the
+// that links takes an ast.CloneFile copy first, and one that refactors calls
+// passes.Refactor, which copies only what its fixes write. Sample runs the
 // entry-point check on the masters themselves, so a program with no runnable
 // main is turned away before anything is copied or resolved.
 //
@@ -155,10 +156,10 @@ func Sources(m map[string]string) []Source {
 // Masters are keyed by source bytes alone — the same source at two paths
 // parses once — and are frozen before they are stored: the caller may read
 // the result from any goroutine but must not write to it (interp.Load,
-// instrument.Inject and passes.ApplyFixes panic on it). To link or rewrite,
-// take an ast.CloneFile copy. A hit at a different path returns a shallow
-// copy of the file header that carries that path and shares the master's
-// classes.
+// instrument.Inject and passes.ApplyFixes panic on it). To link, take an
+// ast.CloneFile copy; to refactor, call passes.Refactor. A hit at a
+// different path returns a shallow copy of the file header that carries
+// that path and shares the master's classes.
 //
 // A parse error is a function of the source bytes too, so it is stored the
 // same way, and a hit at a different path returns a copy carrying that

@@ -77,12 +77,16 @@ func NewProject(files []SourceFile) *Project {
 // "total lines of code" does.
 func countLOC(src string) int {
 	n := 0
-	for _, line := range strings.Split(src, "\n") {
+	for {
+		line, rest, more := strings.Cut(src, "\n")
 		if strings.TrimSpace(line) != "" {
 			n++
 		}
+		if !more {
+			return n
+		}
+		src = rest
 	}
-	return n
 }
 
 // referencedClasses extracts every class name a class mentions: superclass,

@@ -47,26 +47,31 @@ func cloneClass(c *Class) *Class {
 	if c.Fields != nil {
 		out.Fields = make([]*Field, len(c.Fields))
 		for i, f := range c.Fields {
-			out.Fields[i] = cloneField(f)
+			out.Fields[i] = CloneField(f)
 		}
 	}
 	if c.Methods != nil {
 		out.Methods = make([]*Method, len(c.Methods))
 		for i, m := range c.Methods {
-			out.Methods[i] = cloneMethod(m)
+			out.Methods[i] = CloneMethod(m)
 		}
 	}
 	return out
 }
 
-func cloneField(f *Field) *Field {
+// CloneField returns a deep, writable copy of one field declaration, for a
+// writer that copies only the nodes it writes (see CloneFile).
+func CloneField(f *Field) *Field {
 	if f == nil {
 		return nil
 	}
 	return &Field{Pos: f.Pos, Mods: f.Mods, Type: f.Type, Name: f.Name, Init: cloneExpr(f.Init)}
 }
 
-func cloneMethod(m *Method) *Method {
+// CloneMethod returns a deep, writable copy of one method, annotations
+// included, for a writer that copies only the nodes it writes (see
+// CloneFile).
+func CloneMethod(m *Method) *Method {
 	if m == nil {
 		return nil
 	}

@@ -24,7 +24,7 @@ func (m *matcher) primitiveDecl(d *declSite) {
 		if t.Kind != ast.Float { // float is already the narrow spelling
 			fx = typeFix(d, RulePrimitiveTypes, fieldFixNarrow)
 		}
-		m.add(d.pos, RulePrimitiveTypes, fmt.Sprintf("%s declared %s", d.what, t.Kind), fx)
+		m.add(d.pos, RulePrimitiveTypes, fmt.Sprintf("%s declared %s", d.what(), t.Kind), fx)
 	}
 }
 
@@ -123,7 +123,7 @@ func (m *matcher) wrapperDecl(d *declSite) {
 		if t.Name == "Long" || t.Name == "Short" || t.Name == "Byte" {
 			fx = typeFix(d, RuleWrapperClasses, fieldFixWrapper)
 		}
-		m.add(d.pos, RuleWrapperClasses, fmt.Sprintf("%s declared %s", d.what, t.Name), fx)
+		m.add(d.pos, RuleWrapperClasses, fmt.Sprintf("%s declared %s", d.what(), t.Name), fx)
 	}
 }
 

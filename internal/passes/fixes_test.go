@@ -4,6 +4,7 @@ package passes_test
 // strictly lowers its measured energy.
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -52,6 +53,8 @@ func apply(f *ast.File, rules ...passes.Rule) *passes.Result {
 }
 
 // refactorSrc applies rules and returns the re-printed source plus result.
+// Refactor over a frozen parse must print the same source and count the
+// same changes per rule.
 func refactorSrc(t *testing.T, src string, rules ...passes.Rule) (string, *passes.Result) {
 	t.Helper()
 	f := parse(t, src)
@@ -59,6 +62,12 @@ func refactorSrc(t *testing.T, src string, rules ...passes.Rule) (string, *passe
 	out := ast.Print(f)
 	if _, err := parser.Parse("out.java", out); err != nil {
 		t.Fatalf("refactored source does not re-parse: %v\n%s", err, out)
+	}
+	master := parse(t, src)
+	master.Freeze()
+	cow, cowRes := passes.Refactor([]*ast.File{master}, rules...)
+	if got := ast.Print(cow[0]); got != out || !reflect.DeepEqual(cowRes, res) {
+		t.Fatalf("Refactor disagrees with ApplyFixes: %+v vs %+v\nRefactor:\n%s\nApplyFixes:\n%s", cowRes, res, got, out)
 	}
 	return out, res
 }

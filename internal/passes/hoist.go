@@ -51,23 +51,34 @@ func analyzeStatics(files []*ast.File) map[*ast.Field]*hoistPlan {
 				if m.Body == nil {
 					continue
 				}
-				counts := map[fieldKey]int{}
-				locals := localNames(m)
+				// Most methods touch no static: their counts and local names
+				// are never built.
+				var counts map[fieldKey]int
+				var locals map[string]bool
+				count := func(k fieldKey) {
+					if counts == nil {
+						counts = map[fieldKey]int{}
+					}
+					counts[k]++
+				}
 				ast.Inspect(m.Body, func(n ast.Node) bool {
 					switch x := n.(type) {
 					case *ast.Ident:
-						if locals[x.Name] {
+						k := fieldKey{c.Name, x.Name}
+						if _, ok := statics[k]; !ok {
 							return true
 						}
-						k := fieldKey{c.Name, x.Name}
-						if _, ok := statics[k]; ok {
-							counts[k]++
+						if locals == nil {
+							locals = localNames(m)
+						}
+						if !locals[x.Name] {
+							count(k)
 						}
 					case *ast.Select:
 						if cls, ok := x.X.(*ast.Ident); ok {
 							k := fieldKey{cls.Name, x.Name}
 							if _, ok := statics[k]; ok {
-								counts[k]++
+								count(k)
 							}
 						}
 					}

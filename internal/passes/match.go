@@ -11,8 +11,8 @@ import (
 // traversal per file — and returns the diagnostics ordered by line within
 // each file, preserving the file order. Analysis only reads the files, so
 // it runs on read-only parse masters; but when any file is frozen, every
-// fix it returns is marked read-only and ApplyFixes refuses it. To apply
-// fixes, analyze ast.CloneFile copies.
+// fix it returns is marked read-only and ApplyFixes refuses it. To refactor
+// read-only masters, call Refactor.
 func AnalyzeFiles(files []*ast.File) []Diagnostic {
 	return analyze(files, nil)
 }
@@ -24,51 +24,35 @@ func AnalyzeFiles(files []*ast.File) []Diagnostic {
 // attachment (e.g. a string-accumulation cluster only claims its declaration's
 // ternary initializer when the concat pass actually runs).
 func AnalyzeFilesRules(files []*ast.File, rules ...Rule) []Diagnostic {
+	return analyze(files, ruleSet(rules))
+}
+
+// ruleSet is the enabled set of a rule list: nil, meaning every rule, when
+// the list is empty.
+func ruleSet(rules []Rule) map[Rule]bool {
 	if len(rules) == 0 {
-		return analyze(files, nil)
+		return nil
 	}
 	enabled := map[Rule]bool{}
 	for _, r := range rules {
 		enabled[r] = true
 	}
-	return analyze(files, enabled)
+	return enabled
 }
 
 func analyze(files []*ast.File, enabled map[Rule]bool) []Diagnostic {
-	on := func(r Rule) bool { return enabled == nil || enabled[r] }
-	var plans map[*ast.Field]*hoistPlan
-	if on(RuleStaticKeyword) {
-		plans = analyzeStatics(files)
-	}
+	m := newMatcher(files, enabled)
 	var out []Diagnostic
 	for _, f := range files {
 		start := len(out)
 		for _, c := range f.Classes {
-			m := &matcher{
-				file: f, class: c, enabled: enabled, hoist: plans,
-				types:        map[string]ast.Type{},
-				nonNeg:       map[string]bool{},
-				cmpFix:       map[*ast.Call]*Fix{},
-				clusterDecls: map[*ast.LocalVar]bool{},
-			}
-			for _, fd := range c.Fields {
-				m.types[fd.Name] = fd.Type
-			}
-			fieldTypes := m.types
-			for _, fd := range c.Fields {
-				m.fieldDecl(fd)
-			}
+			m.startClass(f, c)
 			for _, mt := range c.Methods {
-				m.types = map[string]ast.Type{}
-				for k, v := range fieldTypes {
-					m.types[k] = v
-				}
 				m.methodDecl(mt)
 			}
 			out = append(out, m.found...)
 		}
-		chunk := out[start:]
-		sort.SliceStable(chunk, func(i, j int) bool { return chunk[i].Line < chunk[j].Line })
+		sortByLine(out[start:])
 	}
 	for _, f := range files {
 		if f.Frozen() {
@@ -83,8 +67,15 @@ func analyze(files []*ast.File, enabled map[Rule]bool) []Diagnostic {
 	return out
 }
 
-// matcher carries the traversal state one class's analysis needs. Hooks read
-// it to decide both whether a rule matches and whether its fix is safe here.
+// sortByLine orders one file's diagnostics by line, keeping the traversal
+// order within a line.
+func sortByLine(diags []Diagnostic) {
+	sort.SliceStable(diags, func(i, j int) bool { return diags[i].Line < diags[j].Line })
+}
+
+// matcher carries the traversal state of one analysis, reset per class by
+// startClass and per method by methodDecl. Hooks read it to decide both
+// whether a rule matches and whether its fix is safe here.
 type matcher struct {
 	file      *ast.File
 	class     *ast.Class
@@ -93,8 +84,9 @@ type matcher struct {
 	found     []Diagnostic
 	enabled   map[Rule]bool // nil = all rules
 
-	// types records declared types of fields, params and locals in scope so
-	// the string rules can distinguish String '+' from numeric '+'.
+	// types records the declared types of the current method's params and
+	// locals so the string rules can distinguish String '+' from numeric '+';
+	// a name it lacks falls back to the class's fields (see isStringExpr).
 	types map[string]ast.Type
 
 	// arrayLitDepth > 0 while inside an array literal. Fixes that the apply
@@ -122,6 +114,38 @@ type matcher struct {
 
 	// hoist maps static fields to their hoisting plan (cross-file analysis).
 	hoist map[*ast.Field]*hoistPlan
+
+	// site is the declaration the Decl hooks are inspecting (see declHooks).
+	site declSite
+}
+
+// newMatcher returns the matcher one analysis of the files reuses for every
+// class, with the static-hoisting plans computed over all of them.
+func newMatcher(files []*ast.File, enabled map[Rule]bool) *matcher {
+	m := &matcher{
+		enabled:      enabled,
+		types:        map[string]ast.Type{},
+		nonNeg:       map[string]bool{},
+		cmpFix:       map[*ast.Call]*Fix{},
+		clusterDecls: map[*ast.LocalVar]bool{},
+	}
+	if m.on(RuleStaticKeyword) {
+		m.hoist = analyzeStatics(files)
+	}
+	return m
+}
+
+// startClass begins one class's analysis and walks its fields; the caller
+// then walks each method with methodDecl and collects found. Every loop
+// balances nonNeg, so it is empty here.
+func (m *matcher) startClass(f *ast.File, c *ast.Class) {
+	m.file, m.class, m.found = f, c, m.found[:0]
+	clear(m.types)
+	clear(m.cmpFix)
+	clear(m.clusterDecls)
+	for _, fd := range c.Fields {
+		m.fieldDecl(fd)
+	}
 }
 
 func (m *matcher) on(r Rule) bool { return m.enabled == nil || m.enabled[r] }
@@ -151,19 +175,27 @@ func (m *matcher) add(pos token.Pos, r Rule, detail string, fx *Fix) {
 type declSite struct {
 	pos       token.Pos
 	typ       ast.Type
-	what      string // "field 'x'", "parameter 'x'", "local 'x'"
+	kind      string // "field", "parameter" or "local"
+	name      string
 	field     *ast.Field
 	paramType *ast.Type
 	local     *ast.LocalVar
 }
 
+// what names the declaration for a diagnostic, e.g. "local 'x'". It is
+// built only for a declaration that is reported.
+func (d *declSite) what() string { return d.kind + " '" + d.name + "'" }
+
 // Hook dispatch: each site consults the registry in order, skipping passes
 // that are disabled for this analysis.
 
-func (m *matcher) declHooks(d *declSite) {
+// declHooks runs the Decl hooks on d, passed through the matcher's one
+// declSite: no hook keeps the pointer.
+func (m *matcher) declHooks(d declSite) {
+	m.site = d
 	for _, p := range Registry {
 		if p.Decl != nil && m.on(p.Rule) {
-			p.Decl(m, d)
+			p.Decl(m, &m.site)
 		}
 	}
 }
@@ -194,8 +226,7 @@ func (m *matcher) nodeHooks(n ast.Node) {
 
 func (m *matcher) fieldDecl(fd *ast.Field) {
 	m.method = nil
-	m.declHooks(&declSite{pos: fd.Pos, typ: fd.Type,
-		what: "field '" + fd.Name + "'", field: fd})
+	m.declHooks(declSite{pos: fd.Pos, typ: fd.Type, kind: "field", name: fd.Name, field: fd})
 	m.fieldHooks(fd)
 	if fd.Init != nil {
 		m.walkExpr(fd.Init)
@@ -204,11 +235,11 @@ func (m *matcher) fieldDecl(fd *ast.Field) {
 
 func (m *matcher) methodDecl(mt *ast.Method) {
 	m.method = mt
+	clear(m.types)
 	for i := range mt.Params {
 		p := &mt.Params[i]
 		m.types[p.Name] = p.Type
-		m.declHooks(&declSite{pos: mt.Pos, typ: p.Type,
-			what: "parameter '" + p.Name + "'", paramType: &p.Type})
+		m.declHooks(declSite{pos: mt.Pos, typ: p.Type, kind: "parameter", name: p.Name, paramType: &p.Type})
 	}
 	if mt.Body != nil {
 		m.walkStmt(mt.Body)
@@ -232,8 +263,7 @@ func (m *matcher) walkStmt(s ast.Stmt) {
 		}
 	case *ast.LocalVar:
 		m.types[n.Name] = n.Type
-		m.declHooks(&declSite{pos: n.Pos, typ: n.Type,
-			what: "local '" + n.Name + "'", local: n})
+		m.declHooks(declSite{pos: n.Pos, typ: n.Type, kind: "local", name: n.Name, local: n})
 		if n.Init != nil {
 			if t, ok := n.Init.(*ast.Ternary); ok && !m.clusterDecls[n] {
 				m.setPend(t, ternFixLocal(n, t))
@@ -392,8 +422,16 @@ func (m *matcher) isStringExpr(e ast.Expr) bool {
 	case *ast.Literal:
 		return x.Kind == ast.LitString
 	case *ast.Ident:
-		t, ok := m.types[x.Name]
-		return ok && t.IsString()
+		if t, ok := m.types[x.Name]; ok {
+			return t.IsString()
+		}
+		// A later field of the same name shadows an earlier one.
+		for i := len(m.class.Fields) - 1; i >= 0; i-- {
+			if fd := m.class.Fields[i]; fd.Name == x.Name {
+				return fd.Type.IsString()
+			}
+		}
+		return false
 	case *ast.Binary:
 		return x.Op == token.Plus && (m.isStringExpr(x.X) || m.isStringExpr(x.Y))
 	case *ast.Call:

@@ -2,9 +2,10 @@
 // registered Pass whose match hooks run inside one shared AST traversal per
 // file, emitting positioned Diagnostics. A diagnostic that can be repaired
 // mechanically carries a Fix; ApplyFixes replays a set of fixes over the
-// trees through the ast.Rewrite cursor API. Detection therefore exists once:
-// the suggest package renders diagnostics as suggestions, and the refactor
-// package applies their fixes — neither re-matches anything.
+// trees through the ast.Rewrite cursor API, and Refactor analyzes and
+// applies over read-only parse masters, copying only what its fixes write.
+// Detection therefore exists once: the suggestion views render diagnostics,
+// and the refactorings apply their fixes — neither re-matches anything.
 package passes
 
 import "fmt"

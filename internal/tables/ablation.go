@@ -79,17 +79,13 @@ func Ablate(ctx context.Context, cfg AblationConfig) ([]AblationRow, error) {
 	if err != nil {
 		return nil, err
 	}
-	orig, err := kernelAST(proj, cfg.Classifier)
+	master, err := kernelAST(proj, cfg.Classifier)
 	if err != nil {
 		return nil, err
 	}
-	refd, err := kernelAST(proj, cfg.Classifier)
-	if err != nil {
-		return nil, err
-	}
-	orig, refd = ast.CloneFile(orig), ast.CloneFile(refd)
-	kernel := []*ast.File{refd}
-	passes.ApplyFixes(kernel, passes.AnalyzeFiles(kernel))
+	// Both kernels run linked, so both run on copies.
+	refactored, _ := passes.Refactor([]*ast.File{master})
+	orig, refd := ast.CloneFile(master), ast.CloneFile(refactored[0])
 
 	data := airlines.Generate(cfg.Instances, cfg.Seed)
 	feats, labels := kernelData(data)

@@ -135,17 +135,16 @@ func measureTable4Row(ctx context.Context, name string, in *table4Inputs) (Table
 	}
 	// The corpus generator emits the same core library files for every
 	// classifier, so sibling rows share their read-only parse masters.
-	// ApplyFixes rewrites a copy of the whole corpus, never the masters.
+	// Refactor copies only the fields and methods its fixes write.
 	masters, err := parseCorpus(proj)
 	if err != nil {
 		return Table4Row{}, err
 	}
-	files := ast.CloneFiles(masters)
-	res := passes.ApplyFixes(files, passes.AnalyzeFiles(files))
+	files, res := passes.Refactor(masters)
 	in.say("%s: applied %d changes", name, res.Changes)
 
 	// Locate the original and refactored kernel ASTs. Every kernel run
-	// links its AST, so the original is a copy too.
+	// links its AST, so both run on copies.
 	orig, err := kernelAST(proj, name)
 	if err != nil {
 		return Table4Row{}, err
@@ -154,7 +153,7 @@ func measureTable4Row(ctx context.Context, name string, in *table4Inputs) (Table
 	var refd *ast.File
 	for _, f := range files {
 		if strings.HasSuffix(f.Path, corpus.KernelClass(name)+".java") {
-			refd = f
+			refd = ast.CloneFile(f)
 		}
 	}
 	if refd == nil {
